@@ -674,12 +674,14 @@ let run_ablation () =
         | exception Ape_spice.Dc.No_convergence _ ->
           [ Ape_process.Process.corner_name c; "-"; "-"; "-" ]
         | op ->
+          let prep = Ape_spice.Ac.prepare op in
           [
             Ape_process.Process.corner_name c;
-            Printf.sprintf "%.1f" (Ape_spice.Measure.dc_gain ~out:"out" op);
+            Printf.sprintf "%.1f"
+              (Ape_spice.Measure.Prepared.dc_gain ~out:"out" prep);
             opt eng
-              (Ape_spice.Measure.unity_gain_frequency ~fmin:1e3 ~fmax:1e9
-                 ~out:"out" op);
+              (Ape_spice.Measure.Prepared.unity_gain_frequency ~fmin:1e3
+                 ~fmax:1e9 ~out:"out" prep);
             eng (Ape_spice.Dc.static_power op ~supply:"VDD");
           ])
       [ Ape_process.Process.Typical; Ape_process.Process.Slow;
@@ -745,15 +747,13 @@ let run_mc () =
   | [] -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Prepared-solve AC engine: solves/sec with per-call restamping vs    *)
-(* the stamp-once prepared path, plus the synthesis-loop view (shared  *)
-(* preparation across measurements, estimation-cache hit rate), the    *)
-(* blocked frequency-panel engine vs the per-frequency sparse path,    *)
-(* and the adjoint-vs-direct noise solve counts.                       *)
-(* Emits BENCH_sweep.json for the CI record.                           *)
+(* Prepared AC engine: the estimation-cache hit rate of an annealing   *)
+(* run, blocked frequency panels vs the per-frequency path (width      *)
+(* curve, bit identity, workspace reuse) and the adjoint noise solve   *)
+(* count.  Emits BENCH_sweep.json; ci.sh gates on it.                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The RC ladder the sparse gates run on (shared with run_sparse). *)
+(* The RC ladder the panel gates run on. *)
 let ladder_deck n =
   let open Ape_circuit.Netlist in
   let node i = Printf.sprintf "n%d" i in
@@ -802,90 +802,14 @@ let sweep_testbench () =
   (row, Ape_spice.Dc.solve nl)
 
 let run_sweep () =
-  heading "Prepared-solve AC engine: restamp-per-frequency vs stamp-once";
+  heading "Blocked AC sweeps: frequency panels vs per-frequency refactors";
   let module Ac = Ape_spice.Ac in
-  let module Measure = Ape_spice.Measure in
   let row, op = sweep_testbench () in
-  let grid =
-    Ac.sweep_frequencies ~points_per_decade:20 ~fstart:1. ~fstop:1e9 ()
-  in
-  let n_grid = List.length grid in
-  let repeats = if fast_mode then 3 else 10 in
   let time f =
     let t0 = Unix.gettimeofday () in
     f ();
     Unix.gettimeofday () -. t0
   in
-  (* Warm both paths once so allocation/GC start-up is off the clock. *)
-  List.iter (fun f -> ignore (Ac.solve_at op f)) grid;
-  let t_restamp =
-    time (fun () ->
-        for _ = 1 to repeats do
-          List.iter (fun f -> ignore (Ac.solve_at op f)) grid
-        done)
-  in
-  let prep = Ac.prepare op in
-  List.iter (fun f -> ignore (Ac.solve_prepared prep f)) grid;
-  let t_prepared =
-    time (fun () ->
-        for _ = 1 to repeats do
-          List.iter (fun f -> ignore (Ac.solve_prepared prep f)) grid
-        done)
-  in
-  let solves = float_of_int (repeats * n_grid) in
-  let rate t = solves /. Float.max 1e-9 t in
-  let speedup = rate t_prepared /. rate t_restamp in
-  print_string
-    (Table.render
-       ~header:[ "path"; "solves"; "seconds"; "solves/s" ]
-       [
-         [
-           "restamp (solve_at)"; string_of_int (repeats * n_grid);
-           Printf.sprintf "%.3f" t_restamp; eng (rate t_restamp);
-         ];
-         [
-           "prepared (stamp once)"; string_of_int (repeats * n_grid);
-           Printf.sprintf "%.3f" t_prepared; eng (rate t_prepared);
-         ];
-       ]);
-  pf "prepared speedup: %.1fx  (grid: %d points, 1 Hz .. 1 GHz)\n" speedup
-    n_grid;
-
-  (* The synthesis view: one measurement set = DC gain + UGF + f-3dB on
-     one operating point.  Before, every Measure call built its own
-     stamps; after, one preparation serves the whole set. *)
-  let sets = if fast_mode then 50 else 200 in
-  let measure_per_call () =
-    ignore (Measure.dc_gain ~out:"out" op);
-    ignore (Measure.unity_gain_frequency ~fmin:1e3 ~fmax:1e9 ~out:"out" op);
-    ignore (Measure.f_minus_3db ~fmax:1e9 ~out:"out" op)
-  in
-  let measure_shared () =
-    let p = Ac.prepare op in
-    ignore (Measure.Prepared.dc_gain ~out:"out" p);
-    ignore
-      (Measure.Prepared.unity_gain_frequency ~fmin:1e3 ~fmax:1e9 ~out:"out" p);
-    ignore (Measure.Prepared.f_minus_3db ~fmax:1e9 ~out:"out" p)
-  in
-  measure_per_call ();
-  measure_shared ();
-  (* Best of three trials: a single GC major slice can swamp these
-     sub-second loops. *)
-  let best f =
-    List.fold_left
-      (fun acc _ -> Float.min acc (time f))
-      Float.infinity [ 1; 2; 3 ]
-  in
-  let t_per_call =
-    best (fun () -> for _ = 1 to sets do measure_per_call () done)
-  in
-  let t_shared =
-    best (fun () -> for _ = 1 to sets do measure_shared () done)
-  in
-  pf "\nmeasurement sets (gain+UGF+f3dB), %d repetitions:\n" sets;
-  pf "  one preparation per Measure call: %.3f s\n" t_per_call;
-  pf "  one shared preparation per set:   %.3f s  (%.2fx)\n" t_shared
-    (t_per_call /. Float.max 1e-9 t_shared);
 
   (* Estimation cache over a real annealing run: how often the annealer
      revisits a quantised sizing point.  Random start, no early stop, so
@@ -908,16 +832,13 @@ let run_sweep () =
   let lookups = S.Est_cache.lookups problem.S.Opamp_problem.cache
   and hits = S.Est_cache.hits problem.S.Opamp_problem.cache in
   let hit_rate = float_of_int hits /. Float.max 1. (float_of_int lookups) in
-  pf "\nannealing estimation cache (row oa2, %d evaluations):\n"
+  pf "annealing estimation cache (row oa2, %d evaluations):\n"
     stats.S.Anneal.evaluations;
   pf "  lookups %d, hits %d, hit rate %.1f %%\n" lookups hits
     (100. *. hit_rate);
 
-  (* Blocked frequency panels vs the per-frequency sparse path, on the
-     same 200-section ladder and grid the sparse bench gates on.  The
-     preparation dispatches on the backend it was built under, so one
-     sparse prepare serves every width. *)
-  let module Backend = Ape_spice.Backend in
+  (* Blocked frequency panels vs the per-frequency path (width 1) on a
+     200-section ladder.  One preparation serves every width. *)
   let k0 = Ac.panel_width () in
   let gate_n = if fast_mode then 120 else 200 in
   let ladder_grid =
@@ -925,10 +846,7 @@ let run_sweep () =
   in
   let ladder_pts = List.length ladder_grid in
   let panel_passes = if fast_mode then 20 else 40 in
-  let ladder_prep =
-    Backend.use Backend.Sparse (fun () ->
-        Ac.prepare (Ape_spice.Dc.solve (ladder_deck gate_n)))
-  in
+  let ladder_prep = Ac.prepare (Ape_spice.Dc.solve (ladder_deck gate_n)) in
   let rate_at_width width =
     Ac.set_panel_width width;
     ignore (Ac.sweep_prepared ladder_prep ladder_grid);
@@ -974,77 +892,25 @@ let run_sweep () =
       (points_at 1) (points_at 8)
   in
   pf "panel vs per-frequency bit-identical: %b\n" bit_identical;
-  (* The path this PR replaces — a fresh workspace clone per frequency
-     (the old parallel sweep branch) — as a second baseline. *)
-  let per_freq_rate =
-    List.iter (fun f -> ignore (Ac.solve_fresh ladder_prep f)) ladder_grid;
-    let t =
-      time (fun () ->
-          for _ = 1 to panel_passes do
-            List.iter
-              (fun f -> ignore (Ac.solve_fresh ladder_prep f))
-              ladder_grid
-          done)
-    in
-    float_of_int (panel_passes * ladder_pts) /. Float.max 1e-9 t
-  in
-  pf "fresh-workspace-per-point path: %s solves/s (blocked is %.2fx)\n"
-    (eng per_freq_rate) (blocked_rate /. Float.max 1e-9 per_freq_rate);
-  (* Workspace churn: the old path cloned per frequency; the blocked
-     sweep reuses the preparation's cached workspace (zero clones after
-     warm-up) or, parallel, at most one clone per worker domain.
-     Counters are deterministic where Gc.allocated_bytes — per-domain
-     and blind to Bigarray payloads — is not. *)
+  (* Workspace churn: a repeated sweep reuses the preparation's cached
+     workspace, so it clones none. *)
   Ac.set_panel_width 8;
   ignore (Ac.sweep_prepared ladder_prep ladder_grid);
   let obs_was = Ape_obs.enabled () in
   Ape_obs.enable ();
-  let count_workspaces f =
-    Ape_obs.reset ();
-    f ();
+  Ape_obs.reset ();
+  ignore (Ac.sweep_prepared ladder_prep ladder_grid);
+  let blocked_workspaces =
     Option.value ~default:0
       (List.assoc_opt "ac.workspaces" (Ape_obs.snapshot ()).Ape_obs.counters)
   in
-  let fresh_workspaces =
-    count_workspaces (fun () ->
-        List.iter (fun f -> ignore (Ac.solve_fresh ladder_prep f)) ladder_grid)
-  in
-  let blocked_workspaces =
-    count_workspaces (fun () ->
-        ignore (Ac.sweep_prepared ladder_prep ladder_grid))
-  in
   if not obs_was then Ape_obs.disable ();
-  assert (blocked_workspaces < fresh_workspaces);
-  (* On-heap allocation per point, minimum over passes (a GC slice or
-     domain-counter fold can inflate one pass, never deflate it). *)
-  let alloc_min f =
-    let best = ref infinity in
-    for _ = 1 to 5 do
-      let a0 = Gc.allocated_bytes () in
-      f ();
-      let a = Gc.allocated_bytes () -. a0 in
-      if a < !best then best := a
-    done;
-    !best
-  in
-  let fresh_alloc =
-    alloc_min (fun () ->
-        List.iter (fun f -> ignore (Ac.solve_fresh ladder_prep f)) ladder_grid)
-  in
-  let blocked_alloc =
-    alloc_min (fun () -> ignore (Ac.sweep_prepared ladder_prep ladder_grid))
-  in
-  let per_pt b = b /. float_of_int (max 1 ladder_pts) in
-  pf
-    "workspace clones per %d-point sweep: fresh-per-point %d, blocked %d\n"
-    ladder_pts fresh_workspaces blocked_workspaces;
-  pf "allocation per point: fresh-workspace %.0f B, blocked %.0f B (%.1fx less)\n"
-    (per_pt fresh_alloc) (per_pt blocked_alloc)
-    (fresh_alloc /. Float.max 1. blocked_alloc);
+  pf "workspace clones per repeated %d-point sweep: %d\n" ladder_pts
+    blocked_workspaces;
   Ac.set_panel_width k0;
 
-  (* Adjoint noise: one transposed solve per frequency for all sources
-     vs the historical one-solve-per-source path, counter-verified. *)
+  (* Adjoint noise: one transposed solve per frequency covers every
+     source, counter-verified. *)
   let noise_sources =
     List.length (Ape_spice.Noise.noise_sources op 1e3)
   in
@@ -1052,30 +918,19 @@ let run_sweep () =
   Ape_obs.enable ();
   Ape_obs.reset ();
   let nprep = Ac.prepare op in
-  ignore
-    (Ape_spice.Noise.output_noise_direct_prepared ~out:"out" ~freq:1e3 nprep);
   ignore (Ape_spice.Noise.output_noise_prepared ~out:"out" ~freq:1e3 nprep);
-  let snap = Ape_obs.snapshot () in
-  let cval name =
-    Option.value ~default:0 (List.assoc_opt name snap.Ape_obs.counters)
+  let adjoint_solves =
+    Option.value ~default:0
+      (List.assoc_opt "noise.adjoint_solves"
+         (Ape_obs.snapshot ()).Ape_obs.counters)
   in
-  let direct_solves = cval "noise.direct_solves" in
-  let adjoint_solves = cval "noise.adjoint_solves" in
   if not obs_was then Ape_obs.disable ();
-  pf "\nnoise at one frequency (%d sources): direct %d solves, adjoint %d\n"
-    noise_sources direct_solves adjoint_solves;
+  pf "\nnoise at one frequency (%d sources): %d adjoint solve(s)\n"
+    noise_sources adjoint_solves;
 
   let oc = open_out "BENCH_sweep.json" in
   Printf.fprintf oc
     "{\n\
-    \  \"grid_points\": %d,\n\
-    \  \"repeats\": %d,\n\
-    \  \"restamp_solves_per_sec\": %.1f,\n\
-    \  \"prepared_solves_per_sec\": %.1f,\n\
-    \  \"prepared_speedup\": %.2f,\n\
-    \  \"measure_sets\": %d,\n\
-    \  \"measure_per_call_prep_sec\": %.4f,\n\
-    \  \"measure_shared_prep_sec\": %.4f,\n\
     \  \"anneal_cache_lookups\": %d,\n\
     \  \"anneal_cache_hits\": %d,\n\
     \  \"anneal_cache_hit_rate\": %.4f,\n\
@@ -1084,27 +939,20 @@ let run_sweep () =
     \  \"panel_scalar_solves_per_sec\": %.1f,\n\
     \  \"panel_width_curve\": [%s],\n\
     \  \"panel_blocked_solves_per_sec\": %.1f,\n\
-    \  \"panel_per_freq_solves_per_sec\": %.1f,\n\
     \  \"blocked_speedup\": %.2f,\n\
     \  \"panel_bit_identical\": %b,\n\
-    \  \"fresh_workspaces_per_sweep\": %d,\n\
     \  \"blocked_workspaces_per_sweep\": %d,\n\
-    \  \"fresh_alloc_bytes_per_point\": %.0f,\n\
-    \  \"blocked_alloc_bytes_per_point\": %.0f,\n\
     \  \"noise_sources\": %d,\n\
-    \  \"noise_direct_solves\": %d,\n\
     \  \"noise_adjoint_solves\": %d\n\
      }\n"
-    n_grid repeats (rate t_restamp) (rate t_prepared) speedup sets t_per_call
-    t_shared lookups hits hit_rate gate_n ladder_pts scalar_rate
+    lookups hits hit_rate gate_n ladder_pts scalar_rate
     (String.concat ", "
        (List.map
           (fun (w, r) ->
             Printf.sprintf "{\"width\": %d, \"solves_per_sec\": %.1f}" w r)
           ((1, scalar_rate) :: width_curve)))
-    blocked_rate per_freq_rate blocked_speedup bit_identical fresh_workspaces
-    blocked_workspaces (per_pt fresh_alloc) (per_pt blocked_alloc)
-    noise_sources direct_solves adjoint_solves;
+    blocked_rate blocked_speedup bit_identical blocked_workspaces
+    noise_sources adjoint_solves;
   close_out oc;
   pf "\nwrote BENCH_sweep.json\n"
 
@@ -1476,160 +1324,6 @@ let run_calib () =
   pf "wrote BENCH_calib.json\n"
 
 (* ------------------------------------------------------------------ *)
-(* Sparse MNA engine: dense vs symbolic-once/numeric-many sparse LU on *)
-(* a generated RC-ladder AC sweep.  The dense LU is O(n^3) per         *)
-(* frequency; the sparse refactorisation is O(nnz) on a tridiagonal-   *)
-(* shaped system, so the gap widens with the deck.  ci.sh gates the    *)
-(* speedup at the largest size at >= 3x and the cross-engine solution  *)
-(* disagreement at <= 1e-8.  Emits BENCH_sparse.json.                  *)
-(* ------------------------------------------------------------------ *)
-
-let run_sparse () =
-  heading "Sparse MNA engine: dense LU vs symbolic-once/numeric-many";
-  let module Ac = Ape_spice.Ac in
-  let module Dc = Ape_spice.Dc in
-  let module Backend = Ape_spice.Backend in
-  let grid =
-    Ac.sweep_frequencies ~points_per_decade:10 ~fstart:1e2 ~fstop:1e8 ()
-  in
-  let n_grid = List.length grid in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  (* Rate of prepared per-frequency solves for one engine on one deck.
-     [passes] scales the sparse side up so both sit in a measurable
-     time window; the reported figure is solves/second either way. *)
-  let rate engine deck ~passes =
-    Backend.use engine (fun () ->
-        let op = Dc.solve deck in
-        let p = Ac.prepare op in
-        (* Warm pass: first-touch allocation and symbolic analysis off
-           the clock. *)
-        List.iter (fun f -> ignore (Ac.solve_prepared p f)) grid;
-        let t =
-          time (fun () ->
-              for _ = 1 to passes do
-                List.iter (fun f -> ignore (Ac.solve_prepared p f)) grid
-              done)
-        in
-        float_of_int (passes * n_grid) /. Float.max 1e-9 t)
-  in
-  let gate_n = if fast_mode then 120 else 200 in
-  let sizes =
-    List.filter (fun s -> s <= gate_n) [ 8; 16; 32; 64; 128; 200 ]
-  in
-  let curve =
-    List.map
-      (fun n ->
-        let deck = ladder_deck n in
-        let dense = rate Backend.Dense deck ~passes:1 in
-        let sparse = rate Backend.Sparse deck ~passes:(if n <= 32 then 20 else 50) in
-        (n, dense, sparse, sparse /. dense))
-      sizes
-  in
-  print_string
-    (Table.render
-       ~header:[ "sections"; "dense solves/s"; "sparse solves/s"; "speedup" ]
-       (List.map
-          (fun (n, d, s, sp) ->
-            [
-              string_of_int n; eng d; eng s; Printf.sprintf "%.2fx" sp;
-            ])
-          curve));
-  let crossover =
-    List.find_opt (fun (_, _, _, sp) -> sp > 1.) curve
-    |> Option.map (fun (n, _, _, _) -> n)
-  in
-  (match crossover with
-  | Some n -> pf "dense/sparse crossover at <= %d sections\n" n
-  | None -> pf "no crossover within the measured sizes\n");
-  let _, gate_dense, gate_sparse, gate_speedup =
-    List.nth curve (List.length curve - 1)
-  in
-
-  (* Differential check + instrumentation on the gate deck: the two
-     engines must agree on every sweep point, and the sparse counters
-     must show one symbolic analysis amortised over the whole sweep. *)
-  let deck = ladder_deck gate_n in
-  let sweep_of engine =
-    Backend.use engine (fun () ->
-        let op = Dc.solve deck in
-        (Ac.sweep_prepared (Ac.prepare op) grid).Ac.points)
-  in
-  Ape_obs.enable ();
-  Ape_obs.reset ();
-  let pts_dense = sweep_of Backend.Dense in
-  let pts_sparse = sweep_of Backend.Sparse in
-  let snap = Ape_obs.snapshot () in
-  Ape_obs.disable ();
-  let counter name =
-    try List.assoc name snap.Ape_obs.counters with Not_found -> 0
-  in
-  let gauge name =
-    try List.assoc name snap.Ape_obs.gauges with Not_found -> 0.
-  in
-  let max_rel_err =
-    List.fold_left2
-      (fun acc (a : Ac.solution) (b : Ac.solution) ->
-        let w = ref acc in
-        Array.iteri
-          (fun i (u : Complex.t) ->
-            let v = b.Ac.x.(i) in
-            let d = Complex.norm (Complex.sub u v) in
-            let scale = Float.max 1e-12 (Complex.norm u) in
-            w := Float.max !w (d /. scale))
-          a.Ac.x;
-        !w)
-      0. pts_dense pts_sparse
-  in
-  pf "gate deck (%d sections, %d unknowns): %d symbolic analyses, %d \
-      numeric refactors (%d unstable), nnz %.0f, fill ratio %.2f\n"
-    gate_n (gate_n + 2)
-    (counter "sparse.symbolic")
-    (counter "sparse.refactor")
-    (counter "sparse.refactor_unstable")
-    (gauge "sparse.nnz") (gauge "sparse.fill_ratio");
-  pf "max relative disagreement dense vs sparse over %d points: %.3g\n"
-    n_grid max_rel_err;
-  pf "sparse speedup at %d sections: %.2fx\n" gate_n gate_speedup;
-
-  let oc = open_out "BENCH_sparse.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"gate_sections\": %d,\n\
-    \  \"grid_points\": %d,\n\
-    \  \"dense_solves_per_sec\": %.1f,\n\
-    \  \"sparse_solves_per_sec\": %.1f,\n\
-    \  \"speedup\": %.2f,\n\
-    \  \"max_rel_err\": %.3g,\n\
-    \  \"symbolic_factorizations\": %d,\n\
-    \  \"numeric_refactorizations\": %d,\n\
-    \  \"unstable_refactorizations\": %d,\n\
-    \  \"nnz\": %.0f,\n\
-    \  \"fill_ratio\": %.3f,\n\
-    \  \"crossover_sections\": %s,\n\
-    \  \"curve\": [%s]\n\
-     }\n"
-    gate_n n_grid gate_dense gate_sparse gate_speedup max_rel_err
-    (counter "sparse.symbolic")
-    (counter "sparse.refactor")
-    (counter "sparse.refactor_unstable")
-    (gauge "sparse.nnz") (gauge "sparse.fill_ratio")
-    (match crossover with Some n -> string_of_int n | None -> "null")
-    (String.concat ", "
-       (List.map
-          (fun (n, d, s, sp) ->
-            Printf.sprintf
-              "{\"sections\": %d, \"dense\": %.1f, \"sparse\": %.1f, \
-               \"speedup\": %.2f}"
-              n d s sp)
-          curve));
-  close_out oc;
-  pf "wrote BENCH_sparse.json\n"
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per table.                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -1724,7 +1418,6 @@ let all () =
   run_ablation ();
   run_mc ();
   run_sweep ();
-  run_sparse ();
   run_obs_overhead ();
   run_anneal ();
   run_serve ();
@@ -1743,7 +1436,6 @@ let () =
   | "ablation" -> run_ablation ()
   | "mc" -> run_mc ()
   | "sweep" -> run_sweep ()
-  | "sparse" -> run_sparse ()
   | "obs-overhead" -> run_obs_overhead ()
   | "anneal" -> run_anneal ()
   | "serve" -> run_serve ()
@@ -1753,6 +1445,6 @@ let () =
   | other ->
     pf
       "unknown experiment %s (table1..table5, hierarchy, timing, ablation, \
-       mc, sweep, sparse, obs-overhead, anneal, serve, calib, micro, all)\n"
+       mc, sweep, obs-overhead, anneal, serve, calib, micro, all)\n"
       other;
     exit 1

@@ -70,9 +70,9 @@ let guard f =
   | Sys_error msg ->
     pf "%s\n" msg;
     3
-  | Ape_serve.Reader.Error { pos; msg } ->
-    pf "job spec %d:%d: %s\n" pos.Ape_serve.Reader.line
-      pos.Ape_serve.Reader.col msg;
+  | Ape_util.Sexpr.Error { pos; msg } ->
+    pf "job spec %d:%d: %s\n" pos.Ape_util.Sexpr.line pos.Ape_util.Sexpr.col
+      msg;
     3
   | Ape_calib.Card.Parse_error { pos; msg } ->
     pf "%s\n" (Ape_calib.Card.describe_error ~pos ~msg);
@@ -86,20 +86,6 @@ let trace_arg =
           "Record observability data (solver counters, span timings, \
            histograms) during the run and print it afterwards.  Results \
            are bit-identical with or without this flag.")
-
-let engine_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("dense", Ape_spice.Backend.Dense);
-             ("sparse", Ape_spice.Backend.Sparse) ])
-        (Ape_spice.Backend.current ())
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Linear-solver engine: $(b,dense) (the reference dense LU) or \
-           $(b,sparse) (symbolic-once/numeric-many sparse LU).  Defaults \
-           to the $(b,APE_ENGINE) environment variable, else dense.")
 
 let with_trace trace f =
   if not trace then f ()
@@ -340,8 +326,7 @@ let synth_cmd =
   in
   let run gain ugf ibias cl buffer zout wilson cascode mode seed area
       mc_samples jobs chains exchange_period cache_quantum cache_capacity
-      calibration engine trace =
-    Ape_spice.Backend.set engine;
+      calibration trace =
     with_trace trace @@ fun () ->
     guard @@ fun () ->
     let calibration = Option.map Ape_calib.Card.load calibration in
@@ -417,7 +402,7 @@ let synth_cmd =
       $ zout_arg $ wilson_arg $ cascode_arg $ mode_arg $ seed_arg $ area_arg
       $ mc_samples_arg $ jobs_arg $ chains_arg $ exchange_period_arg
       $ cache_quantum_arg $ cache_capacity_arg $ calibration_arg
-      $ engine_arg $ trace_arg)
+      $ trace_arg)
 
 (* ---------- ape mc ---------- *)
 
@@ -464,8 +449,7 @@ let mc_cmd =
           ~doc:"Print an ASCII histogram of this metric (repeatable).")
   in
   let run kind gain ugf ibias cl buffer zout wilson cascode samples jobs seed
-      level sigma_scale hists engine trace =
-    Ape_spice.Backend.set engine;
+      level sigma_scale hists trace =
     with_trace trace @@ fun () ->
     guard @@ fun () ->
     if kind <> "opamp" then begin
@@ -505,7 +489,7 @@ let mc_cmd =
       const run $ kind_arg $ gain_arg $ ugf_arg $ ibias_arg $ cl_arg
       $ buffer_arg $ zout_arg $ wilson_arg $ cascode_arg $ samples_arg
       $ jobs_arg $ seed_arg $ level_arg $ sigma_scale_arg $ hist_arg
-      $ engine_arg $ trace_arg)
+      $ trace_arg)
 
 (* ---------- ape sim ---------- *)
 
@@ -523,13 +507,13 @@ let sim_cmd =
       value & flag
       & info [ "deterministic" ]
           ~doc:
-            "Engine-comparable output: sorted node voltages and AC \
-             measurements with fixed formatting, omitting data that may \
-             legitimately differ between engines (Newton iteration \
-             counts).  Used by CI to diff dense against sparse.")
+            "Diffable output: sorted node voltages and AC measurements \
+             with fixed formatting, omitting data that may legitimately \
+             differ between equivalent decks (Newton iteration counts).  \
+             Used by CI to diff a hierarchical deck against its \
+             flattened form.")
   in
-  let run file out det engine trace =
-    Ape_spice.Backend.set engine;
+  let run file out det trace =
     with_trace trace @@ fun () ->
     let text = In_channel.with_open_text file In_channel.input_all in
     match
@@ -572,7 +556,7 @@ let sim_cmd =
           | Some pm -> pf "  PM     = %.1f deg\n" pm
           | None -> ());
           (* One adjoint solve covers every noise source (reciprocity);
-             %.4g keeps the dense/sparse --deterministic diff byte-clean. *)
+             %.4g keeps the hier/flat --deterministic diff byte-clean. *)
           match
             Ape_spice.Noise.input_referred_prepared ~out:node ~freq:1e3 prep
           with
@@ -582,7 +566,7 @@ let sim_cmd =
   in
   Cmd.v
     (Cmd.info "sim" ~doc:"Solve a SPICE netlist (DC + AC measurements).")
-    Term.(const run $ file_arg $ out_arg $ det_arg $ engine_arg $ trace_arg)
+    Term.(const run $ file_arg $ out_arg $ det_arg $ trace_arg)
 
 (* ---------- ape convert ---------- *)
 
@@ -690,9 +674,7 @@ let verify_cmd =
       & info [ "no-slew" ]
           ~doc:"Skip the opamp transient slew measurement (faster).")
   in
-  let run levels golden no_golden update tsv no_slew calibration engine
-      trace =
-    Ape_spice.Backend.set engine;
+  let run levels golden no_golden update tsv no_slew calibration trace =
     with_trace trace @@ fun () ->
     guard @@ fun () ->
     let calibration = Option.map Ape_calib.Card.load calibration in
@@ -724,7 +706,7 @@ let verify_cmd =
           attribute against its tolerance and the golden tables.")
     Term.(
       const run $ level_arg $ golden_arg $ no_golden_arg $ update_arg
-      $ tsv_arg $ no_slew_arg $ calibration_arg $ engine_arg $ trace_arg)
+      $ tsv_arg $ no_slew_arg $ calibration_arg $ trace_arg)
 
 (* ---------- ape calibrate ---------- *)
 
@@ -778,8 +760,7 @@ let calibrate_cmd =
       & info [ "slew" ]
           ~doc:"Also run the transient slew measurement (slower).")
   in
-  let run grid out points seed jobs tol slew engine trace =
-    Ape_spice.Backend.set engine;
+  let run grid out points seed jobs tol slew trace =
     with_trace trace @@ fun () ->
     guard @@ fun () ->
     let spec =
@@ -835,7 +816,7 @@ let calibrate_cmd =
           --calibration).")
     Term.(
       const run $ grid_arg $ out_arg $ points_arg $ seed_arg $ jobs_arg
-      $ tol_arg $ slew_arg $ engine_arg $ trace_arg)
+      $ tol_arg $ slew_arg $ trace_arg)
 
 (* ---------- ape serve ---------- *)
 

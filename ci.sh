@@ -6,18 +6,13 @@ set -eu
 echo "== dune build @all =="
 dune build @all
 
-echo "== dune runtest (dense engine) =="
+echo "== dune runtest =="
 dune runtest
 
-echo "== dune runtest (sparse engine) =="
-# dune caches runtest results without tracking env vars: force a re-run.
-APE_ENGINE=sparse dune runtest --force
-
-echo "== ape verify (APE vs SPICE differential gate, both engines) =="
+echo "== ape verify (APE vs SPICE differential gate) =="
 dune exec bin/ape.exe -- verify --golden test/golden
-dune exec bin/ape.exe -- verify --engine sparse --golden test/golden
 
-echo "== prepared-solve AC equivalence (bit-identity vs solve_at) =="
+echo "== prepared-solve AC (single-point vs blocked bit-identity, dense oracle) =="
 dune exec test/test_spice.exe -- test prepared
 
 echo "== observability bit-identity (obs on/off, pool jobs 1 vs N) =="
@@ -95,57 +90,24 @@ awk -F': *|,' '/"speedup"/ { speedup = $2 }
   }' BENCH_serve.json
 echo "archived BENCH_serve.json"
 
-echo "== sparse engine differential (ape sim --deterministic, dense vs sparse) =="
-dune exec bin/ape.exe -- sim examples/jobs/rc.sp --out out --deterministic \
-  --engine dense > /tmp/ape_sim_dense.txt
-dune exec bin/ape.exe -- sim examples/jobs/rc.sp --out out --deterministic \
-  --engine sparse > /tmp/ape_sim_sparse.txt
-diff /tmp/ape_sim_dense.txt /tmp/ape_sim_sparse.txt
-rm -f /tmp/ape_sim_dense.txt /tmp/ape_sim_sparse.txt
-
-echo "== sparse engine bench (>= 3x on the 200-section ladder sweep) =="
-dune exec bench/main.exe -- sparse
-awk -F': *|,' '/"speedup"/ && !/"curve"/ { speedup = $2 }
-  /"max_rel_err"/ { err = $2 }
-  /"unstable_refactorizations"/ { unstable = $2 }
-  END {
-    if (err + 0. > 1e-8) { printf "FAIL: dense/sparse drift %g > 1e-8\n", err; exit 1 }
-    if (unstable + 0. != 0) { printf "FAIL: %d unstable refactorizations\n", unstable; exit 1 }
-    if (speedup + 0. < 3.0) { printf "FAIL: sparse speedup %.2fx < 3x\n", speedup; exit 1 }
-    printf "sparse speedup %.2fx >= 3x, max drift %g OK\n", speedup, err
-  }' BENCH_sparse.json
-echo "archived BENCH_sparse.json"
-
 echo "== blocked sweep bench (>= 2x vs per-frequency at 200 sections) =="
 dune exec bench/main.exe -- sweep
 awk -F': *|,' '/"blocked_speedup"/ { sp = $2 }
   /"panel_bit_identical"/ { bit = $2 }
-  /"fresh_workspaces_per_sweep"/ { fresh = $2 }
-  /"blocked_workspaces_per_sweep"/ { blocked = $2 }
-  /"noise_direct_solves"/ { direct = $2 }
+  /"noise_sources"/ { sources = $2 }
   /"noise_adjoint_solves"/ { adj = $2 }
   END {
     if (bit != "true") { print "FAIL: panel results not bit-identical"; exit 1 }
     if (sp + 0. < 2.0) { printf "FAIL: blocked speedup %.2fx < 2x\n", sp; exit 1 }
     if (adj + 0 != 1) { printf "FAIL: %d adjoint solves at one frequency (want 1)\n", adj; exit 1 }
-    if (direct + 0 < 2) { printf "FAIL: direct reference made only %d solves\n", direct; exit 1 }
-    if (blocked + 0 >= fresh + 0) {
-      printf "FAIL: blocked sweep cloned %d workspaces (fresh path: %d)\n", blocked, fresh; exit 1 }
-    printf "blocked %.2fx >= 2x, adjoint solves %d, workspaces %d -> %d OK\n", sp, adj, fresh, blocked
+    if (sources + 0 < 2) { printf "FAIL: noise testbench has only %d sources\n", sources; exit 1 }
+    printf "blocked %.2fx >= 2x, 1 adjoint solve for %d sources OK\n", sp, sources
   }' BENCH_sweep.json
 echo "archived BENCH_sweep.json"
 
 echo "== panel solver bit-identity (panel-vs-scalar, unstable lanes, adjoint) =="
 dune exec test/test_sparse.exe -- test panel
 dune exec test/test_sparse.exe -- test golden-decks
-
-echo "== panel width differential (ape sim --deterministic, width 1 vs default) =="
-APE_PANEL_WIDTH=1 dune exec bin/ape.exe -- sim examples/jobs/rc.sp --out out \
-  --deterministic --engine sparse > /tmp/ape_sim_w1.txt
-dune exec bin/ape.exe -- sim examples/jobs/rc.sp --out out \
-  --deterministic --engine sparse > /tmp/ape_sim_wk.txt
-diff /tmp/ape_sim_w1.txt /tmp/ape_sim_wk.txt
-rm -f /tmp/ape_sim_w1.txt /tmp/ape_sim_wk.txt
 
 echo "== ape convert round-trip (fixpoint over the golden corpus) =="
 # convert(a) -> b, convert(b) -> c: b and c must be byte-identical, and a
@@ -174,7 +136,7 @@ done
 rm -f /tmp/ape_conv_err.txt
 echo "malformed corpus OK"
 
-echo "== subckt flattening differential (hier vs hand-flat, both engines) =="
+echo "== subckt flattening differential (hier vs hand-flat) =="
 # The flattened example deck is the exact convert output of the
 # hierarchical one, and both must simulate bit-identically.
 dune exec bin/ape.exe -- convert examples/decks/two_stage.sp \
@@ -182,14 +144,12 @@ dune exec bin/ape.exe -- convert examples/decks/two_stage.sp \
 diff examples/decks/two_stage_flat.sp /tmp/ape_flat_now.sp \
   || { echo "FAIL: checked-in flat deck is stale; regenerate with ape convert"; exit 1; }
 rm -f /tmp/ape_flat_now.sp
-for engine in dense sparse; do
-  dune exec bin/ape.exe -- sim examples/decks/two_stage.sp --out out \
-    --deterministic --engine "$engine" > /tmp/ape_hier.txt
-  dune exec bin/ape.exe -- sim examples/decks/two_stage_flat.sp --out out \
-    --deterministic --engine "$engine" > /tmp/ape_flat.txt
-  diff /tmp/ape_hier.txt /tmp/ape_flat.txt \
-    || { echo "FAIL: hier/flat mismatch under --engine $engine"; exit 1; }
-done
+dune exec bin/ape.exe -- sim examples/decks/two_stage.sp --out out \
+  --deterministic > /tmp/ape_hier.txt
+dune exec bin/ape.exe -- sim examples/decks/two_stage_flat.sp --out out \
+  --deterministic > /tmp/ape_flat.txt
+diff /tmp/ape_hier.txt /tmp/ape_flat.txt \
+  || { echo "FAIL: hier/flat mismatch"; exit 1; }
 rm -f /tmp/ape_hier.txt /tmp/ape_flat.txt
 echo "hier/flat differential OK"
 

@@ -12,11 +12,11 @@ let proc = Ape_process.Process.c12
 let pf = Printf.printf
 let eng = Ape_util.Units.to_eng
 
+module Measure = Ape_spice.Measure.Prepared
+
 let sweep_response netlist ~out ~freqs =
-  let op = Ape_spice.Dc.solve netlist in
-  List.map
-    (fun f -> (f, Ape_spice.Measure.gain_at ~out op f))
-    freqs
+  let prep = Ape_spice.Ac.prepare (Ape_spice.Dc.solve netlist) in
+  List.map (fun f -> (f, Measure.gain_at ~out prep f)) freqs
 
 let bar gain gain_max =
   let width = int_of_float (40. *. gain /. gain_max) in
@@ -76,12 +76,9 @@ let () =
   List.iter
     (fun (f, g) -> pf "    %8sHz  %6.3f  %s\n" (eng f) g (bar g gmax))
     response;
-  let op = Ape_spice.Dc.solve nlb in
-  match
-    Ape_spice.Measure.bandpass_characteristics ~fmin:20. ~fmax:50e3 ~out:"out" op
-  with
+  let prep = Ape_spice.Ac.prepare (Ape_spice.Dc.solve nlb) in
+  match Measure.bandpass_characteristics ~fmin:20. ~fmax:50e3 ~out:"out" prep with
   | Some c ->
-    pf "  measured: f0=%s peak=%.2f BW=%s\n" (eng c.Ape_spice.Measure.f_center)
-      c.Ape_spice.Measure.peak_gain
-      (eng c.Ape_spice.Measure.bandwidth)
+    pf "  measured: f0=%s peak=%.2f BW=%s\n" (eng c.Measure.f_center)
+      c.Measure.peak_gain (eng c.Measure.bandwidth)
   | None -> pf "  (no band-pass peak found)\n"

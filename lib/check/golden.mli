@@ -7,8 +7,9 @@
     flags any drift beyond a tiny [rtol] (default 1e-6, i.e. only real
     behaviour changes, not formatting).  One exception: ill-conditioned
     attributes (currently [cmrr], a ratio against a near-cancelled
-    common-mode gain) are compared at 1e-3, so both linear-solver
-    engines ([--engine dense|sparse]) pass against one set of tables.
+    common-mode gain) are compared at 1e-3: a last-bit change in the
+    linear solve, such as a different elimination order, moves them
+    that far.
 
     Promotion: rerun with [APE_UPDATE_GOLDEN=1] (or [ape verify
     --update]) to overwrite the tables with the fresh values, then

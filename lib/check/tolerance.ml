@@ -88,7 +88,7 @@ let find tols attr = List.find_opt (fun t -> String.equal t.attr attr) tols
    keyed by name so callers (calibration tests included) register
    entries instead of string-matching inside {!Golden}.  CMRR divides
    the differential gain by a near-cancelled common-mode gain, so a
-   last-bit engine difference (dense vs sparse elimination order)
+   last-bit difference in the linear solve (elimination order)
    legitimately moves it by up to ~1e-3 relative. *)
 let golden_rtols : (string, float) Hashtbl.t =
   let t = Hashtbl.create 8 in

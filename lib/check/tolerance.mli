@@ -32,7 +32,7 @@ val register_golden_rtol : attr:string -> float -> unit
     relative tolerance (the entry is global; last registration wins).
     Ill-conditioned attributes — CMRR is pre-registered at 1e-3 — are
     legitimately moved beyond the default 1e-6 by a last-bit change in
-    the underlying solve (e.g. switching [--engine dense|sparse]). *)
+    the underlying solve (e.g. a different elimination order). *)
 
 val golden_rtol : rtol:float -> string -> float
 (** The comparison tolerance for one attribute: the registered value

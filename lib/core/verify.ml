@@ -169,8 +169,8 @@ let sim_gain_stage (process : Proc.t) (design : Gain_stage.design) =
           N.Isource { name = "IPROBE"; p = "out"; n = N.ground; dc = 0.; ac = 1. };
         ]
     in
-    let opz = Dc.solve nl in
-    Measure.output_impedance_magnitude ~out:"out" ~freq:1.0 opz
+    Measure.Prepared.output_impedance_magnitude ~out:"out" ~freq:1.0
+      (Ape_spice.Ac.prepare (Dc.solve nl))
   in
   {
     Perf.empty with
@@ -218,7 +218,7 @@ let sim_opamp ?(slew = true) (process : Proc.t) (design : Opamp.design) =
   let acm =
     let nl = set_source_ac ~name:"VINP" ~ac:1. netlist in
     let nl = set_source_ac ~name:"VINN" ~ac:1. nl in
-    Measure.dc_gain ~out:"out" (Dc.solve nl)
+    Measure.Prepared.dc_gain ~out:"out" (Ape_spice.Ac.prepare (Dc.solve nl))
   in
   let cmrr = if acm > 0. then adm /. acm else infinity in
   let zout =
@@ -228,7 +228,8 @@ let sim_opamp ?(slew = true) (process : Proc.t) (design : Opamp.design) =
       N.append nl
         [ N.Isource { name = "IPROBE"; p = "out"; n = N.ground; dc = 0.; ac = 1. } ]
     in
-    Measure.output_impedance_magnitude ~out:"out" ~freq:1.0 (Dc.solve nl)
+    Measure.Prepared.output_impedance_magnitude ~out:"out" ~freq:1.0
+      (Ape_spice.Ac.prepare (Dc.solve nl))
   in
   (* Bias reference current: the drop across the tail mirror's reference
      resistor (named R1 inside the spliced tail instance). *)
@@ -339,8 +340,7 @@ let sim_diff_pair (process : Proc.t) (design : Diff_pair.design) =
   let acm =
     let nl = set_source_ac ~name:"VINP" ~ac:1. netlist in
     let nl = set_source_ac ~name:"VINN" ~ac:1. nl in
-    let opc = Dc.solve nl in
-    Measure.dc_gain ~out:"out" opc
+    Measure.Prepared.dc_gain ~out:"out" (Ape_spice.Ac.prepare (Dc.solve nl))
   in
   let cmrr = if acm > 0. then adm /. acm else infinity in
   let noise =
@@ -449,8 +449,6 @@ type module_sim = {
 let module_sim_of_perf perf =
   { perf; response_time = None; f0 = None; f_20db = None; dc_code_error = None }
 
-let signed_gain = Measure.dc_gain_signed
-
 (* Audio amplifier: open-loop AC testbench on the trimmed two-stage
    core. *)
 let sim_audio process (d : Audio_amp.design) =
@@ -535,17 +533,21 @@ let sim_closed process (d : Closed_loop.design) =
         ])
   in
   let op = Dc.solve netlist in
+  let prep = Ape_spice.Ac.prepare op in
   let gain, bw =
     match d.Closed_loop.spec.Closed_loop.kind with
     | Closed_loop.Integrator { f_unity } ->
       (* Gain magnitude at the unity frequency; "bandwidth" is the
          frequency where the response crosses 1. *)
-      let g = Measure.gain_at ~out:"out" op f_unity in
-      let f1 = Measure.unity_gain_frequency ~fmin:1. ~out:"out" op in
+      let g = Measure.Prepared.gain_at ~out:"out" prep f_unity in
+      let f1 =
+        Measure.Prepared.unity_gain_frequency ~fmin:1. ~out:"out" prep
+      in
       (-.g, f1)
     | Closed_loop.Inverting _ | Closed_loop.Non_inverting _
     | Closed_loop.Adder _ ->
-      (signed_gain ~out:"out" op, Measure.f_minus_3db ~out:"out" op)
+      ( Measure.Prepared.dc_gain_signed ~out:"out" prep,
+        Measure.Prepared.f_minus_3db ~out:"out" prep )
   in
   module_sim_of_perf
     {
@@ -602,13 +604,15 @@ let sim_bpf process (d : Filter.bp_design) =
   let op = Dc.solve netlist in
   let f0_spec = d.Filter.bp_spec.Filter.f_center in
   let bp =
-    Measure.bandpass_characteristics ~fmin:(f0_spec /. 100.)
-      ~fmax:(f0_spec *. 100.) ~out:"out" op
+    Measure.Prepared.bandpass_characteristics ~fmin:(f0_spec /. 100.)
+      ~fmax:(f0_spec *. 100.) ~out:"out" (Ape_spice.Ac.prepare op)
   in
   let gain, bw, f0 =
     match bp with
     | Some b ->
-      (Some b.Measure.peak_gain, Some b.Measure.bandwidth, Some b.Measure.f_center)
+      ( Some b.Measure.Prepared.peak_gain,
+        Some b.Measure.Prepared.bandwidth,
+        Some b.Measure.Prepared.f_center )
     | None -> (None, None, None)
   in
   {

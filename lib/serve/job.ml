@@ -1,3 +1,5 @@
+module Sexpr = Ape_util.Sexpr
+
 type bias = Simple | Wilson | Cascode
 
 type opamp_spec = {
@@ -36,7 +38,7 @@ type payload =
 type t = { id : string; timeout : float option; payload : payload }
 
 type error = {
-  span : Reader.span option;
+  span : Sexpr.span option;
   msg : string;
   id : string option;
 }
@@ -79,7 +81,7 @@ let seed_of job =
    unknown (misspelled) keys are rejected with their span. *)
 type fields = {
   f_id : string option;
-  entries : (string * (Reader.t list * Reader.span)) list;
+  entries : (string * (Sexpr.t list * Sexpr.span)) list;
   mutable seen : string list;
 }
 
@@ -95,11 +97,11 @@ let collect_fields ~id_hint items =
     List.map
       (fun item ->
         match item with
-        | Reader.List (Reader.Atom (key, _) :: args, span) ->
+        | Sexpr.List (Sexpr.Atom (key, _) :: args, span) ->
           (key, (args, span))
-        | Reader.List (_, span) ->
+        | Sexpr.List (_, span) ->
           reject ?id:id_hint ~span "field must start with a keyword atom"
-        | Reader.Atom (a, span) ->
+        | Sexpr.Atom (a, span) ->
           reject ?id:id_hint ~span
             (Printf.sprintf
                "bare atom '%s' (flags are written as lists, e.g. (buffer))"
@@ -124,7 +126,7 @@ let finish_fields fields =
     fields.entries
 
 let the_atom ?id span = function
-  | [ Reader.Atom (a, _) ] -> a
+  | [ Sexpr.Atom (a, _) ] -> a
   | _ -> reject ?id ~span "expected exactly one atom"
 
 let number ?id span args =
@@ -250,13 +252,13 @@ let parse_payload ~id fields kind kind_span =
         List.map
           (fun node ->
             match node with
-            | Reader.Atom (a, aspan) ->
+            | Sexpr.Atom (a, aspan) ->
               if List.mem a valid_levels then a
               else
                 reject ~id ~span:aspan
                   (Printf.sprintf "unknown level '%s' (expected %s)" a
                      (String.concat "|" valid_levels))
-            | Reader.List (_, lspan) ->
+            | Sexpr.List (_, lspan) ->
               reject ~id ~span:lspan "levels are atoms")
           (if args = [] then reject ~id ~span "empty (levels) list"
            else args)
@@ -275,18 +277,18 @@ let parse_payload ~id fields kind kind_span =
 
 let parse_form ~index form =
   match form with
-  | Reader.Atom (_, span) | Reader.List ([], span) ->
+  | Sexpr.Atom (_, span) | Sexpr.List ([], span) ->
     Error { span = Some span; msg = "expected a (job KIND ...) form"; id = None }
-  | Reader.List (Reader.Atom ("job", _) :: rest, span) -> (
+  | Sexpr.List (Sexpr.Atom ("job", _) :: rest, span) -> (
     match rest with
-    | Reader.Atom (kind, kind_span) :: items -> (
+    | Sexpr.Atom (kind, kind_span) :: items -> (
       try
         (* Pull the id out first so every later error can carry it. *)
         let id_hint =
           List.find_map
             (function
-              | Reader.List
-                  ([ Reader.Atom ("id", _); Reader.Atom (v, _) ], _) ->
+              | Sexpr.List
+                  ([ Sexpr.Atom ("id", _); Sexpr.Atom (v, _) ], _) ->
                 Some v
               | _ -> None)
             items
@@ -300,7 +302,7 @@ let parse_form ~index form =
         (* Mark (id _) consumed; a malformed id field falls through to
            finish_fields as unknown-shaped content. *)
         (match field fields "id" with
-        | Some ([ Reader.Atom _ ], _) | None -> ()
+        | Some ([ Sexpr.Atom _ ], _) | None -> ()
         | Some (_, span) -> reject ~id ~span "(id X) takes one atom");
         let timeout =
           match field fields "timeout" with
@@ -319,13 +321,13 @@ let parse_form ~index form =
           msg = "missing job kind (estimate, synth, mc, sim, verify)";
           id = None;
         })
-  | Reader.List (_, span) ->
+  | Sexpr.List (_, span) ->
     Error { span = Some span; msg = "expected a (job KIND ...) form"; id = None }
 
 let parse_batch text =
-  match Reader.parse text with
-  | exception Reader.Error { pos; msg } ->
-    [ Error { span = Some { Reader.s_start = pos; s_end = pos }; msg; id = None } ]
+  match Sexpr.parse text with
+  | exception Sexpr.Error { pos; msg } ->
+    [ Error { span = Some { Sexpr.s_start = pos; s_end = pos }; msg; id = None } ]
   | forms -> List.mapi (fun index form -> parse_form ~index form) forms
 
 (* ------------------------------------------------------------------ *)
@@ -444,7 +446,7 @@ let print (job : t) =
 let error_to_string e =
   let where =
     match e.span with
-    | Some span -> Reader.pp_span span ^ ": "
+    | Some span -> Sexpr.pp_span span ^ ": "
     | None -> ""
   in
   let who = match e.id with Some id -> id ^ ": " | None -> "" in

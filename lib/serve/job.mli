@@ -15,7 +15,7 @@
 
     Numbers take SPICE suffixes ([2meg], [10u], [4.7k]).  Parsing is
     per-form: a malformed job yields an {!error} carrying the precise
-    {!Reader.span} while the rest of the batch parses normally, so one
+    {!Ape_util.Sexpr.span} while the rest of the batch parses normally, so one
     bad line can never take down a batch, let alone the daemon.
 
     {!print} renders the canonical one-line form; [print → parse →
@@ -77,7 +77,7 @@ type t = {
 }
 
 type error = {
-  span : Reader.span option;  (** location of the offending form/field *)
+  span : Ape_util.Sexpr.span option;  (** location of the offending form/field *)
   msg : string;
   id : string option;  (** the job's id when the form got that far *)
 }

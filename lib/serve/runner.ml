@@ -159,34 +159,41 @@ let run_mc t job (spec : Job.opamp_spec) samples level sigma_scale =
       ("metrics", R.Obj metrics);
     ] )
 
+let sim_measurements op = function
+  | None -> []
+  | Some node ->
+    let prep = Ape_spice.Ac.prepare op in
+    let module M = Ape_spice.Measure.Prepared in
+    [ ("out", R.Str node);
+      ("v_out", R.Float (Ape_spice.Dc.voltage op node));
+      ("dc_gain", R.Float (M.dc_gain ~out:node prep));
+      ("f_minus_3db", R.float_opt (M.f_minus_3db ~out:node prep));
+      ("ugf", R.float_opt (M.unity_gain_frequency ~out:node prep));
+      ("phase_margin", R.float_opt (M.phase_margin ~out:node prep));
+      (* Adjoint noise rides on the same preparation; a gain of zero
+         (no AC excitation reaching [node]) reports null. *)
+      ( "in_noise",
+        R.float_opt
+          (match
+             Ape_spice.Noise.input_referred_prepared ~out:node ~freq:1e3 prep
+           with
+          | v -> Some v
+          | exception Division_by_zero -> None) );
+    ]
+
+(* [~path] anchors [.INCLUDE]s at the deck's own directory; a deck with
+   errors fails with every error diagnostic, caret-rendered. *)
 let run_sim t file out =
+  let module Sp = Ape_circuit.Spice_parser in
   let text = In_channel.with_open_text file In_channel.input_all in
-  let netlist = Ape_circuit.Spice_parser.parse ~process:t.proc ~title:file text in
-  let op = Ape_spice.Dc.solve netlist in
-  let ac =
-    match out with
-    | None -> []
-    | Some node ->
-      let prep = Ape_spice.Ac.prepare op in
-      let module M = Ape_spice.Measure.Prepared in
-      [ ("out", R.Str node);
-        ("v_out", R.Float (Ape_spice.Dc.voltage op node));
-        ("dc_gain", R.Float (M.dc_gain ~out:node prep));
-        ("f_minus_3db", R.float_opt (M.f_minus_3db ~out:node prep));
-        ("ugf", R.float_opt (M.unity_gain_frequency ~out:node prep));
-        ("phase_margin", R.float_opt (M.phase_margin ~out:node prep));
-        (* Adjoint noise rides on the same preparation; a gain of zero
-           (no AC excitation reaching [node]) reports null. *)
-        ( "in_noise",
-          R.float_opt
-            (match
-               Ape_spice.Noise.input_referred_prepared ~out:node ~freq:1e3 prep
-             with
-            | v -> Some v
-            | exception Division_by_zero -> None) );
-      ]
-  in
-  (R.Done, ("file", R.Str file) :: ac)
+  let parsed = Sp.parse_result ~process:t.proc ~path:file ~title:file text in
+  let file_field = ("file", R.Str file) in
+  match Sp.errors parsed with
+  | [] ->
+    let op = Ape_spice.Dc.solve parsed.Sp.netlist in
+    (R.Done, file_field :: sim_measurements op out)
+  | errors ->
+    (R.Failed (String.concat "" (List.map Sp.render errors)), [ file_field ])
 
 let run_verify t levels slew calibration =
   let module C = Ape_check in
@@ -232,11 +239,8 @@ let run t job =
       [] )
   | Ape_spice.Transient.Step_failed time ->
     (R.Failed (Printf.sprintf "transient step failed at t=%g s" time), [])
-  | Ape_util.Matrix.Singular -> (R.Failed "singular system", [])
-  | Ape_circuit.Spice_parser.Parse_error d ->
-    ( R.Failed
-        ("netlist parse error: " ^ Ape_circuit.Spice_parser.render_short d),
-      [] )
+  | Ape_util.Matrix.Singular | Ape_util.Sparse.Singular ->
+    (R.Failed "singular system", [])
   | Ape_calib.Card.Parse_error { pos; msg } ->
     (R.Failed (Ape_calib.Card.describe_error ~pos ~msg), [])
   | Sys_error msg -> (R.Failed msg, [])

@@ -1,33 +1,20 @@
 module N = Ape_circuit.Netlist
-module Rmat = Ape_util.Matrix.Rmat
-module Cmat = Ape_util.Matrix.Cmat
+module Sp = Ape_util.Sparse
 
 type solution = { freq : float; x : Complex.t array }
 type sweep = { op : Dc.op; points : solution list }
 
 let c_prepare = Ape_obs.counter "ac.prepare"
-let c_solve_at = Ape_obs.counter "ac.solve_at"
 let c_solve_prepared = Ape_obs.counter "ac.solve_prepared"
 let c_sweep_points = Ape_obs.counter "ac.sweep_points"
 let c_panels = Ape_obs.counter "ac.panels"
 let c_workspaces = Ape_obs.counter "ac.workspaces"
 
-(* Width of the frequency panels blocked sweeps solve at once under the
-   sparse backend (width 1 selects the scalar per-frequency path; the
-   dense backend always solves per frequency).  Results are bit-identical
-   for every width — the panel kernel keeps lane arithmetic independent —
-   so this is purely a throughput knob. *)
-let default_panel_width = 8
-
-let panel_width_state =
-  ref
-    (match Sys.getenv_opt "APE_PANEL_WIDTH" with
-    | Some s ->
-      (match int_of_string_opt (String.trim s) with
-      | Some k when k >= 1 -> k
-      | Some _ | None -> default_panel_width)
-    | None -> default_panel_width)
-
+(* Width of the frequency panels blocked sweeps solve at once (width 1
+   selects the scalar per-frequency path).  Results are bit-identical
+   for every width — the panel kernel keeps lane arithmetic independent
+   — so this is purely a throughput setting. *)
+let panel_width_state = ref 8
 let panel_width () = !panel_width_state
 
 let set_panel_width k =
@@ -62,70 +49,27 @@ let stamp_rhs (op : Dc.op) =
     (N.elements op.Dc.netlist);
   b
 
-let solve_at (op : Dc.op) freq =
-  Ape_obs.incr c_solve_at;
-  let netlist = op.Dc.netlist and index = op.Dc.index in
-  let n = Engine.size index in
-  (* Real part: DC Jacobian at the operating point (gmin kept tiny). *)
-  let _, g = Engine.residual_jacobian ~gmin:1e-12 netlist index op.Dc.x in
-  let c = Engine.stamp_capacitances netlist index op.Dc.x in
-  let omega = 2. *. Float.pi *. freq in
-  let a = Cmat.create n n in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      let gre = Rmat.get g i j and cim = Rmat.get c i j in
-      if gre <> 0. || cim <> 0. then
-        Cmat.set a i j (complex gre (omega *. cim))
-    done
-  done;
-  let b = stamp_rhs op in
-  { freq; x = Cmat.solve a b }
-
-(* ------------------------------------------------------------------ *)
-(* Prepared solves: stamp once, evaluate per frequency.                *)
-(* ------------------------------------------------------------------ *)
-
-module Sp = Ape_util.Sparse
-
-type dense_prep = {
-  g : float array array;
-      (** conductance (DC Jacobian), read-only after prepare *)
-  c : float array array;  (** capacitance, read-only after prepare *)
-  work : Ape_util.Matrix.Csplit.t;
-      (** G + jωC assembly (split re/im), overwritten per solve *)
-  perm : int array;  (** LU pivot workspace *)
-}
-
-type sparse_prep = {
-  sp_g : Sp.Real.t;  (** conductance slots, read-only after prepare *)
-  sp_c : Sp.Real.t;  (** capacitance slots, read-only after prepare *)
-  sp_vals : Sp.Csplit.t;  (** G + jωC assembly, overwritten per solve *)
-  sp_fac : Sp.Csplit.factor;
-      (** symbolic analysis pinned at ω = 0 (the DC Jacobian); numeric
-          part refactored per frequency *)
-}
-
-type impl = Dense_prep of dense_prep | Sparse_prep of sparse_prep
-
 (* One domain's worth of blocked-sweep scratch: everything a panel (or a
    scalar fallback lane) mutates, cloned off the read-only stamps so
    several domains can work one preparation concurrently.  Contents are
    fully overwritten before every use, so which workspace serves which
    panel can never show up in the results. *)
-type workspace =
-  | Dense_ws of { w_work : Ape_util.Matrix.Csplit.t; w_perm : int array }
-  | Sparse_ws of {
-      w_vals : Sp.Csplit.t;  (** scalar assembly, for fallback lanes *)
-      w_fac : Sp.Csplit.factor;  (** private numeric clone *)
-      w_panel : Sp.Csplit.Panel.vals;
-      w_pfac : Sp.Csplit.Panel.pfactor;
-    }
+type workspace = {
+  w_vals : Sp.Csplit.t;  (** scalar assembly, for fallback lanes *)
+  w_fac : Sp.Csplit.factor;  (** private numeric clone *)
+  w_panel : Sp.Csplit.Panel.vals;
+  w_pfac : Sp.Csplit.Panel.pfactor;
+}
 
 type prepared = {
   p_op : Dc.op;
-  size : int;
   rhs : Complex.t array;  (** AC excitation pattern, read-only *)
-  impl : impl;
+  g : Sp.Real.t;  (** conductance slots, read-only after prepare *)
+  c : Sp.Real.t;  (** capacitance slots, read-only after prepare *)
+  vals : Sp.Csplit.t;  (** G + jωC assembly, overwritten per solve *)
+  fac : Sp.Csplit.factor;
+      (** symbolic analysis pinned at ω = 0 (the DC Jacobian); numeric
+          part refactored per frequency *)
   mutable p_ws : (int * workspace) option;
       (** cached (panel width, workspace) for single-domain blocked
           solves; lazily (re)built when the width changes *)
@@ -134,151 +78,55 @@ type prepared = {
 let prepare (op : Dc.op) =
   Ape_obs.incr c_prepare;
   let netlist = op.Dc.netlist and index = op.Dc.index in
-  let n = Engine.size index in
-  let impl =
-    match Backend.current () with
-    | Backend.Dense ->
-      let _, g = Engine.residual_jacobian ~gmin:1e-12 netlist index op.Dc.x in
-      let c = Engine.stamp_capacitances netlist index op.Dc.x in
-      Dense_prep
-        {
-          (* Plain float snapshots: row access in the per-frequency
-             assembly loop goes straight to unboxed storage, no functor
-             call. *)
-          g = Rmat.to_arrays g;
-          c = Rmat.to_arrays c;
-          work = Ape_util.Matrix.Csplit.create n;
-          perm = Array.make n 0;
-        }
-    | Backend.Sparse ->
-      let plan = Engine.plan netlist index in
-      let pat = Engine.plan_pattern plan in
-      let sp_g = Sp.Real.create pat in
-      let (_ : float array) =
-        Engine.sparse_residual ~gmin:1e-12 plan netlist index op.Dc.x sp_g
-      in
-      let sp_c = Sp.Real.create pat in
-      Engine.sparse_capacitances plan netlist index op.Dc.x sp_c;
-      let sp_vals = Sp.Csplit.create pat in
-      (* Pivot order fixed at ω = 0, i.e. on the DC Jacobian alone —
-         nonsingular by construction (the operating point converged) and
-         the most stable basis for the low-frequency end of a sweep.
-         Every per-frequency solve is then a numeric refactorisation. *)
-      Sp.Csplit.assemble_gc sp_vals ~g:sp_g ~c:sp_c ~omega:0.;
-      let sp_fac = Sp.Csplit.factor sp_vals in
-      Sparse_prep { sp_g; sp_c; sp_vals; sp_fac }
+  let plan = Engine.plan netlist index in
+  let pat = Engine.plan_pattern plan in
+  let g = Sp.Real.create pat in
+  let (_ : float array) =
+    Engine.sparse_residual ~gmin:1e-12 plan netlist index op.Dc.x g
   in
-  { p_op = op; size = n; rhs = stamp_rhs op; impl; p_ws = None }
+  let c = Sp.Real.create pat in
+  Engine.sparse_capacitances plan netlist index op.Dc.x c;
+  let vals = Sp.Csplit.create pat in
+  (* Pivot order fixed at ω = 0, i.e. on the DC Jacobian alone —
+     nonsingular by construction (the operating point converged) and
+     the most stable basis for the low-frequency end of a sweep.  Every
+     per-frequency solve is then a numeric refactorisation. *)
+  Sp.Csplit.assemble_gc vals ~g ~c ~omega:0.;
+  let fac = Sp.Csplit.factor vals in
+  { p_op = op; rhs = stamp_rhs op; g; c; vals; fac; p_ws = None }
 
 let op p = p.p_op
 
-(* ------------------------- dense path ----------------------------- *)
+(* Assemble G + jωC into [vals] and refactor [fac] over its frozen
+   pivots.  When the frozen pivots go bad at some frequency (values far
+   from the DC basis), fall back to a local fresh pivoting factorisation
+   for that point only — [fac] is fully overwritten by the next replay,
+   so a sweep's points never depend on the order frequencies are visited
+   in. *)
+let factor_at p ~vals ~fac freq =
+  Sp.Csplit.assemble_gc vals ~g:p.g ~c:p.c ~omega:(2. *. Float.pi *. freq);
+  match Sp.Csplit.refactor fac vals with
+  | () -> fac
+  | exception Sp.Unstable -> Sp.Csplit.factor vals
 
-(* Fill [dst] with G + jωC.  The entry values are exactly the ones
-   {!solve_at} assembles: when both stamps are zero the complex entry is
-   (0, ω·0) = Complex.zero, so skipping the sparsity test changes
-   nothing bitwise. *)
-let assemble d ~n omega dst =
-  for i = 0 to n - 1 do
-    let gi = d.g.(i) and ci = d.c.(i) in
-    for j = 0 to n - 1 do
-      Cmat.set dst i j (complex gi.(j) (omega *. ci.(j)))
-    done
-  done
-
-(* Same fill into a split-storage workspace — identical entry values,
-   just stored as separate re/im floats for the allocation-free LU. *)
-let assemble_split d ~n omega (dst : Ape_util.Matrix.Csplit.t) =
-  for i = 0 to n - 1 do
-    Array.blit d.g.(i) 0 dst.Ape_util.Matrix.Csplit.re.(i) 0 n;
-    let ci = d.c.(i) and dim = dst.Ape_util.Matrix.Csplit.im.(i) in
-    for j = 0 to n - 1 do
-      dim.(j) <- omega *. ci.(j)
-    done
-  done
-
-(* Core evaluation given an assembly workspace and pivot workspace; the
-   solution vector escapes, so it is the one unavoidable allocation. *)
-let dense_solve_in p d ~work ~perm freq =
-  assemble_split d ~n:p.size (2. *. Float.pi *. freq) work;
-  Ape_util.Matrix.Csplit.factor_in_place work perm;
-  { freq; x = Ape_util.Matrix.Csplit.solve work perm p.rhs }
-
-(* ------------------------- sparse path ---------------------------- *)
-
-(* Per-frequency evaluation: assemble G + jωC into the slot values and
-   replay the ω=0 pivot sequence numerically.  When the frozen pivots go
-   bad at some frequency (values far from the DC basis), fall back to a
-   local fresh pivoting factorisation for that point only — [fac] is
-   left untouched by the fallback, so a sweep's points never depend on
-   the order frequencies are visited in. *)
-let sparse_solve p s ~vals ~fac freq =
-  let omega = 2. *. Float.pi *. freq in
-  Sp.Csplit.assemble_gc vals ~g:s.sp_g ~c:s.sp_c ~omega;
-  let x =
-    match Sp.Csplit.refactor fac vals with
-    | () -> Sp.Csplit.solve fac p.rhs
-    | exception Sp.Unstable -> Sp.Csplit.solve (Sp.Csplit.factor vals) p.rhs
-  in
-  { freq; x }
-
-let matrix_at p freq =
-  let omega = 2. *. Float.pi *. freq in
-  let a = Cmat.create p.size p.size in
-  (match p.impl with
-  | Dense_prep d -> assemble d ~n:p.size omega a
-  | Sparse_prep s ->
-    (* Structural entries carry the same bitwise values as the dense
-       assembly (same stamp adds in the same order); entries outside the
-       pattern are exactly the dense path's (0, ω·0) = zero. *)
-    Sp.iter
-      (Sp.Real.pattern s.sp_g)
-      (fun slot row col ->
-        let gv = Sp.Real.get_slot s.sp_g slot
-        and cv = Sp.Real.get_slot s.sp_c slot in
-        Cmat.set a row col (complex gv (omega *. cv))));
-  a
+let solve_in p ~vals ~fac freq =
+  { freq; x = Sp.Csplit.solve (factor_at p ~vals ~fac freq) p.rhs }
 
 let solve_prepared p freq =
   Ape_obs.incr c_solve_prepared;
-  match p.impl with
-  | Dense_prep d -> dense_solve_in p d ~work:d.work ~perm:d.perm freq
-  | Sparse_prep s -> sparse_solve p s ~vals:s.sp_vals ~fac:s.sp_fac freq
-
-(* Parallel-safe variant: fresh workspaces (for sparse, a private clone
-   of the numeric factor over the shared symbolic skeleton), touching
-   only the read-only parts of [p] — and arithmetically identical to
-   {!solve_prepared}, so every [~jobs] value produces the same
-   bit-identical points. *)
-let solve_fresh p freq =
-  Ape_obs.incr c_solve_prepared;
-  Ape_obs.incr c_workspaces;
-  match p.impl with
-  | Dense_prep d ->
-    dense_solve_in p d
-      ~work:(Ape_util.Matrix.Csplit.create p.size)
-      ~perm:(Array.make p.size 0) freq
-  | Sparse_prep s ->
-    sparse_solve p s
-      ~vals:(Sp.Csplit.create (Sp.Real.pattern s.sp_g))
-      ~fac:(Sp.Csplit.clone s.sp_fac) freq
+  solve_in p ~vals:p.vals ~fac:p.fac freq
 
 (* ------------------------- blocked path --------------------------- *)
 
 let create_workspace p ~k =
   Ape_obs.incr c_workspaces;
-  match p.impl with
-  | Dense_prep _ ->
-    Dense_ws
-      { w_work = Ape_util.Matrix.Csplit.create p.size;
-        w_perm = Array.make p.size 0 }
-  | Sparse_prep s ->
-    let pat = Sp.Real.pattern s.sp_g in
-    Sparse_ws
-      { w_vals = Sp.Csplit.create pat;
-        w_fac = Sp.Csplit.clone s.sp_fac;
-        w_panel = Sp.Csplit.Panel.create pat ~k;
-        w_pfac = Sp.Csplit.Panel.prepare s.sp_fac ~k }
+  let pat = Sp.Real.pattern p.g in
+  {
+    w_vals = Sp.Csplit.create pat;
+    w_fac = Sp.Csplit.clone p.fac;
+    w_panel = Sp.Csplit.Panel.create pat ~k;
+    w_pfac = Sp.Csplit.Panel.prepare p.fac ~k;
+  }
 
 (* The cached single-domain workspace (not safe to share across domains;
    parallel sweeps draw from a per-call pool instead). *)
@@ -291,104 +139,63 @@ let cached_workspace p ~k =
     ws
 
 (* Solve [freqs.(lo .. lo+len-1)] into the same indices of [dst] using
-   one workspace.  Sparse panels of the workspace's width; a lane whose
+   one workspace, in panels of the workspace's width; a lane whose
    frozen pivots go bad is re-solved through the exact scalar
-   refactor-or-refactor-fresh path, so every point is bit-identical to
+   refactor-or-factor-fresh path, so every point is bit-identical to
    [solve_prepared] whatever the panel width. *)
-let solve_block p ws freqs lo len (dst : solution array) =
-  match (p.impl, ws) with
-  | Dense_prep d, Dense_ws w ->
-    for i = lo to lo + len - 1 do
+let solve_block p w freqs lo len (dst : solution array) =
+  let k = Sp.Csplit.Panel.width w.w_panel in
+  let pos = ref lo in
+  while !pos < lo + len do
+    let m = min k (lo + len - !pos) in
+    if m = 1 then begin
       Ape_obs.incr c_solve_prepared;
-      dst.(i) <- dense_solve_in p d ~work:w.w_work ~perm:w.w_perm freqs.(i)
-    done
-  | Sparse_prep s, Sparse_ws w ->
-    let k = Sp.Csplit.Panel.width w.w_panel in
-    let pos = ref lo in
-    while !pos < lo + len do
-      let m = min k (lo + len - !pos) in
-      if m = 1 then begin
-        Ape_obs.incr c_solve_prepared;
-        dst.(!pos) <- sparse_solve p s ~vals:w.w_vals ~fac:w.w_fac freqs.(!pos)
-      end
-      else begin
-        Ape_obs.incr c_panels;
-        Ape_obs.add c_solve_prepared m;
-        let omegas =
-          Array.init m (fun kk -> 2. *. Float.pi *. freqs.(!pos + kk))
-        in
-        Sp.Csplit.Panel.assemble_gc w.w_panel ~g:s.sp_g ~c:s.sp_c ~omegas;
-        Sp.Csplit.Panel.refactor w.w_pfac w.w_panel;
-        let xs = Sp.Csplit.Panel.solve w.w_pfac p.rhs in
-        for kk = 0 to m - 1 do
-          let i = !pos + kk in
-          if Sp.Csplit.Panel.ok w.w_pfac kk then
-            dst.(i) <- { freq = freqs.(i); x = xs.(kk) }
-          else
-            dst.(i) <- sparse_solve p s ~vals:w.w_vals ~fac:w.w_fac freqs.(i)
-        done
-      end;
-      pos := !pos + m
-    done
-  | Dense_prep _, Sparse_ws _ | Sparse_prep _, Dense_ws _ -> assert false
+      dst.(!pos) <- solve_in p ~vals:w.w_vals ~fac:w.w_fac freqs.(!pos)
+    end
+    else begin
+      Ape_obs.incr c_panels;
+      Ape_obs.add c_solve_prepared m;
+      let omegas =
+        Array.init m (fun kk -> 2. *. Float.pi *. freqs.(!pos + kk))
+      in
+      Sp.Csplit.Panel.assemble_gc w.w_panel ~g:p.g ~c:p.c ~omegas;
+      Sp.Csplit.Panel.refactor w.w_pfac w.w_panel;
+      let xs = Sp.Csplit.Panel.solve w.w_pfac p.rhs in
+      for kk = 0 to m - 1 do
+        let i = !pos + kk in
+        if Sp.Csplit.Panel.ok w.w_pfac kk then
+          dst.(i) <- { freq = freqs.(i); x = xs.(kk) }
+        else dst.(i) <- solve_in p ~vals:w.w_vals ~fac:w.w_fac freqs.(i)
+      done
+    end;
+    pos := !pos + m
+  done
 
 let dummy_solution = { freq = 0.; x = [||] }
 
 let solve_many p (freqs : float array) =
   let n = Array.length freqs in
   let dst = Array.make n dummy_solution in
-  if n > 0 then solve_block p (cached_workspace p ~k:(panel_width ())) freqs 0 n dst;
+  if n > 0 then
+    solve_block p (cached_workspace p ~k:(panel_width ())) freqs 0 n dst;
   dst
 
 (* ------------------------- factored systems ----------------------- *)
 
-(* A factored G + jωC at one frequency, for analyses that solve many
-   right-hand sides (and their adjoints) themselves — e.g. noise.
-   Backend-aware, unlike the dense-only {!matrix_at}. *)
-type system =
-  | Dense_sys of { sy_work : Ape_util.Matrix.Csplit.t; sy_perm : int array }
-  | Sparse_sys of { sy_fac : Sp.Csplit.factor }
+type system = Sp.Csplit.factor
 
+(* Private assembly and factor clone, so any domain may hold one. *)
 let system_at p freq =
-  match p.impl with
-  | Dense_prep d ->
-    let work = Ape_util.Matrix.Csplit.create p.size in
-    let perm = Array.make p.size 0 in
-    assemble_split d ~n:p.size (2. *. Float.pi *. freq) work;
-    Ape_util.Matrix.Csplit.factor_in_place work perm;
-    Dense_sys { sy_work = work; sy_perm = perm }
-  | Sparse_prep s ->
-    let omega = 2. *. Float.pi *. freq in
-    let vals = Sp.Csplit.create (Sp.Real.pattern s.sp_g) in
-    Sp.Csplit.assemble_gc vals ~g:s.sp_g ~c:s.sp_c ~omega;
-    let fac = Sp.Csplit.clone s.sp_fac in
-    let fac =
-      match Sp.Csplit.refactor fac vals with
-      | () -> fac
-      | exception Sp.Unstable -> Sp.Csplit.factor vals
-    in
-    Sparse_sys { sy_fac = fac }
+  factor_at p
+    ~vals:(Sp.Csplit.create (Sp.Real.pattern p.g))
+    ~fac:(Sp.Csplit.clone p.fac) freq
 
-let system_solve sys b =
-  match sys with
-  | Dense_sys { sy_work; sy_perm } -> Ape_util.Matrix.Csplit.solve sy_work sy_perm b
-  | Sparse_sys { sy_fac } -> Sp.Csplit.solve sy_fac b
+let system_solve_transposed = Sp.Csplit.solve_transposed
 
-let system_solve_transposed sys b =
-  match sys with
-  | Dense_sys { sy_work; sy_perm } ->
-    Ape_util.Matrix.Csplit.solve_transposed sy_work sy_perm b
-  | Sparse_sys { sy_fac } -> Sp.Csplit.solve_transposed sy_fac b
-
-let voltage (op : Dc.op) solution node =
-  match Engine.node_id op.Dc.index node with
+let voltage_prepared p solution node =
+  match Engine.node_id p.p_op.Dc.index node with
   | None -> Complex.zero
   | Some i -> solution.x.(i)
-
-let voltage_prepared p solution node = voltage p.p_op solution node
-
-let magnitude_prepared ~node p freq =
-  Complex.norm (voltage_prepared p (solve_prepared p freq) node)
 
 let sweep_frequencies ?(points_per_decade = 10) ~fstart ~fstop () =
   if fstart <= 0. || fstop <= fstart then invalid_arg "Ac.sweep: bad range";
@@ -404,56 +211,41 @@ let sweep_prepared ?(jobs = 1) p freqs =
   let n = Array.length freqs in
   Ape_obs.add c_sweep_points n;
   let k = panel_width () in
-  let points =
-    if jobs <= 1 || n <= k then begin
-      let dst = Array.make n dummy_solution in
-      if n > 0 then solve_block p (cached_workspace p ~k) freqs 0 n dst;
-      dst
-    end
-    else begin
-      (* Panels are k-aligned index ranges of the grid — fixed by (n, k)
-         alone, never by the worker count — and workspace contents are
-         fully overwritten per panel, so every [jobs] value produces the
-         same bit-identical points.  Workspaces are pooled per call: one
-         clone per domain that actually runs, not one per point. *)
-      let npanels = (n + k - 1) / k in
-      let dst = Array.make n dummy_solution in
-      let lock = Mutex.create () in
-      let free = ref [] in
-      let with_ws f =
-        Mutex.lock lock;
-        let ws =
-          match !free with
-          | [] -> None
-          | w :: tl ->
-            free := tl;
-            Some w
-        in
-        Mutex.unlock lock;
-        let ws = match ws with Some w -> w | None -> create_workspace p ~k in
-        Fun.protect
-          ~finally:(fun () ->
-            Mutex.lock lock;
-            free := ws :: !free;
-            Mutex.unlock lock)
-          (fun () -> f ws)
+  let dst = Array.make n dummy_solution in
+  if jobs <= 1 || n <= k then begin
+    if n > 0 then solve_block p (cached_workspace p ~k) freqs 0 n dst
+  end
+  else begin
+    (* Panels are k-aligned index ranges of the grid — fixed by (n, k)
+       alone, never by the worker count — and workspace contents are
+       fully overwritten per panel, so every [jobs] value produces the
+       same bit-identical points.  Workspaces are pooled per call: one
+       clone per domain that actually runs, not one per point. *)
+    let npanels = (n + k - 1) / k in
+    let lock = Mutex.create () in
+    let free = ref [] in
+    let with_ws f =
+      Mutex.lock lock;
+      let ws =
+        match !free with
+        | [] -> None
+        | w :: tl ->
+          free := tl;
+          Some w
       in
-      ignore
-        (Ape_util.Pool.map ~jobs npanels (fun pi ->
-             let lo = pi * k in
-             let len = min k (n - lo) in
-             with_ws (fun ws -> solve_block p ws freqs lo len dst)));
-      dst
-    end
-  in
-  { op = p.p_op; points = Array.to_list points }
-
-let sweep ?jobs ?points_per_decade ~fstart ~fstop op =
-  let freqs = sweep_frequencies ?points_per_decade ~fstart ~fstop () in
-  sweep_prepared ?jobs (prepare op) freqs
-
-let transfer ~node sweep =
-  List.map (fun s -> (s.freq, voltage sweep.op s node)) sweep.points
-
-let magnitude_at ~node op freq =
-  Complex.norm (voltage op (solve_at op freq) node)
+      Mutex.unlock lock;
+      let ws = match ws with Some w -> w | None -> create_workspace p ~k in
+      Fun.protect
+        ~finally:(fun () ->
+          Mutex.lock lock;
+          free := ws :: !free;
+          Mutex.unlock lock)
+        (fun () -> f ws)
+    in
+    ignore
+      (Ape_util.Pool.map ~jobs npanels (fun pi ->
+           let lo = pi * k in
+           let len = min k (n - lo) in
+           with_ws (fun ws -> solve_block p ws freqs lo len dst)))
+  end;
+  { op = p.p_op; points = Array.to_list dst }

@@ -6,21 +6,14 @@
     system at each requested frequency.  AC excitations are the [ac]
     magnitudes declared on the netlist's independent sources.
 
-    Two evaluation paths coexist:
-    - {!solve_at} re-stamps the netlist on every call (the historical
-      path, kept as an independent reference implementation);
-    - {!prepare} stamps the operating point {e once} into separate real
-      G (conductance) and C (capacitance) matrices plus the RHS pattern,
-      after which {!solve_prepared} only assembles [G + jωC] into a
-      reusable workspace and factors it — no netlist traversal, no
-      finite-difference Jacobian, no per-call matrix allocation.
-
-    Under the dense backend ({!Backend.Dense}) the two paths produce
-    bit-identical solutions.  Under {!Backend.Sparse} the prepared path
-    performs one symbolic analysis at ω = 0 and then only numeric
-    refactorisations per frequency; it agrees with the dense reference
-    to rounding (the elimination order differs), which
-    [test/test_sparse.ml] pins differentially on every golden deck. *)
+    {!prepare} stamps the operating point {e once} into sparse G
+    (conductance) and C (capacitance) values plus the RHS pattern, and
+    performs one symbolic LU analysis at ω = 0.  Every later solve only
+    assembles [G + jωC] into a reusable workspace and refactors it
+    numerically over the frozen pivot order — no netlist traversal, no
+    finite-difference Jacobian, no per-call matrix allocation.  The
+    differential suites in [test/] check the solutions against a dense
+    re-stamping reference to rounding. *)
 
 type solution = {
   freq : float;  (** Hz *)
@@ -32,117 +25,73 @@ type sweep = {
   points : solution list;  (** ascending frequency *)
 }
 
-val solve_at : Dc.op -> float -> solution
-(** Single-frequency solve, re-stamping the full MNA system. *)
-
 type prepared
 (** One-time preparation of a circuit for repeated AC evaluation. *)
 
 val prepare : Dc.op -> prepared
-(** Stamp G, C and the AC RHS once.  Cost is one {!solve_at} minus the
-    factorisation; every subsequent {!solve_prepared} skips the netlist
-    traversal entirely. *)
+(** Stamp G, C and the AC RHS once and fix the pivot order on the ω = 0
+    system.  Raises [Ape_util.Sparse.Singular] when the DC Jacobian is
+    singular. *)
 
 val op : prepared -> Dc.op
 (** The operating point the preparation was built from. *)
 
 val solve_prepared : prepared -> float -> solution
-(** Assemble [G + jωC] in the preparation's workspace and solve.
-    Bit-identical to [solve_at (op p) freq] under the dense backend
-    (agrees to rounding under the sparse one).  Reuses internal mutable
-    workspaces: do not call concurrently from several domains on the
-    same [prepared] (use {!sweep_prepared}[ ~jobs] for that). *)
-
-val solve_fresh : prepared -> float -> solution
-(** Like {!solve_prepared} but with per-call workspaces, touching only
-    the read-only stamps — safe to call concurrently on a shared
-    [prepared] from multiple domains. *)
+(** Assemble [G + jωC] in the preparation's workspace and solve.  Reuses
+    internal mutable workspaces: do not call concurrently from several
+    domains on the same [prepared] (use {!sweep_prepared}[ ~jobs] for
+    that). *)
 
 val panel_width : unit -> int
-(** Width of the frequency panels blocked solves use under the sparse
-    backend (how many frequencies one traversal of the symbolic
-    structure refactors and solves).  Defaults to 8, overridable with
-    the [APE_PANEL_WIDTH] environment variable; width 1 selects the
-    scalar per-frequency path.  Purely a throughput knob — results are
-    bit-identical for every width. *)
+(** Width of the frequency panels blocked solves use (how many
+    frequencies one traversal of the symbolic structure refactors and
+    solves).  Defaults to 8; width 1 selects the scalar per-frequency
+    path.  Purely a throughput setting — results are bit-identical for
+    every width. *)
 
 val set_panel_width : int -> unit
-(** Override {!panel_width} for this process ([k >= 1]). *)
+(** Override {!panel_width} for this process ([k >= 1]) — the hook the
+    width-invariance tests and the bench's width curve use. *)
 
 val solve_many : prepared -> float array -> solution array
 (** Blocked multi-frequency solve on the preparation's cached
-    single-domain workspace: under the sparse backend the grid is cut
-    into {!panel_width} panels, each refactored and solved by one
-    symbolic traversal ([Sparse.Csplit.Panel]); under the dense backend
-    it loops {!solve_prepared}.  Every point is bit-identical to
+    single-domain workspace: the grid is cut into {!panel_width} panels,
+    each refactored and solved by one symbolic traversal
+    ([Sparse.Csplit.Panel]).  Every point is bit-identical to
     [solve_prepared p f].  Not safe to call concurrently on one
     [prepared] (use {!sweep_prepared}[ ~jobs]). *)
 
 (** {2 Factored systems} *)
 
 type system
-(** A factored [G + jωC] at one frequency, for analyses that solve many
-    right-hand sides — and their adjoints — themselves (e.g. noise).
-    Backend-aware: dense split-complex LU or sparse numeric
-    refactorisation depending on {!Backend.current}. *)
+(** A factored [G + jωC] at one frequency, for analyses that solve their
+    own right-hand sides — e.g. the adjoint system of noise analysis. *)
 
 val system_at : prepared -> float -> system
 (** Assemble and factor the AC system at one frequency, with private
     workspaces (safe to use from any domain). *)
 
-val system_solve : system -> Complex.t array -> Complex.t array
-(** Solve [A x = b].  Under the dense backend, bit-identical to
-    factoring {!matrix_at} with [Cmat.lu_factor] and solving. *)
-
 val system_solve_transposed : system -> Complex.t array -> Complex.t array
-(** Solve [Aᵀ y = b] with the same factorisation — one adjoint solve
-    against an output selector yields the transfer impedance from every
-    injection site at once (reciprocity). *)
-
-val matrix_at : prepared -> float -> Ape_util.Matrix.Cmat.t
-(** Freshly allocated [G + jωC] at one frequency, for analyses that
-    factor the system themselves and solve many right-hand sides
-    (e.g. {!Noise}). *)
-
-val voltage : Dc.op -> solution -> Ape_circuit.Netlist.node -> Complex.t
+(** Solve [Aᵀ y = b] — one adjoint solve against an output selector
+    yields the transfer impedance from every injection site at once
+    (reciprocity). *)
 
 val voltage_prepared :
   prepared -> solution -> Ape_circuit.Netlist.node -> Complex.t
-
-val magnitude_prepared :
-  node:Ape_circuit.Netlist.node -> prepared -> float -> float
-(** |V(node)| at one frequency through the prepared path. *)
+(** One node's phasor in a solution (0 for ground). *)
 
 val sweep_frequencies :
   ?points_per_decade:int -> fstart:float -> fstop:float -> unit -> float list
-(** The logarithmic grid {!sweep} evaluates (inclusive endpoints,
-    default 10 points/decade). *)
+(** A logarithmic grid, inclusive of both endpoints (default 10
+    points/decade). *)
 
 val sweep_prepared : ?jobs:int -> prepared -> float list -> sweep
 (** Solve an explicit frequency list on one preparation, in
-    {!panel_width} blocks.  [jobs > 1] distributes whole panels over
+    {!panel_width} blocks.  Sequential sweeps reuse the preparation's
+    cached workspace, so repeating one creates no new workspace (counted
+    under [ac.workspaces]).  [jobs > 1] distributes whole panels over
     that many domains with the deterministic chunking of
     {!Ape_util.Pool} (0 = hardware recommendation), drawing from a pool
     of per-domain cloned workspaces — one clone per domain that runs,
     not one per point.  Panel boundaries depend only on the grid and
     the width, so results are bit-identical for every [jobs] value. *)
-
-val sweep :
-  ?jobs:int ->
-  ?points_per_decade:int ->
-  fstart:float ->
-  fstop:float ->
-  Dc.op ->
-  sweep
-(** Logarithmic sweep, inclusive of both endpoints.  Default 10
-    points/decade, sequential ([jobs] as in {!sweep_prepared}).
-    Prepares once internally — every point shares the same stamps. *)
-
-val transfer :
-  node:Ape_circuit.Netlist.node -> sweep -> (float * Complex.t) list
-(** [(frequency, phasor)] of one node over the sweep. *)
-
-val magnitude_at :
-  node:Ape_circuit.Netlist.node -> Dc.op -> float -> float
-(** |V(node)| at one frequency — the building block the measurement
-    search routines refine with (re-stamping path). *)

@@ -1,5 +1,4 @@
 module N = Ape_circuit.Netlist
-module Rmat = Ape_util.Matrix.Rmat
 
 type op = {
   netlist : N.t;
@@ -16,83 +15,23 @@ let c_failures = Ape_obs.counter "dc.no_convergence"
 
 let max_norm a = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0. a
 
-module Sp = Ape_util.Sparse
-
-(* Sparse Newton workspace: the stamp plan and slot values are built
-   once per solve; the factor's symbolic analysis (pivot order) is done
-   on the first iteration and replayed numerically on every later one —
-   across gmin/source-stepping stages too, since the pattern never
-   changes.  [ss_fac] drops back to [None] when a replay goes unstable
-   so the next iteration re-pivots. *)
-type sparse_state = {
-  ss_plan : Engine.plan;
-  ss_vals : Sp.Real.t;
-  mutable ss_fac : Sp.Real.factor option;
-}
-
-let sparse_state netlist index =
-  match Backend.current () with
-  | Backend.Dense -> None
-  | Backend.Sparse ->
-    let plan = Engine.plan netlist index in
-    Some
-      {
-        ss_plan = plan;
-        ss_vals = Sp.Real.create (Engine.plan_pattern plan);
-        ss_fac = None;
-      }
-
-(* Factor (first time / after instability) or refactor, then solve.
-   [None] means numerically singular — same contract as the dense
-   [lu_factor] raising [Singular]. *)
-let sparse_step ss neg_f =
-  let fresh () =
-    match Sp.Real.factor ss.ss_vals with
-    | exception Sp.Singular -> None
-    | fac ->
-      ss.ss_fac <- Some fac;
-      Some (Sp.Real.solve fac neg_f)
-  in
-  match ss.ss_fac with
-  | None -> fresh ()
-  | Some fac -> (
-    match Sp.Real.refactor fac ss.ss_vals with
-    | () -> Some (Sp.Real.solve fac neg_f)
-    | exception (Sp.Unstable | Sp.Singular) ->
-      ss.ss_fac <- None;
-      fresh ())
-
 (* One damped-Newton solve at a fixed (gmin, source_scale); updates [x]
-   in place and returns iterations used, or None on failure. *)
+   in place and returns iterations used, or None on failure.  [ws]
+   carries the stamp plan and factor across iterations and stages. *)
 let newton ?(max_iter = 150) ?(tol_v = 1e-9) ?(tol_i = 1e-12)
-    ?(damping = 0.5) ?sparse ~gmin ~source_scale netlist index x =
+    ?(damping = 0.5) ~ws ~gmin ~source_scale netlist index x =
   let n_nodes = Engine.n_nodes index in
   let rec loop iter =
     if iter > max_iter then None
     else begin
-      let step =
-        match sparse with
-        | None -> (
-          let f, j =
-            Engine.residual_jacobian ~gmin ~source_scale netlist index x
-          in
-          match Rmat.lu_factor j with
-          | exception Ape_util.Matrix.Singular -> None
-          | lu -> Some (f, Rmat.lu_solve lu (Array.map (fun v -> -.v) f)))
-        | Some ss -> (
-          let f =
-            Engine.sparse_residual ~gmin ~source_scale ss.ss_plan netlist
-              index x ss.ss_vals
-          in
-          match sparse_step ss (Array.map (fun v -> -.v) f) with
-          | None -> None
-          | Some dx -> Some (f, dx))
+      let f =
+        Engine.sparse_residual ~gmin ~source_scale ws.Engine.ws_plan netlist
+          index x ws.Engine.ws_jac
       in
-      match step with
+      match Engine.newton_step ws (Array.map (fun v -> -.v) f) with
       | None -> None
-      | Some (f, dx) ->
-        if Array.exists (fun v -> Float.is_nan v) dx then None
-        else begin
+      | Some dx when Array.exists Float.is_nan dx -> None
+      | Some dx ->
         (* Damping: limit node-voltage steps to 0.5 V. *)
         let worst_dv = ref 0. in
         Array.iteri
@@ -105,10 +44,9 @@ let newton ?(max_iter = 150) ?(tol_v = 1e-9) ?(tol_i = 1e-12)
             if i < n_nodes then worst_dv := Float.max !worst_dv (Float.abs d);
             x.(i) <- x.(i) +. d)
           dx;
-          if !worst_dv < tol_v && max_norm f < Float.max tol_i (1e-6 *. gmin)
-          then Some iter
-          else loop (iter + 1)
-        end
+        if !worst_dv < tol_v && max_norm f < Float.max tol_i (1e-6 *. gmin)
+        then Some iter
+        else loop (iter + 1)
     end
   in
   loop 1
@@ -149,9 +87,9 @@ let solve_impl ?(max_iter = 150) ?(tol_v = 1e-9) ?(tol_i = 1e-12) ?x0 netlist =
       Array.copy x
     | None -> initial_guess netlist index
   in
-  let sparse = sparse_state netlist index in
+  let ws = Engine.workspace netlist index in
   let try_newton ~gmin ~source_scale x =
-    newton ~max_iter ~tol_v ~tol_i ?sparse ~gmin ~source_scale netlist index x
+    newton ~max_iter ~tol_v ~tol_i ~ws ~gmin ~source_scale netlist index x
   in
   (* Plain Newton first. *)
   match try_newton ~gmin:1e-12 ~source_scale:1. x with
@@ -203,8 +141,8 @@ let solve_impl ?(max_iter = 150) ?(tol_v = 1e-9) ?(tol_i = 1e-12) ?x0 netlist =
              continuation path through near-singular regions). *)
           let x = initial_guess netlist index in
           match
-            newton ~max_iter:800 ~tol_v ~tol_i ~damping:0.05 ?sparse
-              ~gmin:1e-9 ~source_scale:1. netlist index x
+            newton ~max_iter:800 ~tol_v ~tol_i ~damping:0.05 ~ws ~gmin:1e-9
+              ~source_scale:1. netlist index x
           with
           | Some _ -> finish_from x
           | None -> None

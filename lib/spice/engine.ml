@@ -89,15 +89,14 @@ let mos_partials card geom ~vd ~vg ~vs ~vb =
   let gb = (id vd vg vs (vb +. h) -. id vd vg vs (vb -. h)) /. (2. *. h) in
   (i0, gd, gg, gs, gb)
 
-(* Stamping core, parameterised on the Jacobian sink: the dense path
-   passes [Rmat.add_to] (so its arithmetic and call order are exactly
-   the historical ones, keeping dense results bit-identical), the
-   sparse path a slot-cursor writer, and the plan builder a coordinate
-   recorder.  The [add] call sequence is deterministic and independent
-   of [x], [gmin], [source_scale] and [stimulus] — every element stamps
-   the same positions in the same order whatever its state (the Switch
-   stamps both branches identically) — which is what lets one recorded
-   plan replay any number of numeric evaluations. *)
+(* Stamping core, parameterised on the Jacobian sink: the dense form
+   passes [Rmat.add_to], the sparse engine a slot-cursor writer, and the
+   plan builder a coordinate recorder.  The [add] call sequence is
+   deterministic and independent of [x], [gmin], [source_scale] and
+   [stimulus] — every element stamps the same positions in the same
+   order whatever its state (the Switch stamps both branches
+   identically) — which is what lets one recorded plan replay any
+   number of numeric evaluations. *)
 let stamp_core ~gmin ~source_scale ~time ~stimulus netlist idx x
     ~(add : int -> int -> float -> unit) f =
   let add_jac row col v =
@@ -189,12 +188,12 @@ let stamp_core ~gmin ~source_scale ~time ~stimulus netlist idx x
         add_jac s b (-.gb))
     (N.elements netlist)
 
-let residual_jacobian ?(gmin = 1e-12) ?(source_scale = 1.) ?(time = 0.)
-    ?(stimulus = []) netlist idx x =
+let residual_jacobian ?(gmin = 1e-12) ?(time = 0.) ?(stimulus = []) netlist
+    idx x =
   let n = idx.total in
   let f = Array.make n 0. in
   let j = Rmat.create n n in
-  stamp_core ~gmin ~source_scale ~time ~stimulus netlist idx x
+  stamp_core ~gmin ~source_scale:1. ~time ~stimulus netlist idx x
     ~add:(fun r c v -> Rmat.add_to j r c v)
     f;
   (f, j)
@@ -306,6 +305,39 @@ let sparse_capacitances plan netlist idx x vals =
   caps_core netlist idx x ~add:(fun _ _ v ->
       Sp.Real.add_slot vals plan.p_cap.(!cursor) v;
       incr cursor)
+
+(* The Newton linear solve shared by the DC and transient loops.  The
+   factor's symbolic analysis (pivot order) is done on the first step
+   and replayed numerically on every later one — across Newton
+   iterations, gmin/source-stepping stages and time steps alike, since
+   the pattern never changes.  [ws_fac] drops back to [None] when a
+   replay goes unstable, so the next step re-pivots. *)
+type workspace = {
+  ws_plan : plan;
+  ws_jac : Sp.Real.t;
+  mutable ws_fac : Sp.Real.factor option;
+}
+
+let workspace netlist idx =
+  let ws_plan = plan netlist idx in
+  { ws_plan; ws_jac = Sp.Real.create ws_plan.p_pattern; ws_fac = None }
+
+let newton_step ws rhs =
+  let fresh () =
+    match Sp.Real.factor ws.ws_jac with
+    | exception Sp.Singular -> None
+    | fac ->
+      ws.ws_fac <- Some fac;
+      Some (Sp.Real.solve fac rhs)
+  in
+  match ws.ws_fac with
+  | None -> fresh ()
+  | Some fac -> (
+    match Sp.Real.refactor fac ws.ws_jac with
+    | () -> Some (Sp.Real.solve fac rhs)
+    | exception (Sp.Unstable | Sp.Singular) ->
+      ws.ws_fac <- None;
+      fresh ())
 
 let mosfet_small_signal netlist idx x =
   List.filter_map

@@ -1,6 +1,12 @@
 (** Shared modified-nodal-analysis machinery: unknown indexing, nonlinear
     residual/Jacobian evaluation and linear C-matrix stamping.  The DC, AC,
-    transient and AWE analyses are all thin layers over this module. *)
+    transient and AWE analyses are all thin layers over this module.
+
+    Stamps come in two forms.  The dense {!residual_jacobian} and
+    {!stamp_capacitances} serve AWE, the relaxed-KCL penalty and the
+    test suite's dense reference.  The DC, AC, transient and noise
+    analyses stamp through a sparse {!plan} into [Ape_util.Sparse]
+    values. *)
 
 type index
 
@@ -42,7 +48,6 @@ type stimulus = (string * (float -> float)) list
 
 val residual_jacobian :
   ?gmin:float ->
-  ?source_scale:float ->
   ?time:float ->
   ?stimulus:stimulus ->
   Ape_circuit.Netlist.t ->
@@ -52,9 +57,8 @@ val residual_jacobian :
 (** [residual_jacobian netlist index x] evaluates the KCL/branch residual
     [F(x)] and its Jacobian at the point [x].  Newton solves
     [J dx = -F].  [gmin] (default 1e-12) is a stabilising conductance
-    from every node to ground; [source_scale] scales all independent
-    sources (source stepping); [time]/[stimulus] evaluate time-dependent
-    source values for the transient analysis. *)
+    from every node to ground; [time]/[stimulus] evaluate
+    time-dependent source values for the transient analysis. *)
 
 val stamp_capacitances :
   Ape_circuit.Netlist.t ->
@@ -89,11 +93,11 @@ val sparse_residual :
   float array ->
   Ape_util.Sparse.Real.t ->
   float array
-(** Sparse twin of {!residual_jacobian}: stamps the Jacobian into [vals]
+(** Sparse form of {!residual_jacobian}: stamps the Jacobian into [vals]
     (cleared first; must share the plan's pattern) and returns the
     residual [F(x)].  Each slot value is bitwise equal to the
-    corresponding dense matrix entry — the two engines differ only
-    through elimination order. *)
+    corresponding dense matrix entry.  [source_scale] (default 1)
+    scales all independent sources, for DC source stepping. *)
 
 val sparse_capacitances :
   plan ->
@@ -102,8 +106,26 @@ val sparse_capacitances :
   float array ->
   Ape_util.Sparse.Real.t ->
   unit
-(** Sparse twin of {!stamp_capacitances}, stamping into [vals] (cleared
+(** Sparse form of {!stamp_capacitances}, stamping into [vals] (cleared
     first) over the plan's shared pattern. *)
+
+type workspace = {
+  ws_plan : plan;
+  ws_jac : Ape_util.Sparse.Real.t;
+      (** Jacobian values over the plan's pattern, restamped per step *)
+  mutable ws_fac : Ape_util.Sparse.Real.factor option;
+}
+(** Newton linear-solve state shared by the DC and transient loops: one
+    stamp plan and one factor whose pivot order is chosen once and
+    replayed numerically on every later step. *)
+
+val workspace : Ape_circuit.Netlist.t -> index -> workspace
+
+val newton_step : workspace -> float array -> float array option
+(** [newton_step ws rhs] solves [J x = rhs] with [J] the values in
+    [ws_jac]: a numeric refactorisation over the held pivot order, or a
+    fresh pivoting factorisation on the first step and after a replay
+    goes unstable.  [None] when [J] is singular. *)
 
 val mosfet_small_signal :
   Ape_circuit.Netlist.t ->

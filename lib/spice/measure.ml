@@ -1,6 +1,5 @@
 (* All searches are expressed against a prepared AC engine so that one
-   netlist stamping serves every solve; the historical op-based API at
-   the bottom prepares once per call. *)
+   netlist stamping serves every solve. *)
 
 module Prepared = struct
   let solution ~out p freq =
@@ -200,41 +199,3 @@ module Prepared = struct
 
   let output_impedance_magnitude ~out ~freq p = gain_at ~out p freq
 end
-
-(* Op-based entry points: prepare once per call.  Callers making several
-   measurements on one operating point should [Ac.prepare] themselves
-   and use {!Prepared} directly to share the stamping. *)
-
-let dc_gain ~out op = Prepared.dc_gain ~out (Ac.prepare op)
-let dc_gain_signed ~out op = Prepared.dc_gain_signed ~out (Ac.prepare op)
-let gain_at ~out op freq = Prepared.gain_at ~out (Ac.prepare op) freq
-let phase_at ~out op freq = Prepared.phase_at ~out (Ac.prepare op) freq
-
-let unity_gain_frequency ?fmin ?fmax ~out op =
-  Prepared.unity_gain_frequency ?fmin ?fmax ~out (Ac.prepare op)
-
-let f_minus_3db ?fmin ?fmax ~out op =
-  Prepared.f_minus_3db ?fmin ?fmax ~out (Ac.prepare op)
-
-let f_level_db ?fmin ?fmax ~level_db ~out op =
-  Prepared.f_level_db ?fmin ?fmax ~level_db ~out (Ac.prepare op)
-
-let unwrapped_phase_at ?points_per_decade ~out op freq =
-  Prepared.unwrapped_phase_at ?points_per_decade ~out (Ac.prepare op) freq
-
-let phase_margin ?fmin ?fmax ~out op =
-  Prepared.phase_margin ?fmin ?fmax ~out (Ac.prepare op)
-
-type bandpass = Prepared.bandpass = {
-  f_center : float;
-  peak_gain : float;
-  f_low : float;
-  f_high : float;
-  bandwidth : float;
-}
-
-let bandpass_characteristics ?fmin ?fmax ~out op =
-  Prepared.bandpass_characteristics ?fmin ?fmax ~out (Ac.prepare op)
-
-let output_impedance_magnitude ~out ~freq op =
-  Prepared.output_impedance_magnitude ~out ~freq (Ac.prepare op)

@@ -4,13 +4,11 @@
     given a solved operating point they hunt for level crossings on the
     AC response with a coarse log scan refined by Brent's method.
 
-    Every search is implemented against a prepared AC engine
-    ({!Ac.prepare}): the circuit is stamped once and each probe
-    frequency is a cheap assemble-and-factor.  The {!Prepared}
-    submodule exposes that form directly, so callers extracting several
-    figures from one operating point (gain, UGF, phase margin, …) can
-    share a single preparation; the top-level functions keep the
-    historical [Dc.op]-based signatures and prepare once per call. *)
+    Every search runs on a prepared AC engine ({!Ac.prepare}): the
+    circuit is stamped once and each probe frequency is a cheap
+    assemble-and-refactor.  Callers extracting several figures from one
+    operating point (gain, UGF, phase margin, …) prepare once and pass
+    the same preparation to each measurement. *)
 
 (** Measurements over a shared {!Ac.prepared}. *)
 module Prepared : sig
@@ -26,6 +24,7 @@ module Prepared : sig
       frequency.) *)
 
   val gain_at : out:Ape_circuit.Netlist.node -> Ac.prepared -> float -> float
+  (** |V(out)| at a frequency in Hz. *)
 
   val phase_at : out:Ape_circuit.Netlist.node -> Ac.prepared -> float -> float
   (** Principal-value phase in degrees, in (−180, 180]. *)
@@ -48,6 +47,9 @@ module Prepared : sig
     out:Ape_circuit.Netlist.node ->
     Ac.prepared ->
     float option
+  (** Lowest frequency where |H| falls to 1, searched on
+      [[fmin, fmax]] (defaults 1 Hz .. 10 GHz).  [None] if |H| never
+      reaches 1 (e.g. the DC gain is already below unity). *)
 
   val f_minus_3db :
     ?fmin:float ->
@@ -55,6 +57,7 @@ module Prepared : sig
     out:Ape_circuit.Netlist.node ->
     Ac.prepared ->
     float option
+  (** −3 dB bandwidth relative to the DC gain. *)
 
   val f_level_db :
     ?fmin:float ->
@@ -63,6 +66,8 @@ module Prepared : sig
     out:Ape_circuit.Netlist.node ->
     Ac.prepared ->
     float option
+  (** Frequency where the response is [level_db] below DC (e.g. −20 dB
+      for the paper's f_{−20dB} LPF row). *)
 
   val phase_margin :
     ?fmin:float ->
@@ -76,10 +81,10 @@ module Prepared : sig
       360°. *)
 
   type bandpass = {
-    f_center : float;
+    f_center : float;  (** peak frequency, Hz *)
     peak_gain : float;
-    f_low : float;
-    f_high : float;
+    f_low : float;  (** lower −3 dB edge *)
+    f_high : float;  (** upper −3 dB edge *)
     bandwidth : float;
   }
 
@@ -89,88 +94,11 @@ module Prepared : sig
     out:Ape_circuit.Netlist.node ->
     Ac.prepared ->
     bandpass option
+  (** Peak search + two-sided −3 dB edges for band-pass responses. *)
 
   val output_impedance_magnitude :
     out:Ape_circuit.Netlist.node -> freq:float -> Ac.prepared -> float
+  (** |V(out)| per 1 A of AC injection: the caller's netlist must
+      contain a 1 A AC current source at [out] and no other AC
+      excitation. *)
 end
-
-val dc_gain : out:Ape_circuit.Netlist.node -> Dc.op -> float
-(** |V(out)| at s = 0 with the netlist's declared AC excitation (the AC
-    system reduces to the real conductance matrix). *)
-
-val dc_gain_signed : out:Ape_circuit.Netlist.node -> Dc.op -> float
-(** {!dc_gain} with the sign recovered from the real ω → 0 solve
-    (inverting stages report negative gain, matching the estimator's
-    convention); see {!Prepared.dc_gain_signed}. *)
-
-val gain_at : out:Ape_circuit.Netlist.node -> Dc.op -> float -> float
-(** |V(out)| at a frequency in Hz. *)
-
-val phase_at : out:Ape_circuit.Netlist.node -> Dc.op -> float -> float
-(** Principal-value phase in degrees. *)
-
-val unwrapped_phase_at :
-  ?points_per_decade:int ->
-  out:Ape_circuit.Netlist.node ->
-  Dc.op ->
-  float ->
-  float
-(** See {!Prepared.unwrapped_phase_at}. *)
-
-val unity_gain_frequency :
-  ?fmin:float ->
-  ?fmax:float ->
-  out:Ape_circuit.Netlist.node ->
-  Dc.op ->
-  float option
-(** Lowest frequency where |H| falls to 1, searched on
-    [[fmin, fmax]] (defaults 1 Hz .. 10 GHz).  [None] if |H| never
-    reaches 1 (e.g. the DC gain is already below unity). *)
-
-val f_minus_3db :
-  ?fmin:float ->
-  ?fmax:float ->
-  out:Ape_circuit.Netlist.node ->
-  Dc.op ->
-  float option
-(** −3 dB bandwidth relative to the DC gain. *)
-
-val f_level_db :
-  ?fmin:float ->
-  ?fmax:float ->
-  level_db:float ->
-  out:Ape_circuit.Netlist.node ->
-  Dc.op ->
-  float option
-(** Frequency where the response is [level_db] below DC (e.g. −20 dB
-    for the paper's f_{−20dB} LPF row). *)
-
-val phase_margin :
-  ?fmin:float ->
-  ?fmax:float ->
-  out:Ape_circuit.Netlist.node ->
-  Dc.op ->
-  float option
-(** 180° + the {e unwrapped} phase at the unity-gain frequency; see
-    {!Prepared.phase_margin}. *)
-
-type bandpass = Prepared.bandpass = {
-  f_center : float;  (** peak frequency, Hz *)
-  peak_gain : float;
-  f_low : float;  (** lower −3 dB edge *)
-  f_high : float;  (** upper −3 dB edge *)
-  bandwidth : float;
-}
-
-val bandpass_characteristics :
-  ?fmin:float ->
-  ?fmax:float ->
-  out:Ape_circuit.Netlist.node ->
-  Dc.op ->
-  bandpass option
-(** Peak search + two-sided −3 dB edges for band-pass responses. *)
-
-val output_impedance_magnitude :
-  out:Ape_circuit.Netlist.node -> freq:float -> Dc.op -> float
-(** |V(out)| per 1 A of AC injection: the caller's netlist must contain
-    a 1 A AC current source at [out] and no other AC excitation. *)

@@ -5,7 +5,6 @@ module Mos = Ape_device.Mos
 type contribution = { element : string; psd : float }
 
 let c_adjoint = Ape_obs.counter "noise.adjoint_solves"
-let c_direct = Ape_obs.counter "noise.direct_solves"
 
 let four_kt = 4. *. Ape_util.Units.k_boltzmann *. 300.15
 
@@ -55,9 +54,7 @@ let sorted_total contributions =
    transfer impedance of a 1 A source from node a to node b is
    z = e_outᵀ A⁻¹ (e_b − e_a) = y(b) − y(a) — so one transposed solve
    per frequency yields every source's transfer impedance, however many
-   sources the deck has.  The system is factored through the
-   backend-aware {!Ac.system_at}, so [--engine sparse] covers noise
-   too. *)
+   sources the deck has. *)
 let output_noise_prepared ~out ~freq p =
   let op = Ac.op p in
   let index = op.Dc.index in
@@ -91,46 +88,11 @@ let output_noise_prepared ~out ~freq p =
          { element; psd = s_i *. z *. z })
        sources)
 
-(* The pre-adjoint evaluation — one direct solve per source per
-   frequency — kept as an independent reference implementation for the
-   differential test suite and the bench's solve-count comparison. *)
-let output_noise_direct_prepared ~out ~freq p =
-  let op = Ac.op p in
-  let index = op.Dc.index in
-  let n = Engine.size index in
-  let sys = Ac.system_at p freq in
-  let inject a_node b_node =
-    let rhs = Array.make n Complex.zero in
-    (match Engine.node_id index a_node with
-    | Some i -> rhs.(i) <- Complex.sub rhs.(i) Complex.one
-    | None -> ());
-    (match Engine.node_id index b_node with
-    | Some i -> rhs.(i) <- Complex.add rhs.(i) Complex.one
-    | None -> ());
-    Ape_obs.incr c_direct;
-    let x = Ac.system_solve sys rhs in
-    match Engine.node_id index out with
-    | Some i -> Complex.norm x.(i)
-    | None -> 0.
-  in
-  sorted_total
-    (List.map
-       (fun (element, a_node, b_node, s_i) ->
-         let z = inject a_node b_node in
-         { element; psd = s_i *. z *. z })
-       (noise_sources op freq))
-
-let output_noise ~out ~freq op =
-  output_noise_prepared ~out ~freq (Ac.prepare op)
-
 let input_referred_prepared ~out ~freq p =
   let total, _ = output_noise_prepared ~out ~freq p in
-  let gain = Ac.magnitude_prepared ~node:out p freq in
+  let gain = Measure.Prepared.gain_at ~out p freq in
   if gain = 0. then raise Division_by_zero;
   Float.sqrt total /. gain
-
-let input_referred ~out ~freq op =
-  input_referred_prepared ~out ~freq (Ac.prepare op)
 
 let integrated_output_prepared ~out ~fstart ~fstop ?(points_per_decade = 5) p =
   if fstart <= 0. || fstop <= fstart then
@@ -154,7 +116,3 @@ let integrated_output_prepared ~out ~fstart ~fstop ?(points_per_decade = 5) p =
     | [ _ ] | [] -> acc
   in
   Float.sqrt (integrate 0. (List.combine freqs psds))
-
-let integrated_output ~out ~fstart ~fstop ?points_per_decade op =
-  integrated_output_prepared ~out ~fstart ~fstop ?points_per_decade
-    (Ac.prepare op)

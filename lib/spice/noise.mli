@@ -9,20 +9,15 @@
     adjoint system [Aᵀy = e_out], the impedance seen by a 1 A source
     from node [a] to node [b] is [y(b) − y(a)] — one transposed solve
     per frequency covers every source, however many the deck has
-    (counted under [noise.adjoint_solves]).  The system is factored
-    through the backend-aware {!Ac.system_at}, so [--engine sparse]
-    covers noise too.  {!output_noise_direct_prepared} keeps the
-    historical one-solve-per-source evaluation as an independent
-    reference (counted under [noise.direct_solves]).
+    (counted under [noise.adjoint_solves]).  The test suite keeps the
+    one-solve-per-source evaluation as an independent reference.
 
     Input-referred noise divides by the circuit's own signal gain (from
     the netlist's declared AC excitation).
 
-    All routines run on the prepared AC engine ({!Ac.prepare}): the
-    [_prepared] variants reuse a caller-supplied preparation (one
-    stamping for a whole noise integration plus any other measurements
-    on the same operating point); the [Dc.op] forms prepare once per
-    call. *)
+    All routines run on a caller-supplied prepared AC engine
+    ({!Ac.prepare}): one stamping serves a whole noise integration plus
+    any other measurements on the same operating point. *)
 
 type contribution = {
   element : string;
@@ -35,51 +30,22 @@ val noise_sources :
   (string * Ape_circuit.Netlist.node * Ape_circuit.Netlist.node * float) list
 (** [(element, a, b, psd)] of every noisy element at one frequency: a
     current-noise PSD (A²/Hz) injected from node [a] to node [b].
-    Exposed for the bench's solve-count accounting. *)
-
-val output_noise :
-  out:Ape_circuit.Netlist.node ->
-  freq:float ->
-  Dc.op ->
-  float * contribution list
-(** Total output noise PSD (V²/Hz) at [freq] and the per-element
-    breakdown, sorted descending. *)
+    Exposed for the bench's solve-count accounting and the test
+    suite's per-source reference. *)
 
 val output_noise_prepared :
   out:Ape_circuit.Netlist.node ->
   freq:float ->
   Ac.prepared ->
   float * contribution list
-(** {!output_noise} on a shared preparation. *)
-
-val output_noise_direct_prepared :
-  out:Ape_circuit.Netlist.node ->
-  freq:float ->
-  Ac.prepared ->
-  float * contribution list
-(** Reference evaluation with one direct solve per source instead of
-    the single adjoint solve; agrees with {!output_noise_prepared} to
-    rounding (the differential suite pins ≤ 1e-10 relative). *)
-
-val input_referred :
-  out:Ape_circuit.Netlist.node -> freq:float -> Dc.op -> float
-(** Input-referred noise density, V/√Hz: output noise voltage density
-    divided by the gain from the netlist's AC excitation to [out].
-    Raises [Division_by_zero] when that gain is 0. *)
+(** Total output noise PSD (V²/Hz) at [freq] and the per-element
+    breakdown, sorted descending. *)
 
 val input_referred_prepared :
   out:Ape_circuit.Netlist.node -> freq:float -> Ac.prepared -> float
-(** {!input_referred} on a shared preparation. *)
-
-val integrated_output :
-  out:Ape_circuit.Netlist.node ->
-  fstart:float ->
-  fstop:float ->
-  ?points_per_decade:int ->
-  Dc.op ->
-  float
-(** RMS output noise over a band (trapezoidal integration of the PSD on
-    a log grid), volts. *)
+(** Input-referred noise density, V/√Hz: output noise voltage density
+    divided by the gain from the netlist's AC excitation to [out].
+    Raises [Division_by_zero] when that gain is 0. *)
 
 val integrated_output_prepared :
   out:Ape_circuit.Netlist.node ->
@@ -88,4 +54,5 @@ val integrated_output_prepared :
   ?points_per_decade:int ->
   Ac.prepared ->
   float
-(** {!integrated_output} on a shared preparation. *)
+(** RMS output noise over a band (trapezoidal integration of the PSD on
+    a log grid), volts. *)

@@ -1,5 +1,4 @@
 module N = Ape_circuit.Netlist
-module Rmat = Ape_util.Matrix.Rmat
 
 type method_ = Backward_euler | Trapezoidal
 type waveform = float -> float
@@ -38,64 +37,19 @@ let max_norm a = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0. a
 
 module Sp = Ape_util.Sparse
 
-(* Sparse workspace for a whole transient run: the factor's symbolic
-   analysis survives across time steps and Newton iterations (one
-   pattern for the Jacobian + companion stamps); only the numeric part
-   is replayed per iteration. *)
-type tr_sparse = {
-  ts_plan : Engine.plan;
-  ts_jvals : Sp.Real.t;  (* Jacobian + gc·C companion, per iteration *)
-  ts_cvals : Sp.Real.t;  (* capacitance stamps at x_prev, per step *)
-  mutable ts_fac : Sp.Real.factor option;
-}
-
-let tr_sparse netlist index =
-  match Backend.current () with
-  | Backend.Dense -> None
-  | Backend.Sparse ->
-    let plan = Engine.plan netlist index in
-    let pat = Engine.plan_pattern plan in
-    Some
-      {
-        ts_plan = plan;
-        ts_jvals = Sp.Real.create pat;
-        ts_cvals = Sp.Real.create pat;
-        ts_fac = None;
-      }
-
-let tr_sparse_step ts neg_f =
-  let fresh () =
-    match Sp.Real.factor ts.ts_jvals with
-    | exception Sp.Singular -> None
-    | fac ->
-      ts.ts_fac <- Some fac;
-      Some (Sp.Real.solve fac neg_f)
-  in
-  match ts.ts_fac with
-  | None -> fresh ()
-  | Some fac -> (
-    match Sp.Real.refactor fac ts.ts_jvals with
-    | () -> Some (Sp.Real.solve fac neg_f)
-    | exception (Sp.Unstable | Sp.Singular) ->
-      ts.ts_fac <- None;
-      fresh ())
-
 (* Newton solve of F(x) + C·(x - x_prev)/h [BE] = 0 at time t, starting
    from x (modified in place).  For trapezoidal the companion term is
    (2C/h)(x - x_prev) - i_prev where i_prev is the capacitor current at
-   the previous time point. *)
-let solve_step ?sparse ~method_ ~max_newton ~stimulus ~time ~dt netlist index
-    ~x_prev ~icap_prev x =
+   the previous time point.  [ws] carries the stamp plan and factor
+   across iterations and steps; [cvals] receives the capacitance stamps
+   at [x_prev] over the same pattern. *)
+let solve_step ~ws ~cvals ~method_ ~max_newton ~stimulus ~time ~dt netlist
+    index ~x_prev ~icap_prev x =
   let n = Engine.size index in
+  let pattern = Engine.plan_pattern ws.Engine.ws_plan in
   Ape_obs.incr c_solves;
   let ok = ref false and iter = ref 0 in
-  let c =
-    match sparse with
-    | None -> Some (Engine.stamp_capacitances netlist index x_prev)
-    | Some ts ->
-      Engine.sparse_capacitances ts.ts_plan netlist index x_prev ts.ts_cvals;
-      None
-  in
+  Engine.sparse_capacitances ws.Engine.ws_plan netlist index x_prev cvals;
   let coeff = match method_ with Backward_euler -> 1. | Trapezoidal -> 2. in
   let gc = coeff /. dt in
   let trap_term row =
@@ -105,88 +59,45 @@ let solve_step ?sparse ~method_ ~max_newton ~stimulus ~time ~dt netlist index
   in
   while (not !ok) && !iter < max_newton do
     incr iter;
-    let step =
-      match (sparse, c) with
-      | None, Some c -> (
-        let f, j =
-          Engine.residual_jacobian ~gmin:1e-12 ~time ~stimulus netlist index x
-        in
-        (* Capacitor companion: i = gc·C·(x - x_prev) - icap_prev_term. *)
-        for row = 0 to n - 1 do
-          let acc = ref 0. in
-          for col = 0 to n - 1 do
-            let cv = Rmat.get c row col in
-            if cv <> 0. then begin
-              acc := !acc +. (gc *. cv *. (x.(col) -. x_prev.(col)));
-              Rmat.add_to j row col (gc *. cv)
-            end
-          done;
-          f.(row) <- f.(row) +. !acc -. trap_term row
-        done;
-        match Rmat.lu_factor j with
-        | exception Ape_util.Matrix.Singular -> None
-        | lu -> Some (Rmat.lu_solve lu (Array.map (fun v -> -.v) f)))
-      | Some ts, _ ->
-        let f =
-          Engine.sparse_residual ~gmin:1e-12 ~time ~stimulus ts.ts_plan
-            netlist index x ts.ts_jvals
-        in
-        (* Companion stamps ride the shared pattern: the C slots are a
-           subset of the plan's union pattern by construction. *)
-        Sp.iter
-          (Engine.plan_pattern ts.ts_plan)
-          (fun s row col ->
-            let cv = Sp.Real.get_slot ts.ts_cvals s in
-            if cv <> 0. then begin
-              f.(row) <- f.(row) +. (gc *. cv *. (x.(col) -. x_prev.(col)));
-              Sp.Real.add_slot ts.ts_jvals s (gc *. cv)
-            end);
-        for row = 0 to n - 1 do
-          f.(row) <- f.(row) -. trap_term row
-        done;
-        tr_sparse_step ts (Array.map (fun v -> -.v) f)
-      | None, None -> assert false
+    let f =
+      Engine.sparse_residual ~gmin:1e-12 ~time ~stimulus ws.Engine.ws_plan
+        netlist index x ws.Engine.ws_jac
     in
-    match step with
+    (* Capacitor companion: i = gc·C·(x - x_prev) - icap_prev_term.  The
+       C slots are a subset of the plan's union pattern by
+       construction. *)
+    Sp.iter pattern (fun s row col ->
+        let cv = Sp.Real.get_slot cvals s in
+        if cv <> 0. then begin
+          f.(row) <- f.(row) +. (gc *. cv *. (x.(col) -. x_prev.(col)));
+          Sp.Real.add_slot ws.Engine.ws_jac s (gc *. cv)
+        end);
+    for row = 0 to n - 1 do
+      f.(row) <- f.(row) -. trap_term row
+    done;
+    match Engine.newton_step ws (Array.map (fun v -> -.v) f) with
     | None -> iter := max_newton
+    | Some dx when Array.exists Float.is_nan dx -> iter := max_newton
     | Some dx ->
-      if Array.exists Float.is_nan dx then iter := max_newton
-      else begin
-        Array.iteri
-          (fun i d ->
-            let d = Ape_util.Float_ext.clamp ~lo:(-1.) ~hi:1. d in
-            x.(i) <- x.(i) +. d)
-          dx;
-        if max_norm dx < 1e-9 then ok := true
-      end
+      Array.iteri
+        (fun i d ->
+          let d = Ape_util.Float_ext.clamp ~lo:(-1.) ~hi:1. d in
+          x.(i) <- x.(i) +. d)
+        dx;
+      if max_norm dx < 1e-9 then ok := true
   done;
   Ape_obs.add c_newton_iters !iter;
   if not !ok then None
   else begin
     (* Capacitor current at the accepted point (for trapezoidal). *)
     let icap = Array.make n 0. in
-    (match (sparse, c) with
-    | None, Some c ->
-      for row = 0 to n - 1 do
-        let acc = ref 0. in
-        for col = 0 to n - 1 do
-          let cv = Rmat.get c row col in
-          if cv <> 0. then
-            acc := !acc +. (gc *. cv *. (x.(col) -. x_prev.(col)))
-        done;
-        icap.(row) <- !acc -. trap_term row
-      done
-    | Some ts, _ ->
-      Sp.iter
-        (Engine.plan_pattern ts.ts_plan)
-        (fun s row col ->
-          let cv = Sp.Real.get_slot ts.ts_cvals s in
-          if cv <> 0. then
-            icap.(row) <- icap.(row) +. (gc *. cv *. (x.(col) -. x_prev.(col))));
-      for row = 0 to n - 1 do
-        icap.(row) <- icap.(row) -. trap_term row
-      done
-    | None, None -> assert false);
+    Sp.iter pattern (fun s row col ->
+        let cv = Sp.Real.get_slot cvals s in
+        if cv <> 0. then
+          icap.(row) <- icap.(row) +. (gc *. cv *. (x.(col) -. x_prev.(col))));
+    for row = 0 to n - 1 do
+      icap.(row) <- icap.(row) -. trap_term row
+    done;
     Some icap
   end
 
@@ -208,7 +119,8 @@ let run ?(method_ = Backward_euler) ?(max_newton = 60) ~stimulus ~tstop ~dt
   in
   let x = Array.copy op.Dc.x in
   record 0 x;
-  let sparse = tr_sparse netlist index in
+  let ws = Engine.workspace netlist index in
+  let cvals = Sp.Real.create (Engine.plan_pattern ws.Engine.ws_plan) in
   let x_prev = ref (Array.copy x) in
   let icap_prev = ref (Array.make n 0.) in
   for k = 1 to n_steps do
@@ -221,7 +133,7 @@ let run ?(method_ = Backward_euler) ?(max_newton = 60) ~stimulus ~tstop ~dt
       let h = t_to -. t_from in
       let x_try = Array.copy x_start in
       match
-        solve_step ?sparse ~method_ ~max_newton ~stimulus ~time:t_to ~dt:h
+        solve_step ~ws ~cvals ~method_ ~max_newton ~stimulus ~time:t_to ~dt:h
           netlist index ~x_prev:x_start ~icap_prev:icap_start x_try
       with
       | Some icap -> (x_try, icap)

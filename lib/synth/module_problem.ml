@@ -233,9 +233,9 @@ let measure_at (process : Proc.t) kind ~area_scale netlist op =
             ~fmax:(f_center *. 50.) ~out:"out" prep
         with
         | Some bp ->
-          ("f0", bp.Measure.f_center)
-          :: ("gain", bp.Measure.peak_gain)
-          :: ("bandwidth", bp.Measure.bandwidth)
+          ("f0", bp.Measure.Prepared.f_center)
+          :: ("gain", bp.Measure.Prepared.peak_gain)
+          :: ("bandwidth", bp.Measure.Prepared.bandwidth)
           :: m
         | None -> m)
     in

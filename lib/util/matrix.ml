@@ -14,12 +14,10 @@ end
 
 exception Singular
 
-(* Factorisation counters, shared by both functor instantiations (the
+(* Factorisation counter, shared by both functor instantiations (the
    per-analysis counters in Ape_spice give the real/complex breakdown).
-   Pure observation: nothing numeric flows through them. *)
+   Pure observation: nothing numeric flows through it. *)
 let c_lu_factor = Ape_obs.counter "matrix.lu_factor"
-let c_lu_factor_in_place = Ape_obs.counter "matrix.lu_factor_in_place"
-let c_csplit_factor = Ape_obs.counter "matrix.csplit_factor"
 
 module Make (F : FIELD) = struct
   type elt = F.t
@@ -92,14 +90,13 @@ module Make (F : FIELD) = struct
   type lu = { lu_a : F.t array array; perm : int array; n : int }
 
   (* Doolittle LU with partial pivoting; L has unit diagonal and is stored
-     below the diagonal of [lu_a], U on and above it.  [factor_arrays]
-     destroys [a] and fills [perm]; both entry points below share it so
-     the copying and in-place factorisations are arithmetically (and
-     hence bitwise) identical. *)
-  let factor_arrays a perm n =
-    for i = 0 to n - 1 do
-      perm.(i) <- i
-    done;
+     below the diagonal of [lu_a], U on and above it. *)
+  let lu_factor m =
+    if m.nr <> m.nc then invalid_arg "Matrix.lu_factor: not square";
+    Ape_obs.incr c_lu_factor;
+    let n = m.nr in
+    let a = Array.map Array.copy m.a in
+    let perm = Array.init n Fun.id in
     (* n = 0 is a valid empty system: the pivot loop below vanishes and
        [lu_solve] returns [||].  Kept explicit rather than incidental so
        the contract survives refactoring — a 0-unknown netlist (ground
@@ -131,22 +128,6 @@ module Make (F : FIELD) = struct
       done
     done;
     { lu_a = a; perm; n }
-
-  let lu_factor m =
-    if m.nr <> m.nc then invalid_arg "Matrix.lu_factor: not square";
-    Ape_obs.incr c_lu_factor;
-    let n = m.nr in
-    let a = Array.map Array.copy m.a in
-    let perm = Array.make n 0 in
-    factor_arrays a perm n
-
-  let lu_factor_in_place m perm =
-    if m.nr <> m.nc then invalid_arg "Matrix.lu_factor_in_place: not square";
-    Ape_obs.incr c_lu_factor_in_place;
-    let n = m.nr in
-    if Array.length perm <> n then
-      invalid_arg "Matrix.lu_factor_in_place: perm size";
-    factor_arrays m.a perm n
 
   let lu_solve { lu_a = a; perm; n } b =
     if Array.length b <> n then invalid_arg "Matrix.lu_solve";
@@ -217,145 +198,3 @@ module Cmat = Make (struct
   let norm = Complex.norm
   let pp fmt (c : Complex.t) = Format.fprintf fmt "%.6g%+.6gi" c.re c.im
 end)
-
-(* Split-storage complex LU: real and imaginary parts live in separate
-   float matrices, so OCaml's flat-float-array representation keeps the
-   inner loops allocation-free (the functor path boxes a [Complex.t]
-   record per arithmetic operation).
-
-   Bit-identity contract: every arithmetic step replicates the stdlib's
-   [Complex] operations — textbook mul, Smith's scaled division, and
-   [Float.hypot] for the pivot magnitude — in the exact operation order
-   of [factor_arrays]/[lu_solve] above, so solutions are bitwise equal
-   to the [Cmat] path's. *)
-module Csplit = struct
-  type t = { n : int; re : float array array; im : float array array }
-
-  let create n =
-    if n < 0 then invalid_arg "Matrix.Csplit.create";
-    { n; re = Array.make_matrix n n 0.; im = Array.make_matrix n n 0. }
-
-  (* Complex.div (Smith's algorithm), on split operands. *)
-  let[@inline] cdiv xre xim yre yim =
-    if Float.abs yre >= Float.abs yim then begin
-      let r = yim /. yre in
-      let d = yre +. (r *. yim) in
-      ((xre +. (r *. xim)) /. d, (xim -. (r *. xre)) /. d)
-    end
-    else begin
-      let r = yre /. yim in
-      let d = yim +. (r *. yre) in
-      (((r *. xre) +. xim) /. d, ((r *. xim) -. xre) /. d)
-    end
-
-  let factor_in_place m perm =
-    let n = m.n and are = m.re and aim = m.im in
-    if Array.length perm <> n then
-      invalid_arg "Matrix.Csplit.factor_in_place: perm size";
-    Ape_obs.incr c_csplit_factor;
-    for i = 0 to n - 1 do
-      perm.(i) <- i
-    done;
-    for k = 0 to n - 1 do
-      let pivot = ref k
-      and best = ref (Float.hypot are.(k).(k) aim.(k).(k)) in
-      for i = k + 1 to n - 1 do
-        let v = Float.hypot are.(i).(k) aim.(i).(k) in
-        if v > !best then begin
-          best := v;
-          pivot := i
-        end
-      done;
-      if !best < 1e-300 then raise Singular;
-      if !pivot <> k then begin
-        let tr = are.(k) in
-        are.(k) <- are.(!pivot);
-        are.(!pivot) <- tr;
-        let ti = aim.(k) in
-        aim.(k) <- aim.(!pivot);
-        aim.(!pivot) <- ti;
-        let tp = perm.(k) in
-        perm.(k) <- perm.(!pivot);
-        perm.(!pivot) <- tp
-      end;
-      for i = k + 1 to n - 1 do
-        let fre, fim = cdiv are.(i).(k) aim.(i).(k) are.(k).(k) aim.(k).(k) in
-        are.(i).(k) <- fre;
-        aim.(i).(k) <- fim;
-        let rre = are.(i) and rim = aim.(i) in
-        let pre = are.(k) and pim = aim.(k) in
-        for j = k + 1 to n - 1 do
-          (* a(i,j) - factor * a(k,j), with Complex.mul's formula. *)
-          let bre = pre.(j) and bim = pim.(j) in
-          rre.(j) <- rre.(j) -. ((fre *. bre) -. (fim *. bim));
-          rim.(j) <- rim.(j) -. ((fre *. bim) +. (fim *. bre))
-        done
-      done
-    done
-
-  let solve m perm (b : Complex.t array) =
-    let n = m.n in
-    if Array.length b <> n then invalid_arg "Matrix.Csplit.solve";
-    if n = 0 then [||]  (* explicit empty-system short-circuit *)
-    else begin
-    let yre = Array.init n (fun i -> b.(perm.(i)).Complex.re) in
-    let yim = Array.init n (fun i -> b.(perm.(i)).Complex.im) in
-    (* Forward substitution with unit-diagonal L. *)
-    for i = 1 to n - 1 do
-      let rre = m.re.(i) and rim = m.im.(i) in
-      for j = 0 to i - 1 do
-        let are = rre.(j) and aim = rim.(j) in
-        yre.(i) <- yre.(i) -. ((are *. yre.(j)) -. (aim *. yim.(j)));
-        yim.(i) <- yim.(i) -. ((are *. yim.(j)) +. (aim *. yre.(j)))
-      done
-    done;
-    (* Back substitution with U. *)
-    for i = n - 1 downto 0 do
-      let rre = m.re.(i) and rim = m.im.(i) in
-      for j = i + 1 to n - 1 do
-        let are = rre.(j) and aim = rim.(j) in
-        yre.(i) <- yre.(i) -. ((are *. yre.(j)) -. (aim *. yim.(j)));
-        yim.(i) <- yim.(i) -. ((are *. yim.(j)) +. (aim *. yre.(j)))
-      done;
-      let re, im = cdiv yre.(i) yim.(i) rre.(i) rim.(i) in
-      yre.(i) <- re;
-      yim.(i) <- im
-    done;
-    Array.init n (fun i -> { Complex.re = yre.(i); im = yim.(i) })
-    end
-
-  (* Solve Aᵀy = b with the factorisation of A.  With PA = LU the
-     transposed system is Uᵀ(Lᵀ(Py)) = b: run Uᵀ forward (row i of Uᵀ
-     is column i of U, divide by the diagonal), Lᵀ backward (unit
-     diagonal), then undo the row permutation on the way out. *)
-  let solve_transposed m perm (b : Complex.t array) =
-    let n = m.n in
-    if Array.length b <> n then invalid_arg "Matrix.Csplit.solve_transposed";
-    if n = 0 then [||]
-    else begin
-      let yre = Array.init n (fun i -> b.(i).Complex.re) in
-      let yim = Array.init n (fun i -> b.(i).Complex.im) in
-      for i = 0 to n - 1 do
-        for j = 0 to i - 1 do
-          let are = m.re.(j).(i) and aim = m.im.(j).(i) in
-          yre.(i) <- yre.(i) -. ((are *. yre.(j)) -. (aim *. yim.(j)));
-          yim.(i) <- yim.(i) -. ((are *. yim.(j)) +. (aim *. yre.(j)))
-        done;
-        let re, im = cdiv yre.(i) yim.(i) m.re.(i).(i) m.im.(i).(i) in
-        yre.(i) <- re;
-        yim.(i) <- im
-      done;
-      for i = n - 1 downto 0 do
-        for j = i + 1 to n - 1 do
-          let are = m.re.(j).(i) and aim = m.im.(j).(i) in
-          yre.(i) <- yre.(i) -. ((are *. yre.(j)) -. (aim *. yim.(j)));
-          yim.(i) <- yim.(i) -. ((are *. yim.(j)) +. (aim *. yre.(j)))
-        done
-      done;
-      let y = Array.make n Complex.zero in
-      for i = 0 to n - 1 do
-        y.(perm.(i)) <- { Complex.re = yre.(i); im = yim.(i) }
-      done;
-      y
-    end
-end

@@ -1,10 +1,11 @@
 (** Dense matrices over an arbitrary field, with LU factorisation.
 
-    The modified-nodal-analysis matrices the simulator assembles are small
-    (tens of rows), so a straightforward dense LU with partial pivoting is
-    both adequate and robust.  The functor is instantiated twice: over
-    floats for the DC Newton iteration and over [Complex.t] for the AC
-    small-signal sweep. *)
+    The simulator's DC, AC, transient and noise analyses solve through
+    {!Sparse}; dense matrices serve where no engine is involved: AWE's
+    moment and Padé solves, the relaxed-KCL penalty, and the dense
+    reference the differential tests check the sparse engine against.
+    The functor is instantiated twice, over floats ({!Rmat}) and over
+    [Complex.t] ({!Cmat}). *)
 
 module type FIELD = sig
   type t
@@ -63,14 +64,6 @@ module Make (F : FIELD) : sig
   (** Raises {!Singular} on a singular matrix.  The input is not
       modified. *)
 
-  val lu_factor_in_place : t -> int array -> lu
-  (** Like {!lu_factor} but factors the matrix in its own storage
-      (destroying the contents) and records pivoting in the caller's
-      [perm] workspace (length = rows) — no allocation per call, for
-      hot loops that re-assemble and re-factor the same system.  The
-      arithmetic is identical to {!lu_factor}, so solutions are bitwise
-      equal. *)
-
   val lu_solve : lu -> elt array -> elt array
   (** Solve [A x = b] given the factorisation of [A]. *)
 
@@ -110,36 +103,3 @@ module Cmat : module type of Make (struct
   let norm = Complex.norm
   let pp fmt (c : Complex.t) = Format.fprintf fmt "%.6g%+.6gi" c.re c.im
 end)
-
-(** Split-storage complex LU for hot per-frequency loops.
-
-    Stores real and imaginary parts in separate float matrices so the
-    factorisation's inner loops run on unboxed floats with no per-op
-    allocation (the {!Cmat} functor path boxes a [Complex.t] record per
-    add/mul).  Every arithmetic step replicates the stdlib [Complex]
-    operations (Smith's scaled division, [Float.hypot] pivot magnitude)
-    in the exact operation order of the functor's factorisation, so
-    solutions are bitwise equal to [Cmat.lu_factor] + [Cmat.lu_solve]. *)
-module Csplit : sig
-  type t = {
-    n : int;
-    re : float array array;  (** row-major real parts, n×n *)
-    im : float array array;  (** row-major imaginary parts, n×n *)
-  }
-
-  val create : int -> t
-  (** [create n]: an n×n zero matrix.  Fill [re]/[im] directly. *)
-
-  val factor_in_place : t -> int array -> unit
-  (** LU with partial pivoting, in place; pivoting recorded in the
-      caller's [perm] (length n).  Raises {!Singular}. *)
-
-  val solve : t -> int array -> Complex.t array -> Complex.t array
-  (** [solve m perm b] with [m] holding the factors from
-      {!factor_in_place} and [perm] its pivot record. *)
-
-  val solve_transposed : t -> int array -> Complex.t array -> Complex.t array
-  (** [solve_transposed m perm b] returns [y] with [Aᵀ y = b] from the
-      same factors — the dense reference for adjoint (reciprocity)
-      analyses; no transposed factorisation needed. *)
-end

@@ -500,9 +500,10 @@ module Csplit = struct
       t.im.{s} <- omega *. cv.{s}
     done
 
-  (* Complex.div (Smith's algorithm) on split operands — same code as
-     Matrix.Csplit.cdiv so the two engines disagree only through
-     elimination order, never through scalar arithmetic. *)
+  (* Complex.div (Smith's algorithm) on split operands — the stdlib's
+     own arithmetic, so a dense [Cmat] reference disagrees with this
+     engine only through elimination order, never through scalar
+     arithmetic. *)
   let[@inline] cdiv xre xim yre yim =
     if Float.abs yre >= Float.abs yim then begin
       let r = yim /. yre in

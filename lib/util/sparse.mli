@@ -23,11 +23,10 @@
     {!Real.factor} (counted under [sparse.refactor_unstable]).
 
     All factor value storage and workspaces are unboxed
-    [Bigarray.Array1] float buffers.  Unlike the dense
-    [Matrix.Csplit] path there is {e no} bit-identity contract with the
-    dense LU: the elimination order differs, so results agree only to
-    rounding (the differential suite in [test/test_sparse.ml] pins the
-    tolerance). *)
+    [Bigarray.Array1] float buffers.  There is {e no} bit-identity
+    contract with the dense {!Matrix} LU: the elimination order differs,
+    so results agree only to rounding (the differential suite in
+    [test/test_sparse.ml] pins the tolerance). *)
 
 exception Singular
 (** The matrix is numerically (or structurally) singular. *)
@@ -119,8 +118,9 @@ module Real : sig
 end
 
 (** Split-storage complex matrices over a shared {!pattern} — separate
-    re/im float64 bigarrays, Smith's division and [Float.hypot] pivot
-    magnitudes exactly as the dense [Matrix.Csplit]. *)
+    re/im float64 bigarrays, with Smith's division and [Float.hypot]
+    pivot magnitudes exactly as the stdlib [Complex] module computes
+    them. *)
 module Csplit : sig
   type t
 

@@ -67,7 +67,7 @@ let error_of = function
 
 let span_string (e : Job.error) =
   match e.Job.span with
-  | Some s -> Sv.Reader.pp_span s
+  | Some s -> Ape_util.Sexpr.pp_span s
   | None -> "-"
 
 let test_parse_error_spans () =
@@ -404,6 +404,52 @@ let test_runner_sim_missing_file () =
   Alcotest.(check string) "failed, not raised" "failed"
     (Record.status_name status)
 
+let example_deck name =
+  (* dune runtest runs in _build/default/test, `dune exec` in the
+     project root. *)
+  List.find Sys.file_exists
+    [ Filename.concat "../examples/decks" name;
+      Filename.concat "examples/decks" name ]
+
+let test_runner_sim_include () =
+  (* An .INCLUDE resolves relative to the deck, not the working
+     directory, and the hierarchical deck measures exactly like its
+     checked-in flattened form. *)
+  let sim file =
+    let status, payload =
+      run_one
+        (parse_one (Printf.sprintf "(job sim (id x) (file %S) (out out))" file))
+    in
+    Alcotest.(check string) (file ^ " ok") "ok" (Record.status_name status);
+    List.remove_assoc "file" payload
+  in
+  let hier = sim (example_deck "two_stage.sp") in
+  Alcotest.(check bool) "hier = flat measurements" true
+    (hier = sim (example_deck "two_stage_flat.sp"));
+  match assoc "dc_gain" hier with
+  | Record.Float g -> Alcotest.(check bool) "measured a gain" true (g > 0.)
+  | _ -> Alcotest.fail "dc_gain not a float"
+
+let test_runner_sim_bad_deck () =
+  (* Every error diagnostic reaches the failure record, caret and all. *)
+  let file = Filename.temp_file "ape_bad" ".sp" in
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc "* bad\nR1 a 0 xyz\nR2 a 0 1k\nR3 a 0 qq\n.END\n");
+  let status, _ =
+    run_one (parse_one (Printf.sprintf "(job sim (id x) (file %S))" file))
+  in
+  Sys.remove file;
+  match status with
+  | Record.Failed msg ->
+    (* Each diagnostic opens with a "FILE:LINE:COL: error: ..." line. *)
+    let headers =
+      List.filter
+        (String.starts_with ~prefix:(file ^ ":"))
+        (String.split_on_char '\n' msg)
+    in
+    Alcotest.(check int) "both errors reported" 2 (List.length headers)
+  | _ -> Alcotest.fail "bad deck did not fail"
+
 let test_runner_verify () =
   let job = parse_one "(job verify (id v) (levels device) (no-slew))" in
   let status, payload = run_one job in
@@ -542,6 +588,9 @@ let () =
           Alcotest.test_case "sim payload" `Quick test_runner_sim;
           Alcotest.test_case "sim missing file" `Quick
             test_runner_sim_missing_file;
+          Alcotest.test_case "sim .INCLUDE deck" `Quick test_runner_sim_include;
+          Alcotest.test_case "sim bad deck diagnostics" `Quick
+            test_runner_sim_bad_deck;
           Alcotest.test_case "verify payload" `Quick test_runner_verify;
           Alcotest.test_case "cache by fingerprint" `Slow
             test_runner_cache_shared_by_fingerprint;

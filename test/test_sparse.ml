@@ -3,11 +3,11 @@
    [Ape_util.Sparse] has no bit-identity contract with the dense LU
    (the elimination order differs), so these tests pin the actual
    guarantees: sparse solves agree with [Matrix] dense solves to tight
-   tolerances on random MNA-shaped systems; the engine-switched AC/DC/
-   transient paths agree with the dense reference on every golden deck;
-   refactorisation replays are exact; parallel sweeps are bit-identical
-   to sequential ones for any [~jobs]; and the Newton counter
-   invariants survive the engine swap. *)
+   tolerances on random MNA-shaped systems; the AC, DC and transient
+   analyses agree with the dense [Ape_oracle] references on every
+   golden deck; refactorisation replays are exact; parallel sweeps are
+   bit-identical to sequential ones for any [~jobs]; and the Newton
+   counter invariants hold. *)
 
 module Sp = Ape_util.Sparse
 module Rmat = Ape_util.Matrix.Rmat
@@ -16,7 +16,6 @@ module N = Ape_circuit.Netlist
 module Dc = Ape_spice.Dc
 module Ac = Ape_spice.Ac
 module Tr = Ape_spice.Transient
-module Backend = Ape_spice.Backend
 
 let proc = Ape_process.Process.c12
 
@@ -453,7 +452,7 @@ let prop_real_transposed =
       done;
       rel_err (Rmat.solve at b) y <= 1e-9)
 
-(* ---------- golden decks: engine-switched analyses ---------- *)
+(* ---------- golden decks: analyses vs the dense oracle ---------- *)
 
 let golden_decks () =
   let dir =
@@ -470,10 +469,11 @@ let parse_deck file =
   Ape_circuit.Spice_parser.parse ~process:proc ~title:file text
 
 let test_golden_sweep_differential () =
-  (* Documented tolerance: the engines share stamp values bit-for-bit
-     but eliminate in different orders, so solutions agree only to
-     rounding.  1e-8 relative is ~6 orders of slack over the observed
-     worst case (~1e-15) while still catching any structural bug. *)
+  (* Documented tolerance: the engine and the oracle share stamp values
+     bit-for-bit but eliminate in different orders, so solutions agree
+     only to rounding.  1e-8 relative is ~6 orders of slack over the
+     observed worst case (~1e-15) while still catching any structural
+     bug. *)
   let tol = 1e-8 in
   let freqs = Ac.sweep_frequencies ~fstart:1e2 ~fstop:1e9 () in
   let checked = ref 0 in
@@ -484,36 +484,31 @@ let test_golden_sweep_differential () =
       | deck -> (
         match Dc.solve deck with
         | exception Dc.No_convergence _ -> ()
-        | _ ->
+        | op ->
           incr checked;
-          let points engine =
-            Backend.use engine (fun () ->
-                let op = Dc.solve deck in
-                (Ac.sweep_prepared (Ac.prepare op) freqs).Ac.points)
-          in
-          List.iter2
-            (fun (d : Ac.solution) (s : Ac.solution) ->
+          List.iter
+            (fun (s : Ac.solution) ->
+              let d = Ape_oracle.ac_solve op s.Ac.freq in
               let scale =
                 Array.fold_left
                   (fun acc (z : Complex.t) -> Float.max acc (Complex.norm z))
-                  1e-12 d.Ac.x
+                  1e-12 d
               in
               Array.iteri
                 (fun i (z : Complex.t) ->
                   let err = Complex.norm (Complex.sub z s.Ac.x.(i)) /. scale in
                   if err > tol then
                     Alcotest.failf "%s: dense/sparse drift %g at %g Hz (x%d)"
-                      file err d.Ac.freq i)
-                d.Ac.x)
-            (points Backend.Dense) (points Backend.Sparse)))
+                      file err s.Ac.freq i)
+                d)
+            (Ac.sweep_prepared (Ac.prepare op) freqs).Ac.points))
     (golden_decks ());
   Alcotest.(check bool) "checked several decks" true (!checked >= 3)
 
 let test_golden_sweep_jobs_bitwise () =
-  (* Under the sparse engine, parallel sweeps must stay bit-identical
-     to sequential ones: every domain refactors its own clone of the
-     shared symbolic factor with identical arithmetic. *)
-  Backend.use Backend.Sparse @@ fun () ->
+  (* Parallel sweeps must stay bit-identical to sequential ones: every
+     domain refactors its own clone of the shared symbolic factor with
+     identical arithmetic. *)
   let freqs = Ac.sweep_frequencies ~fstart:1e2 ~fstop:1e9 () in
   List.iter
     (fun file ->
@@ -538,9 +533,8 @@ let test_golden_sweep_jobs_bitwise () =
 
 let test_golden_sweep_panel_width_bitwise () =
   (* Whatever the panel width — including widths that leave a partial
-     trailing panel — a sparse sweep must reproduce the per-frequency
-     path bit for bit. *)
-  Backend.use Backend.Sparse @@ fun () ->
+     trailing panel — a sweep must reproduce the per-frequency path bit
+     for bit. *)
   let freqs = Ac.sweep_frequencies ~fstart:1e2 ~fstop:1e9 () in
   let k0 = Ac.panel_width () in
   Fun.protect ~finally:(fun () -> Ac.set_panel_width k0) @@ fun () ->
@@ -575,30 +569,26 @@ let test_golden_sweep_panel_width_bitwise () =
     (golden_decks ())
 
 let test_golden_dc_differential () =
+  (* The sparse Newton solution must be a fixed point of a dense Newton
+     step on the re-stamped residual and Jacobian. *)
   List.iter
     (fun file ->
-      let deck = parse_deck file in
-      let solve engine =
-        Backend.use engine (fun () ->
-            match Dc.solve deck with
-            | exception Dc.No_convergence _ -> None
-            | op -> Some op.Dc.x)
-      in
-      match (solve Backend.Dense, solve Backend.Sparse) with
-      | Some xd, Some xs ->
-        if rel_err xd xs > 1e-6 then
-          Alcotest.failf "%s: DC dense/sparse drift %g" file (rel_err xd xs)
-      | None, None -> ()
-      | _ -> Alcotest.failf "%s: engines disagree about convergence" file)
+      match Dc.solve (parse_deck file) with
+      | exception Dc.No_convergence _ -> ()
+      | op ->
+        let x = op.Dc.x in
+        let dx = Ape_oracle.newton_step op in
+        let drift = rel_err x (Array.mapi (fun i d -> x.(i) +. d) dx) in
+        if drift > 1e-6 then
+          Alcotest.failf "%s: DC dense/sparse drift %g" file drift)
     (golden_decks ())
 
-(* ---------- transient invariants under the sparse engine ---------- *)
+(* ---------- transient ---------- *)
 
 let counter snap name =
   try List.assoc name snap.Ape_obs.counters with Not_found -> 0
 
 let test_transient_counters_sparse () =
-  Backend.use Backend.Sparse @@ fun () ->
   let deck = parse_deck (List.hd (golden_decks ())) in
   Ape_obs.enable ();
   Ape_obs.reset ();
@@ -617,8 +607,8 @@ let test_transient_counters_sparse () =
   and solves = counter snap "transient.solves"
   and cuts = counter snap "transient.step_cuts" in
   Alcotest.(check bool) "ran steps" true (steps > 0);
-  (* Same accounting as the dense engine (locked since the step-cutting
-     controller landed): each cut retries as two half-steps. *)
+  (* Locked since the step-cutting controller landed: each cut retries
+     as two half-steps. *)
   Alcotest.(check int) "solves = steps + 2*cuts" (steps + (2 * cuts)) solves;
   Alcotest.(check bool) "sparse engine actually used" true
     (counter snap "sparse.symbolic" > 0)
@@ -632,12 +622,8 @@ let test_transient_waveform_differential () =
     |> Option.get
   in
   let stim = [ (source, Tr.step ~t0:1e-7 ~high:1. ()) ] in
-  let run engine =
-    Backend.use engine (fun () ->
-        let op = Dc.solve deck in
-        Tr.run ~stimulus:stim ~tstop:2e-6 ~dt:2e-8 op)
-  in
-  let rd = run Backend.Dense and rs = run Backend.Sparse in
+  let op = Dc.solve deck in
+  let rs = Tr.run ~stimulus:stim ~tstop:2e-6 ~dt:2e-8 op in
   List.iter2
     (fun (name, yd) (name', ys) ->
       Alcotest.(check string) "node order" name name';
@@ -647,33 +633,8 @@ let test_transient_waveform_differential () =
             Alcotest.failf "node %s sample %d: dense %g vs sparse %g" name k v
               ys.(k))
         yd)
-    rd.Tr.nodes rs.Tr.nodes
-
-(* ---------- metamorphic: ape verify under the sparse engine ---------- *)
-
-let test_verify_golden_under_sparse () =
-  (* The full differential-verification catalog, gated against the same
-     golden tables the dense engine maintains: switching the linear
-     solver must not change any published behaviour.  (CMRR is compared
-     at its documented looser tolerance — see Golden.compare_rows.) *)
-  let module C = Ape_check in
-  let golden_dir =
-    List.find Sys.file_exists [ "golden"; Filename.concat "test" "golden" ]
-  in
-  Backend.use Backend.Sparse @@ fun () ->
-  let outcome =
-    C.Check.run ~slew:false ~golden_dir ~levels:[ C.Tolerance.Basic ] proc
-  in
-  List.iter
-    (fun (r : C.Check.level_result) ->
-      List.iter
-        (fun (d : C.Golden.drift) ->
-          Alcotest.failf "golden drift under sparse: %s/%s: %s" d.C.Golden.case
-            d.C.Golden.attr d.C.Golden.what)
-        r.C.Check.drifts)
-    outcome.C.Check.results;
-  Alcotest.(check bool) "tolerance gates pass" true
-    (C.Check.failures outcome = [])
+    (Ape_oracle.transient_be ~stimulus:stim ~tstop:2e-6 ~dt:2e-8 op)
+    rs.Tr.nodes
 
 (* ---------- suite ---------- *)
 
@@ -728,10 +689,5 @@ let () =
             test_transient_counters_sparse;
           Alcotest.test_case "waveform dense vs sparse" `Quick
             test_transient_waveform_differential;
-        ] );
-      ( "verify",
-        [
-          Alcotest.test_case "golden tables unchanged under sparse" `Slow
-            test_verify_golden_under_sparse;
         ] );
     ]

@@ -8,7 +8,8 @@ module Dc = Ape_spice.Dc
 module Ac = Ape_spice.Ac
 module Tr = Ape_spice.Transient
 module Awe = Ape_spice.Awe
-module Measure = Ape_spice.Measure
+module Measure = Ape_spice.Measure.Prepared
+module Noise = Ape_spice.Noise
 module F = Ape_util.Float_ext
 module Proc = Ape_process.Process
 
@@ -129,26 +130,28 @@ let rc_lowpass () =
   B.finish b
 
 let test_ac_rc_analytic () =
-  let op = Dc.solve (rc_lowpass ()) in
+  let prep = Ac.prepare (Dc.solve (rc_lowpass ())) in
   let fc = 1. /. (2. *. Float.pi *. 1e3 *. 1e-6) in
   List.iter
     (fun f ->
-      let mag = Ac.magnitude_at ~node:"out" op f in
+      let mag = Measure.gain_at ~out:"out" prep f in
       let expected = 1. /. Float.sqrt (1. +. ((f /. fc) ** 2.)) in
       check_close (Printf.sprintf "|H| at %g Hz" f) expected mag ~tol:1e-6)
     [ 1.; 10.; fc; 1e3; 1e4 ]
 
 let test_ac_phase () =
-  let op = Dc.solve (rc_lowpass ()) in
+  let prep = Ac.prepare (Dc.solve (rc_lowpass ())) in
   let fc = 1. /. (2. *. Float.pi *. 1e3 *. 1e-6) in
-  check_close "phase at fc" (-45.) (Measure.phase_at ~out:"out" op fc)
+  check_close "phase at fc" (-45.) (Measure.phase_at ~out:"out" prep fc)
     ~tol:1e-3
 
 let test_ac_sweep_shape () =
-  let op = Dc.solve (rc_lowpass ()) in
-  let sweep = Ac.sweep ~points_per_decade:5 ~fstart:1. ~fstop:1e5 op in
+  let prep = Ac.prepare (Dc.solve (rc_lowpass ())) in
+  let freqs = Ac.sweep_frequencies ~points_per_decade:5 ~fstart:1. ~fstop:1e5 () in
   let mags =
-    List.map (fun (_, v) -> Complex.norm v) (Ac.transfer ~node:"out" sweep)
+    List.map
+      (fun s -> Complex.norm (Ac.voltage_prepared prep s "out"))
+      (Ac.sweep_prepared prep freqs).Ac.points
   in
   (* Low-pass: monotone non-increasing. *)
   let rec monotone = function
@@ -164,13 +167,13 @@ let test_measure_f3db_ugf () =
   B.vcvs b ~p:"x" ~n:"0" ~cp:"in" ~cn:"0" 10.;
   B.resistor b ~a:"x" ~b:"out" 1e3;
   B.capacitor b ~a:"out" ~b:"0" 1e-9;
-  let op = Dc.solve (B.finish b) in
+  let prep = Ac.prepare (Dc.solve (B.finish b)) in
   let fc = 1. /. (2. *. Float.pi *. 1e3 *. 1e-9) in
-  check_close "dc gain" 10. (Measure.dc_gain ~out:"out" op) ~tol:1e-9;
-  (match Measure.f_minus_3db ~fmin:10. ~fmax:1e8 ~out:"out" op with
+  check_close "dc gain" 10. (Measure.dc_gain ~out:"out" prep) ~tol:1e-9;
+  (match Measure.f_minus_3db ~fmin:10. ~fmax:1e8 ~out:"out" prep with
   | Some f -> check_close "f3db" fc f ~tol:1e-3
   | None -> Alcotest.fail "no f3db");
-  match Measure.unity_gain_frequency ~fmin:10. ~fmax:1e8 ~out:"out" op with
+  match Measure.unity_gain_frequency ~fmin:10. ~fmax:1e8 ~out:"out" prep with
   | Some f -> check_close "ugf" (fc *. Float.sqrt 99.) f ~tol:1e-3
   | None -> Alcotest.fail "no ugf"
 
@@ -183,8 +186,8 @@ let test_measure_bandpass () =
   B.vcvs b ~p:"buf" ~n:"0" ~cp:"hp" ~cn:"0" 1.;
   B.resistor b ~a:"buf" ~b:"out" 1e3;
   B.capacitor b ~a:"out" ~b:"0" 100e-9;
-  let op = Dc.solve (B.finish b) in
-  match Measure.bandpass_characteristics ~fmin:10. ~fmax:1e5 ~out:"out" op with
+  let prep = Ac.prepare (Dc.solve (B.finish b)) in
+  match Measure.bandpass_characteristics ~fmin:10. ~fmax:1e5 ~out:"out" prep with
   | Some bp ->
     let f0 = 1. /. (2. *. Float.pi *. 1e3 *. 100e-9) in
     check_close "f0" f0 bp.Measure.f_center ~tol:0.02;
@@ -378,7 +381,7 @@ let test_awe_two_pole () =
   (* The approximant evaluates close to the direct AC solution. *)
   List.iter
     (fun f ->
-      let direct = Ac.magnitude_at ~node:"out" op f in
+      let direct = Measure.gain_at ~out:"out" (Ac.prepare op) f in
       let reduced = Complex.norm (Awe.eval approx f) in
       check_close (Printf.sprintf "awe vs ac at %g" f) direct reduced
         ~tol:0.02)
@@ -430,7 +433,7 @@ let test_noise_input_referred_divider () =
   let kT = 1.380649e-23 *. 300. in
   let expected = 2. *. Float.sqrt (2. *. kT *. r) in
   check_close "input-referred divider noise" expected
-    (Ape_spice.Noise.input_referred ~out:"out" ~freq:1e3 op)
+    (Noise.input_referred_prepared ~out:"out" ~freq:1e3 (Ac.prepare op))
     ~tol:0.02
 
 let test_transient_two_pole_step () =
@@ -525,7 +528,7 @@ let test_noise_divider_analytic () =
   B.resistor b ~a:"out" ~b:"0" 10e3;
   let op = Dc.solve (B.finish b) in
   let total, contributions =
-    Ape_spice.Noise.output_noise ~out:"out" ~freq:1e3 op
+    Noise.output_noise_prepared ~out:"out" ~freq:1e3 (Ac.prepare op)
   in
   check_close "divider 4kT(R1||R2)" (four_kt *. 5e3) total ~tol:1e-6;
   Alcotest.(check int) "two contributors" 2 (List.length contributions);
@@ -544,13 +547,13 @@ let test_noise_rc_filtered () =
     B.vsource b ~p:"in" ~n:"0" ~ac:1. 0.;
     B.resistor b ~a:"in" ~b:"out" r;
     B.capacitor b ~a:"out" ~b:"0" 1e-9;
-    Dc.solve (B.finish b)
+    Ac.prepare (Dc.solve (B.finish b))
   in
   let ktc = Float.sqrt (1.380649e-23 *. 300.15 /. 1e-9) in
   List.iter
     (fun r ->
       let vrms =
-        Ape_spice.Noise.integrated_output ~out:"out" ~fstart:1.
+        Noise.integrated_output_prepared ~out:"out" ~fstart:1.
           ~fstop:(100. /. (2. *. Float.pi *. r *. 1e-9))
           ~points_per_decade:10 (make r)
       in
@@ -569,7 +572,7 @@ let test_noise_mosfet_thermal () =
   B.nmos b proc ~d:"d" ~g:"d" ~s:"0" ~w:20e-6 ~l:2.4e-6;
   let op = Dc.solve (B.finish b) in
   let total, contributions =
-    Ape_spice.Noise.output_noise ~out:"d" ~freq:1e6 op
+    Noise.output_noise_prepared ~out:"d" ~freq:1e6 (Ac.prepare op)
   in
   Alcotest.(check bool) "positive noise" true (total > 0.);
   Alcotest.(check bool) "mosfet contributes" true
@@ -583,9 +586,9 @@ let test_noise_flicker_rolloff () =
   B.vsource b ~p:"vdd" ~n:"0" ~ac:1. 5.;
   B.resistor b ~a:"vdd" ~b:"d" 100e3;
   B.nmos b proc ~d:"d" ~g:"d" ~s:"0" ~w:20e-6 ~l:2.4e-6;
-  let op = Dc.solve (B.finish b) in
+  let prep = Ac.prepare (Dc.solve (B.finish b)) in
   let mos_psd freq =
-    let _, contributions = Ape_spice.Noise.output_noise ~out:"d" ~freq op in
+    let _, contributions = Noise.output_noise_prepared ~out:"d" ~freq prep in
     (List.find (fun c -> c.Ape_spice.Noise.element = "M1") contributions)
       .Ape_spice.Noise.psd
   in
@@ -616,69 +619,51 @@ let noise_golden_ops () =
 
 let test_noise_adjoint_matches_direct () =
   (* Reciprocity differential: one adjoint solve per frequency must
-     agree with the historical one-solve-per-source reference to
-     rounding, per element, on every golden deck and under both
-     engines.  1e-10 relative is ~5 orders of slack over the observed
-     worst case while still catching a misplaced transpose. *)
-  let module Backend = Ape_spice.Backend in
+     agree with the dense one-solve-per-source oracle to rounding, per
+     element, on every golden deck.  1e-10 relative is ~5 orders of
+     slack over the observed worst case while still catching a
+     misplaced transpose. *)
   let tol = 1e-10 in
   let checked = ref 0 in
   List.iter
-    (fun engine ->
-      Backend.use engine @@ fun () ->
+    (fun (file, deck) ->
+      let op = Dc.solve deck in
+      let prep = Ac.prepare op in
       List.iter
-        (fun (file, deck) ->
-          let op = Dc.solve deck in
-          let prep = Ac.prepare op in
+        (fun freq ->
+          incr checked;
+          let t_adj, c_adj = Noise.output_noise_prepared ~out:"out" ~freq prep in
+          let c_dir = Ape_oracle.output_noise ~out:"out" ~freq op in
+          let t_dir = List.fold_left (fun acc (_, p) -> acc +. p) 0. c_dir in
+          if Float.abs (t_adj -. t_dir) > tol *. Float.max t_dir 1e-300 then
+            Alcotest.failf "%s @ %g Hz: adjoint total %g vs direct %g" file
+              freq t_adj t_dir;
+          Alcotest.(check int)
+            "same contribution count" (List.length c_dir) (List.length c_adj);
           List.iter
-            (fun freq ->
-              incr checked;
-              let t_adj, c_adj =
-                Ape_spice.Noise.output_noise_prepared ~out:"out" ~freq prep
+            (fun (element, pd) ->
+              let pa =
+                (List.find (fun (a : Noise.contribution) -> a.Noise.element = element)
+                   c_adj)
+                  .Noise.psd
               in
-              let t_dir, c_dir =
-                Ape_spice.Noise.output_noise_direct_prepared ~out:"out" ~freq
-                  prep
-              in
-              if Float.abs (t_adj -. t_dir) > tol *. Float.max t_dir 1e-300
-              then
-                Alcotest.failf "%s @ %g Hz: adjoint total %g vs direct %g" file
-                  freq t_adj t_dir;
-              Alcotest.(check int)
-                "same contribution count" (List.length c_dir)
-                (List.length c_adj);
-              List.iter
-                (fun (d : Ape_spice.Noise.contribution) ->
-                  let a =
-                    List.find
-                      (fun (a : Ape_spice.Noise.contribution) ->
-                        a.Ape_spice.Noise.element = d.Ape_spice.Noise.element)
-                      c_adj
-                  in
-                  let pd = d.Ape_spice.Noise.psd
-                  and pa = a.Ape_spice.Noise.psd in
-                  if Float.abs (pa -. pd) > tol *. Float.max pd 1e-300 then
-                    Alcotest.failf "%s @ %g Hz: %s adjoint %g vs direct %g"
-                      file freq d.Ape_spice.Noise.element pa pd)
-                c_dir)
-            [ 1e2; 1e5 ])
-        (noise_golden_ops ()))
-    [ Backend.Dense; Backend.Sparse ];
-  Alcotest.(check bool) "checked several decks" true (!checked >= 6)
+              if Float.abs (pa -. pd) > tol *. Float.max pd 1e-300 then
+                Alcotest.failf "%s @ %g Hz: %s adjoint %g vs direct %g" file
+                  freq element pa pd)
+            c_dir)
+        [ 1e2; 1e5 ])
+    (noise_golden_ops ());
+  Alcotest.(check bool) "checked several decks" true (!checked >= 4)
 
 let test_noise_sparse_engine_counters () =
-  (* Regression for the engine split: under the sparse backend, noise
-     must factor through the sparse refactor path — exactly one adjoint
-     solve per frequency, sparse counters ticking, and no dense LU. *)
-  let module Backend = Ape_spice.Backend in
-  Backend.use Backend.Sparse @@ fun () ->
-  let file, deck = List.hd (noise_golden_ops ()) in
-  ignore file;
-  let op = Dc.solve deck in
-  let prep = Ac.prepare op in
+  (* Noise factors through the sparse refactor path: exactly one
+     adjoint solve per frequency, sparse counters ticking, and no dense
+     LU. *)
+  let _, deck = List.hd (noise_golden_ops ()) in
+  let prep = Ac.prepare (Dc.solve deck) in
   Ape_obs.enable ();
   Ape_obs.reset ();
-  ignore (Ape_spice.Noise.output_noise_prepared ~out:"out" ~freq:1e3 prep);
+  ignore (Noise.output_noise_prepared ~out:"out" ~freq:1e3 prep);
   let snap = Ape_obs.snapshot () in
   Ape_obs.disable ();
   let c name =
@@ -686,9 +671,7 @@ let test_noise_sparse_engine_counters () =
   in
   Alcotest.(check int) "one adjoint solve" 1 (c "noise.adjoint_solves");
   Alcotest.(check bool) "sparse refactor ticked" true (c "sparse.refactor" > 0);
-  Alcotest.(check int) "no dense LU" 0
-    (c "matrix.lu_factor" + c "matrix.lu_factor_in_place"
-    + c "matrix.csplit_factor")
+  Alcotest.(check int) "no dense LU" 0 (c "matrix.lu_factor")
 
 (* ---------- dc sweep ---------- *)
 
@@ -748,12 +731,12 @@ let golden_decks () =
   |> List.sort compare
   |> List.map (fun f -> Filename.concat dir f)
 
-let test_prepared_matches_solve_at_golden () =
-  (* Dense engine pinned: [solve_at] is the always-dense reference, and
-     the bit-identity contract is dense-only (test_sparse.ml pins the
-     sparse engine's tolerance). *)
-  Ape_spice.Backend.use Ape_spice.Backend.Dense @@ fun () ->
-  let freqs = [ 0.; 1.; 120.; 1e3; 4.567e4; 1e6; 1e9 ] in
+let test_prepared_matches_blocked_golden () =
+  (* The measurement searches mix single-point [solve_prepared] probes
+     with blocked [solve_many] grids, so the two must agree bit for bit
+     (the blocked path's agreement with the dense oracle is pinned in
+     test_sparse.ml). *)
+  let freqs = [| 0.; 1.; 120.; 1e3; 4.567e4; 1e6; 1e9 |] in
   let verified = ref 0 in
   List.iter
     (fun file ->
@@ -764,20 +747,33 @@ let test_prepared_matches_solve_at_golden () =
       | op ->
         incr verified;
         let p = Ac.prepare op in
-        List.iter
-          (fun f ->
-            let reference = Ac.solve_at op f in
+        let blocked = Ac.solve_many p freqs in
+        Array.iteri
+          (fun i f ->
             Alcotest.(check bool)
-              (Printf.sprintf "%s: prepared = solve_at at %g Hz" file f)
+              (Printf.sprintf "%s: prepared = blocked at %g Hz" file f)
               true
-              (same_solution reference (Ac.solve_prepared p f));
-            Alcotest.(check bool)
-              (Printf.sprintf "%s: fresh = solve_at at %g Hz" file f)
-              true
-              (same_solution reference (Ac.solve_fresh p f)))
+              (same_solution blocked.(i) (Ac.solve_prepared p f)))
           freqs)
     (golden_decks ());
   Alcotest.(check bool) "solved several golden decks" true (!verified >= 3)
+
+let test_repeated_sweep_reuses_workspace () =
+  (* A sweep caches its panel workspace on the preparation: repeating it
+     must clone none. *)
+  let p = Ac.prepare (Dc.solve (rc_lowpass ())) in
+  let freqs = Ac.sweep_frequencies ~points_per_decade:7 ~fstart:1. ~fstop:1e6 () in
+  ignore (Ac.sweep_prepared p freqs);
+  Ape_obs.enable ();
+  Ape_obs.reset ();
+  ignore (Ac.sweep_prepared p freqs);
+  ignore (Ac.sweep_prepared p freqs);
+  let snap = Ape_obs.snapshot () in
+  Ape_obs.disable ();
+  Alcotest.(check int) "sweep points counted" (2 * List.length freqs)
+    (Option.value ~default:0 (List.assoc_opt "ac.sweep_points" snap.Ape_obs.counters));
+  Alcotest.(check int) "no new workspace" 0
+    (Option.value ~default:0 (List.assoc_opt "ac.workspaces" snap.Ape_obs.counters))
 
 let test_prepared_sweep_jobs_identical () =
   let op = Dc.solve (rc_lowpass ()) in
@@ -805,45 +801,21 @@ let mos_amp_op () =
   B.capacitor b ~a:"out" ~b:"0" 1e-12;
   Dc.solve (B.finish b)
 
-let prop_prepared_matches_solve_at =
-  (* Bit-identity only holds on the dense engine ([solve_at] is always
-     dense); under APE_ENGINE=sparse the sparse-specific differential
-     suite in test_sparse.ml covers the prepared path. *)
-  QCheck.Test.make ~name:"prepared solve bit-identical to solve_at" ~count:60
-    (QCheck.float_range (-1.) 9.) (fun logf ->
-      Ape_spice.Backend.use Ape_spice.Backend.Dense @@ fun () ->
-      let f = 10. ** logf in
-      let op = mos_amp_op () in
-      let p = Ac.prepare op in
-      same_solution (Ac.solve_at op f) (Ac.solve_prepared p f))
-
 let prop_assembled_matrix_matches_direct_stamping =
+  (* The prepared G + jωC, solved by the sparse engine, against the
+     dense oracle that re-stamps the netlist at the same frequency. *)
   QCheck.Test.make ~name:"G + jωC assembly matches direct stamping" ~count:60
     (QCheck.float_range (-1.) 9.) (fun logf ->
-      let module Rmat = Ape_util.Matrix.Rmat in
-      let module Cmat = Ape_util.Matrix.Cmat in
       let freq = 10. ** logf in
       let op = mos_amp_op () in
-      let a = Ac.matrix_at (Ac.prepare op) freq in
-      let netlist = op.Dc.netlist and index = op.Dc.index in
-      let n = Ape_spice.Engine.size index in
-      let _, g =
-        Ape_spice.Engine.residual_jacobian ~gmin:1e-12 netlist index op.Dc.x
+      let x = (Ac.solve_prepared (Ac.prepare op) freq).Ac.x in
+      let reference = Ape_oracle.ac_solve op freq in
+      let scale =
+        Array.fold_left (fun acc z -> Float.max acc (Complex.norm z)) 1e-30 reference
       in
-      let c = Ape_spice.Engine.stamp_capacitances netlist index op.Dc.x in
-      let omega = 2. *. Float.pi *. freq in
-      let ok = ref true in
-      for i = 0 to n - 1 do
-        for j = 0 to n - 1 do
-          let entry = Cmat.get a i j in
-          if
-            not
-              (entry.Complex.re = Rmat.get g i j
-              && entry.Complex.im = omega *. Rmat.get c i j)
-          then ok := false
-        done
-      done;
-      !ok)
+      Array.for_all2
+        (fun u v -> Complex.norm (Complex.sub u v) <= 1e-10 *. scale)
+        reference x)
 
 (* Two buffered poles at ~0.016 Hz and a positive DC gain of 2: the
    phase at 1 Hz is already ≈ −178°, so inferring the sign from a 1 Hz
@@ -862,7 +834,7 @@ let subhertz_positive_nl () =
   B.finish b
 
 let test_signed_gain_subhertz_poles () =
-  let op = Dc.solve (subhertz_positive_nl ()) in
+  let op = Ac.prepare (Dc.solve (subhertz_positive_nl ())) in
   (* Sanity: the old 1 Hz probe really sits beyond 90° of lag. *)
   let ph1 = Measure.phase_at ~out:"out" op 1.0 in
   Alcotest.(check bool)
@@ -878,7 +850,7 @@ let test_signed_gain_subhertz_poles () =
   B.vsource b ~p:"in" ~n:"0" ~ac:1. 0.;
   B.vcvs b ~p:"out" ~n:"0" ~cp:"0" ~cn:"in" 3.;
   B.resistor b ~a:"out" ~b:"0" 1e3;
-  let opi = Dc.solve (B.finish b) in
+  let opi = Ac.prepare (Dc.solve (B.finish b)) in
   check_close "inverting gain" (-3.)
     (Measure.dc_gain_signed ~out:"out" opi)
     ~tol:1e-9
@@ -905,8 +877,8 @@ let three_pole_nl () =
   B.finish b
 
 let test_phase_margin_unwrapped () =
-  let op = Dc.solve (three_pole_nl ()) in
-  match Measure.phase_margin ~fmin:1. ~fmax:1e8 ~out:"out" op with
+  let prep = Ac.prepare (Dc.solve (three_pole_nl ())) in
+  match Measure.phase_margin ~fmin:1. ~fmax:1e8 ~out:"out" prep with
   | None -> Alcotest.fail "no unity crossing found"
   | Some pm ->
     (* 180 − 3·atan(√99) in degrees. *)
@@ -921,12 +893,11 @@ let test_phase_margin_unwrapped () =
 let test_unwrapped_phase_matches_wrapped_when_no_wrap () =
   (* Single pole: lag never exceeds 90°, so the unwrapped phase must
      equal the principal value exactly. *)
-  let op = Dc.solve (rc_lowpass ()) in
-  let p = Ape_spice.Ac.prepare op in
+  let p = Ac.prepare (Dc.solve (rc_lowpass ())) in
   List.iter
     (fun f ->
-      let wrapped = Measure.Prepared.phase_at ~out:"out" p f in
-      let unwrapped = Measure.Prepared.unwrapped_phase_at ~out:"out" p f in
+      let wrapped = Measure.phase_at ~out:"out" p f in
+      let unwrapped = Measure.unwrapped_phase_at ~out:"out" p f in
       Alcotest.(check (float 0.))
         (Printf.sprintf "no-wrap identity at %g Hz" f)
         wrapped unwrapped)
@@ -1009,7 +980,7 @@ let test_transient_matches_ac_steady_state () =
      output amplitude must equal the AC magnitude at that frequency. *)
   let op = Dc.solve (rc_lowpass ()) in
   let fc = 1. /. (2. *. Float.pi *. 1e-3) in
-  let ac_mag = Ac.magnitude_at ~node:"out" op fc in
+  let ac_mag = Measure.gain_at ~out:"out" (Ac.prepare op) fc in
   let period = 1. /. fc in
   let result =
     Tr.run
@@ -1052,9 +1023,9 @@ let prop_ac_rc_any_freq =
   QCheck.Test.make ~name:"RC low-pass matches analytic response" ~count:60
     (QCheck.float_range 0.5 6.) (fun logf ->
       let f = 10. ** logf in
-      let op = Dc.solve (rc_lowpass ()) in
+      let prep = Ac.prepare (Dc.solve (rc_lowpass ())) in
       let fc = 1. /. (2. *. Float.pi *. 1e-3) in
-      let mag = Ac.magnitude_at ~node:"out" op f in
+      let mag = Measure.gain_at ~out:"out" prep f in
       let expected = 1. /. Float.sqrt (1. +. ((f /. fc) ** 2.)) in
       F.approx_equal ~rtol:1e-6 ~atol:1e-9 expected mag)
 
@@ -1153,9 +1124,11 @@ let () =
       ( "prepared",
         [
           Alcotest.test_case "golden decks bit-identical" `Quick
-            test_prepared_matches_solve_at_golden;
+            test_prepared_matches_blocked_golden;
           Alcotest.test_case "parallel sweep identical" `Quick
             test_prepared_sweep_jobs_identical;
+          Alcotest.test_case "repeated sweep reuses workspace" `Quick
+            test_repeated_sweep_reuses_workspace;
           Alcotest.test_case "sub-hertz signed gain" `Quick
             test_signed_gain_subhertz_poles;
           Alcotest.test_case "phase margin unwrapped" `Quick
@@ -1164,10 +1137,7 @@ let () =
             test_unwrapped_phase_matches_wrapped_when_no_wrap;
         ] );
       qsuite "prepared-properties"
-        [
-          prop_prepared_matches_solve_at;
-          prop_assembled_matrix_matches_direct_stamping;
-        ];
+        [ prop_assembled_matrix_matches_direct_stamping ];
       ( "consistency",
         [
           Alcotest.test_case "transient vs AC steady state" `Quick

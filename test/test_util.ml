@@ -166,47 +166,6 @@ let prop_lu_random =
       let x = Rmat.solve m b in
       Rmat.residual_norm m x b < 1e-9)
 
-(* Dense Csplit adjoint reference: one factorisation must serve both
-   A x = b and Aᵀ y = b.  Check the transposed solve against the functor
-   path on the explicitly transposed matrix. *)
-let prop_csplit_solve_transposed =
-  QCheck.Test.make ~name:"Csplit solve_transposed solves the transpose"
-    ~count:100
-    QCheck.(list_of_size (QCheck.Gen.return 24) (float_range (-1.) 1.))
-    (fun coeffs ->
-      let n = 3 in
-      let module Cs = Ape_util.Matrix.Csplit in
-      let cs = Cs.create n in
-      let vals = Array.of_list coeffs in
-      for i = 0 to n - 1 do
-        for j = 0 to n - 1 do
-          let k = 2 * ((i * n) + j) in
-          cs.Cs.re.(i).(j) <- vals.(k);
-          cs.Cs.im.(i).(j) <- vals.(k + 1)
-        done;
-        cs.Cs.re.(i).(i) <- cs.Cs.re.(i).(i) +. 5.
-      done;
-      (* at = Aᵀ through the functor path, before factoring clobbers cs. *)
-      let at = Cmat.create n n in
-      for i = 0 to n - 1 do
-        for j = 0 to n - 1 do
-          Cmat.set at j i { Complex.re = cs.Cs.re.(i).(j); im = cs.Cs.im.(i).(j) }
-        done
-      done;
-      let b =
-        Array.init n (fun i ->
-            { Complex.re = vals.(18 + (2 * i)); im = vals.(19 + (2 * i)) })
-      in
-      let perm = Array.make n 0 in
-      Cs.factor_in_place cs perm;
-      let y = Cs.solve_transposed cs perm b in
-      let x = Cmat.solve at b in
-      let err = ref 0. in
-      Array.iteri
-        (fun i yi -> err := Float.max !err (Complex.norm (Complex.sub yi x.(i))))
-        y;
-      !err < 1e-10)
-
 let test_mat_mul () =
   let a = Rmat.of_arrays [| [| 1.; 2. |]; [| 3.; 4. |] |] in
   let b = Rmat.of_arrays [| [| 5.; 6. |]; [| 7.; 8. |] |] in
@@ -559,10 +518,6 @@ let test_matrix_empty () =
     (Array.length (Rmat.solve m [||]));
   let t = Rmat.transpose m in
   Alcotest.(check int) "empty transpose rows" 0 (Rmat.rows t);
-  let c = Ape_util.Matrix.Csplit.create 0 in
-  Ape_util.Matrix.Csplit.factor_in_place c [||];
-  Alcotest.(check int) "empty csplit solve" 0
-    (Array.length (Ape_util.Matrix.Csplit.solve c [||] [||]));
   Alcotest.check_raises "negative dim" (Invalid_argument "Matrix.create")
     (fun () -> ignore (Rmat.create (-1) 2));
   Alcotest.check_raises "lu_solve size" (Invalid_argument "Matrix.lu_solve")
@@ -677,7 +632,7 @@ let () =
           Alcotest.test_case "1x1 system" `Quick test_matrix_one;
         ] );
       qsuite "matrix-properties"
-        [ prop_lu_random; prop_transpose_involution; prop_csplit_solve_transposed ];
+        [ prop_lu_random; prop_transpose_involution ];
       ( "poly",
         [
           Alcotest.test_case "eval/derivative" `Quick test_poly_eval;
