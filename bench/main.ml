@@ -583,14 +583,13 @@ let run_ablation () =
           S.Opamp_problem.build proc
             ~mode:(S.Opamp_problem.Ape_centered pct) row design
         in
-        let x0 =
-          Array.init problem.S.Opamp_problem.dim (fun _ ->
-              Ape_util.Rng.uniform rng 0. 1.)
-        in
+        let dim = problem.S.Opamp_problem.dim in
         let best, stats =
           S.Anneal.optimize ~schedule:synth_schedule ~stop_below:0.05 ~rng
-            ~dim:problem.S.Opamp_problem.dim
-            ~cost:problem.S.Opamp_problem.cost ~x0 ()
+            ~dim ~cost:problem.S.Opamp_problem.cost
+            ~start:(fun rng ->
+              Array.init dim (fun _ -> Ape_util.Rng.uniform rng 0. 1.))
+            ()
         in
         let _, measured = problem.S.Opamp_problem.final best in
         [
@@ -820,13 +819,12 @@ let run_sweep () =
     S.Opamp_problem.build proc ~mode:(S.Opamp_problem.Ape_centered 0.2) row
       design
   in
-  let x0 =
-    Array.init problem.S.Opamp_problem.dim (fun _ ->
-        Ape_util.Rng.uniform rng 0. 1.)
-  in
+  let dim = problem.S.Opamp_problem.dim in
   let _best, stats =
-    S.Anneal.optimize ~schedule:synth_schedule ~rng
-      ~dim:problem.S.Opamp_problem.dim ~cost:problem.S.Opamp_problem.cost ~x0
+    S.Anneal.optimize ~schedule:synth_schedule ~rng ~dim
+      ~cost:problem.S.Opamp_problem.cost
+      ~start:(fun rng ->
+        Array.init dim (fun _ -> Ape_util.Rng.uniform rng 0. 1.))
       ()
   in
   let lookups = S.Est_cache.lookups problem.S.Opamp_problem.cache
@@ -1066,15 +1064,15 @@ let run_obs_overhead () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Parallel tempering: sequential vs multi-chain wall time to reach    *)
+(* Multi-start chains: sequential vs multi-chain wall time to reach    *)
 (* the same cost target on an opamp synthesis workload.  The target is *)
 (* the sequential engine's own final cost, so the question is exactly  *)
-(* "how much sooner does the tempered ensemble find something at least *)
+(* "how much sooner do K independent chains find something at least    *)
 (* this good".  Emits BENCH_anneal.json; ci.sh gates on the speedup.   *)
 (* ------------------------------------------------------------------ *)
 
 let run_anneal () =
-  heading "Parallel tempering: time to the sequential engine's final cost";
+  heading "Multi-start chains: time to the sequential engine's final cost";
   let env_int name default =
     match Sys.getenv_opt name with Some s -> int_of_string s | None -> default
   in
@@ -1092,11 +1090,10 @@ let run_anneal () =
   let sequential ~stop_below =
     let problem = fresh () in
     let rng = Ape_util.Rng.create seed in
-    let x0 = problem.S.Opamp_problem.start rng in
     let _best, stats =
       S.Anneal.optimize ~schedule ~stop_below ~rng
         ~dim:problem.S.Opamp_problem.dim ~cost:problem.S.Opamp_problem.cost
-        ~x0 ()
+        ~start:problem.S.Opamp_problem.start ()
     in
     (stats, problem.S.Opamp_problem.cache)
   in
@@ -1112,14 +1109,13 @@ let run_anneal () =
   pf "sequential time-to-target: %.3f s (%d evaluations, cache %.1f%%)\n"
     seq_stats.S.Anneal.seconds seq_stats.S.Anneal.evaluations
     (100. *. seq_hit_rate);
-  (* Pass 3: the tempered ensemble races to the same target, all
-     replicas sharing one sharded cache. *)
+  (* Pass 3: the chains race to the same target, all sharing one
+     sharded cache. *)
   let problem = fresh () in
   let rng = Ape_util.Rng.create seed in
   let _best, pt_stats =
-    S.Anneal.optimize_tempered ~schedule ~stop_below:target
-      ~tempering:{ S.Anneal.default_tempering with chains }
-      ~rng ~dim:problem.S.Opamp_problem.dim
+    S.Anneal.optimize ~schedule ~stop_below:target ~chains ~rng
+      ~dim:problem.S.Opamp_problem.dim
       ~cost:problem.S.Opamp_problem.cost
       ~start:problem.S.Opamp_problem.start ()
   in
@@ -1129,11 +1125,9 @@ let run_anneal () =
   let speedup =
     seq_stats.S.Anneal.seconds /. Float.max 1e-9 pt_stats.S.Anneal.seconds
   in
-  pf "%d-chain time-to-target:   %.3f s (%d evaluations, cache %.1f%%, \
-      %d/%d exchanges accepted)\n"
+  pf "%d-chain time-to-target:   %.3f s (%d evaluations, cache %.1f%%)\n"
     chains pt_stats.S.Anneal.seconds pt_stats.S.Anneal.evaluations
-    (100. *. pt_hit_rate) pt_stats.S.Anneal.exchange_accepted
-    pt_stats.S.Anneal.exchanges;
+    (100. *. pt_hit_rate);
   pf "target %s, speedup %.2fx\n"
     (if reached then "reached" else "NOT reached")
     speedup;
@@ -1152,15 +1146,12 @@ let run_anneal () =
     \  \"pt_seconds\": %.4f,\n\
     \  \"pt_evaluations\": %d,\n\
     \  \"pt_cache_hit_rate\": %.4f,\n\
-    \  \"pt_exchanges\": %d,\n\
-    \  \"pt_exchange_accepted\": %d,\n\
     \  \"speedup\": %.2f\n\
      }\n"
     row.S.Opamp_problem.name seed chains schedule.S.Anneal.max_evaluations
     target reached seq_stats.S.Anneal.seconds seq_stats.S.Anneal.evaluations
     seq_hit_rate pt_stats.S.Anneal.seconds pt_stats.S.Anneal.evaluations
-    pt_hit_rate pt_stats.S.Anneal.exchanges pt_stats.S.Anneal.exchange_accepted
-    speedup;
+    pt_hit_rate speedup;
   close_out oc;
   pf "wrote BENCH_anneal.json\n"
 

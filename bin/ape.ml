@@ -4,7 +4,7 @@
                 [--verify] [--netlist]
      ape module (lpf|bpf|sh|adc|dac|amp|comparator) [options] [--verify]
      ape synth --gain 200 --ugf 2meg [--mode standalone|ape] [--seed N]
-                [--chains 4 --jobs 4 --exchange-period 1]
+                [--chains 4 --jobs 4]
                 [--cache-quantum 1e-2 --cache-capacity 8192]
                 [--mc-samples 200]
      ape mc opamp --gain 200 --ugf 2meg --samples 500 --jobs 4
@@ -36,6 +36,14 @@ let number_conv =
     | None -> Error (`Msg ("not a number: " ^ s))
   in
   Cmdliner.Arg.conv (parse, fun fmt v -> Format.fprintf fmt "%g" v)
+
+let positive_int_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg ("not a positive integer: " ^ s))
+  in
+  Cmdliner.Arg.conv (parse, Format.pp_print_int)
 
 open Cmdliner
 
@@ -298,17 +306,12 @@ let synth_cmd =
   in
   let chains_arg =
     Arg.(
-      value & opt int 1
+      value & opt positive_int_conv 1
       & info [ "chains" ]
           ~doc:
-            "Parallel-tempering replicas (1 = classic sequential \
+            "Independent annealing chains, each on its own random \
+             stream; the best result wins (1 = classic sequential \
              annealing).")
-  in
-  let exchange_period_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "exchange-period" ]
-          ~doc:"Cooling stages between replica-exchange sweeps.")
   in
   let cache_quantum_arg =
     Arg.(
@@ -325,7 +328,7 @@ let synth_cmd =
           ~doc:"Estimate-cache entries across all shards (default 8192).")
   in
   let run gain ugf ibias cl buffer zout wilson cascode mode seed area
-      mc_samples jobs chains exchange_period cache_quantum cache_capacity
+      mc_samples jobs chains cache_quantum cache_capacity
       calibration trace =
     with_trace trace @@ fun () ->
     guard @@ fun () ->
@@ -362,8 +365,8 @@ let synth_cmd =
       else Some { Mc.Run.samples = mc_samples; jobs; seed }
     in
     let r =
-      S.Driver.run ?mc ~chains ~jobs ~exchange_period ?cache_quantum
-        ?cache_capacity ?calibration ~rng proc ~mode row
+      S.Driver.run ?mc ~chains ~jobs ?cache_quantum ?cache_capacity
+        ?calibration ~rng proc ~mode row
     in
     pf "%s\n" r.S.Driver.comment;
     pf "gain=%s ugf=%s area=%.0f um^2 power=%s (%d evaluations)\n"
@@ -372,11 +375,6 @@ let synth_cmd =
       (r.S.Driver.area /. 1e-12)
       (eng r.S.Driver.power)
       r.S.Driver.stats.S.Anneal.evaluations;
-    if r.S.Driver.stats.S.Anneal.chains > 1 then
-      pf "chains=%d exchanges=%d/%d accepted\n"
-        r.S.Driver.stats.S.Anneal.chains
-        r.S.Driver.stats.S.Anneal.exchange_accepted
-        r.S.Driver.stats.S.Anneal.exchanges;
     List.iter (fun (k, v) -> pf "  %-12s %s\n" k (eng v)) r.S.Driver.best_values;
     (* Wall time and cache statistics depend on scheduling and cannot
        be bit-identical across --jobs; keep them on their own prefixed
@@ -400,9 +398,8 @@ let synth_cmd =
     Term.(
       const run $ gain_arg $ ugf_arg $ ibias_arg $ cl_arg $ buffer_arg
       $ zout_arg $ wilson_arg $ cascode_arg $ mode_arg $ seed_arg $ area_arg
-      $ mc_samples_arg $ jobs_arg $ chains_arg $ exchange_period_arg
-      $ cache_quantum_arg $ cache_capacity_arg $ calibration_arg
-      $ trace_arg)
+      $ mc_samples_arg $ jobs_arg $ chains_arg $ cache_quantum_arg
+      $ cache_capacity_arg $ calibration_arg $ trace_arg)
 
 (* ---------- ape mc ---------- *)
 

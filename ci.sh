@@ -35,8 +35,8 @@ awk -F': *|,' '/"overhead_pct"/ { pct = $2 }
 
 echo "== ape synth determinism (3 chains: jobs 1 vs jobs 3, fixed seed) =="
 # Wall time and cache hit counts legitimately vary with scheduling; every
-# other line (result, evaluations, exchange counts, sized values) must be
-# bit-identical whatever the worker count.
+# other line (result, evaluations, sized values) must be bit-identical
+# whatever the worker count.
 dune exec bin/ape.exe -- synth --gain 200 --ugf 2meg --seed 7 --chains 3 --jobs 1 \
   | grep -v '^time:' | grep -v '^cache:' > /tmp/ape_synth_jobs1.txt
 dune exec bin/ape.exe -- synth --gain 200 --ugf 2meg --seed 7 --chains 3 --jobs 3 \
@@ -44,14 +44,14 @@ dune exec bin/ape.exe -- synth --gain 200 --ugf 2meg --seed 7 --chains 3 --jobs 
 diff /tmp/ape_synth_jobs1.txt /tmp/ape_synth_jobs3.txt
 rm -f /tmp/ape_synth_jobs1.txt /tmp/ape_synth_jobs3.txt
 
-echo "== parallel-tempering bench (>= 2x time-to-target at 4 chains) =="
+echo "== multi-chain bench (>= 2x time-to-target at 4 chains) =="
 dune exec bench/main.exe -- anneal
 awk -F': *|,' '/"target_reached"/ { reached = $2 }
   /"speedup"/ { speedup = $2 }
   END {
-    if (reached != "true") { print "FAIL: tempered run missed the target cost"; exit 1 }
-    if (speedup + 0. < 2.0) { printf "FAIL: tempering speedup %.2fx < 2x\n", speedup; exit 1 }
-    printf "tempering speedup %.2fx >= 2x OK\n", speedup
+    if (reached != "true") { print "FAIL: multi-chain run missed the target cost"; exit 1 }
+    if (speedup + 0. < 2.0) { printf "FAIL: multi-chain speedup %.2fx < 2x\n", speedup; exit 1 }
+    printf "multi-chain speedup %.2fx >= 2x OK\n", speedup
   }' BENCH_anneal.json
 echo "archived BENCH_anneal.json"
 

@@ -51,7 +51,7 @@ type payload =
       spec : opamp_spec;
       mode : synth_mode;
       seed : int option;  (** explicit RNG seed; default keyed on id *)
-      chains : int;  (** tempered replicas (default 1) *)
+      chains : int;  (** independent annealing chains (default 1) *)
       schedule : sched;  (** default [Full] *)
     }
   | Mc of {

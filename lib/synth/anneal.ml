@@ -31,8 +31,6 @@ type stats = {
   initial_cost : float;
   seconds : float;
   chains : int;
-  exchanges : int;
-  exchange_accepted : int;
 }
 
 let clamp01 x = Ape_util.Float_ext.clamp ~lo:0. ~hi:1. x
@@ -48,110 +46,16 @@ let c_improvements = Ape_obs.counter "anneal.best_improvements"
 let c_stages = Ape_obs.counter "anneal.stages"
 let g_temperature = Ape_obs.gauge "anneal.temperature"
 
-let optimize ?(schedule = default_schedule) ?(stop_below = neg_infinity)
-    ~rng ~dim ~cost ~x0 () =
-  if dim <= 0 then invalid_arg "Anneal.optimize: dim <= 0";
-  if Array.length x0 <> dim then invalid_arg "Anneal.optimize: x0 size";
-  let start_time = Ape_util.Clock.now_s () in
-  let x = Array.map clamp01 x0 in
-  let evaluations = ref 0 in
-  let eval p =
-    incr evaluations;
-    Ape_obs.incr c_evals;
-    let c = cost p in
-    if Float.is_nan c then infinity else c
-  in
-  let current = ref (eval x) in
-  let initial_cost = !current in
-  let best = ref (Array.copy x) in
-  let best_cost = ref !current in
-  let accepted = ref 0 in
-  let temp = ref schedule.t_start in
-  while
-    !temp > schedule.t_end
-    && !evaluations < schedule.max_evaluations
-    && !best_cost >= stop_below
-  do
-    for _ = 1 to schedule.moves_per_stage do
-      if !evaluations < schedule.max_evaluations && !best_cost >= stop_below
-      then begin
-        let coord = Ape_util.Rng.int rng dim in
-        let old_value = x.(coord) in
-        let sigma = sigma_of_temp schedule !temp in
-        x.(coord) <-
-          clamp01 (Ape_util.Rng.gauss rng ~mean:old_value ~sigma);
-        let candidate = eval x in
-        let delta = candidate -. !current in
-        let accept =
-          delta <= 0.
-          || Ape_util.Rng.uniform rng 0. 1. < Float.exp (-.delta /. !temp)
-        in
-        if accept then begin
-          current := candidate;
-          incr accepted;
-          Ape_obs.incr c_accepts;
-          if candidate < !best_cost then begin
-            best_cost := candidate;
-            Ape_obs.incr c_improvements;
-            best := Array.copy x
-          end
-        end
-        else begin
-          Ape_obs.incr c_rejects;
-          x.(coord) <- old_value
-        end
-      end
-    done;
-    (* Temperature trace: the gauge holds the last completed stage's
-       temperature; the stage counter gives the trace length. *)
-    Ape_obs.incr c_stages;
-    Ape_obs.set g_temperature !temp;
-    temp := !temp *. schedule.cooling
-  done;
-  ( !best,
-    {
-      evaluations = !evaluations;
-      accepted = !accepted;
-      best_cost = !best_cost;
-      initial_cost;
-      seconds = Ape_util.Clock.elapsed_s start_time;
-      chains = 1;
-      exchanges = 0;
-      exchange_accepted = 0;
-    } )
-
-(* ------------------------------------------------------------------ *)
-(* Parallel tempering (replica exchange).                              *)
-(* ------------------------------------------------------------------ *)
-
-type tempering = { chains : int; exchange_period : int; ladder : float }
-
-let default_tempering = { chains = 4; exchange_period = 1; ladder = 1.6 }
-
-let c_x_attempts = Ape_obs.counter "anneal.exchange_attempts"
-let c_x_accepts = Ape_obs.counter "anneal.exchange_accepts"
-let c_rounds = Ape_obs.counter "anneal.exchange_rounds"
-
-let exchange_probability ~t_cold ~t_hot ~e_cold ~e_hot =
-  if not (t_cold > 0. && t_hot > 0.) then
-    invalid_arg "Anneal.exchange_probability: non-positive temperature";
-  let p =
-    Float.exp (((1. /. t_cold) -. (1. /. t_hot)) *. (e_cold -. e_hot))
-  in
-  (* Both energies infinite gives inf - inf = NaN; neither replica is
-     better, so don't swap. *)
-  if Float.is_nan p then 0. else Float.min 1. p
-
-(* One replica: the full Metropolis state plus its private RNG stream.
-   Everything a chain touches during a stage is either in this record,
-   the shared read-only schedule, or the (thread-safe) cost closure, so
-   a stage is a pure function of the chain's pre-stage state — which
-   domain runs it cannot matter. *)
-type chain_state = {
+(* One chain: the full Metropolis state plus its RNG stream.  Everything
+   a chain touches during a stage is either in this record, the shared
+   read-only schedule, or the (thread-safe) cost closure, so a stage is
+   a pure function of the chain's pre-stage state — which domain runs
+   it cannot matter. *)
+type chain = {
   ch_rng : Ape_util.Rng.t;
   ch_x : float array;
   mutable ch_current : float;
-  mutable ch_best : float array;
+  ch_best : float array;
   mutable ch_best_cost : float;
   mutable ch_accepted : int;
   mutable ch_evals : int;
@@ -163,9 +67,28 @@ let chain_eval ch cost p =
   let c = cost p in
   if Float.is_nan c then infinity else c
 
-(* Identical move/accept mechanics to the sequential engine, at the
-   replica's own temperature. *)
-let run_stage schedule ~stop_below ~dim ~cost ~sigma ~temp ch =
+let init_chain ~dim ~cost ~start rng =
+  let x = Array.map clamp01 (start rng) in
+  if Array.length x <> dim then invalid_arg "Anneal.optimize: start size";
+  let ch =
+    {
+      ch_rng = rng;
+      ch_x = x;
+      ch_current = infinity;
+      ch_best = Array.copy x;
+      ch_best_cost = infinity;
+      ch_accepted = 0;
+      ch_evals = 0;
+    }
+  in
+  ch.ch_current <- chain_eval ch cost x;
+  ch.ch_best_cost <- ch.ch_current;
+  ch
+
+(* One cooling stage of one chain: perturb a coordinate with a
+   temperature-scaled Gaussian, accept by the Metropolis criterion. *)
+let run_stage schedule ~stop_below ~dim ~cost ~temp ch =
+  let sigma = sigma_of_temp schedule temp in
   for _ = 1 to schedule.moves_per_stage do
     if ch.ch_evals < schedule.max_evaluations && ch.ch_best_cost >= stop_below
     then begin
@@ -196,134 +119,61 @@ let run_stage schedule ~stop_below ~dim ~cost ~sigma ~temp ch =
     end
   done
 
-let optimize_tempered ?(schedule = default_schedule)
-    ?(stop_below = neg_infinity) ?(tempering = default_tempering) ?(jobs = 1)
-    ~rng ~dim ~cost ~start () =
-  if dim <= 0 then invalid_arg "Anneal.optimize_tempered: dim <= 0";
-  let k = tempering.chains in
-  if k <= 0 then invalid_arg "Anneal.optimize_tempered: chains <= 0";
-  if tempering.exchange_period <= 0 then
-    invalid_arg "Anneal.optimize_tempered: exchange_period <= 0";
-  if not (tempering.ladder > 1.) then
-    invalid_arg "Anneal.optimize_tempered: ladder <= 1";
+let optimize ?(schedule = default_schedule) ?(stop_below = neg_infinity)
+    ?(chains = 1) ?(jobs = 1) ~rng ~dim ~cost ~start () =
+  if dim <= 0 then invalid_arg "Anneal.optimize: dim <= 0";
+  if chains < 1 then invalid_arg "Anneal.optimize: chains < 1";
   let start_time = Ape_util.Clock.now_s () in
-  (* One independent stream per replica plus one for exchange decisions:
-     a chain's trajectory between exchanges depends only on its own
-     stream and its own state, and the exchange sweep runs on the
-     calling domain — the execution interleaving (and hence [jobs])
-     cannot reach the arithmetic. *)
-  let streams = Ape_util.Rng.split_n rng (k + 1) in
-  let x_rng = streams.(k) in
-  (* Geometric ladder above the base schedule: replica i anneals at
-     ladder^i times the cold temperature throughout the cooling. *)
-  let mult = Array.init k (fun i -> tempering.ladder ** float_of_int i) in
-  let chains =
-    Array.init k (fun i ->
-        let ch_rng = streams.(i) in
-        let x = Array.map clamp01 (start ch_rng) in
-        if Array.length x <> dim then
-          invalid_arg "Anneal.optimize_tempered: start size";
-        let ch =
-          {
-            ch_rng;
-            ch_x = x;
-            ch_current = 0.;
-            ch_best = Array.copy x;
-            ch_best_cost = infinity;
-            ch_accepted = 0;
-            ch_evals = 0;
-          }
-        in
-        ch.ch_current <- chain_eval ch cost x;
-        ch.ch_best_cost <- ch.ch_current;
-        ch)
+  (* A lone chain anneals on the caller's stream itself.  Several chains
+     get one independent stream each, so a chain's trajectory depends
+     only on its own stream and state and the execution interleaving
+     (hence [jobs]) cannot reach the arithmetic. *)
+  let streams =
+    if chains = 1 then [| rng |] else Ape_util.Rng.split_n rng chains
   in
-  let initial_cost = chains.(0).ch_current in
-  let exchanges = ref 0 in
-  let exchange_accepted = ref 0 in
-  (* Adjacent-pair sweep with alternating parity (0-1,2-3 then 1-2,3-4)
-     so every neighbour pair is attempted on alternating rounds.  Swap
-     the replica states, not the temperatures: the cold slot keeps
-     annealing whatever configuration it inherits. *)
-  let exchange_sweep ~temp ~parity =
-    Ape_obs.incr c_rounds;
-    let i = ref (parity land 1) in
-    while !i + 1 < k do
-      let cold = chains.(!i) and hot = chains.(!i + 1) in
-      incr exchanges;
-      Ape_obs.incr c_x_attempts;
-      let p =
-        exchange_probability ~t_cold:(temp *. mult.(!i))
-          ~t_hot:(temp *. mult.(!i + 1))
-          ~e_cold:cold.ch_current ~e_hot:hot.ch_current
-      in
-      (* Always draw, so the exchange stream advances by a fixed amount
-         per pair whatever the outcome. *)
-      let u = Ape_util.Rng.uniform x_rng 0. 1. in
-      if u < p then begin
-        incr exchange_accepted;
-        Ape_obs.incr c_x_accepts;
-        for c = 0 to dim - 1 do
-          let t = cold.ch_x.(c) in
-          cold.ch_x.(c) <- hot.ch_x.(c);
-          hot.ch_x.(c) <- t
-        done;
-        let t = cold.ch_current in
-        cold.ch_current <- hot.ch_current;
-        hot.ch_current <- t
-      end;
-      i := !i + 2
-    done
-  in
+  let chs = Array.map (init_chain ~dim ~cost ~start) streams in
+  let initial_cost = chs.(0).ch_current in
   let best_cost () =
-    Array.fold_left (fun acc ch -> Float.min acc ch.ch_best_cost) infinity
-      chains
+    Array.fold_left (fun acc ch -> Float.min acc ch.ch_best_cost) infinity chs
   in
   let budget_left () =
-    Array.exists (fun ch -> ch.ch_evals < schedule.max_evaluations) chains
+    Array.exists (fun ch -> ch.ch_evals < schedule.max_evaluations) chs
   in
   let temp = ref schedule.t_start in
-  let stage = ref 0 in
-  let workers = Int.max 0 (Int.min jobs k - 1) in
-  Ape_util.Pool.with_pool ~workers (fun pool ->
+  Ape_util.Pool.with_pool ~workers:(Int.min jobs chains - 1) (fun pool ->
       while
         !temp > schedule.t_end && budget_left () && best_cost () >= stop_below
       do
-        let t = !temp in
-        (* Hot replicas go to the pool; the calling domain anneals the
-           cold chain, then joins.  Stop decisions happen only here, at
-           the round barrier, from chain-local state. *)
-        let tasks =
-          Array.init (k - 1) (fun j ->
-              let ch = chains.(j + 1) in
-              let temp = t *. mult.(j + 1) in
-              Ape_util.Pool.submit pool (fun () ->
-                  run_stage schedule ~stop_below ~dim ~cost
-                    ~sigma:(sigma_of_temp schedule temp) ~temp ch))
+        let temp_now = !temp in
+        let stage ch () =
+          run_stage schedule ~stop_below ~dim ~cost ~temp:temp_now ch
         in
-        run_stage schedule ~stop_below ~dim ~cost
-          ~sigma:(sigma_of_temp schedule t) ~temp:t chains.(0);
+        (* Chains 1.. go to the pool; the calling domain anneals chain 0,
+           then joins.  Stop decisions happen only here, at the stage
+           barrier, from chain-local state. *)
+        let tasks =
+          Array.init (chains - 1) (fun j ->
+              Ape_util.Pool.submit pool (stage chs.(j + 1)))
+        in
+        stage chs.(0) ();
         Array.iter Ape_util.Pool.await tasks;
+        (* Temperature trace: the gauge holds the last completed stage's
+           temperature; the stage counter gives the trace length. *)
         Ape_obs.incr c_stages;
-        Ape_obs.set g_temperature t;
-        incr stage;
-        if !stage mod tempering.exchange_period = 0 then
-          exchange_sweep ~temp:t ~parity:(!stage / tempering.exchange_period);
-        temp := t *. schedule.cooling
+        Ape_obs.set g_temperature temp_now;
+        temp := temp_now *. schedule.cooling
       done);
   let winner =
     Array.fold_left
       (fun acc ch -> if ch.ch_best_cost < acc.ch_best_cost then ch else acc)
-      chains.(0) chains
+      chs.(0) chs
   in
   ( Array.copy winner.ch_best,
     {
-      evaluations = Array.fold_left (fun a ch -> a + ch.ch_evals) 0 chains;
-      accepted = Array.fold_left (fun a ch -> a + ch.ch_accepted) 0 chains;
+      evaluations = Array.fold_left (fun a ch -> a + ch.ch_evals) 0 chs;
+      accepted = Array.fold_left (fun a ch -> a + ch.ch_accepted) 0 chs;
       best_cost = winner.ch_best_cost;
       initial_cost;
       seconds = Ape_util.Clock.elapsed_s start_time;
-      chains = k;
-      exchanges = !exchanges;
-      exchange_accepted = !exchange_accepted;
+      chains;
     } )

@@ -23,63 +23,18 @@ val quick_schedule : schedule
 (** Smaller budget for tests and quick benches. *)
 
 type stats = {
-  evaluations : int;
+  evaluations : int;  (** summed over chains *)
   accepted : int;
   best_cost : float;
-  initial_cost : float;
+  initial_cost : float;  (** chain 0's starting cost *)
   seconds : float;  (** monotonic-clock wall time *)
-  chains : int;  (** 1 for {!optimize} *)
-  exchanges : int;  (** replica-exchange attempts *)
-  exchange_accepted : int;
+  chains : int;
 }
 
 val optimize :
   ?schedule:schedule ->
   ?stop_below:float ->
-  rng:Ape_util.Rng.t ->
-  dim:int ->
-  cost:(float array -> float) ->
-  x0:float array ->
-  unit ->
-  float array * stats
-(** [optimize ~rng ~dim ~cost ~x0 ()] returns the best point found and
-    run statistics.  [cost] must accept any point of [[0,1]^dim]; return
-    [infinity] (or large values) for unevaluable candidates.  [x0] is
-    clamped into the cube.  [stop_below] terminates the run as soon as
-    the best cost drops under the threshold (time-to-spec
-    measurements). *)
-
-(** {1 Parallel tempering}
-
-    Replica exchange (Swendsen–Wang / Geyer): [chains] Metropolis
-    replicas anneal the same cost concurrently, replica [i] at
-    [ladder^i] times the cold chain's temperature, all cooling by the
-    same geometric schedule.  Every [exchange_period] stages, adjacent
-    replicas attempt a state swap with the detailed-balance probability
-    [min(1, exp((1/T_cold − 1/T_hot)·(E_cold − E_hot)))] — hot chains
-    tunnel between basins and hand good configurations down the ladder,
-    which is what makes multi-chain annealing more than K independent
-    restarts. *)
-
-type tempering = {
-  chains : int;  (** number of replicas, ≥ 1 *)
-  exchange_period : int;  (** stages between exchange sweeps, ≥ 1 *)
-  ladder : float;  (** temperature ratio between adjacent replicas, > 1 *)
-}
-
-val default_tempering : tempering
-(** 4 chains, exchange every stage, ladder 1.6. *)
-
-val exchange_probability :
-  t_cold:float -> t_hot:float -> e_cold:float -> e_hot:float -> float
-(** The replica-exchange acceptance probability above.  Total when the
-    hot replica has found the lower cost; 0 when both energies are
-    infinite.  Raises [Invalid_argument] on non-positive temperatures. *)
-
-val optimize_tempered :
-  ?schedule:schedule ->
-  ?stop_below:float ->
-  ?tempering:tempering ->
+  ?chains:int ->
   ?jobs:int ->
   rng:Ape_util.Rng.t ->
   dim:int ->
@@ -87,18 +42,32 @@ val optimize_tempered :
   start:(Ape_util.Rng.t -> float array) ->
   unit ->
   float array * stats
-(** Multi-chain variant of {!optimize}.  [start] produces each
-    replica's starting point from that replica's private RNG stream
-    (random-start problems give every chain a different basin; a
-    constant function pins them all to one point).  [cost] must be
-    thread-safe: chains evaluate it concurrently from [jobs] domains
-    (a persistent {!Ape_util.Pool}; [jobs = 1] runs every chain on the
-    calling domain).  [max_evaluations] and [stop_below] are enforced
-    per chain at move granularity and globally at round barriers.
+(** [optimize ~rng ~dim ~cost ~start ()] anneals [chains] (default 1)
+    independent Metropolis chains on the same cost and returns the best
+    point any of them found, with run statistics.  [cost] must accept
+    any point of [[0,1]^dim]; return [infinity] (or large values) for
+    unevaluable candidates.  [start] gives a chain its starting point
+    from that chain's RNG stream (random-start problems put every chain
+    in a different basin; a constant function pins them all to one
+    point); the point is clamped into the cube.  [stop_below] ends the
+    run as soon as the best cost drops under the threshold (time-to-spec
+    measurements).
+
+    Every chain cools by the same schedule.  The chains advance in
+    lock-step stages: chains 1.. run on a persistent {!Ape_util.Pool}
+    of [min jobs chains - 1] worker domains while the calling domain
+    runs chain 0, and the global stop is checked at the stage barrier.
+    [max_evaluations] and [stop_below] also hold per chain at move
+    granularity.  With [jobs > 1], [cost] must be thread-safe.
+
+    A single chain anneals on [rng] itself ([start rng], then its
+    moves), so its trajectory is the classic sequential annealer's draw
+    for draw.  Two or more chains each draw from their own
+    {!Ape_util.Rng.split_n} stream.
 
     {b Determinism:} for a fixed [rng] seed, [chains] and schedule, the
     returned point and every stats field except [seconds] are
-    bit-identical for any [jobs] — replicas draw from per-chain
-    {!Ape_util.Rng.split_n} streams, exchange decisions from their own
-    stream on the calling domain, and a shared {!Est_cache} can only
-    memoise values that are pure functions of the cache key. *)
+    bit-identical for any [jobs], provided a shared {!Est_cache} behind
+    [cost] memoises only values that are pure functions of the cache
+    key.  Raises [Invalid_argument] when [dim < 1], [chains < 1] or
+    [start] returns a point of the wrong size. *)

@@ -86,9 +86,9 @@ let yield_check ?(sigmas = Ape_mc.Variation.default) process
   in
   Ape_mc.Run.run ~checks config ~measure
 
-let run ?(schedule = Anneal.default_schedule) ?mc ?mc_sigmas ?chains
-    ?(jobs = 1) ?(exchange_period = 1) ?cache ?cache_quantum ?cache_capacity
-    ?calibration ~rng process ~mode row =
+let run ?(schedule = Anneal.default_schedule) ?mc ?mc_sigmas ?(chains = 1)
+    ?(jobs = 1) ?cache ?cache_quantum ?cache_capacity ?calibration ~rng
+    process ~mode row =
   Obs.span "synth" @@ fun () ->
   let design =
     Obs.span "seed_design" (fun () ->
@@ -106,18 +106,9 @@ let run ?(schedule = Anneal.default_schedule) ?mc ?mc_sigmas ?chains
   let stop_below = 0.05 in
   let best, stats =
     Obs.span "anneal" (fun () ->
-        match chains with
-        | Some k when k > 1 ->
-          Anneal.optimize_tempered ~schedule ~stop_below
-            ~tempering:{ Anneal.default_tempering with chains = k; exchange_period }
-            ~jobs ~rng ~dim:problem.Opamp_problem.dim
-            ~cost:problem.Opamp_problem.cost
-            ~start:problem.Opamp_problem.start ()
-        | _ ->
-          let x0 = problem.Opamp_problem.start rng in
-          Anneal.optimize ~schedule ~stop_below ~rng
-            ~dim:problem.Opamp_problem.dim ~cost:problem.Opamp_problem.cost
-            ~x0 ())
+        Anneal.optimize ~schedule ~stop_below ~chains ~jobs ~rng
+          ~dim:problem.Opamp_problem.dim ~cost:problem.Opamp_problem.cost
+          ~start:problem.Opamp_problem.start ())
   in
   let best_netlist, measurement =
     Obs.span "final_measure" (fun () -> problem.Opamp_problem.final best)

@@ -26,7 +26,6 @@ val run :
   ?mc_sigmas:Ape_mc.Variation.sigmas ->
   ?chains:int ->
   ?jobs:int ->
-  ?exchange_period:int ->
   ?cache:Est_cache.t ->
   ?cache_quantum:float ->
   ?cache_capacity:int ->
@@ -43,12 +42,11 @@ val run :
     re-measured on [mc.samples] perturbed dies ([mc_sigmas] defaults to
     {!Ape_mc.Variation.default}) against the row's gain/UGF spec.
 
-    [chains > 1] switches the search to
-    {!Anneal.optimize_tempered} — [chains] tempered replicas over a
-    persistent domain pool of [jobs] workers (default 1), exchanging
-    every [exchange_period] stages (default 1) and sharing the
-    problem's {!Est_cache} ([cache_quantum]/[cache_capacity] tune it).
-    For a fixed seed the result is bit-identical for any [jobs].
+    [chains] (default 1) independent annealing chains run over a
+    persistent domain pool of [jobs] workers (default 1), sharing the
+    problem's {!Est_cache} ([cache_quantum]/[cache_capacity] tune it);
+    see {!Anneal.optimize}.  For a fixed seed the result is
+    bit-identical for any [jobs].
 
     [cache] hands the run an externally-owned cache instead (see
     {!Opamp_problem.build}); [cache_hits]/[cache_lookups] in the result

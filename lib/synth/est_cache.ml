@@ -1,6 +1,6 @@
 (* Concurrent LRU memo table for point evaluations, striped into
-   independently-locked shards so parallel-tempering chains share one
-   cache without serialising on a single mutex.  Each shard is the old
+   independently-locked shards so annealing chains on separate domains
+   share one cache without serialising on a single mutex.  Each shard is the old
    single-threaded structure: hash map from the quantized sizing vector
    to a doubly-linked recency list (most recent at the front), evicting
    from the back once over capacity.

@@ -12,8 +12,8 @@
     resolution.
 
     The table is striped into independently-locked shards (the shard is
-    a deterministic hash of the quantized key), so parallel-tempering
-    chains running on separate domains share one cache with little lock
+    a deterministic hash of the quantized key), so annealing chains
+    running on separate domains share one cache with little lock
     contention.  Per-shard hit/miss/eviction counts feed
     [est_cache.shard<i>.*] {!Ape_obs} counters alongside the
     [est_cache.*] aggregates.

@@ -289,9 +289,7 @@ let cost_for kind ~area_max =
     (reqs @ [ Cost.at_most ~weight:1. "area" area_max ])
     [ Cost.minimize ~weight:0.02 "area" ~scale:area_max ]
 
-let build ?cache_quantum ?(cache_capacity = 8192) ~rng (process : Proc.t)
-    ~mode ~area_max kind =
-  ignore rng;
+let build (process : Proc.t) ~mode ~area_max kind =
   let design = ape_module process kind in
   let base, area_scale = core_and_testbench process kind design in
   let params = discover_params ~mode base in
@@ -318,9 +316,7 @@ let build ?cache_quantum ?(cache_capacity = 8192) ~rng (process : Proc.t)
     let measurement = measure_at process kind ~area_scale nl op in
     Cost.evaluate cost_model measurement +. (3. *. kcl)
   in
-  let cache =
-    Est_cache.create ?quantum:cache_quantum ~capacity:cache_capacity ()
-  in
+  let cache = Est_cache.create ~capacity:8192 () in
   (* Evaluate at the cell's representative point so the memoised value
      is a pure function of the key (see Est_cache's determinism note). *)
   let cost point = Est_cache.find_or_add cache point evaluate_point in
@@ -350,22 +346,12 @@ type result = {
   cache_lookups : int;
 }
 
-let run ?(schedule = Anneal.default_schedule) ?chains ?(jobs = 1)
-    ?(exchange_period = 1) ?cache_quantum ?cache_capacity ~rng process ~mode
-    ~area_max kind =
-  let problem =
-    build ?cache_quantum ?cache_capacity ~rng process ~mode ~area_max kind
-  in
+let run ?(schedule = Anneal.default_schedule) ~rng process ~mode ~area_max
+    kind =
+  let problem = build process ~mode ~area_max kind in
   let best, stats =
-    match chains with
-    | Some k when k > 1 ->
-      Anneal.optimize_tempered ~schedule ~stop_below:0.05
-        ~tempering:{ Anneal.default_tempering with chains = k; exchange_period }
-        ~jobs ~rng ~dim:problem.dim ~cost:problem.cost ~start:problem.start ()
-    | _ ->
-      let x0 = problem.start rng in
-      Anneal.optimize ~schedule ~stop_below:0.05 ~rng ~dim:problem.dim
-        ~cost:problem.cost ~x0 ()
+    Anneal.optimize ~schedule ~stop_below:0.05 ~rng ~dim:problem.dim
+      ~cost:problem.cost ~start:problem.start ()
   in
   let measured = problem.final best in
   let meets_spec, works =

@@ -46,17 +46,10 @@ val ape_module :
 (** The APE pass for the module. *)
 
 val build :
-  ?cache_quantum:float ->
-  ?cache_capacity:int ->
-  rng:Ape_util.Rng.t ->
-  Ape_process.Process.t ->
-  mode:mode ->
-  area_max:float ->
-  kind ->
-  problem
-(** [area_max] is the gate-area budget (of the full module), m².
-    [cache_quantum]/[cache_capacity] tune the {!Est_cache} behind
-    [cost] (defaults: {!Est_cache.default_quantum}, 8192 entries). *)
+  Ape_process.Process.t -> mode:mode -> area_max:float -> kind -> problem
+(** [area_max] is the gate-area budget (of the full module), m².  The
+    {!Est_cache} behind [cost] has the default quantum and 8192
+    entries. *)
 
 type result = {
   kind : kind;
@@ -72,17 +65,11 @@ type result = {
 
 val run :
   ?schedule:Anneal.schedule ->
-  ?chains:int ->
-  ?jobs:int ->
-  ?exchange_period:int ->
-  ?cache_quantum:float ->
-  ?cache_capacity:int ->
   rng:Ape_util.Rng.t ->
   Ape_process.Process.t ->
   mode:mode ->
   area_max:float ->
   kind ->
   result
-(** [chains > 1] uses {!Anneal.optimize_tempered} over [jobs] pool
-    workers (exchange every [exchange_period] stages); see
-    {!Driver.run} for the determinism contract. *)
+(** One annealing chain on [rng], stopping once the cost drops under
+    0.05. *)

@@ -9,9 +9,8 @@
     handle, [await] blocks until it finishes and returns its value — or
     re-raises the exception the thunk died with, so a failing worker
     task surfaces at the join instead of hanging the caller.  One pool
-    can serve many submission rounds (the parallel-tempering annealer
-    reuses one pool across every exchange round), amortising domain
-    spawns.
+    can serve many submission rounds (the multi-chain annealer reuses
+    one pool across every cooling stage), amortising domain spawns.
 
     [shutdown] closes the pool: no new submissions are accepted, queued
     work is drained (or completed with {!Cancelled} when
@@ -40,7 +39,7 @@
     This pool serves the Monte Carlo runner (re-exported as
     [Ape_mc.Pool]), the AC sweep's parallel frequency grids
     ([Ape_spice.Ac.sweep ~jobs]) and the multi-chain synthesis engine
-    ([Ape_synth.Anneal.optimize_tempered]). *)
+    ([Ape_synth.Anneal.optimize ~chains]). *)
 
 exception Cancelled
 (** Raised by {!await} for tasks discarded by

@@ -1,7 +1,8 @@
 (* Tests for Ape_obs: registry semantics, span hierarchy, per-domain
    sink merging through Pool, the metamorphic bit-identity guarantee
    (observation on/off and jobs=1/N never change numeric results), the
-   JSON export, and the CLI exit-code contract on a singular deck. *)
+   JSON export, and the CLI exit-code contract (singular deck, usage
+   errors). *)
 
 module Obs = Ape_obs
 module B = Ape_circuit.Builder
@@ -287,6 +288,20 @@ let test_cli_valid_deck_exits_zero () =
     Alcotest.(check int) "sim --trace exits 0" 0
       (run_cli exe [ "sim"; deck; "--trace" ])
 
+(* Usage errors are cmdliner's exit 124; the required --gain/--ugf are
+   given so that the option under test is what fails. *)
+let test_cli_synth_usage_errors () =
+  match ape_exe () with
+  | None -> Alcotest.fail "bin/ape.exe not built"
+  | Some exe ->
+    let synth extra =
+      run_cli exe ([ "synth"; "--gain"; "200"; "--ugf"; "2meg" ] @ extra)
+    in
+    Alcotest.(check int) "synth --chains 0 exits 124" 124
+      (synth [ "--chains"; "0" ]);
+    Alcotest.(check int) "synth --exchange-period exits 124" 124
+      (synth [ "--exchange-period"; "1" ])
+
 let () =
   Alcotest.run "obs"
     [
@@ -325,5 +340,7 @@ let () =
             test_cli_singular_deck_exits_nonzero;
           Alcotest.test_case "healthy deck exits 0" `Quick
             test_cli_valid_deck_exits_zero;
+          Alcotest.test_case "synth usage errors exit 124" `Quick
+            test_cli_synth_usage_errors;
         ] );
     ]

@@ -382,9 +382,23 @@ let assoc key payload =
   | Some v -> v
   | None -> Alcotest.fail ("payload missing " ^ key)
 
+(* dune runtest runs in _build/default/test, `dune exec` in the
+   project root. *)
+let example_deck name =
+  List.find Sys.file_exists
+    [ Filename.concat "../examples/decks" name;
+      Filename.concat "examples/decks" name ]
+
+let golden_deck name =
+  List.find Sys.file_exists
+    [ Filename.concat "golden/decks" name;
+      Filename.concat "test/golden/decks" name ]
+
 let test_runner_sim () =
   let job =
-    parse_one "(job sim (id x) (file \"golden/decks/rc_ladder.sp\") (out out))"
+    parse_one
+      (Printf.sprintf "(job sim (id x) (file %S) (out out))"
+         (golden_deck "rc_ladder.sp"))
   in
   let status, payload = run_one job in
   Alcotest.(check string) "sim ok" "ok" (Record.status_name status);
@@ -403,13 +417,6 @@ let test_runner_sim_missing_file () =
   let status, _ = run_one job in
   Alcotest.(check string) "failed, not raised" "failed"
     (Record.status_name status)
-
-let example_deck name =
-  (* dune runtest runs in _build/default/test, `dune exec` in the
-     project root. *)
-  List.find Sys.file_exists
-    [ Filename.concat "../examples/decks" name;
-      Filename.concat "examples/decks" name ]
 
 let test_runner_sim_include () =
   (* An .INCLUDE resolves relative to the deck, not the working

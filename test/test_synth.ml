@@ -20,7 +20,7 @@ let test_anneal_quadratic () =
   in
   let best, stats =
     S.Anneal.optimize ~schedule:S.Anneal.quick_schedule ~rng ~dim:3 ~cost
-      ~x0:[| 0.; 0.; 0. |] ()
+      ~start:(fun _ -> [| 0.; 0.; 0. |]) ()
   in
   Alcotest.(check bool) "found minimum" true (stats.S.Anneal.best_cost < 1e-2);
   Array.iteri
@@ -35,7 +35,8 @@ let test_anneal_early_stop () =
   let rng = Ape_util.Rng.create 5 in
   let cost _ = 0.001 in
   let _, stats =
-    S.Anneal.optimize ~stop_below:0.01 ~rng ~dim:2 ~cost ~x0:[| 0.5; 0.5 |] ()
+    S.Anneal.optimize ~stop_below:0.01 ~rng ~dim:2 ~cost
+      ~start:(fun _ -> [| 0.5; 0.5 |]) ()
   in
   Alcotest.(check int) "stopped after first eval" 1 stats.S.Anneal.evaluations
 
@@ -45,7 +46,8 @@ let test_anneal_budget () =
   let evals = ref 0 in
   let cost _ = incr evals; 1.0 in
   let _, stats =
-    S.Anneal.optimize ~schedule ~rng ~dim:2 ~cost ~x0:[| 0.5; 0.5 |] ()
+    S.Anneal.optimize ~schedule ~rng ~dim:2 ~cost
+      ~start:(fun _ -> [| 0.5; 0.5 |]) ()
   in
   Alcotest.(check bool) "respects budget" true (stats.S.Anneal.evaluations <= 50)
 
@@ -54,7 +56,7 @@ let test_anneal_nan_hostile () =
   let cost x = if x.(0) > 0.5 then Float.nan else x.(0) in
   let best, _ =
     S.Anneal.optimize ~schedule:S.Anneal.quick_schedule ~rng ~dim:1 ~cost
-      ~x0:[| 0.4 |] ()
+      ~start:(fun _ -> [| 0.4 |]) ()
   in
   Alcotest.(check bool) "avoids NaN region" true (best.(0) <= 0.5)
 
@@ -331,10 +333,9 @@ let test_module_problem_ape_centered () =
   Alcotest.(check bool) "s&h ape-centered meets" true r.S.Module_problem.meets_spec
 
 let test_module_problem_adc_scaling () =
-  let rng = Ape_util.Rng.create 23 in
   let kind = S.Module_problem.M_adc { bits = 4; delay = 5e-6 } in
   let problem =
-    S.Module_problem.build ~rng proc ~mode:(S.Module_problem.Ape_centered 0.2)
+    S.Module_problem.build proc ~mode:(S.Module_problem.Ape_centered 0.2)
       ~area_max:1e-7 kind
   in
   Alcotest.(check (float 1e-9)) "adc area scale = 2^n - 1" 15.
@@ -409,7 +410,7 @@ let prop_relax_penalty_monotone =
       let pb = S.Relax.kcl_penalty t nl (point b) in
       pa >= 0. && pa <= pb +. 1e-9)
 
-(* ---------- parallel tempering ---------- *)
+(* ---------- multi-chain search ---------- *)
 
 (* A multimodal test landscape: two basins, the deeper one narrow.
    Cheap to evaluate, so determinism properties can afford many runs. *)
@@ -420,63 +421,71 @@ let two_basin x =
   in
   Float.min (0.5 +. d2 0.2) (40. *. d2 0.85)
 
-let test_exchange_probability_rule () =
-  let p = S.Anneal.exchange_probability in
-  Alcotest.(check (float 1e-12))
-    "hot replica strictly better swaps surely" 1.
-    (p ~t_cold:0.1 ~t_hot:1.0 ~e_cold:5.0 ~e_hot:1.0);
-  Alcotest.(check (float 1e-12))
-    "equal energies swap surely" 1.
-    (p ~t_cold:0.1 ~t_hot:1.0 ~e_cold:2.0 ~e_hot:2.0);
-  (* Cold replica better: p = exp((1/Tc - 1/Th)(Ec - Eh)) < 1. *)
-  let expected = Float.exp ((10. -. 1.) *. (1.0 -. 3.0)) in
-  Alcotest.(check (float 1e-12))
-    "cold better: detailed-balance factor" expected
-    (p ~t_cold:0.1 ~t_hot:1.0 ~e_cold:1.0 ~e_hot:3.0);
-  Alcotest.(check (float 1e-12))
-    "both unevaluable: no swap" 0.
-    (p ~t_cold:0.1 ~t_hot:1.0 ~e_cold:infinity ~e_hot:infinity);
-  Alcotest.(check (float 1e-12))
-    "hot unevaluable: no swap" 0.
-    (p ~t_cold:0.1 ~t_hot:1.0 ~e_cold:1.0 ~e_hot:infinity);
-  Alcotest.(check (float 1e-12))
-    "cold unevaluable: certain swap" 1.
-    (p ~t_cold:0.1 ~t_hot:1.0 ~e_cold:infinity ~e_hot:1.0);
-  Alcotest.check_raises "non-positive temperature"
-    (Invalid_argument "Anneal.exchange_probability: non-positive temperature")
-    (fun () -> ignore (p ~t_cold:0. ~t_hot:1. ~e_cold:1. ~e_hot:1.))
+(* The sequential annealer's result on [two_basin] from a fixed start,
+   pinned bit for bit, plus the caller's stream position afterwards: a
+   lone chain anneals on the caller's stream itself, draw for draw, so
+   every single-chain search (the paper tables, serve's default jobs)
+   keeps its trajectory. *)
+let test_single_chain_frozen () =
+  let rng = Ape_util.Rng.create 3 in
+  let best, stats =
+    S.Anneal.optimize ~schedule:S.Anneal.quick_schedule ~chains:1 ~rng ~dim:4
+      ~cost:two_basin
+      ~start:(fun _ -> [| 0.1; 0.4; 0.6; 0.9 |])
+      ()
+  in
+  Alcotest.(check (array (float 0.)))
+    "best vector"
+    [|
+      0x1.4a147b0498a63p-2;
+      0x1.02bac621dfb09p-2;
+      0x1.90e0cfae65ca2p-3;
+      0x1.a195484ff0064p-3;
+    |]
+    best;
+  Alcotest.(check (float 0.)) "best cost" 0x1.0246736f4a925p-1
+    stats.S.Anneal.best_cost;
+  Alcotest.(check int) "evaluations" 1076 stats.S.Anneal.evaluations;
+  Alcotest.(check int) "accepted" 989 stats.S.Anneal.accepted;
+  Alcotest.(check int) "next draw" 586241 (Ape_util.Rng.int rng 1_000_000)
 
-let tempered_run ~seed ~jobs ~chains =
+let test_chains_rejected () =
+  Alcotest.check_raises "chains 0"
+    (Invalid_argument "Anneal.optimize: chains < 1") (fun () ->
+      ignore
+        (S.Anneal.optimize ~chains:0 ~rng:(Ape_util.Rng.create 1) ~dim:1
+           ~cost:(fun _ -> 0.)
+           ~start:(fun _ -> [| 0.5 |])
+           ()))
+
+let multi_chain_run ~seed ~jobs ~chains =
   let rng = Ape_util.Rng.create seed in
   let cache = S.Est_cache.create ~capacity:512 () in
   let cost p = S.Est_cache.find_or_add cache p two_basin in
-  S.Anneal.optimize_tempered ~schedule:S.Anneal.quick_schedule
-    ~tempering:{ S.Anneal.default_tempering with chains }
-    ~jobs ~rng ~dim:4 ~cost
+  S.Anneal.optimize ~schedule:S.Anneal.quick_schedule ~chains ~jobs ~rng
+    ~dim:4 ~cost
     ~start:(fun rng -> Array.init 4 (fun _ -> Ape_util.Rng.uniform rng 0. 1.))
     ()
 
-let test_tempered_finds_minimum () =
-  let best, stats = tempered_run ~seed:3 ~jobs:2 ~chains:4 in
+let test_chains_find_minimum () =
+  let best, stats = multi_chain_run ~seed:3 ~jobs:2 ~chains:4 in
   Alcotest.(check bool) "found a basin" true (stats.S.Anneal.best_cost < 0.6);
   Alcotest.(check int) "chains recorded" 4 stats.S.Anneal.chains;
-  Alcotest.(check bool) "exchanges attempted" true
-    (stats.S.Anneal.exchanges > 0);
   Alcotest.(check int) "dim preserved" 4 (Array.length best)
 
-let prop_tempered_jobs_deterministic =
-  (* The tentpole determinism contract: same seed, same chain count =>
+let prop_chains_jobs_deterministic =
+  (* The determinism contract: same seed, same chain count =>
      bit-identical best vector and stats for any worker count, shared
      sharded cache included. *)
-  QCheck.Test.make ~name:"tempered result independent of jobs" ~count:12
-    QCheck.(pair (int_range 1 1000) (int_range 2 4))
+  QCheck.Test.make ~name:"multi-chain result independent of jobs" ~count:12
+    QCheck.(pair (int_range 1 1000) (int_range 1 4))
     (fun (seed, chains) ->
       let strip (best, stats) =
         (best, { stats with S.Anneal.seconds = 0. })
       in
-      let r1 = strip (tempered_run ~seed ~jobs:1 ~chains) in
-      let r2 = strip (tempered_run ~seed ~jobs:2 ~chains) in
-      let r4 = strip (tempered_run ~seed ~jobs:4 ~chains) in
+      let r1 = strip (multi_chain_run ~seed ~jobs:1 ~chains) in
+      let r2 = strip (multi_chain_run ~seed ~jobs:2 ~chains) in
+      let r4 = strip (multi_chain_run ~seed ~jobs:4 ~chains) in
       r1 = r2 && r2 = r4)
 
 (* ---------- sharded cache: hardening and concurrency ---------- *)
@@ -593,14 +602,14 @@ let () =
           Alcotest.test_case "comment classification" `Quick
             test_comment_classification;
         ] );
-      ( "tempering",
+      ( "multi-chain",
         [
-          Alcotest.test_case "exchange acceptance rule" `Quick
-            test_exchange_probability_rule;
-          Alcotest.test_case "finds minimum" `Quick
-            test_tempered_finds_minimum;
+          Alcotest.test_case "single chain frozen" `Quick
+            test_single_chain_frozen;
+          Alcotest.test_case "chains < 1 rejected" `Quick test_chains_rejected;
+          Alcotest.test_case "finds minimum" `Quick test_chains_find_minimum;
         ] );
-      qsuite "tempering-properties" [ prop_tempered_jobs_deterministic ];
+      qsuite "annealing-properties" [ prop_chains_jobs_deterministic ];
       ( "est-cache",
         [
           Alcotest.test_case "hits and quantization" `Quick
