@@ -43,85 +43,23 @@ let heading title =
 (* Table 2: estimation vs simulation for basic analog circuits.        *)
 (* ------------------------------------------------------------------ *)
 
-type basic_case = {
-  bc_name : string;
-  bc_est : E.Perf.t;
-  bc_sim : E.Perf.t;
-}
-
-let table2_cases () =
-  let dc_volt =
-    let d =
-      E.Bias.Dc_volt.design proc { E.Bias.Dc_volt.vout = 2.5; i = 100e-6 }
-    in
-    {
-      bc_name = "DCVolt";
-      bc_est = d.E.Bias.Dc_volt.perf;
-      bc_sim = E.Verify.sim_dc_volt proc d;
-    }
-  in
-  let mirror topology =
-    let d =
-      E.Bias.Current_mirror.design proc
-        (E.Bias.Current_mirror.spec ~topology ~iout:100e-6 ())
-    in
-    {
-      bc_name = E.Bias.mirror_topology_name topology;
-      bc_est = d.E.Bias.Current_mirror.perf;
-      bc_sim = E.Verify.sim_mirror proc d;
-    }
-  in
-  let stage kind av i =
-    let d =
-      E.Gain_stage.design proc (E.Gain_stage.spec ~av ~cl:1e-12 kind ~i)
-    in
-    {
-      bc_name = E.Gain_stage.kind_name kind;
-      bc_est = d.E.Gain_stage.perf;
-      bc_sim = E.Verify.sim_gain_stage proc d;
-    }
-  in
-  let diff load av =
-    let d =
-      E.Diff_pair.design proc
-        (E.Diff_pair.spec ~av ~cl:1e-12 load ~itail:1e-6)
-    in
-    {
-      bc_name = E.Diff_pair.load_name load;
-      bc_est = d.E.Diff_pair.perf;
-      bc_sim = E.Verify.sim_diff_pair proc d;
-    }
-  in
-  [
-    dc_volt;
-    mirror E.Bias.Simple;
-    mirror E.Bias.Wilson;
-    mirror E.Bias.Cascode;
-    stage E.Gain_stage.Gain_nmos 8.5 120e-6;
-    stage E.Gain_stage.Gain_cmos 19. 120e-6;
-    stage E.Gain_stage.Gain_cmosh 5.1 45e-6;
-    stage E.Gain_stage.Follower_stage 0.8 100e-6;
-    diff E.Diff_pair.Nmos_diode 4.;
-    diff E.Diff_pair.Cmos_mirror 1000.;
-  ]
-
 let run_table2 () =
   heading
     "Table 2: Estimation vs SPICE-substitute simulation, basic analog \
      circuits";
-  let cases = table2_cases () in
-  let row c =
-    let pick f = (f c.bc_est, f c.bc_sim) in
+  let cases = Ape_check.Cases.basic_cases proc in
+  let row (name, (est : E.Perf.t), (sim : E.Perf.t)) =
+    let pick f = (f est, f sim) in
     let cell (e, s) fmt = Printf.sprintf "%s / %s" (opt fmt e) (opt fmt s) in
     [
-      c.bc_name;
+      name;
       Printf.sprintf "%s / %s"
-        (um2 c.bc_est.E.Perf.gate_area)
-        (um2 c.bc_sim.E.Perf.gate_area);
+        (um2 est.E.Perf.gate_area)
+        (um2 sim.E.Perf.gate_area);
       cell (pick (fun p -> p.E.Perf.ugf)) (fun x -> eng x ^ "Hz");
       Printf.sprintf "%s / %s"
-        (eng c.bc_est.E.Perf.dc_power)
-        (eng c.bc_sim.E.Perf.dc_power);
+        (eng est.E.Perf.dc_power)
+        (eng sim.E.Perf.dc_power);
       cell (pick (fun p -> p.E.Perf.gain)) (fun x -> Printf.sprintf "%.3g" x);
       cell (pick (fun p -> p.E.Perf.current)) (fun x -> eng x ^ "A");
     ]
@@ -143,30 +81,12 @@ let run_table2 () =
 (* Table 3: estimation vs simulation for operational amplifiers.       *)
 (* ------------------------------------------------------------------ *)
 
-let table3_specs () =
-  [
-    ( "OpAmp1",
-      E.Opamp.spec ~buffer:true ~zout:1e3 ~bias_topology:E.Bias.Wilson
-        ~av:206. ~ugf:1.3e6 ~ibias:1e-6 ~cl:10e-12 () );
-    ( "OpAmp2",
-      E.Opamp.spec ~buffer:true ~zout:1e3 ~bias_topology:E.Bias.Wilson
-        ~av:374. ~ugf:8e6 ~ibias:2e-6 ~cl:10e-12 () );
-    ( "OpAmp3",
-      E.Opamp.spec ~buffer:true ~zout:2e3 ~bias_topology:E.Bias.Wilson
-        ~av:167. ~ugf:12.4e6 ~ibias:1.5e-6 ~cl:10e-12 () );
-    ( "OpAmp4",
-      E.Opamp.spec ~bias_topology:E.Bias.Simple ~av:514. ~ugf:2.6e6
-        ~ibias:1e-6 ~cl:10e-12 () );
-  ]
-
 let run_table3 () =
   heading "Table 3: Estimation vs simulation, operational amplifiers";
   let rows =
     List.map
-      (fun (name, spec) ->
-        let d = E.Opamp.design proc spec in
+      (fun (name, d, sim) ->
         let est = d.E.Opamp.perf in
-        let sim = E.Verify.sim_opamp proc d in
         let pair f fmt =
           Printf.sprintf "%s / %s" (opt fmt (f est)) (opt fmt (f sim))
         in
@@ -188,7 +108,7 @@ let run_table3 () =
             (fun x -> Printf.sprintf "%.0f" (Ape_util.Float_ext.db_of_gain x));
           pair (fun p -> p.E.Perf.slew_rate) (fun x -> eng x);
         ])
-      (table3_specs ())
+      (Ape_check.Cases.opamp_cases proc)
   in
   print_string
     (Table.render
@@ -696,7 +616,7 @@ let run_ablation () =
 let run_mc () =
   let module Mc = Ape_mc in
   heading "Monte Carlo throughput (opamp estimate workload, lib/mc)";
-  pf "host reports %d recommended domain(s)\n\n" (Mc.Pool.recommended_jobs ());
+  pf "host reports %d recommended domain(s)\n\n" (Ape_util.Pool.recommended_jobs ());
   let spec = E.Opamp.spec ~av:200. ~ugf:2e6 ~ibias:1e-6 ~cl:10e-12 () in
   let samples = if fast_mode then 500 else 2_000 in
   let measure, checks = Mc.Scenario.opamp ~level:Mc.Scenario.Estimate proc spec in

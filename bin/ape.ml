@@ -45,6 +45,17 @@ let positive_int_conv =
   in
   Cmdliner.Arg.conv (parse, Format.pp_print_int)
 
+(* --jobs of every command: 0 means the hardware-recommended count, a
+   negative count is a usage error. *)
+let jobs_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some 0 -> Ok (Ape_util.Pool.recommended_jobs ())
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg ("not a non-negative integer: " ^ s))
+  in
+  Cmdliner.Arg.conv (parse, Format.pp_print_int)
+
 open Cmdliner
 
 (* ---------- shared infrastructure ---------- *)
@@ -297,12 +308,13 @@ let synth_cmd =
   in
   let jobs_arg =
     Arg.(
-      value & opt int 1
+      value & opt jobs_conv 1
       & info [ "jobs" ]
           ~doc:
             "Worker domains: annealing chains run on a persistent pool of \
              this many domains, and the yield check fans out over the same \
-             count.  Results are independent of the value.")
+             count (0 = the hardware-recommended count).  Results are \
+             independent of the value.")
   in
   let chains_arg =
     Arg.(
@@ -413,7 +425,7 @@ let mc_cmd =
   in
   let jobs_arg =
     Arg.(
-      value & opt int 1
+      value & opt jobs_conv 1
       & info [ "jobs" ]
           ~doc:
             "Worker domains (statistics are identical for every value; 0 \
@@ -457,7 +469,6 @@ let mc_cmd =
       pf "--samples must be >= 1 (got %d)\n" samples;
       exit 1
     end;
-    let jobs = if jobs = 0 then Mc.Pool.recommended_jobs () else jobs in
     let buffer, bias, zout = topology buffer wilson cascode zout in
     let spec =
       E.Opamp.spec ~buffer ?zout ~bias_topology:bias ~cl ~av:gain ~ugf ~ibias
@@ -737,11 +748,12 @@ let calibrate_cmd =
   in
   let jobs_arg =
     Arg.(
-      value & opt (some int) None
+      value & opt (some jobs_conv) None
       & info [ "jobs" ] ~docv:"N"
           ~doc:
-            "Worker domains evaluating grid points.  The card is \
-             bit-identical for every value.")
+            "Worker domains evaluating grid points (0 = the \
+             hardware-recommended count).  The card is bit-identical for \
+             every value.")
   in
   let tol_arg =
     Arg.(
@@ -842,7 +854,7 @@ let serve_cmd =
   in
   let jobs_arg =
     Arg.(
-      value & opt int 1
+      value & opt jobs_conv 1
       & info [ "jobs" ]
           ~doc:
             "Worker domains running jobs concurrently (0 = the \
@@ -929,11 +941,6 @@ let serve_cmd =
     guard @@ fun () ->
     if queue < 1 then begin
       pf "--queue must be >= 1 (got %d)\n" queue;
-      exit 3
-    end;
-    let jobs = if jobs = 0 then Ape_util.Pool.recommended_jobs () else jobs in
-    if jobs < 1 then begin
-      pf "--jobs must be >= 0 (got %d)\n" jobs;
       exit 3
     end;
     let config =
@@ -1117,9 +1124,10 @@ let vase_cmd =
   let run file =
     let text = In_channel.with_open_text file In_channel.input_all in
     match Ape_vase.System.parse text with
-    | exception Ape_vase.System.Spec_error msg ->
-      pf "spec error: %s\n" msg;
-      1
+    | exception Ape_vase.System.Spec_error { pos; msg } ->
+      pf "spec error: %d:%d: %s\n" pos.Ape_util.Sexpr.line
+        pos.Ape_util.Sexpr.col msg;
+      3
     | system ->
       let est = Ape_vase.System.estimate proc system in
       pf "system %s:\n" system.Ape_vase.System.name;

@@ -52,7 +52,7 @@ let () =
   List.iter
     (fun code ->
       let vin = vref_lo +. ((float_of_int code +. 0.5) *. lsb) in
-      let nl = E.Verify.set_source_dc ~name:"VIN" ~dc:vin nl in
+      let nl = E.Verify.set_source ~name:"VIN" ~dc:vin nl in
       let op = Ape_spice.Dc.solve ?x0:!warm nl in
       warm := Some op.Ape_spice.Dc.x;
       let ones = ref 0 in

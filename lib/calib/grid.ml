@@ -185,7 +185,7 @@ let run process spec =
   Ape_obs.span "calib.grid" @@ fun () ->
   let streams = Rng.split_n (Rng.create spec.seed) spec.points in
   let per_point =
-    Ape_mc.Pool.map ~jobs:spec.jobs spec.points (fun i ->
+    Ape_util.Pool.map ~jobs:spec.jobs spec.points (fun i ->
         eval_point process spec streams.(i))
   in
   Ape_obs.add c_points spec.points;

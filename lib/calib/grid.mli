@@ -8,7 +8,7 @@
 
     Determinism: point [i] draws from stream [i] of a single
     {!Ape_util.Rng.split_n}, and points are evaluated with
-    {!Ape_mc.Pool.map}, so the sample list is bit-identical for any
+    {!Ape_util.Pool.map}, so the sample list is bit-identical for any
     [jobs] value — the property behind CI's jobs-1-vs-3 card diff.
     Points where the template is infeasible or the simulator fails to
     converge are skipped (and counted): a calibration grid deliberately

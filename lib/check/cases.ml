@@ -99,58 +99,58 @@ let device_rows ?calibration process =
 (* Level 2: the paper's Table 2 basic-component set.                   *)
 (* ------------------------------------------------------------------ *)
 
-let basic_rows ?calibration process =
-  let tols = Tolerance.for_level Tolerance.Basic in
-  let rows ~case est sim = Diff.rows_of_perf ~case ~tols est sim in
+let basic_cases process =
   let dc_volt =
     let d =
       E.Bias.Dc_volt.design process { E.Bias.Dc_volt.vout = 2.5; i = 100e-6 }
     in
-    rows ~case:"DCVolt" d.E.Bias.Dc_volt.perf (E.Verify.sim_dc_volt process d)
+    ("DCVolt", d.E.Bias.Dc_volt.perf, E.Verify.sim_dc_volt process d)
   in
   let mirror topology =
     let d =
       E.Bias.Current_mirror.design process
         (E.Bias.Current_mirror.spec ~topology ~iout:100e-6 ())
     in
-    rows
-      ~case:(E.Bias.mirror_topology_name topology)
-      d.E.Bias.Current_mirror.perf
-      (E.Verify.sim_mirror process d)
+    ( E.Bias.mirror_topology_name topology,
+      d.E.Bias.Current_mirror.perf,
+      E.Verify.sim_mirror process d )
   in
   let stage kind av i =
     let d =
       E.Gain_stage.design process (E.Gain_stage.spec ~av ~cl:1e-12 kind ~i)
     in
-    rows
-      ~case:(E.Gain_stage.kind_name kind)
-      d.E.Gain_stage.perf
-      (E.Verify.sim_gain_stage process d)
+    ( E.Gain_stage.kind_name kind,
+      d.E.Gain_stage.perf,
+      E.Verify.sim_gain_stage process d )
   in
   let diff load av =
     let d =
       E.Diff_pair.design process
         (E.Diff_pair.spec ~av ~cl:1e-12 load ~itail:1e-6)
     in
-    rows
-      ~case:(E.Diff_pair.load_name load)
-      d.E.Diff_pair.perf
-      (E.Verify.sim_diff_pair process d)
+    ( E.Diff_pair.load_name load,
+      d.E.Diff_pair.perf,
+      E.Verify.sim_diff_pair process d )
   in
+  [
+    dc_volt;
+    mirror E.Bias.Simple;
+    mirror E.Bias.Wilson;
+    mirror E.Bias.Cascode;
+    stage E.Gain_stage.Gain_nmos 8.5 120e-6;
+    stage E.Gain_stage.Gain_cmos 19. 120e-6;
+    stage E.Gain_stage.Gain_cmosh 5.1 45e-6;
+    stage E.Gain_stage.Follower_stage 0.8 100e-6;
+    diff E.Diff_pair.Nmos_diode 4.;
+    diff E.Diff_pair.Cmos_mirror 1000.;
+  ]
+
+let basic_rows ?calibration process =
+  let tols = Tolerance.for_level Tolerance.Basic in
   apply_card ?calibration ~level:Tolerance.Basic ~region:Card.All
-    (List.concat
-       [
-         dc_volt;
-         mirror E.Bias.Simple;
-         mirror E.Bias.Wilson;
-         mirror E.Bias.Cascode;
-         stage E.Gain_stage.Gain_nmos 8.5 120e-6;
-         stage E.Gain_stage.Gain_cmos 19. 120e-6;
-         stage E.Gain_stage.Gain_cmosh 5.1 45e-6;
-         stage E.Gain_stage.Follower_stage 0.8 100e-6;
-         diff E.Diff_pair.Nmos_diode 4.;
-         diff E.Diff_pair.Cmos_mirror 1000.;
-       ])
+    (List.concat_map
+       (fun (case, est, sim) -> Diff.rows_of_perf ~case ~tols est sim)
+       (basic_cases process))
 
 (* ------------------------------------------------------------------ *)
 (* Level 3: the paper's Table 3 opamps.                                *)
@@ -172,6 +172,13 @@ let opamp_specs () =
         ~ibias:1e-6 ~cl:10e-12 () );
   ]
 
+let opamp_cases ?slew process =
+  List.map
+    (fun (case, spec) ->
+      let d = E.Opamp.design process spec in
+      (case, d, E.Verify.sim_opamp ?slew process d))
+    (opamp_specs ())
+
 let opamp_rows ?(slew = true) ?calibration process =
   let tols = Tolerance.for_level Tolerance.Opamp in
   let tols =
@@ -180,16 +187,15 @@ let opamp_rows ?(slew = true) ?calibration process =
     else List.filter (fun t -> t.Tolerance.attr <> "slew_rate") tols
   in
   List.concat_map
-    (fun (case, (spec : E.Opamp.spec)) ->
-      let d = E.Opamp.design process spec in
+    (fun (case, (d : E.Opamp.design), sim) ->
+      let spec = d.E.Opamp.spec in
       let region =
         Card.region_of ~ugf:spec.E.Opamp.ugf ~ibias:spec.E.Opamp.ibias
           ~cl:spec.E.Opamp.cl
       in
       apply_card ?calibration ~level:Tolerance.Opamp ~region
-        (Diff.rows_of_perf ~case ~tols d.E.Opamp.perf
-           (E.Verify.sim_opamp ~slew process d)))
-    (opamp_specs ())
+        (Diff.rows_of_perf ~case ~tols d.E.Opamp.perf sim))
+    (opamp_cases ~slew process)
 
 (* ------------------------------------------------------------------ *)
 (* Level 4: the paper's Table 5 module examples.  The attribute lists

@@ -5,7 +5,8 @@
     {!Tolerance} set.
 
     The level-2/3/4 catalogs reproduce the circuits of the paper's
-    Tables 2, 3 and 5 (same specs as [bench/main.ml]); level 1 biases
+    Tables 2, 3 and 5 ([bench/main.ml] prints Tables 2 and 3 from
+    {!basic_cases} and {!opamp_cases}); level 1 biases
     individually sized transistors in a one-device testbench and
     compares the closed-form gm/gds/I_DS against the simulation
     model.
@@ -18,6 +19,20 @@
 
 val opamp_specs : unit -> (string * Ape_estimator.Opamp.spec) list
 (** Table 3's four opamps, by name. *)
+
+val basic_cases :
+  Ape_process.Process.t ->
+  (string * Ape_estimator.Perf.t * Ape_estimator.Perf.t) list
+(** Table 2's ten basic circuits, sized by the estimator and simulated:
+    (name, estimate, simulation). *)
+
+val opamp_cases :
+  ?slew:bool ->
+  Ape_process.Process.t ->
+  (string * Ape_estimator.Opamp.design * Ape_estimator.Perf.t) list
+(** Table 3's opamps ({!opamp_specs}), sized and simulated: (name,
+    design, simulation); the design carries the estimate ([perf]).
+    [slew] as in {!Ape_estimator.Verify.sim_opamp}. *)
 
 val device_rows :
   ?calibration:Ape_calib.Card.t -> Ape_process.Process.t -> Diff.row list

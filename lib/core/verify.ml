@@ -2,69 +2,92 @@ module N = Ape_circuit.Netlist
 module Proc = Ape_process.Process
 module Dc = Ape_spice.Dc
 module Measure = Ape_spice.Measure
+module Ac = Ape_spice.Ac
 
 exception Verification_failed of string
 
-let rebuild netlist found elements =
-  if not found then raise Not_found;
+let set_source ?dc ?ac ~name netlist =
+  let found = ref false in
+  let elements =
+    List.map
+      (fun e ->
+        match e with
+        | N.Vsource ({ name = n; _ } as v) when String.equal n name ->
+          found := true;
+          N.Vsource
+            {
+              v with
+              dc = Option.value dc ~default:v.dc;
+              ac = Option.value ac ~default:v.ac;
+            }
+        | N.Isource ({ name = n; _ } as i) when String.equal n name ->
+          found := true;
+          N.Isource
+            {
+              i with
+              dc = Option.value dc ~default:i.dc;
+              ac = Option.value ac ~default:i.ac;
+            }
+        | N.Mosfet _ | N.Resistor _ | N.Capacitor _ | N.Vsource _
+        | N.Isource _ | N.Vcvs _ | N.Switch _ ->
+          e)
+      (N.elements netlist)
+  in
+  if not !found then raise Not_found;
   N.make ~title:netlist.N.title elements
 
-let set_source_dc ~name ~dc netlist =
-  let found = ref false in
-  let elements =
-    List.map
-      (fun e ->
-        match e with
-        | N.Vsource ({ name = n; _ } as v) when String.equal n name ->
-          found := true;
-          N.Vsource { v with dc }
-        | N.Isource ({ name = n; _ } as i) when String.equal n name ->
-          found := true;
-          N.Isource { i with dc }
-        | N.Mosfet _ | N.Resistor _ | N.Capacitor _ | N.Vsource _
-        | N.Isource _ | N.Vcvs _ | N.Switch _ ->
-          e)
-      (N.elements netlist)
-  in
-  rebuild netlist !found elements
-
-let set_source_ac ~name ~ac netlist =
-  let found = ref false in
-  let elements =
-    List.map
-      (fun e ->
-        match e with
-        | N.Vsource ({ name = n; _ } as v) when String.equal n name ->
-          found := true;
-          N.Vsource { v with ac }
-        | N.Isource ({ name = n; _ } as i) when String.equal n name ->
-          found := true;
-          N.Isource { i with ac }
-        | N.Mosfet _ | N.Resistor _ | N.Capacitor _ | N.Vsource _
-        | N.Isource _ | N.Vcvs _ | N.Switch _ ->
-          e)
-      (N.elements netlist)
-  in
-  rebuild netlist !found elements
-
-let servo_dc ~source ~out ~target ~lo ~hi netlist =
-  let solve dc =
-    let nl = set_source_dc ~name:source ~dc netlist in
-    (nl, Dc.solve nl)
-  in
-  let err dc =
-    let _, op = solve dc in
+let servo ~tol ~out ~target ~lo ~hi bench =
+  (* Every point Brent evaluates is kept: its root is always one of
+     them, so the root's netlist and operating point need no re-solve. *)
+  let solved = ref [] in
+  let err k =
+    let nl = bench k in
+    let op = Dc.solve nl in
+    solved := (k, (nl, op)) :: !solved;
     Dc.voltage op out -. target
   in
-  let dc =
-    try Ape_util.Rootfind.brent ~tol:1e-7 err lo hi with
-    | Ape_util.Rootfind.No_bracket ->
-      raise
-        (Verification_failed
-           (Printf.sprintf "servo on %s cannot reach V(%s)=%g" source out
-              target))
+  let k = Ape_util.Rootfind.brent ~tol err lo hi in
+  let nl, op = List.assoc k !solved in
+  (k, nl, op)
+
+(* The differential benches' knob: an input offset split evenly around
+   the common-mode level. *)
+let with_offset ~vcm netlist off =
+  netlist
+  |> set_source ~name:"VINP" ~dc:(vcm +. (off /. 2.))
+  |> set_source ~name:"VINN" ~dc:(vcm -. (off /. 2.))
+
+(* Servo the differential offset so the output sits at [target]; when
+   no offset in +-0.3 V reaches it, bias at zero offset instead. *)
+let servo_offset ~tol ~vcm ~target netlist =
+  match
+    servo ~tol ~out:"out" ~target ~lo:(-0.3) ~hi:0.3 (with_offset ~vcm netlist)
+  with
+  | found -> found
+  | exception Ape_util.Rootfind.No_bracket ->
+    let nl = with_offset ~vcm netlist 0. in
+    (0., nl, Dc.solve nl)
+
+(* |Z_out| at 1 Hz: the held operating point re-excited by a 1 A AC probe
+   into "out", with the named input drives nulled. *)
+let zout_probe prep netlist ~inputs =
+  let nl =
+    List.fold_left (fun nl name -> set_source ~name ~ac:0. nl) netlist inputs
   in
-  solve dc
+  let nl =
+    N.append nl
+      [ N.Isource { name = "IPROBE"; p = "out"; n = N.ground; dc = 0.; ac = 1. } ]
+  in
+  Measure.Prepared.gain_at ~out:"out" (Ac.excite prep nl) 1.0
+
+(* Common-mode gain: both inputs of the held operating point driven in
+   phase. *)
+let common_mode_gain prep netlist =
+  netlist
+  |> set_source ~name:"VINP" ~ac:1.
+  |> set_source ~name:"VINN" ~ac:1.
+  |> Ac.excite prep
+  |> Measure.Prepared.dc_gain ~out:"out"
 
 (* Shared testbench assembly: fragment netlist + VDD source. *)
 let with_vdd process fragment =
@@ -110,7 +133,7 @@ let sim_mirror (process : Proc.t) (design : Bias.Current_mirror.design) =
   (* Output resistance: finite-difference the output current against the
      output voltage. *)
   let dv = 0.2 in
-  let op_hi = Dc.solve (set_source_dc ~name:"VOUT" ~dc:(2.5 +. dv) netlist) in
+  let op_hi = Dc.solve (set_source ~name:"VOUT" ~dc:(2.5 +. dv) netlist) in
   let i_hi =
     match Dc.branch_current op_hi "VOUT" with
     | Some i -> Float.abs i
@@ -147,31 +170,28 @@ let sim_gain_stage (process : Proc.t) (design : Gain_stage.design) =
       ]
   in
   let netlist, op =
-    if design.Gain_stage.needs_servo then
-      servo_dc ~source:"VIN" ~out:"out" ~target:design.Gain_stage.output_dc
-        ~lo:(design.Gain_stage.input_dc -. 0.5)
-        ~hi:(design.Gain_stage.input_dc +. 0.5)
-        netlist
-    else (netlist, Dc.solve netlist)
+    if not design.Gain_stage.needs_servo then (netlist, Dc.solve netlist)
+    else
+      let target = design.Gain_stage.output_dc in
+      match
+        servo ~tol:1e-7 ~out:"out" ~target
+          ~lo:(design.Gain_stage.input_dc -. 0.5)
+          ~hi:(design.Gain_stage.input_dc +. 0.5)
+          (fun dc -> set_source ~name:"VIN" ~dc netlist)
+      with
+      | _, nl, op -> (nl, op)
+      | exception Ape_util.Rootfind.No_bracket ->
+        raise
+          (Verification_failed
+             (Printf.sprintf "servo on VIN cannot reach V(out)=%g" target))
   in
-  (* One AC preparation serves the gain and both frequency searches. *)
-  let prep = Ape_spice.Ac.prepare op in
+  (* One AC preparation serves the gain, both frequency searches and
+     the output-impedance probe. *)
+  let prep = Ac.prepare op in
   let signed_gain = Measure.Prepared.dc_gain_signed ~out:"out" prep in
   let ugf = Measure.Prepared.unity_gain_frequency ~out:"out" prep in
   let bw = Measure.Prepared.f_minus_3db ~out:"out" prep in
-  (* Output impedance: null the input drive, inject 1 A AC at the
-     output. *)
-  let zout =
-    let nl = set_source_ac ~name:"VIN" ~ac:0. netlist in
-    let nl =
-      N.append nl
-        [
-          N.Isource { name = "IPROBE"; p = "out"; n = N.ground; dc = 0.; ac = 1. };
-        ]
-    in
-    Measure.Prepared.output_impedance_magnitude ~out:"out" ~freq:1.0
-      (Ape_spice.Ac.prepare (Dc.solve nl))
-  in
+  let zout = zout_probe prep netlist ~inputs:[ "VIN" ] in
   {
     Perf.empty with
     Perf.gate_area = N.gate_area netlist;
@@ -197,40 +217,16 @@ let sim_opamp ?(slew = true) (process : Proc.t) (design : Opamp.design) =
         N.Capacitor { name = "CL"; a = "out"; b = N.ground; c = cl };
       ]
   in
-  let solve_with_offset off =
-    let nl = set_source_dc ~name:"VINP" ~dc:(vcm +. (off /. 2.)) base in
-    let nl = set_source_dc ~name:"VINN" ~dc:(vcm -. (off /. 2.)) nl in
-    (nl, Dc.solve nl)
+  let offset, netlist, op =
+    servo_offset ~tol:1e-10 ~vcm ~target:design.Opamp.output_dc base
   in
-  let err off =
-    let _, op = solve_with_offset off in
-    Dc.voltage op "out" -. design.Opamp.output_dc
-  in
-  let offset =
-    try Ape_util.Rootfind.brent ~tol:1e-10 err (-0.3) 0.3 with
-    | Ape_util.Rootfind.No_bracket -> 0.
-  in
-  let netlist, op = solve_with_offset offset in
-  let prep = Ape_spice.Ac.prepare op in
+  let prep = Ac.prepare op in
   let adm = Measure.Prepared.dc_gain ~out:"out" prep in
   let ugf = Measure.Prepared.unity_gain_frequency ~out:"out" prep in
   let pm = Measure.Prepared.phase_margin ~out:"out" prep in
-  let acm =
-    let nl = set_source_ac ~name:"VINP" ~ac:1. netlist in
-    let nl = set_source_ac ~name:"VINN" ~ac:1. nl in
-    Measure.Prepared.dc_gain ~out:"out" (Ape_spice.Ac.prepare (Dc.solve nl))
-  in
+  let acm = common_mode_gain prep netlist in
   let cmrr = if acm > 0. then adm /. acm else infinity in
-  let zout =
-    let nl = set_source_ac ~name:"VINP" ~ac:0. netlist in
-    let nl = set_source_ac ~name:"VINN" ~ac:0. nl in
-    let nl =
-      N.append nl
-        [ N.Isource { name = "IPROBE"; p = "out"; n = N.ground; dc = 0.; ac = 1. } ]
-    in
-    Measure.Prepared.output_impedance_magnitude ~out:"out" ~freq:1.0
-      (Ape_spice.Ac.prepare (Dc.solve nl))
-  in
+  let zout = zout_probe prep netlist ~inputs:[ "VINP"; "VINN" ] in
   (* Bias reference current: the drop across the tail mirror's reference
      resistor (named R1 inside the spliced tail instance). *)
   let ibias =
@@ -249,10 +245,9 @@ let sim_opamp ?(slew = true) (process : Proc.t) (design : Opamp.design) =
             N.Vsource { name = "VFB"; p = "out"; n = "inn"; dc = 0.; ac = 0. };
           ]
       in
-      let nl = set_source_ac ~name:"VINP" ~ac:0. nl in
-      (* DC-bias the step input at its t=0 level so the transient starts
-         from equilibrium. *)
-      let nl = set_source_dc ~name:"VINP" ~dc:(vcm -. 0.5) nl in
+      (* Null VINP's AC drive and DC-bias the step input at its t=0
+         level so the transient starts from equilibrium. *)
+      let nl = set_source ~name:"VINP" ~dc:(vcm -. 0.5) ~ac:0. nl in
       (* Detach VINN's drive: the feedback wire now sets inn. *)
       let nl =
         N.make ~title:nl.N.title
@@ -318,30 +313,14 @@ let sim_diff_pair (process : Proc.t) (design : Diff_pair.design) =
   in
   (* Servo the differential offset so the output sits at its intended
      level (real benches do the same with a feedback loop). *)
-  let solve_with_offset off =
-    let nl = set_source_dc ~name:"VINP" ~dc:(vcm +. (off /. 2.)) netlist in
-    let nl = set_source_dc ~name:"VINN" ~dc:(vcm -. (off /. 2.)) nl in
-    (nl, Dc.solve nl)
+  let offset, netlist, op =
+    servo_offset ~tol:1e-9 ~vcm ~target:design.Diff_pair.output_dc netlist
   in
-  let err off =
-    let _, op = solve_with_offset off in
-    Dc.voltage op "out" -. design.Diff_pair.output_dc
-  in
-  let offset =
-    try Ape_util.Rootfind.brent ~tol:1e-9 err (-0.3) 0.3 with
-    | Ape_util.Rootfind.No_bracket -> 0.
-  in
-  let netlist, op = solve_with_offset offset in
-  let prep = Ape_spice.Ac.prepare op in
+  let prep = Ac.prepare op in
   let adm = Measure.Prepared.dc_gain ~out:"out" prep in
   let signed_adm = Measure.Prepared.dc_gain_signed ~out:"out" prep in
   let ugf = Measure.Prepared.unity_gain_frequency ~out:"out" prep in
-  (* Common-mode run: both inputs driven in phase. *)
-  let acm =
-    let nl = set_source_ac ~name:"VINP" ~ac:1. netlist in
-    let nl = set_source_ac ~name:"VINN" ~ac:1. nl in
-    Measure.Prepared.dc_gain ~out:"out" (Ape_spice.Ac.prepare (Dc.solve nl))
-  in
+  let acm = common_mode_gain prep netlist in
   let cmrr = if acm > 0. then adm /. acm else infinity in
   let noise =
     match Ape_spice.Noise.input_referred_prepared ~out:"out" ~freq:1e3 prep with
@@ -407,18 +386,13 @@ let monte_carlo_offset ?(runs = 25) ?(seed = 1) (process : Proc.t)
   let offsets =
     List.init runs (fun _ ->
         let sample = jitter_thresholds rng netlist in
-        let solve_with_offset off =
-          let nl = set_source_dc ~name:"VINP" ~dc:(vcm +. (off /. 2.)) sample in
-          let nl = set_source_dc ~name:"VINN" ~dc:(vcm -. (off /. 2.)) nl in
-          Dc.solve nl
-        in
-        let err off =
-          Dc.voltage (solve_with_offset off) "out"
-          -. design.Diff_pair.output_dc
-        in
-        try Some (Ape_util.Rootfind.brent ~tol:1e-8 err (-0.08) 0.08) with
-        | Ape_util.Rootfind.No_bracket -> None
-        | Dc.No_convergence _ -> None)
+        match
+          servo ~tol:1e-8 ~out:"out" ~target:design.Diff_pair.output_dc
+            ~lo:(-0.08) ~hi:0.08 (with_offset ~vcm sample)
+        with
+        | offset, _, _ -> Some offset
+        | exception (Ape_util.Rootfind.No_bracket | Dc.No_convergence _) ->
+          None)
     |> List.filter_map Fun.id
   in
   match offsets with
@@ -464,21 +438,11 @@ let sim_audio process (d : Audio_amp.design) =
         N.Capacitor { name = "CL"; a = "out"; b = N.ground; c = 10e-12 };
       ]
   in
-  let solve_with_offset off =
-    let nl = set_source_dc ~name:"VINP" ~dc:(vcm +. (off /. 2.)) netlist in
-    let nl = set_source_dc ~name:"VINN" ~dc:(vcm -. (off /. 2.)) nl in
-    Dc.solve nl
-  in
   (* The trim divider already centres the output; servo the residual. *)
-  let err off =
-    Dc.voltage (solve_with_offset off) "out" -. (process.Proc.vdd /. 2.)
+  let offset, _, op =
+    servo_offset ~tol:1e-10 ~vcm ~target:(process.Proc.vdd /. 2.) netlist
   in
-  let offset =
-    try Ape_util.Rootfind.brent ~tol:1e-10 err (-0.3) 0.3 with
-    | Ape_util.Rootfind.No_bracket -> 0.
-  in
-  let op = solve_with_offset offset in
-  let prep = Ape_spice.Ac.prepare op in
+  let prep = Ac.prepare op in
   let gain = Measure.Prepared.dc_gain ~out:"out" prep in
   let bw = Measure.Prepared.f_minus_3db ~out:"out" prep in
   let ugf = Measure.Prepared.unity_gain_frequency ~out:"out" prep in
@@ -533,7 +497,7 @@ let sim_closed process (d : Closed_loop.design) =
         ])
   in
   let op = Dc.solve netlist in
-  let prep = Ape_spice.Ac.prepare op in
+  let prep = Ac.prepare op in
   let gain, bw =
     match d.Closed_loop.spec.Closed_loop.kind with
     | Closed_loop.Integrator { f_unity } ->
@@ -569,7 +533,7 @@ let sim_lpf process (d : Filter.lp_design) =
   in
   let op = Dc.solve netlist in
   let fc = d.Filter.lp_spec.Filter.f_cutoff in
-  let prep = Ape_spice.Ac.prepare op in
+  let prep = Ac.prepare op in
   let gain = Measure.Prepared.dc_gain ~out:"out" prep in
   let f3 =
     Measure.Prepared.f_minus_3db ~fmin:(fc /. 100.) ~fmax:(fc *. 100.)
@@ -605,7 +569,7 @@ let sim_bpf process (d : Filter.bp_design) =
   let f0_spec = d.Filter.bp_spec.Filter.f_center in
   let bp =
     Measure.Prepared.bandpass_characteristics ~fmin:(f0_spec /. 100.)
-      ~fmax:(f0_spec *. 100.) ~out:"out" (Ape_spice.Ac.prepare op)
+      ~fmax:(f0_spec *. 100.) ~out:"out" (Ac.prepare op)
   in
   let gain, bw, f0 =
     match bp with
@@ -643,7 +607,7 @@ let sim_sample_hold process (d : Sample_hold.design) =
       ]
   in
   let op = Dc.solve netlist in
-  let prep = Ape_spice.Ac.prepare op in
+  let prep = Ac.prepare op in
   let gain = Measure.Prepared.dc_gain ~out:"out" prep in
   let bw = Measure.Prepared.f_minus_3db ~out:"out" prep in
   (* Acquisition: step the input by 0.4 V in track mode, settle to 1 %. *)
@@ -768,16 +732,13 @@ let sim_flash_adc process (d : Data_conv.Flash_adc.design) =
     +. (float_of_int (1 lsl (bits - 1)) *. lsb)
   in
   let trip =
-    let err vin =
-      let nl = set_source_dc ~name:"VIN" ~dc:vin netlist in
-      Dc.voltage (Dc.solve nl) out_node -. vmid
-    in
-    try
-      Some
-        (Ape_util.Rootfind.brent ~tol:1e-6 err (mid_level -. lsb)
-           (mid_level +. lsb))
+    match
+      servo ~tol:1e-6 ~out:out_node ~target:vmid ~lo:(mid_level -. lsb)
+        ~hi:(mid_level +. lsb)
+        (fun dc -> set_source ~name:"VIN" ~dc netlist)
     with
-    | Ape_util.Rootfind.No_bracket -> None
+    | vin, _, _ -> Some vin
+    | exception Ape_util.Rootfind.No_bracket -> None
   in
   let dc_code_error =
     Option.map (fun t -> Float.abs (t -. mid_level) /. lsb) trip

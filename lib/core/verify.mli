@@ -7,31 +7,38 @@
     values, directly comparable with the design's estimated [perf].
 
     High-gain stages whose output level is sensitive to the input DC are
-    biased by a servo loop (Brent iteration on the input source), the
-    programmatic equivalent of SPICE [.NODESET] fiddling. *)
+    biased by {!servo} (Brent iteration on the input source), the
+    programmatic equivalent of SPICE [.NODESET] fiddling.  Each bench
+    holds one operating point: common-mode gain and output impedance
+    re-excite its AC preparation ({!Ape_spice.Ac.excite}) instead of
+    solving DC again. *)
 
 exception Verification_failed of string
 
-val set_source_dc :
-  name:string -> dc:float -> Ape_circuit.Netlist.t -> Ape_circuit.Netlist.t
-(** Functional update of one named V/I source's DC value; raises
-    [Not_found] if absent. *)
+val set_source :
+  ?dc:float ->
+  ?ac:float ->
+  name:string ->
+  Ape_circuit.Netlist.t ->
+  Ape_circuit.Netlist.t
+(** Functional update of one named V/I source's DC and/or AC value;
+    raises [Not_found] if absent. *)
 
-val set_source_ac :
-  name:string -> ac:float -> Ape_circuit.Netlist.t -> Ape_circuit.Netlist.t
-
-val servo_dc :
-  source:string ->
+val servo :
+  tol:float ->
   out:Ape_circuit.Netlist.node ->
   target:float ->
   lo:float ->
   hi:float ->
-  Ape_circuit.Netlist.t ->
-  Ape_circuit.Netlist.t * Ape_spice.Dc.op
-(** Adjust the named source's DC until [V(out)] lands on [target]
-    (1 mV tolerance); returns the adjusted netlist and its operating
-    point.  Raises {!Verification_failed} when no bias in [[lo, hi]]
-    reaches the target. *)
+  (float -> Ape_circuit.Netlist.t) ->
+  float * Ape_circuit.Netlist.t * Ape_spice.Dc.op
+(** [servo ~tol ~out ~target ~lo ~hi bench] runs Brent's method
+    ([tol] as in {!Ape_util.Rootfind.brent}) on the knob [k] of
+    [bench k] until [V(out)] lands on [target], and returns the knob
+    value with the netlist and operating point at it — the solve Brent
+    already made there, not a new one.  Raises
+    [Ape_util.Rootfind.No_bracket] when [[lo, hi]] does not straddle the
+    target, and [Ape_spice.Dc.No_convergence] from a failed probe. *)
 
 (** {1 Level-2 component verification} *)
 

@@ -58,7 +58,7 @@ let run ?(checks = []) config ~measure =
      pure function of (seed, index), never of jobs or scheduling. *)
   let streams = Rng.split_n (Rng.create config.seed) config.samples in
   let outcomes =
-    Pool.map ~jobs:config.jobs config.samples (fun i ->
+    Ape_util.Pool.map ~jobs:config.jobs config.samples (fun i ->
         (* Per-scenario throughput: each sample's wall time lands in the
            worker's own sink; Pool merges them at the join. *)
         Ape_obs.time h_sample_seconds (fun () ->

@@ -97,6 +97,11 @@ let prepare (op : Dc.op) =
 
 let op p = p.p_op
 
+(* Same G, C, pivots and workspaces; only the RHS is re-stamped. *)
+let excite p netlist =
+  let op = { p.p_op with Dc.netlist } in
+  { p with p_op = op; rhs = stamp_rhs op }
+
 (* Assemble G + jωC into [vals] and refactor [fac] over its frozen
    pivots.  When the frozen pivots go bad at some frequency (values far
    from the DC basis), fall back to a local fresh pivoting factorisation

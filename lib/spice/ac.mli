@@ -36,6 +36,17 @@ val prepare : Dc.op -> prepared
 val op : prepared -> Dc.op
 (** The operating point the preparation was built from. *)
 
+val excite : prepared -> Ape_circuit.Netlist.t -> prepared
+(** [excite p netlist] re-excites a held preparation: the same G, C and
+    pivot order, with the right-hand side stamped from [netlist]'s AC
+    source values.  Precondition: [netlist] is [p]'s netlist with only
+    AC magnitudes changed, or with added current sources of zero DC
+    between existing nodes (a 1 A AC output probe) — so it has the same
+    unknowns and the same operating point, and the result equals
+    [prepare (Dc.solve netlist)] bit for bit without the DC solve and
+    the re-stamp.  The two preparations share workspaces: do not use
+    them concurrently. *)
+
 val solve_prepared : prepared -> float -> solution
 (** Assemble [G + jωC] in the preparation's workspace and solve.  Reuses
     internal mutable workspaces: do not call concurrently from several

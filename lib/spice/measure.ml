@@ -196,6 +196,4 @@ module Prepared = struct
           { f_center; peak_gain; f_low; f_high; bandwidth = f_high -. f_low }
       | _ -> None
     end
-
-  let output_impedance_magnitude ~out ~freq p = gain_at ~out p freq
 end

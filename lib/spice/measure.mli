@@ -95,10 +95,4 @@ module Prepared : sig
     Ac.prepared ->
     bandpass option
   (** Peak search + two-sided −3 dB edges for band-pass responses. *)
-
-  val output_impedance_magnitude :
-    out:Ape_circuit.Netlist.node -> freq:float -> Ac.prepared -> float
-  (** |V(out)| per 1 A of AC injection: the caller's netlist must
-      contain a 1 A AC current source at [out] and no other AC
-      excitation. *)
 end

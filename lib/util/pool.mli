@@ -36,10 +36,11 @@
     domain spawned.  An exception raised by [f] is re-raised by [map]
     after every chunk has been joined.
 
-    This pool serves the Monte Carlo runner (re-exported as
-    [Ape_mc.Pool]), the AC sweep's parallel frequency grids
-    ([Ape_spice.Ac.sweep ~jobs]) and the multi-chain synthesis engine
-    ([Ape_synth.Anneal.optimize ~chains]). *)
+    This pool serves the Monte Carlo runner ([Ape_mc.Run]), the
+    calibration grid ([Ape_calib.Grid]), the AC sweep's parallel
+    frequency panels ([Ape_spice.Ac.sweep_prepared ~jobs]), the
+    multi-chain synthesis engine ([Ape_synth.Anneal.optimize ~chains])
+    and the batch job service ([Ape_serve.Scheduler]). *)
 
 exception Cancelled
 (** Raised by {!await} for tasks discarded by

@@ -1,11 +1,9 @@
 (** Positioned S-expression reader.
 
-    The [Ape_vase.Sexp] reader throws positions away, which is fine for
-    a spec file a human just wrote but useless for anything that must
-    answer "entry 17 of your 1000-entry file is malformed {e here}".
-    This reader keeps a line/column span on every atom and list, so
-    parsers layered on top (serve job files, calibration cards) can
-    attach precise locations to error records.
+    Keeps a line/column span on every atom and list, so parsers
+    layered on top (serve job files, calibration cards, VASE system
+    specs) can answer "entry 17 of your 1000-entry file is malformed
+    {e here}" with a precise location in their error records.
 
     Syntax: atoms are bare tokens or double-quoted strings (with
     backslash escapes for backslash, double quote, [n] and [t] — needed

@@ -15,19 +15,44 @@ type t = {
   requirements : requirements;
 }
 
-exception Spec_error of string
+module Sexpr = Ape_util.Sexpr
 
-let need_number items key label =
-  match Sexp.assoc_number key items with
+exception Spec_error of { pos : Sexpr.pos; msg : string }
+
+let fail_at span msg = raise (Spec_error { pos = span.Sexpr.s_start; msg })
+
+let number = function
+  | Sexpr.Atom (a, span) -> (
+    match Ape_symbolic.Parser.parse_number a with
+    | Some v -> v
+    | None -> fail_at span (Printf.sprintf "expected a number, got '%s'" a))
+  | Sexpr.List (_, span) -> fail_at span "expected a number, got a list"
+
+(* [assoc key items] finds [(key a b c)] among [items] and returns
+   [[a; b; c]]. *)
+let assoc key items =
+  List.find_map
+    (function
+      | Sexpr.List (Sexpr.Atom (k, _) :: rest, _) when String.equal k key ->
+        Some rest
+      | Sexpr.List _ | Sexpr.Atom _ -> None)
+    items
+
+let assoc_number key items =
+  match assoc key items with
+  | Some [ v ] -> Some (number v)
+  | Some _ | None -> None
+
+let need_number ~span items key label =
+  match assoc_number key items with
   | Some v -> v
-  | None ->
-    raise (Spec_error (Printf.sprintf "%s: missing (%s <value>)" label key))
+  | None -> fail_at span (Printf.sprintf "%s: missing (%s <value>)" label key)
 
 let parse_module idx = function
-  | Sexp.List (Sexp.Atom kind :: fields) -> (
+  | Sexpr.List (Sexpr.Atom (kind, kind_span) :: fields, span) -> (
     let label = Printf.sprintf "%s%d" kind (idx + 1) in
-    let num key = need_number fields key label in
-    let opt key = Sexp.assoc_number key fields in
+    let num key = need_number ~span fields key label in
+    let opt key = assoc_number key fields in
     match kind with
     | "lowpass" ->
       {
@@ -104,20 +129,25 @@ let parse_module idx = function
           E.Module_lib.Comparator_m
             (E.Data_conv.Comparator.spec ~delay:(num "delay") ());
       }
-    | other -> raise (Spec_error ("unknown module kind " ^ other)))
+    | other -> fail_at kind_span ("unknown module kind " ^ other))
   | other ->
-    raise (Spec_error ("bad module declaration " ^ Sexp.to_string other))
+    fail_at (Sexpr.span_of other)
+      "bad module declaration: expected (<kind> (<field> <value>) ...)"
+
+let single_form = "expected a single (system <name> ...) form"
 
 let parse text =
-  match Sexp.parse text with
-  | [ Sexp.List (Sexp.Atom "system" :: Sexp.Atom name :: body) ] ->
+  match Sexpr.parse text with
+  | exception Sexpr.Error { pos; msg } -> raise (Spec_error { pos; msg })
+  | [ Sexpr.List (Sexpr.Atom ("system", _) :: Sexpr.Atom (name, _) :: body, span) ]
+    ->
     let chain =
-      match Sexp.assoc "chain" body with
+      match assoc "chain" body with
       | Some modules -> List.mapi parse_module modules
-      | None -> raise (Spec_error "missing (chain ...)")
+      | None -> fail_at span "missing (chain ...)"
     in
     let requirements =
-      match Sexp.assoc "require" body with
+      match assoc "require" body with
       | None ->
         {
           total_gain = None;
@@ -127,14 +157,15 @@ let parse text =
         }
       | Some fields ->
         {
-          total_gain = Sexp.assoc_number "total_gain" fields;
-          bandwidth = Sexp.assoc_number "bandwidth" fields;
-          area_max = Sexp.assoc_number "area_max" fields;
-          power_max = Sexp.assoc_number "power_max" fields;
+          total_gain = assoc_number "total_gain" fields;
+          bandwidth = assoc_number "bandwidth" fields;
+          area_max = assoc_number "area_max" fields;
+          power_max = assoc_number "power_max" fields;
         }
     in
     { name; chain; requirements }
-  | _ -> raise (Spec_error "expected a single (system <name> ...) form")
+  | [] -> raise (Spec_error { pos = { Sexpr.line = 1; col = 1 }; msg = single_form })
+  | [ form ] | _ :: form :: _ -> fail_at (Sexpr.span_of form) single_form
 
 type estimated = {
   system : t;

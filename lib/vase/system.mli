@@ -30,10 +30,14 @@ type t = {
   requirements : requirements;
 }
 
-exception Spec_error of string
+exception Spec_error of { pos : Ape_util.Sexpr.pos; msg : string }
+(** A malformed spec, at the position of the offending form: unbalanced
+    parentheses, a non-number value, a missing field, an unknown module
+    kind. *)
 
 val parse : string -> t
-(** Raises {!Spec_error} (or {!Sexp.Parse_error}) on malformed input. *)
+(** Read a spec with {!Ape_util.Sexpr}.  Raises {!Spec_error} on any
+    malformed input. *)
 
 type estimated = {
   system : t;

@@ -5,7 +5,7 @@
 module Rng = Ape_util.Rng
 module Mc = Ape_mc
 module Stats = Ape_mc.Stats
-module Pool = Ape_mc.Pool
+module Pool = Ape_util.Pool
 module Run = Ape_mc.Run
 module Variation = Ape_mc.Variation
 module Proc = Ape_process.Process

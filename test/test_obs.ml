@@ -300,7 +300,41 @@ let test_cli_synth_usage_errors () =
     Alcotest.(check int) "synth --chains 0 exits 124" 124
       (synth [ "--chains"; "0" ]);
     Alcotest.(check int) "synth --exchange-period exits 124" 124
-      (synth [ "--exchange-period"; "1" ])
+      (synth [ "--exchange-period"; "1" ]);
+    (* One --jobs rule for every command: 0 is the hardware count, a
+       negative count is a usage error. *)
+    List.iter
+      (fun (cmd, args) ->
+        Alcotest.(check int) (cmd ^ " --jobs=-1 exits 124") 124
+          (run_cli exe ((cmd :: args) @ [ "--jobs=-1" ])))
+      [
+        ("synth", [ "--gain"; "200"; "--ugf"; "2meg" ]);
+        ("mc", [ "opamp"; "--gain"; "200"; "--ugf"; "2meg" ]);
+        ("calibrate", [ "--out"; Filename.null ]);
+        ("serve", []);
+      ]
+
+(* Malformed system specs are input-side failures (exit 3) with a
+   positioned message, never an uncaught reader exception (125) or a
+   spec silently completed. *)
+let test_cli_vase_malformed_specs () =
+  match ape_exe () with
+  | None -> Alcotest.fail "bin/ape.exe not built"
+  | Some exe ->
+    List.iter
+      (fun text ->
+        let spec = Filename.temp_file "ape_spec" ".scm" in
+        Fun.protect ~finally:(fun () -> Sys.remove spec) @@ fun () ->
+        Out_channel.with_open_text spec (fun oc -> output_string oc text);
+        Alcotest.(check int) ("vase exits 3 on " ^ text) 3
+          (run_cli exe [ "vase"; spec ]))
+      [
+        "(system demo (chain (amplifier (gain ten) (bandwidth 20k))) \
+         (require (total_gain 10) (bandwidth 1k)))";
+        ")";
+        "(system demo (chain (amplifier (gain 10) (bandwidth 20k))) \
+         (require (total_gain 10) (bandwidth 1k))";
+      ]
 
 let () =
   Alcotest.run "obs"
@@ -342,5 +376,7 @@ let () =
             test_cli_valid_deck_exits_zero;
           Alcotest.test_case "synth usage errors exit 124" `Quick
             test_cli_synth_usage_errors;
+          Alcotest.test_case "vase malformed specs exit 3" `Quick
+            test_cli_vase_malformed_specs;
         ] );
     ]

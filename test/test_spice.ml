@@ -10,6 +10,7 @@ module Tr = Ape_spice.Transient
 module Awe = Ape_spice.Awe
 module Measure = Ape_spice.Measure.Prepared
 module Noise = Ape_spice.Noise
+module Verify = Ape_estimator.Verify
 module F = Ape_util.Float_ext
 module Proc = Ape_process.Process
 
@@ -673,38 +674,44 @@ let test_noise_sparse_engine_counters () =
   Alcotest.(check bool) "sparse refactor ticked" true (c "sparse.refactor" > 0);
   Alcotest.(check int) "no dense LU" 0 (c "matrix.lu_factor")
 
-(* ---------- dc sweep ---------- *)
+(* ---------- bias servo ---------- *)
 
-let test_sweep_transfer () =
+let test_servo_divider () =
   let b = B.create ~title:"div" in
   B.vsource b ~p:"in" ~n:"0" 0.;
   B.resistor b ~a:"in" ~b:"out" 1e3;
   B.resistor b ~a:"out" ~b:"0" 1e3;
   let nl = B.finish b in
-  let pts =
-    Ape_spice.Sweep.transfer ~source:"V1" ~out:"out"
-      ~values:[ 0.; 1.; 2.; 3. ] nl
+  let bench dc = Verify.set_source ~name:"V1" ~dc nl in
+  (* How many points Brent evaluates on this search. *)
+  let evaluations = ref 0 in
+  ignore
+    (Ape_util.Rootfind.brent ~tol:1e-9
+       (fun dc ->
+         incr evaluations;
+         Dc.voltage (Dc.solve (bench dc)) "out" -. 1.25)
+       0. 5.);
+  Ape_obs.enable ();
+  Ape_obs.reset ();
+  let vin, at_root, op =
+    Verify.servo ~tol:1e-9 ~out:"out" ~target:1.25 ~lo:0. ~hi:5. bench
   in
-  List.iter
-    (fun (vin, vout) -> check_close "halving" (vin /. 2.) vout ~tol:1e-9)
-    pts
-
-let test_sweep_crossing () =
-  let b = B.create ~title:"div" in
-  B.vsource b ~p:"in" ~n:"0" 0.;
-  B.resistor b ~a:"in" ~b:"out" 1e3;
-  B.resistor b ~a:"out" ~b:"0" 1e3;
-  let nl = B.finish b in
-  (match
-     Ape_spice.Sweep.crossing ~source:"V1" ~out:"out" ~level:1.25 ~lo:0.
-       ~hi:5. nl
-   with
-  | Some v -> check_close "crossing at 2.5" 2.5 v ~tol:1e-6
-  | None -> Alcotest.fail "crossing not found");
-  Alcotest.(check bool) "no crossing above range" true
-    (Ape_spice.Sweep.crossing ~source:"V1" ~out:"out" ~level:10. ~lo:0.
-       ~hi:5. nl
-    = None)
+  let snap = Ape_obs.snapshot () in
+  Ape_obs.disable ();
+  check_close "root at 2.5 V" 2.5 vin ~tol:1e-9;
+  check_close "V(out) at the root" 1.25 (Dc.voltage op "out") ~tol:1e-9;
+  Alcotest.(check bool) "netlist biased at the root" true
+    (List.exists
+       (function
+         | N.Vsource { name = "V1"; dc; _ } -> dc = vin
+         | _ -> false)
+       (N.elements at_root));
+  (* The root's operating point is one Brent already solved. *)
+  Alcotest.(check int) "one DC solve per Brent evaluation" !evaluations
+    (Option.value ~default:0 (List.assoc_opt "dc.solves" snap.Ape_obs.counters));
+  Alcotest.check_raises "target out of range" Ape_util.Rootfind.No_bracket
+    (fun () ->
+      ignore (Verify.servo ~tol:1e-9 ~out:"out" ~target:10. ~lo:0. ~hi:5. bench))
 
 (* ---------- prepared AC engine ---------- *)
 
@@ -800,6 +807,61 @@ let mos_amp_op () =
   B.resistor b ~a:"vdd" ~b:"out" 47e3;
   B.capacitor b ~a:"out" ~b:"0" 1e-12;
   Dc.solve (B.finish b)
+
+(* [Ac.excite] on a held preparation must give, bit for bit, what a
+   fresh DC solve and preparation of the re-excited netlist give: a
+   common-mode drive (every V source's AC at 1, as the CMRR bench does)
+   and a 1 A AC probe into [probe] with every other drive nulled (the
+   Z_out bench).  Acm is V(probe) at 0 Hz of the first, Z_out V(probe)
+   at 1 Hz of the second; the whole solution is compared. *)
+let check_excite_matches_fresh ~label ~probe (op : Dc.op) =
+  let nl = op.Dc.netlist in
+  let held = Ac.prepare op in
+  (* The held preparation has already served other solves, as it has in
+     a testbench. *)
+  ignore (Ac.solve_many held [| 1.; 1e3; 1e6 |]);
+  let map f = N.make ~title:nl.N.title (List.map f (N.elements nl)) in
+  let common_mode =
+    map (function N.Vsource v -> N.Vsource { v with ac = 1. } | e -> e)
+  in
+  let zout_probe =
+    N.append
+      (map (function
+        | N.Vsource v -> N.Vsource { v with ac = 0. }
+        | N.Isource i -> N.Isource { i with ac = 0. }
+        | e -> e))
+      [ N.Isource { name = "IPROBE"; p = probe; n = N.ground; dc = 0.; ac = 1. } ]
+  in
+  List.iter
+    (fun (what, excited_nl) ->
+      let excited = Ac.excite held excited_nl in
+      let fresh = Ac.prepare (Dc.solve excited_nl) in
+      List.iter
+        (fun f ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, %s: excited = fresh at %g Hz" label what f)
+            true
+            (same_solution (Ac.solve_prepared excited f)
+               (Ac.solve_prepared fresh f)))
+        [ 0.; 1.; 1e3; 1e6 ])
+    [ ("common mode", common_mode); ("zout probe", zout_probe) ]
+
+let test_excite_matches_fresh () =
+  check_excite_matches_fresh ~label:"mos amp" ~probe:"out" (mos_amp_op ());
+  let verified = ref 0 in
+  List.iter
+    (fun file ->
+      let text = In_channel.with_open_text file In_channel.input_all in
+      let nl = Ape_circuit.Spice_parser.parse ~title:file text in
+      match Dc.solve nl with
+      | exception Dc.No_convergence _ -> ()
+      | op ->
+        incr verified;
+        (* Probe the last node the netlist declares. *)
+        let probe = List.nth (N.nodes nl) (List.length (N.nodes nl) - 1) in
+        check_excite_matches_fresh ~label:file ~probe op)
+    (golden_decks ());
+  Alcotest.(check bool) "re-excited several golden decks" true (!verified >= 3)
 
 let prop_assembled_matrix_matches_direct_stamping =
   (* The prepared G + jωC, solved by the sparse engine, against the
@@ -902,76 +964,6 @@ let test_unwrapped_phase_matches_wrapped_when_no_wrap () =
         (Printf.sprintf "no-wrap identity at %g Hz" f)
         wrapped unwrapped)
     [ 1.; 100.; 159.; 1e4; 1e6 ]
-
-(* The endpoint solves of Sweep.crossing thread a warm-start; the
-   result must be the same whether the reference evaluates lo or hi
-   first. *)
-let nmos_inverter_nl () =
-  let b = B.create ~title:"inv" in
-  B.vsource b ~p:"vdd" ~n:"0" 5.;
-  B.vsource b ~p:"in" ~n:"0" 0.;
-  B.resistor b ~a:"vdd" ~b:"out" 10e3;
-  B.nmos b proc ~d:"out" ~g:"in" ~s:"0" ~w:20e-6 ~l:2.4e-6;
-  B.finish b
-
-let test_sweep_crossing_order_independent () =
-  let nl = nmos_inverter_nl () in
-  let crossing_ref ~hi_first =
-    (* Same warm-started bisection as Sweep.crossing, with an explicit
-       endpoint evaluation order. *)
-    let warm = ref None in
-    let solve v =
-      let b = B.create ~title:"inv" in
-      B.vsource b ~p:"vdd" ~n:"0" 5.;
-      B.vsource b ~p:"in" ~n:"0" v;
-      B.resistor b ~a:"vdd" ~b:"out" 10e3;
-      B.nmos b proc ~d:"out" ~g:"in" ~s:"0" ~w:20e-6 ~l:2.4e-6;
-      let nl = B.finish b in
-      let op =
-        match !warm with
-        | None -> Dc.solve nl
-        | Some x0 -> (
-          match Dc.solve ~x0 nl with
-          | op -> op
-          | exception Dc.No_convergence _ -> Dc.solve nl)
-      in
-      warm := Some op.Dc.x;
-      Dc.voltage op "out" -. 2.5
-    in
-    let f_lo, f_hi =
-      if hi_first then begin
-        let f_hi = solve 5. in
-        let f_lo = solve 0. in
-        (f_lo, f_hi)
-      end
-      else begin
-        let f_lo = solve 0. in
-        let f_hi = solve 5. in
-        (f_lo, f_hi)
-      end
-    in
-    assert (f_lo *. f_hi < 0.);
-    let rec bisect lo hi f_lo k =
-      if k = 0 then 0.5 *. (lo +. hi)
-      else begin
-        let mid = 0.5 *. (lo +. hi) in
-        let f_mid = solve mid in
-        if f_mid = 0. then mid
-        else if f_lo *. f_mid < 0. then bisect lo mid f_lo (k - 1)
-        else bisect mid hi f_mid (k - 1)
-      end
-    in
-    bisect 0. 5. f_lo 40
-  in
-  let lo_first = crossing_ref ~hi_first:false in
-  let hi_first = crossing_ref ~hi_first:true in
-  check_close "reference orders agree" lo_first hi_first ~tol:1e-9;
-  match
-    Ape_spice.Sweep.crossing ~source:"V2" ~out:"out" ~level:2.5 ~lo:0. ~hi:5.
-      nl
-  with
-  | None -> Alcotest.fail "crossing not found"
-  | Some v -> check_close "Sweep.crossing matches reference" lo_first v ~tol:1e-9
 
 (* ---------- properties ---------- *)
 
@@ -1114,17 +1106,14 @@ let () =
           Alcotest.test_case "sparse engine counters during noise" `Quick
             test_noise_sparse_engine_counters;
         ] );
-      ( "sweep",
-        [
-          Alcotest.test_case "transfer" `Quick test_sweep_transfer;
-          Alcotest.test_case "crossing" `Quick test_sweep_crossing;
-          Alcotest.test_case "crossing order independent" `Quick
-            test_sweep_crossing_order_independent;
-        ] );
+      ( "servo",
+        [ Alcotest.test_case "divider" `Quick test_servo_divider ] );
       ( "prepared",
         [
           Alcotest.test_case "golden decks bit-identical" `Quick
             test_prepared_matches_blocked_golden;
+          Alcotest.test_case "re-excited matches fresh" `Quick
+            test_excite_matches_fresh;
           Alcotest.test_case "parallel sweep identical" `Quick
             test_prepared_sweep_jobs_identical;
           Alcotest.test_case "repeated sweep reuses workspace" `Quick
