@@ -307,50 +307,6 @@ let metric_keys = function
   | S.Module_problem.M_bpf _ ->
     [ ("f0", "f0"); ("gain", "gain"); ("bandwidth", "BW") ]
 
-let est_metrics kind design =
-  let p = E.Module_lib.perf design in
-  let common =
-    [
-      ("gain", p.E.Perf.gain);
-      ("bandwidth", p.E.Perf.bandwidth);
-      ("area", Some p.E.Perf.gate_area);
-    ]
-  in
-  let extra =
-    match design with
-    | E.Module_lib.D_lpf d ->
-      [
-        ("f3db", Some d.E.Filter.f3db_est);
-        ("f20db", Some d.E.Filter.f20db_est);
-      ]
-    | E.Module_lib.D_bpf d -> [ ("f0", Some d.E.Filter.f0_est) ]
-    | E.Module_lib.D_adc d ->
-      [ ("delay", Some d.E.Data_conv.Flash_adc.delay_est) ]
-    | E.Module_lib.D_sh d ->
-      [ ("response", Some d.E.Sample_hold.response_time_est) ]
-    | E.Module_lib.D_audio _ | E.Module_lib.D_dac _ | E.Module_lib.D_closed _
-    | E.Module_lib.D_comp _ ->
-      []
-  in
-  ignore kind;
-  List.filter_map
-    (fun (k, v) -> Option.map (fun v -> (k, v)) v)
-    (common @ extra)
-
-let sim_metrics (sim : E.Verify.module_sim) =
-  let p = sim.E.Verify.perf in
-  List.filter_map
-    (fun (k, v) -> Option.map (fun v -> (k, v)) v)
-    [
-      ("gain", p.E.Perf.gain);
-      ("bandwidth", p.E.Perf.bandwidth);
-      ("f3db", p.E.Perf.bandwidth);
-      ("f20db", sim.E.Verify.f_20db);
-      ("f0", sim.E.Verify.f0);
-      ("delay", sim.E.Verify.response_time);
-      ("area", Some p.E.Perf.gate_area);
-    ]
-
 let synth_metrics (r : S.Module_problem.result) =
   match r.S.Module_problem.measured with
   | None -> []
@@ -368,8 +324,10 @@ let run_table5 () =
       let t0 = Unix.gettimeofday () in
       let design = S.Module_problem.ape_module proc kind in
       let ape_seconds = Unix.gettimeofday () -. t0 in
-      let est = est_metrics kind design in
-      let sim = sim_metrics (E.Verify.sim_module proc design) in
+      let est = Ape_check.Cases.module_est_metrics design in
+      let sim =
+        Ape_check.Cases.module_sim_metrics (E.Verify.sim_module proc design)
+      in
       let area_budget = 1.4 *. (E.Module_lib.perf design).E.Perf.gate_area in
       let standalone =
         S.Module_problem.run ~schedule:synth_schedule ~rng proc

@@ -22,6 +22,17 @@ echo "== ape stats --json CI artifact (verify workload) =="
 dune exec bin/ape.exe -- stats --workload verify --quick --json > ape_stats.json
 grep -q '"schema": "ape-obs/1"' ape_stats.json
 echo "wrote ape_stats.json"
+# Newton iteration counts of this workload are deterministic: the
+# ceilings are the counts before the device Jacobian became analytic
+# (counts, not timings, so the gate cannot flake).
+awk -F'"value": *|}' '/"dc.newton_iters"/ { dc = $2 }
+  /"transient.newton_iters"/ { tr = $2 }
+  END {
+    if (dc == "" || tr == "") { print "FAIL: Newton counters missing"; exit 1 }
+    if (dc + 0 > 2132) { printf "FAIL: dc.newton_iters %d > 2132\n", dc; exit 1 }
+    if (tr + 0 > 2504) { printf "FAIL: transient.newton_iters %d > 2504\n", tr; exit 1 }
+    printf "Newton iterations: dc %d <= 2132, transient %d <= 2504 OK\n", dc, tr
+  }' ape_stats.json
 
 echo "== observability overhead gate (<= 2% on the 181-point sweep) =="
 dune exec bench/main.exe -- obs-overhead

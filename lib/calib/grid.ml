@@ -57,6 +57,17 @@ let int_of node =
   | None ->
     fail_at (Sexpr.span_of node) (Printf.sprintf "unreadable integer %S" a)
 
+(* The --jobs rule: a non-negative worker count, 0 meaning the
+   hardware-recommended one. *)
+let jobs_of node =
+  match int_of node with
+  | 0 -> Ape_util.Pool.recommended_jobs ()
+  | n when n > 0 -> n
+  | n ->
+    fail_at (Sexpr.span_of node)
+      (Printf.sprintf "jobs must be non-negative (0 = hardware count), got %d"
+         n)
+
 let bool_of node =
   match atom_of node with
   | "true" | "yes" | "1" -> true
@@ -92,7 +103,7 @@ let parse_spec text =
           match key with
           | "points" -> { spec with points = int_of (one ()) }
           | "seed" -> { spec with seed = int_of (one ()) }
-          | "jobs" -> { spec with jobs = int_of (one ()) }
+          | "jobs" -> { spec with jobs = jobs_of (one ()) }
           | "av" -> { spec with av = range_of kspan values }
           | "ugf" -> { spec with ugf = range_of kspan values }
           | "ibias" -> { spec with ibias = range_of kspan values }

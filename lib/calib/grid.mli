@@ -33,8 +33,9 @@ val default : spec
 
 val parse_spec : string -> spec
 (** Parse a [(grid (points 32) (ugf 800k 14meg) ...)] spec; every field
-    optional over {!default}; numbers take SPICE suffixes.  Raises
-    {!Card.Parse_error} with positions. *)
+    optional over {!default}; numbers take SPICE suffixes.  [(jobs N)]
+    follows [--jobs]: non-negative, 0 = {!Ape_util.Pool.recommended_jobs}.
+    Raises {!Card.Parse_error} with positions. *)
 
 val load_spec : string -> spec
 

@@ -198,8 +198,8 @@ let opamp_rows ?(slew = true) ?calibration process =
     (opamp_cases ~slew process)
 
 (* ------------------------------------------------------------------ *)
-(* Level 4: the paper's Table 5 module examples.  The attribute lists
-   mirror bench/main.ml's est/sim metric extraction; the S&H response
+(* Level 4: the paper's Table 5 module examples.  The same est/sim
+   attribute extraction prints bench/main.ml's Table 5; the S&H response
    time travels as "delay" so both timed modules share one gate.       *)
 (* ------------------------------------------------------------------ *)
 

@@ -48,6 +48,17 @@ val opamp_rows :
 (** [slew] (default true) also runs the unity-feedback transient step;
     with [~slew:false] the slew gate is dropped entirely. *)
 
+val module_est_metrics :
+  Ape_estimator.Module_lib.design -> (string * float) list
+(** A Table 5 module design's estimated attributes by name ([gain],
+    [bandwidth], [area], [power], plus [f3db]/[f20db] for low-pass,
+    [f0] for band-pass and [delay] for the ADC's delay and the S&H's
+    response time); absent estimates are left out. *)
+
+val module_sim_metrics :
+  Ape_estimator.Verify.module_sim -> (string * float) list
+(** The same attributes measured on the simulated module. *)
+
 val module_rows :
   ?calibration:Ape_calib.Card.t -> Ape_process.Process.t -> Diff.row list
 

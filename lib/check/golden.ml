@@ -88,11 +88,6 @@ let same rtol a b =
 let describe golden fresh =
   Printf.sprintf "golden %s, fresh %s" (cell golden) (cell fresh)
 
-(* Ill-conditioned attributes (CMRR and anything tests register) get a
-   widened comparison tolerance from the {!Tolerance} registry instead
-   of a name special-case here. *)
-let attr_rtol ~rtol attr = Tolerance.golden_rtol ~rtol attr
-
 let compare_rows ?(rtol = 1e-6) ~golden rows =
   let fresh = entries_of_rows rows in
   let key (e : entry) = (e.case, e.attr) in
@@ -100,7 +95,6 @@ let compare_rows ?(rtol = 1e-6) ~golden rows =
   let push case attr what = drifts := { case; attr; what } :: !drifts in
   List.iter
     (fun (g : entry) ->
-      let rtol = attr_rtol ~rtol g.attr in
       match List.find_opt (fun f -> key f = key g) fresh with
       | None -> push g.case g.attr "row disappeared from the fresh run"
       | Some f ->

@@ -5,11 +5,9 @@
     Values are printed with {!Ape_util.Units.to_exact}, so a re-run on
     the same code recomputes them bit-identically; [compare_rows] then
     flags any drift beyond a tiny [rtol] (default 1e-6, i.e. only real
-    behaviour changes, not formatting).  One exception: ill-conditioned
-    attributes (currently [cmrr], a ratio against a near-cancelled
-    common-mode gain) are compared at 1e-3: a last-bit change in the
-    linear solve, such as a different elimination order, moves them
-    that far.
+    behaviour changes, not formatting) in any attribute, CMRR included:
+    with exact device partials its near-cancelled common-mode gain is
+    well-conditioned.
 
     Promotion: rerun with [APE_UPDATE_GOLDEN=1] (or [ape verify
     --update]) to overwrite the tables with the fresh values, then

@@ -83,21 +83,3 @@ let for_level = function
   | Module_level -> module_
 
 let find tols attr = List.find_opt (fun t -> String.equal t.attr attr) tols
-
-(* Golden-table comparison tolerances for ill-conditioned attributes,
-   keyed by name so callers (calibration tests included) register
-   entries instead of string-matching inside {!Golden}.  CMRR divides
-   the differential gain by a near-cancelled common-mode gain, so a
-   last-bit difference in the linear solve (elimination order)
-   legitimately moves it by up to ~1e-3 relative. *)
-let golden_rtols : (string, float) Hashtbl.t =
-  let t = Hashtbl.create 8 in
-  Hashtbl.replace t "cmrr" 1e-3;
-  t
-
-let register_golden_rtol ~attr rtol = Hashtbl.replace golden_rtols attr rtol
-
-let golden_rtol ~rtol attr =
-  match Hashtbl.find_opt golden_rtols attr with
-  | Some r -> Float.max rtol r
-  | None -> rtol

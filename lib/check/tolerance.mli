@@ -26,14 +26,3 @@ val for_level : level -> t list
     not compared at that level. *)
 
 val find : t list -> string -> t option
-
-val register_golden_rtol : attr:string -> float -> unit
-(** Declare that golden-table comparisons of [attr] need a widened
-    relative tolerance (the entry is global; last registration wins).
-    Ill-conditioned attributes — CMRR is pre-registered at 1e-3 — are
-    legitimately moved beyond the default 1e-6 by a last-bit change in
-    the underlying solve (e.g. a different elimination order). *)
-
-val golden_rtol : rtol:float -> string -> float
-(** The comparison tolerance for one attribute: the registered value
-    when wider than [rtol], else [rtol] itself. *)

@@ -43,66 +43,122 @@ let vov_eff vov =
   else if x < -40. then s *. Float.exp x
   else s *. Float.log1p (Float.exp x)
 
+(* d vov_eff / d vov: the logistic function of vov / 2nVt, on the same
+   three branches as [vov_eff]. *)
+let vov_eff_slope vov =
+  let x = vov /. (2. *. n_vt) in
+  if x > 40. then 1.
+  else
+    let e = Float.exp x in
+    if x < -40. then e else e /. (1. +. e)
+
 (* Effective KP with level-dependent refinements evaluated at overdrive
-   [vov] and length [l]. *)
+   [vov] and length [l], with its slope d kp / d vov. *)
 let kp_eff (card : Card.t) ~vov ~l =
   let kp = card.Card.kp in
+  let vov = Float.max 0. vov in
   match card.Card.level with
-  | Card.Level1 -> kp
-  | Card.Level2 -> kp /. (1. +. (card.Card.theta *. Float.max 0. vov))
+  | Card.Level1 -> (kp, 0.)
+  | Card.Level2 ->
+    let theta_term = 1. +. (card.Card.theta *. vov) in
+    let k = kp /. theta_term in
+    (k, -.k *. card.Card.theta /. theta_term)
   | Card.Level3 | Card.Bsim1 ->
-    let theta_term = 1. +. (card.Card.theta *. Float.max 0. vov) in
+    let theta_term = 1. +. (card.Card.theta *. vov) in
     (* Velocity saturation: critical field Ec = 2·vmax/µ0. *)
     let ecrit = 2. *. card.Card.vmax /. card.Card.u0 in
     let leff = Float.max 1e-9 (l -. (2. *. card.Card.ld)) in
-    let vsat_term = 1. +. (Float.max 0. vov /. (ecrit *. leff)) in
-    kp /. (theta_term *. vsat_term)
+    let vsat_term = 1. +. (vov /. (ecrit *. leff)) in
+    let k = kp /. (theta_term *. vsat_term) in
+    ( k,
+      -.k
+      *. ((card.Card.theta /. theta_term)
+         +. (1. /. (ecrit *. leff *. vsat_term))) )
 
-(* Core current in the NMOS frame with vds >= 0. *)
+(* Current and its partials in the NMOS frame with vds >= 0. *)
+type frame = { fi : float; f_vgs : float; f_vds : float; f_vsb : float }
+
+(* The current is one expression; the partials follow it by the chain
+   rule through vth(vsb) (frozen where [Card.vth] clamps phi + vsb),
+   BSIM1's -eta·vds threshold shift, the overdrive smoothing, kp_eff
+   and channel-length modulation. *)
 let ids_frame (card : Card.t) g ~vgs ~vds ~vsb =
   let vth = Card.vth card ~vsb in
-  let vth =
+  let vth, dvov_dvds =
     match card.Card.level with
-    | Card.Bsim1 -> vth -. (card.Card.eta *. vds)
-    | Card.Level1 | Card.Level2 | Card.Level3 -> vth
+    | Card.Bsim1 -> (vth -. (card.Card.eta *. vds), card.Card.eta)
+    | Card.Level1 | Card.Level2 | Card.Level3 -> (vth, 0.)
   in
   let vov = vgs -. vth in
   let ve = vov_eff vov in
-  let kp = kp_eff card ~vov:ve ~l:g.l in
+  let kp, dkp = kp_eff card ~vov:ve ~l:g.l in
   let leff = Float.max 1e-9 (g.l -. (2. *. card.Card.ld)) in
   let wl = g.w /. leff in
   let lam = Card.lambda_at card g.l in
   let clm = 1. +. (lam *. vds) in
-  if vds >= ve then 0.5 *. kp *. wl *. ve *. ve *. clm
-  else kp *. wl *. ((ve *. vds) -. (0.5 *. vds *. vds)) *. clm
+  (* [di_dve]: through the overdrive; [di_dvds]: vds's direct terms. *)
+  let fi, di_dve, di_dvds =
+    if vds >= ve then
+      ( 0.5 *. kp *. wl *. ve *. ve *. clm,
+        0.5 *. wl *. clm *. ((dkp *. ve *. ve) +. (2. *. kp *. ve)),
+        0.5 *. kp *. wl *. ve *. ve *. lam )
+    else
+      let q = (ve *. vds) -. (0.5 *. vds *. vds) in
+      ( kp *. wl *. q *. clm,
+        wl *. clm *. ((dkp *. q) +. (kp *. vds)),
+        kp *. wl *. (((ve -. vds) *. clm) +. (q *. lam)) )
+  in
+  let di_dvov = di_dve *. vov_eff_slope vov in
+  {
+    fi;
+    f_vgs = di_dvov;
+    f_vds = di_dvds +. (di_dvov *. dvov_dvds);
+    f_vsb = -.di_dvov *. Card.vth_slope card ~vsb;
+  }
 
-let drain_current card g ~vgs ~vds ~vsb =
+type evaluation = {
+  ids : float;
+  di_dvgs : float;
+  di_dvds : float;
+  di_dvsb : float;
+  region : region;
+}
+
+let evaluate card g ~vgs ~vds ~vsb =
   let p = Card.polarity card in
-  (* Flip into the NMOS frame. *)
-  let vgs = p *. vgs and vds = p *. vds and vsb = p *. vsb in
-  let i =
-    if vds >= 0. then ids_frame card g ~vgs ~vds ~vsb
+  (* Flip into the NMOS frame.  With i = p·I(p·vgs, p·vds, p·vsb) the
+     partials are p²·dI = dI: polarity never touches them. *)
+  let fvgs = p *. vgs and fvds = p *. vds and fvsb = p *. vsb in
+  let i, di_dvgs, di_dvds, di_dvsb =
+    if fvds >= 0. then
+      let f = ids_frame card g ~vgs:fvgs ~vds:fvds ~vsb:fvsb in
+      (f.fi, f.f_vgs, f.f_vds, f.f_vsb)
     else
       (* Source/drain exchange: the terminal at lower (frame) potential
-         acts as source. *)
-      let vgs' = vgs -. vds and vds' = -.vds and vsb' = vsb +. vds in
-      -.ids_frame card g ~vgs:vgs' ~vds:vds' ~vsb:vsb'
+         acts as source, i = -I(vgs - vds, -vds, vsb + vds). *)
+      let f =
+        ids_frame card g ~vgs:(fvgs -. fvds) ~vds:(-.fvds) ~vsb:(fvsb +. fvds)
+      in
+      (-.f.fi, -.f.f_vgs, f.f_vgs +. f.f_vds -. f.f_vsb, -.f.f_vsb)
   in
-  p *. i
-
-let operating_point card g ~vgs ~vds ~vsb =
-  let p = Card.polarity card in
-  let fvgs = p *. vgs and fvds = p *. vds and fvsb = p *. vsb in
-  let ids = drain_current card g ~vgs ~vds ~vsb in
-  let vth = Card.vth card ~vsb:fvsb in
-  let vov = fvgs -. vth in
-  let ve = vov_eff vov in
+  (* The region classifies the voltages as given (no exchange, no eta
+     shift); it selects the Meyer capacitance split. *)
+  let vov = fvgs -. Card.vth card ~vsb:fvsb in
   let region =
     if vov < 0.01 then Cutoff
-    else if Float.abs fvds >= ve then Saturation
+    else if Float.abs fvds >= vov_eff vov then Saturation
     else Triode
   in
-  { ids; region; vth; vov = ve; vdsat = ve }
+  { ids = p *. i; di_dvgs; di_dvds; di_dvsb; region }
+
+let drain_current card g ~vgs ~vds ~vsb = (evaluate card g ~vgs ~vds ~vsb).ids
+
+let operating_point card g ~vgs ~vds ~vsb =
+  let e = evaluate card g ~vgs ~vds ~vsb in
+  let p = Card.polarity card in
+  let vth = Card.vth card ~vsb:(p *. vsb) in
+  let ve = vov_eff ((p *. vgs) -. vth) in
+  { ids = e.ids; region = e.region; vth; vov = ve; vdsat = ve }
 
 let capacitances (card : Card.t) g ~region ~vdb ~vsb =
   let cox = Card.cox card in
@@ -136,23 +192,17 @@ let capacitances (card : Card.t) g ~region ~vdb ~vsb =
   (cgs, cgd, cgb, junction vdb, junction vsb)
 
 let small_signal card g ~vgs ~vds ~vsb =
-  let h = 1e-5 in
-  let i v_gs v_ds v_sb = drain_current card g ~vgs:v_gs ~vds:v_ds ~vsb:v_sb in
-  let d f = (f h -. f (-.h)) /. (2. *. h) in
-  let gm = d (fun e -> i (vgs +. e) vds vsb) in
-  let gds = d (fun e -> i vgs (vds +. e) vsb) in
-  (* gmb: response to bulk-source voltage; vbs = -vsb in our argument
-     convention, so negate. *)
-  let gmb = -.(d (fun e -> i vgs vds (vsb +. e))) in
+  let e = evaluate card g ~vgs ~vds ~vsb in
   let p = Card.polarity card in
-  let op = operating_point card g ~vgs ~vds ~vsb in
   let cgs, cgd, cgb, cdb, csb =
-    capacitances card g ~region:op.region ~vdb:(p *. (vds +. vsb)) ~vsb:(p *. vsb)
+    capacitances card g ~region:e.region ~vdb:(p *. (vds +. vsb))
+      ~vsb:(p *. vsb)
   in
+  (* gmb is the response to vbs = -vsb: |di/dvsb|. *)
   {
-    gm = Float.abs gm;
-    gmb = Float.abs gmb;
-    gds = Float.abs gds;
+    gm = Float.abs e.di_dvgs;
+    gmb = Float.abs e.di_dvsb;
+    gds = Float.abs e.di_dvds;
     cgs;
     cgd;
     cgb;

@@ -4,14 +4,17 @@
 
     Two views coexist deliberately:
 
-    - {b Simulation view} ({!drain_current}, {!small_signal}): a smooth
-      single-expression model (EKV-style effective overdrive) valid in all
-      regions, polarity- and terminal-order-agnostic, with refinements
-      selected by the card's model level.  The MNA simulator uses this and
-      differentiates it numerically, so the linearisation can never
-      disagree with the nonlinear equations.
+    - {b Simulation view} ({!evaluate}, {!drain_current},
+      {!small_signal}): a smooth single-expression model (EKV-style
+      effective overdrive) valid in all regions, polarity- and
+      terminal-order-agnostic, with refinements selected by the card's
+      model level.  The MNA simulator stamps {!evaluate}, which returns
+      the current together with its exact partial derivatives (the chain
+      rule worked by hand through the same expression), so the
+      linearisation is the derivative of the nonlinear equations, not an
+      approximation of it.
     - {b Estimation view} ({!size_for_gm_id}, {!size_for_id_vov},
-      {!operating_vgs}, {!quick_small_signal}): the paper's closed-form
+      {!operating_vgs}, {!size}): the paper's closed-form
       Level-1 equations (1)–(4), used by the estimator.  The small
       systematic gap between the two views is precisely the estimate-vs-
       simulation error the paper's tables measure. *)
@@ -50,6 +53,30 @@ type small_signal = {
 
 (** {1 Simulation view} *)
 
+type evaluation = {
+  ids : float;  (** drain current, as {!drain_current} returns it *)
+  di_dvgs : float;  (** ∂ids/∂vgs, S *)
+  di_dvds : float;  (** ∂ids/∂vds, S *)
+  di_dvsb : float;  (** ∂ids/∂vsb, S *)
+  region : region;
+}
+
+val evaluate :
+  Ape_process.Model_card.t ->
+  geom ->
+  vgs:float ->
+  vds:float ->
+  vsb:float ->
+  evaluation
+(** One evaluation of the model at signed terminal voltages: the drain
+    current, its exact partials in (vgs, vds, vsb) and the region.  The
+    partials follow the current expression through the body-effect
+    threshold (frozen where [phi + vsb] is clamped), BSIM1's [eta·vds]
+    shift, the overdrive smoothing, the level-dependent KP and CLM, the
+    polarity flip and the source/drain exchange.  The region classifies
+    the voltages as given (no exchange, no [eta] shift), as
+    {!operating_point} reports it. *)
+
 val drain_current :
   Ape_process.Model_card.t ->
   geom ->
@@ -62,7 +89,7 @@ val drain_current :
     flipped).  The returned current is the conventional current flowing
     {e into} the drain terminal: positive for a conducting NMOS, negative
     for a conducting PMOS.  Smooth in all arguments; handles [vds < 0] by
-    source/drain exchange. *)
+    source/drain exchange.  It is [(evaluate ...).ids]. *)
 
 val operating_point :
   Ape_process.Model_card.t ->
@@ -79,9 +106,9 @@ val small_signal :
   vds:float ->
   vsb:float ->
   small_signal
-(** Conductances by central finite differences of {!drain_current}
-    (guaranteed consistent with it); capacitances from the charge model
-    below. *)
+(** Conductances are the magnitudes of {!evaluate}'s partials
+    ([gmb] = |∂ids/∂vsb|); capacitances come from the charge model below
+    at {!evaluate}'s region. *)
 
 val capacitances :
   Ape_process.Model_card.t ->

@@ -38,11 +38,18 @@ let lambda_at card l =
   if l <= 0. then invalid_arg "Model_card.lambda_at: l <= 0";
   card.lambda *. card.lref /. l
 
+(* Floor of phi + vsb: clamps forward body bias so sqrt stays real
+   during Newton steps. *)
+let min_body_arg = 1e-3
+
 let vth card ~vsb =
   let phi = card.phi in
-  (* Clamp forward body bias so sqrt stays real during Newton steps. *)
-  let arg = Float.max 1e-3 (phi +. vsb) in
+  let arg = Float.max min_body_arg (phi +. vsb) in
   Float.abs card.vto +. (card.gamma *. (Float.sqrt arg -. Float.sqrt phi))
+
+let vth_slope card ~vsb =
+  let arg = card.phi +. vsb in
+  if arg > min_body_arg then card.gamma /. (2. *. Float.sqrt arg) else 0.
 
 (* 1.2 µm-class CMOS, MOSIS-era values; tox 25 nm gives
    Cox = 1.38 mF/m², u0 chosen so KP = u0 * Cox. *)

@@ -60,6 +60,10 @@ val vth : t -> vsb:float -> float
     VT = |VTO| + γ(√(2φ_f + V_SB) − √(2φ_f)), with V_SB clamped at
     −2φ_f + ε for Newton robustness. *)
 
+val vth_slope : t -> vsb:float -> float
+(** ∂{!vth}/∂V_SB = γ / (2√(2φ_f + V_SB)), and 0 where the clamp holds
+    the threshold constant. *)
+
 val default_nmos : t
 (** The built-in 1.2 µm NMOS Level-1 card (see {!Process.c12}). *)
 

@@ -11,7 +11,7 @@
     performs one symbolic LU analysis at ω = 0.  Every later solve only
     assembles [G + jωC] into a reusable workspace and refactors it
     numerically over the frozen pivot order — no netlist traversal, no
-    finite-difference Jacobian, no per-call matrix allocation.  The
+    re-stamp, no per-call matrix allocation.  The
     differential suites in [test/] check the solutions against a dense
     re-stamping reference to rounding. *)
 
@@ -44,8 +44,10 @@ val excite : prepared -> Ape_circuit.Netlist.t -> prepared
     between existing nodes (a 1 A AC output probe) — so it has the same
     unknowns and the same operating point, and the result equals
     [prepare (Dc.solve netlist)] bit for bit without the DC solve and
-    the re-stamp.  The two preparations share workspaces: do not use
-    them concurrently. *)
+    the re-stamp.  Only the right-hand side is stamped from [netlist]:
+    the result's {!op} pairs it with [p]'s index, which a netlist with
+    an added probe no longer matches for G and C stamps.  The two
+    preparations share workspaces: do not use them concurrently. *)
 
 val solve_prepared : prepared -> float -> solution
 (** Assemble [G + jωC] in the preparation's workspace and solve.  Reuses

@@ -33,9 +33,13 @@ let rhs_vector netlist index =
     (N.elements netlist);
   b
 
-let moments ?(count = 8) ~out (op : Dc.op) =
+let moments ?(count = 8) ?g ~out (op : Dc.op) =
   let netlist = op.Dc.netlist and index = op.Dc.index in
-  let _, g = Engine.residual_jacobian ~gmin:1e-12 netlist index op.Dc.x in
+  let g =
+    match g with
+    | Some g -> g
+    | None -> snd (Engine.residual_jacobian ~gmin:1e-12 netlist index op.Dc.x)
+  in
   let c = Engine.stamp_capacitances netlist index op.Dc.x in
   let lu =
     match Rmat.lu_factor g with
@@ -63,9 +67,9 @@ let moments ?(count = 8) ~out (op : Dc.op) =
 (* Padé [q-1 / q] with denominator D(s) = 1 + b1·s + ... + bq·s^q:
    matching moments q..2q−1 gives  Σ_{j=1..q} b_j·μ_{q+k−j} = −μ_{q+k}
    for k = 0..q−1. *)
-let pade ?(q = 2) ~out op =
+let pade ?(q = 2) ?g ~out op =
   if q < 1 then invalid_arg "Awe.pade: q < 1";
-  let mus = moments ~count:(2 * q) ~out op in
+  let mus = moments ~count:(2 * q) ?g ~out op in
   let h = Rmat.create q q in
   let rhs = Array.make q 0. in
   for k = 0 to q - 1 do

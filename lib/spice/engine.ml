@@ -2,11 +2,25 @@ module N = Ape_circuit.Netlist
 module Mos = Ape_device.Mos
 module Rmat = Ape_util.Matrix.Rmat
 
+(* An element's unknowns, resolved once when the index is built: node
+   terminals as unknown numbers (-1 for ground) plus the branch unknown
+   of a V-source/VCVS.  Stamps read values from the netlist element and
+   positions from here, so they never look a name up. *)
+type terminals =
+  | T_resistor of { a : int; b : int }
+  | T_capacitor of { a : int; b : int }
+  | T_switch of { a : int; b : int; ctrl : int }
+  | T_isource of { p : int; n : int }
+  | T_vsource of { p : int; n : int; br : int }
+  | T_vcvs of { p : int; n : int; cp : int; cn : int; br : int }
+  | T_mosfet of { d : int; g : int; s : int; b : int }
+
 type index = {
   node_ids : (string, int) Hashtbl.t;
   branch_ids : (string, int) Hashtbl.t;
   n_nodes : int;
   total : int;
+  resolved : (string * terminals) array;  (* element name, unknowns *)
 }
 
 exception
@@ -23,17 +37,32 @@ let build_index netlist =
   let n_nodes = Hashtbl.length node_ids in
   let branch_ids = Hashtbl.create 4 in
   let next = ref n_nodes in
-  List.iter
-    (fun e ->
-      match e with
-      | N.Vsource { name; _ } | N.Vcvs { name; _ } ->
-        Hashtbl.replace branch_ids name !next;
-        incr next
-      | N.Mosfet _ | N.Resistor _ | N.Capacitor _ | N.Isource _ | N.Switch _
-        ->
-        ())
-    (N.elements netlist);
-  { node_ids; branch_ids; n_nodes; total = !next }
+  let node n = if N.is_ground n then -1 else Hashtbl.find node_ids n in
+  let branch name =
+    let br = !next in
+    Hashtbl.replace branch_ids name br;
+    incr next;
+    br
+  in
+  let resolve = function
+    | N.Resistor { a; b; _ } -> T_resistor { a = node a; b = node b }
+    | N.Capacitor { a; b; _ } -> T_capacitor { a = node a; b = node b }
+    | N.Switch { a; b; ctrl; _ } ->
+      T_switch { a = node a; b = node b; ctrl = node ctrl }
+    | N.Isource { p; n; _ } -> T_isource { p = node p; n = node n }
+    | N.Vsource { name; p; n; _ } ->
+      T_vsource { p = node p; n = node n; br = branch name }
+    | N.Vcvs { name; p; n; cp; cn; _ } ->
+      T_vcvs
+        { p = node p; n = node n; cp = node cp; cn = node cn; br = branch name }
+    | N.Mosfet { d; g; s; b; _ } ->
+      T_mosfet { d = node d; g = node g; s = node s; b = node b }
+  in
+  let resolved =
+    Array.of_list
+      (List.map (fun e -> (N.element_name e, resolve e)) (N.elements netlist))
+  in
+  { node_ids; branch_ids; n_nodes; total = !next; resolved }
 
 let size idx = idx.total
 let n_nodes idx = idx.n_nodes
@@ -58,12 +87,41 @@ let node_voltage idx x n =
 
 type stimulus = (string * (float -> float)) list
 
-let volt idx x n = node_voltage idx x n
+let mismatch ?node detail = engine_error ~analysis:"mna" ?node detail
 
-(* Accumulate [v] into residual slot for node [n] (ground rows are
-   dropped). *)
-let add_residual idx f n v =
-  match node_id idx n with None -> () | Some i -> f.(i) <- f.(i) +. v
+(* Pair every netlist element with its resolved unknowns, in order.  The
+   index may serve another netlist than the one it was built from (a
+   relaxed candidate with new element values), but only one with the
+   same elements: a count or name that differs raises, and so does a
+   kind ([f]'s catch-all case). *)
+let iter_resolved idx netlist f =
+  let n = Array.length idx.resolved in
+  let k =
+    List.fold_left
+      (fun k e ->
+        let name = N.element_name e in
+        if k >= n then
+          mismatch ~node:name
+            (Printf.sprintf "netlist has more elements than its index (%d)" n);
+        let expected, t = idx.resolved.(k) in
+        if not (String.equal name expected) then
+          mismatch ~node:name
+            (Printf.sprintf "element %d does not match its index (expected %s)"
+               k expected);
+        f e t;
+        k + 1)
+      0 (N.elements netlist)
+  in
+  if k <> n then
+    mismatch (Printf.sprintf "netlist has %d elements, its index %d" k n)
+
+let kind_mismatch e =
+  mismatch ~node:(N.element_name e) "element kind differs from its index"
+
+let volt x i = if i < 0 then 0. else x.(i)
+
+(* Accumulate [v] into residual slot [i] (ground rows are dropped). *)
+let add_residual f i v = if i >= 0 then f.(i) <- f.(i) +. v
 
 let source_value ~time ~stimulus ~name ~dc =
   match stimulus with
@@ -72,22 +130,6 @@ let source_value ~time ~stimulus ~name ~dc =
     match List.assoc_opt name list with
     | Some wave -> wave time
     | None -> dc)
-
-(* Finite-difference partial derivatives of the drain current with
-   respect to the four terminal voltages.  Differencing the same function
-   the residual uses guarantees a consistent Jacobian. *)
-let mos_partials card geom ~vd ~vg ~vs ~vb =
-  let id vd vg vs vb =
-    Mos.drain_current card geom ~vgs:(vg -. vs) ~vds:(vd -. vs)
-      ~vsb:(vs -. vb)
-  in
-  let i0 = id vd vg vs vb in
-  let h = 1e-6 in
-  let gd = (id (vd +. h) vg vs vb -. id (vd -. h) vg vs vb) /. (2. *. h) in
-  let gg = (id vd (vg +. h) vs vb -. id vd (vg -. h) vs vb) /. (2. *. h) in
-  let gs = (id vd vg (vs +. h) vb -. id vd vg (vs -. h) vb) /. (2. *. h) in
-  let gb = (id vd vg vs (vb +. h) -. id vd vg vs (vb -. h)) /. (2. *. h) in
-  (i0, gd, gg, gs, gb)
 
 (* Stamping core, parameterised on the Jacobian sink: the dense form
    passes [Rmat.add_to], the sparse engine a slot-cursor writer, and the
@@ -99,85 +141,74 @@ let mos_partials card geom ~vd ~vg ~vs ~vb =
    number of numeric evaluations. *)
 let stamp_core ~gmin ~source_scale ~time ~stimulus netlist idx x
     ~(add : int -> int -> float -> unit) f =
-  let add_jac row col v =
-    match (node_id idx row, node_id idx col) with
-    | Some r, Some c -> add r c v
-    | _ -> ()
-  in
-  let add_jac_row_unknown row col_unknown v =
-    match node_id idx row with Some r -> add r col_unknown v | None -> ()
-  in
-  let add_jac_unknown_col row_unknown col v =
-    match node_id idx col with Some c -> add row_unknown c v | None -> ()
-  in
+  let add_jac r c v = if r >= 0 && c >= 0 then add r c v in
   (* gmin from every node to ground. *)
   for i = 0 to idx.n_nodes - 1 do
     f.(i) <- f.(i) +. (gmin *. x.(i));
     add i i gmin
   done;
   let conductance_stamp a b g =
-    let va = volt idx x a and vb = volt idx x b in
-    let i = g *. (va -. vb) in
-    add_residual idx f a i;
-    add_residual idx f b (-.i);
+    let i = g *. (volt x a -. volt x b) in
+    add_residual f a i;
+    add_residual f b (-.i);
     add_jac a a g;
     add_jac a b (-.g);
     add_jac b a (-.g);
     add_jac b b g
   in
-  List.iter
-    (fun e ->
-      match e with
-      | N.Resistor { a; b; r; _ } -> conductance_stamp a b (1. /. r)
-      | N.Capacitor _ -> () (* open in DC; transient adds companions *)
-      | N.Switch { a; b; ctrl; ron; roff; vthreshold; _ } ->
-        let g =
-          if volt idx x ctrl > vthreshold then 1. /. ron else 1. /. roff
-        in
+  (* Branch current [br] leaves [p] and enters [n]. *)
+  let branch_stamp p nn br =
+    let ibr = x.(br) in
+    add_residual f p ibr;
+    add_residual f nn (-.ibr);
+    add_jac p br 1.;
+    add_jac nn br (-1.);
+    add_jac br p 1.;
+    add_jac br nn (-1.)
+  in
+  iter_resolved idx netlist (fun e t ->
+      match (e, t) with
+      | N.Resistor { r; _ }, T_resistor { a; b } ->
+        conductance_stamp a b (1. /. r)
+      | N.Capacitor _, T_capacitor _ ->
+        () (* open in DC; transient adds companions *)
+      | N.Switch { ron; roff; vthreshold; _ }, T_switch { a; b; ctrl } ->
+        let g = if volt x ctrl > vthreshold then 1. /. ron else 1. /. roff in
         conductance_stamp a b g
-      | N.Isource { name; p; n = nn; dc; _ } ->
+      | N.Isource { name; dc; _ }, T_isource { p; n = nn } ->
         let value = source_scale *. source_value ~time ~stimulus ~name ~dc in
         (* Current flows from p through the source to n: leaves p. *)
-        add_residual idx f p value;
-        add_residual idx f nn (-.value)
-      | N.Vsource { name; p; n = nn; dc; _ } ->
+        add_residual f p value;
+        add_residual f nn (-.value)
+      | N.Vsource { name; dc; _ }, T_vsource { p; n = nn; br } ->
         let value = source_scale *. source_value ~time ~stimulus ~name ~dc in
-        let br = branch_id_exn idx ~analysis:"mna" name in
-        let ibr = x.(br) in
-        add_residual idx f p ibr;
-        add_residual idx f nn (-.ibr);
-        add_jac_row_unknown p br 1.;
-        add_jac_row_unknown nn br (-1.);
-        f.(br) <- volt idx x p -. volt idx x nn -. value;
-        add_jac_unknown_col br p 1.;
-        add_jac_unknown_col br nn (-1.)
-      | N.Vcvs { name; p; n = nn; cp; cn; gain } ->
-        let br = branch_id_exn idx ~analysis:"mna" name in
-        let ibr = x.(br) in
-        add_residual idx f p ibr;
-        add_residual idx f nn (-.ibr);
-        add_jac_row_unknown p br 1.;
-        add_jac_row_unknown nn br (-1.);
+        branch_stamp p nn br;
+        f.(br) <- volt x p -. volt x nn -. value
+      | N.Vcvs { gain; _ }, T_vcvs { p; n = nn; cp; cn; br } ->
+        branch_stamp p nn br;
         f.(br) <-
-          volt idx x p -. volt idx x nn
-          -. (gain *. (volt idx x cp -. volt idx x cn));
-        add_jac_unknown_col br p 1.;
-        add_jac_unknown_col br nn (-1.);
-        add_jac_unknown_col br cp (-.gain);
-        add_jac_unknown_col br cn gain
-      | N.Mosfet { card; d; g; s; b; geom; m; _ } ->
+          volt x p -. volt x nn -. (gain *. (volt x cp -. volt x cn));
+        add_jac br cp (-.gain);
+        add_jac br cn gain
+      | N.Mosfet { card; geom; m; _ }, T_mosfet { d; g; s; b } ->
         (* M= parallel devices behave as one device of width m·W under
            the width-proportional current and capacitance models. *)
         let geom = { geom with Mos.w = geom.Mos.w *. m } in
-        let vd = volt idx x d
-        and vg = volt idx x g
-        and vs = volt idx x s
-        and vb = volt idx x b in
-        let i0, gd, gg, gs, gb = mos_partials card geom ~vd ~vg ~vs ~vb in
-        (* Drain current i0 enters the drain terminal: leaves node d,
+        let vs = volt x s in
+        let e =
+          Mos.evaluate card geom ~vgs:(volt x g -. vs) ~vds:(volt x d -. vs)
+            ~vsb:(vs -. volt x b)
+        in
+        (* Terminal conductances: vgs, vds and vsb all move with the
+           source, so its entry balances the other three. *)
+        let gd = e.Mos.di_dvds
+        and gg = e.Mos.di_dvgs
+        and gb = -.e.Mos.di_dvsb in
+        let gs = -.(gd +. gg +. gb) in
+        (* Drain current enters the drain terminal: leaves node d,
            re-enters the circuit at the source node. *)
-        add_residual idx f d i0;
-        add_residual idx f s (-.i0);
+        add_residual f d e.Mos.ids;
+        add_residual f s (-.e.Mos.ids);
         add_jac d d gd;
         add_jac d g gg;
         add_jac d s gs;
@@ -185,8 +216,11 @@ let stamp_core ~gmin ~source_scale ~time ~stimulus netlist idx x
         add_jac s d (-.gd);
         add_jac s g (-.gg);
         add_jac s s (-.gs);
-        add_jac s b (-.gb))
-    (N.elements netlist)
+        add_jac s b (-.gb)
+      | ( ( N.Resistor _ | N.Capacitor _ | N.Switch _ | N.Isource _
+          | N.Vsource _ | N.Vcvs _ | N.Mosfet _ ),
+          _ ) ->
+        kind_mismatch e)
 
 let residual_jacobian ?(gmin = 1e-12) ?(time = 0.) ?(stimulus = []) netlist
     idx x =
@@ -200,41 +234,41 @@ let residual_jacobian ?(gmin = 1e-12) ?(time = 0.) ?(stimulus = []) netlist
 
 (* Capacitance stamping core, same sink parameterisation. *)
 let caps_core netlist idx x ~(add : int -> int -> float -> unit) =
-  let add_jac row col v =
-    match (node_id idx row, node_id idx col) with
-    | Some r, Some c -> add r c v
-    | _ -> ()
-  in
+  let add_jac r c v = if r >= 0 && c >= 0 then add r c v in
   let cap_stamp a b value =
     add_jac a a value;
     add_jac a b (-.value);
     add_jac b a (-.value);
     add_jac b b value
   in
-  List.iter
-    (fun e ->
-      match e with
-      | N.Capacitor { a; b; c = value; _ } -> cap_stamp a b value
-      | N.Mosfet { card; d; g; s; b; geom; m; _ } ->
+  iter_resolved idx netlist (fun e t ->
+      match (e, t) with
+      | N.Capacitor { c = value; _ }, T_capacitor { a; b } ->
+        cap_stamp a b value
+      | N.Mosfet { card; geom; m; _ }, T_mosfet { d; g; s; b } ->
         (* M= parallel devices behave as one device of width m·W under
            the width-proportional current and capacitance models. *)
         let geom = { geom with Mos.w = geom.Mos.w *. m } in
-        let vd = volt idx x d
-        and vg = volt idx x g
-        and vs = volt idx x s
-        and vb = volt idx x b in
+        let vs = volt x s in
         let ss =
-          Mos.small_signal card geom ~vgs:(vg -. vs) ~vds:(vd -. vs)
-            ~vsb:(vs -. vb)
+          Mos.small_signal card geom ~vgs:(volt x g -. vs)
+            ~vds:(volt x d -. vs) ~vsb:(vs -. volt x b)
         in
         cap_stamp g s ss.Mos.cgs;
         cap_stamp g d ss.Mos.cgd;
         cap_stamp g b ss.Mos.cgb;
         cap_stamp d b ss.Mos.cdb;
         cap_stamp s b ss.Mos.csb
-      | N.Resistor _ | N.Vsource _ | N.Isource _ | N.Vcvs _ | N.Switch _ ->
-        ())
-    (N.elements netlist)
+      | N.Resistor _, T_resistor _
+      | N.Vsource _, T_vsource _
+      | N.Isource _, T_isource _
+      | N.Vcvs _, T_vcvs _
+      | N.Switch _, T_switch _ ->
+        ()
+      | ( ( N.Resistor _ | N.Capacitor _ | N.Switch _ | N.Isource _
+          | N.Vsource _ | N.Vcvs _ | N.Mosfet _ ),
+          _ ) ->
+        kind_mismatch e)
 
 let stamp_capacitances netlist idx x =
   let n = idx.total in
@@ -252,7 +286,8 @@ module Sp = Ape_util.Sparse
    over one shared sparsity pattern (the union of Jacobian and
    capacitance stamps, so one symbolic factorisation serves DC, AC and
    transient).  Built once per (netlist, index); every numeric pass is
-   then a cursor replay with no hash lookups. *)
+   then a cursor replay over the index's resolved unknowns, with no
+   hash or binary-search lookups. *)
 type plan = {
   p_pattern : Sp.pattern;
   p_jac : int array;  (* slot of the k-th Jacobian [add] call *)
@@ -345,10 +380,10 @@ let mosfet_small_signal netlist idx x =
       match e with
       | N.Mosfet { name; card; d; g; s; b; geom; m; _ } ->
         let geom = { geom with Mos.w = geom.Mos.w *. m } in
-        let vd = volt idx x d
-        and vg = volt idx x g
-        and vs = volt idx x s
-        and vb = volt idx x b in
+        let vd = node_voltage idx x d
+        and vg = node_voltage idx x g
+        and vs = node_voltage idx x s
+        and vb = node_voltage idx x b in
         Some
           ( name,
             Mos.small_signal card geom ~vgs:(vg -. vs) ~vds:(vd -. vs)

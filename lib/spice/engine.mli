@@ -2,6 +2,12 @@
     residual/Jacobian evaluation and linear C-matrix stamping.  The DC, AC,
     transient and AWE analyses are all thin layers over this module.
 
+    The {!index} resolves every element's terminals and branch unknown
+    to integers once; stamps then read element values from the netlist
+    and positions from the index, never looking a name up.  Each
+    MOSFET is one {!Ape_device.Mos.evaluate} per stamp: the Jacobian
+    entries are its exact partials, the capacitances its region's.
+
     Stamps come in two forms.  The dense {!residual_jacobian} and
     {!stamp_capacitances} serve AWE, the relaxed-KCL penalty and the
     test suite's dense reference.  The DC, AC, transient and noise
@@ -23,7 +29,11 @@ val engine_error : analysis:string -> ?node:string -> string -> 'a
 
 val build_index : Ape_circuit.Netlist.t -> index
 (** Unknown layout: node voltages first (non-ground nodes in sorted
-    order), then one branch current per V-source and VCVS. *)
+    order), then one branch current per V-source and VCVS.  Every stamp
+    below takes a netlist and an index: the netlist may differ from the
+    one the index was built from in element values only (a relaxed
+    synthesis candidate).  One whose elements differ in number, name or
+    kind raises {!Engine_error} with analysis ["mna"]. *)
 
 val size : index -> int
 val n_nodes : index -> int
@@ -73,10 +83,10 @@ type plan
 (** A precompiled sparse stamp plan: the union sparsity pattern of the
     Jacobian and capacitance stamps plus the slot sequence of every
     [add] call.  Built once per (netlist, index); numeric passes replay
-    the deterministic stamp sequence through a cursor with no hash or
-    binary-search lookups.  The stamp sequence is independent of [x],
-    [gmin], [source_scale], [time] and [stimulus], which is what makes
-    the replay valid. *)
+    the deterministic stamp sequence through a cursor over the index's
+    resolved unknowns, with no hash or binary-search lookups.  The stamp
+    sequence is independent of [x], [gmin], [source_scale], [time] and
+    [stimulus], which is what makes the replay valid. *)
 
 val plan : Ape_circuit.Netlist.t -> index -> plan
 

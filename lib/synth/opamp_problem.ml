@@ -265,12 +265,16 @@ let build ?cache ?cache_quantum ?(cache_capacity = 8192) ?calibration
     let sizes, nodes = split point in
     let nl = Template.instantiate template sizes in
     let x = Relax.x_engine relax nodes in
-    let kcl = Relax.kcl_penalty relax nl x in
+    (* One stamp of f and G feeds both the KCL penalty and AWE. *)
+    let stamp = Relax.stamp relax nl x in
+    let kcl = Relax.kcl_penalty relax stamp in
     (* AWE at the relaxed point (OBLX's evaluation): DC transfer and a
        2-pole unity-gain estimate, one LU of G. *)
     let fake_op = Relax.fake_op relax nl x in
     let measurement =
-      match Ape_spice.Awe.pade ~q:2 ~out:"out" fake_op with
+      match
+        Ape_spice.Awe.pade ~q:2 ~g:stamp.Relax.g ~out:"out" fake_op
+      with
       | exception Ape_spice.Awe.Moment_failure _ -> None
       | approx ->
         let gain = Float.abs approx.Ape_spice.Awe.dc_value in

@@ -86,13 +86,16 @@ let centers_unit t =
       else Ape_util.Float_ext.clamp ~lo:0. ~hi:1. ((c -. I.lo r) /. I.width r))
     t.node_centers
 
-let kcl_penalty t netlist x =
-  let f, j =
-    Ape_spice.Engine.residual_jacobian ~gmin:1e-12 netlist t.index x
-  in
+type stamp = { f : float array; g : Rmat.t }
+
+let stamp t netlist x =
+  let f, g = Ape_spice.Engine.residual_jacobian ~gmin:1e-12 netlist t.index x in
+  { f; g }
+
+let kcl_penalty t { f; g } =
   List.fold_left
     (fun acc i ->
-      let gii = Float.abs (Rmat.get j i i) in
+      let gii = Float.abs (Rmat.get g i i) in
       acc +. (Float.abs f.(i) /. Float.max 1e-9 gii))
     0. t.free_row_ids
   /. float_of_int (max 1 (n_free t))

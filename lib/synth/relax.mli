@@ -32,7 +32,19 @@ val centers_unit : t -> float array
 (** The unit-cube coordinates of the node centres (the starting point
     for [`Centered] runs). *)
 
-val kcl_penalty : t -> Ape_circuit.Netlist.t -> float array -> float
+type stamp = {
+  f : float array;  (** KCL/branch residual at the relaxed point *)
+  g : Ape_util.Matrix.Rmat.t;
+      (** its Jacobian: the conductance matrix AWE factors *)
+}
+
+val stamp : t -> Ape_circuit.Netlist.t -> float array -> stamp
+(** One stamp of a candidate netlist at an engine state vector, through
+    the problem's index (the candidate must have the base netlist's
+    elements, in order).  The relaxed cost reads it twice: the KCL
+    penalty and AWE's moments. *)
+
+val kcl_penalty : t -> stamp -> float
 (** Voltage-equivalent KCL violation at the relaxed point: mean over
     free nodes of |f_i|/g_ii, normalised to 50 mV — 0 when Kirchhoff's
     laws hold, ~1 when nodes are tens of millivolts inconsistent. *)
@@ -42,4 +54,7 @@ val node_voltage : t -> float array -> Ape_circuit.Netlist.node -> float
 
 val fake_op : t -> Ape_circuit.Netlist.t -> float array -> Ape_spice.Dc.op
 (** A {!Ape_spice.Dc.op} at the relaxed point (not a solved operating
-    point!) for AWE/AC evaluation of the candidate. *)
+    point!) for AWE/AC evaluation of the candidate.  It pairs the
+    candidate with the base netlist's index, so the candidate must keep
+    the base's elements in order (a mismatch raises
+    {!Ape_spice.Engine.Engine_error} when stamped). *)

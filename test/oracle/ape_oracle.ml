@@ -1,10 +1,12 @@
-(* Dense reference implementations of the simulator's analyses, for the
-   differential suites.  Everything here re-stamps the netlist through
-   [Engine.residual_jacobian]/[stamp_capacitances] and solves with the
-   dense [Matrix] LU, so it shares no assembly, ordering or
-   factorisation code with the sparse engine it checks. *)
+(* Reference implementations for the differential suites: the MOS
+   model's partials by finite differences, and dense versions of the
+   simulator's analyses.  The analyses re-stamp the netlist through
+   [Engine.residual_jacobian]/[stamp_capacitances] and solve with the
+   dense [Matrix] LU, so they share no assembly, ordering or
+   factorisation code with the sparse engine they check. *)
 
 module N = Ape_circuit.Netlist
+module Mos = Ape_device.Mos
 module Dc = Ape_spice.Dc
 module Engine = Ape_spice.Engine
 module Rmat = Ape_util.Matrix.Rmat
@@ -12,6 +14,16 @@ module Cmat = Ape_util.Matrix.Cmat
 
 let max_norm a =
   Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0. a
+
+(* Central finite differences of [Mos.drain_current] in (vgs, vds, vsb)
+   with step [h]: the reference for [Mos.evaluate]'s analytic
+   partials. *)
+let mos_partials ?(h = 1e-6) card geom ~vgs ~vds ~vsb =
+  let i vgs vds vsb = Mos.drain_current card geom ~vgs ~vds ~vsb in
+  let d f = (f h -. f (-.h)) /. (2. *. h) in
+  ( d (fun e -> i (vgs +. e) vds vsb),
+    d (fun e -> i vgs (vds +. e) vsb),
+    d (fun e -> i vgs vds (vsb +. e)) )
 
 (* One dense Newton step J dx = -F from the operating point's solution.
    At a converged point it must vanish to solver tolerance. *)

@@ -120,38 +120,6 @@ let test_golden_drift_detection () =
     (List.length
        (C.Golden.compare_rows ~golden:[ List.hd golden ] (sample_rows ())))
 
-(* ---------- per-attribute golden tolerances ---------- *)
-
-let test_golden_rtol_table () =
-  (* The registry replaces the old hard-coded "cmrr" string match: the
-     table entry must widen the comparison, everything else keeps the
-     caller's rtol, and the wider of the two always wins. *)
-  Alcotest.(check (float 0.)) "cmrr widened" 1e-3
-    (C.Tolerance.golden_rtol ~rtol:1e-6 "cmrr");
-  Alcotest.(check (float 0.)) "unlisted attr untouched" 1e-6
-    (C.Tolerance.golden_rtol ~rtol:1e-6 "gain");
-  Alcotest.(check (float 0.)) "caller rtol can exceed the table" 1e-2
-    (C.Tolerance.golden_rtol ~rtol:1e-2 "cmrr");
-  C.Tolerance.register_golden_rtol ~attr:"test_attr_xyz" 5e-4;
-  Alcotest.(check (float 0.)) "registered attr widened" 5e-4
-    (C.Tolerance.golden_rtol ~rtol:1e-6 "test_attr_xyz");
-  (* End to end: a cmrr estimate drifting 5e-4 is inside the table
-     tolerance; the same drift on gain is flagged. *)
-  let gate = C.Tolerance.Rel 0.5 in
-  let mk attr est = row ~case:"A" ~attr ~gate (Some est) (Some 100.) in
-  let golden_rows attr = [ mk attr 100. ] in
-  let dir = tmp_dir () in
-  List.iter
-    (fun (attr, expected_drifts) ->
-      C.Golden.save ~dir C.Tolerance.Basic (golden_rows attr);
-      let golden = Option.get (C.Golden.load ~dir C.Tolerance.Basic) in
-      let fresh = [ mk attr (100. *. (1. +. 5e-4)) ] in
-      Alcotest.(check int)
-        (attr ^ " drift count")
-        expected_drifts
-        (List.length (C.Golden.compare_rows ~golden fresh)))
-    [ ("cmrr", 0); ("gain", 1) ]
-
 (* ---------- frozen calibrated-vs-raw error table ---------- *)
 
 let test_calibrated_errors_frozen () =
@@ -348,8 +316,6 @@ let () =
             test_golden_save_load;
           Alcotest.test_case "drift detection" `Quick
             test_golden_drift_detection;
-          Alcotest.test_case "per-attribute rtol table" `Quick
-            test_golden_rtol_table;
         ] );
       ( "errors",
         [

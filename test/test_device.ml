@@ -112,6 +112,117 @@ let test_small_signal_consistency () =
   Alcotest.(check bool) "caps positive" true
     (ss.Mos.cgs > 0. && ss.Mos.cgd > 0. && ss.Mos.cdb > 0.)
 
+(* ---------- analytic partials ---------- *)
+
+(* One device configuration per draw, chosen by category so that every
+   combination of level, polarity, conduction direction, region and
+   body-effect clamp is exercised: [region] and [clamp] place the frame
+   voltages (NMOS frame, before any source/drain exchange), [swapped]
+   reverses vds, and the physical voltages are the frame's times the
+   polarity. *)
+type device_case = {
+  card : Card.t;
+  geom : Mos.geom;
+  vgs : float;
+  vds : float;
+  vsb : float;
+  region : Mos.region;
+}
+
+let gen_device_case =
+  let open QCheck.Gen in
+  let* level = oneofl [ Card.Level1; Card.Level2; Card.Level3; Card.Bsim1 ] in
+  let* base = oneofl [ nmos; pmos ] in
+  let* region = oneofl [ Mos.Cutoff; Mos.Triode; Mos.Saturation ] in
+  let* swapped = bool in
+  let* clamp = bool in
+  let* w = float_range 2e-6 200e-6 in
+  let* l = float_range 1.2e-6 12e-6 in
+  let* fvsb =
+    if clamp then float_range (-1.0) (-0.61) else float_range 0. 3.
+  in
+  let* vov, ds =
+    match region with
+    | Mos.Cutoff -> pair (float_range (-0.5) 0.) (float_range 0.01 3.)
+    | Mos.Triode -> pair (float_range 0.3 2.) (float_range 0.05 0.9)
+    | Mos.Saturation -> pair (float_range 0.3 2.) (float_range 1.1 3.)
+  in
+  let card = Card.with_level level base in
+  let p = Card.polarity card in
+  let fvgs = Card.vth card ~vsb:fvsb +. vov in
+  (* Triode and saturation scale vds by the smoothed overdrive so the
+     region is the drawn one. *)
+  let fvds =
+    match region with
+    | Mos.Cutoff -> ds
+    | Mos.Triode | Mos.Saturation ->
+      let s = 2. *. 1.2 *. 0.02585 in
+      ds *. s *. Float.log1p (Float.exp (vov /. s))
+  in
+  let fvds = if swapped then -.fvds else fvds in
+  return
+    {
+      card;
+      geom = Mos.geom ~w ~l;
+      vgs = p *. fvgs;
+      vds = p *. fvds;
+      vsb = p *. fvsb;
+      region;
+    }
+
+let print_device_case c =
+  Printf.sprintf "%s level %s W=%g L=%g vgs=%.17g vds=%.17g vsb=%.17g"
+    c.card.Card.name
+    (match c.card.Card.level with
+    | Card.Level1 -> "1"
+    | Card.Level2 -> "2"
+    | Card.Level3 -> "3"
+    | Card.Bsim1 -> "BSIM1")
+    c.geom.Mos.w c.geom.Mos.l c.vgs c.vds c.vsb
+
+let arb_device_case = QCheck.make ~print:print_device_case gen_device_case
+
+let evaluate c = Mos.evaluate c.card c.geom ~vgs:c.vgs ~vds:c.vds ~vsb:c.vsb
+
+(* The analytic partials against central differences at h = 1e-6 (the
+   step the engine used to stamp): every partial within 1e-6 of the
+   device's total conductance |∂vgs| + |∂vds| + |∂vsb|.  Over 2 million
+   random points the worst case is 1.6e-7, next to the body-effect
+   clamp where sqrt(phi + vsb) curves hardest.  Points whose evaluated
+   frame sits within 4h of the clamp's kink are skipped: there the
+   difference quotient straddles a slope discontinuity. *)
+let prop_partials_match_finite_differences =
+  QCheck.Test.make ~name:"analytic partials = finite differences"
+    ~count:4000 arb_device_case (fun c ->
+      let h = 1e-6 in
+      let p = Card.polarity c.card in
+      let fvds = p *. c.vds and fvsb = p *. c.vsb in
+      let frame_vsb = if fvds >= 0. then fvsb else fvsb +. fvds in
+      QCheck.assume
+        (Float.abs (c.card.Card.phi +. frame_vsb -. 1e-3) > 4. *. h);
+      let e = evaluate c in
+      let gm, gds, gsb =
+        Ape_oracle.mos_partials ~h c.card c.geom ~vgs:c.vgs ~vds:c.vds
+          ~vsb:c.vsb
+      in
+      let scale =
+        Float.abs e.Mos.di_dvgs +. Float.abs e.Mos.di_dvds
+        +. Float.abs e.Mos.di_dvsb
+      in
+      let close fd a = Float.abs (fd -. a) <= 1e-6 *. scale in
+      e.Mos.region = c.region
+      && close gm e.Mos.di_dvgs
+      && close gds e.Mos.di_dvds
+      && close gsb e.Mos.di_dvsb)
+
+let prop_evaluation_current_is_drain_current =
+  QCheck.Test.make ~name:"evaluation current bitwise = drain_current"
+    ~count:1000 arb_device_case (fun c ->
+      Int64.equal
+        (Int64.bits_of_float (evaluate c).Mos.ids)
+        (Int64.bits_of_float
+           (Mos.drain_current c.card c.geom ~vgs:c.vgs ~vds:c.vds ~vsb:c.vsb)))
+
 let test_est_vs_sim_gm () =
   (* Paper Eq.(2) vs the smooth model at a healthy overdrive: within
      15 %. *)
@@ -241,6 +352,11 @@ let () =
           Alcotest.test_case "est vs sim gm" `Quick test_est_vs_sim_gm;
           Alcotest.test_case "paper equations" `Quick test_est_equations;
         ] );
+      qsuite "evaluation-properties"
+        [
+          prop_partials_match_finite_differences;
+          prop_evaluation_current_is_drain_current;
+        ];
       ( "sizing",
         [
           Alcotest.test_case "current roundtrip" `Quick

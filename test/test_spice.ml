@@ -481,6 +481,70 @@ let test_engine_error_missing_branch () =
     Alcotest.(check (option string)) "node" (Some "VNOPE") node;
     Alcotest.(check bool) "detail non-empty" true (String.length detail > 0)
 
+(* An index serves only netlists with its own elements, in its order:
+   new element values are fine (a relaxed candidate), but an extra, a
+   missing, a renamed or a re-kinded element raises through every stamp
+   sink (dense, plan recorder, sparse replay). *)
+let test_engine_error_index_mismatch () =
+  let module Engine = Ape_spice.Engine in
+  let b = B.create ~title:"csamp" in
+  B.vsource b ~p:"vdd" ~n:"0" 5.;
+  B.vsource b ~p:"in" ~n:"0" ~ac:1. 1.2;
+  B.nmos b proc ~d:"out" ~g:"in" ~s:"0" ~w:20e-6 ~l:2.4e-6;
+  B.resistor b ~a:"vdd" ~b:"out" 47e3;
+  B.capacitor b ~a:"out" ~b:"0" 1e-12;
+  let nl = B.finish b in
+  let index = Engine.build_index nl in
+  let x =
+    Array.init (Engine.size index) (fun i -> 0.5 *. float_of_int (i + 1))
+  in
+  let map f = { nl with N.elements = List.map f (N.elements nl) } in
+  let revalued =
+    map (function
+      | N.Resistor r -> N.Resistor { r with r = 2. *. r.r }
+      | e -> e)
+  in
+  let f_base, _ = Engine.residual_jacobian nl index x in
+  let f_new, _ = Engine.residual_jacobian revalued index x in
+  Alcotest.(check bool) "new element values stamp" true (f_base <> f_new);
+  let variants =
+    [
+      ( "extra element",
+        N.append nl
+          [ N.Resistor { name = "RX"; a = "out"; b = N.ground; r = 1e3 } ] );
+      ("missing element", { nl with N.elements = List.tl (N.elements nl) });
+      ( "renamed element",
+        map (function
+          | N.Resistor r -> N.Resistor { r with name = "RRENAMED" }
+          | e -> e) );
+      ( "changed kind",
+        map (function
+          | N.Resistor { name; a; b; _ } ->
+            N.Capacitor { name; a; b; c = 1e-12 }
+          | e -> e) );
+    ]
+  in
+  let plan = Engine.plan nl index in
+  let vals = Ape_util.Sparse.Real.create (Engine.plan_pattern plan) in
+  List.iter
+    (fun (what, bad) ->
+      let refused sink stamp =
+        match stamp () with
+        | () -> Alcotest.fail (Printf.sprintf "%s: %s accepted" what sink)
+        | exception Engine.Engine_error { analysis; _ } ->
+          Alcotest.(check string) (what ^ ", " ^ sink) "mna" analysis
+      in
+      refused "dense residual" (fun () ->
+          ignore (Engine.residual_jacobian bad index x));
+      refused "dense capacitances" (fun () ->
+          ignore (Engine.stamp_capacitances bad index x));
+      refused "plan recorder" (fun () -> ignore (Engine.plan bad index));
+      refused "sparse residual" (fun () ->
+          ignore (Engine.sparse_residual plan bad index x vals));
+      refused "sparse capacitances" (fun () ->
+          Engine.sparse_capacitances plan bad index x vals))
+    variants
+
 let test_no_convergence_is_typed () =
   (* A MOSFET bench given one Newton iteration cannot converge; the
      failure must surface as No_convergence naming the netlist. *)
@@ -797,7 +861,7 @@ let test_prepared_sweep_jobs_identical () =
         true (same_solution a b))
     seq.Ac.points par.Ac.points
 
-(* A MOSFET circuit exercises the finite-difference Jacobian inside the
+(* A MOSFET circuit exercises the device Jacobian inside the
    preparation; random frequencies cover the assembly at arbitrary ω. *)
 let mos_amp_op () =
   let b = B.create ~title:"csamp" in
@@ -1088,6 +1152,8 @@ let () =
         [
           Alcotest.test_case "missing branch is typed" `Quick
             test_engine_error_missing_branch;
+          Alcotest.test_case "index mismatch is typed" `Quick
+            test_engine_error_index_mismatch;
           Alcotest.test_case "no-convergence is typed" `Quick
             test_no_convergence_is_typed;
         ] );

@@ -357,7 +357,8 @@ let test_relax_centered_zero_penalty () =
   (* `Centered` seeds the unknowns from a true DC solve, so Kirchhoff
      holds exactly at the centre point. *)
   let pen =
-    S.Relax.kcl_penalty t nl (S.Relax.x_engine t (S.Relax.centers_unit t))
+    S.Relax.kcl_penalty t
+      (S.Relax.stamp t nl (S.Relax.x_engine t (S.Relax.centers_unit t)))
   in
   Alcotest.(check bool)
     (Printf.sprintf "penalty ~0 at the DC solution (got %g)" pen)
@@ -391,6 +392,62 @@ let test_relax_fake_op_reads_back () =
     (S.Relax.node_voltage t (S.Relax.x_engine t u) "mid")
     (Ape_spice.Dc.voltage op "mid")
 
+(* The relaxed opamp cost stamps f and G once and reads them twice.
+   Both readings must equal, bit for bit, what separately stamped
+   matrices give: the KCL penalty over a fresh [residual_jacobian] and
+   AWE stamping its own G. *)
+let test_relax_shared_stamp_bitwise () =
+  let module Awe = Ape_spice.Awe in
+  let row = row_with_budget () in
+  let design = S.Opamp_problem.ape_design proc row in
+  let problem =
+    S.Opamp_problem.build proc ~mode:S.Opamp_problem.Wide row design
+  in
+  let rng = Ape_util.Rng.create 5 in
+  let draw n = Array.init n (fun _ -> Ape_util.Rng.uniform rng 0. 1.) in
+  let candidate () =
+    fst (problem.S.Opamp_problem.final (draw problem.S.Opamp_problem.dim))
+  in
+  let relax =
+    S.Relax.create ~mode:`Wide ~vdd:proc.Ape_process.Process.vdd (candidate ())
+  in
+  let bits = Int64.bits_of_float in
+  let same_floats a b = List.equal (fun x y -> bits x = bits y) a b in
+  let complex_parts l =
+    List.concat_map (fun (c : Complex.t) -> [ c.Complex.re; c.Complex.im ]) l
+  in
+  let approx_floats (a : Awe.approximant) =
+    (a.Awe.dc_value :: Array.to_list a.Awe.moments)
+    @ complex_parts a.Awe.poles @ complex_parts a.Awe.residues
+  in
+  let fitted = ref 0 in
+  for k = 1 to 6 do
+    let nl = candidate () in
+    let x = S.Relax.x_engine relax (draw (S.Relax.n_free relax)) in
+    let op = S.Relax.fake_op relax nl x in
+    let shared = S.Relax.stamp relax nl x in
+    let f, g =
+      Ape_spice.Engine.residual_jacobian ~gmin:1e-12 nl op.Ape_spice.Dc.index x
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "candidate %d: kcl penalty bitwise" k)
+      true
+      (bits (S.Relax.kcl_penalty relax shared)
+      = bits (S.Relax.kcl_penalty relax { S.Relax.f; g }));
+    let pade g =
+      match Awe.pade ~q:2 ?g ~out:"out" op with
+      | a -> Some (approx_floats a)
+      | exception Awe.Moment_failure _ -> None
+    in
+    let shared_approx = pade (Some shared.S.Relax.g) in
+    if shared_approx <> None then incr fitted;
+    Alcotest.(check bool)
+      (Printf.sprintf "candidate %d: AWE approximant bitwise" k)
+      true
+      (Option.equal same_floats shared_approx (pade None))
+  done;
+  Alcotest.(check bool) "some candidates fit an approximant" true (!fitted > 0)
+
 let prop_relax_penalty_monotone =
   (* The divider is linear, so the KCL residual grows linearly along any
      ray from the (exact) centre: penalty(a*d) <= penalty(b*d) for
@@ -406,8 +463,8 @@ let prop_relax_penalty_monotone =
         S.Relax.x_engine t (Array.map (fun c -> c +. (s *. d)) centres)
       in
       let a = frac *. b in
-      let pa = S.Relax.kcl_penalty t nl (point a) in
-      let pb = S.Relax.kcl_penalty t nl (point b) in
+      let pa = S.Relax.kcl_penalty t (S.Relax.stamp t nl (point a)) in
+      let pb = S.Relax.kcl_penalty t (S.Relax.stamp t nl (point b)) in
       pa >= 0. && pa <= pb +. 1e-9)
 
 (* ---------- multi-chain search ---------- *)
@@ -632,6 +689,8 @@ let () =
             test_relax_wide_mapping;
           Alcotest.test_case "fake op reads back" `Quick
             test_relax_fake_op_reads_back;
+          Alcotest.test_case "shared stamp = separate stamps" `Quick
+            test_relax_shared_stamp_bitwise;
         ] );
       qsuite "relax-properties" [ prop_relax_penalty_monotone ];
       ( "module-problems",
