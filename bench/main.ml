@@ -164,10 +164,9 @@ let opamp_rows () =
           cl = 10e-12;
         }
       in
-      let ape = S.Opamp_problem.ape_design proc proto in
       {
         proto with
-        S.Opamp_problem.area = 1.3 *. ape.E.Opamp.perf.E.Perf.gate_area;
+        S.Opamp_problem.area = S.Opamp_problem.area_budget proc proto;
       })
     base
 

@@ -4,12 +4,12 @@
                 [--verify] [--netlist]
      ape module (lpf|bpf|sh|adc|dac|amp|comparator) [options] [--verify]
      ape synth --gain 200 --ugf 2meg [--mode standalone|ape] [--seed N]
-                [--chains 4 --jobs 4]
+                [--chains 4 --jobs 4] [--area 4n] [--calibration CARD]
                 [--cache-quantum 1e-2 --cache-capacity 8192]
                 [--mc-samples 200]
      ape mc opamp --gain 200 --ugf 2meg --samples 500 --jobs 4
                 [--level estimate|simulate] [--sigma-scale 1.5] [--hist gain]
-     ape sim FILE.sp [--out NODE] [--ac]
+     ape sim FILE.sp [--out NODE] [--deterministic]
      ape verify [--level device|basic|opamp|module]... [--golden DIR]
                 [--update] [--tsv] [--no-slew] [--no-golden]
                 [--calibration CARD]
@@ -20,11 +20,16 @@
                 [--out PATH]
      ape vase FILE.scm
 
+   opamp, synth, mc and sim turn their flags into a serve job
+   (Ape_serve.Job) and run it through Ape_serve.Runner, as `ape serve`
+   does; they print their text from the runner's result.
+
    Numbers accept SPICE suffixes (2meg, 10u, 4.7k). *)
 
 module E = Ape_estimator
 module S = Ape_synth
 module Mc = Ape_mc
+module Sv = Ape_serve
 let proc = Ape_process.Process.c12
 let pf = Printf.printf
 let eng = Ape_util.Units.to_eng
@@ -37,65 +42,48 @@ let number_conv =
   in
   Cmdliner.Arg.conv (parse, fun fmt v -> Format.fprintf fmt "%g" v)
 
-let positive_int_conv =
+(* Counts: a count out of range is a usage error (exit 124). *)
+let count_conv ~what ?(map = Fun.id) ok =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg ("not a positive integer: " ^ s))
+    | Some n when ok n -> Ok (map n)
+    | _ -> Error (`Msg (Printf.sprintf "not a %s integer: %s" what s))
   in
   Cmdliner.Arg.conv (parse, Format.pp_print_int)
 
-(* --jobs of every command: 0 means the hardware-recommended count, a
-   negative count is a usage error. *)
+let positive_int_conv = count_conv ~what:"positive" (fun n -> n >= 1)
+let non_negative_int_conv = count_conv ~what:"non-negative" (fun n -> n >= 0)
+
+(* --jobs of every command: 0 means the hardware-recommended count. *)
 let jobs_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some 0 -> Ok (Ape_util.Pool.recommended_jobs ())
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg ("not a non-negative integer: " ^ s))
-  in
-  Cmdliner.Arg.conv (parse, Format.pp_print_int)
+  count_conv ~what:"non-negative"
+    ~map:(function 0 -> Ape_util.Pool.recommended_jobs () | n -> n)
+    (fun n -> n >= 0)
 
 open Cmdliner
 
 (* ---------- shared infrastructure ---------- *)
 
-(* Exit-code discipline: every subcommand maps an internal engine
-   failure (MNA machinery error, Newton non-convergence, a numerically
-   singular deck) to a clean message and exit code 1, never a raw
-   backtrace or cmdliner's 125. *)
+(* Exit-code discipline: an exception in the runner's failure table
+   prints its message, exiting 1 for an engine failure and 3 for an
+   unreadable or malformed input (the README's exit-code table), never
+   a raw backtrace or cmdliner's 125. *)
 let guard f =
   try f () with
-  | Ape_spice.Engine.Engine_error { analysis; node; detail } ->
-    pf "engine error (%s%s): %s\n" analysis
-      (match node with Some n -> " at " ^ n | None -> "")
-      detail;
-    1
-  | Ape_spice.Dc.No_convergence msg ->
-    pf "no convergence: %s\n" msg;
-    1
-  | Ape_spice.Transient.Step_failed t ->
-    pf "transient step failed at t=%ss\n" (eng t);
-    1
-  | Ape_util.Matrix.Singular | Ape_util.Sparse.Singular ->
-    pf "singular system: the deck has no unique solution\n";
-    1
-  | Ape_estimator.Opamp.Infeasible msg ->
-    pf "infeasible: %s\n" msg;
-    1
-  (* Input-side failures get their own code (3): an unreadable job or
-     spool file, or a structurally broken job spec.  See the exit-code
-     table in the README. *)
-  | Sys_error msg ->
-    pf "%s\n" msg;
-    3
-  | Ape_util.Sexpr.Error { pos; msg } ->
-    pf "job spec %d:%d: %s\n" pos.Ape_util.Sexpr.line pos.Ape_util.Sexpr.col
-      msg;
-    3
-  | Ape_calib.Card.Parse_error { pos; msg } ->
-    pf "%s\n" (Ape_calib.Card.describe_error ~pos ~msg);
-    3
+  | e -> (
+    match Sv.Runner.failure e with
+    | None -> raise e
+    | Some (cls, msg) ->
+      print_string msg;
+      if not (String.ends_with ~suffix:"\n" msg) then print_char '\n';
+      (match cls with Sv.Runner.Engine -> 1 | Sv.Runner.Input -> 3))
+
+(* The CLI's job runs: one job built from the command's flags, through
+   a fresh runner. *)
+let execute ?cache_quantum ?cache_capacity ?jobs payload =
+  Sv.Runner.execute ?jobs
+    (Sv.Runner.create ?cache_quantum ?cache_capacity proc)
+    { Sv.Job.id = "cli"; timeout = None; payload }
 
 let trace_arg =
   Arg.(
@@ -174,30 +162,59 @@ let verify_arg =
 let netlist_arg =
   Arg.(value & flag & info [ "netlist" ] ~doc:"Print the elaborated SPICE netlist.")
 
-let topology buffer wilson cascode zout =
-  let bias =
-    if wilson then E.Bias.Wilson
-    else if cascode then E.Bias.Cascode
-    else E.Bias.Simple
+(* The opamp spec of opamp, synth and mc jobs. *)
+let opamp_spec =
+  let spec gain ugf ibias cl buffer zout wilson cascode =
+    let bias =
+      if wilson then E.Bias.Wilson
+      else if cascode then E.Bias.Cascode
+      else E.Bias.Simple
+    in
+    { Sv.Job.gain; ugf; ibias; cl; bias; zout; buffer }
   in
-  (buffer, bias, zout)
+  Term.(
+    const spec $ gain_arg $ ugf_arg $ ibias_arg $ cl_arg $ buffer_arg
+    $ zout_arg $ wilson_arg $ cascode_arg)
+
+(* --jobs of synth, mc and serve. *)
+let jobs_arg what =
+  Arg.(
+    value & opt jobs_conv 1
+    & info [ "jobs" ]
+        ~doc:
+          (what
+         ^ " (0 = the hardware-recommended count).  Fixed-seed results \
+            are identical for every value."))
+
+let cache_quantum_arg =
+  Arg.(
+    value & opt (some number_conv) None
+    & info [ "cache-quantum" ]
+        ~doc:
+          "Estimate-cache grid size on unit-cube coordinates (default \
+           1e-2).")
+
+let cache_capacity_arg =
+  Arg.(
+    value & opt (some positive_int_conv) None
+    & info [ "cache-capacity" ]
+        ~doc:"Estimate-cache entries per synthesis problem (default 8192).")
+
+(* FILE and GRID positionals are plain strings, not cmdliner's [file]:
+   an unreadable input is an input-side failure and must exit 3
+   through [guard], not cmdliner's 124. *)
+let file_arg ~doc =
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
 
 let print_perf label p = pf "%s: %s\n" label (Format.asprintf "%a" E.Perf.pp p)
 
 (* ---------- ape opamp ---------- *)
 
 let opamp_cmd =
-  let run gain ugf ibias cl buffer zout wilson cascode verify netlist =
-    let buffer, bias, zout = topology buffer wilson cascode zout in
-    match
-      E.Opamp.design proc
-        (E.Opamp.spec ~buffer ?zout ~bias_topology:bias ~cl ~av:gain ~ugf
-           ~ibias ())
-    with
-    | exception E.Opamp.Infeasible msg ->
-      pf "infeasible: %s\n" msg;
-      exit 1
-    | d ->
+  let run spec verify netlist =
+    guard @@ fun () ->
+    match execute (Sv.Job.Estimate spec) with
+    | Sv.Runner.Estimated d ->
       pf "topology: %s\n" (E.Opamp.describe d);
       print_perf "estimate" d.E.Opamp.perf;
       if verify then print_perf "simulated" (E.Verify.sim_opamp proc d);
@@ -206,12 +223,11 @@ let opamp_cmd =
         print_string (Ape_circuit.Netlist.to_spice frag.E.Fragment.netlist)
       end;
       0
+    | _ -> assert false
   in
   Cmd.v
     (Cmd.info "opamp" ~doc:"Size and estimate an operational amplifier.")
-    Term.(
-      const run $ gain_arg $ ugf_arg $ ibias_arg $ cl_arg $ buffer_arg
-      $ zout_arg $ wilson_arg $ cascode_arg $ verify_arg $ netlist_arg)
+    Term.(const run $ opamp_spec $ verify_arg $ netlist_arg)
 
 (* ---------- ape module ---------- *)
 
@@ -289,7 +305,10 @@ let synth_cmd =
   let mode_arg =
     Arg.(
       value
-      & opt (enum [ ("standalone", `Standalone); ("ape", `Ape) ]) `Ape
+      & opt
+          (enum
+             [ ("standalone", Sv.Job.Wide_mode); ("ape", Sv.Job.Ape_mode) ])
+          Sv.Job.Ape_mode
       & info [ "mode" ] ~doc:"standalone (wide intervals) or ape (+/-20%).")
   in
   let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"RNG seed.") in
@@ -301,20 +320,10 @@ let synth_cmd =
   in
   let mc_samples_arg =
     Arg.(
-      value & opt int 0
+      value & opt non_negative_int_conv 0
       & info [ "mc-samples" ]
           ~doc:
             "Monte Carlo yield check on the synthesised design (0 = off).")
-  in
-  let jobs_arg =
-    Arg.(
-      value & opt jobs_conv 1
-      & info [ "jobs" ]
-          ~doc:
-            "Worker domains: annealing chains run on a persistent pool of \
-             this many domains, and the yield check fans out over the same \
-             count (0 = the hardware-recommended count).  Results are \
-             independent of the value.")
   in
   let chains_arg =
     Arg.(
@@ -325,93 +334,67 @@ let synth_cmd =
              stream; the best result wins (1 = classic sequential \
              annealing).")
   in
-  let cache_quantum_arg =
-    Arg.(
-      value & opt (some number_conv) None
-      & info [ "cache-quantum" ]
-          ~doc:
-            "Estimate-cache grid size on unit-cube coordinates (default \
-             1e-2).")
-  in
-  let cache_capacity_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "cache-capacity" ]
-          ~doc:"Estimate-cache entries across all shards (default 8192).")
-  in
-  let run gain ugf ibias cl buffer zout wilson cascode mode seed area
-      mc_samples jobs chains cache_quantum cache_capacity
-      calibration trace =
+  let run spec mode seed area mc_samples jobs chains cache_quantum
+      cache_capacity calibration trace =
     with_trace trace @@ fun () ->
     guard @@ fun () ->
-    let calibration = Option.map Ape_calib.Card.load calibration in
-    let buffer, bias, zout = topology buffer wilson cascode zout in
-    let proto =
-      {
-        S.Opamp_problem.name = "cli";
-        gain;
-        ugf;
-        area = 1.;
-        ibias;
-        curr_src = bias;
-        buffer;
-        zout;
-        cl;
-      }
+    let job =
+      Sv.Job.Synth
+        {
+          spec;
+          mode;
+          seed = Some seed;
+          chains;
+          schedule = Sv.Job.Full;
+          area;
+          calibration;
+        }
     in
-    let ape = S.Opamp_problem.ape_design proc proto in
-    let area =
-      match area with
-      | Some a -> a
-      | None -> 1.3 *. ape.E.Opamp.perf.E.Perf.gate_area
-    in
-    let row = { proto with S.Opamp_problem.area = area } in
-    let mode =
-      match mode with
-      | `Standalone -> S.Opamp_problem.Wide
-      | `Ape -> S.Opamp_problem.Ape_centered 0.2
-    in
-    let rng = Ape_util.Rng.create seed in
-    let mc =
-      if mc_samples <= 0 then None
-      else Some { Mc.Run.samples = mc_samples; jobs; seed }
-    in
-    let r =
-      S.Driver.run ?mc ~chains ~jobs ?cache_quantum ?cache_capacity
-        ?calibration ~rng proc ~mode row
-    in
-    pf "%s\n" r.S.Driver.comment;
-    pf "gain=%s ugf=%s area=%.0f um^2 power=%s (%d evaluations)\n"
-      (match r.S.Driver.gain with Some g -> Printf.sprintf "%.1f" g | None -> "-")
-      (match r.S.Driver.ugf with Some u -> eng u | None -> "-")
-      (r.S.Driver.area /. 1e-12)
-      (eng r.S.Driver.power)
-      r.S.Driver.stats.S.Anneal.evaluations;
-    List.iter (fun (k, v) -> pf "  %-12s %s\n" k (eng v)) r.S.Driver.best_values;
-    (* Wall time and cache statistics depend on scheduling and cannot
-       be bit-identical across --jobs; keep them on their own prefixed
-       lines so the CI determinism gate can filter them. *)
-    pf "time: %.2f s\n" r.S.Driver.stats.S.Anneal.seconds;
-    pf "cache: %d/%d hits (%.1f%%)\n" r.S.Driver.cache_hits
-      r.S.Driver.cache_lookups
-      (if r.S.Driver.cache_lookups = 0 then 0.
-       else
-         100. *. float_of_int r.S.Driver.cache_hits
-         /. float_of_int r.S.Driver.cache_lookups);
-    (match r.S.Driver.yield with
-    | None -> ()
-    | Some report ->
-      pf "\npost-synthesis yield check:\n";
-      print_string (Mc.Report.to_string report));
-    if r.S.Driver.meets_spec then 0 else 2
+    match execute ?cache_quantum ?cache_capacity ~jobs job with
+    | Sv.Runner.Synthesized r ->
+      pf "%s\n" r.S.Driver.comment;
+      pf "gain=%s ugf=%s area=%.0f um^2 power=%s (%d evaluations)\n"
+        (match r.S.Driver.gain with
+        | Some g -> Printf.sprintf "%.1f" g
+        | None -> "-")
+        (match r.S.Driver.ugf with Some u -> eng u | None -> "-")
+        (r.S.Driver.area /. 1e-12)
+        (eng r.S.Driver.power)
+        r.S.Driver.stats.S.Anneal.evaluations;
+      List.iter
+        (fun (k, v) -> pf "  %-12s %s\n" k (eng v))
+        r.S.Driver.best_values;
+      (* Wall time and cache statistics depend on scheduling and cannot
+         be bit-identical across --jobs; keep them on their own prefixed
+         lines so the CI determinism gate can filter them. *)
+      pf "time: %.2f s\n" r.S.Driver.stats.S.Anneal.seconds;
+      pf "cache: %d/%d hits (%.1f%%)\n" r.S.Driver.cache_hits
+        r.S.Driver.cache_lookups
+        (if r.S.Driver.cache_lookups = 0 then 0.
+         else
+           100. *. float_of_int r.S.Driver.cache_hits
+           /. float_of_int r.S.Driver.cache_lookups);
+      if mc_samples > 0 then begin
+        let report =
+          S.Driver.yield_check proc r.S.Driver.row r.S.Driver.best_netlist
+            { Mc.Run.samples = mc_samples; jobs; seed }
+        in
+        pf "\npost-synthesis yield check:\n";
+        print_string (Mc.Report.to_string report)
+      end;
+      if r.S.Driver.meets_spec then 0 else 2
+    | _ -> assert false
   in
   Cmd.v
     (Cmd.info "synth" ~doc:"Synthesise an opamp by simulated annealing.")
     Term.(
-      const run $ gain_arg $ ugf_arg $ ibias_arg $ cl_arg $ buffer_arg
-      $ zout_arg $ wilson_arg $ cascode_arg $ mode_arg $ seed_arg $ area_arg
-      $ mc_samples_arg $ jobs_arg $ chains_arg $ cache_quantum_arg
-      $ cache_capacity_arg $ calibration_arg $ trace_arg)
+      const run $ opamp_spec $ mode_arg $ seed_arg $ area_arg $ mc_samples_arg
+      $ jobs_arg
+          "Worker domains: annealing chains run on a persistent pool of \
+           this many domains, and the yield check fans out over the same \
+           count"
+      $ chains_arg $ cache_quantum_arg $ cache_capacity_arg
+      $ calibration_arg $ trace_arg)
 
 (* ---------- ape mc ---------- *)
 
@@ -421,15 +404,9 @@ let mc_cmd =
     Arg.(value & pos 0 string "opamp" & info [] ~docv:"KIND" ~doc)
   in
   let samples_arg =
-    Arg.(value & opt int 500 & info [ "samples" ] ~doc:"Monte Carlo samples.")
-  in
-  let jobs_arg =
     Arg.(
-      value & opt jobs_conv 1
-      & info [ "jobs" ]
-          ~doc:
-            "Worker domains (statistics are identical for every value; 0 \
-             means the hardware-recommended count).")
+      value & opt positive_int_conv 500
+      & info [ "samples" ] ~doc:"Monte Carlo samples.")
   in
   let seed_arg = Arg.(value & opt int 1999 & info [ "seed" ] ~doc:"RNG seed.") in
   let level_arg =
@@ -437,8 +414,9 @@ let mc_cmd =
       value
       & opt
           (enum
-             [ ("estimate", Mc.Scenario.Estimate);
-               ("simulate", Mc.Scenario.Simulate) ])
+             (List.map
+                (fun l -> (Mc.Scenario.level_name l, l))
+                [ Mc.Scenario.Estimate; Mc.Scenario.Simulate ]))
           Mc.Scenario.Estimate
       & info [ "level" ]
           ~doc:
@@ -457,54 +435,37 @@ let mc_cmd =
       & info [ "hist" ] ~docv:"METRIC"
           ~doc:"Print an ASCII histogram of this metric (repeatable).")
   in
-  let run kind gain ugf ibias cl buffer zout wilson cascode samples jobs seed
-      level sigma_scale hists trace =
+  let run kind spec samples jobs seed level sigma_scale hists trace =
     with_trace trace @@ fun () ->
     guard @@ fun () ->
     if kind <> "opamp" then begin
       pf "unknown mc workload %s (only: opamp)\n" kind;
-      exit 1
-    end;
-    if samples <= 0 then begin
-      pf "--samples must be >= 1 (got %d)\n" samples;
-      exit 1
-    end;
-    let buffer, bias, zout = topology buffer wilson cascode zout in
-    let spec =
-      E.Opamp.spec ~buffer ?zout ~bias_topology:bias ~cl ~av:gain ~ugf ~ibias
-        ()
-    in
-    let sigmas = Mc.Variation.scale sigma_scale Mc.Variation.default in
-    let measure, checks =
-      try Mc.Scenario.opamp ~sigmas ~level proc spec
-      with E.Opamp.Infeasible msg ->
-        pf "infeasible nominal design: %s\n" msg;
-        exit 1
-    in
-    pf "workload: opamp (%s level), sigma scale %g\n"
-      (Mc.Scenario.level_name level)
-      sigma_scale;
-    let report =
-      Mc.Run.run ~checks { Mc.Run.samples; jobs; seed } ~measure
-    in
-    print_string (Mc.Report.to_string ~histograms:hists report);
-    if report.Mc.Run.yield >= 1.0 then 0 else 2
+      1
+    end
+    else
+      match
+        execute ~jobs
+          (Sv.Job.Mc { spec; samples; level; sigma_scale; seed = Some seed })
+      with
+      | Sv.Runner.Sampled report ->
+        pf "workload: opamp (%s level), sigma scale %g\n"
+          (Mc.Scenario.level_name level)
+          sigma_scale;
+        print_string (Mc.Report.to_string ~histograms:hists report);
+        if report.Mc.Run.yield >= 1.0 then 0 else 2
+      | _ -> assert false
   in
   Cmd.v
     (Cmd.info "mc"
        ~doc:"Monte Carlo process-variation and yield analysis.")
     Term.(
-      const run $ kind_arg $ gain_arg $ ugf_arg $ ibias_arg $ cl_arg
-      $ buffer_arg $ zout_arg $ wilson_arg $ cascode_arg $ samples_arg
-      $ jobs_arg $ seed_arg $ level_arg $ sigma_scale_arg $ hist_arg
-      $ trace_arg)
+      const run $ kind_arg $ opamp_spec $ samples_arg
+      $ jobs_arg "Worker domains sampling dies" $ seed_arg
+      $ level_arg $ sigma_scale_arg $ hist_arg $ trace_arg)
 
 (* ---------- ape sim ---------- *)
 
 let sim_cmd =
-  let file_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"SPICE netlist.")
-  in
   let out_arg =
     Arg.(
       value & opt (some string) None
@@ -523,70 +484,41 @@ let sim_cmd =
   in
   let run file out det trace =
     with_trace trace @@ fun () ->
-    let text = In_channel.with_open_text file In_channel.input_all in
-    match
-      Ape_circuit.Spice_parser.parse ~process:proc ~path:file ~title:file text
-    with
-    | exception Ape_circuit.Spice_parser.Parse_error d ->
-      pf "%s" (Ape_circuit.Spice_parser.render d);
-      1
-    | netlist -> (
-      guard @@ fun () ->
-      match Ape_spice.Dc.solve netlist with
-      | exception Ape_spice.Dc.No_convergence msg ->
-        pf "DC did not converge: %s\n" msg;
-        1
-      | op ->
-        (if det then
-           List.iter
-             (fun n -> pf "V(%s) = %.6g\n" n (Ape_spice.Dc.voltage op n))
-             (List.sort compare (Ape_circuit.Netlist.nodes netlist))
-         else pf "%s" (Format.asprintf "%a" Ape_spice.Dc.pp op));
-        (match out with
-        | None -> ()
-        | Some node ->
-          (* One preparation serves every measurement below. *)
-          let prep = Ape_spice.Ac.prepare op in
-          let module M = Ape_spice.Measure.Prepared in
-          pf "AC (node %s):\n" node;
-          pf "  |H(0)| = %.4g\n" (M.dc_gain ~out:node prep);
-          (match M.f_minus_3db ~out:node prep with
-          | Some f ->
-            if det then pf "  f-3dB  = %.4g Hz\n" f
-            else pf "  f-3dB  = %sHz\n" (eng f)
-          | None -> ());
-          (match M.unity_gain_frequency ~out:node prep with
-          | Some f ->
-            if det then pf "  UGF    = %.4g Hz\n" f
-            else pf "  UGF    = %sHz\n" (eng f)
-          | None -> ());
-          (match M.phase_margin ~out:node prep with
-          | Some pm -> pf "  PM     = %.1f deg\n" pm
-          | None -> ());
-          (* One adjoint solve covers every noise source (reciprocity);
-             %.4g keeps the hier/flat --deterministic diff byte-clean. *)
-          match
-            Ape_spice.Noise.input_referred_prepared ~out:node ~freq:1e3 prep
-          with
-          | v -> pf "  in-noise = %.4g V/rtHz @ 1kHz\n" v
-          | exception Division_by_zero -> ());
-        0)
+    guard @@ fun () ->
+    match execute (Sv.Job.Sim { file; out }) with
+    | Sv.Runner.Simulated { op; ac; _ } ->
+      let module Dc = Ape_spice.Dc in
+      if det then
+        List.iter
+          (fun n -> pf "V(%s) = %.6g\n" n (Dc.voltage op n))
+          (List.sort compare (Ape_circuit.Netlist.nodes op.Dc.netlist))
+      else pf "%s" (Format.asprintf "%a" Dc.pp op);
+      Option.iter
+        (fun (a : Sv.Runner.ac) ->
+          let hz f =
+            if det then Printf.sprintf "%.4g Hz" f else eng f ^ "Hz"
+          in
+          pf "AC (node %s):\n" a.node;
+          pf "  |H(0)| = %.4g\n" a.dc_gain;
+          Option.iter (fun f -> pf "  f-3dB  = %s\n" (hz f)) a.f_minus_3db;
+          Option.iter (fun f -> pf "  UGF    = %s\n" (hz f)) a.ugf;
+          Option.iter (pf "  PM     = %.1f deg\n") a.phase_margin;
+          (* %.4g keeps the hier/flat --deterministic diff byte-clean. *)
+          Option.iter (pf "  in-noise = %.4g V/rtHz @ 1kHz\n") a.in_noise)
+        ac;
+      0
+    | _ -> assert false
   in
   Cmd.v
     (Cmd.info "sim" ~doc:"Solve a SPICE netlist (DC + AC measurements).")
-    Term.(const run $ file_arg $ out_arg $ det_arg $ trace_arg)
+    Term.(
+      const run $ file_arg ~doc:"SPICE netlist." $ out_arg $ det_arg
+      $ trace_arg)
 
 (* ---------- ape convert ---------- *)
 
 let convert_cmd =
   let module Sp = Ape_circuit.Spice_parser in
-  (* [string], not [file]: an unreadable deck is an input-side failure
-     and must exit 3 through [guard], not cmdliner's 124. *)
-  let file_arg =
-    Arg.(
-      required & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"SPICE netlist.")
-  in
   let out_arg =
     Arg.(
       value & opt (some string) None
@@ -640,7 +572,9 @@ let convert_cmd =
           print the flattened canonical form.  Diagnostics go to stderr \
           with source spans; the output reaches a print/parse fixpoint, so \
           converting the output again is byte-identical.")
-    Term.(const run $ file_arg $ out_arg $ strict_arg $ dialect_arg)
+    Term.(
+      const run $ file_arg ~doc:"SPICE netlist." $ out_arg $ strict_arg
+      $ dialect_arg)
 
 (* ---------- ape verify ---------- *)
 
@@ -723,7 +657,7 @@ let calibrate_cmd =
   let module Cal = Ape_calib in
   let grid_arg =
     Arg.(
-      value & pos 0 (some file) None
+      value & pos 0 (some string) None
       & info [] ~docv:"GRID"
           ~doc:
             "Grid spec file, e.g. (grid (points 32) (ugf 800k 14meg)); \
@@ -738,8 +672,10 @@ let calibrate_cmd =
   in
   let points_arg =
     Arg.(
-      value & opt (some int) None
-      & info [ "points" ] ~docv:"N" ~doc:"Override the grid point count.")
+      value
+      & opt (some non_negative_int_conv) None
+      & info [ "points" ] ~docv:"N"
+          ~doc:"Override the grid point count (0 fits on the catalog alone).")
   in
   let seed_arg =
     Arg.(
@@ -852,18 +788,9 @@ let serve_cmd =
           ~doc:"With --watch, drain the spool once and exit instead of \
                 polling forever.")
   in
-  let jobs_arg =
-    Arg.(
-      value & opt jobs_conv 1
-      & info [ "jobs" ]
-          ~doc:
-            "Worker domains running jobs concurrently (0 = the \
-             hardware-recommended count).  Fixed-seed results are \
-             identical for every value.")
-  in
   let queue_arg =
     Arg.(
-      value & opt int 64
+      value & opt positive_int_conv 64
       & info [ "queue" ]
           ~doc:"Bounded in-flight window: at most this many admitted jobs \
                 at once.")
@@ -923,26 +850,10 @@ let serve_cmd =
       & info [ "max-batches" ]
           ~doc:"Exit after this many batches (mainly for tests).")
   in
-  let cache_quantum_arg =
-    Arg.(
-      value & opt (some number_conv) None
-      & info [ "cache-quantum" ]
-          ~doc:"Estimate-cache grid size (default 1e-2).")
-  in
-  let cache_capacity_arg =
-    Arg.(
-      value & opt int 8192
-      & info [ "cache-capacity" ]
-          ~doc:"Estimate-cache entries per synthesis fingerprint.")
-  in
   let run files watch once jobs queue shed fail_fast timeout deterministic
       out poll max_batches cache_quantum cache_capacity trace =
     with_trace trace @@ fun () ->
     guard @@ fun () ->
-    if queue < 1 then begin
-      pf "--queue must be >= 1 (got %d)\n" queue;
-      exit 3
-    end;
     let config =
       {
         Sv.Scheduler.jobs;
@@ -952,7 +863,7 @@ let serve_cmd =
         default_timeout = timeout;
       }
     in
-    let runner = Sv.Runner.create ?cache_quantum ~cache_capacity proc in
+    let runner = Sv.Runner.create ?cache_quantum ?cache_capacity proc in
     let pool = Ape_util.Pool.create ~workers:jobs in
     let stopping = ref false in
     let request_stop _ = stopping := true in
@@ -1032,7 +943,8 @@ let serve_cmd =
           jobs from files, stdin or a spool directory, streaming one \
           JSON-lines record per job.")
     Term.(
-      const run $ files_arg $ watch_arg $ once_arg $ jobs_arg $ queue_arg
+      const run $ files_arg $ watch_arg $ once_arg
+      $ jobs_arg "Worker domains running jobs concurrently" $ queue_arg
       $ shed_arg $ fail_fast_arg $ timeout_arg $ deterministic_arg $ out_arg
       $ poll_arg $ max_batches_arg $ cache_quantum_arg $ cache_capacity_arg
       $ trace_arg)
@@ -1073,32 +985,22 @@ let stats_cmd =
     guard @@ fun () ->
     (match workload with
     | `Synth ->
-      let proto =
-        {
-          S.Opamp_problem.name = "stats";
-          gain = 200.;
-          ugf = 2e6;
-          area = 1.;
-          ibias = 1e-6;
-          curr_src = E.Bias.Simple;
-          buffer = false;
-          zout = None;
-          cl = 10e-12;
-        }
+      let spec =
+        { Sv.Job.gain = 200.; ugf = 2e6; ibias = 1e-6; cl = 10e-12;
+          bias = E.Bias.Simple; zout = None; buffer = false }
       in
-      let ape = S.Opamp_problem.ape_design proc proto in
-      let row =
-        { proto with
-          S.Opamp_problem.area = 1.3 *. ape.E.Opamp.perf.E.Perf.gate_area
-        }
-      in
-      let schedule =
-        if quick then S.Anneal.quick_schedule else S.Anneal.default_schedule
-      in
-      let rng = Ape_util.Rng.create seed in
       ignore
-        (S.Driver.run ~schedule ~rng proc
-           ~mode:(S.Opamp_problem.Ape_centered 0.2) row)
+        (execute
+           (Sv.Job.Synth
+              {
+                spec;
+                mode = Sv.Job.Ape_mode;
+                seed = Some seed;
+                chains = 1;
+                schedule = (if quick then Sv.Job.Quick else Sv.Job.Full);
+                area = None;
+                calibration = None;
+              }))
     | `Verify ->
       let module C = Ape_check in
       ignore (C.Check.run ~slew:(not quick) proc));
@@ -1116,12 +1018,8 @@ let stats_cmd =
 (* ---------- ape vase ---------- *)
 
 let vase_cmd =
-  let file_arg =
-    Arg.(
-      required & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"System spec (S-expression).")
-  in
   let run file =
+    guard @@ fun () ->
     let text = In_channel.with_open_text file In_channel.input_all in
     match Ape_vase.System.parse text with
     | exception Ape_vase.System.Spec_error { pos; msg } ->
@@ -1148,7 +1046,7 @@ let vase_cmd =
   in
   Cmd.v
     (Cmd.info "vase" ~doc:"Estimate a system-level specification (VASE flow).")
-    Term.(const run $ file_arg)
+    Term.(const run $ file_arg ~doc:"System spec (S-expression).")
 
 let () =
   let doc = "Analog Performance Estimator (DATE 1999 reproduction)" in

@@ -41,9 +41,7 @@ let () =
   let sim = E.Verify.sim_opamp proc design in
   pf "  sim: %s\n\n" (Format.asprintf "%a" E.Perf.pp sim);
 
-  let row =
-    { row with S.Opamp_problem.area = 1.3 *. design.E.Opamp.perf.E.Perf.gate_area }
-  in
+  let row = { row with S.Opamp_problem.area = S.Opamp_problem.area_budget proc row } in
   pf "area budget (1.3x APE estimate): %.0f um^2\n\n"
     (row.S.Opamp_problem.area /. 1e-12);
 

@@ -36,8 +36,14 @@ let default =
 (*         (ibias 0.6u 2.5u) (cl 5p 20p) (slew false))                 *)
 (* ------------------------------------------------------------------ *)
 
-let fail_at span msg =
-  raise (Card.Parse_error { pos = Some span.Sexpr.s_start; msg })
+exception Parse_error of { pos : Sexpr.pos option; msg : string }
+
+let describe_error ~pos ~msg =
+  match pos with
+  | None -> Printf.sprintf "grid spec: %s" msg
+  | Some p -> Printf.sprintf "grid spec: %d:%d: %s" p.Sexpr.line p.Sexpr.col msg
+
+let fail_at span msg = raise (Parse_error { pos = Some span.Sexpr.s_start; msg })
 
 let atom_of = function
   | Sexpr.Atom (a, _) -> a
@@ -56,6 +62,15 @@ let int_of node =
   | Some v -> v
   | None ->
     fail_at (Sexpr.span_of node) (Printf.sprintf "unreadable integer %S" a)
+
+(* The --points rule: a non-negative count (0 fits on the catalog
+   alone). *)
+let points_of node =
+  match int_of node with
+  | n when n >= 0 -> n
+  | n ->
+    fail_at (Sexpr.span_of node)
+      (Printf.sprintf "points must be non-negative, got %d" n)
 
 (* The --jobs rule: a non-negative worker count, 0 meaning the
    hardware-recommended one. *)
@@ -86,8 +101,7 @@ let range_of span = function
 let parse_spec text =
   let nodes =
     try Sexpr.parse text
-    with Sexpr.Error { pos; msg } ->
-      raise (Card.Parse_error { pos = Some pos; msg })
+    with Sexpr.Error { pos; msg } -> raise (Parse_error { pos = Some pos; msg })
   in
   match nodes with
   | [ Sexpr.List (Sexpr.Atom ("grid", _) :: fields, _) ] ->
@@ -101,7 +115,7 @@ let parse_spec text =
             | _ -> fail_at kspan "expected exactly one value"
           in
           match key with
-          | "points" -> { spec with points = int_of (one ()) }
+          | "points" -> { spec with points = points_of (one ()) }
           | "seed" -> { spec with seed = int_of (one ()) }
           | "jobs" -> { spec with jobs = jobs_of (one ()) }
           | "av" -> { spec with av = range_of kspan values }
@@ -115,7 +129,7 @@ let parse_spec text =
           fail_at (Sexpr.span_of node) "expected a (key value ...) list")
       default fields
   | [ node ] -> fail_at (Sexpr.span_of node) "expected a (grid ...) form"
-  | [] -> raise (Card.Parse_error { pos = None; msg = "empty grid spec" })
+  | [] -> raise (Parse_error { pos = None; msg = "empty grid spec" })
   | _ :: node :: _ ->
     fail_at (Sexpr.span_of node) "expected a single (grid ...) form"
 

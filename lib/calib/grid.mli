@@ -31,11 +31,17 @@ val default : spec
 (** 16 points, seed 1, sequential, ranges bracketing Table 3's specs,
     no transient. *)
 
+exception Parse_error of { pos : Ape_util.Sexpr.pos option; msg : string }
+
+val describe_error : pos:Ape_util.Sexpr.pos option -> msg:string -> string
+(** ["grid spec: 1:15: points must be non-negative, got -2"]. *)
+
 val parse_spec : string -> spec
 (** Parse a [(grid (points 32) (ugf 800k 14meg) ...)] spec; every field
-    optional over {!default}; numbers take SPICE suffixes.  [(jobs N)]
-    follows [--jobs]: non-negative, 0 = {!Ape_util.Pool.recommended_jobs}.
-    Raises {!Card.Parse_error} with positions. *)
+    optional over {!default}; numbers take SPICE suffixes.  [(points N)]
+    and [(jobs N)] follow [--points] and [--jobs]: non-negative, and a
+    jobs count of 0 = {!Ape_util.Pool.recommended_jobs}.  Raises
+    {!Parse_error} with positions. *)
 
 val load_spec : string -> spec
 

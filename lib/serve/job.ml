@@ -1,20 +1,17 @@
 module Sexpr = Ape_util.Sexpr
 
-type bias = Simple | Wilson | Cascode
-
 type opamp_spec = {
   gain : float;
   ugf : float;
   ibias : float;
   cl : float;
-  bias : bias;
+  bias : Ape_estimator.Bias.mirror_topology;
   zout : float option;
   buffer : bool;
 }
 
 type synth_mode = Wide_mode | Ape_mode
 type sched = Quick | Full
-type mc_level = Mc_estimate | Mc_simulate
 
 type payload =
   | Estimate of opamp_spec
@@ -24,16 +21,22 @@ type payload =
       seed : int option;
       chains : int;
       schedule : sched;
+      area : float option;
+      calibration : string option;
     }
   | Mc of {
       spec : opamp_spec;
       samples : int;
-      level : mc_level;
+      level : Ape_mc.Scenario.level;
       sigma_scale : float;
       seed : int option;
     }
   | Sim of { file : string; out : string option }
-  | Verify of { levels : string list; slew : bool; calibration : string option }
+  | Verify of {
+      levels : Ape_check.Tolerance.level list;
+      slew : bool;
+      calibration : string option;
+    }
 
 type t = { id : string; timeout : float option; payload : payload }
 
@@ -154,23 +157,21 @@ let flag fields key =
   | Some (_, span) ->
     reject ?id:fields.f_id ~span ("(" ^ key ^ ") takes no arguments")
 
-let num_field ?default fields key =
+(* An optional field's value, read by [read] (positive, integer,
+   the_atom). *)
+let opt_field read fields key =
   match field fields key with
-  | Some (args, span) -> positive ?id:fields.f_id span args
-  | None -> (
-    match default with
-    | Some d -> d
-    | None -> reject ?id:fields.f_id ("missing required field (" ^ key ^ " _)"))
-
-let opt_num_field fields key =
-  match field fields key with
-  | Some (args, span) -> Some (positive ?id:fields.f_id span args)
+  | Some (args, span) -> Some (read ?id:fields.f_id span args)
   | None -> None
 
+let num_field ?default fields key =
+  match (opt_field positive fields key, default) with
+  | Some v, _ | None, Some v -> v
+  | None, None ->
+    reject ?id:fields.f_id ("missing required field (" ^ key ^ " _)")
+
 let int_field ~default fields key =
-  match field fields key with
-  | Some (args, span) -> integer ?id:fields.f_id span args
-  | None -> default
+  Option.value ~default (opt_field integer fields key)
 
 let enum_field ~default fields key choices =
   match field fields key with
@@ -184,53 +185,52 @@ let enum_field ~default fields key choices =
         (Printf.sprintf "unknown %s '%s' (expected %s)" key a
            (String.concat "|" (List.map fst choices))))
 
+(* The names of every enumerated field, for parsing and printing. *)
+let biases =
+  Ape_estimator.Bias.
+    [ ("simple", Simple); ("wilson", Wilson); ("cascode", Cascode) ]
+
+let modes = [ ("ape", Ape_mode); ("wide", Wide_mode) ]
+let schedules = [ ("quick", Quick); ("default", Full) ]
+let mc_levels =
+  List.map
+    (fun l -> (Ape_mc.Scenario.level_name l, l))
+    Ape_mc.Scenario.[ Estimate; Simulate ]
+let name_in choices v = fst (List.find (fun (_, c) -> c = v) choices)
+
 let opamp_of_fields fields =
   {
     gain = num_field fields "gain";
     ugf = num_field fields "ugf";
     ibias = num_field ~default:1e-6 fields "ibias";
     cl = num_field ~default:10e-12 fields "cl";
-    bias =
-      enum_field ~default:Simple fields "bias"
-        [ ("simple", Simple); ("wilson", Wilson); ("cascode", Cascode) ];
-    zout = opt_num_field fields "zout";
+    bias = enum_field ~default:Ape_estimator.Bias.Simple fields "bias" biases;
+    zout = opt_field positive fields "zout";
     buffer = flag fields "buffer";
   }
-
-let seed_field fields =
-  match field fields "seed" with
-  | Some (args, span) -> Some (integer ?id:fields.f_id span args)
-  | None -> None
-
-let valid_levels = [ "device"; "basic"; "opamp"; "module" ]
 
 let parse_payload ~id fields kind kind_span =
   match kind with
   | "estimate" -> Estimate (opamp_of_fields fields)
   | "synth" ->
     let spec = opamp_of_fields fields in
-    let mode =
-      enum_field ~default:Ape_mode fields "mode"
-        [ ("ape", Ape_mode); ("wide", Wide_mode) ]
-    in
-    let seed = seed_field fields in
+    let mode = enum_field ~default:Ape_mode fields "mode" modes in
+    let seed = opt_field integer fields "seed" in
     let chains = int_field ~default:1 fields "chains" in
     if chains < 1 then reject ~id "chains must be >= 1";
-    let schedule =
-      enum_field ~default:Full fields "schedule"
-        [ ("quick", Quick); ("default", Full) ]
-    in
-    Synth { spec; mode; seed; chains; schedule }
+    let schedule = enum_field ~default:Full fields "schedule" schedules in
+    let area = opt_field positive fields "area" in
+    let calibration = opt_field the_atom fields "calibration" in
+    Synth { spec; mode; seed; chains; schedule; area; calibration }
   | "mc" ->
     let spec = opamp_of_fields fields in
     let samples = int_field ~default:200 fields "samples" in
     if samples < 1 then reject ~id "samples must be >= 1";
     let level =
-      enum_field ~default:Mc_estimate fields "level"
-        [ ("estimate", Mc_estimate); ("simulate", Mc_simulate) ]
+      enum_field ~default:Ape_mc.Scenario.Estimate fields "level" mc_levels
     in
     let sigma_scale = num_field ~default:1.0 fields "sigma-scale" in
-    let seed = seed_field fields in
+    let seed = opt_field integer fields "seed" in
     Mc { spec; samples; level; sigma_scale; seed }
   | "sim" ->
     let file =
@@ -238,12 +238,7 @@ let parse_payload ~id fields kind kind_span =
       | Some (args, span) -> the_atom ~id span args
       | None -> reject ~id "missing required field (file \"...\")"
     in
-    let out =
-      match field fields "out" with
-      | Some (args, span) -> Some (the_atom ~id span args)
-      | None -> None
-    in
-    Sim { file; out }
+    Sim { file; out = opt_field the_atom fields "out" }
   | "verify" ->
     let levels =
       match field fields "levels" with
@@ -252,23 +247,22 @@ let parse_payload ~id fields kind kind_span =
         List.map
           (fun node ->
             match node with
-            | Sexpr.Atom (a, aspan) ->
-              if List.mem a valid_levels then a
-              else
+            | Sexpr.Atom (a, aspan) -> (
+              match Ape_check.Tolerance.level_of_name a with
+              | Some level -> level
+              | None ->
                 reject ~id ~span:aspan
                   (Printf.sprintf "unknown level '%s' (expected %s)" a
-                     (String.concat "|" valid_levels))
+                     (String.concat "|"
+                        (List.map Ape_check.Tolerance.level_name
+                           Ape_check.Tolerance.all_levels))))
             | Sexpr.List (_, lspan) ->
               reject ~id ~span:lspan "levels are atoms")
           (if args = [] then reject ~id ~span "empty (levels) list"
            else args)
     in
     let slew = not (flag fields "no-slew") in
-    let calibration =
-      match field fields "calibration" with
-      | Some (args, span) -> Some (the_atom ~id span args)
-      | None -> None
-    in
+    let calibration = opt_field the_atom fields "calibration" in
     Verify { levels; slew; calibration }
   | other ->
     reject ~id ~span:kind_span
@@ -373,10 +367,7 @@ let print_opamp spec =
       Printf.sprintf "(ibias %s)" (num spec.ibias);
       Printf.sprintf "(cl %s)" (num spec.cl);
       Printf.sprintf "(bias %s)"
-        (match spec.bias with
-        | Simple -> "simple"
-        | Wilson -> "wilson"
-        | Cascode -> "cascode");
+        (name_in biases spec.bias);
     ]
   in
   base
@@ -384,6 +375,10 @@ let print_opamp spec =
     | Some z -> [ Printf.sprintf "(zout %s)" (num z) ]
     | None -> [])
   @ if spec.buffer then [ "(buffer)" ] else []
+
+let print_calibration = function
+  | Some c -> [ Printf.sprintf "(calibration %s)" (print_atom c) ]
+  | None -> []
 
 let print (job : t) =
   let common =
@@ -396,28 +391,27 @@ let print (job : t) =
   let parts =
     match job.payload with
     | Estimate spec -> print_opamp spec
-    | Synth { spec; mode; seed; chains; schedule } ->
+    | Synth { spec; mode; seed; chains; schedule; area; calibration } ->
       print_opamp spec
       @ [
-          Printf.sprintf "(mode %s)"
-            (match mode with Ape_mode -> "ape" | Wide_mode -> "wide");
+          Printf.sprintf "(mode %s)" (name_in modes mode);
         ]
       @ (match seed with
         | Some s -> [ Printf.sprintf "(seed %d)" s ]
         | None -> [])
       @ [
           Printf.sprintf "(chains %d)" chains;
-          Printf.sprintf "(schedule %s)"
-            (match schedule with Quick -> "quick" | Full -> "default");
+          Printf.sprintf "(schedule %s)" (name_in schedules schedule);
         ]
+      @ (match area with
+        | Some a -> [ Printf.sprintf "(area %s)" (num a) ]
+        | None -> [])
+      @ print_calibration calibration
     | Mc { spec; samples; level; sigma_scale; seed } ->
       print_opamp spec
       @ [
           Printf.sprintf "(samples %d)" samples;
-          Printf.sprintf "(level %s)"
-            (match level with
-            | Mc_estimate -> "estimate"
-            | Mc_simulate -> "simulate");
+          Printf.sprintf "(level %s)" (name_in mc_levels level);
           Printf.sprintf "(sigma-scale %s)" (num sigma_scale);
         ]
       @ (match seed with
@@ -433,11 +427,13 @@ let print (job : t) =
     | Verify { levels; slew; calibration } ->
       (match levels with
       | [] -> []
-      | ls -> [ "(levels " ^ String.concat " " ls ^ ")" ])
+      | ls ->
+        [ "(levels "
+          ^ String.concat " " (List.map Ape_check.Tolerance.level_name ls)
+          ^ ")";
+        ])
       @ (if slew then [] else [ "(no-slew)" ])
-      @ (match calibration with
-        | Some c -> [ Printf.sprintf "(calibration %s)" (print_atom c) ]
-        | None -> [])
+      @ print_calibration calibration
   in
   Printf.sprintf "(job %s %s)"
     (kind_name job)

@@ -8,10 +8,16 @@
     ; estimate an opamp, synthesise one, yield-check another
     (job estimate (id e0) (gain 200) (ugf 2meg))
     (job synth    (id s0) (gain 200) (ugf 2meg) (seed 7) (schedule quick))
+    (job synth    (id s1) (gain 200) (ugf 2meg) (area 4n)
+                  (calibration "c12.calib"))
     (job mc       (id m0) (gain 200) (ugf 2meg) (samples 200))
     (job sim      (id x0) (file "examples/jobs/rc.sp") (out out))
     (job verify   (id v0) (levels device basic) (no-slew))
     v}
+
+    The CLI's [opamp], [synth], [mc] and [sim] commands build the same
+    values from their flags and run them through the same
+    {!Runner}.
 
     Numbers take SPICE suffixes ([2meg], [10u], [4.7k]).  Parsing is
     per-form: a malformed job yields an {!error} carrying the precise
@@ -23,14 +29,14 @@
     exact round-trip representation), which the QCheck suite holds the
     parser to. *)
 
-type bias = Simple | Wilson | Cascode
-
 type opamp_spec = {
   gain : float;  (** required DC gain *)
   ugf : float;  (** required unity-gain frequency, Hz *)
   ibias : float;  (** bias reference current, A (default 1u) *)
   cl : float;  (** load capacitance, F (default 10p) *)
-  bias : bias;  (** tail-source topology (default simple) *)
+  bias : Ape_estimator.Bias.mirror_topology;
+      (** tail-source topology: [(bias simple|wilson|cascode)], default
+          simple *)
   zout : float option;  (** output-impedance requirement, Ω *)
   buffer : bool;  (** include an output buffer *)
 }
@@ -43,8 +49,6 @@ type sched = Quick | Full
 (** Annealing budget: {!Ape_synth.Anneal.quick_schedule} or the default
     schedule. *)
 
-type mc_level = Mc_estimate | Mc_simulate
-
 type payload =
   | Estimate of opamp_spec
   | Synth of {
@@ -53,17 +57,23 @@ type payload =
       seed : int option;  (** explicit RNG seed; default keyed on id *)
       chains : int;  (** independent annealing chains (default 1) *)
       schedule : sched;  (** default [Full] *)
+      area : float option;
+          (** gate-area budget, m²; default
+              {!Ape_synth.Opamp_problem.area_budget} *)
+      calibration : string option;
+          (** calibration card correcting the in-loop estimates; loaded
+              at run time like verify's *)
     }
   | Mc of {
       spec : opamp_spec;
       samples : int;  (** default 200 *)
-      level : mc_level;  (** default [Mc_estimate] *)
+      level : Ape_mc.Scenario.level;  (** default [Estimate] *)
       sigma_scale : float;  (** default 1.0 *)
       seed : int option;
     }
   | Sim of { file : string; out : string option }
   | Verify of {
-      levels : string list;  (** validated level names; [] = all *)
+      levels : Ape_check.Tolerance.level list;  (** [] = all *)
       slew : bool;  (** default true; [(no-slew)] clears it *)
       calibration : string option;
           (** calibration-card path; loaded at run time, so a missing

@@ -44,62 +44,104 @@ let cache_stats t =
 
 let cache_count t = with_lock t.lock (fun () -> Hashtbl.length t.caches)
 
-let bias_of = function
-  | Job.Simple -> E.Bias.Simple
-  | Job.Wilson -> E.Bias.Wilson
-  | Job.Cascode -> E.Bias.Cascode
+(* ------------------------------------------------------------------ *)
+(* Failures                                                            *)
+(* ------------------------------------------------------------------ *)
+
+type failure_class = Engine | Input
+
+(* A deck with parse errors: every error diagnostic, caret-rendered. *)
+exception Deck_errors of string
+
+let failure = function
+  | Ape_spice.Engine.Engine_error { analysis; node; detail } ->
+    Some
+      ( Engine,
+        Printf.sprintf "engine error (%s%s): %s" analysis
+          (match node with Some n -> " at " ^ n | None -> "")
+          detail )
+  | Ape_spice.Dc.No_convergence msg -> Some (Engine, "no convergence: " ^ msg)
+  | Ape_spice.Transient.Step_failed time ->
+    Some
+      ( Engine,
+        Printf.sprintf "transient step failed at t=%ss"
+          (Ape_util.Units.to_eng time) )
+  | Ape_util.Matrix.Singular | Ape_util.Sparse.Singular ->
+    Some (Engine, "singular system: the deck has no unique solution")
+  | E.Opamp.Infeasible msg -> Some (Engine, "infeasible: " ^ msg)
+  | Deck_errors msg -> Some (Engine, msg)
+  | Sys_error msg -> Some (Input, msg)
+  | Ape_calib.Card.Parse_error { pos; msg } ->
+    Some (Input, Ape_calib.Card.describe_error ~pos ~msg)
+  | Ape_calib.Grid.Parse_error { pos; msg } ->
+    Some (Input, Ape_calib.Grid.describe_error ~pos ~msg)
+  | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* Running a job                                                       *)
+(* ------------------------------------------------------------------ *)
+
+type ac = {
+  node : string;
+  dc_gain : float;
+  f_minus_3db : float option;
+  ugf : float option;
+  phase_margin : float option;
+  in_noise : float option;
+}
+
+type outcome =
+  | Estimated of E.Opamp.design
+  | Synthesized of S.Driver.result
+  | Sampled of Mc.Run.report
+  | Simulated of { file : string; op : Ape_spice.Dc.op; ac : ac option }
+  | Verified of Ape_check.Check.outcome
 
 let estimator_spec (s : Job.opamp_spec) =
-  E.Opamp.spec ~buffer:s.buffer ?zout:s.zout ~bias_topology:(bias_of s.bias)
+  E.Opamp.spec ~buffer:s.buffer ?zout:s.zout ~bias_topology:s.bias
     ~cl:s.cl ~av:s.gain ~ugf:s.ugf ~ibias:s.ibias ()
 
-(* The cost function of a synthesis run is fully determined by these
-   fields; two jobs agreeing on all of them may share a warm cache. *)
-let synth_fingerprint (s : Job.opamp_spec) mode =
-  let num = Ape_util.Units.to_exact in
-  Printf.sprintf "%s|%s|%s|%s|%s|%s|%b|%s" (num s.gain) (num s.ugf)
-    (num s.ibias) (num s.cl)
-    (match s.bias with
-    | Job.Simple -> "simple"
-    | Job.Wilson -> "wilson"
-    | Job.Cascode -> "cascode")
-    (match s.zout with Some z -> num z | None -> "-")
-    s.buffer
-    (match mode with Job.Ape_mode -> "ape" | Job.Wide_mode -> "wide")
+(* A synthesis run's cost function is fully determined by its spec,
+   interval mode, area budget and calibration card (by its contents,
+   not its path).  The fingerprint is the canonical print of a job
+   holding only those fields, plus the card's digest; jobs with equal
+   fingerprints may share a warm cache. *)
+let synth_fingerprint spec mode ~area card =
+  Job.print
+    { Job.id = "-";
+      timeout = None;
+      payload =
+        Job.Synth
+          { spec; mode; seed = None; chains = 1; schedule = Job.Full;
+            area = Some area; calibration = None };
+    }
+  ^
+  match card with
+  | Some c -> "|" ^ Digest.to_hex (Digest.string (Ape_calib.Card.print c))
+  | None -> ""
 
-let run_estimate t (spec : Job.opamp_spec) =
-  let d = E.Opamp.design t.proc (estimator_spec spec) in
-  let p = d.E.Opamp.perf in
-  ( R.Done,
-    [ ("topology", R.Str (E.Opamp.describe d));
-      ("gain", R.float_opt p.E.Perf.gain);
-      ("ugf", R.float_opt p.E.Perf.ugf);
-      ("gate_area", R.Float p.E.Perf.gate_area);
-      ("power", R.Float p.E.Perf.dc_power);
-      ("phase_margin", R.float_opt p.E.Perf.phase_margin);
-    ] )
-
-let run_synth t (job : Job.t) (spec : Job.opamp_spec) mode chains schedule =
-  let proto =
+let synth ~jobs t (job : Job.t) (spec : Job.opamp_spec) mode chains schedule
+    area calibration =
+  let calibration = Option.map Ape_calib.Card.load calibration in
+  let row =
     {
-      S.Opamp_problem.name = job.Job.id;
+      S.Opamp_problem.name = job.id;
       gain = spec.gain;
       ugf = spec.ugf;
       area = 1.;
       ibias = spec.ibias;
-      curr_src = bias_of spec.bias;
+      curr_src = spec.bias;
       buffer = spec.buffer;
       zout = spec.zout;
       cl = spec.cl;
     }
   in
-  let ape = S.Opamp_problem.ape_design t.proc proto in
-  let row =
-    { proto with
-      S.Opamp_problem.area = 1.3 *. ape.E.Opamp.perf.E.Perf.gate_area
-    }
+  let area =
+    match area with
+    | Some a -> a
+    | None -> S.Opamp_problem.area_budget t.proc row
   in
-  let fingerprint = synth_fingerprint spec mode in
+  let cache = cache_for t (synth_fingerprint spec mode ~area calibration) in
   let mode =
     match mode with
     | Job.Ape_mode -> S.Opamp_problem.Ape_centered 0.2
@@ -110,137 +152,139 @@ let run_synth t (job : Job.t) (spec : Job.opamp_spec) mode chains schedule =
     | Job.Quick -> S.Anneal.quick_schedule
     | Job.Full -> S.Anneal.default_schedule
   in
-  let cache = cache_for t fingerprint in
-  let rng = Ape_util.Rng.create (Job.seed_of job) in
-  let r =
-    S.Driver.run ~schedule ~chains ~jobs:1 ~cache ~rng t.proc ~mode row
-  in
-  ( (if r.S.Driver.meets_spec then R.Done else R.Unmet),
-    [ ("comment", R.Str r.S.Driver.comment);
-      ("meets_spec", R.Bool r.S.Driver.meets_spec);
-      ("works", R.Bool r.S.Driver.works);
-      ("gain", R.float_opt r.S.Driver.gain);
-      ("ugf", R.float_opt r.S.Driver.ugf);
-      ("area", R.Float r.S.Driver.area);
-      ("power", R.Float r.S.Driver.power);
-      ("evaluations", R.Int r.S.Driver.stats.S.Anneal.evaluations);
-    ] )
+  S.Driver.run ~schedule ~chains ~jobs ~cache ?calibration
+    ~rng:(Ape_util.Rng.create (Job.seed_of job))
+    t.proc ~mode { row with area }
 
-let run_mc t job (spec : Job.opamp_spec) samples level sigma_scale =
-  let level =
-    match level with
-    | Job.Mc_estimate -> Mc.Scenario.Estimate
-    | Job.Mc_simulate -> Mc.Scenario.Simulate
-  in
+let mc ~jobs t job spec samples level sigma_scale =
   let sigmas = Mc.Variation.scale sigma_scale Mc.Variation.default in
   let measure, checks =
     Mc.Scenario.opamp ~sigmas ~level t.proc (estimator_spec spec)
   in
-  let report =
-    Mc.Run.run ~checks
-      { Mc.Run.samples; jobs = 1; seed = Job.seed_of job }
-      ~measure
-  in
-  let metrics =
-    List.map
-      (fun m ->
-        ( m.Mc.Run.m_name,
-          R.Obj
-            [ ("mean", R.Float (Mc.Stats.mean m.Mc.Run.m_stats));
-              ("std", R.Float (Mc.Stats.std m.Mc.Run.m_stats));
-            ] ))
-      report.Mc.Run.metrics
-  in
-  ( (if report.Mc.Run.yield >= 1.0 then R.Done else R.Unmet),
-    [ ("samples", R.Int samples);
-      ("pass", R.Int report.Mc.Run.pass);
-      ("failures", R.Int report.Mc.Run.failures);
-      ("yield", R.Float report.Mc.Run.yield);
-      ("metrics", R.Obj metrics);
-    ] )
+  Mc.Run.run ~checks { Mc.Run.samples; jobs; seed = Job.seed_of job } ~measure
 
-let sim_measurements op = function
-  | None -> []
-  | Some node ->
-    let prep = Ape_spice.Ac.prepare op in
-    let module M = Ape_spice.Measure.Prepared in
-    [ ("out", R.Str node);
-      ("v_out", R.Float (Ape_spice.Dc.voltage op node));
-      ("dc_gain", R.Float (M.dc_gain ~out:node prep));
-      ("f_minus_3db", R.float_opt (M.f_minus_3db ~out:node prep));
-      ("ugf", R.float_opt (M.unity_gain_frequency ~out:node prep));
-      ("phase_margin", R.float_opt (M.phase_margin ~out:node prep));
-      (* Adjoint noise rides on the same preparation; a gain of zero
-         (no AC excitation reaching [node]) reports null. *)
-      ( "in_noise",
-        R.float_opt
-          (match
-             Ape_spice.Noise.input_referred_prepared ~out:node ~freq:1e3 prep
-           with
-          | v -> Some v
-          | exception Division_by_zero -> None) );
-    ]
+(* One AC preparation serves every measurement, adjoint noise
+   included; a gain of zero (no AC excitation reaching [node]) has no
+   input-referred noise. *)
+let measure_ac op node =
+  let prep = Ape_spice.Ac.prepare op in
+  let module M = Ape_spice.Measure.Prepared in
+  let dc_gain = M.dc_gain ~out:node prep in
+  let f_minus_3db = M.f_minus_3db ~out:node prep in
+  let ugf = M.unity_gain_frequency ~out:node prep in
+  let phase_margin = M.phase_margin ~out:node prep in
+  let in_noise =
+    match Ape_spice.Noise.input_referred_prepared ~out:node ~freq:1e3 prep with
+    | v -> Some v
+    | exception Division_by_zero -> None
+  in
+  { node; dc_gain; f_minus_3db; ugf; phase_margin; in_noise }
 
-(* [~path] anchors [.INCLUDE]s at the deck's own directory; a deck with
-   errors fails with every error diagnostic, caret-rendered. *)
-let run_sim t file out =
+(* [~path] anchors [.INCLUDE]s at the deck's own directory. *)
+let sim t file out =
   let module Sp = Ape_circuit.Spice_parser in
   let text = In_channel.with_open_text file In_channel.input_all in
   let parsed = Sp.parse_result ~process:t.proc ~path:file ~title:file text in
-  let file_field = ("file", R.Str file) in
-  match Sp.errors parsed with
-  | [] ->
-    let op = Ape_spice.Dc.solve parsed.Sp.netlist in
-    (R.Done, file_field :: sim_measurements op out)
+  (match Sp.errors parsed with
+  | [] -> ()
   | errors ->
-    (R.Failed (String.concat "" (List.map Sp.render errors)), [ file_field ])
+    raise (Deck_errors (String.concat "" (List.map Sp.render errors))));
+  let op = Ape_spice.Dc.solve parsed.Sp.netlist in
+  Simulated { file; op; ac = Option.map (measure_ac op) out }
 
-let run_verify t levels slew calibration =
+let verify t levels slew calibration =
   let module C = Ape_check in
-  let levels =
-    match levels with
-    | [] -> C.Tolerance.all_levels
-    | names ->
-      List.filter_map C.Tolerance.level_of_name names
-  in
-  (* Card problems (missing file, parse error) surface as this job's
-     failure record via the catch-list below — the daemon survives. *)
+  let levels = match levels with [] -> C.Tolerance.all_levels | ls -> ls in
   let calibration = Option.map Ape_calib.Card.load calibration in
-  let outcome = C.Check.run ~slew ?calibration ~levels t.proc in
-  let rows =
-    List.fold_left
-      (fun acc lr -> acc + List.length lr.C.Check.rows)
-      0 outcome.C.Check.results
-  in
-  let failures = List.length (C.Check.failures outcome) in
-  ( (if C.Check.ok outcome then R.Done else R.Unmet),
-    [ ("rows", R.Int rows); ("failures", R.Int failures) ] )
+  C.Check.run ~slew ?calibration ~levels t.proc
+
+let execute ?(jobs = 1) t (job : Job.t) =
+  match job.payload with
+  | Job.Estimate spec -> Estimated (E.Opamp.design t.proc (estimator_spec spec))
+  | Job.Synth { spec; mode; seed = _; chains; schedule; area; calibration } ->
+    Synthesized
+      (synth ~jobs t job spec mode chains schedule area calibration)
+  | Job.Mc { spec; samples; level; sigma_scale; seed = _ } ->
+    Sampled (mc ~jobs t job spec samples level sigma_scale)
+  | Job.Sim { file; out } -> sim t file out
+  | Job.Verify { levels; slew; calibration } ->
+    Verified (verify t levels slew calibration)
+
+(* ------------------------------------------------------------------ *)
+(* Records                                                             *)
+(* ------------------------------------------------------------------ *)
+
+let verdict ok = if ok then R.Done else R.Unmet
+
+let record = function
+  | Estimated d ->
+    let p = d.E.Opamp.perf in
+    ( R.Done,
+      [ ("topology", R.Str (E.Opamp.describe d));
+        ("gain", R.float_opt p.E.Perf.gain);
+        ("ugf", R.float_opt p.E.Perf.ugf);
+        ("gate_area", R.Float p.E.Perf.gate_area);
+        ("power", R.Float p.E.Perf.dc_power);
+        ("phase_margin", R.float_opt p.E.Perf.phase_margin);
+      ] )
+  | Synthesized r ->
+    ( verdict r.S.Driver.meets_spec,
+      [ ("comment", R.Str r.S.Driver.comment);
+        ("meets_spec", R.Bool r.S.Driver.meets_spec);
+        ("works", R.Bool r.S.Driver.works);
+        ("gain", R.float_opt r.S.Driver.gain);
+        ("ugf", R.float_opt r.S.Driver.ugf);
+        ("area", R.Float r.S.Driver.area);
+        ("power", R.Float r.S.Driver.power);
+        ("evaluations", R.Int r.S.Driver.stats.S.Anneal.evaluations);
+      ] )
+  | Sampled report ->
+    let metrics =
+      List.map
+        (fun m ->
+          ( m.Mc.Run.m_name,
+            R.Obj
+              [ ("mean", R.Float (Mc.Stats.mean m.Mc.Run.m_stats));
+                ("std", R.Float (Mc.Stats.std m.Mc.Run.m_stats));
+              ] ))
+        report.Mc.Run.metrics
+    in
+    ( verdict (report.Mc.Run.yield >= 1.0),
+      [ ("samples", R.Int report.Mc.Run.config.Mc.Run.samples);
+        ("pass", R.Int report.Mc.Run.pass);
+        ("failures", R.Int report.Mc.Run.failures);
+        ("yield", R.Float report.Mc.Run.yield);
+        ("metrics", R.Obj metrics);
+      ] )
+  | Simulated { file; op; ac } ->
+    ( R.Done,
+      ("file", R.Str file)
+      ::
+      (match ac with
+      | None -> []
+      | Some a ->
+        [ ("out", R.Str a.node);
+          ("v_out", R.Float (Ape_spice.Dc.voltage op a.node));
+          ("dc_gain", R.Float a.dc_gain);
+          ("f_minus_3db", R.float_opt a.f_minus_3db);
+          ("ugf", R.float_opt a.ugf);
+          ("phase_margin", R.float_opt a.phase_margin);
+          ("in_noise", R.float_opt a.in_noise);
+        ]) )
+  | Verified outcome ->
+    let module C = Ape_check in
+    let rows =
+      List.concat_map (fun lr -> lr.C.Check.rows) outcome.C.Check.results
+    in
+    ( verdict (C.Check.ok outcome),
+      [ ("rows", R.Int (List.length rows));
+        ("failures", R.Int (List.length (C.Check.failures outcome)));
+      ] )
 
 let run t job =
-  try
-    match job.Job.payload with
-    | Job.Estimate spec -> run_estimate t spec
-    | Job.Synth { spec; mode; seed = _; chains; schedule } ->
-      run_synth t job spec mode chains schedule
-    | Job.Mc { spec; samples; level; sigma_scale; seed = _ } ->
-      run_mc t job spec samples level sigma_scale
-    | Job.Sim { file; out } -> run_sim t file out
-    | Job.Verify { levels; slew; calibration } ->
-      run_verify t levels slew calibration
-  with
-  | E.Opamp.Infeasible msg -> (R.Failed ("infeasible: " ^ msg), [])
-  | Ape_spice.Dc.No_convergence msg ->
-    (R.Failed ("no convergence: " ^ msg), [])
-  | Ape_spice.Engine.Engine_error { analysis; node; detail } ->
-    ( R.Failed
-        (Printf.sprintf "engine error (%s%s): %s" analysis
-           (match node with Some n -> " at " ^ n | None -> "")
-           detail),
-      [] )
-  | Ape_spice.Transient.Step_failed time ->
-    (R.Failed (Printf.sprintf "transient step failed at t=%g s" time), [])
-  | Ape_util.Matrix.Singular | Ape_util.Sparse.Singular ->
-    (R.Failed "singular system", [])
-  | Ape_calib.Card.Parse_error { pos; msg } ->
-    (R.Failed (Ape_calib.Card.describe_error ~pos ~msg), [])
-  | Sys_error msg -> (R.Failed msg, [])
+  match execute t job with
+  | outcome -> record outcome
+  | exception e -> (
+    match failure e with
+    | Some (_, msg) -> (R.Failed msg, [])
+    | None -> raise e)

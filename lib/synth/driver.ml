@@ -14,7 +14,6 @@ type result = {
   best_values : (string * float) list;
   best_netlist : Ape_circuit.Netlist.t;
   comment : string;
-  yield : Ape_mc.Run.report option;
   cache_hits : int;
   cache_lookups : int;
 }
@@ -62,8 +61,8 @@ let comment_of (row : Opamp_problem.row) measurement =
    perturbed dies.  The sizing is frozen — only the model cards move —
    so this answers "how much of the spec margin did the annealer leave
    against process variation". *)
-let yield_check ?(sigmas = Ape_mc.Variation.default) process
-    (row : Opamp_problem.row) netlist config =
+let yield_check process (row : Opamp_problem.row) netlist config =
+  Obs.span "yield_check" @@ fun () ->
   let checks =
     [
       Ape_mc.Run.at_least "gain" row.Opamp_problem.gain;
@@ -71,7 +70,7 @@ let yield_check ?(sigmas = Ape_mc.Variation.default) process
     ]
   in
   let measure rng _i =
-    let proc = Ape_mc.Variation.perturb rng sigmas process in
+    let proc = Ape_mc.Variation.perturb rng Ape_mc.Variation.default process in
     let nl = Ape_circuit.Netlist.retarget_process proc netlist in
     match Opamp_problem.measure_netlist proc row nl with
     | None ->
@@ -86,9 +85,8 @@ let yield_check ?(sigmas = Ape_mc.Variation.default) process
   in
   Ape_mc.Run.run ~checks config ~measure
 
-let run ?(schedule = Anneal.default_schedule) ?mc ?mc_sigmas ?(chains = 1)
-    ?(jobs = 1) ?cache ?cache_quantum ?cache_capacity ?calibration ~rng
-    process ~mode row =
+let run ?(schedule = Anneal.default_schedule) ?(chains = 1) ?(jobs = 1) ?cache
+    ?calibration ~rng process ~mode row =
   Obs.span "synth" @@ fun () ->
   let design =
     Obs.span "seed_design" (fun () ->
@@ -98,8 +96,7 @@ let run ?(schedule = Anneal.default_schedule) ?mc ?mc_sigmas ?(chains = 1)
   in
   let problem =
     Obs.span "build" (fun () ->
-        Opamp_problem.build ?cache ?cache_quantum ?cache_capacity ?calibration
-          process ~mode row design)
+        Opamp_problem.build ?cache ?calibration process ~mode row design)
   in
   (* Time-to-spec: stop once every requirement is met, KCL is satisfied
      and only the small objective pressure remains. *)
@@ -119,14 +116,6 @@ let run ?(schedule = Anneal.default_schedule) ?mc ?mc_sigmas ?(chains = 1)
   in
   let meets_spec = String.equal comment "Meets spec" in
   let works = comment <> "doesn't work." in
-  let yield =
-    match mc with
-    | None -> None
-    | Some config ->
-      Some
-        (Obs.span "yield_check" (fun () ->
-             yield_check ?sigmas:mc_sigmas process row best_netlist config))
-  in
   {
     row;
     mode;
@@ -140,7 +129,6 @@ let run ?(schedule = Anneal.default_schedule) ?mc ?mc_sigmas ?(chains = 1)
     best_values = problem.Opamp_problem.values best;
     best_netlist;
     comment;
-    yield;
     cache_hits = Est_cache.hits problem.Opamp_problem.cache;
     cache_lookups = Est_cache.lookups problem.Opamp_problem.cache;
   }

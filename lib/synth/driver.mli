@@ -14,21 +14,15 @@ type result = {
   best_values : (string * float) list;  (** named unknown values *)
   best_netlist : Ape_circuit.Netlist.t;
   comment : string;  (** the paper's "Comments" column *)
-  yield : Ape_mc.Run.report option;
-      (** Monte Carlo yield of the best candidate, when requested *)
   cache_hits : int;  (** estimation-cache hits during the anneal *)
   cache_lookups : int;  (** total cost evaluations requested *)
 }
 
 val run :
   ?schedule:Anneal.schedule ->
-  ?mc:Ape_mc.Run.config ->
-  ?mc_sigmas:Ape_mc.Variation.sigmas ->
   ?chains:int ->
   ?jobs:int ->
   ?cache:Est_cache.t ->
-  ?cache_quantum:float ->
-  ?cache_capacity:int ->
   ?calibration:Ape_calib.Card.t ->
   rng:Ape_util.Rng.t ->
   Ape_process.Process.t ->
@@ -37,31 +31,29 @@ val run :
   result
 (** Build the APE design (topology; also the interval centres in
     [Ape_centered] mode), anneal, re-measure the best candidate and
-    classify the outcome.  With [?mc], additionally run a post-synthesis
-    Monte Carlo yield check on the best candidate: its sized netlist is
-    re-measured on [mc.samples] perturbed dies ([mc_sigmas] defaults to
-    {!Ape_mc.Variation.default}) against the row's gain/UGF spec.
+    classify the outcome.  A post-synthesis yield check on the result
+    is {!yield_check}'s job.
 
     [chains] (default 1) independent annealing chains run over a
     persistent domain pool of [jobs] workers (default 1), sharing the
-    problem's {!Est_cache} ([cache_quantum]/[cache_capacity] tune it);
-    see {!Anneal.optimize}.  For a fixed seed the result is
-    bit-identical for any [jobs].
+    problem's {!Est_cache}; see {!Anneal.optimize}.  For a fixed seed
+    the result is bit-identical for any [jobs].
 
-    [cache] hands the run an externally-owned cache instead (see
+    [cache] hands the run an externally-owned cache (see
     {!Opamp_problem.build}); [cache_hits]/[cache_lookups] in the result
     are then that cache's {e cumulative} totals, so callers sharing a
     cache across runs should difference them. *)
 
 val yield_check :
-  ?sigmas:Ape_mc.Variation.sigmas ->
   Ape_process.Process.t ->
   Opamp_problem.row ->
   Ape_circuit.Netlist.t ->
   Ape_mc.Run.config ->
   Ape_mc.Run.report
-(** The standalone form of the [?mc] check, for re-running on a stored
-    netlist. *)
+(** Post-synthesis Monte Carlo yield: the sized netlist (a
+    {!result}'s [best_netlist]) is re-measured on [config.samples]
+    dies perturbed by {!Ape_mc.Variation.default}, against the row's
+    gain/UGF spec.  The sizing is frozen; only the model cards move. *)
 
 val comment_of : Opamp_problem.row -> Cost.measurement option -> string
 (** "Meets spec", "Gain << Spec", "UGF < spec", "Area >> Spec" or

@@ -27,6 +27,11 @@ let ape_design process row =
        ~bias_topology:row.curr_src ~cl:row.cl ~area_max:row.area
        ~av:row.gain ~ugf:(1.5 *. row.ugf) ~ibias:row.ibias ())
 
+(* The area budget of Tables 1 and 4: 1.3x the gate area of the APE
+   design, sized without an area limit (1 m^2). *)
+let area_budget process row =
+  1.3 *. (ape_design process { row with area = 1. }).E.Opamp.perf.E.Perf.gate_area
+
 (* The uninformed starting design for standalone runs: the topology is
    selected (as ASTRX requires) but sized for a neutral low-spec point,
    so no APE knowledge about the actual requirements leaks in. *)
@@ -209,8 +214,7 @@ let size_template (process : Proc.t) ~mode base design =
         (Template.Res_value [ "d1.tail.R1" ]);
     ]
 
-let build ?cache ?cache_quantum ?(cache_capacity = 8192) ?calibration
-    (process : Proc.t) ~mode row design =
+let build ?cache ?calibration (process : Proc.t) ~mode row design =
   let vdd = process.Proc.vdd in
   let base = testbench process row design in
   let template = Template.make base (size_template process ~mode base design) in
@@ -295,13 +299,12 @@ let build ?cache ?cache_quantum ?(cache_capacity = 8192) ?calibration
     Cost.evaluate cost_model (Option.map correct measurement) +. (3. *. kcl)
   in
   let cache =
-    (* A caller-owned cache (the serve scheduler's per-problem warm
-       cache, shared across every job with this fingerprint) wins over
-       a fresh one; its quantum/capacity were fixed at creation. *)
+    (* A caller-owned cache (the serve runner's per-problem warm cache,
+       shared across every job with this fingerprint) wins over a fresh
+       one. *)
     match cache with
     | Some c -> c
-    | None ->
-      Est_cache.create ?quantum:cache_quantum ~capacity:cache_capacity ()
+    | None -> Est_cache.create ~capacity:8192 ()
   in
   (* The callback evaluates the quantized cell's representative point,
      not [point] itself, so the memoised value is a pure function of

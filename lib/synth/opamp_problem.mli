@@ -36,6 +36,11 @@ val ape_design : Ape_process.Process.t -> row -> Ape_estimator.Opamp.design
 (** The APE front-end pass for this row (UGF designed with a 35 %
     hand-off margin). *)
 
+val area_budget : Ape_process.Process.t -> row -> float
+(** The gate-area budget of Tables 1 and 4: 1.3 × the gate area of the
+    APE design of [row] sized without an area limit ([row.area] is
+    ignored). *)
+
 val strawman_design :
   Ape_process.Process.t -> row -> Ape_estimator.Opamp.design
 (** Topology-only starting design for the standalone (Table 1) runs:
@@ -64,26 +69,22 @@ type problem = {
 
 val build :
   ?cache:Est_cache.t ->
-  ?cache_quantum:float ->
-  ?cache_capacity:int ->
   ?calibration:Ape_calib.Card.t ->
   Ape_process.Process.t ->
   mode:mode ->
   row ->
   Ape_estimator.Opamp.design ->
   problem
-(** [cache_quantum]/[cache_capacity] tune the {!Est_cache} behind
-    [cost] (defaults: {!Est_cache.default_quantum}, 8192 entries).
-    [cache] instead hands the problem an externally-owned cache — the
-    serve layer keeps one warm cache per problem fingerprint so repeated
-    synthesis of the same spec skips already-evaluated points; when
-    given, [cache_quantum]/[cache_capacity] are ignored.  Sharing is
-    sound because memoised values are pure functions of the quantized
-    key (see {!Est_cache}) — callers sharing a cache must also share
-    the (or no) calibration card, since corrections feed the memoised
-    cost.  [calibration] corrects the in-loop gain/UGF estimates
-    (opamp level, region from the row's spec); the final verdict is
-    always measured raw. *)
+(** [cost] memoises through [cache] when given, else through a fresh
+    {!Est_cache} of 8192 entries at {!Est_cache.default_quantum}.  The
+    serve runner keeps one warm cache per problem fingerprint so
+    repeated synthesis of the same problem skips already-evaluated
+    points.  Sharing is sound because memoised values are pure
+    functions of the quantized key (see {!Est_cache}) — callers sharing
+    a cache must also share the (or no) calibration card, since
+    corrections feed the memoised cost.  [calibration] corrects the
+    in-loop gain/UGF estimates (opamp level, region from the row's
+    spec); the final verdict is always measured raw. *)
 
 val measure_netlist :
   ?out_dc_target:float ->

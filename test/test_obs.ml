@@ -1,8 +1,8 @@
 (* Tests for Ape_obs: registry semantics, span hierarchy, per-domain
    sink merging through Pool, the metamorphic bit-identity guarantee
    (observation on/off and jobs=1/N never change numeric results), the
-   JSON export, and the CLI exit-code contract (singular deck, usage
-   errors). *)
+   JSON export, and the CLI contract: exit codes (singular deck, usage
+   errors, unreadable inputs) and agreement with serve's runner. *)
 
 module Obs = Ape_obs
 module B = Ape_circuit.Builder
@@ -258,19 +258,34 @@ let run_cli exe args =
     (Filename.quote_command exe ~stdout:Filename.null ~stderr:Filename.null
        args)
 
+(* Exit code and stdout of one run. *)
+let run_cli_output exe args =
+  let out = Filename.temp_file "ape_cli" ".out" in
+  Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
+  let code =
+    Sys.command
+      (Filename.quote_command exe ~stdout:out ~stderr:Filename.null args)
+  in
+  (code, In_channel.with_open_bin out In_channel.input_all)
+
+let with_temp_file suffix text f =
+  let file = Filename.temp_file "ape_cli" suffix in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  Out_channel.with_open_text file (fun oc -> output_string oc text);
+  f file
+
+let singular_deck =
+  "* two parallel sources disagree: no DC solution exists\n\
+   V1 a 0 5\n\
+   V2 a 0 3\n\
+   R1 a 0 1k\n\
+   .end\n"
+
 let test_cli_singular_deck_exits_nonzero () =
   match ape_exe () with
   | None -> Alcotest.fail "bin/ape.exe not built"
   | Some exe ->
-    let deck = Filename.temp_file "ape_singular" ".sp" in
-    Fun.protect ~finally:(fun () -> Sys.remove deck) @@ fun () ->
-    Out_channel.with_open_text deck (fun oc ->
-        output_string oc
-          "* two parallel sources disagree: no DC solution exists\n\
-           V1 a 0 5\n\
-           V2 a 0 3\n\
-           R1 a 0 1k\n\
-           .end\n");
+    with_temp_file ".sp" singular_deck @@ fun deck ->
     Alcotest.(check int) "sim on singular deck exits 1" 1
       (run_cli exe [ "sim"; deck ])
 
@@ -301,6 +316,18 @@ let test_cli_synth_usage_errors () =
       (synth [ "--chains"; "0" ]);
     Alcotest.(check int) "synth --exchange-period exits 124" 124
       (synth [ "--exchange-period"; "1" ]);
+    (* Every count has a converter: no hand check, no silent skip. *)
+    List.iter
+      (fun args ->
+        Alcotest.(check int) (String.concat " " args ^ " exits 124") 124
+          (run_cli exe args))
+      [
+        [ "mc"; "opamp"; "--gain"; "200"; "--ugf"; "2meg"; "--samples"; "0" ];
+        [ "synth"; "--gain"; "200"; "--ugf"; "2meg"; "--mc-samples=-5" ];
+        [ "synth"; "--gain"; "200"; "--ugf"; "2meg"; "--cache-capacity"; "0" ];
+        [ "calibrate"; "--points=-2"; "--out"; Filename.null ];
+        [ "serve"; "--queue"; "0" ];
+      ];
     (* One --jobs rule for every command: 0 is the hardware count, a
        negative count is a usage error. *)
     List.iter
@@ -334,6 +361,107 @@ let test_cli_vase_malformed_specs () =
         ")";
         "(system demo (chain (amplifier (gain 10) (bandwidth 20k))) \
          (require (total_gain 10) (bandwidth 1k))";
+      ]
+
+(* Every input file is read inside the CLI's failure guard: a directory
+   or a missing file is an input-side failure (exit 3), never an
+   uncaught exception (125) or cmdliner's file check (124). *)
+let test_cli_unreadable_inputs_exit_3 () =
+  match ape_exe () with
+  | None -> Alcotest.fail "bin/ape.exe not built"
+  | Some exe ->
+    let dir = Filename.get_temp_dir_name () in
+    let missing = Filename.concat dir "ape_no_such_input" in
+    List.iter
+      (fun args ->
+        Alcotest.(check int) (String.concat " " args ^ " exits 3") 3
+          (run_cli exe args))
+      [
+        [ "sim"; dir ]; [ "vase"; dir ]; [ "sim"; missing ];
+        [ "vase"; missing ]; [ "calibrate"; missing; "--out"; Filename.null ];
+      ];
+    (* A bad count in a grid file is positioned and labelled as the
+       grid spec's. *)
+    with_temp_file ".scm" "(grid (points -2))" @@ fun grid ->
+    Alcotest.(check (pair int string))
+      "negative grid points"
+      (3, "grid spec: 1:15: points must be non-negative, got -2\n")
+      (run_cli_output exe [ "calibrate"; grid; "--out"; Filename.null ])
+
+(* One failure table: [ape sim] prints exactly the error a serve record
+   of the same deck carries, a newline added when it lacks one. *)
+let test_cli_sim_failure_is_serve_error () =
+  match ape_exe () with
+  | None -> Alcotest.fail "bin/ape.exe not built"
+  | Some exe ->
+    let serve_error deck =
+      match
+        Ape_serve.Job.parse_batch (Printf.sprintf "(job sim (file %S))" deck)
+      with
+      | [ Ok job ] -> (
+        match
+          Ape_serve.Runner.run
+            (Ape_serve.Runner.create Ape_process.Process.c12)
+            job
+        with
+        | Ape_serve.Record.Failed msg, _ -> msg
+        | _ -> Alcotest.fail (deck ^ " did not fail"))
+      | _ -> Alcotest.fail "bad job"
+    in
+    let check deck =
+      let msg = serve_error deck in
+      Alcotest.(check (pair int string))
+        deck
+        (1, if String.ends_with ~suffix:"\n" msg then msg else msg ^ "\n")
+        (run_cli_output exe [ "sim"; deck ])
+    in
+    with_temp_file ".sp" singular_deck check;
+    let bad_expr =
+      List.find Sys.file_exists
+        [ "golden/decks/bad/bad_expr.sp"; "test/golden/decks/bad/bad_expr.sp" ]
+    in
+    check bad_expr;
+    (* Both of the deck's errors, not just the first. *)
+    Alcotest.(check int) "every diagnostic" 2
+      (List.length
+         (List.filter
+            (String.starts_with ~prefix:(bad_expr ^ ":"))
+            (String.split_on_char '\n' (serve_error bad_expr))))
+
+(* The CLI's synth and a serve synth job of the same spec are one job:
+   the same verdict after the same number of evaluations. *)
+let test_cli_synth_is_serve_job () =
+  match ape_exe () with
+  | None -> Alcotest.fail "bin/ape.exe not built"
+  | Some exe ->
+    let code, cli =
+      run_cli_output exe
+        [ "synth"; "--gain"; "200"; "--ugf"; "2meg"; "--seed"; "7" ]
+    in
+    Alcotest.(check int) "synth meets spec" 0 code;
+    let verdict, evaluations =
+      match String.split_on_char '\n' cli with
+      | verdict :: line :: _ ->
+        (verdict, Scanf.sscanf line "%_[^(](%d evaluations)" Fun.id)
+      | _ -> Alcotest.fail ("short synth output: " ^ cli)
+    in
+    with_temp_file ".jobs" "(job synth (id cli) (gain 200) (ugf 2meg) (seed 7))"
+    @@ fun jobs ->
+    let code, served = run_cli_output exe [ "serve"; "--deterministic"; jobs ] in
+    Alcotest.(check int) "serve exits 0" 0 code;
+    let contains field =
+      let n = String.length field in
+      let rec at i =
+        i + n <= String.length served
+        && (String.sub served i n = field || at (i + 1))
+      in
+      at 0
+    in
+    List.iter
+      (fun field -> Alcotest.(check bool) field true (contains field))
+      [
+        Printf.sprintf "\"comment\":%S" verdict;
+        Printf.sprintf "\"evaluations\":%d}" evaluations;
       ]
 
 let () =
@@ -378,5 +506,11 @@ let () =
             test_cli_synth_usage_errors;
           Alcotest.test_case "vase malformed specs exit 3" `Quick
             test_cli_vase_malformed_specs;
+          Alcotest.test_case "unreadable inputs exit 3" `Quick
+            test_cli_unreadable_inputs_exit_3;
+          Alcotest.test_case "sim failure = serve error" `Quick
+            test_cli_sim_failure_is_serve_error;
+          Alcotest.test_case "synth = serve synth job" `Quick
+            test_cli_synth_is_serve_job;
         ] );
     ]

@@ -22,24 +22,28 @@ let test_parse_values () =
     Job.parse_batch
       "(job synth (id s0) (gain 200) (ugf 2meg) (ibias 2u) (cl 4.7p)\n\
       \ (bias wilson) (zout 1k) (buffer) (seed 9) (chains 3)\n\
-      \ (schedule quick) (timeout 2.5) (mode wide))"
+      \ (schedule quick) (timeout 2.5) (mode wide) (area 4n)\n\
+      \ (calibration c12.calib))"
   with
   | [ Ok j ] ->
     Alcotest.(check string) "id" "s0" j.Job.id;
     Alcotest.(check (option (float 0.))) "timeout" (Some 2.5) j.Job.timeout;
     (match j.Job.payload with
-    | Job.Synth { spec; mode; seed; chains; schedule } ->
+    | Job.Synth { spec; mode; seed; chains; schedule; area; calibration } ->
       Alcotest.(check (float 0.)) "gain" 200. spec.Job.gain;
       Alcotest.(check (float 0.)) "ugf" 2e6 spec.Job.ugf;
       Alcotest.(check (float 1e-12)) "ibias" 2e-6 spec.Job.ibias;
       Alcotest.(check (float 1e-18)) "cl" 4.7e-12 spec.Job.cl;
-      Alcotest.(check bool) "wilson" true (spec.Job.bias = Job.Wilson);
+      Alcotest.(check bool) "wilson" true (spec.Job.bias = Ape_estimator.Bias.Wilson);
       Alcotest.(check (option (float 0.))) "zout" (Some 1e3) spec.Job.zout;
       Alcotest.(check bool) "buffer" true spec.Job.buffer;
       Alcotest.(check bool) "wide" true (mode = Job.Wide_mode);
       Alcotest.(check (option int)) "seed" (Some 9) seed;
       Alcotest.(check int) "chains" 3 chains;
-      Alcotest.(check bool) "quick" true (schedule = Job.Quick)
+      Alcotest.(check bool) "quick" true (schedule = Job.Quick);
+      Alcotest.(check (option (float 1e-24))) "area" (Some 4e-9) area;
+      Alcotest.(check (option string)) "calibration" (Some "c12.calib")
+        calibration
     | _ -> Alcotest.fail "expected a synth payload")
   | rs -> Alcotest.failf "expected one job, got %d results" (List.length rs)
 
@@ -53,9 +57,10 @@ let test_parse_defaults () =
     | Job.Mc { spec; samples; level; sigma_scale; seed } ->
       Alcotest.(check (float 1e-12)) "ibias default" 1e-6 spec.Job.ibias;
       Alcotest.(check (float 1e-18)) "cl default" 10e-12 spec.Job.cl;
-      Alcotest.(check bool) "simple bias" true (spec.Job.bias = Job.Simple);
+      Alcotest.(check bool) "simple bias" true (spec.Job.bias = Ape_estimator.Bias.Simple);
       Alcotest.(check int) "samples default" 200 samples;
-      Alcotest.(check bool) "estimate level" true (level = Job.Mc_estimate);
+      Alcotest.(check bool) "estimate level" true
+        (level = Ape_mc.Scenario.Estimate);
       Alcotest.(check (float 0.)) "sigma default" 1.0 sigma_scale;
       Alcotest.(check (option int)) "no seed" None seed
     | _ -> Alcotest.fail "expected an mc payload")
@@ -139,7 +144,7 @@ let gen_spec =
     let* ugf = float_range 1e3 1e8 in
     let* ibias = float_range 1e-7 1e-4 in
     let* cl = float_range 1e-13 1e-10 in
-    let* bias = oneofl [ Job.Simple; Job.Wilson; Job.Cascode ] in
+    let* bias = oneofl Ape_estimator.Bias.[ Simple; Wilson; Cascode ] in
     let* zout = opt (float_range 10. 1e6) in
     let* buffer = bool in
     return { Job.gain; ugf; ibias; cl; bias; zout; buffer })
@@ -165,10 +170,16 @@ let gen_job =
             let* seed = opt (int_bound 99999) in
             let* chains = int_range 1 5 in
             let* schedule = oneofl [ Job.Quick; Job.Full ] in
-            return (Job.Synth { spec; mode; seed; chains; schedule }) );
+            let* area = opt (float_range 1e-11 1e-7) in
+            let* calibration = opt gen_id in
+            return
+              (Job.Synth
+                 { spec; mode; seed; chains; schedule; area; calibration }) );
           ( let* spec = gen_spec in
             let* samples = int_range 1 5000 in
-            let* level = oneofl [ Job.Mc_estimate; Job.Mc_simulate ] in
+            let* level =
+              oneofl [ Ape_mc.Scenario.Estimate; Ape_mc.Scenario.Simulate ]
+            in
             let* sigma_scale = float_range 0.1 4. in
             let* seed = opt (int_bound 99999) in
             return (Job.Mc { spec; samples; level; sigma_scale; seed }) );
@@ -177,9 +188,8 @@ let gen_job =
             return (Job.Sim { file; out }) );
           ( let* levels =
               oneofl
-                [ []; [ "device" ]; [ "basic"; "opamp" ];
-                  [ "device"; "basic"; "opamp"; "module" ];
-                ]
+                Ape_check.Tolerance.
+                  [ []; [ Device ]; [ Basic; Opamp ]; all_levels ]
             in
             let* slew = bool in
             let* calibration = opt gen_id in
@@ -490,7 +500,83 @@ let test_runner_cache_shared_by_fingerprint () =
        (parse_one
           "(job synth (id c) (gain 150) (ugf 1meg) (seed 7) (schedule \
            quick))"));
-  Alcotest.(check int) "second fingerprint" 2 (Sv.Runner.cache_count runner)
+  Alcotest.(check int) "second fingerprint" 2 (Sv.Runner.cache_count runner);
+  (* The area budget and the calibration card change the cost
+     function, so each gets a cache of its own — the card by its
+     contents: two paths to the same card share one. *)
+  let card file scale =
+    let path = Filename.temp_file "ape_runner" file in
+    Ape_calib.Card.save path
+      { Ape_calib.Card.version = Ape_calib.Card.version;
+        process = "c12";
+        entries =
+          [ { Ape_calib.Card.level = "opamp"; attr = "gain";
+              region = Ape_calib.Card.All;
+              corr = { Ape_calib.Card.scale; bias = 0. };
+              n = 1; raw_err = 0.; cal_err = 0. };
+          ];
+      };
+    path
+  in
+  let card_a = card "a.calib" 0.9 and card_a' = card "a2.calib" 0.9 in
+  let card_b = card "b.calib" 0.8 in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ card_a; card_a'; card_b ])
+  @@ fun () ->
+  let count_after extra =
+    ignore
+      (Sv.Runner.run runner
+         (parse_one
+            (Printf.sprintf
+               "(job synth (id d) (gain 200) (ugf 2meg) (seed 7) (schedule \
+                quick) %s)"
+               extra)));
+    Sv.Runner.cache_count runner
+  in
+  Alcotest.(check int) "explicit area" 3 (count_after "(area 4n)");
+  Alcotest.(check int) "same area shares" 3 (count_after "(area 4n)");
+  Alcotest.(check int) "other area" 4 (count_after "(area 5n)");
+  Alcotest.(check int) "card" 5
+    (count_after (Printf.sprintf "(calibration %S)" card_a));
+  Alcotest.(check int) "same card shares" 5
+    (count_after (Printf.sprintf "(calibration %S)" card_a));
+  Alcotest.(check int) "same contents share" 5
+    (count_after (Printf.sprintf "(calibration %S)" card_a'));
+  Alcotest.(check int) "other card" 6
+    (count_after (Printf.sprintf "(calibration %S)" card_b))
+
+(* Each expected exception maps to one class and one message, the text
+   of a failed record and of the CLI's stdout alike. *)
+let test_runner_failure_table () =
+  let pos = Some { Ape_util.Sexpr.line = 1; col = 15 } in
+  List.iter
+    (fun (e, expected) ->
+      Alcotest.(check (option (pair bool string)))
+        (Printexc.to_string e) expected
+        (Option.map
+           (fun (cls, msg) -> (cls = Sv.Runner.Engine, msg))
+           (Sv.Runner.failure e)))
+    [
+      ( Ape_spice.Engine.Engine_error
+          { analysis = "ac"; node = Some "out"; detail = "no ground" },
+        Some (true, "engine error (ac at out): no ground") );
+      ( Ape_spice.Dc.No_convergence "dc(x)",
+        Some (true, "no convergence: dc(x)") );
+      ( Ape_spice.Transient.Step_failed 1.5e-6,
+        Some (true, "transient step failed at t=1.5us") );
+      ( Ape_util.Matrix.Singular,
+        Some (true, "singular system: the deck has no unique solution") );
+      ( Ape_util.Sparse.Singular,
+        Some (true, "singular system: the deck has no unique solution") );
+      ( Ape_estimator.Opamp.Infeasible "gain unreachable",
+        Some (true, "infeasible: gain unreachable") );
+      (Sys_error "x.sp: No such file", Some (false, "x.sp: No such file"));
+      ( Ape_calib.Card.Parse_error { pos; msg = "bad" },
+        Some (false, "calibration card: 1:15: bad") );
+      ( Ape_calib.Grid.Parse_error { pos; msg = "bad" },
+        Some (false, "grid spec: 1:15: bad") );
+      (Not_found, None);
+    ]
 
 (* ---------- record rendering ---------- *)
 
@@ -601,6 +687,7 @@ let () =
           Alcotest.test_case "verify payload" `Quick test_runner_verify;
           Alcotest.test_case "cache by fingerprint" `Slow
             test_runner_cache_shared_by_fingerprint;
+          Alcotest.test_case "failure table" `Quick test_runner_failure_table;
         ] );
       ( "record",
         [ Alcotest.test_case "rendering" `Quick test_record_rendering ] );

@@ -169,8 +169,9 @@ let small_row =
   }
 
 let row_with_budget () =
-  let ape = S.Opamp_problem.ape_design proc small_row in
-  { small_row with S.Opamp_problem.area = 1.3 *. ape.E.Opamp.perf.E.Perf.gate_area }
+  { small_row with
+    S.Opamp_problem.area = S.Opamp_problem.area_budget proc small_row
+  }
 
 let test_ape_centered_meets_fast () =
   let row = row_with_budget () in
