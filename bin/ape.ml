@@ -231,13 +231,76 @@ let opamp_cmd =
 
 (* ---------- ape module ---------- *)
 
+(* Each kind's flags, checked against the range its designer accepts
+   before designing: a value outside it is a usage error (exit 124),
+   never an [Invalid_argument] from deep inside a designer. *)
+let module_spec kind ~order ~fc ~gain ~bw ~bits ~delay =
+  let need ok msg k = if ok then k () else Error msg in
+  let positive flag v =
+    need (v > 0.) (Printf.sprintf "--%s must be positive, got %g" flag v)
+  in
+  let bits_in kind lo hi =
+    need
+      (bits >= lo && bits <= hi)
+      (Printf.sprintf "--bits must be in [%d, %d] for %s, got %d" lo hi kind
+         bits)
+  in
+  match kind with
+  | `Lpf ->
+    need
+      (order >= 2 && order mod 2 = 0)
+      (Printf.sprintf "--order must be even and at least 2, got %d" order)
+    @@ fun () ->
+    positive "fc" fc @@ fun () ->
+    Ok (E.Module_lib.Lowpass_m { E.Filter.order; f_cutoff = fc; r_base = 1e6 })
+  | `Bpf ->
+    positive "fc" fc @@ fun () ->
+    positive "gain" gain @@ fun () ->
+    Ok
+      (E.Module_lib.Bandpass_m
+         { E.Filter.f_center = fc; q = 1.; gain = Float.min gain 1.8;
+           c_base = 10e-9 })
+  | `Sh ->
+    need (gain >= 1.) (Printf.sprintf "--gain must be at least 1, got %g" gain)
+    @@ fun () ->
+    positive "bw" bw @@ fun () ->
+    Ok
+      (E.Module_lib.Sample_hold_m
+         (E.Sample_hold.spec ~gain ~bandwidth:bw ~sr:1e4 ()))
+  | `Adc ->
+    bits_in "adc" 2 6 @@ fun () ->
+    positive "delay" delay @@ fun () ->
+    Ok (E.Module_lib.Flash_adc_m (E.Data_conv.Flash_adc.spec ~bits ~delay ()))
+  | `Dac ->
+    bits_in "dac" 1 12 @@ fun () ->
+    positive "delay" delay @@ fun () ->
+    Ok (E.Module_lib.Dac_m (E.Data_conv.Dac.spec ~bits ~settling:delay ()))
+  | `Amp ->
+    need (gain > 1.) (Printf.sprintf "--gain must exceed 1, got %g" gain)
+    @@ fun () ->
+    positive "bw" bw @@ fun () ->
+    Ok (E.Module_lib.Audio_amp { gain; bandwidth = bw })
+  | `Comparator ->
+    positive "delay" delay @@ fun () ->
+    Ok (E.Module_lib.Comparator_m (E.Data_conv.Comparator.spec ~delay ()))
+
 let module_cmd =
   let kind_arg =
     let doc = "Module kind: lpf, bpf, sh, adc, dac, amp, comparator." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"KIND" ~doc)
+    Arg.(
+      required
+      & pos 0
+          (some
+             (enum
+                [
+                  ("lpf", `Lpf); ("bpf", `Bpf); ("sh", `Sh); ("adc", `Adc);
+                  ("dac", `Dac); ("amp", `Amp); ("comparator", `Comparator);
+                ]))
+          None
+      & info [] ~docv:"KIND" ~doc)
   in
   let order_arg =
-    Arg.(value & opt int 4 & info [ "order" ] ~doc:"Filter order (even).")
+    Arg.(value & opt int 4 & info [ "order" ] ~doc:"Filter order (even, lpf).")
   in
   let fc_arg =
     Arg.(value & opt number_conv 1e3 & info [ "fc" ] ~doc:"Corner/centre frequency (Hz).")
@@ -249,55 +312,44 @@ let module_cmd =
     Arg.(value & opt number_conv 20e3 & info [ "bw" ] ~doc:"Bandwidth requirement (Hz).")
   in
   let bits_arg =
-    Arg.(value & opt int 4 & info [ "bits" ] ~doc:"Converter resolution.")
+    Arg.(
+      value & opt int 4
+      & info [ "bits" ] ~doc:"Converter resolution (adc 2-6, dac 1-12).")
   in
   let delay_arg =
     Arg.(value & opt number_conv 5e-6 & info [ "delay" ] ~doc:"Delay/settling requirement (s).")
   in
   let run kind order fc gain bw bits delay verify netlist =
-    let spec =
-      match kind with
-      | "lpf" -> E.Module_lib.Lowpass_m { E.Filter.order; f_cutoff = fc; r_base = 1e6 }
-      | "bpf" ->
-        E.Module_lib.Bandpass_m
-          { E.Filter.f_center = fc; q = 1.; gain = Float.min gain 1.8; c_base = 10e-9 }
-      | "sh" ->
-        E.Module_lib.Sample_hold_m
-          (E.Sample_hold.spec ~gain ~bandwidth:bw ~sr:1e4 ())
-      | "adc" ->
-        E.Module_lib.Flash_adc_m (E.Data_conv.Flash_adc.spec ~bits ~delay ())
-      | "dac" -> E.Module_lib.Dac_m (E.Data_conv.Dac.spec ~bits ~settling:delay ())
-      | "amp" -> E.Module_lib.Audio_amp { gain; bandwidth = bw }
-      | "comparator" ->
-        E.Module_lib.Comparator_m (E.Data_conv.Comparator.spec ~delay ())
-      | other ->
-        pf "unknown module kind %s\n" other;
-        exit 1
-    in
-    let d = E.Module_lib.design proc spec in
-    pf "module: %s\n" (E.Module_lib.name d);
-    print_perf "estimate" (E.Module_lib.perf d);
-    if verify then begin
-      let sim = E.Verify.sim_module proc d in
-      print_perf "simulated" sim.E.Verify.perf;
-      (match sim.E.Verify.response_time with
-      | Some t -> pf "response/delay: %ss\n" (eng t)
-      | None -> ());
-      match sim.E.Verify.f0 with
-      | Some f -> pf "f0: %sHz\n" (eng f)
-      | None -> ()
-    end;
-    if netlist then begin
-      let frag = E.Module_lib.fragment proc d in
-      print_string (Ape_circuit.Netlist.to_spice frag.E.Fragment.netlist)
-    end;
-    0
+    match module_spec kind ~order ~fc ~gain ~bw ~bits ~delay with
+    | Error msg -> `Error (false, msg)
+    | Ok spec ->
+      `Ok
+        (guard @@ fun () ->
+         let d = E.Module_lib.design proc spec in
+         pf "module: %s\n" (E.Module_lib.name d);
+         print_perf "estimate" (E.Module_lib.perf d);
+         if verify then begin
+           let sim = E.Verify.sim_module proc d in
+           print_perf "simulated" sim.E.Verify.perf;
+           (match sim.E.Verify.response_time with
+           | Some t -> pf "response/delay: %ss\n" (eng t)
+           | None -> ());
+           match sim.E.Verify.f0 with
+           | Some f -> pf "f0: %sHz\n" (eng f)
+           | None -> ()
+         end;
+         if netlist then begin
+           let frag = E.Module_lib.fragment proc d in
+           print_string (Ape_circuit.Netlist.to_spice frag.E.Fragment.netlist)
+         end;
+         0)
   in
   Cmd.v
     (Cmd.info "module" ~doc:"Size and estimate a level-4 analog module.")
     Term.(
-      const run $ kind_arg $ order_arg $ fc_arg $ g_arg $ bw_arg $ bits_arg
-      $ delay_arg $ verify_arg $ netlist_arg)
+      ret
+        (const run $ kind_arg $ order_arg $ fc_arg $ g_arg $ bw_arg $ bits_arg
+        $ delay_arg $ verify_arg $ netlist_arg))
 
 (* ---------- ape synth ---------- *)
 
@@ -401,7 +453,7 @@ let synth_cmd =
 let mc_cmd =
   let kind_arg =
     let doc = "Workload: opamp (more kinds as the library grows)." in
-    Arg.(value & pos 0 string "opamp" & info [] ~docv:"KIND" ~doc)
+    Arg.(value & pos 0 (enum [ ("opamp", ()) ]) () & info [] ~docv:"KIND" ~doc)
   in
   let samples_arg =
     Arg.(
@@ -435,25 +487,20 @@ let mc_cmd =
       & info [ "hist" ] ~docv:"METRIC"
           ~doc:"Print an ASCII histogram of this metric (repeatable).")
   in
-  let run kind spec samples jobs seed level sigma_scale hists trace =
+  let run () spec samples jobs seed level sigma_scale hists trace =
     with_trace trace @@ fun () ->
     guard @@ fun () ->
-    if kind <> "opamp" then begin
-      pf "unknown mc workload %s (only: opamp)\n" kind;
-      1
-    end
-    else
-      match
-        execute ~jobs
-          (Sv.Job.Mc { spec; samples; level; sigma_scale; seed = Some seed })
-      with
-      | Sv.Runner.Sampled report ->
-        pf "workload: opamp (%s level), sigma scale %g\n"
-          (Mc.Scenario.level_name level)
-          sigma_scale;
-        print_string (Mc.Report.to_string ~histograms:hists report);
-        if report.Mc.Run.yield >= 1.0 then 0 else 2
-      | _ -> assert false
+    match
+      execute ~jobs
+        (Sv.Job.Mc { spec; samples; level; sigma_scale; seed = Some seed })
+    with
+    | Sv.Runner.Sampled report ->
+      pf "workload: opamp (%s level), sigma scale %g\n"
+        (Mc.Scenario.level_name level)
+        sigma_scale;
+      print_string (Mc.Report.to_string ~histograms:hists report);
+      if report.Mc.Run.yield >= 1.0 then 0 else 2
+    | _ -> assert false
   in
   Cmd.v
     (Cmd.info "mc"
@@ -548,7 +595,7 @@ let convert_cmd =
   in
   let run file out strict dialect =
     guard @@ fun () ->
-    let text = In_channel.with_open_text file In_channel.input_all in
+    let text = Ape_util.File.read file in
     let r = Sp.parse_result ~process:proc ~dialect ~path:file ~title:"" text in
     List.iter
       (fun d -> Printf.eprintf "%s" (Sp.render d))
@@ -913,12 +960,11 @@ let serve_cmd =
             (Sv.Record.render_summary ~deterministic summary);
           output_char oc '\n')
     in
-    let read_file path = In_channel.with_open_text path In_channel.input_all in
     List.iter
       (fun file ->
         if file = "-" then
           run_batch ~batch:"-" (In_channel.input_all In_channel.stdin)
-        else run_batch ~batch:file (read_file file))
+        else run_batch ~batch:file (Ape_util.File.read file))
       files;
     (match watch with
     | None ->
@@ -929,7 +975,7 @@ let serve_cmd =
         (Sv.Spool.watch ~poll ?max_batches
            ~stop:(fun () -> !stopping)
            ~once dir
-           ~process:(fun path -> run_batch ~batch:path (read_file path))));
+           ~process:(fun path -> run_batch ~batch:path (Ape_util.File.read path))));
     Ape_util.Pool.shutdown pool;
     if !saw_parse then 3
     else if !saw_overloaded then 4
@@ -1020,7 +1066,7 @@ let stats_cmd =
 let vase_cmd =
   let run file =
     guard @@ fun () ->
-    let text = In_channel.with_open_text file In_channel.input_all in
+    let text = Ape_util.File.read file in
     match Ape_vase.System.parse text with
     | exception Ape_vase.System.Spec_error { pos; msg } ->
       pf "spec error: %d:%d: %s\n" pos.Ape_util.Sexpr.line

@@ -18,7 +18,7 @@ dune exec test/test_spice.exe -- test prepared
 echo "== observability bit-identity (obs on/off, pool jobs 1 vs N) =="
 dune exec test/test_obs.exe -- test bit-identity
 
-echo "== ape stats --json CI artifact (verify workload) =="
+echo "== ape stats --json CI artifact (verify workload; synth counts) =="
 dune exec bin/ape.exe -- stats --workload verify --quick --json > ape_stats.json
 grep -q '"schema": "ape-obs/1"' ape_stats.json
 echo "wrote ape_stats.json"
@@ -33,6 +33,20 @@ awk -F'"value": *|}' '/"dc.newton_iters"/ { dc = $2 }
     if (tr + 0 > 2504) { printf "FAIL: transient.newton_iters %d > 2504\n", tr; exit 1 }
     printf "Newton iterations: dc %d <= 2132, transient %d <= 2504 OK\n", dc, tr
   }' ape_stats.json
+# The synth workload's counts are deterministic too.  Any cost value
+# that moves by one bit changes the annealing path, and with it the
+# evaluation count; the factorisation ceiling is the count when each
+# relaxed cost factored G once (counts, not timings: no flake).
+dune exec bin/ape.exe -- stats --workload synth --json > /tmp/ape_stats_synth.json
+awk -F'"value": *|}' '/"anneal.evaluations"/ { ev = $2 }
+  /"matrix.lu_factor"/ { lu = $2 }
+  END {
+    if (ev == "" || lu == "") { print "FAIL: synth counters missing"; exit 1 }
+    if (ev + 0 != 5281) { printf "FAIL: anneal.evaluations %d != 5281\n", ev; exit 1 }
+    if (lu + 0 > 9624) { printf "FAIL: matrix.lu_factor %d > 9624\n", lu; exit 1 }
+    printf "synth: anneal.evaluations %d = 5281, matrix.lu_factor %d <= 9624 OK\n", ev, lu
+  }' /tmp/ape_stats_synth.json
+rm -f /tmp/ape_stats_synth.json
 
 echo "== observability overhead gate (<= 2% on the 181-point sweep) =="
 dune exec bench/main.exe -- obs-overhead

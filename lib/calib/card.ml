@@ -239,14 +239,7 @@ let parse text =
 (* Files                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let read_file file =
-  let ic = open_in_bin file in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let load file = parse (read_file file)
+let load file = parse (Ape_util.File.read file)
 
 let save file t =
   let oc = open_out file in

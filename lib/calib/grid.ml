@@ -133,12 +133,7 @@ let parse_spec text =
   | _ :: node :: _ ->
     fail_at (Sexpr.span_of node) "expected a single (grid ...) form"
 
-let load_spec file =
-  let ic = open_in_bin file in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  parse_spec text
+let load_spec file = parse_spec (Ape_util.File.read file)
 
 (* ------------------------------------------------------------------ *)
 (* Sampling                                                            *)

@@ -4,7 +4,13 @@ module Mos = Ape_device.Mos
 type node = string
 
 let ground = "0"
-let is_ground n = n = "0" || String.lowercase_ascii n = "gnd"
+(* "0" or any case of "gnd", without allocating a lowercase copy. *)
+let is_ground n =
+  String.equal n "0"
+  || String.length n = 3
+     && Char.lowercase_ascii n.[0] = 'g'
+     && Char.lowercase_ascii n.[1] = 'n'
+     && Char.lowercase_ascii n.[2] = 'd'
 
 type element =
   | Mosfet of {

@@ -260,7 +260,7 @@ and include_file st ~inc_stack ~dir:_ src span path ~section =
     []
   end
   else
-    match In_channel.with_open_text path In_channel.input_all with
+    match Ape_util.File.read path with
     | exception Sys_error msg ->
       error st src span ("cannot read include file: " ^ msg);
       []

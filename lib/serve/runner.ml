@@ -183,7 +183,7 @@ let measure_ac op node =
 (* [~path] anchors [.INCLUDE]s at the deck's own directory. *)
 let sim t file out =
   let module Sp = Ape_circuit.Spice_parser in
-  let text = In_channel.with_open_text file In_channel.input_all in
+  let text = Ape_util.File.read file in
   let parsed = Sp.parse_result ~process:t.proc ~path:file ~title:file text in
   (match Sp.errors parsed with
   | [] -> ()

@@ -33,14 +33,18 @@ let rhs_vector netlist index =
     (N.elements netlist);
   b
 
-let moments ?(count = 8) ?g ~out (op : Dc.op) =
+let moments ?(count = 8) ?g ?c ~out (op : Dc.op) =
   let netlist = op.Dc.netlist and index = op.Dc.index in
   let g =
     match g with
     | Some g -> g
     | None -> snd (Engine.residual_jacobian ~gmin:1e-12 netlist index op.Dc.x)
   in
-  let c = Engine.stamp_capacitances netlist index op.Dc.x in
+  let c =
+    match c with
+    | Some c -> c
+    | None -> Engine.stamp_capacitances netlist index op.Dc.x
+  in
   let lu =
     match Rmat.lu_factor g with
     | lu -> lu
@@ -58,8 +62,8 @@ let moments ?(count = 8) ?g ~out (op : Dc.op) =
   mus.(0) <- !m.(out_id);
   for k = 1 to count - 1 do
     let cm = Rmat.mat_vec c !m in
-    let neg_cm = Array.map (fun v -> -.v) cm in
-    m := Rmat.lu_solve lu neg_cm;
+    Array.iteri (fun i v -> cm.(i) <- -.v) cm;
+    m := Rmat.lu_solve lu cm;
     mus.(k) <- !m.(out_id)
   done;
   mus
@@ -67,9 +71,9 @@ let moments ?(count = 8) ?g ~out (op : Dc.op) =
 (* Padé [q-1 / q] with denominator D(s) = 1 + b1·s + ... + bq·s^q:
    matching moments q..2q−1 gives  Σ_{j=1..q} b_j·μ_{q+k−j} = −μ_{q+k}
    for k = 0..q−1. *)
-let pade ?(q = 2) ?g ~out op =
+let pade ?(q = 2) ?g ?c ~out op =
   if q < 1 then invalid_arg "Awe.pade: q < 1";
-  let mus = moments ~count:(2 * q) ?g ~out op in
+  let mus = moments ~count:(2 * q) ?g ?c ~out op in
   let h = Rmat.create q q in
   let rhs = Array.make q 0. in
   for k = 0 to q - 1 do

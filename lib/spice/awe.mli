@@ -21,23 +21,27 @@ exception Moment_failure of string
 val moments :
   ?count:int ->
   ?g:Ape_util.Matrix.Rmat.t ->
+  ?c:Ape_util.Matrix.Rmat.t ->
   out:Ape_circuit.Netlist.node ->
   Dc.op ->
   float array
 (** First [count] (default 8) output moments.  [g] is the conductance
-    matrix (the Jacobian at [op]'s point) when the caller has already
-    stamped it, as the relaxed synthesis cost has for its KCL penalty;
-    otherwise it is stamped here.  Raises {!Moment_failure} when G is
+    matrix (the Jacobian at [op]'s point) and [c] the capacitance
+    matrix at the same point, when the caller has already stamped
+    them — as the relaxed synthesis cost has, both from one
+    {!Engine.linearize} pass that also gives its KCL penalty.  Either
+    one left out is stamped here.  Raises {!Moment_failure} when G is
     singular. *)
 
 val pade :
   ?q:int ->
   ?g:Ape_util.Matrix.Rmat.t ->
+  ?c:Ape_util.Matrix.Rmat.t ->
   out:Ape_circuit.Netlist.node ->
   Dc.op ->
   approximant
-(** Padé approximant with [q] poles (default 2, max [count/2]); [g] as
-    in {!moments}. *)
+(** Padé approximant with [q] poles (default 2, max [count/2]); [g] and
+    [c] as in {!moments}. *)
 
 val dominant_pole_hz : approximant -> float option
 (** Magnitude/2π of the slowest stable pole, i.e. the −3 dB estimate for

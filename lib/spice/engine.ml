@@ -131,6 +131,19 @@ let source_value ~time ~stimulus ~name ~dc =
     | Some wave -> wave time
     | None -> dc)
 
+(* [add r c v] unless [r] or [c] is ground.  A top-level function, not
+   a closure over [add], so a stamp allocates none per call. *)
+let add_at (add : int -> int -> float -> unit) r c v =
+  if r >= 0 && c >= 0 then add r c v
+
+(* The four entries of a conductance or capacitance [value] between [a]
+   and [b], in the order every stamp adds them. *)
+let pair_stamp add a b value =
+  add_at add a a value;
+  add_at add a b (-.value);
+  add_at add b a (-.value);
+  add_at add b b value
+
 (* Stamping core, parameterised on the Jacobian sink: the dense form
    passes [Rmat.add_to], the sparse engine a slot-cursor writer, and the
    plan builder a coordinate recorder.  The [add] call sequence is
@@ -138,10 +151,15 @@ let source_value ~time ~stimulus ~name ~dc =
    [stimulus] — every element stamps the same positions in the same
    order whatever its state (the Switch stamps both branches
    identically) — which is what lets one recorded plan replay any
-   number of numeric evaluations. *)
-let stamp_core ~gmin ~source_scale ~time ~stimulus netlist idx x
+   number of numeric evaluations.
+
+   [cap], when given, receives the C stamps of the same pass, in
+   [caps_core]'s element order and per-device order, with each MOSFET's
+   capacitances taken at the region of the one evaluation that also
+   gives its current and partials.  Without it (the Newton loops) the
+   pass does no capacitance work at all. *)
+let stamp_core ?cap ~gmin ~source_scale ~time ~stimulus netlist idx x
     ~(add : int -> int -> float -> unit) f =
-  let add_jac r c v = if r >= 0 && c >= 0 then add r c v in
   (* gmin from every node to ground. *)
   for i = 0 to idx.n_nodes - 1 do
     f.(i) <- f.(i) +. (gmin *. x.(i));
@@ -151,27 +169,25 @@ let stamp_core ~gmin ~source_scale ~time ~stimulus netlist idx x
     let i = g *. (volt x a -. volt x b) in
     add_residual f a i;
     add_residual f b (-.i);
-    add_jac a a g;
-    add_jac a b (-.g);
-    add_jac b a (-.g);
-    add_jac b b g
+    pair_stamp add a b g
   in
   (* Branch current [br] leaves [p] and enters [n]. *)
   let branch_stamp p nn br =
     let ibr = x.(br) in
     add_residual f p ibr;
     add_residual f nn (-.ibr);
-    add_jac p br 1.;
-    add_jac nn br (-1.);
-    add_jac br p 1.;
-    add_jac br nn (-1.)
+    add_at add p br 1.;
+    add_at add nn br (-1.);
+    add_at add br p 1.;
+    add_at add br nn (-1.)
   in
   iter_resolved idx netlist (fun e t ->
       match (e, t) with
       | N.Resistor { r; _ }, T_resistor { a; b } ->
         conductance_stamp a b (1. /. r)
-      | N.Capacitor _, T_capacitor _ ->
-        () (* open in DC; transient adds companions *)
+      | N.Capacitor { c = value; _ }, T_capacitor { a; b } -> (
+        (* Open in DC; transient adds companions. *)
+        match cap with None -> () | Some add_c -> pair_stamp add_c a b value)
       | N.Switch { ron; roff; vthreshold; _ }, T_switch { a; b; ctrl } ->
         let g = if volt x ctrl > vthreshold then 1. /. ron else 1. /. roff in
         conductance_stamp a b g
@@ -188,17 +204,15 @@ let stamp_core ~gmin ~source_scale ~time ~stimulus netlist idx x
         branch_stamp p nn br;
         f.(br) <-
           volt x p -. volt x nn -. (gain *. (volt x cp -. volt x cn));
-        add_jac br cp (-.gain);
-        add_jac br cn gain
+        add_at add br cp (-.gain);
+        add_at add br cn gain
       | N.Mosfet { card; geom; m; _ }, T_mosfet { d; g; s; b } ->
         (* M= parallel devices behave as one device of width m·W under
            the width-proportional current and capacitance models. *)
         let geom = { geom with Mos.w = geom.Mos.w *. m } in
         let vs = volt x s in
-        let e =
-          Mos.evaluate card geom ~vgs:(volt x g -. vs) ~vds:(volt x d -. vs)
-            ~vsb:(vs -. volt x b)
-        in
+        let vds = volt x d -. vs and vsb = vs -. volt x b in
+        let e = Mos.evaluate card geom ~vgs:(volt x g -. vs) ~vds ~vsb in
         (* Terminal conductances: vgs, vds and vsb all move with the
            source, so its entry balances the other three. *)
         let gd = e.Mos.di_dvds
@@ -209,14 +223,28 @@ let stamp_core ~gmin ~source_scale ~time ~stimulus netlist idx x
            re-enters the circuit at the source node. *)
         add_residual f d e.Mos.ids;
         add_residual f s (-.e.Mos.ids);
-        add_jac d d gd;
-        add_jac d g gg;
-        add_jac d s gs;
-        add_jac d b gb;
-        add_jac s d (-.gd);
-        add_jac s g (-.gg);
-        add_jac s s (-.gs);
-        add_jac s b (-.gb)
+        add_at add d d gd;
+        add_at add d g gg;
+        add_at add d s gs;
+        add_at add d b gb;
+        add_at add s d (-.gd);
+        add_at add s g (-.gg);
+        add_at add s s (-.gs);
+        add_at add s b (-.gb);
+        (match cap with
+        | None -> ()
+        | Some add_c ->
+          (* The bias [Mos.small_signal] hands [Mos.capacitances]. *)
+          let p = Ape_process.Model_card.polarity card in
+          let cgs, cgd, cgb, cdb, csb =
+            Mos.capacitances card geom ~region:e.Mos.region
+              ~vdb:(p *. (vds +. vsb)) ~vsb:(p *. vsb)
+          in
+          pair_stamp add_c g s cgs;
+          pair_stamp add_c g d cgd;
+          pair_stamp add_c g b cgb;
+          pair_stamp add_c d b cdb;
+          pair_stamp add_c s b csb)
       | ( ( N.Resistor _ | N.Capacitor _ | N.Switch _ | N.Isource _
           | N.Vsource _ | N.Vcvs _ | N.Mosfet _ ),
           _ ) ->
@@ -232,19 +260,22 @@ let residual_jacobian ?(gmin = 1e-12) ?(time = 0.) ?(stimulus = []) netlist
     f;
   (f, j)
 
+let linearize netlist idx x =
+  let n = idx.total in
+  let f = Array.make n 0. in
+  let j = Rmat.create n n and c = Rmat.create n n in
+  stamp_core ~gmin:1e-12 ~source_scale:1. ~time:0. ~stimulus:[] netlist idx x
+    ~add:(fun r col v -> Rmat.add_to j r col v)
+    ~cap:(fun r col v -> Rmat.add_to c r col v)
+    f;
+  (f, j, c)
+
 (* Capacitance stamping core, same sink parameterisation. *)
 let caps_core netlist idx x ~(add : int -> int -> float -> unit) =
-  let add_jac r c v = if r >= 0 && c >= 0 then add r c v in
-  let cap_stamp a b value =
-    add_jac a a value;
-    add_jac a b (-.value);
-    add_jac b a (-.value);
-    add_jac b b value
-  in
   iter_resolved idx netlist (fun e t ->
       match (e, t) with
       | N.Capacitor { c = value; _ }, T_capacitor { a; b } ->
-        cap_stamp a b value
+        pair_stamp add a b value
       | N.Mosfet { card; geom; m; _ }, T_mosfet { d; g; s; b } ->
         (* M= parallel devices behave as one device of width m·W under
            the width-proportional current and capacitance models. *)
@@ -254,11 +285,11 @@ let caps_core netlist idx x ~(add : int -> int -> float -> unit) =
           Mos.small_signal card geom ~vgs:(volt x g -. vs)
             ~vds:(volt x d -. vs) ~vsb:(vs -. volt x b)
         in
-        cap_stamp g s ss.Mos.cgs;
-        cap_stamp g d ss.Mos.cgd;
-        cap_stamp g b ss.Mos.cgb;
-        cap_stamp d b ss.Mos.cdb;
-        cap_stamp s b ss.Mos.csb
+        pair_stamp add g s ss.Mos.cgs;
+        pair_stamp add g d ss.Mos.cgd;
+        pair_stamp add g b ss.Mos.cgb;
+        pair_stamp add d b ss.Mos.cdb;
+        pair_stamp add s b ss.Mos.csb
       | N.Resistor _, T_resistor _
       | N.Vsource _, T_vsource _
       | N.Isource _, T_isource _

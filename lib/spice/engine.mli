@@ -8,11 +8,12 @@
     MOSFET is one {!Ape_device.Mos.evaluate} per stamp: the Jacobian
     entries are its exact partials, the capacitances its region's.
 
-    Stamps come in two forms.  The dense {!residual_jacobian} and
-    {!stamp_capacitances} serve AWE, the relaxed-KCL penalty and the
-    test suite's dense reference.  The DC, AC, transient and noise
-    analyses stamp through a sparse {!plan} into [Ape_util.Sparse]
-    values. *)
+    Stamps come in two forms.  The dense {!residual_jacobian},
+    {!stamp_capacitances} and {!linearize} (all three matrices from one
+    device pass) serve AWE, the relaxed-KCL penalty and the test
+    suite's dense reference.  The DC, AC, transient and noise analyses
+    stamp through a sparse {!plan} into [Ape_util.Sparse] values; their
+    Newton stamps do no capacitance work. *)
 
 type index
 
@@ -78,6 +79,18 @@ val stamp_capacitances :
 (** The C matrix (susceptance stamps / jω) linearised at the operating
     point [x]: explicit capacitors plus the MOS intrinsic and junction
     capacitances in their bias-dependent values. *)
+
+val linearize :
+  Ape_circuit.Netlist.t ->
+  index ->
+  float array ->
+  float array * Ape_util.Matrix.Rmat.t * Ape_util.Matrix.Rmat.t
+(** [(f, g, c)] at [x] from one device pass: each MOSFET is evaluated
+    once, and its capacitances are taken at that evaluation's region.
+    [f] and [g] equal {!residual_jacobian}'s at its default [gmin], and
+    [c] equals {!stamp_capacitances}, bit for bit.  The relaxed
+    synthesis cost reads all three: the KCL penalty and AWE's
+    moments. *)
 
 type plan
 (** A precompiled sparse stamp plan: the union sparsity pattern of the

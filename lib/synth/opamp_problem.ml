@@ -3,7 +3,6 @@ module I = Ape_util.Interval
 module Proc = Ape_process.Process
 module E = Ape_estimator
 module Mos = Ape_device.Mos
-module Rmat = Ape_util.Matrix.Rmat
 
 type row = {
   name : string;
@@ -47,6 +46,7 @@ type problem = {
   row : row;
   mode : mode;
   dim : int;
+  template : Template.t;
   cost : float array -> float;
   start : Ape_util.Rng.t -> float array;
   final : float array -> N.t * Cost.measurement option;
@@ -269,15 +269,17 @@ let build ?cache ?calibration (process : Proc.t) ~mode row design =
     let sizes, nodes = split point in
     let nl = Template.instantiate template sizes in
     let x = Relax.x_engine relax nodes in
-    (* One stamp of f and G feeds both the KCL penalty and AWE. *)
-    let stamp = Relax.stamp relax nl x in
+    (* One device pass stamps f, G and C: f and G give the KCL
+       penalty, G and C AWE's moments. *)
+    let stamp = Relax.stamp ~caps:true relax nl x in
     let kcl = Relax.kcl_penalty relax stamp in
     (* AWE at the relaxed point (OBLX's evaluation): DC transfer and a
        2-pole unity-gain estimate, one LU of G. *)
     let fake_op = Relax.fake_op relax nl x in
     let measurement =
       match
-        Ape_spice.Awe.pade ~q:2 ~g:stamp.Relax.g ~out:"out" fake_op
+        Ape_spice.Awe.pade ~q:2 ~g:stamp.Relax.g ?c:stamp.Relax.c ~out:"out"
+          fake_op
       with
       | exception Ape_spice.Awe.Moment_failure _ -> None
       | approx ->
@@ -327,4 +329,4 @@ let build ?cache ?calibration (process : Proc.t) ~mode row design =
     let sizes, _ = split point in
     Template.values_of_point template sizes
   in
-  { row; mode; dim; cost; start; final; values; cost_model; cache }
+  { row; mode; dim; template; cost; start; final; values; cost_model; cache }

@@ -53,6 +53,8 @@ type problem = {
   row : row;
   mode : mode;
   dim : int;  (** sizes/passives + relaxed node voltages *)
+  template : Template.t;
+      (** the size/passive unknowns: the first [Template.dim] coordinates *)
   cost : float array -> float;
       (** KCL penalty + AWE-evaluated spec penalties at the relaxed
           point *)

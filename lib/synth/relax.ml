@@ -2,12 +2,14 @@ module N = Ape_circuit.Netlist
 module I = Ape_util.Interval
 module Rmat = Ape_util.Matrix.Rmat
 
+(* Node names are resolved to engine unknowns once, in [create]:
+   [x_engine] and [kcl_penalty] run per candidate and only index. *)
 type t = {
   base : N.t;
   index : Ape_spice.Engine.index;
-  free_nodes : N.node list;
-  free_row_ids : int list;
-  fixed : (N.node * float) list;
+  free_slots : int array;  (* engine unknown of each free node *)
+  fixed_slots : int array;  (* engine unknown of each source-pinned node *)
+  fixed_values : float array;
   node_ranges : I.t array;
   node_centers : float array;
 }
@@ -45,37 +47,30 @@ let create ?(node_window = 0.25) ~mode ~vdd base =
         (Float.max 0. (c -. node_window))
         (Float.min vdd (c +. node_window))
   in
+  (* Every node of [base] that is not ground has an unknown. *)
+  let slot node = Option.get (Ape_spice.Engine.node_id index node) in
+  let fixed = Hashtbl.fold (fun k v acc -> (k, v) :: acc) fixed_tbl [] in
   {
     base;
     index;
-    free_nodes;
-    free_row_ids =
-      List.filter_map
-        (fun n -> Ape_spice.Engine.node_id index n)
-        free_nodes;
-    fixed = Hashtbl.fold (fun k v acc -> (k, v) :: acc) fixed_tbl [];
+    free_slots = Array.of_list (List.map slot free_nodes);
+    fixed_slots = Array.of_list (List.map (fun (node, _) -> slot node) fixed);
+    fixed_values = Array.of_list (List.map snd fixed);
     node_ranges = Array.of_list (List.map range free_nodes);
     node_centers = Array.of_list (List.map center free_nodes);
   }
 
-let n_free t = List.length t.free_nodes
+let n_free t = Array.length t.free_slots
 
 let x_engine t node_part =
   let x = Array.make (Ape_spice.Engine.size t.index) 0. in
-  List.iteri
-    (fun k node ->
-      match Ape_spice.Engine.node_id t.index node with
-      | Some i ->
-        x.(i) <-
-          I.lo t.node_ranges.(k) +. (node_part.(k) *. I.width t.node_ranges.(k))
-      | None -> ())
-    t.free_nodes;
-  List.iter
-    (fun (node, v) ->
-      match Ape_spice.Engine.node_id t.index node with
-      | Some i -> x.(i) <- v
-      | None -> ())
-    t.fixed;
+  for k = 0 to n_free t - 1 do
+    let r = t.node_ranges.(k) in
+    x.(t.free_slots.(k)) <- I.lo r +. (node_part.(k) *. I.width r)
+  done;
+  for k = 0 to Array.length t.fixed_slots - 1 do
+    x.(t.fixed_slots.(k)) <- t.fixed_values.(k)
+  done;
   x
 
 let centers_unit t =
@@ -86,20 +81,26 @@ let centers_unit t =
       else Ape_util.Float_ext.clamp ~lo:0. ~hi:1. ((c -. I.lo r) /. I.width r))
     t.node_centers
 
-type stamp = { f : float array; g : Rmat.t }
+type stamp = { f : float array; g : Rmat.t; c : Rmat.t option }
 
-let stamp t netlist x =
-  let f, g = Ape_spice.Engine.residual_jacobian ~gmin:1e-12 netlist t.index x in
-  { f; g }
+let stamp ?(caps = false) t netlist x =
+  if caps then
+    let f, g, c = Ape_spice.Engine.linearize netlist t.index x in
+    { f; g; c = Some c }
+  else
+    let f, g =
+      Ape_spice.Engine.residual_jacobian ~gmin:1e-12 netlist t.index x
+    in
+    { f; g; c = None }
 
-let kcl_penalty t { f; g } =
-  List.fold_left
-    (fun acc i ->
+let kcl_penalty t { f; g; _ } =
+  let sum = ref 0. in
+  Array.iter
+    (fun i ->
       let gii = Float.abs (Rmat.get g i i) in
-      acc +. (Float.abs f.(i) /. Float.max 1e-9 gii))
-    0. t.free_row_ids
-  /. float_of_int (max 1 (n_free t))
-  /. 0.05
+      sum := !sum +. (Float.abs f.(i) /. Float.max 1e-9 gii))
+    t.free_slots;
+  !sum /. float_of_int (max 1 (n_free t)) /. 0.05
 
 let node_voltage t x node = Ape_spice.Engine.node_voltage t.index x node
 

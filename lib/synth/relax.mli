@@ -3,7 +3,9 @@
 
     The structure (node set, fixed source terminals, MNA indexing) is
     computed once per problem; candidates differ only in element values,
-    never in connectivity, so the same index serves every evaluation. *)
+    never in connectivity, so the same index serves every evaluation.
+    Free and source-pinned nodes are resolved to their engine unknowns
+    in {!create}, so {!x_engine} and {!kcl_penalty} look no name up. *)
 
 type t
 
@@ -36,13 +38,18 @@ type stamp = {
   f : float array;  (** KCL/branch residual at the relaxed point *)
   g : Ape_util.Matrix.Rmat.t;
       (** its Jacobian: the conductance matrix AWE factors *)
+  c : Ape_util.Matrix.Rmat.t option;
+      (** the capacitance matrix at the same point, when asked for *)
 }
 
-val stamp : t -> Ape_circuit.Netlist.t -> float array -> stamp
+val stamp : ?caps:bool -> t -> Ape_circuit.Netlist.t -> float array -> stamp
 (** One stamp of a candidate netlist at an engine state vector, through
     the problem's index (the candidate must have the base netlist's
-    elements, in order).  The relaxed cost reads it twice: the KCL
-    penalty and AWE's moments. *)
+    elements, in order).  With [caps] (default false) the same device
+    pass also stamps C ({!Ape_spice.Engine.linearize}): the opamp cost
+    reads all three, f and G for the KCL penalty and G and C for AWE's
+    moments.  Without it no capacitance is computed, for costs that
+    read only the penalty. *)
 
 val kcl_penalty : t -> stamp -> float
 (** Voltage-equivalent KCL violation at the relaxed point: mean over

@@ -14,7 +14,14 @@ let param ?(log_scale = true) ~name ~range target =
     invalid_arg "Template.param: log scale needs positive bounds";
   { name; target; range; log_scale }
 
-type t = { base : N.t; params : param array }
+(* Each base element's rebuild from the parameter values, resolved by
+   [make]: the template's per-candidate work is indexing, not name
+   lookups. *)
+type t = {
+  base : N.t;
+  params : param array;
+  rebuild : (float array -> N.element) list;  (* one per base element *)
+}
 
 let target_names = function
   | Mos_width names | Mos_length names | Cap_value names | Res_value names ->
@@ -46,7 +53,49 @@ let make base params =
                    name p.name)))
         (target_names p.target))
     params;
-  { base; params = Array.of_list params }
+  let params = Array.of_list params in
+  (* The param that sets one kind of value of a named element: the last
+     param in order naming it wins. *)
+  let setter is_kind =
+    let tbl = Hashtbl.create 16 in
+    Array.iteri
+      (fun i p ->
+        if is_kind p.target then
+          List.iter
+            (fun name -> Hashtbl.replace tbl name i)
+            (target_names p.target))
+      params;
+    Hashtbl.find_opt tbl
+  in
+  let width = setter (function Mos_width _ -> true | _ -> false)
+  and length = setter (function Mos_length _ -> true | _ -> false)
+  and cap = setter (function Cap_value _ -> true | _ -> false)
+  and res = setter (function Res_value _ -> true | _ -> false) in
+  let rebuild e =
+    match e with
+    | N.Mosfet ({ name; geom; _ } as m) -> (
+      let value default = function
+        | Some i -> fun v -> v.(i)
+        | None -> fun _ -> default
+      in
+      match (width name, length name) with
+      | None, None -> fun _ -> e
+      | w, l ->
+        let w = value geom.Ape_device.Mos.w w
+        and l = value geom.Ape_device.Mos.l l in
+        fun v ->
+          N.Mosfet { m with geom = Ape_device.Mos.geom ~w:(w v) ~l:(l v) })
+    | N.Capacitor ({ name; _ } as c) -> (
+      match cap name with
+      | Some i -> fun v -> N.Capacitor { c with c = v.(i) }
+      | None -> fun _ -> e)
+    | N.Resistor ({ name; _ } as r) -> (
+      match res name with
+      | Some i -> fun v -> N.Resistor { r with r = v.(i) }
+      | None -> fun _ -> e)
+    | N.Vsource _ | N.Isource _ | N.Vcvs _ | N.Switch _ -> fun _ -> e
+  in
+  { base; params; rebuild = List.map rebuild (N.elements base) }
 
 let dim t = Array.length t.params
 
@@ -69,47 +118,12 @@ let unit_of_value p v =
 let instantiate t point =
   if Array.length point <> dim t then
     invalid_arg "Template.instantiate: dimension mismatch";
-  (* Collect the assignment for every touched element name. *)
-  let widths = Hashtbl.create 16 in
-  let lengths = Hashtbl.create 4 in
-  let caps = Hashtbl.create 4 in
-  let ress = Hashtbl.create 4 in
-  Array.iteri
-    (fun i p ->
-      let v = value_of_unit p point.(i) in
-      let table =
-        match p.target with
-        | Mos_width _ -> widths
-        | Mos_length _ -> lengths
-        | Cap_value _ -> caps
-        | Res_value _ -> ress
-      in
-      List.iter (fun name -> Hashtbl.replace table name v) (target_names p.target))
-    t.params;
-  let elements =
-    List.map
-      (fun e ->
-        match e with
-        | N.Mosfet ({ name; geom; _ } as m) ->
-          let w =
-            Option.value ~default:geom.Ape_device.Mos.w
-              (Hashtbl.find_opt widths name)
-          in
-          let l =
-            Option.value ~default:geom.Ape_device.Mos.l
-              (Hashtbl.find_opt lengths name)
-          in
-          N.Mosfet { m with geom = Ape_device.Mos.geom ~w ~l }
-        | N.Capacitor ({ name; c; _ } as cap) ->
-          N.Capacitor
-            { cap with c = Option.value ~default:c (Hashtbl.find_opt caps name) }
-        | N.Resistor ({ name; r; _ } as res) ->
-          N.Resistor
-            { res with r = Option.value ~default:r (Hashtbl.find_opt ress name) }
-        | N.Vsource _ | N.Isource _ | N.Vcvs _ | N.Switch _ -> e)
-      (N.elements t.base)
-  in
-  N.make ~title:t.base.N.title elements
+  let values = Array.mapi (fun i p -> value_of_unit p point.(i)) t.params in
+  N.make ~title:t.base.N.title
+    (List.map (fun rebuild -> rebuild values) t.rebuild)
+
+let base t = t.base
+let params t = t.params
 
 let center_point t = Array.make (dim t) 0.5
 

@@ -26,14 +26,19 @@ val param :
   param
 (** [log_scale] defaults to true (geometry and passives span decades). *)
 
-type t = {
-  base : Ape_circuit.Netlist.t;  (** testbench-complete netlist *)
-  params : param array;
-}
+type t
 
 val make : Ape_circuit.Netlist.t -> param list -> t
-(** Raises [Invalid_argument] if a parameter references an element that
-    is absent from the netlist or of the wrong kind. *)
+(** A template over a testbench-complete netlist.  Raises
+    [Invalid_argument] if a parameter references an element that is
+    absent from the netlist or of the wrong kind.
+
+    Each element is resolved here, once, to the parameters that set its
+    values; when several parameters name one element, the last one in
+    the list sets it.  {!instantiate} then looks no name up. *)
+
+val base : t -> Ape_circuit.Netlist.t
+val params : t -> param array
 
 val dim : t -> int
 
@@ -45,7 +50,8 @@ val unit_of_value : param -> float -> float
 (** Inverse of {!value_of_unit}, clamped to [[0,1]]. *)
 
 val instantiate : t -> float array -> Ape_circuit.Netlist.t
-(** Apply a unit-cube point. *)
+(** Apply a unit-cube point: the base netlist with every parameterised
+    value replaced, elements in the base's order. *)
 
 val center_point : t -> float array
 (** The cube point whose values are each interval's midpoint (geometric

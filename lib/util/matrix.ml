@@ -14,9 +14,37 @@ end
 
 exception Singular
 
-(* Factorisation counter, shared by both functor instantiations (the
-   per-analysis counters in Ape_spice give the real/complex breakdown).
-   Pure observation: nothing numeric flows through it. *)
+module type S = sig
+  type elt
+  type t
+
+  val create : int -> int -> t
+  val identity : int -> t
+  val rows : t -> int
+  val cols : t -> int
+  val get : t -> int -> int -> elt
+  val set : t -> int -> int -> elt -> unit
+  val add_to : t -> int -> int -> elt -> unit
+  val of_arrays : elt array array -> t
+  val to_arrays : t -> elt array array
+  val copy : t -> t
+  val map : (elt -> elt) -> t -> t
+  val transpose : t -> t
+  val mat_mul : t -> t -> t
+  val mat_vec : t -> elt array -> elt array
+
+  type lu
+
+  val lu_factor : t -> lu
+  val lu_solve : lu -> elt array -> elt array
+  val solve : t -> elt array -> elt array
+  val residual_norm : t -> elt array -> elt array -> float
+  val pp : Format.formatter -> t -> unit
+end
+
+(* Factorisation counter, shared by [Rmat] and every [Make] instance
+   (the per-analysis counters in Ape_spice give the real/complex
+   breakdown).  Pure observation: nothing numeric flows through it. *)
 let c_lu_factor = Ape_obs.counter "matrix.lu_factor"
 
 module Make (F : FIELD) = struct
@@ -171,19 +199,179 @@ module Make (F : FIELD) = struct
     done
 end
 
-module Rmat = Make (struct
-  type t = float
+(* The float instance, written out over [float array array] rather than
+   applied through [Make]: without flambda every [F.add]/[F.mul] inside
+   the functor is an indirect call returning a boxed float, and this is
+   the relaxed synthesis cost's inner loop (AWE's moment solves).  Every
+   operation keeps the functor's order — the same pivot rule, [a - f·b]
+   updates, sums from [0.] and substitution order — so each result is
+   bit-identical to [Make]'s over floats (a property test checks it). *)
+module Rmat = struct
+  type elt = float
+  type t = { nr : int; nc : int; a : float array array }
 
-  let zero = 0.
-  let one = 1.
-  let add = ( +. )
-  let sub = ( -. )
-  let mul = ( *. )
-  let div = ( /. )
-  let neg x = -.x
-  let norm = Float.abs
-  let pp fmt x = Format.fprintf fmt "%.6g" x
-end)
+  let create nr nc =
+    if nr < 0 || nc < 0 then invalid_arg "Matrix.create";
+    { nr; nc; a = Array.make_matrix nr nc 0. }
+
+  let identity n =
+    let m = create n n in
+    for i = 0 to n - 1 do
+      m.a.(i).(i) <- 1.
+    done;
+    m
+
+  let rows m = m.nr
+  let cols m = m.nc
+  let get m i j = m.a.(i).(j)
+  let set m i j x = m.a.(i).(j) <- x
+
+  let add_to m i j x =
+    let row = m.a.(i) in
+    row.(j) <- row.(j) +. x
+
+  let of_arrays a =
+    let nr = Array.length a in
+    let nc = if nr = 0 then 0 else Array.length a.(0) in
+    Array.iter
+      (fun row ->
+        if Array.length row <> nc then invalid_arg "Matrix.of_arrays: ragged")
+      a;
+    { nr; nc; a = Array.map Array.copy a }
+
+  let to_arrays m = Array.map Array.copy m.a
+  let copy m = { m with a = Array.map Array.copy m.a }
+  let map f m = { m with a = Array.map (Array.map f) m.a }
+
+  let transpose m =
+    let t = create m.nc m.nr in
+    for i = 0 to m.nr - 1 do
+      for j = 0 to m.nc - 1 do
+        t.a.(j).(i) <- m.a.(i).(j)
+      done
+    done;
+    t
+
+  let mat_mul x y =
+    if x.nc <> y.nr then invalid_arg "Matrix.mat_mul: dimension mismatch";
+    let r = create x.nr y.nc in
+    for i = 0 to x.nr - 1 do
+      let xi = x.a.(i) in
+      for j = 0 to y.nc - 1 do
+        let acc = ref 0. in
+        for k = 0 to x.nc - 1 do
+          acc := !acc +. (xi.(k) *. y.a.(k).(j))
+        done;
+        r.a.(i).(j) <- !acc
+      done
+    done;
+    r
+
+  let mat_vec m v =
+    if m.nc <> Array.length v then invalid_arg "Matrix.mat_vec";
+    if m.nr = 0 then [||]  (* explicit empty-system short-circuit *)
+    else begin
+      let r = Array.make m.nr 0. in
+      for i = 0 to m.nr - 1 do
+        let row = m.a.(i) in
+        let acc = ref 0. in
+        for j = 0 to m.nc - 1 do
+          acc := !acc +. (row.(j) *. v.(j))
+        done;
+        r.(i) <- !acc
+      done;
+      r
+    end
+
+  type lu = { lu_a : float array array; perm : int array; n : int }
+
+  (* Doolittle LU with partial pivoting, as [Make.lu_factor]. *)
+  let lu_factor m =
+    if m.nr <> m.nc then invalid_arg "Matrix.lu_factor: not square";
+    Ape_obs.incr c_lu_factor;
+    let n = m.nr in
+    let a = Array.map Array.copy m.a in
+    let perm = Array.init n Fun.id in
+    for k = 0 to n - 1 do
+      let pivot = ref k and best = ref (Float.abs a.(k).(k)) in
+      for i = k + 1 to n - 1 do
+        let v = Float.abs a.(i).(k) in
+        if v > !best then begin
+          best := v;
+          pivot := i
+        end
+      done;
+      if !best < 1e-300 then raise Singular;
+      if !pivot <> k then begin
+        let tmp = a.(k) in
+        a.(k) <- a.(!pivot);
+        a.(!pivot) <- tmp;
+        let tp = perm.(k) in
+        perm.(k) <- perm.(!pivot);
+        perm.(!pivot) <- tp
+      end;
+      let ak = a.(k) in
+      let akk = ak.(k) in
+      for i = k + 1 to n - 1 do
+        let ai = a.(i) in
+        let factor = ai.(k) /. akk in
+        ai.(k) <- factor;
+        for j = k + 1 to n - 1 do
+          ai.(j) <- ai.(j) -. (factor *. ak.(j))
+        done
+      done
+    done;
+    { lu_a = a; perm; n }
+
+  let lu_solve { lu_a = a; perm; n } b =
+    if Array.length b <> n then invalid_arg "Matrix.lu_solve";
+    if n = 0 then [||]  (* explicit empty-system short-circuit *)
+    else begin
+      let y = Array.make n 0. in
+      for i = 0 to n - 1 do
+        y.(i) <- b.(perm.(i))
+      done;
+      (* Forward substitution with unit-diagonal L. *)
+      for i = 1 to n - 1 do
+        let ai = a.(i) in
+        let acc = ref y.(i) in
+        for j = 0 to i - 1 do
+          acc := !acc -. (ai.(j) *. y.(j))
+        done;
+        y.(i) <- !acc
+      done;
+      (* Back substitution with U. *)
+      for i = n - 1 downto 0 do
+        let ai = a.(i) in
+        let acc = ref y.(i) in
+        for j = i + 1 to n - 1 do
+          acc := !acc -. (ai.(j) *. y.(j))
+        done;
+        y.(i) <- !acc /. ai.(i)
+      done;
+      y
+    end
+
+  let solve m b = lu_solve (lu_factor m) b
+
+  let residual_norm m x b =
+    let ax = mat_vec m x in
+    let worst = ref 0. in
+    Array.iteri
+      (fun i v -> worst := Float.max !worst (Float.abs (v -. b.(i))))
+      ax;
+    !worst
+
+  let pp fmt m =
+    for i = 0 to m.nr - 1 do
+      Format.fprintf fmt "[";
+      for j = 0 to m.nc - 1 do
+        if j > 0 then Format.fprintf fmt ", ";
+        Format.fprintf fmt "%.6g" m.a.(i).(j)
+      done;
+      Format.fprintf fmt "]@."
+    done
+end
 
 module Cmat = Make (struct
   type t = Complex.t

@@ -1,11 +1,15 @@
-(** Dense matrices over an arbitrary field, with LU factorisation.
+(** Dense matrices with LU factorisation.
 
     The simulator's DC, AC, transient and noise analyses solve through
     {!Sparse}; dense matrices serve where no engine is involved: AWE's
     moment and Padé solves, the relaxed-KCL penalty, and the dense
     reference the differential tests check the sparse engine against.
-    The functor is instantiated twice, over floats ({!Rmat}) and over
-    [Complex.t] ({!Cmat}). *)
+
+    {!Rmat} is written directly over [float] (unboxed rows, no
+    indirect arithmetic calls): it is the relaxed synthesis cost's
+    inner loop.  The {!Make} functor serves {!Cmat} (AWE's residue
+    solve and the dense AC reference).  Both follow one operation
+    order, so {!Rmat} equals [Make] applied to floats bit for bit. *)
 
 module type FIELD = sig
   type t
@@ -28,8 +32,8 @@ exception Singular
 (** Raised by factorisation/solve when the matrix is numerically
     singular. *)
 
-module Make (F : FIELD) : sig
-  type elt = F.t
+module type S = sig
+  type elt
   type t
 
   val create : int -> int -> t
@@ -76,30 +80,8 @@ module Make (F : FIELD) : sig
   val pp : Format.formatter -> t -> unit
 end
 
-module Rmat : module type of Make (struct
-  type t = float
+module Make (F : FIELD) : S with type elt = F.t
 
-  let zero = 0.
-  let one = 1.
-  let add = ( +. )
-  let sub = ( -. )
-  let mul = ( *. )
-  let div = ( /. )
-  let neg x = -.x
-  let norm = Float.abs
-  let pp fmt x = Format.fprintf fmt "%.6g" x
-end)
+module Rmat : S with type elt = float
 
-module Cmat : module type of Make (struct
-  type t = Complex.t
-
-  let zero = Complex.zero
-  let one = Complex.one
-  let add = Complex.add
-  let sub = Complex.sub
-  let mul = Complex.mul
-  let div = Complex.div
-  let neg = Complex.neg
-  let norm = Complex.norm
-  let pp fmt (c : Complex.t) = Format.fprintf fmt "%.6g%+.6gi" c.re c.im
-end)
+module Cmat : S with type elt = Complex.t

@@ -341,6 +341,37 @@ let test_cli_synth_usage_errors () =
         ("serve", []);
       ]
 
+(* A module flag outside the range its kind's designer accepts, and an
+   unknown module or Monte Carlo kind, are usage errors (exit 124),
+   checked before designing; a spec inside the ranges that no design
+   meets is an engine failure (exit 1). *)
+let test_cli_kind_domains () =
+  match ape_exe () with
+  | None -> Alcotest.fail "bin/ape.exe not built"
+  | Some exe ->
+    List.iter
+      (fun args ->
+        Alcotest.(check int) (String.concat " " args ^ " exits 124") 124
+          (run_cli exe args))
+      [
+        [ "module"; "lpf"; "--order"; "3" ];
+        [ "module"; "adc"; "--bits"; "0" ];
+        [ "module"; "dac"; "--bits"; "13" ];
+        [ "module"; "lpf"; "--fc"; "0" ];
+        [ "module"; "comparator"; "--delay"; "0" ];
+        [ "module"; "bogus" ];
+        [ "mc"; "bogus"; "--gain"; "200"; "--ugf"; "2meg" ];
+      ];
+    Alcotest.(check (pair int string))
+      "unreachable amp gain"
+      (1, "infeasible: gain 1000000 unreachable: two stages deliver only 0\n")
+      (run_cli_output exe [ "module"; "amp"; "--gain"; "1e6" ]);
+    Alcotest.(check int) "module lpf exits 0" 0
+      (run_cli exe [ "module"; "lpf"; "--order"; "2" ]);
+    Alcotest.(check int) "mc opamp exits 0" 0
+      (run_cli exe
+         [ "mc"; "opamp"; "--gain"; "200"; "--ugf"; "2meg"; "--samples"; "5" ])
+
 (* Malformed system specs are input-side failures (exit 3) with a
    positioned message, never an uncaught reader exception (125) or a
    spec silently completed. *)
@@ -379,6 +410,20 @@ let test_cli_unreadable_inputs_exit_3 () =
       [
         [ "sim"; dir ]; [ "vase"; dir ]; [ "sim"; missing ];
         [ "vase"; missing ]; [ "calibrate"; missing; "--out"; Filename.null ];
+      ];
+    (* A directory opens and fails only when read: the message still
+       names the path. *)
+    List.iter
+      (fun args ->
+        Alcotest.(check (pair int string))
+          (String.concat " " args ^ " names the path")
+          (3, dir ^ ": Is a directory\n")
+          (run_cli_output exe args))
+      [
+        [ "sim"; dir ]; [ "vase"; dir ];
+        [ "calibrate"; dir; "--out"; Filename.null ];
+        [ "synth"; "--gain"; "200"; "--ugf"; "2meg"; "--calibration"; dir ];
+        [ "convert"; dir ];
       ];
     (* A bad count in a grid file is positioned and labelled as the
        grid spec's. *)
@@ -508,6 +553,8 @@ let () =
             test_cli_vase_malformed_specs;
           Alcotest.test_case "unreadable inputs exit 3" `Quick
             test_cli_unreadable_inputs_exit_3;
+          Alcotest.test_case "module and mc kind domains" `Quick
+            test_cli_kind_domains;
           Alcotest.test_case "sim failure = serve error" `Quick
             test_cli_sim_failure_is_serve_error;
           Alcotest.test_case "synth = serve synth job" `Quick

@@ -393,13 +393,59 @@ let test_relax_fake_op_reads_back () =
     (S.Relax.node_voltage t (S.Relax.x_engine t u) "mid")
     (Ape_spice.Dc.voltage op "mid")
 
-(* The relaxed opamp cost stamps f and G once and reads them twice.
-   Both readings must equal, bit for bit, what separately stamped
-   matrices give: the KCL penalty over a fresh [residual_jacobian] and
-   AWE stamping its own G. *)
+(* The paper's Table 1 rows, area budgets 1.3x the APE estimate (as
+   bench/main.ml builds them). *)
+let table1_rows () =
+  List.map
+    (fun (name, gain, ugf, ibias, curr_src, buffer, zout) ->
+      let proto =
+        {
+          S.Opamp_problem.name;
+          gain;
+          ugf;
+          area = 1.;
+          ibias;
+          curr_src;
+          buffer;
+          zout;
+          cl = 10e-12;
+        }
+      in
+      { proto with S.Opamp_problem.area = S.Opamp_problem.area_budget proc proto })
+    [
+      ("oa0", 200., 1.3e6, 1e-6, E.Bias.Wilson, true, Some 1e3);
+      ("oa1", 70., 3.0e6, 2e-6, E.Bias.Wilson, true, Some 1e3);
+      ("oa2", 100., 2.5e6, 1.5e-6, E.Bias.Wilson, true, Some 2e3);
+      ("oa3", 250., 8.0e6, 1e-6, E.Bias.Simple, false, None);
+      ("oa4", 150., 3.0e6, 100e-6, E.Bias.Simple, false, None);
+      ("oa5", 200., 8.0e6, 10e-6, E.Bias.Simple, false, None);
+      ("oa6", 50., 10.0e6, 10e-6, E.Bias.Simple, false, None);
+      ("oa7", 200., 3.0e6, 1e-6, E.Bias.Simple, true, Some 1e3);
+      ("oa8", 100., 2.0e6, 1e-6, E.Bias.Simple, true, Some 10e3);
+      ("oa9", 200., 5.0e6, 10e-6, E.Bias.Simple, true, Some 10e3);
+    ]
+
+let oa0 () = List.hd (table1_rows ())
+let bits = Int64.bits_of_float
+let same_floats a b = List.equal (fun x y -> bits x = bits y) a b
+
+let same_matrix a b =
+  let module Rmat = Ape_util.Matrix.Rmat in
+  let a = Rmat.to_arrays a and b = Rmat.to_arrays b in
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> same_floats (Array.to_list x) (Array.to_list y))
+       a b
+
+(* The relaxed opamp cost stamps f, G and C in one device pass and reads
+   them twice.  Every reading must equal, bit for bit, what separately
+   stamped matrices give: the KCL penalty over a fresh
+   [residual_jacobian], C from [stamp_capacitances] (one
+   [Mos.small_signal] per device), and AWE stamping its own G and C. *)
 let test_relax_shared_stamp_bitwise () =
   let module Awe = Ape_spice.Awe in
-  let row = row_with_budget () in
+  let module Engine = Ape_spice.Engine in
+  let row = oa0 () in
   let design = S.Opamp_problem.ape_design proc row in
   let problem =
     S.Opamp_problem.build proc ~mode:S.Opamp_problem.Wide row design
@@ -412,8 +458,6 @@ let test_relax_shared_stamp_bitwise () =
   let relax =
     S.Relax.create ~mode:`Wide ~vdd:proc.Ape_process.Process.vdd (candidate ())
   in
-  let bits = Int64.bits_of_float in
-  let same_floats a b = List.equal (fun x y -> bits x = bits y) a b in
   let complex_parts l =
     List.concat_map (fun (c : Complex.t) -> [ c.Complex.re; c.Complex.im ]) l
   in
@@ -426,28 +470,178 @@ let test_relax_shared_stamp_bitwise () =
     let nl = candidate () in
     let x = S.Relax.x_engine relax (draw (S.Relax.n_free relax)) in
     let op = S.Relax.fake_op relax nl x in
-    let shared = S.Relax.stamp relax nl x in
-    let f, g =
-      Ape_spice.Engine.residual_jacobian ~gmin:1e-12 nl op.Ape_spice.Dc.index x
+    let index = op.Ape_spice.Dc.index in
+    let shared = S.Relax.stamp ~caps:true relax nl x in
+    let f, g = Engine.residual_jacobian ~gmin:1e-12 nl index x in
+    let c = Engine.stamp_capacitances nl index x in
+    let check what ok =
+      Alcotest.(check bool) (Printf.sprintf "candidate %d: %s" k what) true ok
     in
-    Alcotest.(check bool)
-      (Printf.sprintf "candidate %d: kcl penalty bitwise" k)
-      true
+    check "kcl penalty bitwise"
       (bits (S.Relax.kcl_penalty relax shared)
-      = bits (S.Relax.kcl_penalty relax { S.Relax.f; g }));
-    let pade g =
-      match Awe.pade ~q:2 ?g ~out:"out" op with
+      = bits (S.Relax.kcl_penalty relax { S.Relax.f; g; c = None }));
+    check "f bitwise"
+      (same_floats (Array.to_list shared.S.Relax.f) (Array.to_list f));
+    check "G bitwise" (same_matrix shared.S.Relax.g g);
+    check "one-pass C = stamp_capacitances bitwise"
+      (match shared.S.Relax.c with
+      | Some shared_c -> same_matrix shared_c c
+      | None -> false);
+    check "no C unless asked for" ((S.Relax.stamp relax nl x).S.Relax.c = None);
+    let pade ?g ?c () =
+      match Awe.pade ~q:2 ?g ?c ~out:"out" op with
       | a -> Some (approx_floats a)
       | exception Awe.Moment_failure _ -> None
     in
-    let shared_approx = pade (Some shared.S.Relax.g) in
+    let shared_approx =
+      pade ~g:shared.S.Relax.g ?c:shared.S.Relax.c ()
+    in
     if shared_approx <> None then incr fitted;
-    Alcotest.(check bool)
-      (Printf.sprintf "candidate %d: AWE approximant bitwise" k)
-      true
-      (Option.equal same_floats shared_approx (pade None))
+    check "AWE approximant with ~g ~c bitwise"
+      (Option.equal same_floats shared_approx (pade ()))
   done;
   Alcotest.(check bool) "some candidates fit an approximant" true (!fitted > 0)
+
+(* [Template.instantiate] by element name, with a table per value kind
+   built for every candidate; the last param naming an element sets
+   it.  The template resolves the same rule once, in [make]. *)
+let reference_instantiate t point =
+  let module T = S.Template in
+  let widths = Hashtbl.create 16 in
+  let lengths = Hashtbl.create 4 in
+  let caps = Hashtbl.create 4 in
+  let ress = Hashtbl.create 4 in
+  Array.iteri
+    (fun i (p : T.param) ->
+      let v = T.value_of_unit p point.(i) in
+      let table, names =
+        match p.T.target with
+        | T.Mos_width names -> (widths, names)
+        | T.Mos_length names -> (lengths, names)
+        | T.Cap_value names -> (caps, names)
+        | T.Res_value names -> (ress, names)
+      in
+      List.iter (fun name -> Hashtbl.replace table name v) names)
+    (T.params t);
+  let base = T.base t in
+  N.make ~title:base.N.title
+    (List.map
+       (fun e ->
+         match e with
+         | N.Mosfet ({ name; geom; _ } as m) ->
+           let find tbl default =
+             Option.value ~default (Hashtbl.find_opt tbl name)
+           in
+           N.Mosfet
+             {
+               m with
+               geom =
+                 Ape_device.Mos.geom
+                   ~w:(find widths geom.Ape_device.Mos.w)
+                   ~l:(find lengths geom.Ape_device.Mos.l);
+             }
+         | N.Capacitor ({ name; c; _ } as cap) ->
+           N.Capacitor
+             { cap with c = Option.value ~default:c (Hashtbl.find_opt caps name) }
+         | N.Resistor ({ name; r; _ } as res) ->
+           N.Resistor
+             { res with r = Option.value ~default:r (Hashtbl.find_opt ress name) }
+         | N.Vsource _ | N.Isource _ | N.Vcvs _ | N.Switch _ -> e)
+       (N.elements base))
+
+let same_netlist a b =
+  let values = function
+    | N.Mosfet { geom; _ } -> [ geom.Ape_device.Mos.w; geom.Ape_device.Mos.l ]
+    | N.Capacitor { c; _ } -> [ c ]
+    | N.Resistor { r; _ } -> [ r ]
+    | N.Vsource _ | N.Isource _ | N.Vcvs _ | N.Switch _ -> []
+  in
+  a = b
+  && List.for_all2
+       (fun x y -> same_floats (values x) (values y))
+       (N.elements a) (N.elements b)
+
+let test_template_matches_reference () =
+  let rng = Ape_util.Rng.create 17 in
+  let check_template label t =
+    for k = 1 to 8 do
+      let point =
+        Array.init (S.Template.dim t) (fun _ -> Ape_util.Rng.uniform rng 0. 1.)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s point %d" label k)
+        true
+        (same_netlist (S.Template.instantiate t point)
+           (reference_instantiate t point))
+    done
+  in
+  List.iter
+    (fun row ->
+      let design = S.Opamp_problem.ape_design proc row in
+      List.iter
+        (fun (mode, label) ->
+          let problem = S.Opamp_problem.build proc ~mode row design in
+          check_template
+            (row.S.Opamp_problem.name ^ " " ^ label)
+            problem.S.Opamp_problem.template)
+        [ (S.Opamp_problem.Wide, "wide");
+          (S.Opamp_problem.Ape_centered 0.2, "ape") ])
+    (table1_rows ());
+  (* Two params name M2 (the later one sets it); no param names C1 or
+     any length. *)
+  let t =
+    S.Template.make (base_netlist ())
+      [
+        S.Template.param ~name:"w12" ~range:(I.make 1e-6 100e-6)
+          (S.Template.Mos_width [ "M1"; "M2" ]);
+        S.Template.param ~name:"w2" ~range:(I.make 1e-6 100e-6)
+          (S.Template.Mos_width [ "M2" ]);
+        S.Template.param ~name:"r" ~range:(I.make 100. 1e6)
+          (S.Template.Res_value [ "R1" ]);
+      ]
+  in
+  check_template "overlapping params" t;
+  let out = S.Template.instantiate t [| 0.; 1.; 0.5 |] in
+  let width name =
+    List.find_map
+      (function
+        | N.Mosfet { name = n; geom; _ } when n = name ->
+          Some geom.Ape_device.Mos.w
+        | _ -> None)
+      (N.elements out)
+  in
+  Alcotest.(check (option (float 1e-12))) "M1 from w12" (Some 1e-6) (width "M1");
+  Alcotest.(check (option (float 1e-12))) "M2 from w2" (Some 100e-6) (width "M2");
+  Alcotest.(check bool) "C1 untouched" true
+    (List.exists
+       (function N.Capacitor { c; _ } -> c = 1e-12 | _ -> false)
+       (N.elements out))
+
+(* A frozen annealing trajectory: any change to a cost value moves the
+   search, so the best cost, the evaluation count and the accepted
+   count of one Table 1 run (oa0, wide intervals, the tables' schedule,
+   seed 1) pin the relaxed cost bit for bit.  The values were taken
+   when the dense LU was [Matrix.Make] over floats and C came from a
+   second device pass, so they hold the kernels to that arithmetic. *)
+let test_frozen_trajectory () =
+  let schedule =
+    {
+      S.Anneal.t_start = 1.0;
+      t_end = 1e-3;
+      cooling = 0.88;
+      moves_per_stage = 25;
+      max_evaluations = 1_500;
+    }
+  in
+  let r =
+    S.Driver.run ~schedule ~rng:(Ape_util.Rng.create 1) proc
+      ~mode:S.Opamp_problem.Wide (oa0 ())
+  in
+  let stats = r.S.Driver.stats in
+  Alcotest.(check string) "best cost" "0x1.b08e5c811beebp+2"
+    (Printf.sprintf "%h" stats.S.Anneal.best_cost);
+  Alcotest.(check int) "evaluations" 1376 stats.S.Anneal.evaluations;
+  Alcotest.(check int) "accepted" 945 stats.S.Anneal.accepted
 
 let prop_relax_penalty_monotone =
   (* The divider is linear, so the KCL residual grows linearly along any
@@ -644,6 +838,8 @@ let () =
           Alcotest.test_case "instantiate" `Quick test_template_instantiate;
           Alcotest.test_case "bad references" `Quick test_template_bad_references;
           Alcotest.test_case "center point" `Quick test_center_point;
+          Alcotest.test_case "resolved = name-based reference" `Quick
+            test_template_matches_reference;
         ] );
       qsuite "template-properties" [ prop_value_unit_roundtrip ];
       ( "cost",
@@ -692,6 +888,8 @@ let () =
             test_relax_fake_op_reads_back;
           Alcotest.test_case "shared stamp = separate stamps" `Quick
             test_relax_shared_stamp_bitwise;
+          Alcotest.test_case "frozen oa0 trajectory" `Quick
+            test_frozen_trajectory;
         ] );
       qsuite "relax-properties" [ prop_relax_penalty_monotone ];
       ( "module-problems",

@@ -166,6 +166,102 @@ let prop_lu_random =
       let x = Rmat.solve m b in
       Rmat.residual_norm m x b < 1e-9)
 
+(* The float Rmat is written out by hand; Make over floats is the
+   functor it must equal bit for bit, row swaps and Singular included. *)
+module Fmat = Ape_util.Matrix.Make (struct
+  type t = float
+
+  let zero = 0.
+  let one = 1.
+  let add = ( +. )
+  let sub = ( -. )
+  let mul = ( *. )
+  let div = ( /. )
+  let neg x = -.x
+  let norm = Float.abs
+  let pp fmt x = Format.fprintf fmt "%.6g" x
+end)
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* n <= 16 systems of four shapes: dense; sparse (about a quarter of
+   the entries nonzero); a zero (0, 0) entry, so the first pivot step
+   swaps rows; a zero column, so factorisation raises Singular.  Entry
+   magnitudes span six decades. *)
+let gen_dense_system =
+  QCheck.Gen.(
+    int_range 1 16 >>= fun n ->
+    int_range 0 3 >>= fun shape ->
+    array_size (return (n * n)) (float_range (-1.) 1.) >>= fun vals ->
+    array_size (return (n * n)) (int_range (-3) 3) >>= fun exps ->
+    array_size (return (n * n)) (int_range 0 3) >>= fun mask ->
+    array_size (return n) (float_range (-10.) 10.) >>= fun b ->
+    int_range 0 (n - 1) >|= fun zero_col ->
+    let a =
+      Array.init n (fun i ->
+          Array.init n (fun j ->
+              let k = (i * n) + j in
+              if shape = 1 && mask.(k) > 0 && i <> j then 0.
+              else if shape = 3 && j = zero_col then 0.
+              else vals.(k) *. (10. ** float_of_int exps.(k))))
+    in
+    if shape = 2 then a.(0).(0) <- 0.;
+    (a, b))
+
+let prop_rmat_equals_functor =
+  QCheck.Test.make ~name:"float Rmat = Make over floats, bit for bit"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (a, b) ->
+         Printf.sprintf "n=%d a=%s b=%s" (Array.length b)
+           (String.concat ";"
+              (Array.to_list
+                 (Array.map
+                    (fun r ->
+                      String.concat "," (Array.to_list (Array.map string_of_float r)))
+                    a)))
+           (String.concat "," (Array.to_list (Array.map string_of_float b))))
+       gen_dense_system)
+    (fun (a, b) ->
+      let n = Array.length b in
+      let r = Rmat.of_arrays a and f = Fmat.of_arrays a in
+      let same_outcome solve_r solve_f =
+        match (solve_r (), solve_f ()) with
+        | x, y -> same_bits x y
+        | exception Ape_util.Matrix.Singular -> (
+          match solve_f () with
+          | _ -> false
+          | exception Ape_util.Matrix.Singular -> true)
+      in
+      let factored =
+        same_outcome
+          (fun () -> Rmat.lu_solve (Rmat.lu_factor r) b)
+          (fun () -> Fmat.lu_solve (Fmat.lu_factor f) b)
+      in
+      let solved =
+        same_outcome (fun () -> Rmat.solve r b) (fun () -> Fmat.solve f b)
+      in
+      let mat_vec = same_bits (Rmat.mat_vec r b) (Fmat.mat_vec f b) in
+      (* Accumulate onto existing entries, twice on the diagonal. *)
+      for k = 0 to (2 * n) - 1 do
+        let i = k mod n and j = k * 7 mod n in
+        Rmat.add_to r i j b.(i);
+        Fmat.add_to f i j b.(i)
+      done;
+      let added =
+        Array.for_all2 same_bits (Rmat.to_arrays r) (Fmat.to_arrays f)
+      in
+      let mat_mul =
+        Array.for_all2 same_bits
+          (Rmat.to_arrays (Rmat.mat_mul r r))
+          (Fmat.to_arrays (Fmat.mat_mul f f))
+      in
+      factored && solved && mat_vec && added && mat_mul)
+
 let test_mat_mul () =
   let a = Rmat.of_arrays [| [| 1.; 2. |]; [| 3.; 4. |] |] in
   let b = Rmat.of_arrays [| [| 5.; 6. |]; [| 7.; 8. |] |] in
@@ -632,7 +728,7 @@ let () =
           Alcotest.test_case "1x1 system" `Quick test_matrix_one;
         ] );
       qsuite "matrix-properties"
-        [ prop_lu_random; prop_transpose_involution ];
+        [ prop_lu_random; prop_transpose_involution; prop_rmat_equals_functor ];
       ( "poly",
         [
           Alcotest.test_case "eval/derivative" `Quick test_poly_eval;
