@@ -15,7 +15,7 @@ dune exec bin/ape.exe -- verify --golden test/golden
 echo "== prepared-solve AC (single-point vs blocked bit-identity, dense oracle) =="
 dune exec test/test_spice.exe -- test prepared
 
-echo "== observability bit-identity (obs on/off, pool jobs 1 vs N) =="
+echo "== observability bit-identity (obs on/off) =="
 dune exec test/test_obs.exe -- test bit-identity
 
 echo "== ape stats --json CI artifact (verify workload; synth counts) =="
@@ -32,6 +32,18 @@ awk -F'"value": *|}' '/"dc.newton_iters"/ { dc = $2 }
     if (dc + 0 > 2132) { printf "FAIL: dc.newton_iters %d > 2132\n", dc; exit 1 }
     if (tr + 0 > 2504) { printf "FAIL: transient.newton_iters %d > 2504\n", tr; exit 1 }
     printf "Newton iterations: dc %d <= 2132, transient %d <= 2504 OK\n", dc, tr
+  }' ape_stats.json
+# Each DC solve's index records the stamp slots once and every analysis
+# on that operating point replays them, so the recordings equal the DC
+# solves; an analysis that records its own shows as engine.plans >
+# dc.solves (a count, so the gate cannot flake).
+awk -F'"value": *|}' '/"engine.plans"/ { plans = $2 }
+  /"dc.solves"/ { solves = $2 }
+  END {
+    if (plans == "" || solves == "") { print "FAIL: plan counters missing"; exit 1 }
+    if (plans + 0 != solves + 0) {
+      printf "FAIL: engine.plans %d != dc.solves %d\n", plans, solves; exit 1 }
+    printf "stamp slots: engine.plans %d = dc.solves %d OK\n", plans, solves
   }' ape_stats.json
 # The synth workload's counts are deterministic too.  Any cost value
 # that moves by one bit changes the annealing path, and with it the

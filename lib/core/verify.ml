@@ -204,19 +204,19 @@ let sim_gain_stage (process : Proc.t) (design : Gain_stage.design) =
     current = design.Gain_stage.perf.Perf.current;
   }
 
-let sim_opamp ?(slew = true) (process : Proc.t) (design : Opamp.design) =
-  let frag = Opamp.fragment process design in
-  let netlist = with_vdd process frag in
+let opamp_testbench (process : Proc.t) ~cl (design : Opamp.design) =
   let vcm = design.Opamp.input_cm in
-  let cl = design.Opamp.spec.Opamp.cl in
-  let base =
-    N.append netlist
-      [
-        N.Vsource { name = "VINP"; p = "inp"; n = N.ground; dc = vcm; ac = 0.5 };
-        N.Vsource { name = "VINN"; p = "inn"; n = N.ground; dc = vcm; ac = -0.5 };
-        N.Capacitor { name = "CL"; a = "out"; b = N.ground; c = cl };
-      ]
-  in
+  N.append
+    (with_vdd process (Opamp.fragment process design))
+    [
+      N.Vsource { name = "VINP"; p = "inp"; n = N.ground; dc = vcm; ac = 0.5 };
+      N.Vsource { name = "VINN"; p = "inn"; n = N.ground; dc = vcm; ac = -0.5 };
+      N.Capacitor { name = "CL"; a = "out"; b = N.ground; c = cl };
+    ]
+
+let sim_opamp ?(slew = true) (process : Proc.t) (design : Opamp.design) =
+  let vcm = design.Opamp.input_cm in
+  let base = opamp_testbench process ~cl:design.Opamp.spec.Opamp.cl design in
   let offset, netlist, op =
     servo_offset ~tol:1e-10 ~vcm ~target:design.Opamp.output_dc base
   in

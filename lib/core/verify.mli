@@ -69,6 +69,14 @@ val monte_carlo_offset :
 
 (** {1 Level-3 opamp verification} *)
 
+val opamp_testbench :
+  Ape_process.Process.t -> cl:float -> Opamp.design -> Ape_circuit.Netlist.t
+(** The differential opamp testbench: the design's fragment, the VDD
+    supply, [VINP]/[VINN] driving [inp]/[inn] at the design's input
+    common mode with AC ±0.5, and load [CL] = [cl] on [out].  The one
+    bench {!sim_opamp}, the synthesis cost and the simulate-level Monte
+    Carlo measure. *)
+
 val sim_opamp :
   ?slew:bool -> Ape_process.Process.t -> Opamp.design -> Perf.t
 (** Open-loop AC testbench (differential drive, servoed offset) for

@@ -34,21 +34,11 @@ let estimate_measure sigmas process spec rng _i =
 
 (* A fixed nominal design measured on perturbed dies: the netlist is
    elaborated once and each sample only retargets the model cards. *)
-let sim_testbench process (d : E.Opamp.design) =
-  let frag = E.Opamp.fragment process d in
-  let base = E.Fragment.with_supply ~vdd:process.Process.vdd frag in
-  let vcm = d.E.Opamp.input_cm in
-  Netlist.append base
-    [
-      Netlist.Vsource { name = "VINP"; p = "inp"; n = "0"; dc = vcm; ac = 0.5 };
-      Netlist.Vsource { name = "VINN"; p = "inn"; n = "0"; dc = vcm; ac = -0.5 };
-      Netlist.Capacitor
-        { name = "CLMC"; a = "out"; b = "0"; c = d.E.Opamp.spec.E.Opamp.cl };
-    ]
-
 let simulate_measure sigmas process spec =
   let d = E.Opamp.design process spec in
-  let base = sim_testbench process d in
+  let base =
+    E.Verify.opamp_testbench process ~cl:d.E.Opamp.spec.E.Opamp.cl d
+  in
   fun rng _i ->
     let proc = Variation.perturb rng sigmas process in
     let offset = offset_metric rng d in

@@ -37,7 +37,3 @@ val opamp :
     level only), [phase_margin] (deg, estimate level only), [offset]
     (V). *)
 
-val sim_testbench :
-  Ape_process.Process.t -> Ape_estimator.Opamp.design -> Ape_circuit.Netlist.t
-(** The simulate-level testbench (supply + differential drive at the
-    design's input common mode + load cap), exposed for the bench. *)

@@ -7,7 +7,9 @@
     magnitudes declared on the netlist's independent sources.
 
     {!prepare} stamps the operating point {e once} into sparse G
-    (conductance) and C (capacitance) values plus the RHS pattern, and
+    (conductance) and C (capacitance) values — one device pass over the
+    slots the operating point's index recorded
+    ({!Engine.sparse_residual}[ ~c]) — plus the RHS pattern, and
     performs one symbolic LU analysis at ω = 0.  Every later solve only
     assembles [G + jωC] into a reusable workspace and refactors it
     numerically over the frozen pivot order — no netlist traversal, no
@@ -29,9 +31,9 @@ type prepared
 (** One-time preparation of a circuit for repeated AC evaluation. *)
 
 val prepare : Dc.op -> prepared
-(** Stamp G, C and the AC RHS once and fix the pivot order on the ω = 0
-    system.  Raises [Ape_util.Sparse.Singular] when the DC Jacobian is
-    singular. *)
+(** Stamp G and C in one device pass over [op]'s index, stamp the AC
+    RHS, and fix the pivot order on the ω = 0 system.  Raises
+    [Ape_util.Sparse.Singular] when the DC Jacobian is singular. *)
 
 val op : prepared -> Dc.op
 (** The operating point the preparation was built from. *)
@@ -52,8 +54,7 @@ val excite : prepared -> Ape_circuit.Netlist.t -> prepared
 val solve_prepared : prepared -> float -> solution
 (** Assemble [G + jωC] in the preparation's workspace and solve.  Reuses
     internal mutable workspaces: do not call concurrently from several
-    domains on the same [prepared] (use {!sweep_prepared}[ ~jobs] for
-    that). *)
+    domains on the same [prepared]. *)
 
 val panel_width : unit -> int
 (** Width of the frequency panels blocked solves use (how many
@@ -72,22 +73,16 @@ val solve_many : prepared -> float array -> solution array
     each refactored and solved by one symbolic traversal
     ([Sparse.Csplit.Panel]).  Every point is bit-identical to
     [solve_prepared p f].  Not safe to call concurrently on one
-    [prepared] (use {!sweep_prepared}[ ~jobs]). *)
+    [prepared]. *)
 
-(** {2 Factored systems} *)
-
-type system
-(** A factored [G + jωC] at one frequency, for analyses that solve their
-    own right-hand sides — e.g. the adjoint system of noise analysis. *)
-
-val system_at : prepared -> float -> system
-(** Assemble and factor the AC system at one frequency, with private
-    workspaces (safe to use from any domain). *)
-
-val system_solve_transposed : system -> Complex.t array -> Complex.t array
-(** Solve [Aᵀ y = b] — one adjoint solve against an output selector
-    yields the transfer impedance from every injection site at once
-    (reciprocity). *)
+val solve_transposed_prepared :
+  prepared -> float -> Complex.t array -> Complex.t array
+(** [solve_transposed_prepared p freq b] solves [Aᵀ y = b] with
+    [A = G + jωC] assembled and refactored on the preparation's own
+    workspace, as {!solve_prepared} does — one adjoint solve against an
+    output selector yields the transfer impedance from every injection
+    site at once (reciprocity), as noise analysis uses it.  Same
+    concurrency rule as {!solve_prepared}. *)
 
 val voltage_prepared :
   prepared -> solution -> Ape_circuit.Netlist.node -> Complex.t
@@ -98,13 +93,8 @@ val sweep_frequencies :
 (** A logarithmic grid, inclusive of both endpoints (default 10
     points/decade). *)
 
-val sweep_prepared : ?jobs:int -> prepared -> float list -> sweep
-(** Solve an explicit frequency list on one preparation, in
-    {!panel_width} blocks.  Sequential sweeps reuse the preparation's
-    cached workspace, so repeating one creates no new workspace (counted
-    under [ac.workspaces]).  [jobs > 1] distributes whole panels over
-    that many domains with the deterministic chunking of
-    {!Ape_util.Pool} (0 = hardware recommendation), drawing from a pool
-    of per-domain cloned workspaces — one clone per domain that runs,
-    not one per point.  Panel boundaries depend only on the grid and
-    the width, so results are bit-identical for every [jobs] value. *)
+val sweep_prepared : prepared -> float list -> sweep
+(** Solve an explicit frequency list on one preparation: {!solve_many}
+    on the preparation's cached workspace, so repeating one creates no
+    new workspace (counted under [ac.workspaces]), and every point is
+    bit-identical to {!solve_prepared}. *)

@@ -35,15 +35,12 @@ let rhs_vector netlist index =
 
 let moments ?(count = 8) ?g ?c ~out (op : Dc.op) =
   let netlist = op.Dc.netlist and index = op.Dc.index in
-  let g =
-    match g with
-    | Some g -> g
-    | None -> snd (Engine.residual_jacobian ~gmin:1e-12 netlist index op.Dc.x)
-  in
-  let c =
-    match c with
-    | Some c -> c
-    | None -> Engine.stamp_capacitances netlist index op.Dc.x
+  let g, c =
+    match (g, c) with
+    | Some g, Some c -> (g, c)
+    | _ ->
+      let _, g', c' = Engine.linearize netlist index op.Dc.x in
+      (Option.value g ~default:g', Option.value c ~default:c')
   in
   let lu =
     match Rmat.lu_factor g with

@@ -30,7 +30,7 @@ val moments :
     matrix at the same point, when the caller has already stamped
     them — as the relaxed synthesis cost has, both from one
     {!Engine.linearize} pass that also gives its KCL penalty.  Either
-    one left out is stamped here.  Raises {!Moment_failure} when G is
+    one left out comes from one {!Engine.linearize} pass here.  Raises {!Moment_failure} when G is
     singular. *)
 
 val pade :

@@ -17,7 +17,8 @@ let max_norm a = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0. a
 
 (* One damped-Newton solve at a fixed (gmin, source_scale); updates [x]
    in place and returns iterations used, or None on failure.  [ws]
-   carries the stamp plan and factor across iterations and stages. *)
+   carries the Jacobian values and factor across iterations and
+   stages. *)
 let newton ?(max_iter = 150) ?(tol_v = 1e-9) ?(tol_i = 1e-12)
     ?(damping = 0.5) ~ws ~gmin ~source_scale netlist index x =
   let n_nodes = Engine.n_nodes index in
@@ -25,8 +26,8 @@ let newton ?(max_iter = 150) ?(tol_v = 1e-9) ?(tol_i = 1e-12)
     if iter > max_iter then None
     else begin
       let f =
-        Engine.sparse_residual ~gmin ~source_scale ws.Engine.ws_plan netlist
-          index x ws.Engine.ws_jac
+        Engine.sparse_residual ~gmin ~source_scale netlist index x
+          ws.Engine.ws_jac
       in
       match Engine.newton_step ws (Array.map (fun v -> -.v) f) with
       | None -> None
@@ -87,7 +88,7 @@ let solve_impl ?(max_iter = 150) ?(tol_v = 1e-9) ?(tol_i = 1e-12) ?x0 netlist =
       Array.copy x
     | None -> initial_guess netlist index
   in
-  let ws = Engine.workspace netlist index in
+  let ws = Engine.workspace index in
   let try_newton ~gmin ~source_scale x =
     newton ~max_iter ~tol_v ~tol_i ~ws ~gmin ~source_scale netlist index x
   in

@@ -1,6 +1,7 @@
 module N = Ape_circuit.Netlist
 module Mos = Ape_device.Mos
 module Rmat = Ape_util.Matrix.Rmat
+module Sp = Ape_util.Sparse
 
 (* An element's unknowns, resolved once when the index is built: node
    terminals as unknown numbers (-1 for ground) plus the branch unknown
@@ -21,6 +22,9 @@ type index = {
   n_nodes : int;
   total : int;
   resolved : (string * terminals) array;  (* element name, unknowns *)
+  pattern : Sp.pattern;  (* union of the Jacobian and C stamps *)
+  jac_slots : int array;  (* slot of the k-th Jacobian [add] call *)
+  cap_slots : int array;  (* slot of the k-th C [add] call *)
 }
 
 exception
@@ -28,62 +32,6 @@ exception
 
 let engine_error ~analysis ?node detail =
   raise (Engine_error { analysis; node; detail })
-
-let build_index netlist =
-  let node_ids = Hashtbl.create 16 in
-  List.iteri
-    (fun i n -> Hashtbl.replace node_ids n i)
-    (N.nodes netlist);
-  let n_nodes = Hashtbl.length node_ids in
-  let branch_ids = Hashtbl.create 4 in
-  let next = ref n_nodes in
-  let node n = if N.is_ground n then -1 else Hashtbl.find node_ids n in
-  let branch name =
-    let br = !next in
-    Hashtbl.replace branch_ids name br;
-    incr next;
-    br
-  in
-  let resolve = function
-    | N.Resistor { a; b; _ } -> T_resistor { a = node a; b = node b }
-    | N.Capacitor { a; b; _ } -> T_capacitor { a = node a; b = node b }
-    | N.Switch { a; b; ctrl; _ } ->
-      T_switch { a = node a; b = node b; ctrl = node ctrl }
-    | N.Isource { p; n; _ } -> T_isource { p = node p; n = node n }
-    | N.Vsource { name; p; n; _ } ->
-      T_vsource { p = node p; n = node n; br = branch name }
-    | N.Vcvs { name; p; n; cp; cn; _ } ->
-      T_vcvs
-        { p = node p; n = node n; cp = node cp; cn = node cn; br = branch name }
-    | N.Mosfet { d; g; s; b; _ } ->
-      T_mosfet { d = node d; g = node g; s = node s; b = node b }
-  in
-  let resolved =
-    Array.of_list
-      (List.map (fun e -> (N.element_name e, resolve e)) (N.elements netlist))
-  in
-  { node_ids; branch_ids; n_nodes; total = !next; resolved }
-
-let size idx = idx.total
-let n_nodes idx = idx.n_nodes
-
-let node_id idx n =
-  if N.is_ground n then None else Hashtbl.find_opt idx.node_ids n
-
-let branch_id idx name = Hashtbl.find_opt idx.branch_ids name
-
-let branch_id_exn idx ~analysis name =
-  match Hashtbl.find_opt idx.branch_ids name with
-  | Some i -> i
-  | None ->
-    engine_error ~analysis ~node:name
-      "no branch-current unknown for this element (index built from a \
-       different netlist?)"
-
-let node_voltage idx x n =
-  match node_id idx n with
-  | None -> 0.
-  | Some i -> x.(i)
 
 type stimulus = (string * (float -> float)) list
 
@@ -94,8 +42,8 @@ let mismatch ?node detail = engine_error ~analysis:"mna" ?node detail
    relaxed candidate with new element values), but only one with the
    same elements: a count or name that differs raises, and so does a
    kind ([f]'s catch-all case). *)
-let iter_resolved idx netlist f =
-  let n = Array.length idx.resolved in
+let iter_resolved resolved netlist f =
+  let n = Array.length resolved in
   let k =
     List.fold_left
       (fun k e ->
@@ -103,7 +51,7 @@ let iter_resolved idx netlist f =
         if k >= n then
           mismatch ~node:name
             (Printf.sprintf "netlist has more elements than its index (%d)" n);
-        let expected, t = idx.resolved.(k) in
+        let expected, t = resolved.(k) in
         if not (String.equal name expected) then
           mismatch ~node:name
             (Printf.sprintf "element %d does not match its index (expected %s)"
@@ -144,24 +92,23 @@ let pair_stamp add a b value =
   add_at add b a (-.value);
   add_at add b b value
 
-(* Stamping core, parameterised on the Jacobian sink: the dense form
-   passes [Rmat.add_to], the sparse engine a slot-cursor writer, and the
-   plan builder a coordinate recorder.  The [add] call sequence is
-   deterministic and independent of [x], [gmin], [source_scale] and
-   [stimulus] — every element stamps the same positions in the same
-   order whatever its state (the Switch stamps both branches
-   identically) — which is what lets one recorded plan replay any
-   number of numeric evaluations.
+(* The one stamping core, parameterised on its sinks: the dense forms
+   pass [Rmat.add_to], the sparse engine slot-cursor writers, and
+   [build_index] coordinate recorders.  The [add] and [cap] call
+   sequences are deterministic and independent of [x], [gmin],
+   [source_scale], [stimulus] and every element value — every element
+   stamps the same positions in the same order whatever its state (the
+   Switch stamps both branches identically) — which is what lets the
+   slots one recording pass finds serve every later evaluation.
 
-   [cap], when given, receives the C stamps of the same pass, in
-   [caps_core]'s element order and per-device order, with each MOSFET's
-   capacitances taken at the region of the one evaluation that also
-   gives its current and partials.  Without it (the Newton loops) the
-   pass does no capacitance work at all. *)
-let stamp_core ?cap ~gmin ~source_scale ~time ~stimulus netlist idx x
-    ~(add : int -> int -> float -> unit) f =
+   [cap], when given, receives the C stamps of the same pass, with each
+   MOSFET's capacitances taken at the region of the one evaluation that
+   also gives its current and partials.  Without it (the Newton loops)
+   the pass does no capacitance work at all. *)
+let stamp_core ?cap ~gmin ~source_scale ~time ~stimulus ~n_nodes resolved
+    netlist x ~(add : int -> int -> float -> unit) f =
   (* gmin from every node to ground. *)
-  for i = 0 to idx.n_nodes - 1 do
+  for i = 0 to n_nodes - 1 do
     f.(i) <- f.(i) +. (gmin *. x.(i));
     add i i gmin
   done;
@@ -181,7 +128,7 @@ let stamp_core ?cap ~gmin ~source_scale ~time ~stimulus netlist idx x
     add_at add br p 1.;
     add_at add br nn (-1.)
   in
-  iter_resolved idx netlist (fun e t ->
+  iter_resolved resolved netlist (fun e t ->
       match (e, t) with
       | N.Resistor { r; _ }, T_resistor { a; b } ->
         conductance_stamp a b (1. /. r)
@@ -250,12 +197,101 @@ let stamp_core ?cap ~gmin ~source_scale ~time ~stimulus netlist idx x
           _ ) ->
         kind_mismatch e)
 
+let c_plans = Ape_obs.counter "engine.plans"
+
+let build_index netlist =
+  Ape_obs.incr c_plans;
+  let node_ids = Hashtbl.create 16 in
+  List.iteri
+    (fun i n -> Hashtbl.replace node_ids n i)
+    (N.nodes netlist);
+  let n_nodes = Hashtbl.length node_ids in
+  let branch_ids = Hashtbl.create 4 in
+  let next = ref n_nodes in
+  let node n = if N.is_ground n then -1 else Hashtbl.find node_ids n in
+  let branch name =
+    let br = !next in
+    Hashtbl.replace branch_ids name br;
+    incr next;
+    br
+  in
+  let resolve = function
+    | N.Resistor { a; b; _ } -> T_resistor { a = node a; b = node b }
+    | N.Capacitor { a; b; _ } -> T_capacitor { a = node a; b = node b }
+    | N.Switch { a; b; ctrl; _ } ->
+      T_switch { a = node a; b = node b; ctrl = node ctrl }
+    | N.Isource { p; n; _ } -> T_isource { p = node p; n = node n }
+    | N.Vsource { name; p; n; _ } ->
+      T_vsource { p = node p; n = node n; br = branch name }
+    | N.Vcvs { name; p; n; cp; cn; _ } ->
+      T_vcvs
+        { p = node p; n = node n; cp = node cp; cn = node cn; br = branch name }
+    | N.Mosfet { d; g; s; b; _ } ->
+      T_mosfet { d = node d; g = node g; s = node s; b = node b }
+  in
+  let resolved =
+    Array.of_list
+      (List.map (fun e -> (N.element_name e, resolve e)) (N.elements netlist))
+  in
+  let total = !next in
+  (* One recording pass at x = 0 with both sinks: the pattern is the
+     union of the Jacobian and C positions (so one symbolic
+     factorisation serves DC, AC and transient), and the slot arrays
+     replay the two call sequences. *)
+  let b = Sp.Builder.create total in
+  let jac = ref [] and cap = ref [] in
+  let record coords r c _ =
+    Sp.Builder.add b r c;
+    coords := (r, c) :: !coords
+  in
+  let x0 = Array.make total 0. in
+  stamp_core ~gmin:1e-12 ~source_scale:1. ~time:0. ~stimulus:[] ~n_nodes
+    resolved netlist x0 ~add:(record jac) ~cap:(record cap)
+    (Array.make total 0.);
+  let pattern = Sp.Builder.compile b in
+  let slots coords =
+    List.rev_map (fun (r, c) -> Sp.slot pattern ~row:r ~col:c) coords
+    |> Array.of_list
+  in
+  {
+    node_ids;
+    branch_ids;
+    n_nodes;
+    total;
+    resolved;
+    pattern;
+    jac_slots = slots !jac;
+    cap_slots = slots !cap;
+  }
+
+let size idx = idx.total
+let n_nodes idx = idx.n_nodes
+
+let node_id idx n =
+  if N.is_ground n then None else Hashtbl.find_opt idx.node_ids n
+
+let branch_id idx name = Hashtbl.find_opt idx.branch_ids name
+
+let branch_id_exn idx ~analysis name =
+  match Hashtbl.find_opt idx.branch_ids name with
+  | Some i -> i
+  | None ->
+    engine_error ~analysis ~node:name
+      "no branch-current unknown for this element (index built from a \
+       different netlist?)"
+
+let node_voltage idx x n =
+  match node_id idx n with
+  | None -> 0.
+  | Some i -> x.(i)
+
 let residual_jacobian ?(gmin = 1e-12) ?(time = 0.) ?(stimulus = []) netlist
     idx x =
   let n = idx.total in
   let f = Array.make n 0. in
   let j = Rmat.create n n in
-  stamp_core ~gmin ~source_scale:1. ~time ~stimulus netlist idx x
+  stamp_core ~gmin ~source_scale:1. ~time ~stimulus ~n_nodes:idx.n_nodes
+    idx.resolved netlist x
     ~add:(fun r c v -> Rmat.add_to j r c v)
     f;
   (f, j)
@@ -264,113 +300,34 @@ let linearize netlist idx x =
   let n = idx.total in
   let f = Array.make n 0. in
   let j = Rmat.create n n and c = Rmat.create n n in
-  stamp_core ~gmin:1e-12 ~source_scale:1. ~time:0. ~stimulus:[] netlist idx x
+  stamp_core ~gmin:1e-12 ~source_scale:1. ~time:0. ~stimulus:[]
+    ~n_nodes:idx.n_nodes idx.resolved netlist x
     ~add:(fun r col v -> Rmat.add_to j r col v)
     ~cap:(fun r col v -> Rmat.add_to c r col v)
     f;
   (f, j, c)
 
-(* Capacitance stamping core, same sink parameterisation. *)
-let caps_core netlist idx x ~(add : int -> int -> float -> unit) =
-  iter_resolved idx netlist (fun e t ->
-      match (e, t) with
-      | N.Capacitor { c = value; _ }, T_capacitor { a; b } ->
-        pair_stamp add a b value
-      | N.Mosfet { card; geom; m; _ }, T_mosfet { d; g; s; b } ->
-        (* M= parallel devices behave as one device of width m·W under
-           the width-proportional current and capacitance models. *)
-        let geom = { geom with Mos.w = geom.Mos.w *. m } in
-        let vs = volt x s in
-        let ss =
-          Mos.small_signal card geom ~vgs:(volt x g -. vs)
-            ~vds:(volt x d -. vs) ~vsb:(vs -. volt x b)
-        in
-        pair_stamp add g s ss.Mos.cgs;
-        pair_stamp add g d ss.Mos.cgd;
-        pair_stamp add g b ss.Mos.cgb;
-        pair_stamp add d b ss.Mos.cdb;
-        pair_stamp add s b ss.Mos.csb
-      | N.Resistor _, T_resistor _
-      | N.Vsource _, T_vsource _
-      | N.Isource _, T_isource _
-      | N.Vcvs _, T_vcvs _
-      | N.Switch _, T_switch _ ->
-        ()
-      | ( ( N.Resistor _ | N.Capacitor _ | N.Switch _ | N.Isource _
-          | N.Vsource _ | N.Vcvs _ | N.Mosfet _ ),
-          _ ) ->
-        kind_mismatch e)
+let pattern idx = idx.pattern
 
-let stamp_capacitances netlist idx x =
-  let n = idx.total in
-  let c = Rmat.create n n in
-  caps_core netlist idx x ~add:(fun r col v -> Rmat.add_to c r col v);
-  c
-
-(* ------------------------------------------------------------------ *)
-(* Sparse stamp plans                                                  *)
-(* ------------------------------------------------------------------ *)
-
-module Sp = Ape_util.Sparse
-
-(* A plan compiles the deterministic stamp sequences into slot arrays
-   over one shared sparsity pattern (the union of Jacobian and
-   capacitance stamps, so one symbolic factorisation serves DC, AC and
-   transient).  Built once per (netlist, index); every numeric pass is
-   then a cursor replay over the index's resolved unknowns, with no
-   hash or binary-search lookups. *)
-type plan = {
-  p_pattern : Sp.pattern;
-  p_jac : int array;  (* slot of the k-th Jacobian [add] call *)
-  p_cap : int array;  (* slot of the k-th capacitance [add] call *)
-}
-
-let plan netlist idx =
-  let n = idx.total in
-  let x0 = Array.make n 0. in
-  let f0 = Array.make n 0. in
-  let b = Sp.Builder.create n in
-  let jac_coords = ref [] and cap_coords = ref [] in
-  stamp_core ~gmin:1e-12 ~source_scale:1. ~time:0. ~stimulus:[] netlist idx x0
-    ~add:(fun r c _ ->
-      Sp.Builder.add b r c;
-      jac_coords := (r, c) :: !jac_coords)
-    f0;
-  caps_core netlist idx x0 ~add:(fun r c _ ->
-      Sp.Builder.add b r c;
-      cap_coords := (r, c) :: !cap_coords);
-  let pattern = Sp.Builder.compile b in
-  let slots coords =
-    List.rev_map (fun (r, c) -> Sp.slot pattern ~row:r ~col:c) coords
-    |> Array.of_list
-  in
-  { p_pattern = pattern; p_jac = slots !jac_coords; p_cap = slots !cap_coords }
-
-let plan_pattern p = p.p_pattern
-
-let sparse_residual ?(gmin = 1e-12) ?(source_scale = 1.) ?(time = 0.)
-    ?(stimulus = []) plan netlist idx x vals =
-  if Sp.Real.pattern vals != plan.p_pattern then
+(* A sink that adds the k-th call's value to the k-th recorded slot of
+   [vals] (cleared first): a cursor replay, no lookups. *)
+let slot_sink idx slots vals =
+  if Sp.Real.pattern vals != idx.pattern then
     invalid_arg "Engine.sparse_residual: pattern mismatch";
   Sp.Real.clear vals;
-  let n = idx.total in
-  let f = Array.make n 0. in
   let cursor = ref 0 in
-  stamp_core ~gmin ~source_scale ~time ~stimulus netlist idx x
-    ~add:(fun _ _ v ->
-      Sp.Real.add_slot vals plan.p_jac.(!cursor) v;
-      incr cursor)
-    f;
-  f
+  fun _ _ v ->
+    Sp.Real.add_slot vals slots.(!cursor) v;
+    incr cursor
 
-let sparse_capacitances plan netlist idx x vals =
-  if Sp.Real.pattern vals != plan.p_pattern then
-    invalid_arg "Engine.sparse_capacitances: pattern mismatch";
-  Sp.Real.clear vals;
-  let cursor = ref 0 in
-  caps_core netlist idx x ~add:(fun _ _ v ->
-      Sp.Real.add_slot vals plan.p_cap.(!cursor) v;
-      incr cursor)
+let sparse_residual ?(gmin = 1e-12) ?(source_scale = 1.) ?(time = 0.)
+    ?(stimulus = []) ?c netlist idx x vals =
+  let add = slot_sink idx idx.jac_slots vals in
+  let cap = Option.map (slot_sink idx idx.cap_slots) c in
+  let f = Array.make idx.total 0. in
+  stamp_core ?cap ~gmin ~source_scale ~time ~stimulus ~n_nodes:idx.n_nodes
+    idx.resolved netlist x ~add f;
+  f
 
 (* The Newton linear solve shared by the DC and transient loops.  The
    factor's symbolic analysis (pivot order) is done on the first step
@@ -379,14 +336,11 @@ let sparse_capacitances plan netlist idx x vals =
    the pattern never changes.  [ws_fac] drops back to [None] when a
    replay goes unstable, so the next step re-pivots. *)
 type workspace = {
-  ws_plan : plan;
   ws_jac : Sp.Real.t;
   mutable ws_fac : Sp.Real.factor option;
 }
 
-let workspace netlist idx =
-  let ws_plan = plan netlist idx in
-  { ws_plan; ws_jac = Sp.Real.create ws_plan.p_pattern; ws_fac = None }
+let workspace idx = { ws_jac = Sp.Real.create idx.pattern; ws_fac = None }
 
 let newton_step ws rhs =
   let fresh () =

@@ -4,16 +4,19 @@
 
     The {!index} resolves every element's terminals and branch unknown
     to integers once; stamps then read element values from the netlist
-    and positions from the index, never looking a name up.  Each
-    MOSFET is one {!Ape_device.Mos.evaluate} per stamp: the Jacobian
-    entries are its exact partials, the capacitances its region's.
+    and positions from the index, never looking a name up.  Every stamp
+    runs one stamping core, the only place the simulator evaluates a
+    device: each MOSFET is one {!Ape_device.Mos.evaluate} per stamp,
+    the Jacobian entries are its exact partials and the capacitances,
+    when the caller asks for them, its region's.
 
-    Stamps come in two forms.  The dense {!residual_jacobian},
-    {!stamp_capacitances} and {!linearize} (all three matrices from one
-    device pass) serve AWE, the relaxed-KCL penalty and the test
-    suite's dense reference.  The DC, AC, transient and noise analyses
-    stamp through a sparse {!plan} into [Ape_util.Sparse] values; their
-    Newton stamps do no capacitance work. *)
+    Stamps come in two forms over that one core.  The dense
+    {!residual_jacobian} and {!linearize} (f, G and C from one device
+    pass) serve AWE, the relaxed-KCL penalty and the test suite's dense
+    reference.  The DC, AC, transient and noise analyses stamp through
+    {!sparse_residual} into [Ape_util.Sparse] values over the slots the
+    index recorded; their Newton stamps do no capacitance work, and an
+    operating point's G and C come from one pass. *)
 
 type index
 
@@ -30,11 +33,16 @@ val engine_error : analysis:string -> ?node:string -> string -> 'a
 
 val build_index : Ape_circuit.Netlist.t -> index
 (** Unknown layout: node voltages first (non-ground nodes in sorted
-    order), then one branch current per V-source and VCVS.  Every stamp
-    below takes a netlist and an index: the netlist may differ from the
-    one the index was built from in element values only (a relaxed
-    synthesis candidate).  One whose elements differ in number, name or
-    kind raises {!Engine_error} with analysis ["mna"]. *)
+    order), then one branch current per V-source and VCVS.  The index
+    also records, in one stamping pass, the sparse pattern (the union
+    of the Jacobian and C positions) and the slot of every stamp, which
+    every sparse stamp and analysis replays (counted under
+    [engine.plans]).  Every stamp below takes a netlist and an index:
+    the netlist may differ from the one the index was built from in
+    element values only (a relaxed synthesis candidate) — stamp
+    positions depend on no value or state, so the recorded slots hold
+    for it too.  One whose elements differ in number, name or kind
+    raises {!Engine_error} with analysis ["mna"]. *)
 
 val size : index -> int
 val n_nodes : index -> int
@@ -71,15 +79,6 @@ val residual_jacobian :
     from every node to ground; [time]/[stimulus] evaluate
     time-dependent source values for the transient analysis. *)
 
-val stamp_capacitances :
-  Ape_circuit.Netlist.t ->
-  index ->
-  float array ->
-  Ape_util.Matrix.Rmat.t
-(** The C matrix (susceptance stamps / jω) linearised at the operating
-    point [x]: explicit capacitors plus the MOS intrinsic and junction
-    capacitances in their bias-dependent values. *)
-
 val linearize :
   Ape_circuit.Netlist.t ->
   index ->
@@ -87,62 +86,47 @@ val linearize :
   float array * Ape_util.Matrix.Rmat.t * Ape_util.Matrix.Rmat.t
 (** [(f, g, c)] at [x] from one device pass: each MOSFET is evaluated
     once, and its capacitances are taken at that evaluation's region.
-    [f] and [g] equal {!residual_jacobian}'s at its default [gmin], and
-    [c] equals {!stamp_capacitances}, bit for bit.  The relaxed
-    synthesis cost reads all three: the KCL penalty and AWE's
+    [f] and [g] equal {!residual_jacobian}'s at its default [gmin] bit
+    for bit; [c] holds the explicit capacitors plus the MOS intrinsic
+    and junction capacitances in their bias-dependent values.  The
+    relaxed synthesis cost reads all three: the KCL penalty and AWE's
     moments. *)
 
-type plan
-(** A precompiled sparse stamp plan: the union sparsity pattern of the
-    Jacobian and capacitance stamps plus the slot sequence of every
-    [add] call.  Built once per (netlist, index); numeric passes replay
-    the deterministic stamp sequence through a cursor over the index's
-    resolved unknowns, with no hash or binary-search lookups.  The stamp
-    sequence is independent of [x], [gmin], [source_scale], [time] and
-    [stimulus], which is what makes the replay valid. *)
-
-val plan : Ape_circuit.Netlist.t -> index -> plan
-
-val plan_pattern : plan -> Ape_util.Sparse.pattern
+val pattern : index -> Ape_util.Sparse.pattern
+(** The index's sparse pattern: every sparse stamp's values must share
+    it. *)
 
 val sparse_residual :
   ?gmin:float ->
   ?source_scale:float ->
   ?time:float ->
   ?stimulus:stimulus ->
-  plan ->
+  ?c:Ape_util.Sparse.Real.t ->
   Ape_circuit.Netlist.t ->
   index ->
   float array ->
   Ape_util.Sparse.Real.t ->
   float array
 (** Sparse form of {!residual_jacobian}: stamps the Jacobian into [vals]
-    (cleared first; must share the plan's pattern) and returns the
+    (cleared first; must share the index's {!pattern}) and returns the
     residual [F(x)].  Each slot value is bitwise equal to the
     corresponding dense matrix entry.  [source_scale] (default 1)
-    scales all independent sources, for DC source stepping. *)
-
-val sparse_capacitances :
-  plan ->
-  Ape_circuit.Netlist.t ->
-  index ->
-  float array ->
-  Ape_util.Sparse.Real.t ->
-  unit
-(** Sparse form of {!stamp_capacitances}, stamping into [vals] (cleared
-    first) over the plan's shared pattern. *)
+    scales all independent sources, for DC source stepping.  [c], when
+    given, receives (cleared first) the C stamps of the same device
+    pass, bitwise equal to {!linearize}'s [c]; C depends on [x] alone,
+    not on [gmin], [source_scale], [time] or [stimulus]. *)
 
 type workspace = {
-  ws_plan : plan;
   ws_jac : Ape_util.Sparse.Real.t;
-      (** Jacobian values over the plan's pattern, restamped per step *)
+      (** Jacobian values over the index's pattern, restamped per step *)
   mutable ws_fac : Ape_util.Sparse.Real.factor option;
 }
 (** Newton linear-solve state shared by the DC and transient loops: one
-    stamp plan and one factor whose pivot order is chosen once and
-    replayed numerically on every later step. *)
+    factor whose pivot order is chosen once and replayed numerically on
+    every later step. *)
 
-val workspace : Ape_circuit.Netlist.t -> index -> workspace
+val workspace : index -> workspace
+(** Fresh Jacobian values over the index's pattern and no factor yet. *)
 
 val newton_step : workspace -> float array -> float array option
 (** [newton_step ws rhs] solves [J x = rhs] with [J] the values in

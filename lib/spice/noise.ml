@@ -21,16 +21,13 @@ let noise_sources (op : Dc.op) freq =
         and vg = Dc.voltage op g
         and vs = Dc.voltage op s
         and vb = Dc.voltage op b in
-        let ss =
-          Mos.small_signal card geom ~vgs:(vg -. vs) ~vds:(vd -. vs)
+        (* One evaluation gives both: gm = |∂I/∂vgs| and I_D. *)
+        let e =
+          Mos.evaluate card geom ~vgs:(vg -. vs) ~vds:(vd -. vs)
             ~vsb:(vs -. vb)
         in
-        let point =
-          Mos.operating_point card geom ~vgs:(vg -. vs) ~vds:(vd -. vs)
-            ~vsb:(vs -. vb)
-        in
-        let id = Float.abs point.Mos.ids in
-        let thermal = four_kt *. (2. /. 3.) *. ss.Mos.gm in
+        let id = Float.abs e.Mos.ids in
+        let thermal = four_kt *. (2. /. 3.) *. Float.abs e.Mos.di_dvgs in
         let leff =
           Float.max 1e-9 (geom.Mos.l -. (2. *. card.Card.ld))
         in
@@ -64,11 +61,10 @@ let output_noise_prepared ~out ~freq p =
     match Engine.node_id index out with
     | None -> None
     | Some iout ->
-      let sys = Ac.system_at p freq in
       let e_out = Array.make n Complex.zero in
       e_out.(iout) <- Complex.one;
       Ape_obs.incr c_adjoint;
-      Some (Ac.system_solve_transposed sys e_out)
+      Some (Ac.solve_transposed_prepared p freq e_out)
   in
   let zmag a_node b_node =
     match y with

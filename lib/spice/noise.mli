@@ -9,8 +9,11 @@
     adjoint system [Aᵀy = e_out], the impedance seen by a 1 A source
     from node [a] to node [b] is [y(b) − y(a)] — one transposed solve
     per frequency covers every source, however many the deck has
-    (counted under [noise.adjoint_solves]).  The test suite keeps the
-    one-solve-per-source evaluation as an independent reference.
+    (counted under [noise.adjoint_solves]).  The adjoint is factored on
+    the preparation's own workspace ({!Ac.solve_transposed_prepared}),
+    so a noise routine must not run concurrently with another solve on
+    the same preparation.  The test suite keeps the one-solve-per-source
+    evaluation as an independent reference.
 
     Input-referred noise divides by the circuit's own signal gain (from
     the netlist's declared AC excitation).
@@ -29,7 +32,9 @@ val noise_sources :
   float ->
   (string * Ape_circuit.Netlist.node * Ape_circuit.Netlist.node * float) list
 (** [(element, a, b, psd)] of every noisy element at one frequency: a
-    current-noise PSD (A²/Hz) injected from node [a] to node [b].
+    current-noise PSD (A²/Hz) injected from node [a] to node [b].  Each
+    MOSFET's gm and drain current come from one
+    {!Ape_device.Mos.evaluate}.
     Exposed for the bench's solve-count accounting and the test
     suite's per-source reference. *)
 

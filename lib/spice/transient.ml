@@ -38,18 +38,19 @@ let max_norm a = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0. a
 module Sp = Ape_util.Sparse
 
 (* Newton solve of F(x) + C·(x - x_prev)/h [BE] = 0 at time t, starting
-   from x (modified in place).  For trapezoidal the companion term is
+   from a copy of [x_prev].  For trapezoidal the companion term is
    (2C/h)(x - x_prev) - i_prev where i_prev is the capacitor current at
-   the previous time point.  [ws] carries the stamp plan and factor
-   across iterations and steps; [cvals] receives the capacitance stamps
-   at [x_prev] over the same pattern. *)
+   the previous time point.  [ws] carries the Jacobian values and
+   factor across iterations and steps; the first iteration stamps at
+   [x_prev] itself, so its device pass also gives C(x_prev), into
+   [cvals]. *)
 let solve_step ~ws ~cvals ~method_ ~max_newton ~stimulus ~time ~dt netlist
-    index ~x_prev ~icap_prev x =
+    index ~x_prev ~icap_prev =
   let n = Engine.size index in
-  let pattern = Engine.plan_pattern ws.Engine.ws_plan in
+  let pattern = Engine.pattern index in
   Ape_obs.incr c_solves;
+  let x = Array.copy x_prev in
   let ok = ref false and iter = ref 0 in
-  Engine.sparse_capacitances ws.Engine.ws_plan netlist index x_prev cvals;
   let coeff = match method_ with Backward_euler -> 1. | Trapezoidal -> 2. in
   let gc = coeff /. dt in
   let trap_term row =
@@ -59,12 +60,13 @@ let solve_step ~ws ~cvals ~method_ ~max_newton ~stimulus ~time ~dt netlist
   in
   while (not !ok) && !iter < max_newton do
     incr iter;
+    let c = if !iter = 1 then Some cvals else None in
     let f =
-      Engine.sparse_residual ~gmin:1e-12 ~time ~stimulus ws.Engine.ws_plan
-        netlist index x ws.Engine.ws_jac
+      Engine.sparse_residual ~gmin:1e-12 ~time ~stimulus ?c netlist index x
+        ws.Engine.ws_jac
     in
     (* Capacitor companion: i = gc·C·(x - x_prev) - icap_prev_term.  The
-       C slots are a subset of the plan's union pattern by
+       C slots are a subset of the index's union pattern by
        construction. *)
     Sp.iter pattern (fun s row col ->
         let cv = Sp.Real.get_slot cvals s in
@@ -98,7 +100,7 @@ let solve_step ~ws ~cvals ~method_ ~max_newton ~stimulus ~time ~dt netlist
     for row = 0 to n - 1 do
       icap.(row) <- icap.(row) -. trap_term row
     done;
-    Some icap
+    Some (x, icap)
   end
 
 let run ?(method_ = Backward_euler) ?(max_newton = 60) ~stimulus ~tstop ~dt
@@ -117,11 +119,10 @@ let run ?(method_ = Backward_euler) ?(max_newton = 60) ~stimulus ~tstop ~dt
       (fun (name, arr) -> arr.(k) <- Engine.node_voltage index x name)
       store
   in
-  let x = Array.copy op.Dc.x in
-  record 0 x;
-  let ws = Engine.workspace netlist index in
-  let cvals = Sp.Real.create (Engine.plan_pattern ws.Engine.ws_plan) in
-  let x_prev = ref (Array.copy x) in
+  record 0 op.Dc.x;
+  let ws = Engine.workspace index in
+  let cvals = Sp.Real.create (Engine.pattern index) in
+  let x_prev = ref op.Dc.x in
   let icap_prev = ref (Array.make n 0.) in
   for k = 1 to n_steps do
     Ape_obs.incr c_steps;
@@ -130,13 +131,12 @@ let run ?(method_ = Backward_euler) ?(max_newton = 60) ~stimulus ~tstop ~dt
     (* Step cutting: retry a failing Newton with smaller internal
        sub-steps. *)
     let rec advance ~t_from ~t_to ~depth x_start icap_start =
-      let h = t_to -. t_from in
-      let x_try = Array.copy x_start in
       match
-        solve_step ~ws ~cvals ~method_ ~max_newton ~stimulus ~time:t_to ~dt:h
-          netlist index ~x_prev:x_start ~icap_prev:icap_start x_try
+        solve_step ~ws ~cvals ~method_ ~max_newton ~stimulus ~time:t_to
+          ~dt:(t_to -. t_from) netlist index ~x_prev:x_start
+          ~icap_prev:icap_start
       with
-      | Some icap -> (x_try, icap)
+      | Some step -> step
       | None ->
         Ape_obs.incr c_step_cuts;
         if depth >= 8 then raise (Step_failed t_to);
@@ -146,9 +146,8 @@ let run ?(method_ = Backward_euler) ?(max_newton = 60) ~stimulus ~tstop ~dt
         in
         advance ~t_from:mid ~t_to ~depth:(depth + 1) x_mid icap_mid
     in
-    let x_new, icap = advance ~t_from:(t -. dt) ~t_to:t ~depth:0 !x_prev !icap_prev in
-    Array.blit x_new 0 x 0 n;
-    x_prev := x_new;
+    let x, icap = advance ~t_from:(t -. dt) ~t_to:t ~depth:0 !x_prev !icap_prev in
+    x_prev := x;
     icap_prev := icap;
     record k x
   done;

@@ -116,17 +116,6 @@ let element_value netlist name =
       else None)
     (N.elements netlist)
 
-let testbench (process : Proc.t) row (design : E.Opamp.design) =
-  let frag = E.Opamp.fragment process design in
-  let netlist = E.Fragment.with_supply ~vdd:process.Proc.vdd frag in
-  let vcm = design.E.Opamp.input_cm in
-  N.append netlist
-    [
-      N.Vsource { name = "VINP"; p = "inp"; n = N.ground; dc = vcm; ac = 0.5 };
-      N.Vsource { name = "VINN"; p = "inn"; n = N.ground; dc = vcm; ac = -0.5 };
-      N.Capacitor { name = "CL"; a = "out"; b = N.ground; c = row.cl };
-    ]
-
 let measure_netlist ?(out_dc_target = 2.5) (process : Proc.t) row netlist =
   ignore row;
   ignore process;
@@ -216,7 +205,7 @@ let size_template (process : Proc.t) ~mode base design =
 
 let build ?cache ?calibration (process : Proc.t) ~mode row design =
   let vdd = process.Proc.vdd in
-  let base = testbench process row design in
+  let base = E.Verify.opamp_testbench process ~cl:row.cl design in
   let template = Template.make base (size_template process ~mode base design) in
   let n_sizes = Template.dim template in
   (* OBLX-style bias relaxation; the APE centres come from a true DC

@@ -9,7 +9,6 @@ module type FIELD = sig
   val div : t -> t -> t
   val neg : t -> t
   val norm : t -> float
-  val pp : Format.formatter -> t -> unit
 end
 
 exception Singular
@@ -19,18 +18,12 @@ module type S = sig
   type t
 
   val create : int -> int -> t
-  val identity : int -> t
   val rows : t -> int
-  val cols : t -> int
   val get : t -> int -> int -> elt
   val set : t -> int -> int -> elt -> unit
   val add_to : t -> int -> int -> elt -> unit
   val of_arrays : elt array array -> t
   val to_arrays : t -> elt array array
-  val copy : t -> t
-  val map : (elt -> elt) -> t -> t
-  val transpose : t -> t
-  val mat_mul : t -> t -> t
   val mat_vec : t -> elt array -> elt array
 
   type lu
@@ -39,7 +32,6 @@ module type S = sig
   val lu_solve : lu -> elt array -> elt array
   val solve : t -> elt array -> elt array
   val residual_norm : t -> elt array -> elt array -> float
-  val pp : Format.formatter -> t -> unit
 end
 
 (* Factorisation counter, shared by [Rmat] and every [Make] instance
@@ -55,15 +47,7 @@ module Make (F : FIELD) = struct
     if nr < 0 || nc < 0 then invalid_arg "Matrix.create";
     { nr; nc; a = Array.make_matrix nr nc F.zero }
 
-  let identity n =
-    let m = create n n in
-    for i = 0 to n - 1 do
-      m.a.(i).(i) <- F.one
-    done;
-    m
-
   let rows m = m.nr
-  let cols m = m.nc
   let get m i j = m.a.(i).(j)
   let set m i j x = m.a.(i).(j) <- x
   let add_to m i j x = m.a.(i).(j) <- F.add m.a.(i).(j) x
@@ -78,31 +62,6 @@ module Make (F : FIELD) = struct
     { nr; nc; a = Array.map Array.copy a }
 
   let to_arrays m = Array.map Array.copy m.a
-  let copy m = { m with a = Array.map Array.copy m.a }
-  let map f m = { m with a = Array.map (Array.map f) m.a }
-
-  let transpose m =
-    let t = create m.nc m.nr in
-    for i = 0 to m.nr - 1 do
-      for j = 0 to m.nc - 1 do
-        t.a.(j).(i) <- m.a.(i).(j)
-      done
-    done;
-    t
-
-  let mat_mul x y =
-    if x.nc <> y.nr then invalid_arg "Matrix.mat_mul: dimension mismatch";
-    let r = create x.nr y.nc in
-    for i = 0 to x.nr - 1 do
-      for j = 0 to y.nc - 1 do
-        let acc = ref F.zero in
-        for k = 0 to x.nc - 1 do
-          acc := F.add !acc (F.mul x.a.(i).(k) y.a.(k).(j))
-        done;
-        r.a.(i).(j) <- !acc
-      done
-    done;
-    r
 
   let mat_vec m v =
     if m.nc <> Array.length v then invalid_arg "Matrix.mat_vec";
@@ -187,16 +146,6 @@ module Make (F : FIELD) = struct
       (fun i v -> worst := Float.max !worst (F.norm (F.sub v b.(i))))
       ax;
     !worst
-
-  let pp fmt m =
-    for i = 0 to m.nr - 1 do
-      Format.fprintf fmt "[";
-      for j = 0 to m.nc - 1 do
-        if j > 0 then Format.fprintf fmt ", ";
-        F.pp fmt m.a.(i).(j)
-      done;
-      Format.fprintf fmt "]@."
-    done
 end
 
 (* The float instance, written out over [float array array] rather than
@@ -214,15 +163,7 @@ module Rmat = struct
     if nr < 0 || nc < 0 then invalid_arg "Matrix.create";
     { nr; nc; a = Array.make_matrix nr nc 0. }
 
-  let identity n =
-    let m = create n n in
-    for i = 0 to n - 1 do
-      m.a.(i).(i) <- 1.
-    done;
-    m
-
   let rows m = m.nr
-  let cols m = m.nc
   let get m i j = m.a.(i).(j)
   let set m i j x = m.a.(i).(j) <- x
 
@@ -240,32 +181,6 @@ module Rmat = struct
     { nr; nc; a = Array.map Array.copy a }
 
   let to_arrays m = Array.map Array.copy m.a
-  let copy m = { m with a = Array.map Array.copy m.a }
-  let map f m = { m with a = Array.map (Array.map f) m.a }
-
-  let transpose m =
-    let t = create m.nc m.nr in
-    for i = 0 to m.nr - 1 do
-      for j = 0 to m.nc - 1 do
-        t.a.(j).(i) <- m.a.(i).(j)
-      done
-    done;
-    t
-
-  let mat_mul x y =
-    if x.nc <> y.nr then invalid_arg "Matrix.mat_mul: dimension mismatch";
-    let r = create x.nr y.nc in
-    for i = 0 to x.nr - 1 do
-      let xi = x.a.(i) in
-      for j = 0 to y.nc - 1 do
-        let acc = ref 0. in
-        for k = 0 to x.nc - 1 do
-          acc := !acc +. (xi.(k) *. y.a.(k).(j))
-        done;
-        r.a.(i).(j) <- !acc
-      done
-    done;
-    r
 
   let mat_vec m v =
     if m.nc <> Array.length v then invalid_arg "Matrix.mat_vec";
@@ -361,16 +276,6 @@ module Rmat = struct
       (fun i v -> worst := Float.max !worst (Float.abs (v -. b.(i))))
       ax;
     !worst
-
-  let pp fmt m =
-    for i = 0 to m.nr - 1 do
-      Format.fprintf fmt "[";
-      for j = 0 to m.nc - 1 do
-        if j > 0 then Format.fprintf fmt ", ";
-        Format.fprintf fmt "%.6g" m.a.(i).(j)
-      done;
-      Format.fprintf fmt "]@."
-    done
 end
 
 module Cmat = Make (struct
@@ -384,5 +289,4 @@ module Cmat = Make (struct
   let div = Complex.div
   let neg = Complex.neg
   let norm = Complex.norm
-  let pp fmt (c : Complex.t) = Format.fprintf fmt "%.6g%+.6gi" c.re c.im
 end)

@@ -24,8 +24,6 @@ module type FIELD = sig
 
   val norm : t -> float
   (** Magnitude used for pivot selection and singularity tests. *)
-
-  val pp : Format.formatter -> t -> unit
 end
 
 exception Singular
@@ -43,9 +41,7 @@ module type S = sig
       {!lu_solve} and {!mat_vec} return [[||]].  Negative dimensions
       raise [Invalid_argument]. *)
 
-  val identity : int -> t
   val rows : t -> int
-  val cols : t -> int
   val get : t -> int -> int -> elt
   val set : t -> int -> int -> elt -> unit
 
@@ -55,10 +51,6 @@ module type S = sig
 
   val of_arrays : elt array array -> t
   val to_arrays : t -> elt array array
-  val copy : t -> t
-  val map : (elt -> elt) -> t -> t
-  val transpose : t -> t
-  val mat_mul : t -> t -> t
   val mat_vec : t -> elt array -> elt array
 
   type lu
@@ -76,8 +68,6 @@ module type S = sig
 
   val residual_norm : t -> elt array -> elt array -> float
   (** [residual_norm a x b] is [max_i |(A x - b)_i|], for tests. *)
-
-  val pp : Format.formatter -> t -> unit
 end
 
 module Make (F : FIELD) : S with type elt = F.t

@@ -37,10 +37,9 @@
     after every chunk has been joined.
 
     This pool serves the Monte Carlo runner ([Ape_mc.Run]), the
-    calibration grid ([Ape_calib.Grid]), the AC sweep's parallel
-    frequency panels ([Ape_spice.Ac.sweep_prepared ~jobs]), the
-    multi-chain synthesis engine ([Ape_synth.Anneal.optimize ~chains])
-    and the batch job service ([Ape_serve.Scheduler]). *)
+    calibration grid ([Ape_calib.Grid]), the multi-chain synthesis
+    engine ([Ape_synth.Anneal.optimize ~chains]) and the batch job
+    service ([Ape_serve.Scheduler]). *)
 
 exception Cancelled
 (** Raised by {!await} for tasks discarded by

@@ -78,7 +78,7 @@ module Real : sig
 
   val add_slot : t -> int -> float -> unit
   (** Accumulate into one slot — the MNA stamp primitive (slots come
-      from {!slot} or a precompiled stamp plan). *)
+      from {!slot}, or the slots an MNA index recorded). *)
 
   val get_slot : t -> int -> float
   val set_slot : t -> int -> float -> unit

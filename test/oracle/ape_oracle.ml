@@ -1,9 +1,11 @@
 (* Reference implementations for the differential suites: the MOS
-   model's partials by finite differences, and dense versions of the
-   simulator's analyses.  The analyses re-stamp the netlist through
-   [Engine.residual_jacobian]/[stamp_capacitances] and solve with the
-   dense [Matrix] LU, so they share no assembly, ordering or
-   factorisation code with the sparse engine they check. *)
+   model's partials by finite differences, a C matrix stamped element
+   by element, and dense versions of the simulator's analyses.  The
+   analyses re-stamp the netlist through [Engine.residual_jacobian] and
+   [capacitances] below and solve with the dense [Matrix] LU, so they
+   share no assembly, ordering or factorisation code with the sparse
+   engine they check, and their C shares no code with the engine's
+   stamping core. *)
 
 module N = Ape_circuit.Netlist
 module Mos = Ape_device.Mos
@@ -25,6 +27,44 @@ let mos_partials ?(h = 1e-6) card geom ~vgs ~vds ~vsb =
     d (fun e -> i vgs (vds +. e) vsb),
     d (fun e -> i vgs vds (vsb +. e)) )
 
+(* The C matrix at [x], element by element: explicit capacitors plus
+   each MOSFET's [Mos.small_signal] capacitances, terminals looked up by
+   name.  The reference for the C that [Engine]'s one device pass
+   stamps; it adds in the same element and per-device order, so the two
+   agree bit for bit. *)
+let capacitances netlist index x =
+  let n = Engine.size index in
+  let c = Rmat.create n n in
+  let pair a b v =
+    let add r col v =
+      match (Engine.node_id index r, Engine.node_id index col) with
+      | Some i, Some j -> Rmat.add_to c i j v
+      | _ -> ()
+    in
+    add a a v;
+    add a b (-.v);
+    add b a (-.v);
+    add b b v
+  in
+  List.iter
+    (function
+      | N.Capacitor { a; b; c = value; _ } -> pair a b value
+      | N.Mosfet { card; d; g; s; b; geom; m; _ } ->
+        let geom = { geom with Mos.w = geom.Mos.w *. m } in
+        let v node = Engine.node_voltage index x node in
+        let ss =
+          Mos.small_signal card geom ~vgs:(v g -. v s) ~vds:(v d -. v s)
+            ~vsb:(v s -. v b)
+        in
+        pair g s ss.Mos.cgs;
+        pair g d ss.Mos.cgd;
+        pair g b ss.Mos.cgb;
+        pair d b ss.Mos.cdb;
+        pair s b ss.Mos.csb
+      | N.Resistor _ | N.Vsource _ | N.Isource _ | N.Vcvs _ | N.Switch _ -> ())
+    (N.elements netlist);
+  c
+
 (* One dense Newton step J dx = -F from the operating point's solution.
    At a converged point it must vanish to solver tolerance. *)
 let newton_step (op : Dc.op) =
@@ -41,7 +81,7 @@ let transient_be ~stimulus ~tstop ~dt (op : Dc.op) =
   let xs = Array.make (steps + 1) op.Dc.x in
   for k = 1 to steps do
     let x_prev = xs.(k - 1) in
-    let c = Engine.stamp_capacitances netlist index x_prev in
+    let c = capacitances netlist index x_prev in
     let x = Array.copy x_prev in
     let rec iterate budget =
       if budget = 0 then failwith "oracle transient: no convergence";
@@ -77,7 +117,7 @@ let ac_matrix (op : Dc.op) freq =
   let netlist = op.Dc.netlist and index = op.Dc.index in
   let n = Engine.size index in
   let _, g = Engine.residual_jacobian netlist index op.Dc.x in
-  let c = Engine.stamp_capacitances netlist index op.Dc.x in
+  let c = capacitances netlist index op.Dc.x in
   let omega = 2. *. Float.pi *. freq in
   let a = Cmat.create n n in
   for i = 0 to n - 1 do

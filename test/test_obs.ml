@@ -194,27 +194,6 @@ let test_golden_decks_obs_on_off_identical () =
     (golden_decks ());
   Alcotest.(check bool) "verified several decks" true (!verified >= 3)
 
-let test_sweep_jobs_identical_with_obs_on () =
-  (* jobs=1 vs jobs=3 with recording enabled: worker sinks flush at the
-     join, and the numeric sweep stays bit-identical. *)
-  with_obs @@ fun () ->
-  let file = List.hd (golden_decks ()) in
-  let text = In_channel.with_open_text file In_channel.input_all in
-  let op = Dc.solve (Ape_circuit.Spice_parser.parse ~title:file text) in
-  let p = Ac.prepare op in
-  let grid = Ac.sweep_frequencies ~points_per_decade:7 ~fstart:1. ~fstop:1e8 () in
-  let s1 = Ac.sweep_prepared ~jobs:1 p grid in
-  let s3 = Ac.sweep_prepared ~jobs:3 p grid in
-  List.iter2
-    (fun a b ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%g Hz: jobs=1 = jobs=3" a.Ac.freq)
-        true (same_solution a b))
-    s1.Ac.points s3.Ac.points;
-  Alcotest.(check bool)
-    "worker domains were spawned and merged" true
-    (counter_value (Obs.snapshot ()) "pool.domain_spawns" >= 2)
-
 (* ---------- JSON export ---------- *)
 
 let test_json_smoke () =
@@ -536,8 +515,6 @@ let () =
         [
           Alcotest.test_case "golden decks obs on/off" `Quick
             test_golden_decks_obs_on_off_identical;
-          Alcotest.test_case "sweep jobs=1 vs 3, obs on" `Quick
-            test_sweep_jobs_identical_with_obs_on;
         ] );
       ( "export",
         [ Alcotest.test_case "json smoke" `Quick test_json_smoke ] );

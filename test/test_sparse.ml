@@ -505,31 +505,46 @@ let test_golden_sweep_differential () =
     (golden_decks ());
   Alcotest.(check bool) "checked several decks" true (!checked >= 3)
 
-let test_golden_sweep_jobs_bitwise () =
-  (* Parallel sweeps must stay bit-identical to sequential ones: every
-     domain refactors its own clone of the shared symbolic factor with
-     identical arithmetic. *)
-  let freqs = Ac.sweep_frequencies ~fstart:1e2 ~fstop:1e9 () in
+(* The oracle's C (element by element, one [Mos.small_signal] per
+   device, terminals looked up by name) against [Engine.linearize]'s
+   one device pass, bit for bit: at each golden deck's and the
+   hierarchical two-stage deck's operating point, and at a spread point
+   that puts devices in other regions. *)
+let test_golden_oracle_capacitances () =
+  let module Engine = Ape_spice.Engine in
+  let bits m = Array.map (Array.map Int64.bits_of_float) (Rmat.to_arrays m) in
+  let hier =
+    List.fold_left Filename.concat
+      (Filename.dirname (List.hd (golden_decks ())))
+      [ "hier"; "two_stage.sp" ]
+  in
+  let hier_nl =
+    Ape_circuit.Spice_parser.parse ~process:proc ~path:hier ~title:hier
+      (In_channel.with_open_text hier In_channel.input_all)
+  in
+  let decks =
+    List.map (fun f -> (f, parse_deck f)) (golden_decks ()) @ [ (hier, hier_nl) ]
+  in
   List.iter
-    (fun file ->
-      match Dc.solve (parse_deck file) with
-      | exception Dc.No_convergence _ -> ()
-      | op ->
-        let p = Ac.prepare op in
-        let s1 = (Ac.sweep_prepared ~jobs:1 p freqs).Ac.points in
-        let s3 = (Ac.sweep_prepared ~jobs:3 p freqs).Ac.points in
-        List.iter2
-          (fun (a : Ac.solution) (b : Ac.solution) ->
-            Array.iteri
-              (fun i (u : Complex.t) ->
-                let v = b.Ac.x.(i) in
-                if not (u.Complex.re = v.Complex.re && u.Complex.im = v.Complex.im)
-                then
-                  Alcotest.failf "%s: jobs=1 vs jobs=3 differ at %g Hz" file
-                    a.Ac.freq)
-              a.Ac.x)
-          s1 s3)
-    (golden_decks ())
+    (fun (file, nl) ->
+      let index = Engine.build_index nl in
+      let spread =
+        Array.init (Engine.size index) (fun i -> 0.37 *. float_of_int (i + 1))
+      in
+      let points =
+        match Dc.solve nl with
+        | op -> [ ("operating point", op.Dc.x); ("spread point", spread) ]
+        | exception Dc.No_convergence _ -> [ ("spread point", spread) ]
+      in
+      List.iter
+        (fun (where, x) ->
+          let _, _, c = Engine.linearize nl index x in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, %s: oracle C = one-pass C" file where)
+            true
+            (bits (Ape_oracle.capacitances nl index x) = bits c))
+        points)
+    decks
 
 let test_golden_sweep_panel_width_bitwise () =
   (* Whatever the panel width — including widths that leave a partial
@@ -676,10 +691,10 @@ let () =
         [
           Alcotest.test_case "AC sweep dense vs sparse" `Quick
             test_golden_sweep_differential;
-          Alcotest.test_case "sparse sweep jobs bitwise" `Quick
-            test_golden_sweep_jobs_bitwise;
           Alcotest.test_case "sparse sweep panel width bitwise" `Quick
             test_golden_sweep_panel_width_bitwise;
+          Alcotest.test_case "oracle C = one-pass C bitwise" `Quick
+            test_golden_oracle_capacitances;
           Alcotest.test_case "DC dense vs sparse" `Quick
             test_golden_dc_differential;
         ] );

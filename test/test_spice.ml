@@ -484,7 +484,8 @@ let test_engine_error_missing_branch () =
 (* An index serves only netlists with its own elements, in its order:
    new element values are fine (a relaxed candidate), but an extra, a
    missing, a renamed or a re-kinded element raises through every stamp
-   sink (dense, plan recorder, sparse replay). *)
+   form (dense, one-pass linearisation, sparse replay with and without
+   C). *)
 let test_engine_error_index_mismatch () =
   let module Engine = Ape_spice.Engine in
   let b = B.create ~title:"csamp" in
@@ -524,8 +525,8 @@ let test_engine_error_index_mismatch () =
           | e -> e) );
     ]
   in
-  let plan = Engine.plan nl index in
-  let vals = Ape_util.Sparse.Real.create (Engine.plan_pattern plan) in
+  let vals = Ape_util.Sparse.Real.create (Engine.pattern index) in
+  let cvals = Ape_util.Sparse.Real.create (Engine.pattern index) in
   List.iter
     (fun (what, bad) ->
       let refused sink stamp =
@@ -536,13 +537,12 @@ let test_engine_error_index_mismatch () =
       in
       refused "dense residual" (fun () ->
           ignore (Engine.residual_jacobian bad index x));
-      refused "dense capacitances" (fun () ->
-          ignore (Engine.stamp_capacitances bad index x));
-      refused "plan recorder" (fun () -> ignore (Engine.plan bad index));
+      refused "linearize" (fun () ->
+          ignore (Engine.linearize bad index x));
       refused "sparse residual" (fun () ->
-          ignore (Engine.sparse_residual plan bad index x vals));
-      refused "sparse capacitances" (fun () ->
-          Engine.sparse_capacitances plan bad index x vals))
+          ignore (Engine.sparse_residual bad index x vals));
+      refused "sparse residual ~c" (fun () ->
+          ignore (Engine.sparse_residual ~c:cvals bad index x vals)))
     variants
 
 let test_no_convergence_is_typed () =
@@ -802,6 +802,74 @@ let golden_decks () =
   |> List.sort compare
   |> List.map (fun f -> Filename.concat dir f)
 
+(* ---------- frozen pins ---------- *)
+
+(* Outputs of the stamping paths pinned at the commit before the
+   operating point's G and C, the transient's C and the noise sources
+   each came from one device pass: hex floats compare bit for bit, an
+   MD5 over their hex text pins many at once. *)
+let hex v = Printf.sprintf "%h" v
+
+let digest strings = Digest.to_hex (Digest.string (String.concat "," strings))
+
+let golden_deck name =
+  let file =
+    List.find (fun f -> String.equal (Filename.basename f) name) (golden_decks ())
+  in
+  Ape_circuit.Spice_parser.parse ~process:proc ~title:file
+    (In_channel.with_open_text file In_channel.input_all)
+
+(* The switched track stage under a sine input and a clock that opens
+   and closes its switch, with both integrators: every time and node
+   sample. *)
+let test_transient_frozen_sc_track () =
+  let op = Dc.solve (golden_deck "sc_track.sp") in
+  let stimulus =
+    [
+      ("VIN", Tr.sine ~offset:2.5 ~ampl:0.5 ~freq:1e6 ());
+      ("VCK", Tr.pulse ~low:0. ~high:5. ~width:200e-9 ~period:500e-9 ());
+    ]
+  in
+  List.iter
+    (fun (label, method_, expected) ->
+      let r = Tr.run ~method_ ~stimulus ~tstop:2e-6 ~dt:5e-9 op in
+      let samples =
+        Array.to_list r.Tr.times
+        @ List.concat_map (fun (_, ys) -> Array.to_list ys) r.Tr.nodes
+      in
+      Alcotest.(check string) label expected (digest (List.map hex samples)))
+    [
+      ("backward Euler", Tr.Backward_euler, "af5ee5f8236b6dda39cca6f3c4ef0c11");
+      ("trapezoidal", Tr.Trapezoidal, "2f971c0fcde228630a86ba2f81d67f9c");
+    ]
+
+(* Output noise of the common-source amplifier at three frequencies
+   (total and every contribution) and integrated over 10 Hz–100 MHz, on
+   one preparation. *)
+let test_noise_frozen_mos_amp () =
+  let p = Ac.prepare (Dc.solve (golden_deck "mos_amp.sp")) in
+  List.iter
+    (fun (freq, expected_total, expected_parts) ->
+      let total, parts = Noise.output_noise_prepared ~out:"d" ~freq p in
+      Alcotest.(check string)
+        (Printf.sprintf "total at %g Hz" freq)
+        expected_total (hex total);
+      Alcotest.(check string)
+        (Printf.sprintf "contributions at %g Hz" freq)
+        expected_parts
+        (digest
+           (List.map
+              (fun (c : Noise.contribution) ->
+                c.Noise.element ^ "=" ^ hex c.Noise.psd)
+              parts)))
+    [
+      (10., "0x1.e41487368b4e7p-27", "9198061e98d4028b038f2ffdc005c5d2");
+      (1e4, "0x1.efb2bb06f96c6p-37", "29dcd7dffd13efbba9b00be25854af12");
+      (1e7, "0x1.fa451bb26aaf7p-47", "f223086fbf288dfe7e8d2b8d5e121fc6");
+    ];
+  Alcotest.(check string) "integrated 10 Hz to 100 MHz" "0x1.9098438be3bf1p-10"
+    (hex (Noise.integrated_output_prepared ~out:"d" ~fstart:10. ~fstop:1e8 p))
+
 let test_prepared_matches_blocked_golden () =
   (* The measurement searches mix single-point [solve_prepared] probes
      with blocked [solve_many] grids, so the two must agree bit for bit
@@ -845,21 +913,6 @@ let test_repeated_sweep_reuses_workspace () =
     (Option.value ~default:0 (List.assoc_opt "ac.sweep_points" snap.Ape_obs.counters));
   Alcotest.(check int) "no new workspace" 0
     (Option.value ~default:0 (List.assoc_opt "ac.workspaces" snap.Ape_obs.counters))
-
-let test_prepared_sweep_jobs_identical () =
-  let op = Dc.solve (rc_lowpass ()) in
-  let p = Ac.prepare op in
-  let freqs = Ac.sweep_frequencies ~points_per_decade:7 ~fstart:1. ~fstop:1e6 () in
-  let seq = Ac.sweep_prepared ~jobs:1 p freqs in
-  let par = Ac.sweep_prepared ~jobs:4 p freqs in
-  Alcotest.(check int) "same point count" (List.length seq.Ac.points)
-    (List.length par.Ac.points);
-  List.iter2
-    (fun a b ->
-      Alcotest.(check bool)
-        (Printf.sprintf "jobs=1 = jobs=4 at %g Hz" a.Ac.freq)
-        true (same_solution a b))
-    seq.Ac.points par.Ac.points
 
 (* A MOSFET circuit exercises the device Jacobian inside the
    preparation; random frequencies cover the assembly at arbitrary ω. *)
@@ -1138,6 +1191,8 @@ let () =
           Alcotest.test_case "step acceptance pinned" `Quick
             test_transient_step_acceptance;
           Alcotest.test_case "waveforms" `Quick test_waveforms;
+          Alcotest.test_case "frozen sc_track waveforms" `Quick
+            test_transient_frozen_sc_track;
         ] );
       ( "awe",
         [
@@ -1171,6 +1226,8 @@ let () =
             test_noise_adjoint_matches_direct;
           Alcotest.test_case "sparse engine counters during noise" `Quick
             test_noise_sparse_engine_counters;
+          Alcotest.test_case "frozen mos_amp noise" `Quick
+            test_noise_frozen_mos_amp;
         ] );
       ( "servo",
         [ Alcotest.test_case "divider" `Quick test_servo_divider ] );
@@ -1180,8 +1237,6 @@ let () =
             test_prepared_matches_blocked_golden;
           Alcotest.test_case "re-excited matches fresh" `Quick
             test_excite_matches_fresh;
-          Alcotest.test_case "parallel sweep identical" `Quick
-            test_prepared_sweep_jobs_identical;
           Alcotest.test_case "repeated sweep reuses workspace" `Quick
             test_repeated_sweep_reuses_workspace;
           Alcotest.test_case "sub-hertz signed gain" `Quick

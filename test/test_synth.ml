@@ -440,8 +440,9 @@ let same_matrix a b =
 (* The relaxed opamp cost stamps f, G and C in one device pass and reads
    them twice.  Every reading must equal, bit for bit, what separately
    stamped matrices give: the KCL penalty over a fresh
-   [residual_jacobian], C from [stamp_capacitances] (one
-   [Mos.small_signal] per device), and AWE stamping its own G and C. *)
+   [residual_jacobian], C from the test oracle's element-by-element
+   stamp (one [Mos.small_signal] per device), and AWE stamping its own
+   G and C. *)
 let test_relax_shared_stamp_bitwise () =
   let module Awe = Ape_spice.Awe in
   let module Engine = Ape_spice.Engine in
@@ -473,7 +474,7 @@ let test_relax_shared_stamp_bitwise () =
     let index = op.Ape_spice.Dc.index in
     let shared = S.Relax.stamp ~caps:true relax nl x in
     let f, g = Engine.residual_jacobian ~gmin:1e-12 nl index x in
-    let c = Engine.stamp_capacitances nl index x in
+    let c = Ape_oracle.capacitances nl index x in
     let check what ok =
       Alcotest.(check bool) (Printf.sprintf "candidate %d: %s" k what) true ok
     in
@@ -483,7 +484,7 @@ let test_relax_shared_stamp_bitwise () =
     check "f bitwise"
       (same_floats (Array.to_list shared.S.Relax.f) (Array.to_list f));
     check "G bitwise" (same_matrix shared.S.Relax.g g);
-    check "one-pass C = stamp_capacitances bitwise"
+    check "one-pass C = oracle capacitances bitwise"
       (match shared.S.Relax.c with
       | Some shared_c -> same_matrix shared_c c
       | None -> false);
@@ -642,6 +643,27 @@ let test_frozen_trajectory () =
     (Printf.sprintf "%h" stats.S.Anneal.best_cost);
   Alcotest.(check int) "evaluations" 1376 stats.S.Anneal.evaluations;
   Alcotest.(check int) "accepted" 945 stats.S.Anneal.accepted
+
+(* Verify's simulation of oa0's APE design, pinned in hex at the commit
+   before the stamps became one pass per operating point: the servoed
+   differential testbench, the AC, CMRR and Zout probes on its held
+   preparation, and the unity-feedback slew transient. *)
+let test_frozen_oa0_sim () =
+  let module P = Ape_estimator.Perf in
+  let design = S.Opamp_problem.ape_design proc (oa0 ()) in
+  let perf = Ape_estimator.Verify.sim_opamp proc design in
+  let hex = function None -> "none" | Some v -> Printf.sprintf "%h" v in
+  List.iter
+    (fun (what, expected, v) -> Alcotest.(check string) what expected (hex v))
+    [
+      ("slew rate", "0x1.f6c7554616548p+21", perf.P.slew_rate);
+      ("gain", "0x1.0cfb064153a43p+8", perf.P.gain);
+      ("ugf", "0x1.8e3f3efb68f09p+20", perf.P.ugf);
+      ("cmrr", "0x1.5dee0f3d6f60ep+20", perf.P.cmrr);
+      ("zout", "0x1.7aa71b61f0cf4p+9", perf.P.zout);
+      ("phase margin", "0x1.3ba425a8e3a95p+6", perf.P.phase_margin);
+      ("offset", "-0x1.8f5262664e9fcp-14", perf.P.offset);
+    ]
 
 let prop_relax_penalty_monotone =
   (* The divider is linear, so the KCL residual grows linearly along any
@@ -890,6 +912,8 @@ let () =
             test_relax_shared_stamp_bitwise;
           Alcotest.test_case "frozen oa0 trajectory" `Quick
             test_frozen_trajectory;
+          Alcotest.test_case "frozen oa0 simulation" `Quick
+            test_frozen_oa0_sim;
         ] );
       qsuite "relax-properties" [ prop_relax_penalty_monotone ];
       ( "module-problems",
