@@ -34,13 +34,15 @@ let proc = Ape_process.Process.c12
 let pf = Printf.printf
 let eng = Ape_util.Units.to_eng
 
-let number_conv =
-  let parse s =
-    match Ape_symbolic.Parser.parse_number s with
-    | Some v -> Ok v
-    | None -> Error (`Msg ("not a number: " ^ s))
-  in
-  Cmdliner.Arg.conv (parse, fun fmt v -> Format.fprintf fmt "%g" v)
+(* Numbers: the rules of every input file's fields, so a flag rejects
+   exactly what the same job field rejects (here a usage error, 124). *)
+let rule_conv rule =
+  Cmdliner.Arg.conv
+    ( (fun s -> Result.map_error (fun m -> `Msg m) (rule s)),
+      fun fmt v -> Format.fprintf fmt "%g" v )
+
+let number_conv = rule_conv Ape_util.Sexpr.finite
+let positive_conv = rule_conv Ape_util.Sexpr.positive
 
 (* Counts: a count out of range is a usage error (exit 124). *)
 let count_conv ~what ?(map = Fun.id) ok =
@@ -124,28 +126,33 @@ let calibration_arg =
            per-attribute, per-region corrections to the estimates.")
 
 let gain_arg =
-  Arg.(required & opt (some number_conv) None & info [ "gain" ] ~doc:"DC gain requirement.")
+  Arg.(
+    required
+    & opt (some positive_conv) None
+    & info [ "gain" ] ~doc:"DC gain requirement.")
 
 let ugf_arg =
   Arg.(
     required
-    & opt (some number_conv) None
+    & opt (some positive_conv) None
     & info [ "ugf" ] ~doc:"Unity-gain frequency requirement (Hz).")
 
 let ibias_arg =
   Arg.(
-    value & opt number_conv 1e-6
+    value & opt positive_conv 1e-6
     & info [ "ibias" ] ~doc:"Bias reference current (A).")
 
 let cl_arg =
-  Arg.(value & opt number_conv 10e-12 & info [ "cl" ] ~doc:"Load capacitance (F).")
+  Arg.(
+    value & opt positive_conv 10e-12
+    & info [ "cl" ] ~doc:"Load capacitance (F).")
 
 let buffer_arg =
   Arg.(value & flag & info [ "buffer" ] ~doc:"Include an output buffer.")
 
 let zout_arg =
   Arg.(
-    value & opt (some number_conv) None
+    value & opt (some positive_conv) None
     & info [ "zout" ] ~doc:"Output impedance requirement (Ohm).")
 
 let wilson_arg =
@@ -231,58 +238,33 @@ let opamp_cmd =
 
 (* ---------- ape module ---------- *)
 
-(* Each kind's flags, checked against the range its designer accepts
-   before designing: a value outside it is a usage error (exit 124),
-   never an [Invalid_argument] from deep inside a designer. *)
+(* Each kind's spec from its flags.  [Module_lib.check] holds it to
+   the range its designer accepts before designing: a value outside it
+   is a usage error (exit 124), never an [Invalid_argument] from deep
+   inside a designer. *)
 let module_spec kind ~order ~fc ~gain ~bw ~bits ~delay =
-  let need ok msg k = if ok then k () else Error msg in
-  let positive flag v =
-    need (v > 0.) (Printf.sprintf "--%s must be positive, got %g" flag v)
-  in
-  let bits_in kind lo hi =
-    need
-      (bits >= lo && bits <= hi)
-      (Printf.sprintf "--bits must be in [%d, %d] for %s, got %d" lo hi kind
-         bits)
-  in
   match kind with
   | `Lpf ->
-    need
-      (order >= 2 && order mod 2 = 0)
-      (Printf.sprintf "--order must be even and at least 2, got %d" order)
-    @@ fun () ->
-    positive "fc" fc @@ fun () ->
-    Ok (E.Module_lib.Lowpass_m { E.Filter.order; f_cutoff = fc; r_base = 1e6 })
+    E.Module_lib.Lowpass_m { E.Filter.order; f_cutoff = fc; r_base = 1e6 }
   | `Bpf ->
-    positive "fc" fc @@ fun () ->
-    positive "gain" gain @@ fun () ->
-    Ok
-      (E.Module_lib.Bandpass_m
-         { E.Filter.f_center = fc; q = 1.; gain = Float.min gain 1.8;
-           c_base = 10e-9 })
+    E.Module_lib.Bandpass_m
+      { E.Filter.f_center = fc; q = 1.; gain = Float.min gain 1.8;
+        c_base = 10e-9 }
   | `Sh ->
-    need (gain >= 1.) (Printf.sprintf "--gain must be at least 1, got %g" gain)
-    @@ fun () ->
-    positive "bw" bw @@ fun () ->
-    Ok
-      (E.Module_lib.Sample_hold_m
-         (E.Sample_hold.spec ~gain ~bandwidth:bw ~sr:1e4 ()))
+    E.Module_lib.Sample_hold_m
+      (E.Sample_hold.spec ~gain ~bandwidth:bw ~sr:1e4 ())
   | `Adc ->
-    bits_in "adc" 2 6 @@ fun () ->
-    positive "delay" delay @@ fun () ->
-    Ok (E.Module_lib.Flash_adc_m (E.Data_conv.Flash_adc.spec ~bits ~delay ()))
-  | `Dac ->
-    bits_in "dac" 1 12 @@ fun () ->
-    positive "delay" delay @@ fun () ->
-    Ok (E.Module_lib.Dac_m (E.Data_conv.Dac.spec ~bits ~settling:delay ()))
-  | `Amp ->
-    need (gain > 1.) (Printf.sprintf "--gain must exceed 1, got %g" gain)
-    @@ fun () ->
-    positive "bw" bw @@ fun () ->
-    Ok (E.Module_lib.Audio_amp { gain; bandwidth = bw })
+    E.Module_lib.Flash_adc_m (E.Data_conv.Flash_adc.spec ~bits ~delay ())
+  | `Dac -> E.Module_lib.Dac_m (E.Data_conv.Dac.spec ~bits ~settling:delay ())
+  | `Amp -> E.Module_lib.Audio_amp { gain; bandwidth = bw }
   | `Comparator ->
-    positive "delay" delay @@ fun () ->
-    Ok (E.Module_lib.Comparator_m (E.Data_conv.Comparator.spec ~delay ()))
+    E.Module_lib.Comparator_m (E.Data_conv.Comparator.spec ~delay ())
+
+(* The spec field each flag sets, where the names differ. *)
+let flag_of_field = function
+  | "bandwidth" -> "bw"
+  | "settling" -> "delay"
+  | f -> f
 
 let module_cmd =
   let kind_arg =
@@ -320,9 +302,11 @@ let module_cmd =
     Arg.(value & opt number_conv 5e-6 & info [ "delay" ] ~doc:"Delay/settling requirement (s).")
   in
   let run kind order fc gain bw bits delay verify netlist =
-    match module_spec kind ~order ~fc ~gain ~bw ~bits ~delay with
-    | Error msg -> `Error (false, msg)
-    | Ok spec ->
+    let spec = module_spec kind ~order ~fc ~gain ~bw ~bits ~delay in
+    match E.Module_lib.check spec with
+    | Some (field, complaint) ->
+      `Error (false, Printf.sprintf "--%s %s" (flag_of_field field) complaint)
+    | None ->
       `Ok
         (guard @@ fun () ->
          let d = E.Module_lib.design proc spec in

@@ -173,6 +173,32 @@ done
 rm -f /tmp/ape_conv_err.txt
 echo "malformed corpus OK"
 
+echo "== malformed input corpus (exit 3 + line:col diagnostics) =="
+# Each file of test/golden/inputs/bad through the command that reads its
+# format must exit 3 and name its line:col; a flag that the same number
+# rule rejects is a usage error, 124 (exit codes: the step cannot flake).
+for f in test/golden/inputs/bad/*; do
+  case "$f" in
+    *.jobs) set -- serve --deterministic "$f" ;;
+    *.grid) set -- calibrate "$f" --out /dev/null ;;
+    *.calib) set -- verify --calibration "$f" --level device --no-golden ;;
+    *.scm) set -- vase "$f" ;;
+    *) continue ;;
+  esac
+  code=0
+  dune exec bin/ape.exe -- "$@" > /tmp/ape_input_err.txt 2>&1 || code=$?
+  [ "$code" -eq 3 ] || { echo "FAIL: $f exited $code, not 3"; exit 1; }
+  grep -q '[0-9]:[0-9]' /tmp/ape_input_err.txt \
+    || { echo "FAIL: $f gave no line:col"; cat /tmp/ape_input_err.txt; exit 1; }
+done
+for flag in "--ugf 1e400" "--ugf=-2meg"; do
+  code=0
+  dune exec bin/ape.exe -- opamp --gain 200 $flag > /dev/null 2>&1 || code=$?
+  [ "$code" -eq 124 ] || { echo "FAIL: opamp $flag exited $code, not 124"; exit 1; }
+done
+rm -f /tmp/ape_input_err.txt
+echo "malformed inputs OK"
+
 echo "== subckt flattening differential (hier vs hand-flat) =="
 # The flattened example deck is the exact convert output of the
 # hierarchical one, and both must simulate bit-identically.

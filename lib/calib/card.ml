@@ -115,125 +115,47 @@ let print t =
 (* Parse                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let fail_at span msg =
-  raise (Parse_error { pos = Some span.Sexpr.s_start; msg })
+let number = Sexpr.read Sexpr.finite
 
-let fail_no_pos msg = raise (Parse_error { pos = None; msg })
+let region_rule a =
+  Option.to_result ~none:"unknown region (expected low, mid, high or all)"
+    (region_of_name a)
 
-let atom_of = function
-  | Sexpr.Atom (a, _) -> a
-  | Sexpr.List (_, s) -> fail_at s "expected an atom"
-
-let number_of node =
-  let a = atom_of node in
-  match float_of_string_opt a with
-  | Some v -> v
-  | None -> (
-    (* Hand-edited cards get the full SPICE suffix notation (1.5meg,
-       10p); canonical prints round-trip through the exact branch. *)
-    match Ape_symbolic.Parser.parse_number a with
-    | Some v -> v
-    | None ->
-      fail_at (Sexpr.span_of node) (Printf.sprintf "unreadable number %S" a))
-
-let int_of node =
-  let a = atom_of node in
-  match int_of_string_opt a with
-  | Some v -> v
-  | None ->
-    fail_at (Sexpr.span_of node) (Printf.sprintf "unreadable integer %S" a)
-
-let keyed = function
-  | Sexpr.List (Sexpr.Atom (key, _) :: values, span) -> (key, values, span)
-  | node -> fail_at (Sexpr.span_of node) "expected a (key value ...) list"
-
-let one span = function
-  | [ v ] -> v
-  | _ -> fail_at span "expected exactly one value"
-
-let parse_fit values span =
-  let level = ref None
-  and attr = ref None
-  and region = ref None
-  and scale = ref None
-  and bias = ref None
-  and n = ref 0
-  and raw_err = ref 0.
-  and cal_err = ref 0. in
-  List.iter
-    (fun node ->
-      let key, vs, kspan = keyed node in
-      let v () = one kspan vs in
-      match key with
-      | "level" -> level := Some (atom_of (v ()))
-      | "attr" -> attr := Some (atom_of (v ()))
-      | "region" -> (
-        let node = v () in
-        match region_of_name (atom_of node) with
-        | Some r -> region := Some r
-        | None ->
-          fail_at (Sexpr.span_of node)
-            "unknown region (expected low, mid, high or all)")
-      | "scale" -> scale := Some (number_of (v ()))
-      | "bias" -> bias := Some (number_of (v ()))
-      | "n" -> n := int_of (v ())
-      | "raw-err" -> raw_err := number_of (v ())
-      | "cal-err" -> cal_err := number_of (v ())
-      | other ->
-        fail_at kspan (Printf.sprintf "unknown fit field %S" other))
-    values;
-  let req name = function
-    | Some v -> v
-    | None -> fail_at span (Printf.sprintf "fit entry is missing (%s ...)" name)
-  in
-  {
-    level = req "level" !level;
-    attr = req "attr" !attr;
-    region = Option.value ~default:All !region;
-    corr = { scale = req "scale" !scale; bias = req "bias" !bias };
-    n = !n;
-    raw_err = !raw_err;
-    cal_err = !cal_err;
-  }
+let parse_fit (fit : Sexpr.field) =
+  let fs = Sexpr.fields fit.span fit.args in
+  let level = Sexpr.get fs "level" Sexpr.atom in
+  let attr = Sexpr.get fs "attr" Sexpr.atom in
+  let region = Sexpr.get ~default:All fs "region" (Sexpr.read region_rule) in
+  let scale = Sexpr.get fs "scale" number in
+  let bias = Sexpr.get fs "bias" number in
+  let n = Sexpr.get ~default:0 fs "n" (Sexpr.read Sexpr.integer) in
+  let raw_err = Sexpr.get ~default:0. fs "raw-err" number in
+  let cal_err = Sexpr.get ~default:0. fs "cal-err" number in
+  Sexpr.finish fs;
+  { level; attr; region; corr = { scale; bias }; n; raw_err; cal_err }
 
 let parse text =
-  let nodes =
-    try Sexpr.parse text
-    with Sexpr.Error { pos; msg } -> raise (Parse_error { pos = Some pos; msg })
-  in
-  match nodes with
-  | [ Sexpr.List (Sexpr.Atom ("calibration-card", _) :: fields, span) ] ->
-    let ver = ref None and proc = ref None and entries = ref [] in
-    List.iter
-      (fun node ->
-        let key, vs, kspan = keyed node in
-        match key with
-        | "version" -> ver := Some (int_of (one kspan vs))
-        | "process" -> proc := Some (atom_of (one kspan vs))
-        | "fit" -> entries := parse_fit vs kspan :: !entries
-        | other ->
-          fail_at kspan (Printf.sprintf "unknown card field %S" other))
-      fields;
-    let v =
-      match !ver with
-      | Some v -> v
-      | None -> fail_at span "card is missing (version ...)"
-    in
-    if v <> version then
-      fail_at span
-        (Printf.sprintf "unsupported card version %d (this build reads %d)" v
-           version);
-    let p =
-      match !proc with
-      | Some p -> p
-      | None -> fail_at span "card is missing (process ...)"
-    in
-    { version = v; process = p; entries = sort_entries (List.rev !entries) }
-  | [ node ] ->
-    fail_at (Sexpr.span_of node) "expected a (calibration-card ...) form"
-  | [] -> fail_no_pos "empty calibration card"
-  | _ :: node :: _ ->
-    fail_at (Sexpr.span_of node) "expected a single (calibration-card ...) form"
+  try
+    match Sexpr.parse text with
+    | [ Sexpr.List (Sexpr.Atom ("calibration-card", _) :: items, span) ] ->
+      let fs = Sexpr.fields ~repeatable:[ "fit" ] span items in
+      let v = Sexpr.get fs "version" (Sexpr.read Sexpr.integer) in
+      if v <> version then
+        Sexpr.fail span
+          (Printf.sprintf "unsupported card version %d (this build reads %d)"
+             v version);
+      let process = Sexpr.get fs "process" Sexpr.atom in
+      let entries = List.map parse_fit (Sexpr.all fs "fit") in
+      Sexpr.finish fs;
+      { version = v; process; entries = sort_entries entries }
+    | [ node ] ->
+      Sexpr.fail (Sexpr.span_of node) "expected a (calibration-card ...) form"
+    | [] -> raise (Parse_error { pos = None; msg = "empty calibration card" })
+    | _ :: node :: _ ->
+      Sexpr.fail (Sexpr.span_of node)
+        "expected a single (calibration-card ...) form"
+  with Sexpr.Error { span; msg } ->
+    raise (Parse_error { pos = Some span.Sexpr.s_start; msg })
 
 (* ------------------------------------------------------------------ *)
 (* Files                                                               *)

@@ -15,9 +15,10 @@
     [print] is canonical — entries sorted by (level, attr, region),
     floats in exact round-trip notation — so print→parse→print is a
     fixpoint, the property CI relies on for the jobs-1-vs-3 card diff.
-    Parsing reports positioned errors in the style of
-    {!Ape_util.Sexpr}; numbers additionally accept SPICE suffixes
-    ([1.5meg]) for hand-edited cards. *)
+    Cards are read through {!Ape_util.Sexpr}'s field layer: positioned
+    errors, [fit] the only repeatable key, unknown keys rejected, and
+    finite numbers that may take SPICE suffixes ([1.5meg]) for
+    hand-edited cards. *)
 
 (** Operating region of the fitted correction.  [All] entries act as
     the fallback when no exact-region entry matches. *)

@@ -43,95 +43,65 @@ let describe_error ~pos ~msg =
   | None -> Printf.sprintf "grid spec: %s" msg
   | Some p -> Printf.sprintf "grid spec: %d:%d: %s" p.Sexpr.line p.Sexpr.col msg
 
-let fail_at span msg = raise (Parse_error { pos = Some span.Sexpr.s_start; msg })
+(* The --points and --jobs rule: a non-negative count. *)
+let count ?(hint = "") name =
+  Sexpr.read
+    (Sexpr.satisfying
+       (fun n -> n >= 0)
+       (Printf.sprintf "%s must be non-negative%s, got %d" name hint)
+       Sexpr.integer)
 
-let atom_of = function
-  | Sexpr.Atom (a, _) -> a
-  | Sexpr.List (_, s) -> fail_at s "expected an atom"
+let booleans =
+  [ ("true", true); ("yes", true); ("1", true); ("false", false); ("no", false);
+    ("0", false) ]
 
-let number_of node =
-  let a = atom_of node in
-  match Ape_symbolic.Parser.parse_number a with
-  | Some v -> v
-  | None ->
-    fail_at (Sexpr.span_of node) (Printf.sprintf "unreadable number %S" a)
-
-let int_of node =
-  let a = atom_of node in
-  match int_of_string_opt a with
-  | Some v -> v
-  | None ->
-    fail_at (Sexpr.span_of node) (Printf.sprintf "unreadable integer %S" a)
-
-(* The --points rule: a non-negative count (0 fits on the catalog
-   alone). *)
-let points_of node =
-  match int_of node with
-  | n when n >= 0 -> n
-  | n ->
-    fail_at (Sexpr.span_of node)
-      (Printf.sprintf "points must be non-negative, got %d" n)
-
-(* The --jobs rule: a non-negative worker count, 0 meaning the
-   hardware-recommended one. *)
-let jobs_of node =
-  match int_of node with
-  | 0 -> Ape_util.Pool.recommended_jobs ()
-  | n when n > 0 -> n
-  | n ->
-    fail_at (Sexpr.span_of node)
-      (Printf.sprintf "jobs must be non-negative (0 = hardware count), got %d"
-         n)
-
-let bool_of node =
-  match atom_of node with
-  | "true" | "yes" | "1" -> true
-  | "false" | "no" | "0" -> false
-  | other ->
-    fail_at (Sexpr.span_of node) (Printf.sprintf "unreadable boolean %S" other)
-
-let range_of span = function
-  | [ lo; hi ] ->
-    let lo = number_of lo and hi = number_of hi in
+let range fs key default =
+  match Sexpr.find fs key with
+  | None -> default
+  | Some { args = [ lo; hi ]; span; _ } ->
+    let lo = Sexpr.read Sexpr.finite lo in
+    let hi = Sexpr.read Sexpr.finite hi in
     if not (lo > 0. && hi >= lo) then
-      fail_at span "range bounds must be positive and ordered"
+      Sexpr.fail span "range bounds must be positive and ordered"
     else (lo, hi)
-  | _ -> fail_at span "expected (field LO HI)"
+  | Some { span; _ } -> Sexpr.fail span ("expected (" ^ key ^ " LO HI)")
 
 let parse_spec text =
-  let nodes =
-    try Sexpr.parse text
-    with Sexpr.Error { pos; msg } -> raise (Parse_error { pos = Some pos; msg })
-  in
-  match nodes with
-  | [ Sexpr.List (Sexpr.Atom ("grid", _) :: fields, _) ] ->
-    List.fold_left
-      (fun spec node ->
-        match node with
-        | Sexpr.List (Sexpr.Atom (key, _) :: values, kspan) -> (
-          let one () =
-            match values with
-            | [ v ] -> v
-            | _ -> fail_at kspan "expected exactly one value"
-          in
-          match key with
-          | "points" -> { spec with points = points_of (one ()) }
-          | "seed" -> { spec with seed = int_of (one ()) }
-          | "jobs" -> { spec with jobs = jobs_of (one ()) }
-          | "av" -> { spec with av = range_of kspan values }
-          | "ugf" -> { spec with ugf = range_of kspan values }
-          | "ibias" -> { spec with ibias = range_of kspan values }
-          | "cl" -> { spec with cl = range_of kspan values }
-          | "slew" -> { spec with slew = bool_of (one ()) }
-          | other ->
-            fail_at kspan (Printf.sprintf "unknown grid field %S" other))
-        | node ->
-          fail_at (Sexpr.span_of node) "expected a (key value ...) list")
-      default fields
-  | [ node ] -> fail_at (Sexpr.span_of node) "expected a (grid ...) form"
-  | [] -> raise (Parse_error { pos = None; msg = "empty grid spec" })
-  | _ :: node :: _ ->
-    fail_at (Sexpr.span_of node) "expected a single (grid ...) form"
+  try
+    match Sexpr.parse text with
+    | [ Sexpr.List (Sexpr.Atom ("grid", _) :: items, span) ] ->
+      let fs = Sexpr.fields span items in
+      let points =
+        Sexpr.get ~default:default.points fs "points" (count "points")
+      in
+      let seed =
+        Sexpr.get ~default:default.seed fs "seed" (Sexpr.read Sexpr.integer)
+      in
+      (* 0 jobs = the hardware-recommended count, as for --jobs. *)
+      let jobs =
+        match
+          Sexpr.opt fs "jobs" (count ~hint:" (0 = hardware count)" "jobs")
+        with
+        | Some 0 -> Ape_util.Pool.recommended_jobs ()
+        | Some n -> n
+        | None -> default.jobs
+      in
+      let av = range fs "av" default.av in
+      let ugf = range fs "ugf" default.ugf in
+      let ibias = range fs "ibias" default.ibias in
+      let cl = range fs "cl" default.cl in
+      let slew =
+        Sexpr.get ~default:default.slew fs "slew"
+          (Sexpr.read (Sexpr.enum "slew" booleans))
+      in
+      Sexpr.finish fs;
+      { points; seed; jobs; av; ugf; ibias; cl; slew }
+    | [ node ] -> Sexpr.fail (Sexpr.span_of node) "expected a (grid ...) form"
+    | [] -> raise (Parse_error { pos = None; msg = "empty grid spec" })
+    | _ :: node :: _ ->
+      Sexpr.fail (Sexpr.span_of node) "expected a single (grid ...) form"
+  with Sexpr.Error { span; msg } ->
+    raise (Parse_error { pos = Some span.Sexpr.s_start; msg })
 
 let load_spec file = parse_spec (Ape_util.File.read file)
 

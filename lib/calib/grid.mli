@@ -37,8 +37,10 @@ val describe_error : pos:Ape_util.Sexpr.pos option -> msg:string -> string
 (** ["grid spec: 1:15: points must be non-negative, got -2"]. *)
 
 val parse_spec : string -> spec
-(** Parse a [(grid (points 32) (ugf 800k 14meg) ...)] spec; every field
-    optional over {!default}; numbers take SPICE suffixes.  [(points N)]
+(** Parse a [(grid (points 32) (ugf 800k 14meg) ...)] spec through
+    {!Ape_util.Sexpr}'s field layer: every field optional over
+    {!default}, none repeated, no unknown one; numbers finite, with
+    SPICE suffixes.  [(points N)]
     and [(jobs N)] follow [--points] and [--jobs]: non-negative, and a
     jobs count of 0 = {!Ape_util.Pool.recommended_jobs}.  Raises
     {!Parse_error} with positions. *)

@@ -262,7 +262,7 @@ let retarget_process process t =
    otherwise. *)
 let spice_num x =
   let s = Ape_util.Units.to_eng x in
-  match Ape_symbolic.Parser.parse_number s with
+  match Ape_util.Units.parse_number s with
   | Some v when v = x -> s
   | Some _ | None -> Ape_util.Units.to_exact x
 

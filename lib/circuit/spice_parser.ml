@@ -160,7 +160,7 @@ let value_of st src env (tok : T.t) =
   match tok.T.kind with
   | T.Braced -> eval_expr st src env tok
   | T.Word -> (
-    match Sym_parser.parse_number tok.T.text with
+    match Ape_util.Units.parse_number tok.T.text with
     | Some v -> Some v
     | None -> (
       match lookup_param env tok.T.text with
@@ -404,30 +404,34 @@ let register_model st stmt =
   let rest = List.tl stmt.toks in
   let pos, keyed = split_params st stmt.src rest in
   match positional_words st stmt.src pos with
-  | [ name; mtype ] -> (
-    (* Rebuild a clean card text for Card_parser: expression-valued
-       parameters are evaluated here, everything else verbatim. *)
-    let pairs =
+  | [ name; kind ] -> (
+    (* Each value from its own token: expressions are evaluated (a
+       failed one is reported and dropped), a word goes through the
+       finite-number rule of every input when the card reads its key. *)
+    let readable = ref true in
+    let values =
       List.filter_map
         (fun (k, (v : T.t)) ->
           match v.T.kind with
-          | T.Word -> Some (k ^ "=" ^ v.T.text)
-          | T.Braced -> (
-            match eval_expr st stmt.src st.params v with
-            | Some x -> Some (Printf.sprintf "%s=%.17g" k x)
-            | None -> None)
-          | T.Equals -> None)
+          | T.Braced ->
+            Option.map (fun x -> (k, x)) (eval_expr st stmt.src st.params v)
+          | T.Word when Card_parser.known k -> (
+            match Ape_util.Sexpr.finite v.T.text with
+            | Ok x -> Some (k, x)
+            | Error msg ->
+              readable := false;
+              error st stmt.src v.T.span
+                (Printf.sprintf "bad value for %s: %s" k msg);
+              None)
+          | T.Word | T.Equals -> None)
         keyed
     in
-    let text =
-      Printf.sprintf ".MODEL %s %s (%s)" name.T.text mtype.T.text
-        (String.concat " " pairs)
-    in
-    match Card_parser.parse_card text with
-    | card ->
-      Hashtbl.replace st.models (String.uppercase_ascii card.Card.name) card
-    | exception Card_parser.Bad_card msg ->
-      error st stmt.src (card_span stmt.toks) msg)
+    if !readable then
+      match Card_parser.card ~name:name.T.text ~kind:kind.T.text values with
+      | card ->
+        Hashtbl.replace st.models (String.uppercase_ascii card.Card.name) card
+      | exception Card_parser.Bad_card msg ->
+        error st stmt.src (card_span stmt.toks) msg)
   | _ ->
     error st stmt.src (card_span stmt.toks)
       ".model expects a name and a device type"
@@ -523,8 +527,8 @@ let parse_source_values st src env name toks =
               match tl with
               | (p : T.t) :: tl'
                 when p.T.kind = T.Word
-                     && Sym_parser.parse_number p.T.text <> None ->
-                (match Sym_parser.parse_number p.T.text with
+                     && Ape_util.Units.parse_number p.T.text <> None ->
+                (match Ape_util.Units.parse_number p.T.text with
                 | Some ph when ph <> 0. ->
                   warn st src p.T.span
                     (name ^ ": AC phase is ignored (magnitude only)")

@@ -13,7 +13,9 @@
       VCVS ([Ename p n cp cn gain]), switches
       ([Wname a b ctrl RON=.. ROFF=.. VT=..]) and subcircuit
       instances ([Xname n1 .. nk subname \[p=v ..\]]);
-    - [.MODEL] (delegated to {!Ape_process.Card_parser});
+    - [.MODEL] (each value read from its own token — a finite number
+      or a brace expression — into {!Ape_process.Card_parser}'s
+      name → field table);
     - parameterized [.SUBCKT]/[.ENDS] with recursive flattening,
       hierarchical node renaming ([X1.node]) and ngspice-style
       element paths ([R.X1.R1]); instantiation cycles are detected;

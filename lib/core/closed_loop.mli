@@ -27,6 +27,9 @@ val spec :
 (** [r_base] defaults to 400 kΩ — large relative to both the reference
     divider's Thevenin impedance and the buffered opamp's Z_out. *)
 
+val noise_gain : kind -> float
+(** 1/β of the configuration: the designer needs it ≥ 1. *)
+
 type design = {
   spec : spec;
   opamp : Opamp.design;

@@ -18,6 +18,69 @@ type design =
   | D_closed of Closed_loop.design
   | D_comp of Data_conv.Comparator.design
 
+(* The ranges the designers accept, named by the VASE spec language's
+   fields; in kind order, so the first complaint is the CLI's too. *)
+let check spec =
+  let rule ok param complaint = if ok then None else Some (param, complaint) in
+  let positive param v =
+    rule (v > 0.) param (Printf.sprintf "must be positive, got %g" v)
+  in
+  let bits kind lo hi b =
+    rule
+      (b >= lo && b <= hi)
+      "bits"
+      (Printf.sprintf "must be in [%d, %d] for %s, got %d" lo hi kind b)
+  in
+  List.find_map Fun.id
+    (match spec with
+    | Lowpass_m { Filter.order; f_cutoff; r_base } ->
+      [
+        rule
+          (order >= 2 && order mod 2 = 0)
+          "order"
+          (Printf.sprintf "must be even and at least 2, got %d" order);
+        positive "fc" f_cutoff;
+        positive "r" r_base;
+      ]
+    | Bandpass_m { Filter.f_center; q; gain; c_base } ->
+      let limit = 2. *. q *. q in
+      [
+        positive "fc" f_center;
+        positive "q" q;
+        positive "gain" gain;
+        rule (gain < limit) "gain"
+          (Printf.sprintf "must be below 2q^2 = %g, got %g" limit gain);
+        positive "c" c_base;
+      ]
+    | Audio_amp { gain; bandwidth } ->
+      [
+        rule (gain > 1.) "gain" (Printf.sprintf "must exceed 1, got %g" gain);
+        positive "bandwidth" bandwidth;
+      ]
+    | Sample_hold_m { Sample_hold.gain; bandwidth; sr; _ } ->
+      [
+        rule (gain >= 1.) "gain"
+          (Printf.sprintf "must be at least 1, got %g" gain);
+        positive "bandwidth" bandwidth;
+        positive "sr" sr;
+      ]
+    | Flash_adc_m { Data_conv.Flash_adc.bits = b; delay; _ } ->
+      [ bits "adc" 2 6 b; positive "delay" delay ]
+    | Dac_m { Data_conv.Dac.bits = b; settling; _ } ->
+      [ bits "dac" 1 12 b; positive "settling" settling ]
+    | Closed_loop_m { Closed_loop.kind; bandwidth; _ } ->
+      let ng = Closed_loop.noise_gain kind in
+      [
+        (match kind with
+        | Closed_loop.Integrator { f_unity } -> positive "funity" f_unity
+        | Inverting _ | Non_inverting _ | Adder _ -> None);
+        rule (ng >= 1.) "gain"
+          (Printf.sprintf "must give a noise gain of at least 1, got %g" ng);
+        positive "bandwidth" bandwidth;
+      ]
+    | Comparator_m { Data_conv.Comparator.delay; _ } ->
+      [ positive "delay" delay ])
+
 let design process = function
   | Audio_amp { gain; bandwidth } ->
     D_audio (Audio_amp.design process { Audio_amp.gain; bandwidth })

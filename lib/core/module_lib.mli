@@ -28,6 +28,14 @@ type design =
   | D_closed of Closed_loop.design
   | D_comp of Data_conv.Comparator.design
 
+val check : spec -> (string * string) option
+(** The first parameter outside the range its designer accepts, as
+    [(field, complaint)] — [("order", "must be even and at least 2,
+    got 3")] — with fields named as in the VASE spec language (order,
+    fc, r, q, gain, c, bandwidth, sr, bits, delay, settling, funity).
+    [None] means {!design} raises no [Invalid_argument] on the spec;
+    a spec no design can meet is still {!Opamp.Infeasible}. *)
+
 val design : Ape_process.Process.t -> spec -> design
 val fragment : Ape_process.Process.t -> design -> Fragment.t
 val perf : design -> Perf.t

@@ -1,143 +1,53 @@
 exception Bad_card of string
 
-(* Trailing '$'/';' comments start a comment only at a token boundary
-   (start of line or after whitespace): "R$2 a b 1k$ load" keeps the
-   name "R$2" and drops " load". *)
-let strip_inline line =
-  let n = String.length line in
-  let rec find i =
-    if i >= n then n
-    else if
-      (line.[i] = '$' || line.[i] = ';')
-      && (i = 0 || line.[i - 1] = ' ' || line.[i - 1] = '\t')
-    then i
-    else find (i + 1)
-  in
-  String.sub line 0 (find 0)
+let level_of v =
+  match int_of_float v with
+  | 1 -> Model_card.Level1
+  | 2 -> Model_card.Level2
+  | 3 -> Model_card.Level3
+  | 4 | 13 -> Model_card.Bsim1
+  | n -> raise (Bad_card (Printf.sprintf "unsupported LEVEL=%d" n))
 
-let strip_comments text =
-  String.split_on_char '\n' text
-  |> List.filter (fun line ->
-         let trimmed = String.trim line in
-         not (String.length trimmed > 0 && trimmed.[0] = '*'))
-  |> List.map strip_inline
-  |> String.concat "\n"
+(* SPICE U0 is in cm²/Vs; accept SI if the magnitude is tiny. *)
+let u0_of raw = if raw > 1. then raw *. 1e-4 else raw
 
-(* Join SPICE continuation lines ('+' in column 1) into their parent. *)
-let join_continuations text =
-  let lines = String.split_on_char '\n' text in
-  let rec loop acc = function
-    | [] -> List.rev acc
-    | line :: rest ->
-      let trimmed = String.trim line in
-      if String.length trimmed > 0 && trimmed.[0] = '+' then begin
-        match acc with
-        | prev :: acc' when String.trim prev <> "" ->
-          let joined =
-            prev ^ " " ^ String.sub trimmed 1 (String.length trimmed - 1)
-          in
-          loop (joined :: acc') rest
-        | _ -> raise (Bad_card "continuation line with no preceding card")
-      end
-      else loop (line :: acc) rest
-  in
-  String.concat "\n" (loop [] lines)
+let params : (string * (Model_card.t -> float -> Model_card.t)) list =
+  Model_card.
+    [
+      ("LEVEL", fun c v -> { c with level = level_of v });
+      ("VTO", fun c v -> { c with vto = v });
+      ("VTH0", fun c v -> { c with vto = v });
+      ("KP", fun c v -> { c with kp = v });
+      ("GAMMA", fun c v -> { c with gamma = v });
+      ("PHI", fun c v -> { c with phi = v });
+      ("LAMBDA", fun c v -> { c with lambda = v });
+      ("LREF", fun c v -> { c with lref = v });
+      ("TOX", fun c v -> { c with tox = v });
+      ("U0", fun c v -> { c with u0 = u0_of v });
+      ("UO", fun c v -> { c with u0 = u0_of v });
+      ("THETA", fun c v -> { c with theta = v });
+      ("VMAX", fun c v -> { c with vmax = v });
+      ("ETA", fun c v -> { c with eta = v });
+      ("CGSO", fun c v -> { c with cgso = v });
+      ("CGDO", fun c v -> { c with cgdo = v });
+      ("CGBO", fun c v -> { c with cgbo = v });
+      ("CJ", fun c v -> { c with cj = v });
+      ("MJ", fun c v -> { c with mj = v });
+      ("CJSW", fun c v -> { c with cjsw = v });
+      ("MJSW", fun c v -> { c with mjsw = v });
+      ("PB", fun c v -> { c with pb = v });
+      ("LD", fun c v -> { c with ld = v });
+      ("IS", fun c v -> { c with is_leak = v });
+      ("KF", fun c v -> { c with kf = v });
+      ("AF", fun c v -> { c with af = v });
+      ("AVT", fun c v -> { c with avt = v });
+    ]
 
-let join_lines text = join_continuations (strip_comments text)
+let known key = List.mem_assoc key params
 
-let tokenize_card body =
-  (* Split "KEY=VAL KEY = VAL ..." into pairs, tolerating spaces around
-     '='. *)
-  let body =
-    String.map (fun c -> if c = '(' || c = ')' || c = ',' then ' ' else c) body
-  in
-  (* "K = V" / "K =V" / "K= V" -> "K=V" *)
-  let body =
-    Ape_util.Strings.replace_fixpoint ~pattern:" =" ~with_:"=" body
-  in
-  let body =
-    Ape_util.Strings.replace_fixpoint ~pattern:"= " ~with_:"=" body
-  in
-  String.split_on_char ' ' body
-  |> List.filter (fun s -> String.length s > 0)
-  |> List.filter_map (fun tok ->
-         match String.index_opt tok '=' with
-         | None -> None
-         | Some i ->
-           let key = String.uppercase_ascii (String.sub tok 0 i) in
-           let value = String.sub tok (i + 1) (String.length tok - i - 1) in
-           Some (key, value))
-
-let float_value key value =
-  match Ape_symbolic.Parser.parse_number value with
-  | Some v -> v
-  | None -> raise (Bad_card (Printf.sprintf "bad value for %s: %s" key value))
-
-let apply_params (card : Model_card.t) params =
-  List.fold_left
-    (fun (card : Model_card.t) (key, value) ->
-      let v () = float_value key value in
-      match key with
-      | "LEVEL" ->
-        let level =
-          match int_of_float (v ()) with
-          | 1 -> Model_card.Level1
-          | 2 -> Model_card.Level2
-          | 3 -> Model_card.Level3
-          | 4 | 13 -> Model_card.Bsim1
-          | n -> raise (Bad_card (Printf.sprintf "unsupported LEVEL=%d" n))
-        in
-        { card with Model_card.level }
-      | "VTO" | "VTH0" -> { card with Model_card.vto = v () }
-      | "KP" -> { card with Model_card.kp = v () }
-      | "GAMMA" -> { card with Model_card.gamma = v () }
-      | "PHI" -> { card with Model_card.phi = v () }
-      | "LAMBDA" -> { card with Model_card.lambda = v () }
-      | "LREF" -> { card with Model_card.lref = v () }
-      | "TOX" -> { card with Model_card.tox = v () }
-      | "U0" | "UO" ->
-        (* SPICE U0 is in cm²/Vs; accept SI if the magnitude is tiny. *)
-        let raw = v () in
-        let u0 = if raw > 1. then raw *. 1e-4 else raw in
-        { card with Model_card.u0 = u0 }
-      | "THETA" -> { card with Model_card.theta = v () }
-      | "VMAX" -> { card with Model_card.vmax = v () }
-      | "ETA" -> { card with Model_card.eta = v () }
-      | "CGSO" -> { card with Model_card.cgso = v () }
-      | "CGDO" -> { card with Model_card.cgdo = v () }
-      | "CGBO" -> { card with Model_card.cgbo = v () }
-      | "CJ" -> { card with Model_card.cj = v () }
-      | "MJ" -> { card with Model_card.mj = v () }
-      | "CJSW" -> { card with Model_card.cjsw = v () }
-      | "MJSW" -> { card with Model_card.mjsw = v () }
-      | "PB" -> { card with Model_card.pb = v () }
-      | "LD" -> { card with Model_card.ld = v () }
-      | "IS" -> { card with Model_card.is_leak = v () }
-      | "KF" -> { card with Model_card.kf = v () }
-      | "AF" -> { card with Model_card.af = v () }
-      | "AVT" -> { card with Model_card.avt = v () }
-      | _ -> card (* unknown keys are legal in real decks; skip *))
-    card params
-
-let parse_card text =
-  let text = join_continuations (strip_comments text) in
-  let text = String.trim text in
-  let upper = String.uppercase_ascii text in
-  if not (String.length upper >= 6 && String.sub upper 0 6 = ".MODEL") then
-    raise (Bad_card "card must start with .MODEL");
-  let rest = String.trim (String.sub text 6 (String.length text - 6)) in
-  (* name, type, then parameter body *)
-  let split_word s =
-    match String.index_opt s ' ' with
-    | None -> (s, "")
-    | Some i ->
-      ( String.sub s 0 i,
-        String.trim (String.sub s (i + 1) (String.length s - i - 1)) )
-  in
-  let name, rest = split_word rest in
-  let type_word, body = split_word rest in
+let card ~name ~kind values =
   let mos_type =
-    match String.uppercase_ascii type_word with
+    match String.uppercase_ascii kind with
     | "NMOS" -> Model_card.Nmos
     | "PMOS" -> Model_card.Pmos
     | other -> raise (Bad_card ("unsupported device type " ^ other))
@@ -147,45 +57,20 @@ let parse_card text =
     | Model_card.Nmos -> Model_card.default_nmos
     | Model_card.Pmos -> Model_card.default_pmos
   in
-  let card = apply_params { base with Model_card.name; mos_type } (tokenize_card body) in
-  (* Keep u0 and kp consistent: KP wins if both were given. *)
-  let kp_given = List.exists (fun (k, _) -> k = "KP") (tokenize_card body) in
-  let u0_given =
-    List.exists (fun (k, _) -> k = "U0" || k = "UO") (tokenize_card body)
+  (* Unknown keys are legal in real decks: skip them. *)
+  let card =
+    List.fold_left
+      (fun card (key, v) ->
+        match List.assoc_opt key params with
+        | Some set -> set card v
+        | None -> card)
+      { base with Model_card.name; mos_type }
+      values
   in
+  (* Keep u0 and kp consistent: KP wins if both were given. *)
+  let given keys = List.exists (fun (k, _) -> List.mem k keys) values in
   let cox = Model_card.cox card in
-  if kp_given then { card with Model_card.u0 = card.Model_card.kp /. cox }
-  else if u0_given then
+  if given [ "KP" ] then { card with Model_card.u0 = card.Model_card.kp /. cox }
+  else if given [ "U0"; "UO" ] then
     { card with Model_card.kp = card.Model_card.u0 *. cox }
   else card
-
-let parse_deck text =
-  let text = join_continuations (strip_comments text) in
-  String.split_on_char '\n' text
-  |> List.filter_map (fun line ->
-         let trimmed = String.trim line in
-         let upper = String.uppercase_ascii trimmed in
-         if String.length upper >= 6 && String.sub upper 0 6 = ".MODEL" then
-           Some (parse_card trimmed)
-         else None)
-
-let process_of_deck ?name ?(base = Process.c12) text =
-  let cards = parse_deck text in
-  let find mt =
-    match
-      List.find_opt (fun c -> c.Model_card.mos_type = mt) cards
-    with
-    | Some c -> c
-    | None ->
-      raise
-        (Bad_card
-           (match mt with
-           | Model_card.Nmos -> "deck has no NMOS card"
-           | Model_card.Pmos -> "deck has no PMOS card"))
-  in
-  {
-    base with
-    Process.name = (match name with Some n -> n | None -> base.Process.name);
-    nmos = find Model_card.Nmos;
-    pmos = find Model_card.Pmos;
-  }

@@ -1,30 +1,22 @@
-(** Parser for SPICE [.MODEL] cards.
+(** [.MODEL] card parameters: the name → field table.
 
-    Accepts the classic format
-    [.MODEL <name> NMOS|PMOS (KEY=value KEY=value ...)], case-insensitive
-    keys, SPICE magnitude suffixes on values, continuation lines starting
-    with [+], and [*] comments.  Unknown keys are ignored (SPICE decks
-    carry many parameters the Level-1..3 equations never read); missing
-    keys fall back to the built-in defaults of the polarity. *)
+    The deck reader ({!Ape_circuit.Spice_parser}) lexes a card once and
+    hands its [KEY=value] pairs here as numbers.  Keys are upper-case;
+    unknown keys are ignored (SPICE decks carry many parameters the
+    Level-1..3 equations never read); missing keys fall back to the
+    built-in defaults of the polarity; a repeated key's last value
+    wins. *)
 
 exception Bad_card of string
 
-val join_lines : string -> string
-(** Strip [*]-comment lines, trailing [$]/[;] comments (recognised only
-    at a token boundary, so names containing [$] survive) and join
-    [+]-continuation lines.  A [+] line with no preceding card raises
-    {!Bad_card} instead of being silently promoted to a card of its
-    own. *)
+val known : string -> bool
+(** Whether the table reads this (upper-case) key: only known keys'
+    values need to be numbers. *)
 
-val parse_card : string -> Model_card.t
-(** Parse a single (possibly multi-line) [.MODEL] card.  Raises
-    {!Bad_card}. *)
-
-val parse_deck : string -> Model_card.t list
-(** Parse every [.MODEL] card in a deck, ignoring other lines. *)
-
-val process_of_deck :
-  ?name:string -> ?base:Process.t -> string -> Process.t
-(** Build a process from a deck containing one NMOS and one PMOS card;
-    remaining process constants come from [base] (default {!Process.c12}).
-    Raises {!Bad_card} when a polarity is missing. *)
+val card : name:string -> kind:string -> (string * float) list -> Model_card.t
+(** [card ~name ~kind values] builds a card of device type [kind]
+    ([NMOS] or [PMOS], any case) from its parameters in card order.
+    [LEVEL] picks the model (1, 2, 3; 4 or 13 is BSIM1); [U0]/[UO] is
+    read in cm²/Vs when above 1; [KP] and [U0] are kept consistent
+    through the card's Cox, [KP] winning when both are given.  Raises
+    {!Bad_card} on an unsupported device type or [LEVEL]. *)

@@ -46,10 +46,6 @@ type error = {
   id : string option;
 }
 
-exception Reject of error
-
-let reject ?id ?span msg = raise (Reject { span; msg; id })
-
 let kind_name job =
   match job.payload with
   | Estimate _ -> "estimate"
@@ -80,111 +76,6 @@ let seed_of job =
 (* Parsing.                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The fields of one (job ...) form, with every access tracked so
-   unknown (misspelled) keys are rejected with their span. *)
-type fields = {
-  f_id : string option;
-  entries : (string * (Sexpr.t list * Sexpr.span)) list;
-  mutable seen : string list;
-}
-
-let field fields key =
-  match List.assoc_opt key fields.entries with
-  | None -> None
-  | Some v ->
-    if not (List.mem key fields.seen) then fields.seen <- key :: fields.seen;
-    Some v
-
-let collect_fields ~id_hint items =
-  let entries =
-    List.map
-      (fun item ->
-        match item with
-        | Sexpr.List (Sexpr.Atom (key, _) :: args, span) ->
-          (key, (args, span))
-        | Sexpr.List (_, span) ->
-          reject ?id:id_hint ~span "field must start with a keyword atom"
-        | Sexpr.Atom (a, span) ->
-          reject ?id:id_hint ~span
-            (Printf.sprintf
-               "bare atom '%s' (flags are written as lists, e.g. (buffer))"
-               a))
-      items
-  in
-  let rec dup_check = function
-    | [] -> ()
-    | (key, (_, span)) :: rest ->
-      if List.mem_assoc key rest then
-        reject ?id:id_hint ~span ("duplicate field '" ^ key ^ "'");
-      dup_check rest
-  in
-  dup_check entries;
-  { f_id = id_hint; entries; seen = [] }
-
-let finish_fields fields =
-  List.iter
-    (fun (key, (_, span)) ->
-      if not (List.mem key fields.seen) then
-        reject ?id:fields.f_id ~span ("unknown field '" ^ key ^ "'"))
-    fields.entries
-
-let the_atom ?id span = function
-  | [ Sexpr.Atom (a, _) ] -> a
-  | _ -> reject ?id ~span "expected exactly one atom"
-
-let number ?id span args =
-  let a = the_atom ?id span args in
-  match Ape_symbolic.Parser.parse_number a with
-  | Some v when Float.is_finite v -> v
-  | Some _ -> reject ?id ~span "number must be finite"
-  | None -> reject ?id ~span (Printf.sprintf "not a number: '%s'" a)
-
-let positive ?id span args =
-  let v = number ?id span args in
-  if v <= 0. then reject ?id ~span "number must be > 0";
-  v
-
-let integer ?id span args =
-  let a = the_atom ?id span args in
-  match int_of_string_opt a with
-  | Some v -> v
-  | None -> reject ?id ~span (Printf.sprintf "not an integer: '%s'" a)
-
-let flag fields key =
-  match field fields key with
-  | None -> false
-  | Some ([], _) -> true
-  | Some (_, span) ->
-    reject ?id:fields.f_id ~span ("(" ^ key ^ ") takes no arguments")
-
-(* An optional field's value, read by [read] (positive, integer,
-   the_atom). *)
-let opt_field read fields key =
-  match field fields key with
-  | Some (args, span) -> Some (read ?id:fields.f_id span args)
-  | None -> None
-
-let num_field ?default fields key =
-  match (opt_field positive fields key, default) with
-  | Some v, _ | None, Some v -> v
-  | None, None ->
-    reject ?id:fields.f_id ("missing required field (" ^ key ^ " _)")
-
-let int_field ~default fields key =
-  Option.value ~default (opt_field integer fields key)
-
-let enum_field ~default fields key choices =
-  match field fields key with
-  | None -> default
-  | Some (args, span) -> (
-    let a = the_atom ?id:fields.f_id span args in
-    match List.assoc_opt a choices with
-    | Some v -> v
-    | None ->
-      reject ?id:fields.f_id ~span
-        (Printf.sprintf "unknown %s '%s' (expected %s)" key a
-           (String.concat "|" (List.map fst choices))))
-
 (* The names of every enumerated field, for parsing and printing. *)
 let biases =
   Ape_estimator.Bias.
@@ -196,132 +87,123 @@ let mc_levels =
   List.map
     (fun l -> (Ape_mc.Scenario.level_name l, l))
     Ape_mc.Scenario.[ Estimate; Simulate ]
+let check_levels =
+  List.map
+    (fun l -> (Ape_check.Tolerance.level_name l, l))
+    Ape_check.Tolerance.all_levels
+(* Check levels read case-insensitively, as [ape verify --level] does. *)
+let check_level a =
+  match Ape_check.Tolerance.level_of_name a with
+  | Some l -> Ok l
+  | None -> Sexpr.enum "level" check_levels a
+
 let name_in choices v = fst (List.find (fun (_, c) -> c = v) choices)
 
-let opamp_of_fields fields =
-  {
-    gain = num_field fields "gain";
-    ugf = num_field fields "ugf";
-    ibias = num_field ~default:1e-6 fields "ibias";
-    cl = num_field ~default:10e-12 fields "cl";
-    bias = enum_field ~default:Ape_estimator.Bias.Simple fields "bias" biases;
-    zout = opt_field positive fields "zout";
-    buffer = flag fields "buffer";
-  }
+let positive = Sexpr.read Sexpr.positive
 
-let parse_payload ~id fields kind kind_span =
+let at_least name lo =
+  Sexpr.read
+    (Sexpr.satisfying
+       (fun n -> n >= lo)
+       (fun _ -> Printf.sprintf "%s must be >= %d" name lo)
+       Sexpr.integer)
+
+let opamp_of_fields fs =
+  let gain = Sexpr.get fs "gain" positive in
+  let ugf = Sexpr.get fs "ugf" positive in
+  let ibias = Sexpr.get ~default:1e-6 fs "ibias" positive in
+  let cl = Sexpr.get ~default:10e-12 fs "cl" positive in
+  let bias =
+    Sexpr.get ~default:Ape_estimator.Bias.Simple fs "bias"
+      (Sexpr.read (Sexpr.enum "bias" biases))
+  in
+  let zout = Sexpr.opt fs "zout" positive in
+  let buffer = Sexpr.flag fs "buffer" in
+  { gain; ugf; ibias; cl; bias; zout; buffer }
+
+let parse_payload fs kind kind_span =
+  let seed () = Sexpr.opt fs "seed" (Sexpr.read Sexpr.integer) in
   match kind with
-  | "estimate" -> Estimate (opamp_of_fields fields)
+  | "estimate" -> Estimate (opamp_of_fields fs)
   | "synth" ->
-    let spec = opamp_of_fields fields in
-    let mode = enum_field ~default:Ape_mode fields "mode" modes in
-    let seed = opt_field integer fields "seed" in
-    let chains = int_field ~default:1 fields "chains" in
-    if chains < 1 then reject ~id "chains must be >= 1";
-    let schedule = enum_field ~default:Full fields "schedule" schedules in
-    let area = opt_field positive fields "area" in
-    let calibration = opt_field the_atom fields "calibration" in
+    let spec = opamp_of_fields fs in
+    let mode =
+      Sexpr.get ~default:Ape_mode fs "mode"
+        (Sexpr.read (Sexpr.enum "mode" modes))
+    in
+    let seed = seed () in
+    let chains = Sexpr.get ~default:1 fs "chains" (at_least "chains" 1) in
+    let schedule =
+      Sexpr.get ~default:Full fs "schedule"
+        (Sexpr.read (Sexpr.enum "schedule" schedules))
+    in
+    let area = Sexpr.opt fs "area" positive in
+    let calibration = Sexpr.opt fs "calibration" Sexpr.atom in
     Synth { spec; mode; seed; chains; schedule; area; calibration }
   | "mc" ->
-    let spec = opamp_of_fields fields in
-    let samples = int_field ~default:200 fields "samples" in
-    if samples < 1 then reject ~id "samples must be >= 1";
+    let spec = opamp_of_fields fs in
+    let samples = Sexpr.get ~default:200 fs "samples" (at_least "samples" 1) in
     let level =
-      enum_field ~default:Ape_mc.Scenario.Estimate fields "level" mc_levels
+      Sexpr.get ~default:Ape_mc.Scenario.Estimate fs "level"
+        (Sexpr.read (Sexpr.enum "level" mc_levels))
     in
-    let sigma_scale = num_field ~default:1.0 fields "sigma-scale" in
-    let seed = opt_field integer fields "seed" in
-    Mc { spec; samples; level; sigma_scale; seed }
+    let sigma_scale = Sexpr.get ~default:1.0 fs "sigma-scale" positive in
+    Mc { spec; samples; level; sigma_scale; seed = seed () }
   | "sim" ->
-    let file =
-      match field fields "file" with
-      | Some (args, span) -> the_atom ~id span args
-      | None -> reject ~id "missing required field (file \"...\")"
-    in
-    Sim { file; out = opt_field the_atom fields "out" }
+    let file = Sexpr.get fs "file" Sexpr.atom in
+    Sim { file; out = Sexpr.opt fs "out" Sexpr.atom }
   | "verify" ->
     let levels =
-      match field fields "levels" with
+      match Sexpr.find fs "levels" with
       | None -> []
-      | Some (args, span) ->
-        List.map
-          (fun node ->
-            match node with
-            | Sexpr.Atom (a, aspan) -> (
-              match Ape_check.Tolerance.level_of_name a with
-              | Some level -> level
-              | None ->
-                reject ~id ~span:aspan
-                  (Printf.sprintf "unknown level '%s' (expected %s)" a
-                     (String.concat "|"
-                        (List.map Ape_check.Tolerance.level_name
-                           Ape_check.Tolerance.all_levels))))
-            | Sexpr.List (_, lspan) ->
-              reject ~id ~span:lspan "levels are atoms")
-          (if args = [] then reject ~id ~span "empty (levels) list"
-           else args)
+      | Some { args = []; span; _ } -> Sexpr.fail span "empty (levels) list"
+      | Some { args; _ } ->
+        List.map (Sexpr.read check_level) args
     in
-    let slew = not (flag fields "no-slew") in
-    let calibration = opt_field the_atom fields "calibration" in
+    let slew = not (Sexpr.flag fs "no-slew") in
+    let calibration = Sexpr.opt fs "calibration" Sexpr.atom in
     Verify { levels; slew; calibration }
   | other ->
-    reject ~id ~span:kind_span
+    Sexpr.fail kind_span
       (Printf.sprintf
          "unknown job kind '%s' (estimate, synth, mc, sim, verify)" other)
 
 let parse_form ~index form =
+  let error ?id span msg = Error { span = Some span; msg; id } in
   match form with
-  | Sexpr.Atom (_, span) | Sexpr.List ([], span) ->
-    Error { span = Some span; msg = "expected a (job KIND ...) form"; id = None }
-  | Sexpr.List (Sexpr.Atom ("job", _) :: rest, span) -> (
-    match rest with
-    | Sexpr.Atom (kind, kind_span) :: items -> (
-      try
-        (* Pull the id out first so every later error can carry it. *)
-        let id_hint =
-          List.find_map
-            (function
-              | Sexpr.List
-                  ([ Sexpr.Atom ("id", _); Sexpr.Atom (v, _) ], _) ->
-                Some v
-              | _ -> None)
-            items
-        in
-        let id =
-          match id_hint with
-          | Some v -> v
-          | None -> Printf.sprintf "job%d" index
-        in
-        let fields = collect_fields ~id_hint:(Some id) items in
-        (* Mark (id _) consumed; a malformed id field falls through to
-           finish_fields as unknown-shaped content. *)
-        (match field fields "id" with
-        | Some ([ Sexpr.Atom _ ], _) | None -> ()
-        | Some (_, span) -> reject ~id ~span "(id X) takes one atom");
-        let timeout =
-          match field fields "timeout" with
-          | Some (args, tspan) -> Some (positive ~id tspan args)
-          | None -> None
-        in
-        let payload = parse_payload ~id fields kind kind_span in
-        finish_fields fields;
-        Ok { id; timeout; payload }
-      with Reject e ->
-        Error { e with span = (match e.span with None -> Some span | s -> s) })
-    | _ ->
-      Error
-        {
-          span = Some span;
-          msg = "missing job kind (estimate, synth, mc, sim, verify)";
-          id = None;
-        })
-  | Sexpr.List (_, span) ->
-    Error { span = Some span; msg = "expected a (job KIND ...) form"; id = None }
+  | Sexpr.List
+      (Sexpr.Atom ("job", _) :: Sexpr.Atom (kind, kind_span) :: items, span)
+    -> (
+    (* Pull the id out first so every later error can carry it. *)
+    let id =
+      match
+        List.find_map
+          (function
+            | Sexpr.List ([ Sexpr.Atom ("id", _); Sexpr.Atom (v, _) ], _) ->
+              Some v
+            | _ -> None)
+          items
+      with
+      | Some v -> v
+      | None -> Printf.sprintf "job%d" index
+    in
+    try
+      let fs = Sexpr.fields ~whole:true span items in
+      ignore (Sexpr.opt fs "id" Sexpr.atom);
+      let timeout = Sexpr.opt fs "timeout" positive in
+      let payload = parse_payload fs kind kind_span in
+      Sexpr.finish fs;
+      Ok { id; timeout; payload }
+    with Sexpr.Error { span; msg } -> error ~id span msg)
+  | Sexpr.List (Sexpr.Atom ("job", _) :: _, span) ->
+    error span "missing job kind (estimate, synth, mc, sim, verify)"
+  | Sexpr.Atom (_, span) | Sexpr.List (_, span) ->
+    error span "expected a (job KIND ...) form"
 
 let parse_batch text =
   match Sexpr.parse text with
-  | exception Sexpr.Error { pos; msg } ->
-    [ Error { span = Some { Sexpr.s_start = pos; s_end = pos }; msg; id = None } ]
+  | exception Sexpr.Error { span; msg } ->
+    [ Error { span = Some span; msg; id = None } ]
   | forms -> List.mapi (fun index form -> parse_form ~index form) forms
 
 (* ------------------------------------------------------------------ *)

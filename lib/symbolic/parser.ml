@@ -16,69 +16,6 @@ let is_digit c = c >= '0' && c <= '9'
 let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident c = is_alpha c || is_digit c
 
-(* SPICE-style magnitude suffixes, matched case-insensitively with the
-   multi-letter ones ("meg", "mil") tried before the single letters.
-   One deliberate exception to case-insensitivity: a single leading 'm'
-   keeps the engineering-notation convention used throughout this repo —
-   "M" is 1e6 and "m" is 1e-3 (classic SPICE treats both as milli). *)
-let suffix_multiplier suffix =
-  let lc = String.lowercase_ascii suffix in
-  let starts p =
-    String.length lc >= String.length p && String.sub lc 0 (String.length p) = p
-  in
-  if starts "meg" then Some 1e6
-  else if starts "mil" then Some 25.4e-6
-  else
-    match lc.[0] with
-    | 't' -> Some 1e12
-    | 'g' -> Some 1e9
-    | 'k' -> Some 1e3
-    | 'm' -> Some (if suffix.[0] = 'M' then 1e6 else 1e-3)
-    | 'u' -> Some 1e-6
-    | 'n' -> Some 1e-9
-    | 'p' -> Some 1e-12
-    | 'f' -> Some 1e-15
-    | 'a' -> Some 1e-18
-    | _ -> None
-
-let parse_number s =
-  let n = String.length s in
-  if n = 0 then None
-  else begin
-    (* Split the numeric prefix from an alphabetic suffix. *)
-    let i = ref 0 in
-    let seen_digit = ref false in
-    if !i < n && (s.[!i] = '+' || s.[!i] = '-') then incr i;
-    while
-      !i < n
-      && (is_digit s.[!i] || s.[!i] = '.'
-         || ((s.[!i] = 'e' || s.[!i] = 'E')
-            && !seen_digit
-            && !i + 1 < n
-            && (is_digit s.[!i + 1] || s.[!i + 1] = '+' || s.[!i + 1] = '-')))
-    do
-      if is_digit s.[!i] then seen_digit := true;
-      if s.[!i] = 'e' || s.[!i] = 'E' then begin
-        incr i;
-        if s.[!i] = '+' || s.[!i] = '-' then incr i
-      end
-      else incr i
-    done;
-    if not !seen_digit then None
-    else begin
-      let mantissa = String.sub s 0 !i in
-      let suffix = String.sub s !i (n - !i) in
-      match float_of_string_opt mantissa with
-      | None -> None
-      | Some v ->
-        if suffix = "" then Some v
-        else
-          (* SPICE ignores trailing unit letters after the magnitude
-             suffix (e.g. "10pF", "4.7kOhm"). *)
-          Option.map (fun mult -> v *. mult) (suffix_multiplier suffix)
-    end
-  end
-
 let tokenize s =
   let n = String.length s in
   let tokens = ref [] in
@@ -115,7 +52,7 @@ let tokenize s =
       | Some v ->
         if suffix = "" then tokens := (Tnum v, start) :: !tokens
         else (
-          match suffix_multiplier suffix with
+          match Ape_util.Units.suffix_multiplier suffix with
           | Some mult -> tokens := (Tnum (v *. mult), start) :: !tokens
           | None ->
             raise

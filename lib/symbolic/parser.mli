@@ -17,7 +17,3 @@ exception Parse_error of string * int
 
 val parse : string -> Expr.t
 (** Raises {!Parse_error}. *)
-
-val parse_number : string -> float option
-(** Parse a standalone SPICE-style number with optional SI suffix:
-    ["4.7k"], ["10u"], ["2MEG"], ["1e-3"]. *)

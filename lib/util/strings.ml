@@ -1,46 +1,3 @@
-let replace_all ~pattern ~with_ s =
-  if pattern = "" then invalid_arg "Strings.replace_all: empty pattern";
-  let plen = String.length pattern in
-  let buf = Buffer.create (String.length s) in
-  let i = ref 0 in
-  let n = String.length s in
-  while !i < n do
-    if !i + plen <= n && String.sub s !i plen = pattern then begin
-      Buffer.add_string buf with_;
-      i := !i + plen
-    end
-    else begin
-      Buffer.add_char buf s.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents buf
-
-let contains_sub ~sub s =
-  let slen = String.length sub and n = String.length s in
-  if slen = 0 then true
-  else begin
-    let found = ref false in
-    let i = ref 0 in
-    while (not !found) && !i + slen <= n do
-      if String.sub s !i slen = sub then found := true else incr i
-    done;
-    !found
-  end
-
-let replace_fixpoint ~pattern ~with_ s =
-  if contains_sub ~sub:pattern with_ then
-    invalid_arg "Strings.replace_fixpoint: replacement contains pattern";
-  let rec loop s =
-    let s' = replace_all ~pattern ~with_ s in
-    if String.equal s' s then s else loop s'
-  in
-  loop s
-
-let split_words s =
-  String.split_on_char ' ' (String.map (fun c -> if c = '\t' then ' ' else c) s)
-  |> List.filter (fun w -> String.length w > 0)
-
 let starts_with_ci ~prefix s =
   String.length s >= String.length prefix
   && String.equal

@@ -1,16 +1,4 @@
 (** String helpers missing from the standard library (OCaml 5.1). *)
 
-val replace_all : pattern:string -> with_:string -> string -> string
-(** Replace every non-overlapping occurrence, left to right.  A single
-    pass; apply repeatedly for fixpoint semantics. *)
-
-val replace_fixpoint : pattern:string -> with_:string -> string -> string
-(** Apply {!replace_all} until the string stops changing.  The
-    replacement must not contain the pattern (checked, raises
-    [Invalid_argument]). *)
-
-val split_words : string -> string list
-(** Split on runs of blanks (space/tab), dropping empty fields. *)
-
 val starts_with_ci : prefix:string -> string -> bool
 (** Case-insensitive prefix test. *)

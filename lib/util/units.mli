@@ -52,6 +52,20 @@ val eps_si : float
 val thermal_voltage : ?temp_k:float -> unit -> float
 (** [thermal_voltage ()] is kT/q at [temp_k] (default 300.15 K). *)
 
+(** {1 Reading} *)
+
+val suffix_multiplier : string -> float option
+(** The multiplier of a non-empty SPICE magnitude suffix ([meg],
+    [mil], [t], [g], [k], [m], [u], [n], [p], [f], [a],
+    case-insensitive except that a leading [M] is mega); trailing unit
+    letters are ignored (["pF"] is 1e-12). *)
+
+val parse_number : string -> float option
+(** The number rule of every input: a decimal with an optional SPICE
+    magnitude suffix, ["4.7k"], ["10u"], ["2MEG"], ["1e-3"].  It does
+    not check finiteness ([1e400] reads as infinity);
+    {!Sexpr.finite} adds that for files and flags. *)
+
 (** {1 Formatting} *)
 
 val to_eng : ?digits:int -> float -> string

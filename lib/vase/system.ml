@@ -19,153 +19,100 @@ module Sexpr = Ape_util.Sexpr
 
 exception Spec_error of { pos : Sexpr.pos; msg : string }
 
-let fail_at span msg = raise (Spec_error { pos = span.Sexpr.s_start; msg })
-
-let number = function
-  | Sexpr.Atom (a, span) -> (
-    match Ape_symbolic.Parser.parse_number a with
-    | Some v -> v
-    | None -> fail_at span (Printf.sprintf "expected a number, got '%s'" a))
-  | Sexpr.List (_, span) -> fail_at span "expected a number, got a list"
-
-(* [assoc key items] finds [(key a b c)] among [items] and returns
-   [[a; b; c]]. *)
-let assoc key items =
-  List.find_map
-    (function
-      | Sexpr.List (Sexpr.Atom (k, _) :: rest, _) when String.equal k key ->
-        Some rest
-      | Sexpr.List _ | Sexpr.Atom _ -> None)
-    items
-
-let assoc_number key items =
-  match assoc key items with
-  | Some [ v ] -> Some (number v)
-  | Some _ | None -> None
-
-let need_number ~span items key label =
-  match assoc_number key items with
-  | Some v -> v
-  | None -> fail_at span (Printf.sprintf "%s: missing (%s <value>)" label key)
+let number = Sexpr.read Sexpr.finite
 
 let parse_module idx = function
-  | Sexpr.List (Sexpr.Atom (kind, kind_span) :: fields, span) -> (
+  | Sexpr.List (Sexpr.Atom (kind, kind_span) :: items, span) ->
     let label = Printf.sprintf "%s%d" kind (idx + 1) in
-    let num key = need_number ~span fields key label in
-    let opt key = assoc_number key fields in
-    match kind with
-    | "lowpass" ->
-      {
-        label;
-        spec =
-          E.Module_lib.Lowpass_m
-            {
-              E.Filter.order = int_of_float (num "order");
-              f_cutoff = num "fc";
-              r_base =
-                Option.value ~default:1e6 (opt "r");
-            };
-      }
-    | "bandpass" ->
-      {
-        label;
-        spec =
-          E.Module_lib.Bandpass_m
-            {
-              E.Filter.f_center = num "fc";
-              q = Option.value ~default:1. (opt "q");
-              gain = Option.value ~default:1.5 (opt "gain");
-              c_base = Option.value ~default:10e-9 (opt "c");
-            };
-      }
-    | "amplifier" ->
-      {
-        label;
-        spec =
-          E.Module_lib.Audio_amp
-            { gain = num "gain"; bandwidth = num "bandwidth" };
-      }
-    | "sample_hold" ->
-      {
-        label;
-        spec =
-          E.Module_lib.Sample_hold_m
-            (E.Sample_hold.spec ~gain:(Option.value ~default:1. (opt "gain"))
-               ~bandwidth:(num "bandwidth")
-               ~sr:(Option.value ~default:1e4 (opt "sr"))
-               ());
-      }
-    | "adc" ->
-      {
-        label;
-        spec =
-          E.Module_lib.Flash_adc_m
-            (E.Data_conv.Flash_adc.spec
-               ~bits:(int_of_float (num "bits"))
-               ~delay:(num "delay") ());
-      }
-    | "dac" ->
-      {
-        label;
-        spec =
-          E.Module_lib.Dac_m
-            (E.Data_conv.Dac.spec
-               ~bits:(int_of_float (num "bits"))
-               ~settling:(num "settling") ());
-      }
-    | "integrator" ->
-      {
-        label;
-        spec =
-          E.Module_lib.Closed_loop_m
-            (E.Closed_loop.spec
-               ~bandwidth:(2. *. num "funity")
-               (E.Closed_loop.Integrator { f_unity = num "funity" }));
-      }
-    | "comparator" ->
-      {
-        label;
-        spec =
-          E.Module_lib.Comparator_m
-            (E.Data_conv.Comparator.spec ~delay:(num "delay") ());
-      }
-    | other -> fail_at kind_span ("unknown module kind " ^ other))
+    let fs = Sexpr.fields span items in
+    let num key = Sexpr.get fs key number in
+    let opt key default = Sexpr.get ~default fs key number in
+    let int key = Sexpr.get fs key (Sexpr.read Sexpr.integer) in
+    let spec =
+      match kind with
+      | "lowpass" ->
+        let order = int "order" in
+        let f_cutoff = num "fc" in
+        E.Module_lib.Lowpass_m
+          { E.Filter.order; f_cutoff; r_base = opt "r" 1e6 }
+      | "bandpass" ->
+        let f_center = num "fc" in
+        let q = opt "q" 1. in
+        let gain = opt "gain" 1.5 in
+        E.Module_lib.Bandpass_m
+          { E.Filter.f_center; q; gain; c_base = opt "c" 10e-9 }
+      | "amplifier" ->
+        let gain = num "gain" in
+        E.Module_lib.Audio_amp { gain; bandwidth = num "bandwidth" }
+      | "sample_hold" ->
+        let gain = opt "gain" 1. in
+        let bandwidth = num "bandwidth" in
+        E.Module_lib.Sample_hold_m
+          (E.Sample_hold.spec ~gain ~bandwidth ~sr:(opt "sr" 1e4) ())
+      | "adc" ->
+        let bits = int "bits" in
+        E.Module_lib.Flash_adc_m
+          (E.Data_conv.Flash_adc.spec ~bits ~delay:(num "delay") ())
+      | "dac" ->
+        let bits = int "bits" in
+        E.Module_lib.Dac_m
+          (E.Data_conv.Dac.spec ~bits ~settling:(num "settling") ())
+      | "integrator" ->
+        let f_unity = num "funity" in
+        E.Module_lib.Closed_loop_m
+          (E.Closed_loop.spec ~bandwidth:(2. *. f_unity)
+             (E.Closed_loop.Integrator { f_unity }))
+      | "comparator" ->
+        E.Module_lib.Comparator_m
+          (E.Data_conv.Comparator.spec ~delay:(num "delay") ())
+      | other -> Sexpr.fail kind_span ("unknown module kind " ^ other)
+    in
+    Sexpr.finish fs;
+    (match E.Module_lib.check spec with
+    | None -> ()
+    | Some (field, complaint) ->
+      let at =
+        match Sexpr.find fs field with Some f -> f.Sexpr.span | None -> span
+      in
+      Sexpr.fail at (Printf.sprintf "%s: %s %s" label field complaint));
+    { label; spec }
   | other ->
-    fail_at (Sexpr.span_of other)
+    Sexpr.fail (Sexpr.span_of other)
       "bad module declaration: expected (<kind> (<field> <value>) ...)"
 
 let single_form = "expected a single (system <name> ...) form"
 
 let parse text =
-  match Sexpr.parse text with
-  | exception Sexpr.Error { pos; msg } -> raise (Spec_error { pos; msg })
-  | [ Sexpr.List (Sexpr.Atom ("system", _) :: Sexpr.Atom (name, _) :: body, span) ]
-    ->
-    let chain =
-      match assoc "chain" body with
-      | Some modules -> List.mapi parse_module modules
-      | None -> fail_at span "missing (chain ...)"
-    in
-    let requirements =
-      match assoc "require" body with
-      | None ->
-        {
-          total_gain = None;
-          bandwidth = None;
-          area_max = None;
-          power_max = None;
-        }
-      | Some fields ->
-        {
-          total_gain = assoc_number "total_gain" fields;
-          bandwidth = assoc_number "bandwidth" fields;
-          area_max = assoc_number "area_max" fields;
-          power_max = assoc_number "power_max" fields;
-        }
-    in
-    { name; chain; requirements }
-  | [] -> raise (Spec_error { pos = { Sexpr.line = 1; col = 1 }; msg = single_form })
-  | [ form ] | _ :: form :: _ -> fail_at (Sexpr.span_of form) single_form
+  try
+    match Sexpr.parse text with
+    | [
+        Sexpr.List
+          (Sexpr.Atom ("system", _) :: Sexpr.Atom (name, _) :: body, span);
+      ] ->
+      let fs = Sexpr.fields span body in
+      let chain =
+        List.mapi parse_module (Sexpr.require fs "chain").Sexpr.args
+      in
+      let requirements =
+        let rs =
+          match Sexpr.find fs "require" with
+          | Some f -> Sexpr.fields f.Sexpr.span f.Sexpr.args
+          | None -> Sexpr.fields span []
+        in
+        let total_gain = Sexpr.opt rs "total_gain" number in
+        let bandwidth = Sexpr.opt rs "bandwidth" number in
+        let area_max = Sexpr.opt rs "area_max" number in
+        let power_max = Sexpr.opt rs "power_max" number in
+        Sexpr.finish rs;
+        { total_gain; bandwidth; area_max; power_max }
+      in
+      Sexpr.finish fs;
+      { name; chain; requirements }
+    | [] ->
+      raise (Spec_error { pos = { Sexpr.line = 1; col = 1 }; msg = single_form })
+    | [ form ] | _ :: form :: _ -> Sexpr.fail (Sexpr.span_of form) single_form
+  with Sexpr.Error { span; msg } ->
+    raise (Spec_error { pos = span.Sexpr.s_start; msg })
 
 type estimated = {
   system : t;

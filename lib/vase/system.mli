@@ -32,12 +32,16 @@ type t = {
 
 exception Spec_error of { pos : Ape_util.Sexpr.pos; msg : string }
 (** A malformed spec, at the position of the offending form: unbalanced
-    parentheses, a non-number value, a missing field, an unknown module
-    kind. *)
+    parentheses, a value that is not a finite number (or, for [order]
+    and [bits], an integer), a missing, repeated or unknown field, an
+    unknown module kind, a module value outside the range
+    {!Ape_estimator.Module_lib.check} accepts. *)
 
 val parse : string -> t
-(** Read a spec with {!Ape_util.Sexpr}.  Raises {!Spec_error} on any
-    malformed input. *)
+(** Read a spec through {!Ape_util.Sexpr}'s field layer; a chain's
+    modules are the only repeatable entries.  Raises {!Spec_error} on
+    any malformed input, so {!estimate} never meets a spec its module
+    designers reject. *)
 
 type estimated = {
   system : t;

@@ -1,9 +1,9 @@
-(* Tests for Ape_process: model cards, built-in processes and the .MODEL
-   deck parser. *)
+(* Tests for Ape_process: model cards, built-in processes and .MODEL
+   cards as the deck reader reads them. *)
 
 module Card = Ape_process.Model_card
 module Proc = Ape_process.Process
-module Cp = Ape_process.Card_parser
+module Sp = Ape_circuit.Spice_parser
 module F = Ape_util.Float_ext
 
 let check_close ?(tol = 1e-9) msg expected actual =
@@ -78,9 +78,33 @@ let test_passive_areas () =
 
 (* ---------- card parser ---------- *)
 
+(* A .MODEL card is read as every deck reads it: lexed once by the
+   deck reader, its values handed to Card_parser.  The deck wraps the
+   card lines with one MOSFET using model [name]. *)
+let read_card ?(name = "TESTN") lines =
+  let deck =
+    Printf.sprintf "%s\nM1 d g 0 0 %s W=10u L=2u\nVD d 0 5\nVG g 0 1\n.end\n"
+      lines name
+  in
+  let r = Sp.parse_result ~title:"card" deck in
+  match Sp.errors r with
+  | d :: _ -> Error (Sp.render_short d)
+  | [] ->
+    Ok
+      (List.find_map
+         (function
+           | Ape_circuit.Netlist.Mosfet { card; _ } -> Some card | _ -> None)
+         r.Sp.netlist.Ape_circuit.Netlist.elements
+      |> Option.get)
+
+let card_of ?name lines =
+  match read_card ?name lines with
+  | Ok card -> card
+  | Error msg -> Alcotest.fail msg
+
 let test_parse_card_basic () =
   let card =
-    Cp.parse_card
+    card_of
       ".MODEL TESTN NMOS (LEVEL=1 VTO=0.7 KP=80E-6 GAMMA=0.45 LAMBDA=0.04 \
        TOX=20N)"
   in
@@ -96,7 +120,7 @@ let test_parse_card_basic () =
 
 let test_parse_card_spaces_and_continuation () =
   let card =
-    Cp.parse_card
+    card_of ~name:"P1"
       ".MODEL P1 PMOS (LEVEL = 2 VTO = -0.8\n+ KP= 25U THETA =0.1)"
   in
   Alcotest.(check bool) "pmos" true (card.Card.mos_type = Card.Pmos);
@@ -108,56 +132,47 @@ let test_parse_card_spaces_and_continuation () =
 let test_inline_comments_and_orphans () =
   (* '$'/';' open a comment only at a token boundary. *)
   let card =
-    Cp.parse_card ".MODEL N1 NMOS (VTO=0.7 $ trailing note\n+ KP=80U) ; tail"
+    card_of ~name:"N1"
+      ".MODEL N1 NMOS (VTO=0.7 $ trailing note\n+ KP=80U) ; tail"
   in
   check_close "vto" 0.7 card.Card.vto;
   check_close "kp" 80e-6 card.Card.kp;
   Alcotest.(check string)
-    "'$' glued to a token is kept" "A$B 1"
-    (Cp.join_lines "A$B 1");
+    "'$' glued to a token is kept" "A$B"
+    (card_of ~name:"A$B" ".MODEL A$B NMOS (VTO=1)").Card.name;
   (* a '+' line with nothing to continue is a hard error, not a card *)
-  match Cp.join_lines "+ KP=1" with
-  | exception Cp.Bad_card _ -> ()
-  | _ -> Alcotest.fail "expected Bad_card for orphan '+'"
+  match read_card "+ KP=1" with
+  | Error msg ->
+    Alcotest.(check string) "orphan '+'"
+      "card:1:1: error: continuation '+' with no preceding card" msg
+  | Ok _ -> Alcotest.fail "expected an error for orphan '+'"
 
 let test_parse_card_errors () =
-  let expect_bad s =
-    match Cp.parse_card s with
-    | exception Cp.Bad_card _ -> ()
-    | _ -> Alcotest.fail ("expected Bad_card for " ^ s)
-  in
-  expect_bad "VTO=1";
-  expect_bad ".MODEL X NPN (VTO=1)";
-  expect_bad ".MODEL X NMOS (LEVEL=9)";
-  expect_bad ".MODEL X NMOS (VTO=abc)"
+  (* Each bad card is a spanned diagnostic; a bad value points at its
+     own token. *)
+  List.iter
+    (fun (lines, expect) ->
+      match read_card ~name:"X" lines with
+      | Error msg -> Alcotest.(check string) lines expect msg
+      | Ok _ -> Alcotest.fail ("expected an error for " ^ lines))
+    [
+      (".MODEL X", "card:1:1: error: .model expects a name and a device type");
+      (".MODEL X NPN (VTO=1)", "card:1:1: error: unsupported device type NPN");
+      (".MODEL X NMOS (LEVEL=9)", "card:1:1: error: unsupported LEVEL=9");
+      ( ".MODEL X NMOS (VTO=abc)",
+        "card:1:20: error: bad value for VTO: not a number: 'abc'" );
+      ( ".MODEL X NMOS (KP=1e400)",
+        "card:1:19: error: bad value for KP: number must be finite" );
+    ]
 
 let test_roundtrip () =
   let original = Card.default_nmos in
-  let reparsed = Cp.parse_card (Card.to_spice original) in
+  let reparsed = card_of ~name:original.Card.name (Card.to_spice original) in
   check_close "vto roundtrip" original.Card.vto reparsed.Card.vto;
   check_close "kp roundtrip" original.Card.kp reparsed.Card.kp ~tol:1e-6;
   check_close "lambda roundtrip" original.Card.lambda reparsed.Card.lambda;
   check_close "cgso roundtrip" original.Card.cgso reparsed.Card.cgso;
   check_close "lref roundtrip" original.Card.lref reparsed.Card.lref
-
-let test_parse_deck () =
-  let deck =
-    "* a small deck\n\
-     .MODEL MYN NMOS (VTO=0.72 KP=70U)\n\
-     * comment line\n\
-     .MODEL MYP PMOS (VTO=-0.82 KP=24U)\n"
-  in
-  let cards = Cp.parse_deck deck in
-  Alcotest.(check int) "two cards" 2 (List.length cards);
-  let process = Cp.process_of_deck ~name:"mine" deck in
-  Alcotest.(check string) "process name" "mine" process.Proc.name;
-  check_close "nmos vto" 0.72 process.Proc.nmos.Card.vto;
-  check_close "pmos vto" (-0.82) process.Proc.pmos.Card.vto
-
-let test_deck_missing_polarity () =
-  match Cp.process_of_deck ".MODEL ONLYN NMOS (VTO=0.7)" with
-  | exception Cp.Bad_card _ -> ()
-  | _ -> Alcotest.fail "expected Bad_card for missing PMOS"
 
 let test_corners () =
   let p = Proc.c12 in
@@ -209,9 +224,6 @@ let () =
             test_inline_comments_and_orphans;
           Alcotest.test_case "errors" `Quick test_parse_card_errors;
           Alcotest.test_case "roundtrip" `Quick test_roundtrip;
-          Alcotest.test_case "deck" `Quick test_parse_deck;
-          Alcotest.test_case "missing polarity" `Quick
-            test_deck_missing_polarity;
         ] );
       qsuite "properties" [ prop_vth_nonnegative_shift ];
     ]

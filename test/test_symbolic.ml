@@ -119,7 +119,7 @@ let test_simplify_rules () =
 
 let test_parse_numbers () =
   let check s expected =
-    match Parser.parse_number s with
+    match Ape_util.Units.parse_number s with
     | Some v -> check_close s expected v
     | None -> Alcotest.fail ("parse_number failed on " ^ s)
   in
@@ -130,11 +130,11 @@ let test_parse_numbers () =
   check "3.3" 3.3;
   check "10pF" 10e-12;
   check "-2.5m" (-2.5e-3);
-  Alcotest.(check bool) "garbage" true (Parser.parse_number "abc" = None)
+  Alcotest.(check bool) "garbage" true (Ape_util.Units.parse_number "abc" = None)
 
 let test_parse_suffixes () =
   let check s expected =
-    match Parser.parse_number s with
+    match Ape_util.Units.parse_number s with
     | Some v -> check_close s expected v
     | None -> Alcotest.fail ("parse_number failed on " ^ s)
   in
@@ -182,7 +182,7 @@ let prop_suffix_scaling =
   QCheck.Test.make ~name:"mantissa*suffix = value*multiplier" ~count:500
     QCheck.(pair (float_range (-1e4) 1e4) (oneofl suffix_table))
     (fun (v, (suffix, mult)) ->
-      match Parser.parse_number (Printf.sprintf "%.17g%s" v suffix) with
+      match Ape_util.Units.parse_number (Printf.sprintf "%.17g%s" v suffix) with
       | Some got ->
         let expected = v *. mult in
         Float.abs (got -. expected)
@@ -198,8 +198,8 @@ let prop_suffix_case_insensitive =
         (oneofl (List.filter (fun (s, _) -> s <> "m") suffix_table)))
     (fun (v, (suffix, _)) ->
       let s = Printf.sprintf "%.6g" v in
-      Parser.parse_number (s ^ suffix)
-      = Parser.parse_number (s ^ String.uppercase_ascii suffix))
+      Ape_util.Units.parse_number (s ^ suffix)
+      = Ape_util.Units.parse_number (s ^ String.uppercase_ascii suffix))
 
 let prop_to_exact_roundtrip =
   QCheck.Test.make ~name:"Units.to_exact round-trips through parse_number"
@@ -207,7 +207,7 @@ let prop_to_exact_roundtrip =
     QCheck.(float_range (-1e15) 1e15)
     (fun v ->
       QCheck.assume (Float.is_finite v);
-      match Parser.parse_number (Ape_util.Units.to_exact v) with
+      match Ape_util.Units.parse_number (Ape_util.Units.to_exact v) with
       | Some got -> got = v
       | None -> false)
 
@@ -219,7 +219,7 @@ let prop_to_eng_parses_close =
     QCheck.(float_range (-1e9) 1e9)
     (fun v ->
       QCheck.assume (Float.abs v > 1e-12);
-      match Parser.parse_number (Ape_util.Units.to_eng v) with
+      match Ape_util.Units.parse_number (Ape_util.Units.to_eng v) with
       | Some got -> Float.abs (got -. v) <= 5.01e-3 *. Float.abs v
       | None -> false)
 

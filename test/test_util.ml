@@ -425,12 +425,6 @@ let test_rng_split_n_keyed () =
 (* ---------- Strings / Table ---------- *)
 
 let test_strings () =
-  Alcotest.(check string) "replace all" "a-b-c"
-    (Strings.replace_all ~pattern:"_" ~with_:"-" "a_b_c");
-  Alcotest.(check string) "fixpoint" "K=V"
-    (Strings.replace_fixpoint ~pattern:" =" ~with_:"=" "K   =V");
-  Alcotest.(check (list string)) "split words" [ "a"; "b"; "c" ]
-    (Strings.split_words "  a b\tc ");
   Alcotest.(check bool) "prefix ci" true
     (Strings.starts_with_ci ~prefix:".model" ".MODEL FOO")
 

@@ -15,7 +15,7 @@ let proc = Ape_process.Process.c12
 let test_sexp_unbalanced () =
   let expect_error at text =
     match Ape_util.Sexpr.parse text with
-    | exception Ape_util.Sexpr.Error { pos; _ } ->
+    | exception Ape_util.Sexpr.Error { span = { s_start = pos; _ }; _ } ->
       Alcotest.(check (pair int int))
         ("position in " ^ text) at
         (pos.Ape_util.Sexpr.line, pos.Ape_util.Sexpr.col)
