@@ -15,6 +15,9 @@ dune exec bin/ape.exe -- verify --golden test/golden
 echo "== prepared-solve AC (single-point vs blocked bit-identity, dense oracle) =="
 dune exec test/test_spice.exe -- test prepared
 
+echo "== noise (adjoint vs dense oracle, panel-width bit-identity, frozen pins) =="
+dune exec test/test_spice.exe -- test noise
+
 echo "== observability bit-identity (obs on/off) =="
 dune exec test/test_obs.exe -- test bit-identity
 

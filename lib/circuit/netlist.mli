@@ -94,6 +94,12 @@ val retarget_process : Ape_process.Process.t -> t -> t
     same polarity (geometry untouched) — re-simulating a sized design at
     a different corner or deck. *)
 
+val spice_num : float -> string
+(** How {!to_spice} prints an element value: the engineering form
+    ({!Ape_util.Units.to_eng}) when it parses back to the identical
+    double, the shortest exact decimal otherwise — so every finite value
+    survives print then parse bit for bit. *)
+
 val to_spice : t -> string
 (** Render in SPICE syntax (with .MODEL cards for every distinct model
     used). *)

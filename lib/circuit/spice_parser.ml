@@ -161,7 +161,11 @@ let value_of st src env (tok : T.t) =
   | T.Braced -> eval_expr st src env tok
   | T.Word -> (
     match Ape_util.Units.parse_number tok.T.text with
-    | Some v -> Some v
+    | Some v when Float.is_finite v -> Some v
+    | Some _ ->
+      error st src tok.T.span
+        (Printf.sprintf "number must be finite: '%s'" tok.T.text);
+      None
     | None -> (
       match lookup_param env tok.T.text with
       | Some v -> Some v

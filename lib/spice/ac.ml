@@ -107,12 +107,11 @@ let factor_at p freq =
   | () -> p.fac
   | exception Sp.Unstable -> Sp.Csplit.factor p.vals
 
-let solve_at p freq =
-  { freq; x = Sp.Csplit.solve (factor_at p freq) p.rhs }
+let solve_at p freq = Sp.Csplit.solve (factor_at p freq) p.rhs
 
 let solve_prepared p freq =
   Ape_obs.incr c_solve_prepared;
-  solve_at p freq
+  { freq; x = solve_at p freq }
 
 (* ------------------------- blocked path --------------------------- *)
 
@@ -133,50 +132,57 @@ let cached_workspace p ~k =
     p.p_ws <- Some (k, ws);
     ws
 
-let dummy_solution = { freq = 0.; x = [||] }
-
-(* Every frequency of [freqs] on the cached workspace, in panels of its
-   width; a lane whose frozen pivots go bad is re-solved through
-   [solve_prepared]'s exact scalar refactor-or-factor-fresh path, so
-   every point is bit-identical to [solve_prepared] whatever the panel
-   width. *)
-let solve_many p (freqs : float array) =
+(* The one panel walker: every frequency of [freqs] in panels of the
+   panel width on the cached workspace, each panel assembled, refactored
+   and handed to [panel]; a 1-lane remainder and every lane whose frozen
+   pivots go bad take [scalar], the exact refactor-or-factor-fresh path
+   of [factor_at], so every result is bit-identical to [scalar] whatever
+   the width.  [count m] records m lanes; the workspace is fetched only
+   for a panel of two lanes or more, so a single frequency runs the
+   scalar path alone. *)
+let walk_panels p (freqs : float array) ~count ~panel ~scalar =
   let n = Array.length freqs in
-  let dst = Array.make n dummy_solution in
-  if n > 0 then begin
-    let w = cached_workspace p ~k:(panel_width ()) in
-    let k = Sp.Csplit.Panel.width w.w_panel in
-    let pos = ref 0 in
-    while !pos < n do
-      let m = min k (n - !pos) in
-      if m = 1 then begin
-        Ape_obs.incr c_solve_prepared;
-        dst.(!pos) <- solve_at p freqs.(!pos)
-      end
-      else begin
-        Ape_obs.incr c_panels;
-        Ape_obs.add c_solve_prepared m;
-        let omegas =
-          Array.init m (fun kk -> 2. *. Float.pi *. freqs.(!pos + kk))
-        in
-        Sp.Csplit.Panel.assemble_gc w.w_panel ~g:p.g ~c:p.c ~omegas;
-        Sp.Csplit.Panel.refactor w.w_pfac w.w_panel;
-        let xs = Sp.Csplit.Panel.solve w.w_pfac p.rhs in
-        for kk = 0 to m - 1 do
-          let i = !pos + kk in
-          if Sp.Csplit.Panel.ok w.w_pfac kk then
-            dst.(i) <- { freq = freqs.(i); x = xs.(kk) }
-          else dst.(i) <- solve_at p freqs.(i)
-        done
-      end;
-      pos := !pos + m
-    done
-  end;
+  let dst = Array.make n [||] in
+  let k = panel_width () in
+  let pos = ref 0 in
+  while !pos < n do
+    let m = min k (n - !pos) in
+    if m = 1 then begin
+      count 1;
+      dst.(!pos) <- scalar freqs.(!pos)
+    end
+    else begin
+      let w = cached_workspace p ~k in
+      Ape_obs.incr c_panels;
+      count m;
+      let omegas =
+        Array.init m (fun kk -> 2. *. Float.pi *. freqs.(!pos + kk))
+      in
+      Sp.Csplit.Panel.assemble_gc w.w_panel ~g:p.g ~c:p.c ~omegas;
+      Sp.Csplit.Panel.refactor w.w_pfac w.w_panel;
+      let xs = panel w.w_pfac in
+      for kk = 0 to m - 1 do
+        let i = !pos + kk in
+        dst.(i) <-
+          (if Sp.Csplit.Panel.ok w.w_pfac kk then xs.(kk) else scalar freqs.(i))
+      done
+    end;
+    pos := !pos + m
+  done;
   dst
 
-(* The adjoint solve runs on the same workspace as [solve_prepared]. *)
-let solve_transposed_prepared p freq b =
-  Sp.Csplit.solve_transposed (factor_at p freq) b
+let solve_many p freqs =
+  let xs =
+    walk_panels p freqs ~count:(Ape_obs.add c_solve_prepared)
+      ~panel:(fun pf -> Sp.Csplit.Panel.solve pf p.rhs)
+      ~scalar:(solve_at p)
+  in
+  Array.mapi (fun i x -> { freq = freqs.(i); x }) xs
+
+let solve_transposed_many p freqs b =
+  walk_panels p freqs ~count:ignore
+    ~panel:(fun pf -> Sp.Csplit.Panel.solve_transposed pf b)
+    ~scalar:(fun f -> Sp.Csplit.solve_transposed (factor_at p f) b)
 
 let voltage_prepared p solution node =
   match Engine.node_id p.p_op.Dc.index node with

@@ -71,18 +71,26 @@ val solve_many : prepared -> float array -> solution array
 (** Blocked multi-frequency solve on the preparation's cached
     single-domain workspace: the grid is cut into {!panel_width} panels,
     each refactored and solved by one symbolic traversal
-    ([Sparse.Csplit.Panel]).  Every point is bit-identical to
-    [solve_prepared p f].  Not safe to call concurrently on one
-    [prepared]. *)
+    ([Sparse.Csplit.Panel]); a one-lane remainder and every lane whose
+    frozen pivots go bad take {!solve_prepared}'s scalar path.  Every
+    point is bit-identical to [solve_prepared p f].  Not safe to call
+    concurrently on one [prepared]. *)
 
-val solve_transposed_prepared :
-  prepared -> float -> Complex.t array -> Complex.t array
-(** [solve_transposed_prepared p freq b] solves [Aᵀ y = b] with
-    [A = G + jωC] assembled and refactored on the preparation's own
-    workspace, as {!solve_prepared} does — one adjoint solve against an
+val solve_transposed_many :
+  prepared -> float array -> Complex.t array -> Complex.t array array
+(** [solve_transposed_many p freqs b] solves the adjoint system
+    [Aᵀ y = b], [A = G + jωC], at every frequency of [freqs]; element
+    [i] is the solution at [freqs.(i)].  One adjoint solve against an
     output selector yields the transfer impedance from every injection
-    site at once (reciprocity), as noise analysis uses it.  Same
-    concurrency rule as {!solve_prepared}. *)
+    site at once (reciprocity), as noise analysis uses it.  It walks
+    the frequencies exactly as {!solve_many} does — the same panels on
+    the same cached workspace, with [Sparse.Csplit.Panel.solve_transposed]
+    in place of the forward solve — so every solution is bit-identical
+    to a scalar refactor plus [Sparse.Csplit.solve_transposed] at that
+    frequency, whatever the panel width; a single frequency takes that
+    scalar path alone and builds no workspace.  Panels count under
+    [ac.panels]; the lanes do not count as [ac.solve_prepared].  Same
+    concurrency rule as {!solve_many}. *)
 
 val voltage_prepared :
   prepared -> solution -> Ape_circuit.Netlist.node -> Complex.t

@@ -1089,5 +1089,86 @@ module Csplit = struct
                 im = A1.unsafe_get yim ((jj * k) + kk) }
           done;
           x)
+
+    (* K adjoint solves Aᵀy = b of one shared right-hand side, each lane
+       replaying the scalar [solve_transposed]: the Uᵀ gather in [up]
+       order closed by Smith's division, then the Lᵀ gather in [lp]
+       order.  A gathered entry lies strictly above (Uᵀ) or below (Lᵀ)
+       the diagonal, so subtracting straight into row [j]'s lane is the
+       scalar accumulator's exact operation sequence.  Bad lanes return
+       garbage, as in [solve]. *)
+    let solve_transposed pf (b : Complex.t array) =
+      let f = pf.base in
+      let n = f.f_pat.n in
+      if Array.length b <> n then
+        invalid_arg "Sparse.Csplit.Panel.solve_transposed";
+      let k = pf.pk and m = pf.pm in
+      let yre = pf.pwre and yim = pf.pwim in
+      let plre = pf.plre and plim = pf.plim in
+      let puxre = pf.puxre and puxim = pf.puxim in
+      let pudre = pf.pudre and pudim = pf.pudim in
+      let q = f.q and pinv = f.pinv in
+      let lp = f.lp and li = f.li and up = f.up and ui = f.ui in
+      for jj = 0 to n - 1 do
+        let jb = jj * k in
+        let bj = Array.unsafe_get b (Array.unsafe_get q jj) in
+        let re = bj.Complex.re and im = bj.Complex.im in
+        for kk = 0 to m - 1 do
+          A1.unsafe_set yre (jb + kk) re;
+          A1.unsafe_set yim (jb + kk) im
+        done
+      done;
+      for j = 0 to n - 1 do
+        let jb = j * k in
+        for t = Array.unsafe_get up j to Array.unsafe_get up (j + 1) - 1 do
+          let rb = Array.unsafe_get ui t * k and tb = t * k in
+          for kk = 0 to m - 1 do
+            let yr = A1.unsafe_get yre (rb + kk) and yi = A1.unsafe_get yim (rb + kk) in
+            let ur = A1.unsafe_get puxre (tb + kk) and ui_ = A1.unsafe_get puxim (tb + kk) in
+            A1.unsafe_set yre (jb + kk)
+              (A1.unsafe_get yre (jb + kk) -. ((ur *. yr) -. (ui_ *. yi)));
+            A1.unsafe_set yim (jb + kk)
+              (A1.unsafe_get yim (jb + kk) -. ((ur *. yi) +. (ui_ *. yr)))
+          done
+        done;
+        for kk = 0 to m - 1 do
+          (* [cdiv] inlined, as in [refactor]. *)
+          let xre = A1.unsafe_get yre (jb + kk) and xim = A1.unsafe_get yim (jb + kk) in
+          let yre_ = A1.unsafe_get pudre (jb + kk) and yim_ = A1.unsafe_get pudim (jb + kk) in
+          if Float.abs yre_ >= Float.abs yim_ then begin
+            let r = yim_ /. yre_ in
+            let d = yre_ +. (r *. yim_) in
+            A1.unsafe_set yre (jb + kk) ((xre +. (r *. xim)) /. d);
+            A1.unsafe_set yim (jb + kk) ((xim -. (r *. xre)) /. d)
+          end
+          else begin
+            let r = yre_ /. yim_ in
+            let d = yim_ +. (r *. yre_) in
+            A1.unsafe_set yre (jb + kk) (((r *. xre) +. xim) /. d);
+            A1.unsafe_set yim (jb + kk) (((r *. xim) -. xre) /. d)
+          end
+        done
+      done;
+      for j = n - 1 downto 0 do
+        let jb = j * k in
+        for t = Array.unsafe_get lp j to Array.unsafe_get lp (j + 1) - 1 do
+          let rb = Array.unsafe_get li t * k and tb = t * k in
+          for kk = 0 to m - 1 do
+            let yr = A1.unsafe_get yre (rb + kk) and yi = A1.unsafe_get yim (rb + kk) in
+            let lr = A1.unsafe_get plre (tb + kk) and li_ = A1.unsafe_get plim (tb + kk) in
+            A1.unsafe_set yre (jb + kk)
+              (A1.unsafe_get yre (jb + kk) -. ((lr *. yr) -. (li_ *. yi)));
+            A1.unsafe_set yim (jb + kk)
+              (A1.unsafe_get yim (jb + kk) -. ((lr *. yi) +. (li_ *. yr)))
+          done
+        done
+      done;
+      Array.init m (fun kk ->
+          let x = Array.make n Complex.zero in
+          for i = 0 to n - 1 do
+            let rb = (Array.unsafe_get pinv i * k) + kk in
+            x.(i) <- { Complex.re = A1.unsafe_get yre rb; im = A1.unsafe_get yim rb }
+          done;
+          x)
   end
 end

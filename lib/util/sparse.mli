@@ -156,7 +156,8 @@ module Csplit : sig
       a slot-major, lane-stride-K structure-of-arrays layout, refactored
       and solved by {e one} traversal of the frozen symbolic structure.
       Lanes never mix arithmetically, so each lane's result is bitwise
-      identical to the scalar {!refactor}/{!solve} path; a lane whose
+      identical to the scalar {!refactor}/{!solve} (or
+      {!solve_transposed}) path; a lane whose
       frozen pivot goes degenerate is flagged via {!Panel.ok} instead of
       raising, leaving the other lanes valid. *)
   module Panel : sig
@@ -201,6 +202,15 @@ module Csplit : sig
     (** [solve pf b] solves all active lanes against the shared
         right-hand side [b]; element [kk] is lane [kk]'s solution
         (garbage when [ok pf kk] is false). *)
+
+    val solve_transposed : pfactor -> Complex.t array -> Complex.t array array
+    (** [solve_transposed pf b] solves [Aᵀ y = b] in every active lane
+        against the shared right-hand side [b] — the panel twin of
+        {!Csplit.solve_transposed}, each lane bitwise equal to the
+        scalar refactor plus transposed solve.  Element [kk] is lane
+        [kk]'s solution (garbage when [ok pf kk] is false).  It shares
+        the panel's workspace with {!solve}, so the two must not run
+        concurrently on one [pfactor]. *)
 
     val ok : pfactor -> int -> bool
     (** Whether lane [kk] of the last {!refactor} passed every

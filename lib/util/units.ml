@@ -23,11 +23,9 @@ let eps_si = 11.7 *. eps_0
 let thermal_voltage ?(temp_k = 300.15) () =
   k_boltzmann *. temp_k /. q_electron
 
-(* SPICE-style magnitude suffixes, matched case-insensitively with the
-   multi-letter ones ("meg", "mil") tried before the single letters.
-   One deliberate exception to case-insensitivity: a single leading 'm'
-   keeps the engineering-notation convention used throughout this repo —
-   "M" is 1e6 and "m" is 1e-3 (classic SPICE treats both as milli). *)
+(* SPICE magnitude suffixes, matched case-insensitively with the
+   multi-letter ones ("meg", "mil") tried before the single letters: as
+   in SPICE, "m" and "M" are both milli and mega is "meg". *)
 let suffix_multiplier suffix =
   let lc = String.lowercase_ascii suffix in
   let starts p =
@@ -40,7 +38,7 @@ let suffix_multiplier suffix =
     | 't' -> Some 1e12
     | 'g' -> Some 1e9
     | 'k' -> Some 1e3
-    | 'm' -> Some (if suffix.[0] = 'M' then 1e6 else 1e-3)
+    | 'm' -> Some 1e-3
     | 'u' -> Some 1e-6
     | 'n' -> Some 1e-9
     | 'p' -> Some 1e-12

@@ -56,9 +56,9 @@ val thermal_voltage : ?temp_k:float -> unit -> float
 
 val suffix_multiplier : string -> float option
 (** The multiplier of a non-empty SPICE magnitude suffix ([meg],
-    [mil], [t], [g], [k], [m], [u], [n], [p], [f], [a],
-    case-insensitive except that a leading [M] is mega); trailing unit
-    letters are ignored (["pF"] is 1e-12). *)
+    [mil], [t], [g], [k], [m], [u], [n], [p], [f], [a]),
+    case-insensitive as in SPICE: [m] and [M] are both milli, mega is
+    [meg]; trailing unit letters are ignored (["pF"] is 1e-12). *)
 
 val parse_number : string -> float option
 (** The number rule of every input: a decimal with an optional SPICE
@@ -71,7 +71,9 @@ val parse_number : string -> float option
 val to_eng : ?digits:int -> float -> string
 (** [to_eng x] renders [x] in engineering notation with an SI prefix:
     [to_eng 4.67e6 = "4.67M"], [to_eng 1.3e-5 = "13u"].  [digits] is the
-    number of significant digits (default 3). *)
+    number of significant digits (default 3).  It is for display: its
+    SI [M] (mega) reads back through {!parse_number} as SPICE's milli,
+    so machine-read output uses {!to_exact}. *)
 
 val to_eng_unit : ?digits:int -> string -> float -> string
 (** [to_eng_unit "Hz" 2.64e6 = "2.64MHz"]. *)

@@ -348,6 +348,65 @@ let prop_panel_bitwise_scalar =
       done;
       !ok)
 
+let prop_panel_transposed_bitwise_scalar =
+  (* The adjoint twin of the property above, at widths 1-8: each lane of
+     [Panel.solve_transposed] must equal a scalar refactor plus
+     [Csplit.solve_transposed] bit for bit.  Slot-dependent capacitances
+     make A unsymmetric, so a forward solve cannot pass for the
+     adjoint.  Optionally one lane is zeroed: its frozen pivots fail, it
+     must drop its [ok] flag (its scalar replay refuses too), and the
+     other lanes must stay exact. *)
+  QCheck.Test.make
+    ~name:"panel adjoint lanes replay scalar solve_transposed bit-for-bit"
+    ~count:150
+    (QCheck.make
+       QCheck.Gen.(
+         triple mna_system_gen (int_range 1 8) (opt (int_range 0 7))))
+    (fun (sys, k, zeroed) ->
+      let dense, p, _ = build_mna sys in
+      let n = Rmat.rows dense in
+      let g = Sp.Real.create p and c = Sp.Real.create p in
+      Sp.iter p (fun s row col ->
+          Sp.Real.set_slot g s (Rmat.get dense row col);
+          Sp.Real.set_slot c s
+            (1e-9 *. Float.abs (Float.sin (float_of_int (s + 1)))));
+      let omegas =
+        Array.init k (fun kk -> 6.28e3 *. (7.3 ** float_of_int kk))
+      in
+      let bad = Option.map (fun j -> j mod k) zeroed in
+      let vals = Sp.Csplit.create p in
+      Sp.Csplit.assemble_gc vals ~g ~c ~omega:omegas.(0);
+      let base = Sp.Csplit.factor vals in
+      let b =
+        Array.init n (fun i ->
+            { Complex.re = Float.cos (float_of_int (i + 2)); im = -0.4 })
+      in
+      let pv = Sp.Csplit.Panel.create p ~k in
+      Sp.Csplit.Panel.assemble_gc pv ~g ~c ~omegas;
+      Option.iter
+        (fun lane ->
+          for s = 0 to Sp.nnz p - 1 do
+            Sp.Csplit.Panel.set_slot pv s ~lane 0. 0.
+          done)
+        bad;
+      let pf = Sp.Csplit.Panel.prepare base ~k in
+      Sp.Csplit.Panel.refactor pf pv;
+      let ys = Sp.Csplit.Panel.solve_transposed pf b in
+      let ok = ref (Array.length ys = k) in
+      for kk = 0 to k - 1 do
+        if bad = Some kk then Sp.Csplit.clear vals
+        else Sp.Csplit.assemble_gc vals ~g ~c ~omega:omegas.(kk);
+        let fc = Sp.Csplit.clone base in
+        match Sp.Csplit.refactor fc vals with
+        | exception (Sp.Unstable | Sp.Singular) ->
+          if Sp.Csplit.Panel.ok pf kk then ok := false
+        | () ->
+          if bad = Some kk || not (Sp.Csplit.Panel.ok pf kk) then ok := false
+          else if not (bitwise_eq (Sp.Csplit.solve_transposed fc b) ys.(kk))
+          then ok := false
+      done;
+      !ok)
+
 let test_panel_unstable_lane () =
   (* Same 2x2 degeneration as [test_unstable_refactor], injected into
      the middle lane of a 3-wide panel: that lane must drop its [ok]
@@ -682,7 +741,8 @@ let () =
           prop_real_transposed;
         ];
       ( "panel",
-        List.map QCheck_alcotest.to_alcotest [ prop_panel_bitwise_scalar ]
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_panel_bitwise_scalar; prop_panel_transposed_bitwise_scalar ]
         @ [
             Alcotest.test_case "injected unstable lane" `Quick
               test_panel_unstable_lane;

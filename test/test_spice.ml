@@ -662,6 +662,42 @@ let test_noise_flicker_rolloff () =
 
 (* ---------- adjoint noise ---------- *)
 
+(* [k] instances of a two-transistor stage (common source, then source
+   follower) between [n0] and [nk]: 2k MOSFETs with flicker noise and
+   3k resistors. *)
+let cascade_deck k =
+  let b = Buffer.create 1024 in
+  Buffer.add_string b
+    "* MOS cascade\n\
+     .MODEL NCH NMOS (LEVEL=1 VTO=0.7 KP=100u LAMBDA=0.02 TOX=20n KF=1e-25 AF=1.2)\n\
+     .SUBCKT stage in out vdd\n\
+     M1 d1 in s1 0 NCH W=20u L=2u\n\
+     RS1 s1 0 10k\n\
+     RD1 vdd d1 8k\n\
+     C1 d1 0 0.5p\n\
+     M2 vdd d1 out 0 NCH W=20u L=2u\n\
+     RS2 out 0 20k\n\
+     C2 out 0 1p\n\
+     .ENDS\n\
+     VDD vdd 0 DC 5\n\
+     VIN n0 0 DC 2 AC 1\n";
+  for x = 1 to k do
+    Printf.bprintf b "X%d n%d n%d vdd stage\n" x (x - 1) x
+  done;
+  Buffer.add_string b ".END\n";
+  Ape_circuit.Spice_parser.parse ~process:proc ~title:"cascade"
+    (Buffer.contents b)
+
+let ladder_netlist sections =
+  let node i = Printf.sprintf "n%d" i in
+  let b = B.create ~title:"ladder" in
+  B.vsource b ~p:(node 0) ~n:"0" ~ac:1. 0.;
+  for i = 1 to sections do
+    B.resistor b ~a:(node (i - 1)) ~b:(node i) (1e3 *. (1. +. (0.01 *. float_of_int i)));
+    B.capacitor b ~a:(node i) ~b:"0" 1e-9
+  done;
+  B.finish b
+
 let noise_golden_ops () =
   let dir =
     List.find Sys.file_exists
@@ -685,20 +721,20 @@ let noise_golden_ops () =
 let test_noise_adjoint_matches_direct () =
   (* Reciprocity differential: one adjoint solve per frequency must
      agree with the dense one-solve-per-source oracle to rounding, per
-     element, on every golden deck.  1e-10 relative is ~5 orders of
-     slack over the observed worst case while still catching a
-     misplaced transpose. *)
+     element, on every golden deck and on a cascade of 20 sources.
+     1e-10 relative is ~5 orders of slack over the observed worst case
+     while still catching a misplaced transpose. *)
   let tol = 1e-10 in
   let checked = ref 0 in
   List.iter
-    (fun (file, deck) ->
+    (fun (file, deck, out) ->
       let op = Dc.solve deck in
       let prep = Ac.prepare op in
       List.iter
         (fun freq ->
           incr checked;
-          let t_adj, c_adj = Noise.output_noise_prepared ~out:"out" ~freq prep in
-          let c_dir = Ape_oracle.output_noise ~out:"out" ~freq op in
+          let t_adj, c_adj = Noise.output_noise_prepared ~out ~freq prep in
+          let c_dir = Ape_oracle.output_noise ~out ~freq op in
           let t_dir = List.fold_left (fun acc (_, p) -> acc +. p) 0. c_dir in
           if Float.abs (t_adj -. t_dir) > tol *. Float.max t_dir 1e-300 then
             Alcotest.failf "%s @ %g Hz: adjoint total %g vs direct %g" file
@@ -717,8 +753,9 @@ let test_noise_adjoint_matches_direct () =
                   freq element pa pd)
             c_dir)
         [ 1e2; 1e5 ])
-    (noise_golden_ops ());
-  Alcotest.(check bool) "checked several decks" true (!checked >= 4)
+    (List.map (fun (file, deck) -> (file, deck, "out")) (noise_golden_ops ())
+    @ [ ("4-instance cascade", cascade_deck 4, "n4") ]);
+  Alcotest.(check bool) "checked several decks" true (!checked >= 6)
 
 let test_noise_sparse_engine_counters () =
   (* Noise factors through the sparse refactor path: exactly one
@@ -869,6 +906,150 @@ let test_noise_frozen_mos_amp () =
     ];
   Alcotest.(check string) "integrated 10 Hz to 100 MHz" "0x1.9098438be3bf1p-10"
     (hex (Noise.integrated_output_prepared ~out:"d" ~fstart:10. ~fstop:1e8 p))
+
+(* ---------- noise on the panel path ---------- *)
+
+(* Flicker-bearing and large decks, pinned at the commit before the
+   noise source table and the panel adjoint: integrated noise over
+   10 Hz-100 MHz, and at 10 Hz, 10 kHz and 10 MHz the total, the
+   breakdown and the source PSDs (MD5s over their hex). *)
+let test_noise_frozen_cascades_ladders () =
+  List.iter
+    (fun (label, deck, out, integrated, points) ->
+      let p = Ac.prepare (Dc.solve deck) in
+      Alcotest.(check string)
+        (label ^ ": integrated 10 Hz to 100 MHz")
+        integrated
+        (hex (Noise.integrated_output_prepared ~out ~fstart:10. ~fstop:1e8 p));
+      List.iter
+        (fun (freq, total, parts, sources) ->
+          let t, cs = Noise.output_noise_prepared ~out ~freq p in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s at %g Hz: total, contributions, sources" label freq)
+            [ total; parts; sources ]
+            [
+              hex t;
+              digest
+                (List.map
+                   (fun (c : Noise.contribution) -> c.Noise.element ^ "=" ^ hex c.Noise.psd)
+                   cs);
+              digest
+                (List.map
+                   (fun (e, a, b, psd) -> String.concat ":" [ e; a; b; hex psd ])
+                   (Noise.noise_sources (Ac.op p) freq));
+            ])
+        points)
+    [
+      ( "1-instance cascade", cascade_deck 1, "n1", "0x1.5b3eab0f400bp-13",
+        [ (10., "0x1.0cb8ceb858a22p-33", "d7de4293b0431ca5dac8e599a9791c2d",
+           "4e82e09e4559374e651c43c9528a104c");
+          (1e4, "0x1.138a38388652bp-43", "5444754a44802ffb32e66b1950cafe39",
+           "2a9ffd4a3aadc5d9b9ccc04e99baf786");
+          (1e7, "0x1.3c0fb7b04c9cfp-52", "fcb10e55d23590e171861187cfc1e1f8",
+           "39598c028011c561afb8b7c77cd60d04") ] );
+      ( "16-instance cascade", cascade_deck 16, "n16", "0x1.881aa4dcaa63fp-13",
+        [ (10., "0x1.6643d07c82508p-33", "8e1555dbe9dc421242682dfa3a8d7824",
+           "57c983780af59306c5611096768cc35a");
+          (1e4, "0x1.6f5a1e7eb52c4p-43", "240cee881b4db85cfa505c1f45273db5",
+           "361e0c41a6b6037aac30f3f976bfd4ff");
+          (1e7, "0x1.99b5e3c847bcfp-52", "74360689fd99b4e3f897877ce5df7cc9",
+           "6d16586a3b53d204d36533fc7cc147c1") ] );
+      ( "8-section ladder", ladder_netlist 8, "n8", "0x1.15e0c6f850f99p-19",
+        [ (10., "0x1.3f888d495c70cp-53", "3d1ea9c85b93952bbc35d5f5a24d1aa4",
+           "9650b5af00508c3de4c2df74d2e3a350");
+          (1e7, "0x1.256e5474cdccbp-68", "ad7c8eebfa92066236a83ab91226efea",
+           "9650b5af00508c3de4c2df74d2e3a350") ] );
+      ( "96-section ladder", ladder_netlist 96, "n96", "0x1.153ccbdfe17a7p-19",
+        [ (10., "0x1.3d3fa57555d5fp-49", "9dfa3f28d146ca57e25675fd472f0585",
+           "7e92f1cb4102221e597ad8bee818e433");
+          (1e7, "0x1.439e1ec0f030bp-69", "969fc241cad9608568e24b8e6ca1718b",
+           "7e92f1cb4102221e597ad8bee818e433") ] );
+    ]
+
+(* The four golden decks, a 16-instance cascade and a 96-section
+   ladder, each with its output node. *)
+let noise_decks () =
+  List.map
+    (fun (name, out) -> (name, golden_deck name, out))
+    [ ("mirror.sp", "out"); ("mos_amp.sp", "d"); ("rc_ladder.sp", "out");
+      ("sc_track.sp", "out") ]
+  @ [ ("16-instance cascade", cascade_deck 16, "n16");
+      ("96-section ladder", ladder_netlist 96, "n96") ]
+
+(* Integrated noise solves its adjoints in frequency panels: every
+   panel width must give the same bits, and width 1 (one scalar adjoint
+   per frequency) must equal the trapezoid over the breakdown routine's
+   totals on the same grid. *)
+let test_noise_integrated_panel_width () =
+  let k0 = Ac.panel_width () in
+  Fun.protect ~finally:(fun () -> Ac.set_panel_width k0) @@ fun () ->
+  let fstart = 10. and fstop = 1e8 in
+  let freqs = F.logspace fstart fstop 36 in
+  List.iter
+    (fun (label, deck, out) ->
+      let p = Ac.prepare (Dc.solve deck) in
+      let integrated k =
+        Ac.set_panel_width k;
+        hex (Noise.integrated_output_prepared ~out ~fstart ~fstop p)
+      in
+      let reference = integrated 1 in
+      let totals =
+        List.map (fun freq -> fst (Noise.output_noise_prepared ~out ~freq p)) freqs
+      in
+      let rec trapezoid acc = function
+        | (f1, p1) :: ((f2, p2) :: _ as rest) ->
+          trapezoid (acc +. (0.5 *. (p1 +. p2) *. (f2 -. f1))) rest
+        | [ _ ] | [] -> acc
+      in
+      Alcotest.(check string)
+        (label ^ ": width 1 = trapezoid over output_noise_prepared")
+        (hex (Float.sqrt (trapezoid 0. (List.combine freqs totals))))
+        reference;
+      List.iter
+        (fun k ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s: width %d = width 1" label k)
+            reference (integrated k))
+        [ 3; 8 ])
+    (noise_decks ())
+
+let test_noise_integration_counters () =
+  (* 10 Hz-100 MHz at 5 points per decade is 36 frequencies: 36 adjoint
+     solves in four panels of 8 and one of 4, on the workspace the sweep
+     already built, with no forward solve and (no lane of this deck
+     falling back) no scalar refactor.  One frequency takes the scalar
+     path and builds no workspace. *)
+  let k0 = Ac.panel_width () in
+  Fun.protect ~finally:(fun () -> Ac.set_panel_width k0) @@ fun () ->
+  Ac.set_panel_width 8;
+  let count f =
+    Ape_obs.enable ();
+    Ape_obs.reset ();
+    f ();
+    let snap = Ape_obs.snapshot () in
+    Ape_obs.disable ();
+    fun name -> Option.value ~default:0 (List.assoc_opt name snap.Ape_obs.counters)
+  in
+  let op = Dc.solve (golden_deck "mos_amp.sp") in
+  let p = Ac.prepare op in
+  ignore (Ac.sweep_prepared p (Ac.sweep_frequencies ~fstart:1. ~fstop:1e9 ()));
+  let c =
+    count (fun () ->
+        ignore (Noise.integrated_output_prepared ~out:"d" ~fstart:10. ~fstop:1e8 p))
+  in
+  List.iter
+    (fun (name, expected) -> Alcotest.(check int) name expected (c name))
+    [ ("noise.adjoint_solves", 36); ("ac.panels", 5); ("ac.workspaces", 0);
+      ("ac.solve_prepared", 0); ("sparse.panel_refactor", 5);
+      ("sparse.refactor", 0) ];
+  let c =
+    count (fun () ->
+        ignore (Noise.input_referred_prepared ~out:"d" ~freq:1e3 (Ac.prepare op)))
+  in
+  List.iter
+    (fun (name, expected) ->
+      Alcotest.(check int) ("one frequency: " ^ name) expected (c name))
+    [ ("noise.adjoint_solves", 1); ("ac.panels", 0); ("ac.workspaces", 0) ]
 
 let test_prepared_matches_blocked_golden () =
   (* The measurement searches mix single-point [solve_prepared] probes
@@ -1228,6 +1409,12 @@ let () =
             test_noise_sparse_engine_counters;
           Alcotest.test_case "frozen mos_amp noise" `Quick
             test_noise_frozen_mos_amp;
+          Alcotest.test_case "frozen cascade and ladder noise" `Quick
+            test_noise_frozen_cascades_ladders;
+          Alcotest.test_case "integrated noise panel width bitwise" `Quick
+            test_noise_integrated_panel_width;
+          Alcotest.test_case "integrated noise counters" `Quick
+            test_noise_integration_counters;
         ] );
       ( "servo",
         [ Alcotest.test_case "divider" `Quick test_servo_divider ] );

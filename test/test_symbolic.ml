@@ -138,9 +138,8 @@ let test_parse_suffixes () =
     | Some v -> check_close s expected v
     | None -> Alcotest.fail ("parse_number failed on " ^ s)
   in
-  (* Every SPICE magnitude suffix, both cases.  The single letter "m"
-     is the repo's one deliberate case-significant suffix (m = milli,
-     M = mega); "meg"/"mil" and all other letters are case-free. *)
+  (* Every SPICE magnitude suffix, both cases: as in SPICE, "m" and
+     "M" are both milli, and mega is "meg" in any case. *)
   check "1t" 1e12;
   check "1T" 1e12;
   check "1g" 1e9;
@@ -152,7 +151,9 @@ let test_parse_suffixes () =
   check "1k" 1e3;
   check "1K" 1e3;
   check "1m" 1e-3;
-  check "1M" 1e6;
+  check "1M" 1e-3;
+  check "1MEG" 1e6;
+  check "1meg" 1e6;
   check "1u" 1e-6;
   check "1U" 1e-6;
   check "1n" 1e-9;
@@ -190,12 +191,10 @@ let prop_suffix_scaling =
       | None -> false)
 
 let prop_suffix_case_insensitive =
-  (* Uppercasing any suffix except the bare "m" must not change the
-     value; "m" uppercases to mega by design. *)
+  (* Uppercasing any suffix, the bare "m" included, must not change the
+     value. *)
   QCheck.Test.make ~name:"suffix case-insensitivity" ~count:200
-    QCheck.(
-      pair (float_range 0.5 999.)
-        (oneofl (List.filter (fun (s, _) -> s <> "m") suffix_table)))
+    QCheck.(pair (float_range 0.5 999.) (oneofl suffix_table))
     (fun (v, (suffix, _)) ->
       let s = Printf.sprintf "%.6g" v in
       Ape_util.Units.parse_number (s ^ suffix)
@@ -213,14 +212,32 @@ let prop_to_exact_roundtrip =
 
 let prop_to_eng_parses_close =
   (* to_eng keeps 3 significant digits, so parsing its output must land
-     within 0.5 ulp of the third digit (5e-3 relative). *)
+     within 0.5 ulp of the third digit (5e-3 relative).  Below 1e6: from
+     there on to_eng prints SI "M" (mega), which SPICE reads as milli. *)
   QCheck.Test.make ~name:"Units.to_eng output parses back within 3 digits"
     ~count:500
-    QCheck.(float_range (-1e9) 1e9)
+    QCheck.(float_range (-1e6) 1e6)
     (fun v ->
-      QCheck.assume (Float.abs v > 1e-12);
+      QCheck.assume (Float.abs v > 1e-12 && Float.abs v < 1e6);
       match Ape_util.Units.parse_number (Ape_util.Units.to_eng v) with
       | Some got -> Float.abs (got -. v) <= 5.01e-3 *. Float.abs v
+      | None -> false)
+
+let prop_spice_num_roundtrip =
+  (* Netlist printing re-reads its own numbers: whatever the magnitude
+     (to_eng's "M" included), the printed value parses back exactly. *)
+  QCheck.Test.make ~name:"Netlist.spice_num round-trips every finite value"
+    ~count:1000
+    QCheck.(
+      oneof
+        [ float_range (-1e15) 1e15;
+          map (fun (m, e) -> m *. (10. ** float_of_int e))
+            (pair (float_range (-999.) 999.) (int_range (-20) 20));
+          float ])
+    (fun v ->
+      QCheck.assume (Float.is_finite v);
+      match Ape_util.Units.parse_number (Ape_circuit.Netlist.spice_num v) with
+      | Some got -> Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float v)
       | None -> false)
 
 let test_parse_expr () =
@@ -365,7 +382,7 @@ let () =
         [
           prop_pp_parse_roundtrip; prop_suffix_scaling;
           prop_suffix_case_insensitive; prop_to_exact_roundtrip;
-          prop_to_eng_parses_close;
+          prop_to_eng_parses_close; prop_spice_num_roundtrip;
         ];
       qsuite "calculus-properties" [ prop_diff_sum_rule; prop_subst_then_eval ];
       ( "solver",
