@@ -27,26 +27,34 @@ grep -q '"schema": "ape-obs/1"' ape_stats.json
 echo "wrote ape_stats.json"
 # Newton iteration counts of this workload are deterministic: the
 # ceilings are the counts before the device Jacobian became analytic
-# (counts, not timings, so the gate cannot flake).
+# (counts, not timings, so the gate cannot flake).  The transient step
+# ceiling is the count once the comparator bench stopped at its first
+# mid-rail crossing: losing that stop shows as 1700 steps.
 awk -F'"value": *|}' '/"dc.newton_iters"/ { dc = $2 }
   /"transient.newton_iters"/ { tr = $2 }
+  /"transient.steps"/ { steps = $2 }
   END {
-    if (dc == "" || tr == "") { print "FAIL: Newton counters missing"; exit 1 }
+    if (dc == "" || tr == "" || steps == "") {
+      print "FAIL: Newton or step counters missing"; exit 1 }
     if (dc + 0 > 2132) { printf "FAIL: dc.newton_iters %d > 2132\n", dc; exit 1 }
     if (tr + 0 > 2504) { printf "FAIL: transient.newton_iters %d > 2504\n", tr; exit 1 }
-    printf "Newton iterations: dc %d <= 2132, transient %d <= 2504 OK\n", dc, tr
+    if (steps + 0 > 936) { printf "FAIL: transient.steps %d > 936\n", steps; exit 1 }
+    printf "Newton iterations: dc %d <= 2132, transient %d <= 2504; transient.steps %d <= 936 OK\n", dc, tr, steps
   }' ape_stats.json
-# Each DC solve's index records the stamp slots once and every analysis
-# on that operating point replays them, so the recordings equal the DC
-# solves; an analysis that records its own shows as engine.plans >
-# dc.solves (a count, so the gate cannot flake).
+# Each DC solve either records the stamp slots in a new index or takes
+# its caller's (a servo's later probes, counted as dc.index_reuses), and
+# every analysis on that operating point replays them; an analysis that
+# records its own shows as engine.plans + dc.index_reuses > dc.solves
+# (a count, so the gate cannot flake).
 awk -F'"value": *|}' '/"engine.plans"/ { plans = $2 }
+  /"dc.index_reuses"/ { reuses = $2 }
   /"dc.solves"/ { solves = $2 }
   END {
-    if (plans == "" || solves == "") { print "FAIL: plan counters missing"; exit 1 }
-    if (plans + 0 != solves + 0) {
-      printf "FAIL: engine.plans %d != dc.solves %d\n", plans, solves; exit 1 }
-    printf "stamp slots: engine.plans %d = dc.solves %d OK\n", plans, solves
+    if (plans == "" || reuses == "" || solves == "") {
+      print "FAIL: plan counters missing"; exit 1 }
+    if (plans + reuses != solves + 0) {
+      printf "FAIL: engine.plans %d + dc.index_reuses %d != dc.solves %d\n", plans, reuses, solves; exit 1 }
+    printf "stamp slots: engine.plans %d + dc.index_reuses %d = dc.solves %d OK\n", plans, reuses, solves
   }' ape_stats.json
 # The synth workload's counts are deterministic too.  Any cost value
 # that moves by one bit changes the annealing path, and with it the

@@ -6,6 +6,12 @@ module Ac = Ape_spice.Ac
 
 exception Verification_failed of string
 
+(* Every public bench runs under one root span, named like the span
+   bench/e2e wraps a verify op in, so a traced run splits that row into
+   the bench's phases: "servo", "ac", "slew" and one span per module
+   kind. *)
+let sim_span f = Ape_obs.span "estimator.sim" f
+
 let set_source ?dc ?ac ~name netlist =
   let found = ref false in
   let elements =
@@ -37,12 +43,16 @@ let set_source ?dc ?ac ~name netlist =
   N.make ~title:netlist.N.title elements
 
 let servo ~tol ~out ~target ~lo ~hi bench =
+  Ape_obs.span "servo" @@ fun () ->
   (* Every point Brent evaluates is kept: its root is always one of
-     them, so the root's netlist and operating point need no re-solve. *)
-  let solved = ref [] in
+     them, so the root's netlist and operating point need no re-solve.
+     The probes differ in element values only, so the first probe's
+     index serves them all. *)
+  let solved = ref [] and index = ref None in
   let err k =
     let nl = bench k in
-    let op = Dc.solve nl in
+    let op = Dc.solve ?index:!index nl in
+    index := Some op.Dc.index;
     solved := (k, (nl, op)) :: !solved;
     Dc.voltage op out -. target
   in
@@ -96,6 +106,7 @@ let with_vdd process fragment =
 let power op = Dc.static_power op ~supply:"VDD"
 
 let sim_dc_volt (process : Proc.t) (design : Bias.Dc_volt.design) =
+  sim_span @@ fun () ->
   let frag = Bias.Dc_volt.fragment process design in
   let netlist = with_vdd process frag in
   let op = Dc.solve netlist in
@@ -113,6 +124,7 @@ let sim_dc_volt (process : Proc.t) (design : Bias.Dc_volt.design) =
   }
 
 let sim_mirror (process : Proc.t) (design : Bias.Current_mirror.design) =
+  sim_span @@ fun () ->
   let frag = Bias.Current_mirror.fragment process design in
   let netlist = with_vdd process frag in
   (* Hold the output at mid-supply and read the sunk current; a 1 A AC
@@ -152,6 +164,7 @@ let sim_mirror (process : Proc.t) (design : Bias.Current_mirror.design) =
   }
 
 let sim_gain_stage (process : Proc.t) (design : Gain_stage.design) =
+  sim_span @@ fun () ->
   let frag = Gain_stage.fragment process design in
   let netlist = with_vdd process frag in
   let netlist =
@@ -187,11 +200,14 @@ let sim_gain_stage (process : Proc.t) (design : Gain_stage.design) =
   in
   (* One AC preparation serves the gain, both frequency searches and
      the output-impedance probe. *)
-  let prep = Ac.prepare op in
-  let signed_gain = Measure.Prepared.dc_gain_signed ~out:"out" prep in
-  let ugf = Measure.Prepared.unity_gain_frequency ~out:"out" prep in
-  let bw = Measure.Prepared.f_minus_3db ~out:"out" prep in
-  let zout = zout_probe prep netlist ~inputs:[ "VIN" ] in
+  let signed_gain, ugf, bw, zout =
+    Ape_obs.span "ac" @@ fun () ->
+    let prep = Ac.prepare op in
+    let signed_gain = Measure.Prepared.dc_gain_signed ~out:"out" prep in
+    let ugf = Measure.Prepared.unity_gain_frequency ~out:"out" prep in
+    let bw = Measure.Prepared.f_minus_3db ~out:"out" prep in
+    (signed_gain, ugf, bw, zout_probe prep netlist ~inputs:[ "VIN" ])
+  in
   {
     Perf.empty with
     Perf.gate_area = N.gate_area netlist;
@@ -215,18 +231,26 @@ let opamp_testbench (process : Proc.t) ~cl (design : Opamp.design) =
     ]
 
 let sim_opamp ?(slew = true) (process : Proc.t) (design : Opamp.design) =
+  sim_span @@ fun () ->
   let vcm = design.Opamp.input_cm in
   let base = opamp_testbench process ~cl:design.Opamp.spec.Opamp.cl design in
   let offset, netlist, op =
     servo_offset ~tol:1e-10 ~vcm ~target:design.Opamp.output_dc base
   in
-  let prep = Ac.prepare op in
-  let adm = Measure.Prepared.dc_gain ~out:"out" prep in
-  let ugf = Measure.Prepared.unity_gain_frequency ~out:"out" prep in
-  let pm = Measure.Prepared.phase_margin ~out:"out" prep in
-  let acm = common_mode_gain prep netlist in
-  let cmrr = if acm > 0. then adm /. acm else infinity in
-  let zout = zout_probe prep netlist ~inputs:[ "VINP"; "VINN" ] in
+  let adm, ugf, pm, cmrr, zout =
+    Ape_obs.span "ac" @@ fun () ->
+    let prep = Ac.prepare op in
+    let adm = Measure.Prepared.dc_gain ~out:"out" prep in
+    let ugf = Measure.Prepared.unity_gain_frequency ~out:"out" prep in
+    let pm =
+      Option.map
+        (fun ugf -> Measure.Prepared.phase_margin ~ugf ~out:"out" prep)
+        ugf
+    in
+    let acm = common_mode_gain prep netlist in
+    let cmrr = if acm > 0. then adm /. acm else infinity in
+    (adm, ugf, pm, cmrr, zout_probe prep netlist ~inputs:[ "VINP"; "VINN" ])
+  in
   (* Bias reference current: the drop across the tail mirror's reference
      resistor (named R1 inside the spliced tail instance). *)
   let ibias =
@@ -236,7 +260,8 @@ let sim_opamp ?(slew = true) (process : Proc.t) (design : Opamp.design) =
   in
   let slew_rate =
     if not slew then None
-    else begin
+    else
+      Ape_obs.span "slew" @@ fun () ->
       (* Unity-feedback buffer: a 0 V source wires out to inn; step the
          positive input and watch the output ramp. *)
       let nl =
@@ -266,22 +291,25 @@ let sim_opamp ?(slew = true) (process : Proc.t) (design : Opamp.design) =
           Ape_spice.Transient.step ~t0:(2. *. dt)
             ~low:(vcm -. 0.5) ~high:(vcm +. 0.5) ()
         in
+        (* 10 %→90 % transition slope, immune to capacitive feedthrough
+           spikes at the step edge.  Once both first crossings are in,
+           in order, later samples cannot move them: the run ends
+           there, and goes on to [tstop] only when the slope must fall
+           back to the whole waveform's. *)
+        let lo = vcm -. 0.5 +. 0.1 and hi = vcm -. 0.5 +. 0.9 in
         (match
            Ape_spice.Transient.run
+             ~until:[ ("out", lo); ("out", hi) ]
              ~stimulus:[ ("VINP", step_wave) ]
              ~tstop ~dt op_fb
          with
         | exception Ape_spice.Transient.Step_failed _ -> None
         | result ->
-          (* 10 %→90 % transition slope, immune to capacitive
-             feedthrough spikes at the step edge. *)
-          let lo = vcm -. 0.5 +. 0.1 and hi = vcm -. 0.5 +. 0.9 in
           let t10 = Ape_spice.Transient.crossing_time result "out" ~level:lo in
           let t90 = Ape_spice.Transient.crossing_time result "out" ~level:hi in
           (match (t10, t90) with
           | Some t10, Some t90 when t90 > t10 -> Some (0.8 /. (t90 -. t10))
           | _ -> Some (Ape_spice.Transient.max_slope result "out")))
-    end
   in
   {
     Perf.empty with
@@ -299,6 +327,7 @@ let sim_opamp ?(slew = true) (process : Proc.t) (design : Opamp.design) =
   }
 
 let sim_diff_pair (process : Proc.t) (design : Diff_pair.design) =
+  sim_span @@ fun () ->
   let frag = Diff_pair.fragment process design in
   let netlist = with_vdd process frag in
   let vcm = design.Diff_pair.input_cm in
@@ -316,16 +345,22 @@ let sim_diff_pair (process : Proc.t) (design : Diff_pair.design) =
   let offset, netlist, op =
     servo_offset ~tol:1e-9 ~vcm ~target:design.Diff_pair.output_dc netlist
   in
-  let prep = Ac.prepare op in
-  let adm = Measure.Prepared.dc_gain ~out:"out" prep in
-  let signed_adm = Measure.Prepared.dc_gain_signed ~out:"out" prep in
-  let ugf = Measure.Prepared.unity_gain_frequency ~out:"out" prep in
-  let acm = common_mode_gain prep netlist in
-  let cmrr = if acm > 0. then adm /. acm else infinity in
-  let noise =
-    match Ape_spice.Noise.input_referred_prepared ~out:"out" ~freq:1e3 prep with
-    | v -> Some v
-    | exception Division_by_zero -> None
+  let signed_adm, ugf, cmrr, noise =
+    Ape_obs.span "ac" @@ fun () ->
+    let prep = Ac.prepare op in
+    let adm = Measure.Prepared.dc_gain ~out:"out" prep in
+    let signed_adm = Measure.Prepared.dc_gain_signed ~out:"out" prep in
+    let ugf = Measure.Prepared.unity_gain_frequency ~out:"out" prep in
+    let acm = common_mode_gain prep netlist in
+    let cmrr = if acm > 0. then adm /. acm else infinity in
+    let noise =
+      match
+        Ape_spice.Noise.input_referred_prepared ~out:"out" ~freq:1e3 prep
+      with
+      | v -> Some v
+      | exception Division_by_zero -> None
+    in
+    (signed_adm, ugf, cmrr, noise)
   in
   {
     Perf.empty with
@@ -371,6 +406,7 @@ let jitter_thresholds rng netlist =
 
 let monte_carlo_offset ?(runs = 25) ?(seed = 1) (process : Proc.t)
     (design : Diff_pair.design) =
+  sim_span @@ fun () ->
   let frag = Diff_pair.fragment process design in
   let netlist = with_vdd process frag in
   let vcm = design.Diff_pair.input_cm in
@@ -674,9 +710,14 @@ let sim_comparator process (d : Data_conv.Comparator.design) =
   let wave =
     Ape_spice.Transient.step ~t0 ~low:(vmid -. od) ~high:(vmid +. od) ()
   in
+  (* The response time reads only the first mid-rail crossing: the run
+     ends there. *)
   let response_time =
     match
-      Ape_spice.Transient.run ~stimulus:[ ("VINP", wave) ] ~tstop ~dt op
+      Ape_spice.Transient.run
+        ~until:[ ("out", vmid) ]
+        ~stimulus:[ ("VINP", wave) ]
+        ~tstop ~dt op
     with
     | exception Ape_spice.Transient.Step_failed _ -> None
     | result -> (
@@ -821,12 +862,15 @@ let sim_dac process (d : Data_conv.Dac.design) =
     dc_code_error;
   }
 
-let sim_module process = function
-  | Module_lib.D_audio d -> sim_audio process d
-  | Module_lib.D_sh d -> sim_sample_hold process d
-  | Module_lib.D_adc d -> sim_flash_adc process d
-  | Module_lib.D_dac d -> sim_dac process d
-  | Module_lib.D_lpf d -> sim_lpf process d
-  | Module_lib.D_bpf d -> sim_bpf process d
-  | Module_lib.D_closed d -> sim_closed process d
-  | Module_lib.D_comp d -> sim_comparator process d
+let sim_module process design =
+  sim_span @@ fun () ->
+  let span = Ape_obs.span in
+  match design with
+  | Module_lib.D_audio d -> span "audio" (fun () -> sim_audio process d)
+  | Module_lib.D_sh d -> span "sample_hold" (fun () -> sim_sample_hold process d)
+  | Module_lib.D_adc d -> span "flash_adc" (fun () -> sim_flash_adc process d)
+  | Module_lib.D_dac d -> span "dac" (fun () -> sim_dac process d)
+  | Module_lib.D_lpf d -> span "lpf" (fun () -> sim_lpf process d)
+  | Module_lib.D_bpf d -> span "bpf" (fun () -> sim_bpf process d)
+  | Module_lib.D_closed d -> span "closed_loop" (fun () -> sim_closed process d)
+  | Module_lib.D_comp d -> span "comparator" (fun () -> sim_comparator process d)

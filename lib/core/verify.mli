@@ -11,7 +11,13 @@
     programmatic equivalent of SPICE [.NODESET] fiddling.  Each bench
     holds one operating point: common-mode gain and output impedance
     re-excite its AC preparation ({!Ape_spice.Ac.excite}) instead of
-    solving DC again. *)
+    solving DC again, and a transient whose answer is a first crossing
+    (slew rate, comparator delay) stops at that crossing
+    ({!Ape_spice.Transient.run}'s [until]).
+
+    Each public bench runs under an [Ape_obs] span ["estimator.sim"]
+    with children ["servo"], ["ac"], ["slew"] and, for {!sim_module},
+    one per module kind. *)
 
 exception Verification_failed of string
 
@@ -38,7 +44,12 @@ val servo :
     value with the netlist and operating point at it — the solve Brent
     already made there, not a new one.  Raises
     [Ape_util.Rootfind.No_bracket] when [[lo, hi]] does not straddle the
-    target, and [Ape_spice.Dc.No_convergence] from a failed probe. *)
+    target, and [Ape_spice.Dc.No_convergence] from a failed probe.
+
+    [bench] may vary element values only: every probe solves on the
+    index of the first ({!Ape_spice.Dc.solve}'s [index]), so each
+    [bench k] must have the same elements, in the same order and on the
+    same terminals. *)
 
 (** {1 Level-2 component verification} *)
 

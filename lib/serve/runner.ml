@@ -172,7 +172,9 @@ let measure_ac op node =
   let dc_gain = M.dc_gain ~out:node prep in
   let f_minus_3db = M.f_minus_3db ~out:node prep in
   let ugf = M.unity_gain_frequency ~out:node prep in
-  let phase_margin = M.phase_margin ~out:node prep in
+  let phase_margin =
+    Option.map (fun ugf -> M.phase_margin ~ugf ~out:node prep) ugf
+  in
   let in_noise =
     match Ape_spice.Noise.input_referred_prepared ~out:node ~freq:1e3 prep with
     | v -> Some v

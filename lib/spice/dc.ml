@@ -12,6 +12,7 @@ exception No_convergence of string
 let c_solves = Ape_obs.counter "dc.solves"
 let c_newton_iters = Ape_obs.counter "dc.newton_iters"
 let c_failures = Ape_obs.counter "dc.no_convergence"
+let c_index_reuses = Ape_obs.counter "dc.index_reuses"
 
 let max_norm a = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0. a
 
@@ -77,9 +78,16 @@ let initial_guess netlist index =
   done;
   x
 
-let solve_impl ?(max_iter = 150) ?(tol_v = 1e-9) ?(tol_i = 1e-12) ?x0 netlist =
+let solve_impl ?(max_iter = 150) ?(tol_v = 1e-9) ?(tol_i = 1e-12) ?x0 ?index
+    netlist =
   N.validate netlist;
-  let index = Engine.build_index netlist in
+  let index =
+    match index with
+    | Some index ->
+      Ape_obs.incr c_index_reuses;
+      index
+    | None -> Engine.build_index netlist
+  in
   let x =
     match x0 with
     | Some x ->
@@ -160,9 +168,9 @@ let solve_impl ?(max_iter = 150) ?(tol_v = 1e-9) ?(tol_i = 1e-12) ?x0 netlist =
                 netlist.N.title max_iter (Engine.size index)))
     end)
 
-let solve ?max_iter ?tol_v ?tol_i ?x0 netlist =
+let solve ?max_iter ?tol_v ?tol_i ?x0 ?index netlist =
   Ape_obs.incr c_solves;
-  match solve_impl ?max_iter ?tol_v ?tol_i ?x0 netlist with
+  match solve_impl ?max_iter ?tol_v ?tol_i ?x0 ?index netlist with
   | op ->
     Ape_obs.add c_newton_iters op.iterations;
     op

@@ -16,10 +16,21 @@ val solve :
   ?tol_v:float ->
   ?tol_i:float ->
   ?x0:float array ->
+  ?index:Engine.index ->
   Ape_circuit.Netlist.t ->
   op
 (** Raises {!No_convergence} if Newton, gmin stepping and source stepping
-    all fail. *)
+    all fail.
+
+    [index], when given, is used instead of building one (counted under
+    [dc.index_reuses], not [engine.plans]); the result's [index] is
+    it.  Precondition: [index] was built from a netlist with the same
+    elements as this one, in the same order and on the same terminals;
+    only element values may differ.  {!Engine} raises
+    {!Engine.Engine_error} when an element's name or kind, or the
+    element count, does not match; a changed terminal is not detected.
+    The Newton workspace and its first factorisation are fresh either
+    way, so the solve is bit-identical to one without [index]. *)
 
 val voltage : op -> Ape_circuit.Netlist.node -> float
 

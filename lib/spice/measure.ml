@@ -124,10 +124,7 @@ module Prepared = struct
       !prev -. (360. *. float_of_int !wraps)
     end
 
-  let phase_margin ?fmin ?fmax ~out p =
-    match unity_gain_frequency ?fmin ?fmax ~out p with
-    | None -> None
-    | Some ugf -> Some (180. +. unwrapped_phase_at ~out p ugf)
+  let phase_margin ~ugf ~out p = 180. +. unwrapped_phase_at ~out p ugf
 
   type bandpass = {
     f_center : float;

@@ -70,15 +70,11 @@ module Prepared : sig
       for the paper's f_{−20dB} LPF row). *)
 
   val phase_margin :
-    ?fmin:float ->
-    ?fmax:float ->
-    out:Ape_circuit.Netlist.node ->
-    Ac.prepared ->
-    float option
-  (** 180° + {!unwrapped_phase_at} the unity-gain frequency, so a
-      response that lags more than 180° before reaching unity gain
-      reports the true (negative) margin rather than a value shifted by
-      360°. *)
+    ugf:float -> out:Ape_circuit.Netlist.node -> Ac.prepared -> float
+  (** 180° + {!unwrapped_phase_at} [ugf], the unity-gain frequency the
+      caller found with {!unity_gain_frequency}, so a response that lags
+      more than 180° before reaching unity gain reports the true
+      (negative) margin rather than a value shifted by 360°. *)
 
   type bandpass = {
     f_center : float;  (** peak frequency, Hz *)

@@ -103,8 +103,52 @@ let solve_step ~ws ~cvals ~method_ ~max_newton ~stimulus ~time ~dt netlist
     Some (x, icap)
   end
 
-let run ?(method_ = Backward_euler) ?(max_newton = 60) ~stimulus ~tstop ~dt
-    (op : Dc.op) =
+(* The one crossing test, shared by {!crossing_time} and [run]'s stop:
+   [Some t] when the waveform crosses [level] in the given direction
+   between samples [(ta, a)] and [(tb, b)], [t] linearly interpolated. *)
+let crossing_between ~rising ~level ta a tb b =
+  let crossed =
+    if rising then a < level && b >= level else a > level && b <= level
+  in
+  if crossed then
+    Some (Ape_util.Float_ext.lerp ta tb ((level -. a) /. (b -. a)))
+  else None
+
+(* [run]'s stop: called after each recorded sample [k] (from 1), it
+   keeps the first rising crossing of every [until] level and answers
+   [true] once each has crossed, strictly after the one listed before
+   it.  First crossings never move, so once all have crossed out of
+   that order it answers [false] to the end. *)
+let first_crossings store until =
+  let waves =
+    Array.of_list
+      (List.map
+         (fun (name, level) ->
+           match List.assoc_opt name store with
+           | Some ys -> (ys, level)
+           | None -> invalid_arg ("Transient.run: until names no node " ^ name))
+         until)
+  in
+  let firsts = Array.make (Array.length waves) None in
+  let rec ordered prev i =
+    i >= Array.length firsts
+    ||
+    match firsts.(i) with
+    | Some t when t > prev -> ordered t (i + 1)
+    | Some _ | None -> false
+  in
+  fun times k ->
+    Array.iteri
+      (fun i (ys, level) ->
+        if Option.is_none firsts.(i) then
+          firsts.(i) <-
+            crossing_between ~rising:true ~level times.(k - 1) ys.(k - 1)
+              times.(k) ys.(k))
+      waves;
+    ordered Float.neg_infinity 0
+
+let run ?(method_ = Backward_euler) ?(max_newton = 60) ?(until = []) ~stimulus
+    ~tstop ~dt (op : Dc.op) =
   if dt <= 0. || tstop <= 0. then invalid_arg "Transient.run: bad times";
   let netlist = op.Dc.netlist and index = op.Dc.index in
   let n = Engine.size index in
@@ -120,14 +164,21 @@ let run ?(method_ = Backward_euler) ?(max_newton = 60) ~stimulus ~tstop ~dt
       store
   in
   record 0 op.Dc.x;
+  let stop =
+    match until with
+    | [] -> fun _ _ -> false
+    | _ -> first_crossings store until
+  in
   let ws = Engine.workspace index in
   let cvals = Sp.Real.create (Engine.pattern index) in
   let x_prev = ref op.Dc.x in
   let icap_prev = ref (Array.make n 0.) in
-  for k = 1 to n_steps do
+  let last = ref n_steps in
+  let k = ref 1 in
+  while !k <= !last do
     Ape_obs.incr c_steps;
-    let t = float_of_int k *. dt in
-    times.(k) <- t;
+    let t = float_of_int !k *. dt in
+    times.(!k) <- t;
     (* Step cutting: retry a failing Newton with smaller internal
        sub-steps. *)
     let rec advance ~t_from ~t_to ~depth x_start icap_start =
@@ -149,9 +200,17 @@ let run ?(method_ = Backward_euler) ?(max_newton = 60) ~stimulus ~tstop ~dt
     let x, icap = advance ~t_from:(t -. dt) ~t_to:t ~depth:0 !x_prev !icap_prev in
     x_prev := x;
     icap_prev := icap;
-    record k x
+    record !k x;
+    if stop times !k then last := !k;
+    incr k
   done;
-  { times; nodes = store }
+  if !last = n_steps then { times; nodes = store }
+  else
+    let prefix a = Array.sub a 0 (!last + 1) in
+    {
+      times = prefix times;
+      nodes = List.map (fun (name, ys) -> (name, prefix ys)) store;
+    }
 
 let samples result name = List.assoc name result.nodes
 
@@ -185,17 +244,10 @@ let crossing_time ?(rising = true) result name ~level =
   let n = Array.length ys in
   let rec find k =
     if k >= n - 1 then None
-    else begin
-      let a = ys.(k) and b = ys.(k + 1) in
-      let crossed =
-        if rising then a < level && b >= level else a > level && b <= level
-      in
-      if crossed then begin
-        let frac = (level -. a) /. (b -. a) in
-        Some (Ape_util.Float_ext.lerp ts.(k) ts.(k + 1) frac)
-      end
-      else find (k + 1)
-    end
+    else
+      match crossing_between ~rising ~level ts.(k) ys.(k) ts.(k + 1) ys.(k + 1) with
+      | Some _ as t -> t
+      | None -> find (k + 1)
   in
   find 0
 

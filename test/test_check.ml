@@ -300,6 +300,59 @@ let test_tolerance_tables () =
         (C.Tolerance.level_of_name (C.Tolerance.level_name level) = Some level))
     C.Tolerance.all_levels
 
+(* ---------- frozen transient timings ---------- *)
+
+(* The transient-derived numbers of the catalog, pinned in hex at the
+   commit before the slew and comparator benches stopped at the crossing
+   that decides them: the goldens compare at rtol 1e-6 and would miss a
+   one-bit change. *)
+let hex = function None -> "none" | Some v -> Printf.sprintf "%h" v
+
+let test_frozen_transient_timings () =
+  List.iter2
+    (fun (case, _, (sim : E.Perf.t)) expected ->
+      Alcotest.(check string) (case ^ " slew rate") expected
+        (hex sim.E.Perf.slew_rate))
+    (C.Cases.opamp_cases proc)
+    [
+      "0x1.b124c616e188p+20";
+      "0x1.0a5b9b359b81ep+22";
+      "0x1.546aaaf95d323p+23";
+      "0x1.2200ceb4f89c5p+21";
+    ];
+  List.iter
+    (fun (what, spec, expected) ->
+      let sim = E.Verify.sim_module proc (E.Module_lib.design proc spec) in
+      Alcotest.(check string) (what ^ " response time") expected
+        (hex sim.E.Verify.response_time))
+    [
+      ( "comparator",
+        E.Module_lib.Comparator_m (E.Data_conv.Comparator.spec ~delay:1e-6 ()),
+        "0x1.0da6a95b65cep-22" );
+      ( "4-bit flash ADC",
+        E.Module_lib.Flash_adc_m
+          (E.Data_conv.Flash_adc.spec ~bits:4 ~delay:5e-6 ()),
+        "0x1.669a12b96f45cp-20" );
+    ]
+
+(* OpAmp1's bench: the slew transient ends at its 90 % crossing (step
+   124 of 600), and the servo solves every probe on one index, so the
+   bench records two plans (the servo's and the feedback netlist's). *)
+let test_opamp1_bench_counts () =
+  let spec = List.assoc "OpAmp1" (C.Cases.opamp_specs ()) in
+  let d = E.Opamp.design proc spec in
+  Ape_obs.enable ();
+  Ape_obs.reset ();
+  Fun.protect ~finally:Ape_obs.disable (fun () ->
+      ignore (E.Verify.sim_opamp proc d));
+  let counters = (Ape_obs.snapshot ()).Ape_obs.counters in
+  let count name = Option.value ~default:0 (List.assoc_opt name counters) in
+  Alcotest.(check int) "transient.steps" 124 (count "transient.steps");
+  Alcotest.(check int) "engine.plans" 2 (count "engine.plans");
+  Alcotest.(check int) "engine.plans + dc.index_reuses = dc.solves"
+    (count "dc.solves")
+    (count "engine.plans" + count "dc.index_reuses")
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -338,5 +391,12 @@ let () =
             test_device_level_all_pass;
           Alcotest.test_case "golden tables match" `Quick
             test_verify_against_checked_in_goldens;
+        ] );
+      ( "transient",
+        [
+          Alcotest.test_case "frozen slew and response times" `Quick
+            test_frozen_transient_timings;
+          Alcotest.test_case "OpAmp1 bench counts" `Quick
+            test_opamp1_bench_counts;
         ] );
     ]

@@ -807,9 +807,16 @@ let test_servo_divider () =
          | N.Vsource { name = "V1"; dc; _ } -> dc = vin
          | _ -> false)
        (N.elements at_root));
-  (* The root's operating point is one Brent already solved. *)
+  (* The root's operating point is one Brent already solved, and every
+     probe solved on the first probe's index. *)
+  let count name =
+    Option.value ~default:0 (List.assoc_opt name snap.Ape_obs.counters)
+  in
   Alcotest.(check int) "one DC solve per Brent evaluation" !evaluations
-    (Option.value ~default:0 (List.assoc_opt "dc.solves" snap.Ape_obs.counters));
+    (count "dc.solves");
+  Alcotest.(check int) "one index per servo" 1 (count "engine.plans");
+  Alcotest.(check int) "later probes reuse it" (!evaluations - 1)
+    (count "dc.index_reuses");
   Alcotest.check_raises "target out of range" Ape_util.Rootfind.No_bracket
     (fun () ->
       ignore (Verify.servo ~tol:1e-9 ~out:"out" ~target:10. ~lo:0. ~hi:5. bench))
@@ -879,6 +886,169 @@ let test_transient_frozen_sc_track () =
       ("backward Euler", Tr.Backward_euler, "af5ee5f8236b6dda39cca6f3c4ef0c11");
       ("trapezoidal", Tr.Trapezoidal, "2f971c0fcde228630a86ba2f81d67f9c");
     ]
+
+(* [f ()] with observation on, and a reader of the counters it ticked. *)
+let counted f =
+  Ape_obs.enable ();
+  Ape_obs.reset ();
+  let r = Fun.protect ~finally:Ape_obs.disable f in
+  let counters = (Ape_obs.snapshot ()).Ape_obs.counters in
+  (r, fun name -> Option.value ~default:0 (List.assoc_opt name counters))
+
+(* [Transient.run ~until]: the stopped run against the full one. *)
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let same_run a b =
+  same_bits a.Tr.times b.Tr.times
+  && List.for_all2
+       (fun (name, ys) (name', ys') -> String.equal name name' && same_bits ys ys')
+       a.Tr.nodes b.Tr.nodes
+
+(* The first [m] samples of a run. *)
+let sub r m =
+  {
+    Tr.times = Array.sub r.Tr.times 0 m;
+    nodes = List.map (fun (name, ys) -> (name, Array.sub ys 0 m)) r.Tr.nodes;
+  }
+
+(* Every level crossed, each strictly after the one listed before it. *)
+let crossed_in_order r until =
+  let rec go prev = function
+    | [] -> true
+    | (node, level) :: rest -> (
+      match Tr.crossing_time r node ~level with
+      | Some t -> t > prev && go t rest
+      | None -> false)
+  in
+  go Float.neg_infinity until
+
+(* The stopped run is the full run's prefix, bit for bit, and ends at
+   the deciding sample: the condition holds there and not one sample
+   earlier. *)
+let check_stopped_prefix label ~full ~stopped until =
+  let n = Array.length stopped.Tr.times in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: stopped early (%d of %d samples)" label n
+       (Array.length full.Tr.times))
+    true
+    (n < Array.length full.Tr.times);
+  Alcotest.(check bool) (label ^ ": the full run's prefix") true
+    (same_run (sub full n) stopped);
+  Alcotest.(check bool) (label ^ ": holds at the stop") true
+    (crossed_in_order stopped until);
+  Alcotest.(check bool) (label ^ ": not one sample earlier") false
+    (crossed_in_order (sub stopped (n - 1)) until)
+
+let sc_track_stimulus =
+  [
+    ("VIN", Tr.sine ~offset:2.5 ~ampl:0.5 ~freq:1e6 ());
+    ("VCK", Tr.pulse ~low:0. ~high:5. ~width:200e-9 ~period:500e-9 ());
+  ]
+
+let test_transient_until_prefix () =
+  let rc_op = Dc.solve (rc_lowpass ()) in
+  let tau = 1e-3 in
+  let rc ?until () =
+    Tr.run ?until
+      ~stimulus:[ ("V1", Tr.step ~t0:0. ~high:1. ()) ]
+      ~tstop:(5. *. tau) ~dt:(tau /. 200.) rc_op
+  in
+  let until = [ ("out", 0.1); ("out", 0.9) ] in
+  let stopped, count = counted (fun () -> rc ~until ()) in
+  check_stopped_prefix "rc step" ~full:(rc ()) ~stopped until;
+  Alcotest.(check int) "rc step: one step per sample after the first"
+    (Array.length stopped.Tr.times - 1) (count "transient.steps");
+  (* The switched track stage: the held node must reach 2.9 V after the
+     output passes 5.5 V, with both integrators. *)
+  let sc_op = Dc.solve (golden_deck "sc_track.sp") in
+  let until = [ ("out", 5.5); ("hold", 2.9) ] in
+  List.iter
+    (fun (label, method_) ->
+      let run ?until () =
+        Tr.run ?until ~method_ ~stimulus:sc_track_stimulus ~tstop:2e-6 ~dt:5e-9
+          sc_op
+      in
+      check_stopped_prefix label ~full:(run ()) ~stopped:(run ~until ()) until)
+    [ ("sc_track BE", Tr.Backward_euler); ("sc_track trapezoidal", Tr.Trapezoidal) ]
+
+(* A condition that never holds, because a level is never reached or
+   the crossings come out of order, leaves the full run: the frozen
+   sc_track pins hold through it. *)
+let test_transient_until_never () =
+  let op = Dc.solve (rc_lowpass ()) in
+  let tau = 1e-3 in
+  let rc ?until () =
+    Tr.run ?until
+      ~stimulus:[ ("V1", Tr.step ~t0:0. ~high:1. ()) ]
+      ~tstop:(5. *. tau) ~dt:(tau /. 200.) op
+  in
+  let full = rc () in
+  List.iter
+    (fun (label, until) ->
+      Alcotest.(check bool) (label ^ ": the full run") true
+        (same_run full (rc ~until ())))
+    [
+      ("level never reached", [ ("out", 0.1); ("out", 1.5) ]);
+      ("crossings out of order", [ ("out", 0.9); ("out", 0.1) ]);
+    ];
+  let sc_op = Dc.solve (golden_deck "sc_track.sp") in
+  let r =
+    Tr.run ~until:[ ("out", 100.) ] ~stimulus:sc_track_stimulus ~tstop:2e-6
+      ~dt:5e-9 sc_op
+  in
+  let samples =
+    Array.to_list r.Tr.times
+    @ List.concat_map (fun (_, ys) -> Array.to_list ys) r.Tr.nodes
+  in
+  Alcotest.(check string) "sc_track BE pin through a never-met stop"
+    "af5ee5f8236b6dda39cca6f3c4ef0c11"
+    (digest (List.map hex samples));
+  Alcotest.check_raises "a level on no node"
+    (Invalid_argument "Transient.run: until names no node nowhere") (fun () ->
+      ignore (rc ~until:[ ("nowhere", 0.5) ] ()))
+
+(* [Dc.solve ~index]: source-value variants of the common-source deck
+   solved on the first variant's index match fresh solves bit for bit
+   and record no plan of their own; an index from a netlist with other
+   elements is refused. *)
+let test_dc_shared_index () =
+  let deck = golden_deck "mos_amp.sp" in
+  let variant vin = Verify.set_source ~name:"VIN" ~dc:vin deck in
+  let vins = [ 1.2; 0.9; 1.05; 1.4; 0.7 ] in
+  let index = (Dc.solve (variant 1.2)).Dc.index in
+  let shared, count =
+    counted (fun () -> List.map (fun v -> Dc.solve ~index (variant v)) vins)
+  in
+  List.iter2
+    (fun vin (op : Dc.op) ->
+      let fresh = Dc.solve (variant vin) in
+      let label = Printf.sprintf "VIN = %g" vin in
+      Alcotest.(check bool) (label ^ ": solution bits") true
+        (same_bits fresh.Dc.x op.Dc.x);
+      Alcotest.(check int) (label ^ ": iterations") fresh.Dc.iterations
+        op.Dc.iterations;
+      Alcotest.(check bool) (label ^ ": the caller's index") true
+        (op.Dc.index == index))
+    vins shared;
+  Alcotest.(check int) "no plan recorded" 0 (count "engine.plans");
+  Alcotest.(check int) "every solve reused the index" (List.length vins)
+    (count "dc.index_reuses");
+  let renamed =
+    N.make ~title:deck.N.title
+      (List.map
+         (function
+           | N.Resistor r -> N.Resistor { r with name = "RRENAMED" }
+           | e -> e)
+         (N.elements deck))
+  in
+  match Dc.solve ~index renamed with
+  | _ -> Alcotest.fail "an index from other elements was accepted"
+  | exception Ape_spice.Engine.Engine_error { analysis; _ } ->
+    Alcotest.(check string) "refused by the index" "mna" analysis
 
 (* Output noise of the common-source amplifier at three frequencies
    (total and every contribution) and integrated over 10 Hz–100 MHz, on
@@ -1238,9 +1408,10 @@ let three_pole_nl () =
 
 let test_phase_margin_unwrapped () =
   let prep = Ac.prepare (Dc.solve (three_pole_nl ())) in
-  match Measure.phase_margin ~fmin:1. ~fmax:1e8 ~out:"out" prep with
+  match Measure.unity_gain_frequency ~fmin:1. ~fmax:1e8 ~out:"out" prep with
   | None -> Alcotest.fail "no unity crossing found"
-  | Some pm ->
+  | Some ugf ->
+    let pm = Measure.phase_margin ~ugf ~out:"out" prep in
     (* 180 − 3·atan(√99) in degrees. *)
     let expected =
       180. -. (3. *. Float.atan (Float.sqrt 99.) *. 180. /. Float.pi)
@@ -1350,6 +1521,8 @@ let () =
             test_dc_multiplier_differential;
           Alcotest.test_case "diff pair convergence" `Quick
             test_dc_diff_pair_convergence;
+          Alcotest.test_case "shared index bit-identical" `Quick
+            test_dc_shared_index;
         ] );
       ( "ac",
         [
@@ -1374,6 +1547,10 @@ let () =
           Alcotest.test_case "waveforms" `Quick test_waveforms;
           Alcotest.test_case "frozen sc_track waveforms" `Quick
             test_transient_frozen_sc_track;
+          Alcotest.test_case "until keeps the full run's prefix" `Quick
+            test_transient_until_prefix;
+          Alcotest.test_case "until never met is the full run" `Quick
+            test_transient_until_never;
         ] );
       ( "awe",
         [
