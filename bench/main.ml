@@ -5,6 +5,7 @@
    Usage:
      dune exec bench/main.exe            # all tables + quick micro pass
      dune exec bench/main.exe table4     # one experiment
+     dune exec bench/main.exe synth-seeds 30   # Table 1 search quality
      dune exec bench/main.exe micro      # bechamel micro-benchmarks only
    Set APE_BENCH_FAST=1 for a reduced annealing budget. *)
 
@@ -278,6 +279,74 @@ let run_table4 () =
     List.length (List.filter (fun r -> r.S.Driver.meets_spec) results)
   in
   pf "-> %d/10 meet spec\n" met
+
+(* ------------------------------------------------------------------ *)
+(* Search quality: the Table 1 rows over many seeds, both modes.       *)
+(* ------------------------------------------------------------------ *)
+
+(* [synth-seeds [N]]: every Table 1 row annealed from [Rng.create s] for
+   s = 1..N (default 30) on the tables' schedule, in the wide (Table 1)
+   and APE-centred 0.2 (Table 4) modes.  Per mode: runs that meet the
+   spec, the best relaxed cost's quartiles and the mean evaluations per
+   run, then the per-row spec-met counts.  Any change to the relaxed
+   cost's numbers is judged on this output (EXPERIMENTS.md). *)
+let run_synth_seeds () =
+  let seeds =
+    if Array.length Sys.argv <= 2 then 30
+    else
+      match int_of_string_opt Sys.argv.(2) with
+      | Some n when n >= 1 -> n
+      | Some _ | None ->
+        pf "synth-seeds: the seed count must be a positive integer\n";
+        exit 1
+  in
+  heading
+    (Printf.sprintf "Search quality: Table 1 rows x %d seeds, both modes" seeds);
+  let rows = opamp_rows () in
+  let table =
+    List.map
+      (fun (label, mode) ->
+        let runs =
+          List.map
+            (fun row ->
+              ( row,
+                List.init seeds (fun s ->
+                    S.Driver.run ~schedule:synth_schedule
+                      ~rng:(Ape_util.Rng.create (s + 1)) proc ~mode row) ))
+            rows
+        in
+        let all = List.concat_map snd runs in
+        let met rs = List.length (List.filter (fun r -> r.S.Driver.meets_spec) rs) in
+        let costs = Ape_mc.Stats.create () and evals = Ape_mc.Stats.create () in
+        List.iter
+          (fun (r : S.Driver.result) ->
+            Ape_mc.Stats.add costs r.S.Driver.stats.S.Anneal.best_cost;
+            Ape_mc.Stats.add evals
+              (float_of_int r.S.Driver.stats.S.Anneal.evaluations))
+          all;
+        let q = Ape_mc.Stats.quantile costs in
+        pf "%s, spec met per row: %s\n" label
+          (String.concat " "
+             (List.map
+                (fun (row, rs) ->
+                  Printf.sprintf "%s %d/%d" row.S.Opamp_problem.name (met rs)
+                    seeds)
+                runs));
+        [
+          label;
+          Printf.sprintf "%d/%d" (met all) (List.length all);
+          Printf.sprintf "%.4g / %.4g / %.4g" (q 0.25) (q 0.5) (q 0.75);
+          Printf.sprintf "%.1f" (Ape_mc.Stats.mean evals);
+        ])
+      [
+        ("wide", S.Opamp_problem.Wide);
+        ("ape-0.2", S.Opamp_problem.Ape_centered 0.2);
+      ]
+  in
+  print_string
+    (Table.render
+       ~header:[ "mode"; "spec met"; "best cost q1 / median / q3"; "evals/run" ]
+       table)
 
 (* ------------------------------------------------------------------ *)
 (* Table 5: the five analog-module design examples, four ways.         *)
@@ -1298,6 +1367,7 @@ let () =
   | "table2" -> run_table2 ()
   | "table3" -> run_table3 ()
   | "table4" -> run_table4 ()
+  | "synth-seeds" -> run_synth_seeds ()
   | "table5" -> run_table5 ()
   | "hierarchy" -> run_hierarchy ()
   | "timing" -> run_ape_timing ()
@@ -1312,7 +1382,8 @@ let () =
   | "all" -> all ()
   | other ->
     pf
-      "unknown experiment %s (table1..table5, hierarchy, timing, ablation, \
-       mc, sweep, obs-overhead, anneal, serve, calib, micro, all)\n"
+      "unknown experiment %s (table1..table5, synth-seeds [N], hierarchy, \
+       timing, ablation, mc, sweep, obs-overhead, anneal, serve, calib, \
+       micro, all)\n"
       other;
     exit 1

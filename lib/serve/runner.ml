@@ -66,7 +66,7 @@ let failure = function
       ( Engine,
         Printf.sprintf "transient step failed at t=%ss"
           (Ape_util.Units.to_eng time) )
-  | Ape_util.Matrix.Singular | Ape_util.Sparse.Singular ->
+  | Ape_util.Sparse.Singular ->
     Some (Engine, "singular system: the deck has no unique solution")
   | E.Opamp.Infeasible msg -> Some (Engine, "infeasible: " ^ msg)
   | Deck_errors msg -> Some (Engine, msg)

@@ -7,7 +7,13 @@
     approximant of the output's transfer function is fitted to the first
     [2q] moments.  One LU factorisation of G serves all moments, which is
     why AWE evaluation is orders of magnitude cheaper than a full AC
-    sweep — the ablation bench quantifies exactly that. *)
+    sweep — the ablation bench quantifies exactly that.
+
+    G and C are the index's sparse slot values ({!Engine.sparse_residual}
+    [~c]).  {!moments} factors G densely, in place, on a reusable
+    {!workspace}; {!of_moments} fits one or two poles in closed form.
+    The test oracle keeps the dense [Matrix] moments and the general-[q]
+    Durand–Kerner Padé these are checked against. *)
 
 type approximant = {
   moments : float array;  (** μ_0 .. μ_{2q−1} of the chosen output *)
@@ -18,44 +24,51 @@ type approximant = {
 
 exception Moment_failure of string
 
+val excitation : Ape_circuit.Netlist.t -> Engine.index -> float array
+(** The AC right-hand side [b]: each V-source's AC magnitude on its
+    branch row, each I-source's AC current leaving [p] and entering
+    [n]. *)
+
+type workspace
+(** Scratch for {!moments} over one index's pattern: the dense LU, its
+    row permutation and the moment vectors.  One evaluation at a time:
+    concurrent callers need one workspace each. *)
+
+val workspace : Engine.index -> workspace
+
 val moments :
-  ?count:int ->
-  ?g:Ape_util.Matrix.Rmat.t ->
-  ?c:Ape_util.Matrix.Rmat.t ->
-  out:Ape_circuit.Netlist.node ->
-  Dc.op ->
+  workspace ->
+  g:Ape_util.Sparse.Real.t ->
+  c:Ape_util.Sparse.Real.t ->
+  rhs:float array ->
+  out:int ->
+  int ->
   float array
-(** First [count] (default 8) output moments.  [g] is the conductance
-    matrix (the Jacobian at [op]'s point) and [c] the capacitance
-    matrix at the same point, when the caller has already stamped
-    them — as the relaxed synthesis cost has, both from one
-    {!Engine.linearize} pass that also gives its KCL penalty.  Either
-    one left out comes from one {!Engine.linearize} pass here.  Raises {!Moment_failure} when G is
-    singular. *)
+(** [moments ws ~g ~c ~rhs ~out count] is the first [count] moments of
+    unknown [out] under excitation [rhs], with [g] and [c] over the
+    workspace's index pattern.  G is factored with partial pivoting in
+    the dense reference LU's pivot rule and operation order, and
+    [C·m] is summed per row in ascending column order, so every moment
+    equals the dense reference's bit for bit.  Raises
+    {!Moment_failure} when G is singular. *)
 
-val pade :
-  ?q:int ->
-  ?g:Ape_util.Matrix.Rmat.t ->
-  ?c:Ape_util.Matrix.Rmat.t ->
-  out:Ape_circuit.Netlist.node ->
-  Dc.op ->
-  approximant
-(** Padé approximant with [q] poles (default 2, max [count/2]); [g] and
-    [c] as in {!moments}. *)
+val of_moments : ?q:int -> float array -> approximant
+(** The Padé approximant with [q] poles (1 or 2, default 2) fitted to
+    the first [2q] moments, in closed form: the Hankel system by
+    elimination with the dense reference's pivoting (its singular cases
+    raise {!Moment_failure}), the poles by the stable quadratic formula
+    and the residues by a 2×2 solve.  A vanishing leading coefficient
+    drops a pole; an exactly repeated pole has zero residues. *)
 
-val dominant_pole_hz : approximant -> float option
-(** Magnitude/2π of the slowest stable pole, i.e. the −3 dB estimate for
-    a low-pass response. *)
-
-val unity_gain_frequency_hz : approximant -> float option
-(** UGF estimate from the single-pole model: |a0|·p1 when |a0| > 1. *)
+val pade : ?q:int -> out:Ape_circuit.Netlist.node -> Dc.op -> approximant
+(** Stamp G and C at [op]'s point, take [2q] moments at [out] and fit
+    them ({!of_moments}).  Raises {!Moment_failure} when [out] is
+    ground or a solve is singular. *)
 
 val unity_crossing_hz :
   ?fmin:float -> ?fmax:float -> approximant -> float option
-(** The |H(j2πf)| = 1 crossing of the full pole/residue expansion,
-    located by bisection on the reduced model (no further matrix
-    solves).  More accurate than {!unity_gain_frequency_hz} when the
-    second pole is within a decade of the UGF. *)
-
-val eval : approximant -> float -> Complex.t
-(** Evaluate the pole/residue expansion at a frequency in Hz. *)
+(** The |H(j2πf)| = 1 crossing of the pole/residue expansion, located
+    by 40 bisection steps in log frequency on the reduced model (no
+    further matrix solves).  [None] when |μ_0| ≤ 1 or the magnitude
+    does not cross 1 between [fmin] (default 100 Hz) and [fmax]
+    (default 10 GHz). *)

@@ -1,6 +1,5 @@
 module N = Ape_circuit.Netlist
 module Mos = Ape_device.Mos
-module Rmat = Ape_util.Matrix.Rmat
 module Sp = Ape_util.Sparse
 
 (* An element's unknowns, resolved once when the index is built: node
@@ -92,14 +91,14 @@ let pair_stamp add a b value =
   add_at add b a (-.value);
   add_at add b b value
 
-(* The one stamping core, parameterised on its sinks: the dense forms
-   pass [Rmat.add_to], the sparse engine slot-cursor writers, and
-   [build_index] coordinate recorders.  The [add] and [cap] call
-   sequences are deterministic and independent of [x], [gmin],
-   [source_scale], [stimulus] and every element value — every element
-   stamps the same positions in the same order whatever its state (the
-   Switch stamps both branches identically) — which is what lets the
-   slots one recording pass finds serve every later evaluation.
+(* The one stamping core, parameterised on its sinks: the sparse
+   stamps pass slot-cursor writers, and [build_index] coordinate
+   recorders.  The [add] and [cap] call sequences are deterministic and
+   independent of [x], [gmin], [source_scale], [stimulus] and every
+   element value — every element stamps the same positions in the same
+   order whatever its state (the Switch stamps both branches
+   identically) — which is what lets the slots one recording pass finds
+   serve every later evaluation.
 
    [cap], when given, receives the C stamps of the same pass, with each
    MOSFET's capacitances taken at the region of the one evaluation that
@@ -284,28 +283,6 @@ let node_voltage idx x n =
   match node_id idx n with
   | None -> 0.
   | Some i -> x.(i)
-
-let residual_jacobian ?(gmin = 1e-12) ?(time = 0.) ?(stimulus = []) netlist
-    idx x =
-  let n = idx.total in
-  let f = Array.make n 0. in
-  let j = Rmat.create n n in
-  stamp_core ~gmin ~source_scale:1. ~time ~stimulus ~n_nodes:idx.n_nodes
-    idx.resolved netlist x
-    ~add:(fun r c v -> Rmat.add_to j r c v)
-    f;
-  (f, j)
-
-let linearize netlist idx x =
-  let n = idx.total in
-  let f = Array.make n 0. in
-  let j = Rmat.create n n and c = Rmat.create n n in
-  stamp_core ~gmin:1e-12 ~source_scale:1. ~time:0. ~stimulus:[]
-    ~n_nodes:idx.n_nodes idx.resolved netlist x
-    ~add:(fun r col v -> Rmat.add_to j r col v)
-    ~cap:(fun r col v -> Rmat.add_to c r col v)
-    f;
-  (f, j, c)
 
 let pattern idx = idx.pattern
 

@@ -10,13 +10,11 @@
     the Jacobian entries are its exact partials and the capacitances,
     when the caller asks for them, its region's.
 
-    Stamps come in two forms over that one core.  The dense
-    {!residual_jacobian} and {!linearize} (f, G and C from one device
-    pass) serve AWE, the relaxed-KCL penalty and the test suite's dense
-    reference.  The DC, AC, transient and noise analyses stamp through
-    {!sparse_residual} into [Ape_util.Sparse] values over the slots the
-    index recorded; their Newton stamps do no capacitance work, and an
-    operating point's G and C come from one pass. *)
+    Every analysis stamps through {!sparse_residual} into
+    [Ape_util.Sparse] values over the slots the index recorded: DC,
+    AC, transient, noise, AWE and the relaxed synthesis cost.  Newton
+    stamps do no capacitance work, and an operating point's f, G and C
+    come from one device pass. *)
 
 type index
 
@@ -65,33 +63,6 @@ type stimulus = (string * (float -> float)) list
 (** Per-source time waveforms for transient analysis: overrides the DC
     value of the named V/I source. *)
 
-val residual_jacobian :
-  ?gmin:float ->
-  ?time:float ->
-  ?stimulus:stimulus ->
-  Ape_circuit.Netlist.t ->
-  index ->
-  float array ->
-  float array * Ape_util.Matrix.Rmat.t
-(** [residual_jacobian netlist index x] evaluates the KCL/branch residual
-    [F(x)] and its Jacobian at the point [x].  Newton solves
-    [J dx = -F].  [gmin] (default 1e-12) is a stabilising conductance
-    from every node to ground; [time]/[stimulus] evaluate
-    time-dependent source values for the transient analysis. *)
-
-val linearize :
-  Ape_circuit.Netlist.t ->
-  index ->
-  float array ->
-  float array * Ape_util.Matrix.Rmat.t * Ape_util.Matrix.Rmat.t
-(** [(f, g, c)] at [x] from one device pass: each MOSFET is evaluated
-    once, and its capacitances are taken at that evaluation's region.
-    [f] and [g] equal {!residual_jacobian}'s at its default [gmin] bit
-    for bit; [c] holds the explicit capacitors plus the MOS intrinsic
-    and junction capacitances in their bias-dependent values.  The
-    relaxed synthesis cost reads all three: the KCL penalty and AWE's
-    moments. *)
-
 val pattern : index -> Ape_util.Sparse.pattern
 (** The index's sparse pattern: every sparse stamp's values must share
     it. *)
@@ -107,14 +78,20 @@ val sparse_residual :
   float array ->
   Ape_util.Sparse.Real.t ->
   float array
-(** Sparse form of {!residual_jacobian}: stamps the Jacobian into [vals]
-    (cleared first; must share the index's {!pattern}) and returns the
-    residual [F(x)].  Each slot value is bitwise equal to the
-    corresponding dense matrix entry.  [source_scale] (default 1)
-    scales all independent sources, for DC source stepping.  [c], when
-    given, receives (cleared first) the C stamps of the same device
-    pass, bitwise equal to {!linearize}'s [c]; C depends on [x] alone,
-    not on [gmin], [source_scale], [time] or [stimulus]. *)
+(** [sparse_residual netlist index x vals] evaluates the KCL/branch
+    residual [F(x)] and stamps its Jacobian into [vals] (cleared first;
+    must share the index's {!pattern}).  Newton solves [J dx = -F].
+    Each slot's value is the sum of its stamps in the core's call
+    order, from [0.]: the entry a dense matrix stamped in that order
+    would hold.  [gmin] (default 1e-12) is a stabilising conductance
+    from every node to ground; [source_scale] (default 1) scales all
+    independent sources, for DC source stepping; [time]/[stimulus]
+    evaluate time-dependent source values for the transient analysis.
+    [c], when given, receives (cleared first) the C stamps of the same
+    device pass: the explicit capacitors plus each MOSFET's intrinsic
+    and junction capacitances at the region of the one evaluation that
+    also gives its current and partials.  C depends on [x] alone, not
+    on [gmin], [source_scale], [time] or [stimulus]. *)
 
 type workspace = {
   ws_jac : Ape_util.Sparse.Real.t;

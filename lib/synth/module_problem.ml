@@ -311,7 +311,7 @@ let build (process : Proc.t) ~mode ~area_max kind =
     let sizes, nodes = split point in
     let nl = Template.instantiate template sizes in
     let x = Relax.x_engine relax nodes in
-    let kcl = Relax.kcl_penalty relax (Relax.stamp relax nl x) in
+    let kcl = Relax.with_stamp relax nl x (Relax.kcl_penalty relax) in
     let op = Relax.fake_op relax nl x in
     let measurement = measure_at process kind ~area_scale nl op in
     Cost.evaluate cost_model measurement +. (3. *. kcl)

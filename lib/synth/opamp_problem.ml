@@ -258,36 +258,33 @@ let build ?cache ?calibration (process : Proc.t) ~mode row design =
     let sizes, nodes = split point in
     let nl = Template.instantiate template sizes in
     let x = Relax.x_engine relax nodes in
-    (* One device pass stamps f, G and C: f and G give the KCL
-       penalty, G and C AWE's moments. *)
-    let stamp = Relax.stamp ~caps:true relax nl x in
-    let kcl = Relax.kcl_penalty relax stamp in
-    (* AWE at the relaxed point (OBLX's evaluation): DC transfer and a
-       2-pole unity-gain estimate, one LU of G. *)
-    let fake_op = Relax.fake_op relax nl x in
-    let measurement =
-      match
-        Ape_spice.Awe.pade ~q:2 ~g:stamp.Relax.g ?c:stamp.Relax.c ~out:"out"
-          fake_op
-      with
-      | exception Ape_spice.Awe.Moment_failure _ -> None
-      | approx ->
-        let gain = Float.abs approx.Ape_spice.Awe.dc_value in
-        let base =
-          [
-            ("gain", gain);
-            ("area", N.gate_area nl);
-            ( "vout_center",
-              Float.abs (Relax.node_voltage relax x "out" -. out_dc_target)
-            );
-          ]
+    (* One device pass stamps f, G and C into the index's slots: f and
+       G give the KCL penalty, G and C AWE's moments. *)
+    Relax.with_stamp ~caps:true relax nl x (fun stamp ->
+        let kcl = Relax.kcl_penalty relax stamp in
+        (* AWE at the relaxed point (OBLX's evaluation): DC transfer and
+           a 2-pole unity-gain estimate, one LU of G. *)
+        let measurement =
+          match Relax.pade relax stamp ~out:"out" with
+          | exception Ape_spice.Awe.Moment_failure _ -> None
+          | approx ->
+            let gain = Float.abs approx.Ape_spice.Awe.dc_value in
+            let base =
+              [
+                ("gain", gain);
+                ("area", N.gate_area nl);
+                ( "vout_center",
+                  Float.abs (Relax.node_voltage relax x "out" -. out_dc_target)
+                );
+              ]
+            in
+            Some
+              (match Ape_spice.Awe.unity_crossing_hz approx with
+              | Some u -> ("ugf", u) :: base
+              | None -> base)
         in
-        Some
-          (match Ape_spice.Awe.unity_crossing_hz approx with
-          | Some u -> ("ugf", u) :: base
-          | None -> base)
-    in
-    Cost.evaluate cost_model (Option.map correct measurement) +. (3. *. kcl)
+        Cost.evaluate cost_model (Option.map correct measurement)
+        +. (3. *. kcl))
   in
   let cache =
     (* A caller-owned cache (the serve runner's per-problem warm cache,

@@ -23,13 +23,6 @@ let eval t v =
   done;
   !acc
 
-let eval_complex t v =
-  let acc = ref Complex.zero in
-  for i = Array.length t - 1 downto 0 do
-    acc := Complex.add (Complex.mul !acc v) { Complex.re = t.(i); im = 0. }
-  done;
-  !acc
-
 let derivative t =
   if Array.length t <= 1 then zero
   else trim (Array.init (Array.length t - 1) (fun i -> float_of_int (i + 1) *. t.(i + 1)))
@@ -51,53 +44,6 @@ let mul a b =
 
 let of_real_roots roots =
   List.fold_left (fun acc r -> mul acc [| -.r; 1. |]) one roots
-
-(* Durand–Kerner: iterate all roots simultaneously from perturbed points on
-   a circle; converges for the well-separated small-degree polynomials the
-   AWE code produces. *)
-let roots ?(max_iter = 500) ?(tol = 1e-12) t =
-  let n = degree t in
-  if n < 1 then invalid_arg "Poly.roots: degree < 1";
-  let lead = t.(n) in
-  let monic = Array.map (fun c -> c /. lead) t in
-  let eval_monic = eval_complex monic in
-  (* Initial guesses: points on a circle of radius based on coefficient
-     magnitudes, at non-symmetric angles (the classic 0.4 + 0.9i seed). *)
-  let radius =
-    Array.fold_left (fun acc c -> Float.max acc (Float.abs c)) 1. monic
-  in
-  let radius = 1. +. radius in
-  let zs =
-    Array.init n (fun k ->
-        let angle = (float_of_int k *. 2.6) +. 0.4 in
-        Complex.mul
-          { Complex.re = radius; im = 0. }
-          { Complex.re = Float.cos angle; im = Float.sin angle })
-  in
-  let converged = ref false and iter = ref 0 in
-  while (not !converged) && !iter < max_iter do
-    incr iter;
-    let worst = ref 0. in
-    for k = 0 to n - 1 do
-      let zk = zs.(k) in
-      let denom = ref Complex.one in
-      for j = 0 to n - 1 do
-        if j <> k then denom := Complex.mul !denom (Complex.sub zk zs.(j))
-      done;
-      let delta = Complex.div (eval_monic zk) !denom in
-      zs.(k) <- Complex.sub zk delta;
-      worst := Float.max !worst (Complex.norm delta)
-    done;
-    if !worst < tol *. radius then converged := true
-  done;
-  Array.to_list zs
-
-let real_roots ?(tol = 1e-7) t =
-  roots t
-  |> List.filter_map (fun (z : Complex.t) ->
-         if Float.abs z.im <= tol *. (1. +. Float.abs z.re) then Some z.re
-         else None)
-  |> List.sort compare
 
 let butterworth_poles n =
   if n < 1 then invalid_arg "Poly.butterworth_poles: n < 1";

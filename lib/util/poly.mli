@@ -1,9 +1,10 @@
 (** Real-coefficient polynomials.
 
-    The AWE (asymptotic waveform evaluation) module builds Padé
-    denominators from circuit moments and needs their complex roots; the
-    filter designer needs Butterworth prototypes.  Coefficients are stored
-    in ascending order: [c.(i)] multiplies [x^i]. *)
+    The filter designer needs Butterworth prototypes.  AWE's Padé
+    denominators are quadratics solved in closed form
+    ([Ape_spice.Awe.of_moments]); the general-degree Durand–Kerner root
+    finder is the test suite's reference.  Coefficients are stored in
+    ascending order: [c.(i)] multiplies [x^i]. *)
 
 type t
 
@@ -19,7 +20,6 @@ val x : t
 (** The monomial x. *)
 
 val eval : t -> float -> float
-val eval_complex : t -> Complex.t -> Complex.t
 val derivative : t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
@@ -28,14 +28,6 @@ val scale : float -> t -> t
 
 val of_real_roots : float list -> t
 (** Monic polynomial with the given real roots. *)
-
-val roots : ?max_iter:int -> ?tol:float -> t -> Complex.t list
-(** All complex roots via the Durand–Kerner (Weierstrass) iteration.
-    Degree must be >= 1.  Adequate for the small degrees (<= 8) used
-    here. *)
-
-val real_roots : ?tol:float -> t -> float list
-(** The roots whose imaginary part is negligible, sorted ascending. *)
 
 val butterworth_poles : int -> Complex.t list
 (** [butterworth_poles n] are the [n] left-half-plane poles of the

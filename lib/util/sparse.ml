@@ -40,10 +40,61 @@ let fcopy (a : farr) : farr =
   Bigarray.Array1.blit a b;
   b
 
-type pattern = { n : int; colptr : int array; rowind : int array }
+(* [order] is the greedy minimum-degree column order every fresh
+   factorisation over the pattern uses, computed once when the pattern
+   is compiled. *)
+type pattern = {
+  n : int;
+  colptr : int array;
+  rowind : int array;
+  order : int array;
+}
 
 let dim p = p.n
 let nnz p = Array.length p.rowind
+
+(* Greedy minimum degree on the symmetrised pattern, with
+   clique-on-elimination adjacency updates, over a compiled structure.
+   Quadratic scans are fine: {!Builder.compile} runs it once per
+   pattern and the decks this serves are at most a few thousand
+   unknowns. *)
+let greedy_min_degree n colptr rowind =
+  let module S = Set.Make (Int) in
+  let adj = Array.make (max n 1) S.empty in
+  for col = 0 to n - 1 do
+    for s = colptr.(col) to colptr.(col + 1) - 1 do
+      let row = rowind.(s) in
+      if row <> col then begin
+        adj.(row) <- S.add col adj.(row);
+        adj.(col) <- S.add row adj.(col)
+      end
+    done
+  done;
+  let deg = Array.init n (fun v -> S.cardinal adj.(v)) in
+  let eliminated = Array.make n false in
+  let order = Array.make n 0 in
+  for k = 0 to n - 1 do
+    let best = ref (-1) and bestd = ref max_int in
+    for v = 0 to n - 1 do
+      if (not eliminated.(v)) && deg.(v) < !bestd then begin
+        bestd := deg.(v);
+        best := v
+      end
+    done;
+    let v = !best in
+    order.(k) <- v;
+    eliminated.(v) <- true;
+    let nbrs = adj.(v) in
+    S.iter
+      (fun u ->
+        if not eliminated.(u) then begin
+          adj.(u) <- S.remove v (S.remove u (S.union adj.(u) nbrs));
+          deg.(u) <- S.cardinal adj.(u)
+        end)
+      nbrs;
+    adj.(v) <- S.empty
+  done;
+  order
 
 module Builder = struct
   type t = { bn : int; mutable keys : int array; mutable len : int }
@@ -86,7 +137,7 @@ module Builder = struct
     for c = 0 to b.bn - 1 do
       colptr.(c + 1) <- colptr.(c + 1) + colptr.(c)
     done;
-    { n = b.bn; colptr; rowind }
+    { n = b.bn; colptr; rowind; order = greedy_min_degree b.bn colptr rowind }
 end
 
 let slot p ~row ~col =
@@ -109,44 +160,7 @@ let iter p f =
     done
   done
 
-(* Greedy minimum degree on the symmetrised pattern, with
-   clique-on-elimination adjacency updates.  Quadratic scans are fine:
-   the orderings are computed once per pattern and the decks this
-   serves are at most a few thousand unknowns. *)
-let min_degree p =
-  let n = p.n in
-  let module S = Set.Make (Int) in
-  let adj = Array.make (max n 1) S.empty in
-  iter p (fun _ row col ->
-      if row <> col then begin
-        adj.(row) <- S.add col adj.(row);
-        adj.(col) <- S.add row adj.(col)
-      end);
-  let deg = Array.init n (fun v -> S.cardinal adj.(v)) in
-  let eliminated = Array.make n false in
-  let order = Array.make n 0 in
-  for k = 0 to n - 1 do
-    let best = ref (-1) and bestd = ref max_int in
-    for v = 0 to n - 1 do
-      if (not eliminated.(v)) && deg.(v) < !bestd then begin
-        bestd := deg.(v);
-        best := v
-      end
-    done;
-    let v = !best in
-    order.(k) <- v;
-    eliminated.(v) <- true;
-    let nbrs = adj.(v) in
-    S.iter
-      (fun u ->
-        if not eliminated.(u) then begin
-          adj.(u) <- S.remove v (S.remove u (S.union adj.(u) nbrs));
-          deg.(u) <- S.cardinal adj.(u)
-        end)
-      nbrs;
-    adj.(v) <- S.empty
-  done;
-  order
+let min_degree p = p.order
 
 (* ------------------------------------------------------------------ *)
 (* Shared symbolic machinery                                           *)
@@ -277,7 +291,7 @@ module Real = struct
     Ape_obs.incr c_symbolic;
     let pat = a.pat in
     let n = pat.n in
-    let q = min_degree pat in
+    let q = pat.order in
     let pinv = Array.make n (-1) in
     let lp = Array.make (n + 1) 0 and up = Array.make (n + 1) 0 in
     let l = dyn_make () and u = dyn_make () in
@@ -501,7 +515,7 @@ module Csplit = struct
     done
 
   (* Complex.div (Smith's algorithm) on split operands — the stdlib's
-     own arithmetic, so a dense [Cmat] reference disagrees with this
+     own arithmetic, so the oracle's dense [Cmat] disagrees with this
      engine only through elimination order, never through scalar
      arithmetic. *)
   let[@inline] cdiv xre xim yre yim =
@@ -546,7 +560,7 @@ module Csplit = struct
     Ape_obs.incr c_symbolic;
     let pat = a.pat in
     let n = pat.n in
-    let q = min_degree pat in
+    let q = pat.order in
     let pinv = Array.make n (-1) in
     let lp = Array.make (n + 1) 0 and up = Array.make (n + 1) 0 in
     let l = dyn_make () and lim = dyn_make () in

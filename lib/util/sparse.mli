@@ -8,8 +8,9 @@
     - a {!pattern} is built once per (netlist, index) pair through
       {!Builder} and never changes;
     - {!Real.factor}/{!Csplit.factor} run a full left-looking
-      Gilbert–Peierls LU with partial pivoting over a greedy
-      minimum-degree column ordering — the {e symbolic analysis}: it
+      Gilbert–Peierls LU with partial pivoting over the pattern's
+      greedy minimum-degree column ordering (computed once, by
+      {!Builder.compile}) — the {e symbolic analysis}: it
       fixes the column order, the row-pivot sequence and the exact
       nonzero structure of L and U;
     - {!Real.refactor}/{!Csplit.refactor} replay only the numeric part
@@ -24,9 +25,9 @@
 
     All factor value storage and workspaces are unboxed
     [Bigarray.Array1] float buffers.  There is {e no} bit-identity
-    contract with the dense {!Matrix} LU: the elimination order differs,
-    so results agree only to rounding (the differential suite in
-    [test/test_sparse.ml] pins the tolerance). *)
+    contract with the test oracle's dense [Matrix] LU: the elimination
+    order differs, so results agree only to rounding (the differential
+    suite in [test/test_sparse.ml] pins the tolerance). *)
 
 exception Singular
 (** The matrix is numerically (or structurally) singular. *)
@@ -220,6 +221,9 @@ module Csplit : sig
 end
 
 val min_degree : pattern -> int array
-(** The greedy minimum-degree column ordering {!Real.factor} uses
-    (computed on the symmetrised pattern; deterministic smallest-index
-    tie-break).  Exposed for tests. *)
+(** The greedy minimum-degree column ordering every fresh
+    {!Real.factor}/{!Csplit.factor} over the pattern uses (computed on
+    the symmetrised pattern; deterministic smallest-index tie-break).
+    {!Builder.compile} computes it once, so this returns the pattern's
+    own array, the same one on every call: do not mutate it.  Exposed
+    for tests. *)

@@ -284,6 +284,32 @@ let test_cli_valid_deck_exits_zero () =
 
 (* Usage errors are cmdliner's exit 124; the required --gain/--ugf are
    given so that the option under test is what fails. *)
+(* ci.sh's synth determinism diff, under dune runtest: three chains on
+   one and on three worker domains print the same result, evaluations
+   and sizes (wall time and cache hits aside).  The chains share the
+   problem's cost, so this also holds its pooled stamp storage to one
+   evaluation per scratch. *)
+let test_cli_synth_chains_jobs () =
+  match ape_exe () with
+  | None -> Alcotest.fail "bin/ape.exe not built"
+  | Some exe ->
+    let run jobs =
+      let code, out =
+        run_cli_output exe
+          [ "synth"; "--gain"; "200"; "--ugf"; "2meg"; "--seed"; "7";
+            "--chains"; "3"; "--jobs"; jobs ]
+      in
+      Alcotest.(check int) ("synth --jobs " ^ jobs ^ " exits 0") 0 code;
+      String.split_on_char '\n' out
+      |> List.filter (fun l ->
+             not
+               (String.starts_with ~prefix:"time:" l
+               || String.starts_with ~prefix:"cache:" l))
+    in
+    let one = run "1" in
+    Alcotest.(check bool) "prints a result" true (List.length one > 3);
+    Alcotest.(check (list string)) "jobs 1 = jobs 3" one (run "3")
+
 let test_cli_synth_usage_errors () =
   match ape_exe () with
   | None -> Alcotest.fail "bin/ape.exe not built"
@@ -526,6 +552,8 @@ let () =
             test_cli_valid_deck_exits_zero;
           Alcotest.test_case "synth usage errors exit 124" `Quick
             test_cli_synth_usage_errors;
+          Alcotest.test_case "synth --chains 3: jobs 1 = jobs 3" `Quick
+            test_cli_synth_chains_jobs;
           Alcotest.test_case "vase malformed specs exit 3" `Quick
             test_cli_vase_malformed_specs;
           Alcotest.test_case "unreadable inputs exit 3" `Quick

@@ -564,8 +564,6 @@ let test_runner_failure_table () =
         Some (true, "no convergence: dc(x)") );
       ( Ape_spice.Transient.Step_failed 1.5e-6,
         Some (true, "transient step failed at t=1.5us") );
-      ( Ape_util.Matrix.Singular,
-        Some (true, "singular system: the deck has no unique solution") );
       ( Ape_util.Sparse.Singular,
         Some (true, "singular system: the deck has no unique solution") );
       ( Ape_estimator.Opamp.Infeasible "gain unreachable",

