@@ -31,8 +31,8 @@ val run :
 val error_table : outcome -> Golden.error_entry list
 (** Per-(level, attribute) max relative error, raw and calibrated —
     equal columns for an uncalibrated run.  This is what the frozen
-    [calib_errors.tsv] snapshot and [BENCH_calib.json] are built
-    from. *)
+    [calib_errors.tsv] snapshot and the calibration gate of
+    [bench/main.exe gate] are built from. *)
 
 val failures : outcome -> Diff.row list
 val drifts : outcome -> Golden.drift list

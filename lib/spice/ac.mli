@@ -65,7 +65,8 @@ val panel_width : unit -> int
 
 val set_panel_width : int -> unit
 (** Override {!panel_width} for this process ([k >= 1]) — the hook the
-    width-invariance tests and the bench's width curve use. *)
+    width-invariance tests and the blocked-sweep gate of
+    [bench/main.exe gate] use. *)
 
 val solve_many : prepared -> float array -> solution array
 (** Blocked multi-frequency solve on the preparation's cached

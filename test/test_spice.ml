@@ -881,10 +881,12 @@ let test_noise_adjoint_matches_direct () =
 
 let test_noise_sparse_engine_counters () =
   (* Noise factors through the sparse refactor path: exactly one
-     adjoint solve per frequency, sparse counters ticking, and no dense
-     LU. *)
+     adjoint solve per frequency covers every source, sparse counters
+     tick, and no dense LU. *)
   let _, deck = List.hd (noise_golden_ops ()) in
   let prep = Ac.prepare (Dc.solve deck) in
+  Alcotest.(check bool) "several noise sources" true
+    (List.length (Noise.noise_sources (Ac.op prep) 1e3) >= 2);
   Ape_obs.enable ();
   Ape_obs.reset ();
   ignore (Noise.output_noise_prepared ~out:"out" ~freq:1e3 prep);
