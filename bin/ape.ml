@@ -5,7 +5,6 @@
      ape module (lpf|bpf|sh|adc|dac|amp|comparator) [options] [--verify]
      ape synth --gain 200 --ugf 2meg [--mode standalone|ape] [--seed N]
                 [--chains 4 --jobs 4] [--area 4n] [--calibration CARD]
-                [--cache-quantum 1e-2 --cache-capacity 8192]
                 [--mc-samples 200]
      ape mc opamp --gain 200 --ugf 2meg --samples 500 --jobs 4
                 [--level estimate|simulate] [--sigma-scale 1.5] [--hist gain]
@@ -82,9 +81,8 @@ let guard f =
 
 (* The CLI's job runs: one job built from the command's flags, through
    a fresh runner. *)
-let execute ?cache_quantum ?cache_capacity ?jobs payload =
-  Sv.Runner.execute ?jobs
-    (Sv.Runner.create ?cache_quantum ?cache_capacity proc)
+let execute ?jobs payload =
+  Sv.Runner.execute ?jobs (Sv.Runner.create proc)
     { Sv.Job.id = "cli"; timeout = None; payload }
 
 let trace_arg =
@@ -192,20 +190,6 @@ let jobs_arg what =
           (what
          ^ " (0 = the hardware-recommended count).  Fixed-seed results \
             are identical for every value."))
-
-let cache_quantum_arg =
-  Arg.(
-    value & opt (some number_conv) None
-    & info [ "cache-quantum" ]
-        ~doc:
-          "Estimate-cache grid size on unit-cube coordinates (default \
-           1e-2).")
-
-let cache_capacity_arg =
-  Arg.(
-    value & opt (some positive_int_conv) None
-    & info [ "cache-capacity" ]
-        ~doc:"Estimate-cache entries per synthesis problem (default 8192).")
 
 (* FILE and GRID positionals are plain strings, not cmdliner's [file]:
    an unreadable input is an input-side failure and must exit 3
@@ -370,8 +354,7 @@ let synth_cmd =
              stream; the best result wins (1 = classic sequential \
              annealing).")
   in
-  let run spec mode seed area mc_samples jobs chains cache_quantum
-      cache_capacity calibration trace =
+  let run spec mode seed area mc_samples jobs chains calibration trace =
     with_trace trace @@ fun () ->
     guard @@ fun () ->
     let job =
@@ -386,7 +369,7 @@ let synth_cmd =
           calibration;
         }
     in
-    match execute ?cache_quantum ?cache_capacity ~jobs job with
+    match execute ~jobs job with
     | Sv.Runner.Synthesized r ->
       pf "%s\n" r.S.Driver.comment;
       pf "gain=%s ugf=%s area=%.0f um^2 power=%s (%d evaluations)\n"
@@ -429,8 +412,7 @@ let synth_cmd =
           "Worker domains: annealing chains run on a persistent pool of \
            this many domains, and the yield check fans out over the same \
            count"
-      $ chains_arg $ cache_quantum_arg $ cache_capacity_arg
-      $ calibration_arg $ trace_arg)
+      $ chains_arg $ calibration_arg $ trace_arg)
 
 (* ---------- ape mc ---------- *)
 
@@ -882,7 +864,7 @@ let serve_cmd =
           ~doc:"Exit after this many batches (mainly for tests).")
   in
   let run files watch once jobs queue shed fail_fast timeout deterministic
-      out poll max_batches cache_quantum cache_capacity trace =
+      out poll max_batches trace =
     with_trace trace @@ fun () ->
     guard @@ fun () ->
     let config =
@@ -894,7 +876,7 @@ let serve_cmd =
         default_timeout = timeout;
       }
     in
-    let runner = Sv.Runner.create ?cache_quantum ?cache_capacity proc in
+    let runner = Sv.Runner.create proc in
     let pool = Ape_util.Pool.create ~workers:jobs in
     let stopping = ref false in
     let request_stop _ = stopping := true in
@@ -976,8 +958,7 @@ let serve_cmd =
       const run $ files_arg $ watch_arg $ once_arg
       $ jobs_arg "Worker domains running jobs concurrently" $ queue_arg
       $ shed_arg $ fail_fast_arg $ timeout_arg $ deterministic_arg $ out_arg
-      $ poll_arg $ max_batches_arg $ cache_quantum_arg $ cache_capacity_arg
-      $ trace_arg)
+      $ poll_arg $ max_batches_arg $ trace_arg)
 
 (* ---------- ape stats ---------- *)
 

@@ -66,15 +66,23 @@ awk -F'"value": *|}' '/"engine.plans"/ { plans = $2 }
 # evaluation count.  The relaxed cost factors G densely in place, so
 # the workload's fresh sparse factorisations are the final
 # measurements' alone: a cost that went back to one per candidate
-# would read thousands (counts, not timings: no flake).
+# would read thousands (counts, not timings: no flake).  Every
+# evaluation goes through the estimate cache once, and its hit count
+# pins the cache's key rule: a different grid or key moves it.
 dune exec bin/ape.exe -- stats --workload synth --json > "$tmp/stats_synth.json"
 awk -F'"value": *|}' '/"anneal.evaluations"/ { ev = $2 }
   /"sparse.symbolic"/ { sym = $2 }
+  /"est_cache.hits"/ { hits = $2 }
+  /"est_cache.misses"/ { misses = $2 }
   END {
-    if (ev == "" || sym == "") { print "FAIL: synth counters missing"; exit 1 }
+    if (ev == "" || sym == "" || hits == "" || misses == "") {
+      print "FAIL: synth counters missing"; exit 1 }
     if (ev + 0 != 5281) { printf "FAIL: anneal.evaluations %d != 5281\n", ev; exit 1 }
     if (sym + 0 > 3) { printf "FAIL: sparse.symbolic %d > 3\n", sym; exit 1 }
-    printf "synth: anneal.evaluations %d = 5281, sparse.symbolic %d <= 3 OK\n", ev, sym
+    if (hits + 0 != 2073) { printf "FAIL: est_cache.hits %d != 2073\n", hits; exit 1 }
+    if (hits + misses != ev + 0) {
+      printf "FAIL: est_cache.hits %d + misses %d != anneal.evaluations %d\n", hits, misses, ev; exit 1 }
+    printf "synth: anneal.evaluations %d = 5281 = est_cache.hits %d + misses %d, sparse.symbolic %d <= 3 OK\n", ev, hits, misses, sym
   }' "$tmp/stats_synth.json"
 
 echo "== ape synth determinism (3 chains: jobs 1 vs jobs 3, fixed seed) =="

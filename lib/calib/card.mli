@@ -25,7 +25,6 @@
 type region = Low | Mid | High | All
 
 val region_name : region -> string
-val region_of_name : string -> region option
 
 val region_of : ugf:float -> ibias:float -> cl:float -> region
 (** Classify an opamp design point by speed pressure

@@ -1,6 +1,8 @@
 module Card = Ape_calib.Card
 module Fit = Ape_calib.Fit
 
+(* Pair each row's raw estimate with its simulation (rows missing a
+   side are dropped). *)
 let samples_of_rows ~level ?(region_of_case = fun _ -> Card.All) rows =
   let level = Tolerance.level_name level in
   List.filter_map
@@ -18,6 +20,8 @@ let samples_of_rows ~level ?(region_of_case = fun _ -> Card.All) rows =
       | _ -> None)
     rows
 
+(* The operating region of each Table 3 opamp, by case name (unknown
+   cases map to [All]). *)
 let opamp_region_of_case () =
   let regions =
     List.map

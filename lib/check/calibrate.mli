@@ -5,29 +5,8 @@
 
     This is the engine behind [ape calibrate]: {!Ape_calib.Grid}
     supplies breadth (random design points across the spec space), the
-    catalog supplies the anchor the CI gate measures on, and {!harden}
+    catalog supplies the anchor the CI gate measures on, and hardening
     makes "calibrated ≤ raw on the goldens" true by construction. *)
-
-val samples_of_rows :
-  level:Tolerance.level ->
-  ?region_of_case:(string -> Ape_calib.Card.region) ->
-  Diff.row list ->
-  Ape_calib.Fit.sample list
-(** Pair each row's raw estimate with its simulation (rows missing a
-    side are dropped).  [region_of_case] defaults to [All]. *)
-
-val opamp_region_of_case : unit -> string -> Ape_calib.Card.region
-(** The operating region of each Table 3 opamp, by case name
-    (unknown cases map to [All]). *)
-
-val catalog_samples :
-  ?slew:bool -> Ape_process.Process.t -> Ape_calib.Fit.sample list
-(** Fresh basic/opamp/module catalog runs as fitting samples. *)
-
-val harden :
-  Ape_calib.Card.t -> samples:Ape_calib.Fit.sample list -> Ape_calib.Card.t
-(** Reset to identity every (level, attr) whose max error over
-    [samples] the card makes worse. *)
 
 val fit :
   ?slew:bool ->

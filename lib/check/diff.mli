@@ -50,13 +50,6 @@ val make :
   sim:float option ->
   row
 
-val perf_pairs :
-  Ape_estimator.Perf.t ->
-  Ape_estimator.Perf.t ->
-  (string * float option * float option) list
-(** Attribute-aligned (name, est, sim) triples; [dc_power] is named
-    "power" to match {!Tolerance} and the golden tables. *)
-
 val rows_of_perf :
   case:string ->
   tols:Tolerance.t list ->

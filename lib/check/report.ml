@@ -88,6 +88,8 @@ let stats_of err_of rows =
   in
   List.sort (fun (a, _, _, _) (b, _, _, _) -> String.compare a b) stats
 
+(* [(attr, rows, mean, max)] relative-error statistics of the
+   calibrated and of the raw estimates. *)
 let attr_stats rows = stats_of (fun (r : Diff.row) -> r.Diff.rel_err) rows
 
 let raw_attr_stats rows = stats_of Diff.raw_rel_err rows

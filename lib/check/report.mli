@@ -10,9 +10,3 @@ val tsv : Diff.row list -> string
 
 val summary : Diff.row list -> string
 (** Per-attribute row count, mean and max relative error. *)
-
-val attr_stats : Diff.row list -> (string * int * float * float) list
-(** [(attr, rows, mean, max)] relative-error statistics. *)
-
-val raw_attr_stats : Diff.row list -> (string * int * float * float) list
-(** Same statistics over the raw (pre-calibration) estimates. *)

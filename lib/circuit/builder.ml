@@ -60,11 +60,6 @@ let vsource ?(ac = 0.) t ~p ~n dc =
 let isource ?(ac = 0.) t ~p ~n dc =
   add t (Netlist.Isource { name = fresh_name t 'I'; p; n; dc; ac })
 
-let ammeter t ~a ~b =
-  let name = fresh_name t 'V' in
-  add t (Netlist.Vsource { name; p = a; n = b; dc = 0.; ac = 0. });
-  name
-
 let vcvs t ~p ~n ~cp ~cn gain =
   add t (Netlist.Vcvs { name = fresh_name t 'E'; p; n; cp; cn; gain })
 

@@ -54,11 +54,6 @@ val vsource :
 val isource :
   ?ac:float -> t -> p:Netlist.node -> n:Netlist.node -> float -> unit
 
-val ammeter : t -> a:Netlist.node -> b:Netlist.node -> string
-(** Insert a 0 V source between [a] and [b] (the SPICE current-probe
-    idiom) and return its name; read the probed current — positive when
-    flowing [a]→[b] — with [Dc.branch_current]. *)
-
 val vcvs :
   t ->
   p:Netlist.node ->

@@ -13,9 +13,6 @@
     [vds], [vsb], [vth], [gamma], [phi] (2φ_f), [lambda], [gm], [gmi],
     [gml], [gdi], [gdl], [g0]. *)
 
-val eq1_ids : Ape_symbolic.Expr.t
-(** (1)  I_DS = KP·(W/L)·(V_GS − V_th)²/2 — saturation drain current. *)
-
 val eq2_gm : Ape_symbolic.Expr.t
 (** (2)  g_m = √(2·KP·(W/L)·|I_DS|)  (the paper's √(4·KP′·…) with
     KP′ = µC_ox/2; see DESIGN.md §6). *)

@@ -43,10 +43,22 @@ type bp_design = {
   perf : Perf.t;
 }
 
+(* The [n] left-half-plane poles of the normalised (ω = 1 rad/s)
+   Butterworth low-pass prototype. *)
+let butterworth_poles n =
+  List.init n (fun k ->
+      let theta =
+        Float.pi *. (2. *. float_of_int (k + 1) +. float_of_int n -. 1.)
+        /. (2. *. float_of_int n)
+      in
+      { Complex.re = Float.cos theta; im = Float.sin theta })
+
+(* Stage Q values (one per conjugate pole pair) of the even-order
+   Butterworth prototype, ascending. *)
 let butterworth_q order =
   if order < 2 || order mod 2 <> 0 then
     invalid_arg "Filter.butterworth_q: order must be even and >= 2";
-  Ape_util.Poly.butterworth_poles order
+  butterworth_poles order
   |> List.filter_map (fun (p : Complex.t) ->
          if p.im > 1e-9 then Some (1. /. (2. *. Float.abs p.re)) else None)
   |> List.sort compare

@@ -55,10 +55,6 @@ type bp_design = {
   perf : Perf.t;
 }
 
-val butterworth_q : int -> float list
-(** Stage Q values (one per conjugate pole pair) of the even-order
-    Butterworth prototype, ascending. *)
-
 val design_lp : Ape_process.Process.t -> lp_spec -> lp_design
 (** Raises [Invalid_argument] for odd or non-positive order. *)
 

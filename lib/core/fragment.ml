@@ -9,8 +9,6 @@ let port t name =
   | Some node -> node
   | None -> raise Not_found
 
-let has_port t name = List.mem_assoc name t.ports
-
 let with_supply ?(vdd = 5.0) t =
   let vdd_node = port t "vdd" in
   N.append t.netlist

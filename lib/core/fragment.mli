@@ -18,8 +18,6 @@ val make :
 val port : t -> string -> Ape_circuit.Netlist.node
 (** Raises [Not_found] with the port name in the message. *)
 
-val has_port : t -> string -> bool
-
 val with_supply : ?vdd:float -> t -> Ape_circuit.Netlist.t
 (** The fragment's netlist plus a VDD source on its [vdd] port (named
     [VDD]); ready for DC analysis once a drive is attached. *)

@@ -27,8 +27,4 @@ type t = {
 val empty : t
 (** All optionals [None], areas and power 0. *)
 
-val cmrr_db : t -> float option
-val attr_list : t -> (string * string) list
-(** Human-readable non-empty attributes, engineering-formatted. *)
-
 val pp : Format.formatter -> t -> unit

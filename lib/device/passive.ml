@@ -32,11 +32,3 @@ let e96_round x =
   (* The next decade's first value (10.0) can be closer than 9.76. *)
   if Float.abs (10. -. mant) < !best_err then 10. *. scale
   else !best *. scale
-
-let pp_resistor fmt { r; area } =
-  Format.fprintf fmt "R=%sOhm (%sm^2)" (Ape_util.Units.to_eng r)
-    (Ape_util.Units.to_eng area)
-
-let pp_capacitor fmt { c; area } =
-  Format.fprintf fmt "C=%sF (%sm^2)" (Ape_util.Units.to_eng c)
-    (Ape_util.Units.to_eng area)

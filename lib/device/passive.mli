@@ -13,6 +13,3 @@ val capacitor : Ape_process.Process.t -> float -> capacitor
 val e96_round : float -> float
 (** Snap to the nearest E96 (1 %) standard value — what a designer would
     actually draw.  Positive inputs only. *)
-
-val pp_resistor : Format.formatter -> resistor -> unit
-val pp_capacitor : Format.formatter -> capacitor -> unit

@@ -21,7 +21,6 @@ type check = { metric : string; lower : float option; upper : float option }
 
 val at_least : string -> float -> check
 val at_most : string -> float -> check
-val check_passes : check -> float -> bool
 val pp_check : Format.formatter -> check -> unit
 
 type config = {

@@ -235,7 +235,6 @@ let flush_domain () =
    workloads flip the switch before spawning workers. *)
 let on = ref false
 
-let enabled () = !on
 let enable () = on := true
 let disable () = on := false
 

@@ -43,8 +43,6 @@ val histogram : string -> histogram
 
 (** {1 Switching} *)
 
-val enabled : unit -> bool
-
 val enable : unit -> unit
 (** Start recording.  Does not clear previously recorded data — call
     {!reset} for a fresh start. *)

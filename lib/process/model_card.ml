@@ -111,15 +111,6 @@ type perturbation = {
   lambda_factor : float;
 }
 
-let no_perturbation =
-  {
-    kp_factor = 1.;
-    vto_shift = 0.;
-    tox_factor = 1.;
-    gamma_factor = 1.;
-    lambda_factor = 1.;
-  }
-
 (* KP, tox and u0 are kept mutually consistent (KP = u0 * Cox, Cox =
    eps_ox / tox): the sampled KP factor is the net current-factor
    variation, tox moves the capacitances, and u0 absorbs the difference

@@ -89,9 +89,6 @@ type perturbation = {
     perturbation.  Constructed by [Mc.Variation] from a {!Ape_util.Rng}
     stream; kept Rng-free here so the process layer stays deterministic. *)
 
-val no_perturbation : perturbation
-(** The identity (all factors 1, shift 0). *)
-
 val perturb : perturbation -> t -> t
 (** Apply a sampled deviation, keeping KP, u0 and tox mutually
     consistent (KP = u0·eps_ox/tox). *)

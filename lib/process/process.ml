@@ -72,13 +72,6 @@ let card t = function
   | Model_card.Nmos -> t.nmos
   | Model_card.Pmos -> t.pmos
 
-let with_model_level level t =
-  {
-    t with
-    nmos = Model_card.with_level level t.nmos;
-    pmos = Model_card.with_level level t.pmos;
-  }
-
 type corner = Typical | Slow | Fast
 
 let corner_name = function
@@ -103,14 +96,6 @@ let corner c t =
       }
     in
     { t with nmos = shift t.nmos; pmos = shift t.pmos }
-
-let no_perturbation =
-  {
-    nmos = Model_card.no_perturbation;
-    pmos = Model_card.no_perturbation;
-    rsh_factor = 1.;
-    cap_factor = 1.;
-  }
 
 let perturb (p : perturbation) t =
   {

@@ -36,9 +36,6 @@ val c08 : t
 val card : t -> Model_card.mos_type -> Model_card.t
 (** Select the card of a polarity. *)
 
-val with_model_level : Model_card.level -> t -> t
-(** Both cards re-tagged at the given model level. *)
-
 type corner = Typical | Slow | Fast
 
 val corner : corner -> t -> t
@@ -50,8 +47,6 @@ val corner : corner -> t -> t
 val corner_name : corner -> string
 
 (** {1 Process variation} *)
-
-val no_perturbation : perturbation
 
 val perturb : perturbation -> t -> t
 (** Apply a sampled deviation to both cards and the passive densities. *)

@@ -5,44 +5,29 @@ module R = Record
 
 type t = {
   proc : Ape_process.Process.t;
-  quantum : float option;
-  capacity : int;
   lock : Mutex.t;
   caches : (string, S.Est_cache.t) Hashtbl.t;
 }
 
-let create ?cache_quantum ?(cache_capacity = 8192) proc =
-  {
-    proc;
-    quantum = cache_quantum;
-    capacity = cache_capacity;
-    lock = Mutex.create ();
-    caches = Hashtbl.create 16;
-  }
-
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+let create proc = { proc; lock = Mutex.create (); caches = Hashtbl.create 16 }
 
 let cache_for t fingerprint =
-  with_lock t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       match Hashtbl.find_opt t.caches fingerprint with
       | Some c -> c
       | None ->
-        let c =
-          S.Est_cache.create ?quantum:t.quantum ~capacity:t.capacity ()
-        in
+        let c = S.Est_cache.create () in
         Hashtbl.add t.caches fingerprint c;
         c)
 
 let cache_stats t =
-  with_lock t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       Hashtbl.fold
         (fun _ c (lookups, hits) ->
           (lookups + S.Est_cache.lookups c, hits + S.Est_cache.hits c))
         t.caches (0, 0))
 
-let cache_count t = with_lock t.lock (fun () -> Hashtbl.length t.caches)
+let cache_count t = Mutex.protect t.lock (fun () -> Hashtbl.length t.caches)
 
 (* ------------------------------------------------------------------ *)
 (* Failures                                                            *)

@@ -24,12 +24,7 @@
 
 type t
 
-val create :
-  ?cache_quantum:float ->
-  ?cache_capacity:int ->
-  Ape_process.Process.t ->
-  t
-(** [cache_capacity] (default 8192) is per fingerprint, not global. *)
+val create : Ape_process.Process.t -> t
 
 type failure_class =
   | Engine

@@ -11,9 +11,6 @@ val scan : string -> string list
 (** The directory's unprocessed [*.jobs] files (full paths), sorted.
     Raises [Sys_error] when the directory cannot be read. *)
 
-val mark_done : string -> unit
-(** Rename [path] to [path ^ ".done"]. *)
-
 val watch :
   ?poll:float ->
   ?max_batches:int ->

@@ -185,6 +185,8 @@ let branch_current op name =
   | None -> None
   | Some i -> Some op.x.(i)
 
+(* Magnitude of the current delivered by the named V-source; raises
+   [Not_found] for an unknown name. *)
 let supply_current op name =
   match branch_current op name with
   | Some i -> Float.abs i

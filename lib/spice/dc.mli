@@ -38,11 +38,6 @@ val branch_current : op -> string -> float option
 (** Current through a named V-source/VCVS (SPICE sign: positive flows
     p→n inside the source). *)
 
-val supply_current : op -> string -> float
-(** Magnitude of the current delivered by the named V-source; raises
-    [Not_found] for an unknown name.  Static power =
-    supply voltage × this. *)
-
 val static_power : op -> supply:string -> float
 (** |V| · |I| of the named supply source. *)
 

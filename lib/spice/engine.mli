@@ -25,10 +25,6 @@ exception
     the pass that failed ("mna", "ac", "awe", …), [node] the offending
     node or element name when one is identifiable. *)
 
-val engine_error : analysis:string -> ?node:string -> string -> 'a
-(** Raise {!Engine_error} — shared by the analyses layered on this
-    module. *)
-
 val build_index : Ape_circuit.Netlist.t -> index
 (** Unknown layout: node voltages first (non-ground nodes in sorted
     order), then one branch current per V-source and VCVS.  The index

@@ -34,7 +34,6 @@ module Env = struct
   let of_list l = List.fold_left (fun m (k, v) -> String_map.add k v m) empty l
   let add = String_map.add
   let find_opt = String_map.find_opt
-  let bindings = String_map.bindings
 
   let pp fmt t =
     Format.fprintf fmt "{";
@@ -42,7 +41,7 @@ module Env = struct
       (fun i (k, v) ->
         if i > 0 then Format.fprintf fmt ", ";
         Format.fprintf fmt "%s=%g" k v)
-      (bindings t);
+      (String_map.bindings t);
     Format.fprintf fmt "}"
 end
 

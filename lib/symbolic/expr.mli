@@ -44,7 +44,6 @@ module Env : sig
   val of_list : (string * float) list -> t
   val add : string -> float -> t -> t
   val find_opt : string -> t -> float option
-  val bindings : t -> (string * float) list
   val pp : Format.formatter -> t -> unit
 end
 

@@ -11,6 +11,8 @@ type measurement = (string * float) list
 
 let find m key = List.assoc_opt key m
 
+(* Relative violation in [0, ∞): 0 when satisfied, a fixed large value
+   (3.0) when the metric is absent. *)
 let violation req m =
   match find m req.metric with
   | None -> 3.0

@@ -22,10 +22,6 @@ type measurement = (string * float) list
 
 val find : measurement -> string -> float option
 
-val violation : requirement -> measurement -> float
-(** Relative violation in [[0, ∞)]; 0 when satisfied; a fixed large
-    value (3.0) when the metric is absent. *)
-
 val satisfied : requirement -> measurement -> bool
 
 type objective = { metric_o : string; scale : float; weight_o : float }

@@ -316,7 +316,7 @@ let build (process : Proc.t) ~mode ~area_max kind =
     let measurement = measure_at process kind ~area_scale nl op in
     Cost.evaluate cost_model measurement +. (3. *. kcl)
   in
-  let cache = Est_cache.create ~capacity:8192 () in
+  let cache = Est_cache.create () in
   (* Evaluate at the cell's representative point so the memoised value
      is a pure function of the key (see Est_cache's determinism note). *)
   let cost point = Est_cache.find_or_add cache point evaluate_point in

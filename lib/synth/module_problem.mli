@@ -37,7 +37,7 @@ type problem = {
       (** multiplier from the synthesised core's area to the full module
           (1 except for the ADC, where it is 2ⁿ−1) *)
   cache : Est_cache.t;
-      (** the LRU memo behind [cost] — keyed on the quantized point, so
+      (** the memo behind [cost] — keyed on the quantized point, so
           re-visited sizings skip the relaxed estimation entirely *)
 }
 
@@ -47,9 +47,8 @@ val ape_module :
 
 val build :
   Ape_process.Process.t -> mode:mode -> area_max:float -> kind -> problem
-(** [area_max] is the gate-area budget (of the full module), m².  The
-    {!Est_cache} behind [cost] has the default quantum and 8192
-    entries. *)
+(** [area_max] is the gate-area budget (of the full module), m².
+    [cost] memoises through a fresh {!Est_cache}. *)
 
 type result = {
   kind : kind;

@@ -292,7 +292,7 @@ let build ?cache ?calibration (process : Proc.t) ~mode row design =
        one. *)
     match cache with
     | Some c -> c
-    | None -> Est_cache.create ~capacity:8192 ()
+    | None -> Est_cache.create ()
   in
   (* The callback evaluates the quantized cell's representative point,
      not [point] itself, so the memoised value is a pure function of

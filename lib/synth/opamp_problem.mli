@@ -65,7 +65,7 @@ type problem = {
       (** named size/passive values (for reporting) *)
   cost_model : Cost.t;  (** the specification part, for verdicts *)
   cache : Est_cache.t;
-      (** the LRU memo behind [cost] — keyed on the quantized point, so
+      (** the memo behind [cost] — keyed on the quantized point, so
           re-visited sizings skip the relaxed estimation entirely *)
 }
 
@@ -78,12 +78,11 @@ val build :
   Ape_estimator.Opamp.design ->
   problem
 (** [cost] memoises through [cache] when given, else through a fresh
-    {!Est_cache} of 8192 entries at {!Est_cache.default_quantum}.  The
-    serve runner keeps one warm cache per problem fingerprint so
-    repeated synthesis of the same problem skips already-evaluated
-    points.  Sharing is sound because memoised values are pure
-    functions of the quantized key (see {!Est_cache}) — callers sharing
-    a cache must also share the (or no) calibration card, since
+    {!Est_cache}.  The serve runner keeps one warm cache per problem
+    fingerprint so repeated synthesis of the same problem skips
+    already-evaluated points.  Sharing is sound because memoised values
+    are pure functions of the quantized key (see {!Est_cache}) — callers
+    sharing a cache must also share the (or no) calibration card, since
     corrections feed the memoised cost.  [calibration] corrects the
     in-loop gain/UGF estimates (opamp level, region from the row's
     spec); the final verdict is always measured raw. *)

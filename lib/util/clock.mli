@@ -5,11 +5,8 @@
     that reports a duration (anneal stats, bench artifacts) should
     difference this clock instead. *)
 
-val now_ns : unit -> int64
-(** Nanoseconds on CLOCK_MONOTONIC.  Only differences are meaningful. *)
-
 val now_s : unit -> float
-(** [now_ns] in seconds. *)
+(** Seconds on CLOCK_MONOTONIC.  Only differences are meaningful. *)
 
 val elapsed_s : float -> float
 (** [elapsed_s t0] is [now_s () -. t0]. *)

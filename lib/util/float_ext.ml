@@ -17,7 +17,6 @@ let logspace a b n =
 
 let db_of_gain g = 20. *. Float.log10 (Float.abs g)
 let gain_of_db db = 10. ** (db /. 20.)
-let signum x = if x > 0. then 1. else if x < 0. then -1. else 0.
 let sq x = x *. x
 
 let rel_error reference measured =

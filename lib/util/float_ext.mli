@@ -23,9 +23,6 @@ val db_of_gain : float -> float
 
 val gain_of_db : float -> float
 
-val signum : float -> float
-(** -1., 0. or 1. *)
-
 val sq : float -> float
 
 val rel_error : float -> float -> float

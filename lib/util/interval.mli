@@ -23,7 +23,6 @@ val hi : t -> float
 val width : t -> float
 val mid : t -> float
 val contains : t -> float -> bool
-val is_point : t -> bool
 
 val clamp : t -> float -> float
 (** Clamp a value into the interval. *)

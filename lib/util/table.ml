@@ -62,7 +62,6 @@ let render_titled ?align ~title ~header rows =
   let rule = String.make (max width (String.length title)) '=' in
   Printf.sprintf "%s\n%s\n%s" title rule body
 
-let cell_eng ?digits x = Units.to_eng ?digits x
 let cell_fixed ?(decimals = 2) x = Printf.sprintf "%.*f" decimals x
 
 let cell_pct x =

@@ -23,9 +23,6 @@ val render_titled :
   string
 (** Like {!render} with a title line and surrounding rule. *)
 
-val cell_eng : ?digits:int -> float -> string
-(** Engineering-notation cell ({!Units.to_eng}). *)
-
 val cell_fixed : ?decimals:int -> float -> string
 (** Fixed-point cell, e.g. for the paper's "206.20" style values. *)
 

@@ -1,24 +1,14 @@
-let tera = 1e12
-let giga = 1e9
 let mega = 1e6
 let kilo = 1e3
-let milli = 1e-3
 let micro = 1e-6
-let nano = 1e-9
 let pico = 1e-12
-let femto = 1e-15
 let um = micro
 let um2 = micro *. micro
-let khz = kilo
-let mhz = mega
 let pf = pico
-let ua = micro
-let mw = milli
 let q_electron = 1.602176634e-19
 let k_boltzmann = 1.380649e-23
 let eps_0 = 8.8541878128e-12
 let eps_ox = 3.9 *. eps_0
-let eps_si = 11.7 *. eps_0
 
 let thermal_voltage ?(temp_k = 300.15) () =
   k_boltzmann *. temp_k /. q_electron

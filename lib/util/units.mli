@@ -8,15 +8,9 @@
 
 (** {1 SI prefixes} *)
 
-val tera : float
-val giga : float
 val mega : float
 val kilo : float
-val milli : float
 val micro : float
-val nano : float
-val pico : float
-val femto : float
 
 (** {1 Common derived helpers} *)
 
@@ -26,16 +20,9 @@ val um : float
 val um2 : float
 (** One square micrometre in square metres. *)
 
-val khz : float
-val mhz : float
 val pf : float
-val ua : float
-val mw : float
 
 (** {1 Physical constants} *)
-
-val q_electron : float
-(** Elementary charge, C. *)
 
 val k_boltzmann : float
 (** Boltzmann constant, J/K. *)
@@ -45,9 +32,6 @@ val eps_0 : float
 
 val eps_ox : float
 (** Permittivity of SiO2, F/m. *)
-
-val eps_si : float
-(** Permittivity of silicon, F/m. *)
 
 val thermal_voltage : ?temp_k:float -> unit -> float
 (** [thermal_voltage ()] is kT/q at [temp_k] (default 300.15 K). *)

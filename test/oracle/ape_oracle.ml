@@ -14,6 +14,7 @@ module Dc = Ape_spice.Dc
 module Engine = Ape_spice.Engine
 module Sp = Ape_util.Sparse
 module Matrix = Matrix
+module Poly = Poly
 module Rmat = Matrix.Rmat
 module Cmat = Matrix.Cmat
 
@@ -198,8 +199,6 @@ let output_noise ~out ~freq (op : Dc.op) =
 (* ---------- polynomial roots ---------- *)
 
 module Poly_ref = struct
-  module Poly = Ape_util.Poly
-
   let eval_complex t v =
     let c = Poly.coeffs t in
     let acc = ref Complex.zero in
@@ -314,7 +313,7 @@ module Awe_ref = struct
         raise (Awe.Moment_failure "Hankel system singular (reduce q)")
     in
     let poles =
-      Poly_ref.roots ?tol (Ape_util.Poly.of_coeffs (Array.append [| 1. |] b))
+      Poly_ref.roots ?tol (Poly.of_coeffs (Array.append [| 1. |] b))
     in
     (* Residues k_i from the moment-matching conditions
        μ_k = Σ_i −k_i / p_i^{k+1}: a q×q Vandermonde-like system. *)

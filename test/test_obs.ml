@@ -329,9 +329,23 @@ let test_cli_synth_usage_errors () =
       [
         [ "mc"; "opamp"; "--gain"; "200"; "--ugf"; "2meg"; "--samples"; "0" ];
         [ "synth"; "--gain"; "200"; "--ugf"; "2meg"; "--mc-samples=-5" ];
-        [ "synth"; "--gain"; "200"; "--ugf"; "2meg"; "--cache-capacity"; "0" ];
         [ "calibrate"; "--points=-2"; "--out"; Filename.null ];
         [ "serve"; "--queue"; "0" ];
+      ];
+    (* The estimate cache has no knobs: its grid and size are fixed, so
+       the old flags are unknown options, with a valid value. *)
+    List.iter
+      (fun (cmd, args) ->
+        List.iter
+          (fun flag ->
+            Alcotest.(check int)
+              (cmd ^ " " ^ flag ^ " exits 124")
+              124
+              (run_cli exe ((cmd :: args) @ [ flag; "8192" ])))
+          [ "--cache-quantum"; "--cache-capacity" ])
+      [
+        ("synth", [ "--gain"; "200"; "--ugf"; "2meg" ]);
+        ("serve", [ Filename.null ]);
       ];
     (* One --jobs rule for every command: 0 is the hardware count, a
        negative count is a usage error. *)

@@ -6,7 +6,7 @@ module F = Ape_util.Float_ext
 module I = Ape_util.Interval
 module Rmat = Ape_oracle.Rmat
 module Cmat = Ape_oracle.Cmat
-module Poly = Ape_util.Poly
+module Poly = Ape_oracle.Poly
 module Root = Ape_util.Rootfind
 module Rng = Ape_util.Rng
 module Strings = Ape_util.Strings
@@ -288,13 +288,36 @@ let test_poly_complex_roots () =
     roots
 
 let test_butterworth () =
-  let poles = Poly.butterworth_poles 4 in
+  (* The fourth-order Butterworth polynomial as its two quadratic
+     sections s^2 + 2 sin(a) s + 1: its roots lie on the unit circle in
+     the left half plane, and the low-pass designer's stage Qs are
+     1/(2|Re p|) of its upper-half-plane roots. *)
+  let section a = Poly.of_coeffs [| 1.; 2. *. Float.sin a; 1. |] in
+  let b4 =
+    Poly.mul (section (Float.pi /. 8.)) (section (3. *. Float.pi /. 8.))
+  in
+  let poles = Ape_oracle.Poly_ref.roots b4 in
   Alcotest.(check int) "four poles" 4 (List.length poles);
   List.iter
     (fun (p : Complex.t) ->
       check_close "unit magnitude" 1. (Complex.norm p) ~tol:1e-9;
       Alcotest.(check bool) "left half plane" true (p.re < 0.))
-    poles
+    poles;
+  let expected =
+    List.filter_map
+      (fun (p : Complex.t) ->
+        if p.im > 1e-9 then Some (1. /. (2. *. Float.abs p.re)) else None)
+      poles
+    |> List.sort compare
+  in
+  let lpf =
+    Ape_estimator.Filter.design_lp Ape_process.Process.c12
+      { order = 4; f_cutoff = 1e3; r_base = 10e3 }
+  in
+  Alcotest.(check int) "two stages" 2 (List.length lpf.stages);
+  List.iter2
+    (fun q (s : Ape_estimator.Filter.stage) -> check_close "stage Q" q s.q)
+    expected lpf.stages
 
 let prop_poly_mul_eval =
   QCheck.Test.make ~name:"eval(p*q) = eval p * eval q" ~count:200
