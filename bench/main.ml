@@ -188,13 +188,15 @@ let run_table4 () =
           ~mode:(S.Opamp_problem.Ape_centered 0.2) row)
       (F.opamp_rows ())
   in
+  (* The speed-up is the share of Table 1's evaluations the APE start
+     saves: evaluation counts are deterministic, where single anneal
+     timings of a few milliseconds are not. *)
   let rows =
     List.map2
       (fun (r : S.Driver.result) (base : S.Driver.result) ->
-        let speedup =
-          let tb = base.S.Driver.stats.S.Anneal.seconds in
-          let ta = r.S.Driver.stats.S.Anneal.seconds in
-          if tb > 0. then (tb -. ta) /. tb else 0.
+        let evals (x : S.Driver.result) = x.S.Driver.stats.S.Anneal.evaluations in
+        let saved =
+          float_of_int (evals base - evals r) /. float_of_int (evals base)
         in
         [
           r.S.Driver.row.S.Opamp_problem.name;
@@ -203,7 +205,8 @@ let run_table4 () =
           um2 r.S.Driver.area;
           eng r.S.Driver.power;
           Printf.sprintf "%.2f" r.S.Driver.stats.S.Anneal.seconds;
-          Table.cell_pct speedup;
+          string_of_int (evals r);
+          Table.cell_pct saved;
           r.S.Driver.comment;
         ])
       results t1
@@ -218,7 +221,8 @@ let run_table4 () =
            "Area um2";
            "power";
            "CPU s";
-           "speed-up";
+           "evals";
+           "speed-up (evals)";
            "Comments";
          ]
        rows);
@@ -721,22 +725,19 @@ let ladder_deck n =
     (Vsource { name = "vin"; p = node 0; n = ground; dc = 1.0; ac = 1.0 }
     :: sections)
 
-(* Per-frequency refactors (panel width 1) over blocked panels (width 8)
-   on a 200-section RC ladder's 61-point sweep. *)
+(* Per-frequency refactors ([Ac.solve_prepared] at every point) over
+   the blocked panels of [Ac.sweep_prepared] on a 200-section RC
+   ladder's 61-point sweep. *)
 let blocked_gate () =
   let prep = Ac.prepare (Ape_spice.Dc.solve (ladder_deck 200)) in
   let grid =
     Ac.sweep_frequencies ~points_per_decade:10 ~fstart:1e2 ~fstop:1e8 ()
   in
-  let k0 = Ac.panel_width () in
-  Fun.protect ~finally:(fun () -> Ac.set_panel_width k0) @@ fun () ->
-  let sweep width () =
-    Ac.set_panel_width width;
-    (Ac.sweep_prepared prep grid).Ac.points
-  in
-  let identical = same_bits (sweep 1 ()) (sweep 8 ()) in
+  let scalar () = List.map (Ac.solve_prepared prep) grid in
+  let blocked () = (Ac.sweep_prepared prep grid).Ac.points in
+  let identical = same_bits (scalar ()) (blocked ()) in
   let trials =
-    Ape_gate.run ~pairs:30 ~a:(block 4 (sweep 1)) ~b:(block 4 (sweep 8))
+    Ape_gate.run ~pairs:30 ~a:(block 4 scalar) ~b:(block 4 blocked)
   in
   timing_row "blocked sweep, x" (Printf.sprintf "%.2f") (Ape_gate.At_least 2.)
     trials

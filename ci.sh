@@ -14,13 +14,20 @@ dune build @all
 echo "== dune runtest =="
 dune runtest
 
+echo "== library surface (every lib export has a production caller or a listed reason) =="
+# @check writes the executables' .cmt files that the cross-reference
+# reads; the tool fails on an unlisted caller-less export or label and
+# on a stale line of test/surface/allowlist.
+dune build @check
+dune exec test/surface/surface.exe
+
 echo "== ape verify (APE vs SPICE differential gate) =="
 dune exec bin/ape.exe -- verify --golden test/golden
 
 echo "== prepared-solve AC (single-point vs blocked bit-identity, dense oracle) =="
 dune exec test/test_spice.exe -- test prepared
 
-echo "== noise (adjoint vs dense oracle, one adjoint for all sources, panel-width bit-identity, frozen pins) =="
+echo "== noise (adjoint vs dense oracle, one adjoint for all sources, panel-vs-scalar bit-identity, frozen pins) =="
 dune exec test/test_spice.exe -- test noise
 
 echo "== observability bit-identity (obs on/off) =="

@@ -75,8 +75,6 @@ let apply t ~level ~attr ~region v =
   | None -> v
   | Some e -> correct e.corr v
 
-let is_identity_card t = List.for_all (fun e -> is_identity e.corr) t.entries
-
 (* ------------------------------------------------------------------ *)
 (* Canonical print                                                     *)
 (* ------------------------------------------------------------------ *)

@@ -66,8 +66,6 @@ val find : t -> level:string -> attr:string -> region:region -> entry option
 val apply : t -> level:string -> attr:string -> region:region -> float -> float
 (** Corrected value; the raw value when the card has no entry. *)
 
-val is_identity_card : t -> bool
-
 val sort_entries : entry list -> entry list
 (** Canonical (level, attr, region) order. *)
 

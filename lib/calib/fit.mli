@@ -26,9 +26,6 @@ val calibratable : string -> bool
 
 val rel_err : est:float -> sim:float -> float
 
-val max_err : Card.corr -> sample list -> float
-(** Max relative error of the corrected estimates over the samples. *)
-
 val fit : ?tol:float -> process:string -> sample list -> Card.t
 (** Non-finite samples and non-calibratable attributes are dropped;
     entries come out in canonical card order. *)

@@ -34,9 +34,6 @@ val opamp_cases :
     design, simulation); the design carries the estimate ([perf]).
     [slew] as in {!Ape_estimator.Verify.sim_opamp}. *)
 
-val device_rows :
-  ?calibration:Ape_calib.Card.t -> Ape_process.Process.t -> Diff.row list
-
 val basic_rows :
   ?calibration:Ape_calib.Card.t -> Ape_process.Process.t -> Diff.row list
 

@@ -29,8 +29,6 @@ type row = {
   status : status;
 }
 
-val rel_err : est:float -> sim:float -> float
-
 val calibrated : row -> bool
 (** True when a correction actually moved this row's estimate. *)
 

@@ -88,7 +88,8 @@ let same rtol a b =
 let describe golden fresh =
   Printf.sprintf "golden %s, fresh %s" (cell golden) (cell fresh)
 
-let compare_rows ?(rtol = 1e-6) ~golden rows =
+let compare_rows ~golden rows =
+  let rtol = 1e-6 in
   let fresh = entries_of_rows rows in
   let key (e : entry) = (e.case, e.attr) in
   let drifts = ref [] in
@@ -115,95 +116,9 @@ let update_requested () =
   | Some ("1" | "true" | "yes") -> true
   | Some _ | None -> false
 
-(* ------------------------------------------------------------------ *)
-(* Calibrated-error snapshot: per-(level, attr) max relative error     *)
-(* before and after calibration, frozen alongside the value tables.    *)
-(* Error values are ratios of nearly-cancelling quantities, so the     *)
-(* comparison takes an absolute floor on top of [rtol].                *)
-(* ------------------------------------------------------------------ *)
-
 type error_entry = {
   e_level : string;
   e_attr : string;
   raw_max : float;
   cal_max : float;
 }
-
-let errors_file = "calib_errors.tsv"
-
-let errors_path ~dir = Filename.concat dir errors_file
-
-let save_errors ~dir entries =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let oc = open_out (errors_path ~dir) in
-  output_string oc
-    "# APE calibrated-vs-raw max relative error per (level, attr)\n";
-  output_string oc "# level\tattr\traw_max\tcal_max\n";
-  List.iter
-    (fun e ->
-      Printf.fprintf oc "%s\t%s\t%s\t%s\n" e.e_level e.e_attr
-        (Ape_util.Units.to_exact e.raw_max)
-        (Ape_util.Units.to_exact e.cal_max))
-    entries;
-  close_out oc
-
-let load_errors ~dir =
-  let file = errors_path ~dir in
-  if not (Sys.file_exists file) then None
-  else begin
-    let ic = open_in file in
-    let rec go acc =
-      match input_line ic with
-      | exception End_of_file -> List.rev acc
-      | line ->
-        let line = String.trim line in
-        if line = "" || line.[0] = '#' then go acc
-        else
-          (match String.split_on_char '\t' line with
-          | [ e_level; e_attr; raw; cal ] ->
-            let num s =
-              match float_of_string_opt s with
-              | Some v -> v
-              | None ->
-                failwith
-                  (Printf.sprintf "error table %s: unreadable number %S" file s)
-            in
-            go ({ e_level; e_attr; raw_max = num raw; cal_max = num cal } :: acc)
-          | _ ->
-            failwith
-              (Printf.sprintf "error table %s: malformed line %S" file line))
-    in
-    let entries = go [] in
-    close_in ic;
-    Some entries
-  end
-
-let compare_errors ?(rtol = 1e-6) ?(atol = 2e-3) ~golden entries =
-  let close a b =
-    a = b
-    || Float.abs (a -. b)
-       <= Float.max atol (rtol *. Float.max (Float.abs a) (Float.abs b))
-  in
-  let key e = (e.e_level, e.e_attr) in
-  let drifts = ref [] in
-  let push level attr what = drifts := { case = level; attr; what } :: !drifts in
-  List.iter
-    (fun g ->
-      match List.find_opt (fun f -> key f = key g) entries with
-      | None -> push g.e_level g.e_attr "row disappeared from the fresh run"
-      | Some f ->
-        if not (close g.raw_max f.raw_max) then
-          push g.e_level g.e_attr
-            (Printf.sprintf "raw error drift: golden %s, fresh %s"
-               (cell (Some g.raw_max)) (cell (Some f.raw_max)))
-        else if not (close g.cal_max f.cal_max) then
-          push g.e_level g.e_attr
-            (Printf.sprintf "calibrated error drift: golden %s, fresh %s"
-               (cell (Some g.cal_max)) (cell (Some f.cal_max))))
-    golden;
-  List.iter
-    (fun f ->
-      if not (List.exists (fun g -> key g = key f) golden) then
-        push f.e_level f.e_attr "new row absent from the golden table")
-    entries;
-  List.rev !drifts

@@ -1,5 +1,3 @@
-module Proc = Ape_process.Process
-
 type t = {
   title : string;
   mutable rev_elements : Netlist.element list;
@@ -42,12 +40,6 @@ let mosfet t card ~d ~g ~s ~b ~w ~l =
          m = 1.;
        })
 
-let nmos t process ~d ~g ~s ~w ~l =
-  mosfet t process.Proc.nmos ~d ~g ~s ~b:Netlist.ground ~w ~l
-
-let pmos t process ~d ~g ~s ~vdd_node ~w ~l =
-  mosfet t process.Proc.pmos ~d ~g ~s ~b:vdd_node ~w ~l
-
 let resistor t ~a ~b r =
   add t (Netlist.Resistor { name = fresh_name t 'R'; a; b; r })
 
@@ -57,16 +49,11 @@ let capacitor t ~a ~b c =
 let vsource ?(ac = 0.) t ~p ~n dc =
   add t (Netlist.Vsource { name = fresh_name t 'V'; p; n; dc; ac })
 
-let isource ?(ac = 0.) t ~p ~n dc =
-  add t (Netlist.Isource { name = fresh_name t 'I'; p; n; dc; ac })
-
-let vcvs t ~p ~n ~cp ~cn gain =
-  add t (Netlist.Vcvs { name = fresh_name t 'E'; p; n; cp; cn; gain })
-
-let switch ?(ron = 1e3) ?(roff = 1e12) ?(vthreshold = 2.5) t ~a ~b ~ctrl =
+let switch ?(ron = 1e3) t ~a ~b ~ctrl =
   add t
     (Netlist.Switch
-       { name = fresh_name t 'W'; a; b; ctrl; ron; roff; vthreshold })
+       { name = fresh_name t 'W'; a; b; ctrl; ron; roff = 1e12;
+         vthreshold = 2.5 })
 
 let instance t ~prefix ~port_map child =
   List.iter (add t) (Netlist.instantiate ~prefix ~port_map child)

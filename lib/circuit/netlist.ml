@@ -80,9 +80,6 @@ let nodes t =
 let elements t = t.elements
 let append t es = { t with elements = t.elements @ es }
 
-let merge ~title ts =
-  { title; elements = List.concat_map (fun t -> t.elements) ts }
-
 let mosfet_count t =
   List.length
     (List.filter (function Mosfet _ -> true | _ -> false) t.elements)
@@ -202,41 +199,6 @@ let instantiate ~prefix ~port_map child =
           })
     child.elements
 
-let rename_node ~from ~to_ t =
-  let map_node n = if String.equal n from then to_ else n in
-  let elements =
-    List.map
-      (function
-        | Mosfet m ->
-          Mosfet
-            {
-              m with
-              d = map_node m.d;
-              g = map_node m.g;
-              s = map_node m.s;
-              b = map_node m.b;
-            }
-        | Resistor r -> Resistor { r with a = map_node r.a; b = map_node r.b }
-        | Capacitor c ->
-          Capacitor { c with a = map_node c.a; b = map_node c.b }
-        | Vsource v -> Vsource { v with p = map_node v.p; n = map_node v.n }
-        | Isource i -> Isource { i with p = map_node i.p; n = map_node i.n }
-        | Vcvs e ->
-          Vcvs
-            {
-              e with
-              p = map_node e.p;
-              n = map_node e.n;
-              cp = map_node e.cp;
-              cn = map_node e.cn;
-            }
-        | Switch s ->
-          Switch
-            { s with a = map_node s.a; b = map_node s.b; ctrl = map_node s.ctrl })
-      t.elements
-  in
-  { t with elements }
-
 let retarget_process process t =
   let elements =
     List.map
@@ -315,5 +277,3 @@ let to_spice t =
     t.elements;
   Buffer.add_string buf ".END\n";
   Buffer.contents buf
-
-let pp fmt t = Format.pp_print_string fmt (to_spice t)

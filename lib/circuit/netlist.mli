@@ -59,13 +59,11 @@ type t = { title : string; elements : element list }
 
 val make : title:string -> element list -> t
 val element_name : element -> string
-val element_nodes : element -> node list
 val nodes : t -> node list
 (** All non-ground nodes, sorted, unique. *)
 
 val elements : t -> element list
 val append : t -> element list -> t
-val merge : title:string -> t list -> t
 
 val mosfet_count : t -> int
 val device_count : t -> int
@@ -87,21 +85,14 @@ val instantiate :
     child node and all element names get [prefix ^ "."] prepended.
     Ground stays ground. *)
 
-val rename_node : from:node -> to_:node -> t -> t
-
 val retarget_process : Ape_process.Process.t -> t -> t
 (** Swap every MOSFET's model card for the given process's card of the
     same polarity (geometry untouched) — re-simulating a sized design at
     a different corner or deck. *)
 
-val spice_num : float -> string
-(** How {!to_spice} prints an element value: the engineering form
-    ({!Ape_util.Units.to_eng}) when it parses back to the identical
-    double, the shortest exact decimal otherwise — so every finite value
-    survives print then parse bit for bit. *)
-
 val to_spice : t -> string
 (** Render in SPICE syntax (with .MODEL cards for every distinct model
-    used). *)
-
-val pp : Format.formatter -> t -> unit
+    used).  Each element value prints in engineering form
+    ({!Ape_util.Units.to_eng}) when that parses back to the identical
+    double, as the shortest exact decimal otherwise, so every finite
+    value survives print then parse bit for bit. *)

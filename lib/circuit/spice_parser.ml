@@ -23,8 +23,6 @@ type diagnostic = {
   source : string option;
 }
 
-exception Parse_error of diagnostic
-
 type directive = { d_name : string; d_args : string list }
 
 type result = {
@@ -892,12 +890,6 @@ let parse_result ?(process = Proc.c12) ?(dialect = Ngspice) ?path ~title text =
       (List.rev st.diags)
   in
   { netlist; analyses = List.rev st.analyses; diagnostics }
-
-let parse ?process ?dialect ?path ~title text =
-  let r = parse_result ?process ?dialect ?path ~title text in
-  match errors r with
-  | [] -> r.netlist
-  | d :: _ -> raise (Parse_error d)
 
 let to_canonical r =
   let base = Netlist.to_spice r.netlist in

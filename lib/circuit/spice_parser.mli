@@ -48,10 +48,6 @@ type diagnostic = {
   source : string option;  (** the offending source line, if known *)
 }
 
-exception Parse_error of diagnostic
-(** Raised by {!parse} on the first error (compatibility entry
-    point); {!parse_result} never raises. *)
-
 type directive = { d_name : string; d_args : string list }
 (** A recorded analysis directive: [d_name] is lowercase without the
     leading dot (["ac"]), [d_args] are the raw argument tokens. *)
@@ -77,15 +73,6 @@ val parse_result :
     cards (by name, or the generic [NMOS]/[PMOS]).  The netlist is
     validated with {!Netlist.validate} only when no errors were
     recorded. *)
-
-val parse :
-  ?process:Ape_process.Process.t ->
-  ?dialect:dialect ->
-  ?path:string ->
-  title:string ->
-  string ->
-  Netlist.t
-(** [parse_result] that raises {!Parse_error} on the first error. *)
 
 val errors : result -> diagnostic list
 val warnings : result -> diagnostic list

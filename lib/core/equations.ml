@@ -4,24 +4,12 @@ module Solver = Ape_symbolic.Solver
 
 (* Stated in the parser's concrete syntax so the equations read like
    the paper. *)
-let eq1_ids = Parser.parse "kp * w_over_l * (vgs - vth)^2 / 2"
 let eq2_gm = Parser.parse "sqrt(2 * kp * w_over_l * abs(ids))"
 let eq3_gmb = Parser.parse "gm * gamma / (2 * sqrt(phi + vsb))"
 let eq4_gd = Parser.parse "lambda * ids / (1 + lambda * abs(vds))"
 let eq5_adm = Parser.parse "gmi / (gdl + gdi)"
 let eq6_acm = Parser.parse "-(g0 * gdi) / (2 * gml * (gdl + gdi))"
 let eq7_cmrr = Parser.parse "2 * gmi * gml / (g0 * gdi)"
-
-let all =
-  [
-    ("eq1", eq1_ids);
-    ("eq2", eq2_gm);
-    ("eq3", eq3_gmb);
-    ("eq4", eq4_gd);
-    ("eq5", eq5_adm);
-    ("eq6", eq6_acm);
-    ("eq7", eq7_cmrr);
-  ]
 
 let solve_wl_for_gm ~kp ~gm ~ids =
   let env = Expr.Env.of_list [ ("kp", kp); ("gm", gm); ("ids", ids) ] in

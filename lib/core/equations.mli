@@ -3,14 +3,14 @@
 
     §4 of the paper presents the estimator as a library of "symbolic
     equations which relate the performance of the components to the
-    circuit topology", numbered (1)–(7).  This module states them
+    circuit topology", numbered (1)–(7).  This module states (2)–(7)
     symbolically so they can be inspected, differentiated for
     sensitivities and inverted by the generic solver; the test suite
     cross-checks them against the hand-coded estimation functions
     (design choice D5 in DESIGN.md).
 
-    Variable naming (all SI): [kp] (µC_ox), [w_over_l], [ids], [vgs],
-    [vds], [vsb], [vth], [gamma], [phi] (2φ_f), [lambda], [gm], [gmi],
+    Variable naming (all SI): [kp] (µC_ox), [w_over_l], [ids],
+    [vds], [vsb], [gamma], [phi] (2φ_f), [lambda], [gm], [gmi],
     [gml], [gdi], [gdl], [g0]. *)
 
 val eq2_gm : Ape_symbolic.Expr.t
@@ -31,10 +31,6 @@ val eq6_acm : Ape_symbolic.Expr.t
 
 val eq7_cmrr : Ape_symbolic.Expr.t
 (** (7)  CMRR ≈ 2·g_mi·g_ml / (g_0·g_di). *)
-
-val all : (string * Ape_symbolic.Expr.t) list
-(** The seven equations keyed by "eq1".."eq7", for printing and
-    generic iteration. *)
 
 val solve_wl_for_gm :
   kp:float -> gm:float -> ids:float -> float

@@ -128,7 +128,3 @@ let name = function
     | Closed_loop.Integrator _ -> "integrator"
     | Closed_loop.Adder _ -> "adder")
   | D_comp _ -> "comparator"
-
-let device_count process design =
-  let frag = fragment process design in
-  Ape_circuit.Netlist.mosfet_count frag.Fragment.netlist

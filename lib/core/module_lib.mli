@@ -40,6 +40,3 @@ val design : Ape_process.Process.t -> spec -> design
 val fragment : Ape_process.Process.t -> design -> Fragment.t
 val perf : design -> Perf.t
 val name : design -> string
-
-val device_count : Ape_process.Process.t -> design -> int
-(** MOSFET count of the elaborated netlist. *)

@@ -93,5 +93,3 @@ val fragment : Ape_process.Process.t -> design -> Fragment.t
 val describe : design -> string
 (** One-line topology summary, e.g.
     ["Wilson + DiffCMOS + CS2 + buffer, 11 devices"]. *)
-
-val device_count : design -> int

@@ -404,7 +404,7 @@ let jitter_thresholds rng netlist =
   in
   N.make ~title:netlist.N.title elements
 
-let monte_carlo_offset ?(runs = 25) ?(seed = 1) (process : Proc.t)
+let monte_carlo_offset ?(seed = 1) (process : Proc.t)
     (design : Diff_pair.design) =
   sim_span @@ fun () ->
   let frag = Diff_pair.fragment process design in
@@ -420,7 +420,7 @@ let monte_carlo_offset ?(runs = 25) ?(seed = 1) (process : Proc.t)
   in
   let rng = Ape_util.Rng.create seed in
   let offsets =
-    List.init runs (fun _ ->
+    List.init 25 (fun _ ->
         let sample = jitter_thresholds rng netlist in
         match
           servo ~tol:1e-8 ~out:"out" ~target:design.Diff_pair.output_dc

@@ -68,15 +68,11 @@ val sim_diff_pair :
     noise analysis) in the [noise] field. *)
 
 val monte_carlo_offset :
-  ?runs:int ->
-  ?seed:int ->
-  Ape_process.Process.t ->
-  Diff_pair.design ->
-  float
+  ?seed:int -> Ape_process.Process.t -> Diff_pair.design -> float
 (** Monte-Carlo mismatch: every MOSFET's threshold is perturbed by a
     Pelgrom-distributed sample (σ = A_VT/√(WL)) and the input-referred
     offset of each sample circuit is measured by a servo; returns the
-    sample standard deviation (V).  Default 25 runs. *)
+    sample standard deviation (V) over 25 samples. *)
 
 (** {1 Level-3 opamp verification} *)
 

@@ -151,8 +151,6 @@ let evaluate card g ~vgs ~vds ~vsb =
   in
   { ids = p *. i; di_dvgs; di_dvds; di_dvsb; region }
 
-let drain_current card g ~vgs ~vds ~vsb = (evaluate card g ~vgs ~vds ~vsb).ids
-
 let operating_point card g ~vgs ~vds ~vsb =
   let e = evaluate card g ~vgs ~vds ~vsb in
   let p = Card.polarity card in

@@ -4,8 +4,7 @@
 
     Two views coexist deliberately:
 
-    - {b Simulation view} ({!evaluate}, {!drain_current},
-      {!small_signal}): a smooth single-expression model (EKV-style
+    - {b Simulation view} ({!evaluate}, {!small_signal}): a smooth single-expression model (EKV-style
       effective overdrive) valid in all regions, polarity- and
       terminal-order-agnostic, with refinements selected by the card's
       model level.  The MNA simulator stamps {!evaluate}, which returns
@@ -54,7 +53,9 @@ type small_signal = {
 (** {1 Simulation view} *)
 
 type evaluation = {
-  ids : float;  (** drain current, as {!drain_current} returns it *)
+  ids : float;
+      (** drain current into the drain terminal, A: positive for a
+          conducting NMOS, negative for a conducting PMOS *)
   di_dvgs : float;  (** ∂ids/∂vgs, S *)
   di_dvds : float;  (** ∂ids/∂vds, S *)
   di_dvsb : float;  (** ∂ids/∂vsb, S *)
@@ -68,28 +69,17 @@ val evaluate :
   vds:float ->
   vsb:float ->
   evaluation
-(** One evaluation of the model at signed terminal voltages: the drain
-    current, its exact partials in (vgs, vds, vsb) and the region.  The
+(** One evaluation of the model at signed terminal voltages (volts,
+    signed; for PMOS pass the physically signed values — internally the
+    device frame is flipped): the drain current, its exact partials in
+    (vgs, vds, vsb) and the region.  The current is smooth in all
+    arguments and handles [vds < 0] by source/drain exchange.  The
     partials follow the current expression through the body-effect
     threshold (frozen where [phi + vsb] is clamped), BSIM1's [eta·vds]
     shift, the overdrive smoothing, the level-dependent KP and CLM, the
     polarity flip and the source/drain exchange.  The region classifies
     the voltages as given (no exchange, no [eta] shift), as
     {!operating_point} reports it. *)
-
-val drain_current :
-  Ape_process.Model_card.t ->
-  geom ->
-  vgs:float ->
-  vds:float ->
-  vsb:float ->
-  float
-(** Drain current with actual terminal voltages (volts, signed; for PMOS
-    pass the physically signed values — internally the device frame is
-    flipped).  The returned current is the conventional current flowing
-    {e into} the drain terminal: positive for a conducting NMOS, negative
-    for a conducting PMOS.  Smooth in all arguments; handles [vds < 0] by
-    source/drain exchange.  It is [(evaluate ...).ids]. *)
 
 val operating_point :
   Ape_process.Model_card.t ->
@@ -155,7 +145,7 @@ val operating_vgs :
     V_GS = V_T + V_ov with V_ov = √(2·I_D/(KP·W/L)), corrected through
     the inverse of the simulation model's overdrive smoothing so that a
     device biased at this V_GS actually conducts [ids] under
-    {!drain_current} (the correction only matters below ~150 mV of
+    {!evaluate} (the correction only matters below ~150 mV of
     overdrive). *)
 
 (** {1 Sized transistor objects (the paper's level-1 "objects")} *)

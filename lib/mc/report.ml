@@ -51,11 +51,12 @@ let metric_table (r : Run.report) =
     ~header:[ "metric"; "mean"; "std"; "min"; "q05"; "q50"; "q95"; "max" ]
     (List.map row r.Run.metrics)
 
-let histogram ?(bins = 10) ?(width = 40) (r : Run.report) name =
+let histogram (r : Run.report) name =
+  let width = 40 in
   match Run.metric r name with
   | None -> Printf.sprintf "%s: no samples\n" name
   | Some m ->
-    let h = Stats.histogram ~bins m.Run.m_stats in
+    let h = Stats.histogram ~bins:10 m.Run.m_stats in
     let peak =
       Array.fold_left (fun acc b -> Int.max acc b.Stats.b_count) 1 h
     in
@@ -76,15 +77,13 @@ let histogram ?(bins = 10) ?(width = 40) (r : Run.report) name =
       h;
     Buffer.contents b
 
-let to_string ?bins ?(histograms = []) (r : Run.report) =
+let to_string ?(histograms = []) (r : Run.report) =
   let b = Buffer.create 1024 in
   Buffer.add_string b (summary r);
   if r.Run.metrics <> [] then Buffer.add_string b (metric_table r);
   List.iter
     (fun name ->
       Buffer.add_char b '\n';
-      Buffer.add_string b (histogram ?bins r name))
+      Buffer.add_string b (histogram r name))
     histograms;
   Buffer.contents b
-
-let pp fmt r = Format.pp_print_string fmt (to_string r)

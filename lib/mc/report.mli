@@ -1,20 +1,13 @@
 (** Plain-ASCII rendering of Monte Carlo reports, shared by the
     [ape mc] CLI, the bench harness and the tests. *)
 
-val summary : Run.report -> string
-(** Header (samples/jobs/seed/throughput), failure count, overall yield
-    and per-check yields. *)
-
 val metric_table : Run.report -> string
 (** One row per metric: mean, std, min, q05/q50/q95, max
     (engineering-formatted). *)
 
-val histogram : ?bins:int -> ?width:int -> Run.report -> string -> string
-(** ASCII histogram of one metric, annotated with the worst-case low and
-    high sample indices ("which die was the outlier").  [bins] defaults
-    to 10, [width] to 40 columns. *)
-
-val to_string : ?bins:int -> ?histograms:string list -> Run.report -> string
-(** [summary] + [metric_table] + a histogram per requested metric. *)
-
-val pp : Format.formatter -> Run.report -> unit
+val to_string : ?histograms:string list -> Run.report -> string
+(** The summary (samples/jobs/seed/throughput, failure count, overall
+    yield and per-check yields), the {!metric_table}, and per requested
+    metric a 10-bin, 40-column ASCII histogram annotated with the
+    worst-case low and high sample indices ("which die was the
+    outlier"). *)

@@ -8,7 +8,6 @@ let h_sample_seconds = Ape_obs.histogram "mc.sample_seconds"
 type check = { metric : string; lower : float option; upper : float option }
 
 let at_least metric bound = { metric; lower = Some bound; upper = None }
-let at_most metric bound = { metric; lower = None; upper = Some bound }
 
 let check_passes c value =
   (match c.lower with None -> true | Some b -> value >= b)

@@ -20,7 +20,6 @@ type check = { metric : string; lower : float option; upper : float option }
     {e the spec} when it passes every check. *)
 
 val at_least : string -> float -> check
-val at_most : string -> float -> check
 val pp_check : Format.formatter -> check -> unit
 
 type config = {

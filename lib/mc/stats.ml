@@ -27,7 +27,6 @@ let add t x =
   if x < t.lo then t.lo <- x;
   if x > t.hi then t.hi <- x
 
-let count t = t.n
 let mean t = if t.n = 0 then nan else t.mean
 
 let variance t =
@@ -62,17 +61,9 @@ let quantile t q =
   if q < 0. || q > 1. then invalid_arg "Stats.quantile: q outside [0,1]";
   quantile_of_sorted (sorted t) q
 
-let quantiles t qs =
-  List.iter
-    (fun q ->
-      if q < 0. || q > 1. then invalid_arg "Stats.quantiles: q outside [0,1]")
-    qs;
-  let v = sorted t in
-  List.map (fun q -> (q, quantile_of_sorted v q)) qs
-
 type bin = { b_lo : float; b_hi : float; b_count : int }
 
-let histogram ?(bins = 10) t =
+let histogram ~bins t =
   if bins <= 0 then invalid_arg "Stats.histogram: bins <= 0";
   if t.n = 0 then [||]
   else begin

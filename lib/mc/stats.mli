@@ -12,31 +12,23 @@ type t
 
 val create : unit -> t
 val add : t -> float -> unit
-val count : t -> int
 
 val mean : t -> float
 (** [nan] when empty. *)
 
-val variance : t -> float
-(** Unbiased sample variance (n−1); [nan] when fewer than 2 samples. *)
-
 val std : t -> float
+(** Square root of the unbiased sample variance (n−1); [nan] when fewer
+    than 2 samples. *)
 
 val min_value : t -> float
 val max_value : t -> float
-
-val values : t -> float array
-(** The raw samples in insertion order (a copy). *)
 
 val quantile : t -> float -> float
 (** [quantile t q] for q in [[0,1]], linearly interpolated between order
     statistics (type-7); [nan] when empty. *)
 
-val quantiles : t -> float list -> (float * float) list
-(** Sorts once and evaluates each requested quantile. *)
-
 type bin = { b_lo : float; b_hi : float; b_count : int }
 
-val histogram : ?bins:int -> t -> bin array
+val histogram : bins:int -> t -> bin array
 (** Equal-width bins over [[min, max]]; empty array when no samples.
     All-identical samples land in bin 0. *)

@@ -30,17 +30,12 @@ val default : sigmas
 val scale : float -> sigmas -> sigmas
 (** Scale every σ by a common factor (0 disables global variation). *)
 
-val sample : Ape_util.Rng.t -> sigmas -> Ape_process.Process.perturbation
-(** Draw one inter-die deviation.  The draw order is fixed and part of
-    the deterministic contract. *)
-
 val perturb :
   Ape_util.Rng.t -> sigmas -> Ape_process.Process.t -> Ape_process.Process.t
-(** [Process.perturb (sample rng s)]. *)
-
-val sigma_delta_vto : Ape_process.Model_card.t -> w:float -> l:float -> float
-(** Pelgrom mismatch σ(ΔV_T) between two matched W×L devices, V. *)
+(** Draw one inter-die deviation and apply it ([Process.perturb]).  The
+    draw order is fixed and part of the deterministic contract. *)
 
 val mismatch_vto :
   Ape_util.Rng.t -> Ape_process.Model_card.t -> w:float -> l:float -> float
-(** One sampled ΔV_T between a matched pair, V. *)
+(** One sampled ΔV_T between a matched pair of W×L devices, V: a
+    Gaussian of the Pelgrom σ(ΔV_T) = A_VT / √(W·L). *)

@@ -101,8 +101,6 @@ let default_pmos =
     avt = 20e-9;
   }
 
-let with_level level card = { card with level }
-
 type perturbation = {
   kp_factor : float;
   vto_shift : float;
@@ -150,5 +148,3 @@ let to_spice card =
     (x card.vmax) (x card.eta) (x card.cgso) (x card.cgdo) (x card.cgbo)
     (x card.cj) (x card.mj) (x card.cjsw) (x card.mjsw) (x card.pb) (x card.ld)
     (x card.is_leak) (x card.lref) (x card.kf) (x card.af) (x card.avt)
-
-let pp fmt card = Format.pp_print_string fmt (to_spice card)

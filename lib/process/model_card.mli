@@ -69,10 +69,6 @@ val default_nmos : t
 
 val default_pmos : t
 
-val with_level : level -> t -> t
-(** Same card re-tagged at another model level (the refinement
-    parameters are already present). *)
-
 (** {1 Process variation} *)
 
 type perturbation = {
@@ -95,5 +91,3 @@ val perturb : perturbation -> t -> t
 
 val to_spice : t -> string
 (** Render as a SPICE [.MODEL] line. *)
-
-val pp : Format.formatter -> t -> unit

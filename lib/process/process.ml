@@ -116,10 +116,3 @@ let resistor_area t r =
 let capacitor_area t c =
   if c < 0. then invalid_arg "Process.capacitor_area: negative";
   c /. t.cap_density
-
-let pp fmt t =
-  Format.fprintf fmt
-    "process %s: Lmin=%s Wmin=%s VDD=%g V@.  nmos: %a@.  pmos: %a" t.name
-    (Ape_util.Units.to_eng t.lmin)
-    (Ape_util.Units.to_eng t.wmin)
-    t.vdd Model_card.pp t.nmos Model_card.pp t.pmos

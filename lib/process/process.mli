@@ -58,5 +58,3 @@ val resistor_area : t -> float -> float
 val capacitor_area : t -> float -> float
 (** Estimated layout area of a poly-poly capacitor of the given value,
     m². *)
-
-val pp : Format.formatter -> t -> unit

@@ -30,10 +30,6 @@ type status =
   | Timeout  (** queue deadline expired before a worker started it *)
   | Cancelled  (** dropped by fail-fast or daemon shutdown *)
 
-val status_name : status -> string
-(** ["ok" | "unmet" | "failed" | "parse-error" | "overloaded" |
-    "timeout" | "cancelled"]. *)
-
 type t = {
   id : string;
   kind : string;  (** job kind, or ["-"] for records without a job *)
@@ -45,8 +41,9 @@ type t = {
 val render : deterministic:bool -> t -> string
 (** One line, no trailing newline:
     [{"schema":"ape-serve/1","id":...,"kind":...,"status":...,
-      "seconds":...,"payload":{...}} ].  [deterministic] drops
-    ["seconds"]. *)
+      "seconds":...,"payload":{...}} ], the status one of ["ok"],
+    ["unmet"], ["failed"], ["parse-error"], ["overloaded"], ["timeout"]
+    and ["cancelled"].  [deterministic] drops ["seconds"]. *)
 
 type summary = {
   batch : string;  (** batch label: file name, ["-"] for stdin *)

@@ -27,8 +27,6 @@ let cache_stats t =
           (lookups + S.Est_cache.lookups c, hits + S.Est_cache.hits c))
         t.caches (0, 0))
 
-let cache_count t = Mutex.protect t.lock (fun () -> Hashtbl.length t.caches)
-
 (* ------------------------------------------------------------------ *)
 (* Failures                                                            *)
 (* ------------------------------------------------------------------ *)

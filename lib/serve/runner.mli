@@ -68,6 +68,3 @@ val run : t -> Job.t -> Record.status * (string * Record.json) list
 val cache_stats : t -> int * int
 (** [(lookups, hits)] summed over every registered cache — cumulative
     across batches; callers difference them per batch. *)
-
-val cache_count : t -> int
-(** Distinct problem fingerprints seen so far. *)

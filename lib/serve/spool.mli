@@ -7,10 +7,6 @@
     order within a scan, so producers control ordering by naming
     ([0001-foo.jobs], [0002-bar.jobs]). *)
 
-val scan : string -> string list
-(** The directory's unprocessed [*.jobs] files (full paths), sorted.
-    Raises [Sys_error] when the directory cannot be read. *)
-
 val watch :
   ?poll:float ->
   ?max_batches:int ->
@@ -19,7 +15,9 @@ val watch :
   string ->
   process:(string -> unit) ->
   int
-(** Scan-process-rename loop.  [process path] handles one batch file;
+(** Scan-process-rename loop.  A scan lists the directory's unprocessed
+    [*.jobs] files, sorted (raising [Sys_error] when the directory cannot
+    be read).  [process path] handles one batch file (a full path);
     when it returns (normally {e or} by exception) the file is marked
     done — a batch whose processing raised must not be retried forever.
     [once] stops after the first scan pass even if it was empty;

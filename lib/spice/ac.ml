@@ -10,16 +10,10 @@ let c_sweep_points = Ape_obs.counter "ac.sweep_points"
 let c_panels = Ape_obs.counter "ac.panels"
 let c_workspaces = Ape_obs.counter "ac.workspaces"
 
-(* Width of the frequency panels blocked sweeps solve at once (width 1
-   selects the scalar per-frequency path).  Results are bit-identical
-   for every width — the panel kernel keeps lane arithmetic independent
-   — so this is purely a throughput setting. *)
-let panel_width_state = ref 8
-let panel_width () = !panel_width_state
-
-let set_panel_width k =
-  if k < 1 then invalid_arg "Ac.set_panel_width";
-  panel_width_state := k
+(* Width of the frequency panels blocked sweeps solve at once.  Results
+   are bit-identical for every width — the panel kernel keeps lane
+   arithmetic independent — so this is purely a throughput constant. *)
+let panel_width = 8
 
 let complex re im = { Complex.re; im }
 
@@ -66,9 +60,9 @@ type prepared = {
   fac : Sp.Csplit.factor;
       (** symbolic analysis pinned at ω = 0 (the DC Jacobian); numeric
           part refactored per frequency *)
-  mutable p_ws : (int * workspace) option;
-      (** cached (panel width, workspace) for single-domain blocked
-          solves; lazily (re)built when the width changes *)
+  mutable p_ws : workspace option;
+      (** cached workspace for single-domain blocked solves, built
+          lazily *)
 }
 
 let prepare (op : Dc.op) =
@@ -115,21 +109,21 @@ let solve_prepared p freq =
 
 (* ------------------------- blocked path --------------------------- *)
 
-(* The cached single-domain workspace, (re)built when the panel width
-   changes (not safe to share across domains). *)
-let cached_workspace p ~k =
+(* The cached single-domain workspace, built on first use (not safe to
+   share across domains). *)
+let cached_workspace p =
   match p.p_ws with
-  | Some (k', ws) when k' = k -> ws
-  | Some _ | None ->
+  | Some ws -> ws
+  | None ->
     Ape_obs.incr c_workspaces;
     let pat = Sp.Real.pattern p.g in
     let ws =
       {
-        w_panel = Sp.Csplit.Panel.create pat ~k;
-        w_pfac = Sp.Csplit.Panel.prepare p.fac ~k;
+        w_panel = Sp.Csplit.Panel.create pat ~k:panel_width;
+        w_pfac = Sp.Csplit.Panel.prepare p.fac ~k:panel_width;
       }
     in
-    p.p_ws <- Some (k, ws);
+    p.p_ws <- Some ws;
     ws
 
 (* The one panel walker: every frequency of [freqs] in panels of the
@@ -143,16 +137,15 @@ let cached_workspace p ~k =
 let walk_panels p (freqs : float array) ~count ~panel ~scalar =
   let n = Array.length freqs in
   let dst = Array.make n [||] in
-  let k = panel_width () in
   let pos = ref 0 in
   while !pos < n do
-    let m = min k (n - !pos) in
+    let m = min panel_width (n - !pos) in
     if m = 1 then begin
       count 1;
       dst.(!pos) <- scalar freqs.(!pos)
     end
     else begin
-      let w = cached_workspace p ~k in
+      let w = cached_workspace p in
       Ape_obs.incr c_panels;
       count m;
       let omegas =

@@ -56,17 +56,11 @@ val solve_prepared : prepared -> float -> solution
     internal mutable workspaces: do not call concurrently from several
     domains on the same [prepared]. *)
 
-val panel_width : unit -> int
+val panel_width : int
 (** Width of the frequency panels blocked solves use (how many
     frequencies one traversal of the symbolic structure refactors and
-    solves).  Defaults to 8; width 1 selects the scalar per-frequency
-    path.  Purely a throughput setting — results are bit-identical for
-    every width. *)
-
-val set_panel_width : int -> unit
-(** Override {!panel_width} for this process ([k >= 1]) — the hook the
-    width-invariance tests and the blocked-sweep gate of
-    [bench/main.exe gate] use. *)
+    solves): 8.  A constant for throughput, not a setting — results are
+    bit-identical to the scalar per-frequency path. *)
 
 val solve_many : prepared -> float array -> solution array
 (** Blocked multi-frequency solve on the preparation's cached

@@ -265,7 +265,7 @@ let pade ?(q = 2) ~out (op : Dc.op) =
   let rhs = excitation netlist index in
   of_moments ~q (moments (workspace index) ~g ~c ~rhs ~out (2 * q))
 
-let unity_crossing_hz ?(fmin = 1e2) ?(fmax = 1e10) approx =
+let unity_crossing_hz approx =
   if Float.abs approx.dc_value <= 1. then None
   else begin
     let parts f l = Array.of_list (List.map f l) in
@@ -295,7 +295,7 @@ let unity_crossing_hz ?(fmin = 1e2) ?(fmax = 1e10) approx =
       done;
       Float.hypot !acc_re !acc_im -. 1.
     in
-    let lo = ref (Float.log10 fmin) and hi = ref (Float.log10 fmax) in
+    let lo = ref (Float.log10 1e2) and hi = ref (Float.log10 1e10) in
     if g !lo <= 0. || g !hi >= 0. then None
     else begin
       for _ = 1 to 40 do

@@ -65,10 +65,8 @@ val pade : ?q:int -> out:Ape_circuit.Netlist.node -> Dc.op -> approximant
     them ({!of_moments}).  Raises {!Moment_failure} when [out] is
     ground or a solve is singular. *)
 
-val unity_crossing_hz :
-  ?fmin:float -> ?fmax:float -> approximant -> float option
+val unity_crossing_hz : approximant -> float option
 (** The |H(j2πf)| = 1 crossing of the pole/residue expansion, located
     by 40 bisection steps in log frequency on the reduced model (no
     further matrix solves).  [None] when |μ_0| ≤ 1 or the magnitude
-    does not cross 1 between [fmin] (default 100 Hz) and [fmax]
-    (default 10 GHz). *)
+    does not cross 1 between 100 Hz and 10 GHz. *)

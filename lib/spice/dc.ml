@@ -17,11 +17,12 @@ let c_index_reuses = Ape_obs.counter "dc.index_reuses"
 let max_norm a = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0. a
 
 (* One damped-Newton solve at a fixed (gmin, source_scale); updates [x]
-   in place and returns iterations used, or None on failure.  [ws]
-   carries the Jacobian values and factor across iterations and
-   stages. *)
-let newton ?(max_iter = 150) ?(tol_v = 1e-9) ?(tol_i = 1e-12)
-    ?(damping = 0.5) ~ws ~gmin ~source_scale netlist index x =
+   in place and returns iterations used, or None on failure.  It
+   converges when the largest node-voltage step is below 1 nV and the
+   residual below 1 pA (or 1e-6 · gmin).  [ws] carries the Jacobian
+   values and factor across iterations and stages. *)
+let newton ?(max_iter = 150) ?(damping = 0.5) ~ws ~gmin ~source_scale netlist
+    index x =
   let n_nodes = Engine.n_nodes index in
   let rec loop iter =
     if iter > max_iter then None
@@ -46,7 +47,7 @@ let newton ?(max_iter = 150) ?(tol_v = 1e-9) ?(tol_i = 1e-12)
             if i < n_nodes then worst_dv := Float.max !worst_dv (Float.abs d);
             x.(i) <- x.(i) +. d)
           dx;
-        if !worst_dv < tol_v && max_norm f < Float.max tol_i (1e-6 *. gmin)
+        if !worst_dv < 1e-9 && max_norm f < Float.max 1e-12 (1e-6 *. gmin)
         then Some iter
         else loop (iter + 1)
     end
@@ -78,8 +79,7 @@ let initial_guess netlist index =
   done;
   x
 
-let solve_impl ?(max_iter = 150) ?(tol_v = 1e-9) ?(tol_i = 1e-12) ?x0 ?index
-    netlist =
+let solve_impl ?(max_iter = 150) ?x0 ?index netlist =
   N.validate netlist;
   let index =
     match index with
@@ -98,7 +98,7 @@ let solve_impl ?(max_iter = 150) ?(tol_v = 1e-9) ?(tol_i = 1e-12) ?x0 ?index
   in
   let ws = Engine.workspace index in
   let try_newton ~gmin ~source_scale x =
-    newton ~max_iter ~tol_v ~tol_i ~ws ~gmin ~source_scale netlist index x
+    newton ~max_iter ~ws ~gmin ~source_scale netlist index x
   in
   (* Plain Newton first. *)
   match try_newton ~gmin:1e-12 ~source_scale:1. x with
@@ -150,7 +150,7 @@ let solve_impl ?(max_iter = 150) ?(tol_v = 1e-9) ?(tol_i = 1e-12) ?x0 ?index
              continuation path through near-singular regions). *)
           let x = initial_guess netlist index in
           match
-            newton ~max_iter:800 ~tol_v ~tol_i ~damping:0.05 ~ws ~gmin:1e-9
+            newton ~max_iter:800 ~damping:0.05 ~ws ~gmin:1e-9
               ~source_scale:1. netlist index x
           with
           | Some _ -> finish_from x
@@ -168,9 +168,9 @@ let solve_impl ?(max_iter = 150) ?(tol_v = 1e-9) ?(tol_i = 1e-12) ?x0 ?index
                 netlist.N.title max_iter (Engine.size index)))
     end)
 
-let solve ?max_iter ?tol_v ?tol_i ?x0 ?index netlist =
+let solve ?max_iter ?x0 ?index netlist =
   Ape_obs.incr c_solves;
-  match solve_impl ?max_iter ?tol_v ?tol_i ?x0 ?index netlist with
+  match solve_impl ?max_iter ?x0 ?index netlist with
   | op ->
     Ape_obs.add c_newton_iters op.iterations;
     op

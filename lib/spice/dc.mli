@@ -13,14 +13,14 @@ exception No_convergence of string
 
 val solve :
   ?max_iter:int ->
-  ?tol_v:float ->
-  ?tol_i:float ->
   ?x0:float array ->
   ?index:Engine.index ->
   Ape_circuit.Netlist.t ->
   op
 (** Raises {!No_convergence} if Newton, gmin stepping and source stepping
-    all fail.
+    all fail.  Each Newton stage converges when its largest node-voltage
+    step is below 1 nV and its residual below 1 pA; [max_iter] (default
+    150) bounds its iterations.
 
     [index], when given, is used instead of building one (counted under
     [dc.index_reuses], not [engine.plans]); the result's [index] is

@@ -27,7 +27,7 @@ module Prepared = struct
      [gain_at] — [Ac.solve_many] guarantees it. *)
   let blocked_gains ~out p (grid : float array) =
     let npts = Array.length grid in
-    let k = max 1 (Ac.panel_width ()) in
+    let k = Ac.panel_width in
     let gains = Array.make npts Float.nan in
     let have = ref 0 in
     fun i ->
@@ -86,7 +86,7 @@ module Prepared = struct
       let level = a0 *. Ape_util.Float_ext.gain_of_db level_db in
       find_crossing ~fmin ~fmax ~level ~out p
 
-  let unwrapped_phase_at ?(points_per_decade = 8) ~out p freq =
+  let unwrapped_phase_at ~out p freq =
     if freq <= 0. then phase_at ~out p freq
     else begin
       (* Continuous phase from DC: anchor at the exact DC phase (0° or
@@ -100,11 +100,9 @@ module Prepared = struct
         if v.Complex.re < 0. then 180. else 0.
       in
       let fstart = freq *. 1e-12 in
-      let n =
-        max 2 (1 + (12 * points_per_decade))
-        (* 12 decades below [freq] — comfortably under any pole the
-           simulator can resolve. *)
-      in
+      (* 8 points per decade over the 12 decades below [freq] —
+         comfortably under any pole the simulator can resolve. *)
+      let n = 1 + (12 * 8) in
       let grid =
         match List.rev (Ape_util.Float_ext.logspace fstart freq n) with
         | _approx_endpoint :: rest -> List.rev (freq :: rest)

@@ -26,21 +26,6 @@ module Prepared : sig
   val gain_at : out:Ape_circuit.Netlist.node -> Ac.prepared -> float -> float
   (** |V(out)| at a frequency in Hz. *)
 
-  val phase_at : out:Ape_circuit.Netlist.node -> Ac.prepared -> float -> float
-  (** Principal-value phase in degrees, in (−180, 180]. *)
-
-  val unwrapped_phase_at :
-    ?points_per_decade:int ->
-    out:Ape_circuit.Netlist.node ->
-    Ac.prepared ->
-    float ->
-    float
-  (** Continuous phase in degrees at a frequency, unwrapped along a log
-      grid from DC (default 8 points/decade over the 12 decades below
-      the target).  Equals {!phase_at} exactly when the response never
-      crosses ±180°; beyond that it keeps accumulating lag (−200°,
-      −300°, …) instead of wrapping. *)
-
   val unity_gain_frequency :
     ?fmin:float ->
     ?fmax:float ->
@@ -71,10 +56,14 @@ module Prepared : sig
 
   val phase_margin :
     ugf:float -> out:Ape_circuit.Netlist.node -> Ac.prepared -> float
-  (** 180° + {!unwrapped_phase_at} [ugf], the unity-gain frequency the
-      caller found with {!unity_gain_frequency}, so a response that lags
-      more than 180° before reaching unity gain reports the true
-      (negative) margin rather than a value shifted by 360°. *)
+  (** 180° plus the phase at [ugf], the unity-gain frequency the caller
+      found with {!unity_gain_frequency}.  The phase is unwrapped along
+      a log grid from DC (8 points per decade over the 12 decades below
+      [ugf]): it equals the principal value in (−180°, 180°] when the
+      response never crosses ±180°, and beyond that keeps accumulating
+      lag (−200°, −300°, …), so a response that lags more than 180°
+      before reaching unity gain reports the true (negative) margin
+      rather than a value shifted by 360°. *)
 
   type bandpass = {
     f_center : float;  (** peak frequency, Hz *)

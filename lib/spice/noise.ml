@@ -122,16 +122,12 @@ let input_referred_prepared ~out ~freq p =
   if gain = 0. then raise Division_by_zero;
   Float.sqrt total /. gain
 
-let integrated_output_prepared ~out ~fstart ~fstop ?(points_per_decade = 5) p =
+let integrated_output_prepared ~out ~fstart ~fstop p =
   if fstart <= 0. || fstop <= fstart then
     invalid_arg "Noise.integrated_output: bad band";
+  (* Five grid points per decade. *)
   let n =
-    max 2
-      (1
-      + int_of_float
-          (Float.ceil
-             (Float.log10 (fstop /. fstart)
-             *. float_of_int points_per_decade)))
+    max 2 (1 + int_of_float (Float.ceil (Float.log10 (fstop /. fstart) *. 5.)))
   in
   let freqs = Array.of_list (Ape_util.Float_ext.logspace fstart fstop n) in
   let sources = source_table (Ac.op p) in

@@ -66,14 +66,10 @@ val input_referred_prepared :
     Raises [Division_by_zero] when that gain is 0. *)
 
 val integrated_output_prepared :
-  out:Ape_circuit.Netlist.node ->
-  fstart:float ->
-  fstop:float ->
-  ?points_per_decade:int ->
-  Ac.prepared ->
+  out:Ape_circuit.Netlist.node -> fstart:float -> fstop:float -> Ac.prepared ->
   float
 (** RMS output noise over a band (trapezoidal integration of the PSD on
-    a log grid), volts.  One source table and one panel-walked adjoint
+    a log grid of five points per decade), volts.  One source table and one panel-walked adjoint
     per grid frequency; each PSD sums the contributions in element
     order, so it equals {!output_noise_prepared}'s total at that
     frequency bit for bit. *)

@@ -5,20 +5,6 @@ type waveform = float -> float
 
 let step ?(t0 = 0.) ?(low = 0.) ~high () t = if t < t0 then low else high
 
-let pulse ?(delay = 0.) ?(rise = 1e-9) ~low ~high ~width ~period () t =
-  if t < delay then low
-  else begin
-    let tau = Float.rem (t -. delay) period in
-    if tau < rise then low +. ((high -. low) *. tau /. rise)
-    else if tau < rise +. width then high
-    else if tau < (2. *. rise) +. width then
-      high -. ((high -. low) *. (tau -. rise -. width) /. rise)
-    else low
-  end
-
-let sine ?(offset = 0.) ~ampl ~freq () t =
-  offset +. (ampl *. Float.sin (2. *. Float.pi *. freq *. t))
-
 type result = { times : float array; nodes : (string * float array) list }
 
 exception Step_failed of float
@@ -104,13 +90,10 @@ let solve_step ~ws ~cvals ~method_ ~max_newton ~stimulus ~time ~dt netlist
   end
 
 (* The one crossing test, shared by {!crossing_time} and [run]'s stop:
-   [Some t] when the waveform crosses [level] in the given direction
-   between samples [(ta, a)] and [(tb, b)], [t] linearly interpolated. *)
-let crossing_between ~rising ~level ta a tb b =
-  let crossed =
-    if rising then a < level && b >= level else a > level && b <= level
-  in
-  if crossed then
+   [Some t] when the waveform rises through [level] between samples
+   [(ta, a)] and [(tb, b)], [t] linearly interpolated. *)
+let crossing_between ~level ta a tb b =
+  if a < level && b >= level then
     Some (Ape_util.Float_ext.lerp ta tb ((level -. a) /. (b -. a)))
   else None
 
@@ -142,7 +125,7 @@ let first_crossings store until =
       (fun i (ys, level) ->
         if Option.is_none firsts.(i) then
           firsts.(i) <-
-            crossing_between ~rising:true ~level times.(k - 1) ys.(k - 1)
+            crossing_between ~level times.(k - 1) ys.(k - 1)
               times.(k) ys.(k))
       waves;
     ordered Float.neg_infinity 0
@@ -239,13 +222,13 @@ let max_slope result name =
   done;
   !best
 
-let crossing_time ?(rising = true) result name ~level =
+let crossing_time result name ~level =
   let ys = samples result name and ts = result.times in
   let n = Array.length ys in
   let rec find k =
     if k >= n - 1 then None
     else
-      match crossing_between ~rising ~level ts.(k) ys.(k) ts.(k + 1) ys.(k + 1) with
+      match crossing_between ~level ts.(k) ys.(k) ts.(k + 1) ys.(k + 1) with
       | Some _ as t -> t
       | None -> find (k + 1)
   in

@@ -15,20 +15,6 @@ type waveform = float -> float
 val step : ?t0:float -> ?low:float -> high:float -> unit -> waveform
 (** Step from [low] (default 0) to [high] at [t0] (default 0). *)
 
-val pulse :
-  ?delay:float ->
-  ?rise:float ->
-  low:float ->
-  high:float ->
-  width:float ->
-  period:float ->
-  unit ->
-  waveform
-(** Periodic trapezoidal pulse (SPICE PULSE-like, fall time = rise
-    time, default rise 1 ns). *)
-
-val sine : ?offset:float -> ampl:float -> freq:float -> unit -> waveform
-
 type result = {
   times : float array;
   nodes : (string * float array) list;
@@ -66,9 +52,6 @@ val run :
     run to [tstop].  Raises [Invalid_argument] when a listed name is
     not a node of the netlist. *)
 
-val samples : result -> string -> float array
-(** Waveform of one node; raises [Not_found]. *)
-
 val value_at : result -> string -> float -> float
 (** Linear interpolation of one node's waveform.  Before the first
     sample it returns the first, and from the last sample on (past a
@@ -77,10 +60,9 @@ val value_at : result -> string -> float -> float
 val max_slope : result -> string -> float
 (** max |dv/dt| between consecutive samples, V/s — used for slew rate. *)
 
-val crossing_time :
-  ?rising:bool -> result -> string -> level:float -> float option
-(** First time the waveform crosses [level] (in the given direction),
-    linearly interpolated. *)
+val crossing_time : result -> string -> level:float -> float option
+(** First time the waveform rises through [level], linearly
+    interpolated. *)
 
 val settling_time :
   result -> string -> final:float -> band:float -> float option

@@ -21,7 +21,6 @@ let ( / ) a b = Div (a, b)
 let ( ** ) a e = Pow (a, e)
 let neg a = Neg a
 let sqrt a = Sqrt a
-let abs a = Abs a
 let log a = Log a
 let exp a = Exp a
 
@@ -34,15 +33,6 @@ module Env = struct
   let of_list l = List.fold_left (fun m (k, v) -> String_map.add k v m) empty l
   let add = String_map.add
   let find_opt = String_map.find_opt
-
-  let pp fmt t =
-    Format.fprintf fmt "{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Format.fprintf fmt ", ";
-        Format.fprintf fmt "%s=%g" k v)
-      (String_map.bindings t);
-    Format.fprintf fmt "}"
 end
 
 exception Unbound_variable of string

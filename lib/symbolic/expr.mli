@@ -31,7 +31,6 @@ val ( / ) : t -> t -> t
 val ( ** ) : t -> float -> t
 val neg : t -> t
 val sqrt : t -> t
-val abs : t -> t
 val log : t -> t
 val exp : t -> t
 
@@ -44,7 +43,6 @@ module Env : sig
   val of_list : (string * float) list -> t
   val add : string -> float -> t -> t
   val find_opt : string -> t -> float option
-  val pp : Format.formatter -> t -> unit
 end
 
 exception Unbound_variable of string

@@ -11,9 +11,6 @@ type equation = { lhs : Expr.t; rhs : Expr.t }
 
 val equation : Expr.t -> Expr.t -> equation
 
-val residual : equation -> Expr.t
-(** [lhs - rhs]. *)
-
 exception No_solution of string
 
 val solve_for :

@@ -30,17 +30,12 @@ type objective = { metric_o : string; scale : float; weight_o : float }
 let minimize ?(weight = 0.05) metric ~scale =
   { metric_o = metric; scale; weight_o = weight }
 
-type t = {
-  requirements : requirement list;
-  objectives : objective list;
-  failure_cost : float;
-}
+type t = { requirements : requirement list; objectives : objective list }
 
-let make ?(failure_cost = 50.) requirements objectives =
-  { requirements; objectives; failure_cost }
+let make requirements objectives = { requirements; objectives }
 
 let evaluate t = function
-  | None -> t.failure_cost
+  | None -> 50.
   | Some m ->
     let penalty =
       List.fold_left
@@ -58,13 +53,5 @@ let evaluate t = function
     penalty +. pressure
 
 let all_satisfied t m = List.for_all (fun req -> satisfied req m) t.requirements
-
-let report t m =
-  List.map
-    (fun req ->
-      ( req.metric,
-        (match find m req.metric with Some x -> x | None -> Float.nan),
-        satisfied req m ))
-    t.requirements
 
 let calibrate f m = List.map (fun (k, v) -> (k, f k v)) m

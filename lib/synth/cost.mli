@@ -22,29 +22,20 @@ type measurement = (string * float) list
 
 val find : measurement -> string -> float option
 
-val satisfied : requirement -> measurement -> bool
-
 type objective = { metric_o : string; scale : float; weight_o : float }
 (** Adds [weight · value/scale] to the cost (minimisation pressure). *)
 
 val minimize : ?weight:float -> string -> scale:float -> objective
 
-type t = {
-  requirements : requirement list;
-  objectives : objective list;
-  failure_cost : float;  (** cost of an unevaluable candidate *)
-}
+type t = { requirements : requirement list; objectives : objective list }
 
-val make :
-  ?failure_cost:float -> requirement list -> objective list -> t
+val make : requirement list -> objective list -> t
 
 val evaluate : t -> measurement option -> float
-(** Total cost; [None] (e.g. DC non-convergence) costs [failure_cost]. *)
+(** Total cost; [None] (an unevaluable candidate, e.g. DC
+    non-convergence) costs 50. *)
 
 val all_satisfied : t -> measurement -> bool
-
-val report : t -> measurement -> (string * float * bool) list
-(** Per-requirement (metric, measured-or-nan, satisfied). *)
 
 val calibrate : (string -> float -> float) -> measurement -> measurement
 (** Map every metric value through a correction (e.g. a calibration

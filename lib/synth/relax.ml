@@ -25,7 +25,7 @@ type t = {
   mutable pool : scratch list;  (* idle scratches, under [lock] *)
 }
 
-let create ?(node_window = 0.25) ~mode ~vdd base =
+let create ~mode ~vdd base =
   let index = Engine.build_index base in
   let fixed_tbl = Hashtbl.create 4 in
   List.iter
@@ -55,8 +55,8 @@ let create ?(node_window = 0.25) ~mode ~vdd base =
     | `Centered ->
       let c = center node in
       I.make
-        (Float.max 0. (c -. node_window))
-        (Float.min vdd (c +. node_window))
+        (Float.max 0. (c -. 0.25))
+        (Float.min vdd (c +. 0.25))
   in
   (* Every node of [base] that is not ground has an unknown. *)
   let slot node = Option.get (Engine.node_id index node) in

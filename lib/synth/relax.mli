@@ -11,16 +11,11 @@
 type t
 
 val create :
-  ?node_window:float ->
-  mode:[ `Wide | `Centered ] ->
-  vdd:float ->
-  Ape_circuit.Netlist.t ->
-  t
+  mode:[ `Wide | `Centered ] -> vdd:float -> Ape_circuit.Netlist.t -> t
 (** [mode = `Wide]: node unknowns range over [[0, vdd]], centred
     mid-rail.  [mode = `Centered]: a true DC solve of the given netlist
-    provides the centres and unknowns range ±[node_window] (default
-    0.25 V) around them; when that solve fails, centres fall back to
-    mid-rail. *)
+    provides the centres and unknowns range ±0.25 V around them; when
+    that solve fails, centres fall back to mid-rail. *)
 
 val n_free : t -> int
 (** Number of relaxed node-voltage unknowns (append these to the size

@@ -97,6 +97,8 @@ let make base params =
   in
   { base; params; rebuild = List.map rebuild (N.elements base) }
 
+let base t = t.base
+let params t = t.params
 let dim t = Array.length t.params
 
 let value_of_unit p u =
@@ -105,27 +107,12 @@ let value_of_unit p u =
     I.lo p.range *. ((I.hi p.range /. I.lo p.range) ** u)
   else I.lo p.range +. (u *. I.width p.range)
 
-let unit_of_value p v =
-  let u =
-    if p.log_scale then
-      Float.log (v /. I.lo p.range)
-      /. Float.log (I.hi p.range /. I.lo p.range)
-    else if I.width p.range = 0. then 0.5
-    else (v -. I.lo p.range) /. I.width p.range
-  in
-  Ape_util.Float_ext.clamp ~lo:0. ~hi:1. u
-
 let instantiate t point =
   if Array.length point <> dim t then
     invalid_arg "Template.instantiate: dimension mismatch";
   let values = Array.mapi (fun i p -> value_of_unit p point.(i)) t.params in
   N.make ~title:t.base.N.title
     (List.map (fun rebuild -> rebuild values) t.rebuild)
-
-let base t = t.base
-let params t = t.params
-
-let center_point t = Array.make (dim t) 0.5
 
 let values_of_point t point =
   Array.to_list

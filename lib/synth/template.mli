@@ -39,23 +39,13 @@ val make : Ape_circuit.Netlist.t -> param list -> t
 
 val base : t -> Ape_circuit.Netlist.t
 val params : t -> param array
-
 val dim : t -> int
-
-val value_of_unit : param -> float -> float
-(** Map a [[0,1]] coordinate into the parameter's interval (log or
-    linear). *)
-
-val unit_of_value : param -> float -> float
-(** Inverse of {!value_of_unit}, clamped to [[0,1]]. *)
 
 val instantiate : t -> float array -> Ape_circuit.Netlist.t
 (** Apply a unit-cube point: the base netlist with every parameterised
-    value replaced, elements in the base's order. *)
-
-val center_point : t -> float array
-(** The cube point whose values are each interval's midpoint (geometric
-    midpoint for log-scaled parameters). *)
+    value replaced, elements in the base's order.  Each coordinate,
+    clamped to [[0,1]], maps into its parameter's interval, linearly or
+    logarithmically. *)
 
 val values_of_point : t -> float array -> (string * float) list
 (** Named physical values at a point, for reporting. *)

@@ -17,24 +17,3 @@ let logspace a b n =
 
 let db_of_gain g = 20. *. Float.log10 (Float.abs g)
 let gain_of_db db = 10. ** (db /. 20.)
-let sq x = x *. x
-
-let rel_error reference measured =
-  if reference = 0. then Float.abs measured
-  else Float.abs (measured -. reference) /. Float.abs reference
-
-let mean = function
-  | [] -> invalid_arg "Float_ext.mean: empty"
-  | xs -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
-
-let geometric_mean = function
-  | [] -> invalid_arg "Float_ext.geometric_mean: empty"
-  | xs ->
-    let log_sum =
-      List.fold_left
-        (fun acc x ->
-          if x <= 0. then invalid_arg "Float_ext.geometric_mean: x <= 0"
-          else acc +. Float.log x)
-        0. xs
-    in
-    Float.exp (log_sum /. float_of_int (List.length xs))

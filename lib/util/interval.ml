@@ -6,8 +6,6 @@ let make lo hi =
   if lo > hi then invalid_arg "Interval.make: lo > hi";
   { lo; hi }
 
-let point x = make x x
-
 let of_center ?(pct = 0.2) x =
   let a = x *. (1. -. pct) and b = x *. (1. +. pct) in
   make (Float.min a b) (Float.max a b)
@@ -15,46 +13,3 @@ let of_center ?(pct = 0.2) x =
 let lo t = t.lo
 let hi t = t.hi
 let width t = t.hi -. t.lo
-let mid t = 0.5 *. (t.lo +. t.hi)
-let contains t x = t.lo <= x && x <= t.hi
-let is_point t = t.lo = t.hi
-let clamp t x = Float.min t.hi (Float.max t.lo x)
-
-let intersect a b =
-  let lo = Float.max a.lo b.lo and hi = Float.min a.hi b.hi in
-  if lo > hi then None else Some (make lo hi)
-
-let hull a b = make (Float.min a.lo b.lo) (Float.max a.hi b.hi)
-let neg t = make (-.t.hi) (-.t.lo)
-let add a b = make (a.lo +. b.lo) (a.hi +. b.hi)
-let sub a b = add a (neg b)
-
-let mul a b =
-  let p1 = a.lo *. b.lo
-  and p2 = a.lo *. b.hi
-  and p3 = a.hi *. b.lo
-  and p4 = a.hi *. b.hi in
-  make
-    (Float.min (Float.min p1 p2) (Float.min p3 p4))
-    (Float.max (Float.max p1 p2) (Float.max p3 p4))
-
-let inv t =
-  if contains t 0. then raise Division_by_zero;
-  make (1. /. t.hi) (1. /. t.lo)
-
-let div a b = mul a (inv b)
-
-let scale k t =
-  let a = k *. t.lo and b = k *. t.hi in
-  make (Float.min a b) (Float.max a b)
-
-let map_monotone f t =
-  let a = f t.lo and b = f t.hi in
-  make (Float.min a b) (Float.max a b)
-
-let sample st t =
-  if is_point t then t.lo
-  else t.lo +. (Random.State.float st 1.0 *. width t)
-
-let pp fmt t = Format.fprintf fmt "[%s, %s]" (Units.to_eng t.lo) (Units.to_eng t.hi)
-let to_string t = Format.asprintf "%a" pp t

@@ -79,8 +79,6 @@ let create ~workers =
                 worker_loop pool)));
   pool
 
-let size pool = Array.length pool.p_domains
-
 let publish task outcome =
   with_lock task.t_lock (fun () ->
       task.t_outcome <- outcome;

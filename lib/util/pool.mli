@@ -56,9 +56,6 @@ val create : workers:int -> t
 (** Spawn [max 0 workers] long-lived worker domains.  [workers = 0]
     degenerates to inline execution at {!submit} time. *)
 
-val size : t -> int
-(** Number of worker domains (0 for an inline pool). *)
-
 val submit : t -> (unit -> 'a) -> 'a task
 (** Enqueue a thunk.  Raises [Invalid_argument] if the pool has been
     shut down.  The thunk's exceptions are captured and re-raised by

@@ -8,9 +8,6 @@ let create seed = Random.State.make [| seed; 0x9e3779b9; seed lxor 0x5deece66 |]
    statistically independent (test/test_util.ml checks correlation). *)
 let split_words = 6
 
-let split t =
-  Random.State.make (Array.init split_words (fun _ -> Random.State.bits t))
-
 let split_n t n =
   if n < 0 then invalid_arg "Rng.split_n: negative";
   let base = Array.init split_words (fun _ -> Random.State.bits t) in
@@ -39,5 +36,3 @@ let bool t = Random.State.bool t
 let choice t arr =
   if Array.length arr = 0 then invalid_arg "Rng.choice: empty";
   arr.(Random.State.int t (Array.length arr))
-
-let state t = t

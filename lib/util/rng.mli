@@ -8,11 +8,6 @@ type t
 val create : int -> t
 (** Deterministic source from an integer seed. *)
 
-val split : t -> t
-(** Independent child source (used to give each synthesis run its own
-    stream).  The child is seeded from six 30-bit parent draws, so
-    sibling streams do not share seed material. *)
-
 val split_n : t -> int -> t array
 (** [split_n t n] derives [n] independent child sources keyed by index
     from a {e single} batch of parent draws: element [i] depends only on
@@ -38,6 +33,3 @@ val bool : t -> bool
 
 val choice : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
-
-val state : t -> Random.State.t
-(** The underlying state, for interoperating with [Interval.sample]. *)

@@ -1,36 +1,9 @@
 exception No_bracket
 exception No_convergence
 
-let bisect ?(tol = 1e-12) ?(max_iter = 200) f lo hi =
-  let flo = f lo and fhi = f hi in
-  if flo = 0. then lo
-  else if fhi = 0. then hi
-  else if flo *. fhi > 0. then raise No_bracket
-  else begin
-    let lo = ref lo and hi = ref hi and flo = ref flo in
-    let result = ref nan in
-    (try
-       for _ = 1 to max_iter do
-         let mid = 0.5 *. (!lo +. !hi) in
-         let fmid = f mid in
-         if fmid = 0. || !hi -. !lo < tol *. (1. +. Float.abs mid) then begin
-           result := mid;
-           raise Exit
-         end;
-         if !flo *. fmid < 0. then hi := mid
-         else begin
-           lo := mid;
-           flo := fmid
-         end
-       done;
-       result := 0.5 *. (!lo +. !hi)
-     with Exit -> ());
-    !result
-  end
-
 (* Brent's method as in "Algorithms for Minimization without Derivatives";
    maintains the bracket [a, b] with b the best iterate. *)
-let brent ?(tol = 1e-13) ?(max_iter = 100) f a0 b0 =
+let brent ?(tol = 1e-13) f a0 b0 =
   let fa0 = f a0 and fb0 = f b0 in
   if fa0 = 0. then a0
   else if fb0 = 0. then b0
@@ -49,7 +22,7 @@ let brent ?(tol = 1e-13) ?(max_iter = 100) f a0 b0 =
     let mflag = ref true and d = ref !a in
     let answer = ref !b in
     (try
-       for _ = 1 to max_iter do
+       for _ = 1 to 100 do
          if !fb = 0. || Float.abs (!b -. !a) < tol *. (1. +. Float.abs !b)
          then begin
            answer := !b;
@@ -109,35 +82,28 @@ let brent ?(tol = 1e-13) ?(max_iter = 100) f a0 b0 =
     !answer
   end
 
-let newton ?(tol = 1e-12) ?(max_iter = 60) ~f ~df x0 =
+let newton ~f ~df x0 =
   let rec loop x i =
-    if i > max_iter then raise No_convergence;
+    if i > 60 then raise No_convergence;
     let fx = f x in
     let dfx = df x in
     if Float.abs dfx < 1e-300 then raise No_convergence;
     let x' = x -. (fx /. dfx) in
-    if Float.abs (x' -. x) < tol *. (1. +. Float.abs x') then x'
+    if Float.abs (x' -. x) < 1e-12 *. (1. +. Float.abs x') then x'
     else loop x' (i + 1)
   in
   loop x0 0
 
-let expand_bracket ?(factor = 1.6) ?(max_expand = 60) f lo hi =
+let expand_bracket f lo hi =
   if lo >= hi then invalid_arg "Rootfind.expand_bracket: lo >= hi";
   let rec loop lo hi i =
-    if i > max_expand then raise No_bracket;
+    if i > 60 then raise No_bracket;
     let flo = f lo and fhi = f hi in
     if flo *. fhi <= 0. then (lo, hi)
     else begin
       let mid = 0.5 *. (lo +. hi) and half = 0.5 *. (hi -. lo) in
-      let grown = half *. factor in
+      let grown = half *. 1.6 in
       loop (mid -. grown) (mid +. grown) (i + 1)
     end
   in
   loop lo hi 0
-
-let solve_increasing ?(tol = 1e-12) f ~target lo hi =
-  let g x = f x -. target in
-  let lo, hi =
-    if g lo *. g hi <= 0. then (lo, hi) else expand_bracket g lo hi
-  in
-  brent ~tol g lo hi

@@ -1,8 +1,8 @@
 (** One-dimensional root finding.
 
-    The estimator solves its symbolic sizing equations with these; the
-    measurement extractor uses them to locate unity-gain and −3 dB
-    crossings on AC sweeps. *)
+    The symbolic solver solves its sizing equations with these; the
+    measurement extractor and the verify benches use {!brent} to locate
+    crossings. *)
 
 exception No_bracket
 (** Raised when a bracketing step cannot find a sign change. *)
@@ -10,42 +10,19 @@ exception No_bracket
 exception No_convergence
 (** Raised when the iteration budget is exhausted. *)
 
-val bisect :
-  ?tol:float -> ?max_iter:int -> (float -> float) -> float -> float -> float
-(** [bisect f lo hi] finds a root of [f] in [[lo, hi]].  [f lo] and
-    [f hi] must have opposite signs (raises {!No_bracket} otherwise).
-    [tol] is the absolute x tolerance (default 1e-12 relative to the
-    bracket). *)
+val brent : ?tol:float -> (float -> float) -> float -> float -> float
+(** [brent f lo hi] finds a root of [f] in [[lo, hi]] by Brent's method
+    (inverse quadratic interpolation + secant + bisection, at most 100
+    iterations).  [f lo] and [f hi] must have opposite signs (raises
+    {!No_bracket} otherwise).  [tol] is the x tolerance relative to
+    [1 + |x|] (default 1e-13). *)
 
-val brent :
-  ?tol:float -> ?max_iter:int -> (float -> float) -> float -> float -> float
-(** Brent's method: inverse quadratic interpolation + secant + bisection.
-    Same contract as {!bisect}, converges much faster on smooth
-    functions. *)
+val newton : f:(float -> float) -> df:(float -> float) -> float -> float
+(** Newton–Raphson from an initial guess, to a step below 1e-12 relative
+    in at most 60 iterations.  Raises {!No_convergence} if it fails;
+    callers typically fall back to {!brent}. *)
 
-val newton :
-  ?tol:float ->
-  ?max_iter:int ->
-  f:(float -> float) ->
-  df:(float -> float) ->
-  float ->
-  float
-(** Newton–Raphson from an initial guess.  Raises {!No_convergence} if it
-    fails; callers typically fall back to {!brent}. *)
-
-val expand_bracket :
-  ?factor:float ->
-  ?max_expand:int ->
-  (float -> float) ->
-  float ->
-  float ->
-  float * float
-(** [expand_bracket f lo hi] geometrically grows the interval outward
-    until [f] changes sign across it; raises {!No_bracket} if the budget
-    is exhausted. *)
-
-val solve_increasing :
-  ?tol:float -> (float -> float) -> target:float -> float -> float -> float
-(** [solve_increasing f ~target lo hi] finds [x] with [f x = target] for
-    a monotonically increasing [f], expanding the initial bracket when
-    needed. *)
+val expand_bracket : (float -> float) -> float -> float -> float * float
+(** [expand_bracket f lo hi] grows the interval outward about its middle,
+    by 1.6× per step, until [f] changes sign across it; raises
+    {!No_bracket} after 60 steps. *)

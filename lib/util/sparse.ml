@@ -35,11 +35,6 @@ let fcreate n : farr =
   Bigarray.Array1.fill a 0.;
   a
 
-let fcopy (a : farr) : farr =
-  let b = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (Bigarray.Array1.dim a) in
-  Bigarray.Array1.blit a b;
-  b
-
 (* [order] is the greedy minimum-degree column order every fresh
    factorisation over the pattern uses, computed once when the pattern
    is compiled. *)
@@ -283,10 +278,6 @@ module Real = struct
   let lnz f = Array.length f.li
   let unz f = Array.length f.ui + f.f_pat.n
 
-  let clone f =
-    { f with lx = fcopy f.lx; ux = fcopy f.ux; udiag = fcopy f.udiag;
-      w = fcreate f.f_pat.n }
-
   let factor (a : t) =
     Ape_obs.incr c_symbolic;
     let pat = a.pat in
@@ -448,37 +439,6 @@ module Real = struct
     done;
     x
 
-  (* Solve Aᵀy = b with the factorisation of A.  Writing the permuted
-     system as Â = P A Qᵀ = L U, the transposed solve runs Uᵀ forward
-     (U columns gather instead of scatter, divide by the diagonal) and
-     Lᵀ backward (unit diagonal), with the roles of the two
-     permutations swapped relative to [solve]. *)
-  let solve_transposed f b =
-    let n = f.f_pat.n in
-    if Array.length b <> n then invalid_arg "Sparse.Real.solve_transposed";
-    let y = Array.make (max n 1) 0. in
-    for jj = 0 to n - 1 do
-      y.(jj) <- b.(f.q.(jj))
-    done;
-    for j = 0 to n - 1 do
-      let acc = ref y.(j) in
-      for t = f.up.(j) to f.up.(j + 1) - 1 do
-        acc := !acc -. (f.ux.{t} *. y.(f.ui.(t)))
-      done;
-      y.(j) <- !acc /. f.udiag.{j}
-    done;
-    for j = n - 1 downto 0 do
-      let acc = ref y.(j) in
-      for t = f.lp.(j) to f.lp.(j + 1) - 1 do
-        acc := !acc -. (f.lx.{t} *. y.(f.li.(t)))
-      done;
-      y.(j) <- !acc
-    done;
-    let x = Array.make n 0. in
-    for i = 0 to n - 1 do
-      x.(i) <- y.(f.pinv.(i))
-    done;
-    x
 end
 
 (* ------------------------------------------------------------------ *)
@@ -489,17 +449,6 @@ module Csplit = struct
   type t = { pat : pattern; re : farr; im : farr }
 
   let create pat = { pat; re = fcreate (nnz pat); im = fcreate (nnz pat) }
-  let pattern t = t.pat
-
-  let clear t =
-    Bigarray.Array1.fill t.re 0.;
-    Bigarray.Array1.fill t.im 0.
-
-  let add_slot t s re im =
-    t.re.{s} <- t.re.{s} +. re;
-    t.im.{s} <- t.im.{s} +. im
-
-  let get_slot t s = (t.re.{s}, t.im.{s})
 
   let set_slot t s re im =
     t.re.{s} <- re;
@@ -550,11 +499,6 @@ module Csplit = struct
 
   let lnz f = Array.length f.li
   let unz f = Array.length f.ui + f.f_pat.n
-
-  let clone f =
-    { f with lxre = fcopy f.lxre; lxim = fcopy f.lxim; uxre = fcopy f.uxre;
-      uxim = fcopy f.uxim; udre = fcopy f.udre; udim = fcopy f.udim;
-      wre = fcreate f.f_pat.n; wim = fcreate f.f_pat.n }
 
   let factor (a : t) =
     Ape_obs.incr c_symbolic;
@@ -746,8 +690,11 @@ module Csplit = struct
 
   (* Solve Aᵀy = b with the factorisation of A — the reciprocity
      workhorse: one transposed solve against the output selector gives
-     the transfer impedance from *every* injection site at once.  Same
-     permutation bookkeeping as [Real.solve_transposed]. *)
+     the transfer impedance from *every* injection site at once.
+     Writing the permuted system as Â = P A Qᵀ = L U, the transposed
+     solve runs Uᵀ forward (U columns gather instead of scatter, divide
+     by the diagonal) and Lᵀ backward (unit diagonal), with the roles of
+     the two permutations swapped relative to [solve]. *)
   let solve_transposed f (b : Complex.t array) =
     let n = f.f_pat.n in
     if Array.length b <> n then invalid_arg "Sparse.Csplit.solve_transposed";
@@ -814,13 +761,6 @@ module Csplit = struct
       if k < 1 then invalid_arg "Sparse.Csplit.Panel.create";
       { v_pat = pat; vk = k; vm = k;
         vre = fcreate (nnz pat * k); vim = fcreate (nnz pat * k) }
-
-    let width v = v.vk
-    let lanes v = v.vm
-
-    let use_lanes v m =
-      if m < 1 || m > v.vk then invalid_arg "Sparse.Csplit.Panel.use_lanes";
-      v.vm <- m
 
     let set_slot v s ~lane re im =
       if lane < 0 || lane >= v.vk then invalid_arg "Sparse.Csplit.Panel.set_slot";

@@ -102,15 +102,6 @@ module Real : sig
   (** [solve f b] returns [x] with [A x = b] for the last
       (re)factorised values.  [b] is not modified. *)
 
-  val solve_transposed : factor -> float array -> float array
-  (** [solve_transposed f b] returns [y] with [Aᵀ y = b] for the last
-      (re)factorised values — no transposed factorisation needed. *)
-
-  val clone : factor -> factor
-  (** Copy the mutable numeric storage, sharing the immutable symbolic
-      skeleton — gives an independent workspace for another domain whose
-      {!refactor}/{!solve} arithmetic is identical to the original's. *)
-
   val lnz : factor -> int
   (** Strictly-lower entries of L (unit diagonal implicit). *)
 
@@ -126,10 +117,6 @@ module Csplit : sig
   type t
 
   val create : pattern -> t
-  val pattern : t -> pattern
-  val clear : t -> unit
-  val add_slot : t -> int -> float -> float -> unit
-  val get_slot : t -> int -> float * float
   val set_slot : t -> int -> float -> float -> unit
 
   val assemble_gc : t -> g:Real.t -> c:Real.t -> omega:float -> unit
@@ -149,7 +136,6 @@ module Csplit : sig
       transfer impedance from {e every} injection site to the output at
       once (adjoint noise analysis). *)
 
-  val clone : factor -> factor
   val lnz : factor -> int
   val unz : factor -> int
 
@@ -167,15 +153,6 @@ module Csplit : sig
 
     val create : pattern -> k:int -> vals
     (** [create pat ~k] allocates a panel of physical width [k >= 1]. *)
-
-    val width : vals -> int
-    (** Physical lane count (the allocation stride). *)
-
-    val lanes : vals -> int
-    (** Lanes currently in use (set by {!assemble_gc}/{!use_lanes}). *)
-
-    val use_lanes : vals -> int -> unit
-    (** Narrow the active lane count for a final partial panel. *)
 
     val set_slot : vals -> int -> lane:int -> float -> float -> unit
     (** [set_slot v s ~lane re im] writes one slot of one lane (tests

@@ -1,13 +1,8 @@
-type align = Left | Right
-
-let pad align width s =
+let pad width s =
   let n = String.length s in
-  if n >= width then s
-  else
-    let fill = String.make (width - n) ' ' in
-    match align with Left -> s ^ fill | Right -> fill ^ s
+  if n >= width then s else s ^ String.make (width - n) ' '
 
-let render ?align ~header rows =
+let render ~header rows =
   let ncols = List.length header in
   let normalize row =
     let n = List.length row in
@@ -15,12 +10,6 @@ let render ?align ~header rows =
     else row @ List.init (ncols - n) (fun _ -> "")
   in
   let rows = List.map normalize rows in
-  let aligns =
-    match align with
-    | Some a when List.length a = ncols -> a
-    | Some _ -> invalid_arg "Table.render: align length mismatch"
-    | None -> List.init ncols (fun _ -> Left)
-  in
   let widths =
     List.mapi
       (fun i h ->
@@ -30,11 +19,7 @@ let render ?align ~header rows =
       header
   in
   let render_row cells =
-    let padded =
-      List.mapi
-        (fun i c -> pad (List.nth aligns i) (List.nth widths i) c)
-        cells
-    in
+    let padded = List.mapi (fun i c -> pad (List.nth widths i) c) cells in
     "| " ^ String.concat " | " padded ^ " |"
   in
   let rule =
@@ -53,16 +38,14 @@ let render ?align ~header rows =
     rows;
   Buffer.contents buf
 
-let render_titled ?align ~title ~header rows =
-  let body = render ?align ~header rows in
+let render_titled ~title ~header rows =
+  let body = render ~header rows in
   let width =
     String.split_on_char '\n' body
     |> List.fold_left (fun acc line -> max acc (String.length line)) 0
   in
   let rule = String.make (max width (String.length title)) '=' in
   Printf.sprintf "%s\n%s\n%s" title rule body
-
-let cell_fixed ?(decimals = 2) x = Printf.sprintf "%.*f" decimals x
 
 let cell_pct x =
   let v = 100. *. x in

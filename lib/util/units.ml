@@ -1,17 +1,6 @@
-let mega = 1e6
-let kilo = 1e3
-let micro = 1e-6
-let pico = 1e-12
-let um = micro
-let um2 = micro *. micro
-let pf = pico
-let q_electron = 1.602176634e-19
 let k_boltzmann = 1.380649e-23
 let eps_0 = 8.8541878128e-12
 let eps_ox = 3.9 *. eps_0
-
-let thermal_voltage ?(temp_k = 300.15) () =
-  k_boltzmann *. temp_k /. q_electron
 
 (* SPICE magnitude suffixes, matched case-insensitively with the
    multi-letter ones ("meg", "mil") tried before the single letters: as
@@ -79,7 +68,7 @@ let parse_number s =
    steps of three decades. *)
 let prefixes = [| "a"; "f"; "p"; "n"; "u"; "m"; ""; "k"; "M"; "G"; "T" |]
 
-let to_eng ?(digits = 3) x =
+let to_eng x =
   if x = 0. then "0"
   else if Float.is_nan x then "nan"
   else if Float.abs x = infinity then if x > 0. then "inf" else "-inf"
@@ -89,11 +78,11 @@ let to_eng ?(digits = 3) x =
     let exp3 = int_of_float (Float.floor (Float.log10 ax /. 3.)) in
     let exp3 = max (-6) (min 4 exp3) in
     let mant = ax /. (10. ** float_of_int (3 * exp3)) in
-    (* Significant digits: mantissa is in [1, 1000). *)
+    (* Three significant digits: mantissa is in [1, 1000). *)
     let int_digits =
       if mant >= 100. then 3 else if mant >= 10. then 2 else 1
     in
-    let frac = max 0 (digits - int_digits) in
+    let frac = max 0 (3 - int_digits) in
     let s = Printf.sprintf "%.*f" frac mant in
     (* Strip trailing zeros and a dangling dot. *)
     let s =
@@ -106,9 +95,6 @@ let to_eng ?(digits = 3) x =
       else s
     in
     sign ^ s ^ prefixes.(exp3 + 6)
-
-let to_eng_unit ?digits unit x = to_eng ?digits x ^ unit
-let pp fmt x = Format.pp_print_string fmt (to_eng x)
 
 let to_exact x =
   if Float.is_nan x then "nan"

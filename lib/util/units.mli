@@ -1,40 +1,16 @@
-(** Engineering units: SI prefixes, engineering-notation formatting and the
-    handful of physical constants the device models need.
+(** Engineering units: SPICE magnitude suffixes, engineering-notation
+    formatting and the physical constants the device models need.
 
     All quantities in the code base are SI (volts, amperes, farads, metres,
-    hertz, watts, seconds).  Helpers such as {!micro} and {!mega} make the
-    source read like the paper's tables ([5000. *. micro *. micro] is
-    5000 square microns). *)
-
-(** {1 SI prefixes} *)
-
-val mega : float
-val kilo : float
-val micro : float
-
-(** {1 Common derived helpers} *)
-
-val um : float
-(** One micrometre in metres (alias of {!micro}). *)
-
-val um2 : float
-(** One square micrometre in square metres. *)
-
-val pf : float
+    hertz, watts, seconds). *)
 
 (** {1 Physical constants} *)
 
 val k_boltzmann : float
 (** Boltzmann constant, J/K. *)
 
-val eps_0 : float
-(** Vacuum permittivity, F/m. *)
-
 val eps_ox : float
 (** Permittivity of SiO2, F/m. *)
-
-val thermal_voltage : ?temp_k:float -> unit -> float
-(** [thermal_voltage ()] is kT/q at [temp_k] (default 300.15 K). *)
 
 (** {1 Reading} *)
 
@@ -52,21 +28,15 @@ val parse_number : string -> float option
 
 (** {1 Formatting} *)
 
-val to_eng : ?digits:int -> float -> string
+val to_eng : float -> string
 (** [to_eng x] renders [x] in engineering notation with an SI prefix:
-    [to_eng 4.67e6 = "4.67M"], [to_eng 1.3e-5 = "13u"].  [digits] is the
-    number of significant digits (default 3).  It is for display: its
-    SI [M] (mega) reads back through {!parse_number} as SPICE's milli,
-    so machine-read output uses {!to_exact}. *)
-
-val to_eng_unit : ?digits:int -> string -> float -> string
-(** [to_eng_unit "Hz" 2.64e6 = "2.64MHz"]. *)
+    [to_eng 4.67e6 = "4.67M"], [to_eng 1.3e-5 = "13u"], to three
+    significant digits.  It is for display: its SI [M] (mega) reads back
+    through {!parse_number} as SPICE's milli, so machine-read output
+    uses {!to_exact}. *)
 
 val to_exact : float -> string
 (** Shortest decimal representation that parses back (with
     [float_of_string]) to the identical IEEE double — for machine-read
     output such as netlists and golden tables, where {!to_eng}'s 3-digit
     rounding would lose information. *)
-
-val pp : Format.formatter -> float -> unit
-(** Pretty-print with {!to_eng}. *)

@@ -1,7 +1,8 @@
 (* Reference implementations for the differential suites: the MOS
    model's partials by finite differences, a C matrix stamped element
    by element, dense versions of the simulator's analyses, and the
-   dense AWE with its general-q Durand–Kerner Padé.  The dense
+   dense AWE with its general-q Durand–Kerner Padé ([Support] holds
+   the tests' other helpers).  The dense
    matrices are the sparse stamps' slot values scattered into [Matrix]
    (each slot holds the sum a dense stamp would), and every analysis
    solves them with the dense [Matrix] LU, so they share no ordering
@@ -15,6 +16,7 @@ module Engine = Ape_spice.Engine
 module Sp = Ape_util.Sparse
 module Matrix = Matrix
 module Poly = Poly
+module Support = Support
 module Rmat = Matrix.Rmat
 module Cmat = Matrix.Cmat
 
@@ -40,11 +42,10 @@ let linearize netlist index x =
 let max_norm a =
   Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0. a
 
-(* Central finite differences of [Mos.drain_current] in (vgs, vds, vsb)
-   with step [h]: the reference for [Mos.evaluate]'s analytic
-   partials. *)
+(* Central finite differences of [Mos.evaluate]'s current in (vgs, vds,
+   vsb) with step [h]: the reference for its analytic partials. *)
 let mos_partials ?(h = 1e-6) card geom ~vgs ~vds ~vsb =
-  let i vgs vds vsb = Mos.drain_current card geom ~vgs ~vds ~vsb in
+  let i vgs vds vsb = Support.drain_current card geom ~vgs ~vds ~vsb in
   let d f = (f h -. f (-.h)) /. (2. *. h) in
   ( d (fun e -> i (vgs +. e) vds vsb),
     d (fun e -> i vgs (vds +. e) vsb),

@@ -34,14 +34,14 @@ let test_diff_status () =
     (status_name (row ~gate (Some 1.0) (Some Float.nan)).status)
 
 let test_rel_err () =
-  Alcotest.(check (float 1e-12)) "symmetric zero" 0.
-    (C.Diff.rel_err ~est:3. ~sim:3.);
-  Alcotest.(check (float 1e-12)) "10% high" 0.1
-    (C.Diff.rel_err ~est:1.1 ~sim:1.0);
-  Alcotest.(check (float 1e-12)) "signed values" 0.1
-    (C.Diff.rel_err ~est:(-1.1) ~sim:(-1.0));
+  let rel_err est sim =
+    Option.get (row ~gate:C.Tolerance.Report_only (Some est) (Some sim)).C.Diff.rel_err
+  in
+  Alcotest.(check (float 1e-12)) "symmetric zero" 0. (rel_err 3. 3.);
+  Alcotest.(check (float 1e-12)) "10% high" 0.1 (rel_err 1.1 1.0);
+  Alcotest.(check (float 1e-12)) "signed values" 0.1 (rel_err (-1.1) (-1.0));
   Alcotest.(check bool) "zero sim, nonzero est = huge" true
-    (C.Diff.rel_err ~est:1. ~sim:0. > 1e10)
+    (rel_err 1. 0. > 1e10)
 
 (* ---------- golden persistence ---------- *)
 
@@ -122,6 +122,72 @@ let test_golden_drift_detection () =
 
 (* ---------- frozen calibrated-vs-raw error table ---------- *)
 
+(* [calib_errors.tsv]: the error table of a calibrated run, one
+   tab-separated (level, attr, raw_max, cal_max) line per entry, with
+   exact decimals so a re-run on the same code reproduces it. *)
+let errors_path ~dir = Filename.concat dir "calib_errors.tsv"
+
+let save_errors ~dir entries =
+  Out_channel.with_open_text (errors_path ~dir) (fun oc ->
+      output_string oc
+        "# APE calibrated-vs-raw max relative error per (level, attr)\n";
+      output_string oc "# level\tattr\traw_max\tcal_max\n";
+      List.iter
+        (fun (e : C.Golden.error_entry) ->
+          Printf.fprintf oc "%s\t%s\t%s\t%s\n" e.C.Golden.e_level
+            e.C.Golden.e_attr
+            (Ape_util.Units.to_exact e.C.Golden.raw_max)
+            (Ape_util.Units.to_exact e.C.Golden.cal_max))
+        entries)
+
+let load_errors ~dir =
+  let file = errors_path ~dir in
+  if not (Sys.file_exists file) then None
+  else
+    In_channel.with_open_text file In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun line ->
+           let line = String.trim line in
+           if line = "" || line.[0] = '#' then None
+           else
+             match String.split_on_char '\t' line with
+             | [ e_level; e_attr; raw; cal ] ->
+               Some
+                 { C.Golden.e_level; e_attr; raw_max = float_of_string raw;
+                   cal_max = float_of_string cal }
+             | _ -> Alcotest.failf "%s: malformed line %S" file line)
+    |> Option.some
+
+(* Drift of a fresh error table against the frozen one.  Error values
+   are ratios of nearly-cancelling est/sim pairs — est ≈ sim makes the
+   relative error itself ill-conditioned — so the comparison takes an
+   absolute floor of 2e-3 on top of a relative 1e-2. *)
+let compare_errors ~golden entries =
+  let close a b =
+    a = b
+    || Float.abs (a -. b) <= Float.max 2e-3 (1e-2 *. Float.max (Float.abs a) (Float.abs b))
+  in
+  let key (e : C.Golden.error_entry) = (e.C.Golden.e_level, e.C.Golden.e_attr) in
+  let find e l = List.find_opt (fun f -> key f = key e) l in
+  List.filter_map
+    (fun (g : C.Golden.error_entry) ->
+      match find g entries with
+      | None -> Some (key g, "row disappeared from the fresh run")
+      | Some f when not (close g.C.Golden.raw_max f.C.Golden.raw_max) ->
+        Some (key g, Printf.sprintf "raw error drift: golden %h, fresh %h"
+                g.C.Golden.raw_max f.C.Golden.raw_max)
+      | Some f when not (close g.C.Golden.cal_max f.C.Golden.cal_max) ->
+        Some (key g, Printf.sprintf "calibrated error drift: golden %h, fresh %h"
+                g.C.Golden.cal_max f.C.Golden.cal_max)
+      | Some _ -> None)
+    golden
+  @ List.filter_map
+      (fun f ->
+        if find f golden = None then
+          Some (key f, "new row absent from the golden table")
+        else None)
+      entries
+
 let test_calibrated_errors_frozen () =
   (* Fit a card from the catalog itself, re-run the checker through it,
      and hold the per-(level, attribute) error table against the frozen
@@ -142,24 +208,20 @@ let test_calibrated_errors_frozen () =
     errors;
   let dir = "golden" in
   if C.Golden.update_requested () then begin
-    C.Golden.save_errors ~dir errors;
-    Printf.printf "promoted %s\n" (C.Golden.errors_path ~dir)
+    save_errors ~dir errors;
+    Printf.printf "promoted %s\n" (errors_path ~dir)
   end
   else
-    match C.Golden.load_errors ~dir with
+    match load_errors ~dir with
     | None ->
       Alcotest.fail
         "golden/calib_errors.tsv missing — promote it with \
          APE_UPDATE_GOLDEN=1"
     | Some golden ->
-      (* Error values are ratios of nearly-cancelling est/sim pairs, so
-         the cross-engine comparison needs the wider rtol on top of the
-         absolute floor. *)
-      let drifts = C.Golden.compare_errors ~rtol:1e-2 ~golden errors in
+      let drifts = compare_errors ~golden errors in
       List.iter
-        (fun (d : C.Golden.drift) ->
-          Printf.printf "error drift %s/%s: %s\n" d.C.Golden.case
-            d.C.Golden.attr d.C.Golden.what)
+        (fun ((level, attr), what) ->
+          Printf.printf "error drift %s/%s: %s\n" level attr what)
         drifts;
       Alcotest.(check int) "no error drift" 0 (List.length drifts)
 
@@ -192,7 +254,7 @@ let prop_corner_bracketing =
       let geom = Mos.geom ~w:10e-6 ~l:2.4e-6 in
       let ids corner =
         let p = Proc.corner corner proc in
-        Mos.drain_current p.Proc.nmos geom ~vgs ~vds:2.5 ~vsb:0.
+        Ape_oracle.Support.drain_current p.Proc.nmos geom ~vgs ~vds:2.5 ~vsb:0.
       in
       let slow = ids Proc.Slow
       and typ = ids Proc.Typical
@@ -250,7 +312,7 @@ let test_opamp_corners_bracket_power () =
 (* ---------- the regression gate itself ---------- *)
 
 let test_device_level_all_pass () =
-  let rows = C.Cases.device_rows proc in
+  let rows = C.Cases.rows_for proc C.Tolerance.Device in
   Alcotest.(check bool) "has rows" true (List.length rows >= 15);
   List.iter
     (fun (r : C.Diff.row) ->

@@ -5,6 +5,7 @@ module N = Ape_circuit.Netlist
 module B = Ape_circuit.Builder
 module Sp = Ape_circuit.Spice_parser
 module Proc = Ape_process.Process
+module T = Ape_oracle.Support
 
 let proc = Proc.c12
 
@@ -71,14 +72,14 @@ let test_validate_bad_values () =
 let test_gate_area_and_counts () =
   let b = B.create ~title:"mos" in
   B.vsource b ~p:"vdd" ~n:"0" 5.;
-  B.nmos b proc ~d:"vdd" ~g:"vdd" ~s:"0" ~w:10e-6 ~l:2e-6;
-  B.nmos b proc ~d:"vdd" ~g:"vdd" ~s:"0" ~w:20e-6 ~l:1e-6;
+  T.nmos b proc ~d:"vdd" ~g:"vdd" ~s:"0" ~w:10e-6 ~l:2e-6;
+  T.nmos b proc ~d:"vdd" ~g:"vdd" ~s:"0" ~w:20e-6 ~l:1e-6;
   let nl = B.finish b in
   Alcotest.(check int) "mosfets" 2 (N.mosfet_count nl);
   Alcotest.(check int) "devices" 3 (N.device_count nl);
   Alcotest.(check (float 1e-18)) "gate area" 40e-12 (N.gate_area nl)
 
-(* ---------- instantiate / rename ---------- *)
+(* ---------- instantiate / append / retarget ---------- *)
 
 let test_instantiate () =
   let child = divider () in
@@ -90,16 +91,14 @@ let test_instantiate () =
     "prefixed names"
     [ "u1.V1"; "u1.R1"; "u1.R2" ]
     names;
-  let all_nodes = List.concat_map N.element_nodes spliced in
+  let all_nodes = N.nodes (N.make ~title:"spliced" spliced) in
   Alcotest.(check bool) "mapped port" true (List.mem "supply" all_nodes);
   Alcotest.(check bool) "internal prefixed" true (List.mem "u1.mid" all_nodes);
-  Alcotest.(check bool) "ground untouched" true (List.mem "0" all_nodes);
+  Alcotest.(check bool) "ground untouched" true
+    (List.exists
+       (function N.Resistor { b; _ } -> N.is_ground b | _ -> false)
+       spliced);
   Alcotest.(check bool) "old name gone" false (List.mem "vdd" all_nodes)
-
-let test_rename_node () =
-  let nl = N.rename_node ~from:"mid" ~to_:"center" (divider ()) in
-  Alcotest.(check bool) "renamed" true (List.mem "center" (N.nodes nl));
-  Alcotest.(check bool) "old gone" false (List.mem "mid" (N.nodes nl))
 
 let test_merge_append () =
   let a = divider () in
@@ -110,8 +109,8 @@ let test_merge_append () =
 let test_retarget_process () =
   let b = B.create ~title:"mos" in
   B.vsource b ~p:"vdd" ~n:"0" 5.;
-  B.nmos b proc ~d:"vdd" ~g:"vdd" ~s:"0" ~w:10e-6 ~l:2e-6;
-  B.pmos b proc ~d:"vdd" ~g:"vdd" ~s:"0" ~vdd_node:"vdd" ~w:10e-6 ~l:2e-6;
+  T.nmos b proc ~d:"vdd" ~g:"vdd" ~s:"0" ~w:10e-6 ~l:2e-6;
+  T.pmos b proc ~d:"vdd" ~g:"vdd" ~s:"0" ~vdd_node:"vdd" ~w:10e-6 ~l:2e-6;
   let nl = B.finish b in
   let p08 = Ape_process.Process.c08 in
   let retargeted = N.retarget_process p08 nl in
@@ -136,14 +135,14 @@ let test_retarget_process () =
 let test_to_spice_contains_model () =
   let b = B.create ~title:"tb" in
   B.vsource b ~p:"vdd" ~n:"0" 5.;
-  B.nmos b proc ~d:"vdd" ~g:"vdd" ~s:"0" ~w:10e-6 ~l:2e-6;
+  T.nmos b proc ~d:"vdd" ~g:"vdd" ~s:"0" ~w:10e-6 ~l:2e-6;
   let s = N.to_spice (B.finish b) in
-  Alcotest.(check bool) "has .MODEL" true
-    (Ape_util.Strings.starts_with_ci ~prefix:"* tb" s);
+  Alcotest.(check bool) "has .MODEL" true (String.starts_with ~prefix:"* tb" s);
   Alcotest.(check bool) "model card present" true
     (String.length s > 0
     && String.split_on_char '\n' s
-       |> List.exists (Ape_util.Strings.starts_with_ci ~prefix:".model"))
+       |> List.exists (fun line ->
+              String.starts_with ~prefix:".model" (String.lowercase_ascii line)))
 
 let sample_netlist =
   "* common source amplifier\n\
@@ -156,7 +155,7 @@ let sample_netlist =
    .END\n"
 
 let test_parse_netlist () =
-  let nl = Sp.parse ~title:"cs" sample_netlist in
+  let nl = T.parse ~title:"cs" sample_netlist in
   Alcotest.(check int) "element count" 5 (N.device_count nl);
   Alcotest.(check int) "one mosfet" 1 (N.mosfet_count nl);
   let m =
@@ -172,14 +171,14 @@ let test_parse_netlist () =
 
 let test_parse_builtin_models () =
   let nl =
-    Sp.parse ~title:"builtin"
+    T.parse ~title:"builtin"
       "VDD vdd 0 5\nM1 vdd vdd 0 0 NMOS W=10u L=2u\n"
   in
   Alcotest.(check int) "parsed" 2 (N.device_count nl)
 
 let test_parse_sources () =
   let nl =
-    Sp.parse ~title:"src"
+    T.parse ~title:"src"
       "V1 a 0 DC 2.5 AC 1\nI1 a 0 DC 10u\nR1 a 0 1k\n"
   in
   List.iter
@@ -194,7 +193,7 @@ let test_parse_sources () =
 
 let test_parse_switch_and_vcvs () =
   let nl =
-    Sp.parse ~title:"misc"
+    T.parse ~title:"misc"
       "V1 a 0 5\n\
        W1 a b ctrl RON=500 ROFF=1G VT=2.0\n\
        E1 b 0 a 0 10\n\
@@ -214,8 +213,8 @@ let test_parse_switch_and_vcvs () =
 
 let test_parse_errors () =
   let expect_bad s =
-    match Sp.parse ~title:"bad" s with
-    | exception Sp.Parse_error _ -> ()
+    match T.parse ~title:"bad" s with
+    | exception T.Parse_error _ -> ()
     | _ -> Alcotest.fail ("expected Parse_error for: " ^ s)
   in
   expect_bad "M1 d g s b NOSUCHMODEL W=1u L=1u\nV1 d 0 5\n";
@@ -227,11 +226,11 @@ let test_parse_roundtrip () =
   (* to_spice output must be parseable and structurally identical. *)
   let b = B.create ~title:"rt" in
   B.vsource b ~p:"vdd" ~n:"0" ~ac:1. 5.;
-  B.nmos b proc ~d:"out" ~g:"vdd" ~s:"0" ~w:12e-6 ~l:3.6e-6;
+  T.nmos b proc ~d:"out" ~g:"vdd" ~s:"0" ~w:12e-6 ~l:3.6e-6;
   B.resistor b ~a:"vdd" ~b:"out" 10e3;
   B.capacitor b ~a:"out" ~b:"0" 2e-12;
   let nl = B.finish b in
-  let reparsed = Sp.parse ~title:"rt" (N.to_spice nl) in
+  let reparsed = T.parse ~title:"rt" (N.to_spice nl) in
   Alcotest.(check int) "same element count" (N.device_count nl)
     (N.device_count reparsed);
   Alcotest.(check int) "same mosfets" (N.mosfet_count nl)
@@ -255,9 +254,9 @@ let test_golden_deck_roundtrip () =
   List.iter
     (fun file ->
       let text = In_channel.with_open_text file In_channel.input_all in
-      let nl1 = Sp.parse ~title:file text in
+      let nl1 = T.parse ~title:file text in
       let printed1 = N.to_spice nl1 in
-      let nl2 = Sp.parse ~title:file printed1 in
+      let nl2 = T.parse ~title:file printed1 in
       let printed2 = N.to_spice nl2 in
       Alcotest.(check string) (file ^ ": print/parse fixpoint") printed1
         printed2;
@@ -286,7 +285,7 @@ let resistance nl name =
 
 let test_inline_comment_dialects () =
   let deck = "V1 a 0 5 $ supply\nR1 a 0 1k ; load\n.END\n" in
-  let nl = Sp.parse ~title:"ng" deck in
+  let nl = T.parse ~title:"ng" deck in
   Alcotest.(check int) "ngspice strips $ and ;" 2 (N.device_count nl);
   (* hspice: '$' comments, ';' does not *)
   let r = Sp.parse_result ~dialect:Sp.Hspice ~title:"hs" deck in
@@ -306,19 +305,19 @@ let test_orphan_continuation () =
 let test_source_value_clauses () =
   (* A bare value after an explicit DC/AC clause is an error: it used
      to silently overwrite the DC value. *)
-  (match Sp.parse ~title:"bad" "V1 1 0 DC 0 5\nR1 1 0 1k\n" with
-  | exception Sp.Parse_error d ->
+  (match T.parse ~title:"bad" "V1 1 0 DC 0 5\nR1 1 0 1k\n" with
+  | exception T.Parse_error d ->
     Alcotest.(check bool) "points at 5" true (contains d.Sp.msg "trailing")
   | _ -> Alcotest.fail "expected Parse_error for 'DC 0 5'");
   (* ...but a leading bare value with a later AC clause is fine. *)
-  let nl = Sp.parse ~title:"ok" "V1 1 0 5 AC 1\nR1 1 0 1k\n" in
+  let nl = T.parse ~title:"ok" "V1 1 0 5 AC 1\nR1 1 0 1k\n" in
   (match find_element nl "V1" with
   | Some (N.Vsource { dc; ac; _ }) ->
     Alcotest.(check (float 0.)) "dc" 5. dc;
     Alcotest.(check (float 0.)) "ac" 1. ac
   | _ -> Alcotest.fail "no V1");
   (* clause order doesn't matter *)
-  let nl = Sp.parse ~title:"ok2" "V1 1 0 AC 1 DC 2\nR1 1 0 1k\n" in
+  let nl = T.parse ~title:"ok2" "V1 1 0 AC 1 DC 2\nR1 1 0 1k\n" in
   match find_element nl "V1" with
   | Some (N.Vsource { dc; ac; _ }) ->
     Alcotest.(check (float 0.)) "dc" 2. dc;
@@ -327,7 +326,7 @@ let test_source_value_clauses () =
 
 let test_equals_whitespace_and_multiplier () =
   let nl =
-    Sp.parse ~title:"eq"
+    T.parse ~title:"eq"
       "V1 d 0 5\nR1 g 0 1k\nM1 d g 0 0 NMOS W = 4e-6 L =2e-6 M= 2\n"
   in
   match find_element nl "M1" with
@@ -339,7 +338,7 @@ let test_equals_whitespace_and_multiplier () =
     Alcotest.(check (float 1e-24)) "gate area" (2. *. 4e-6 *. 2e-6)
       (N.gate_area nl);
     (* ...and survives printing and re-parsing *)
-    let nl2 = Sp.parse ~title:"eq" (N.to_spice nl) in
+    let nl2 = T.parse ~title:"eq" (N.to_spice nl) in
     (match find_element nl2 "M1" with
     | Some (N.Mosfet { m; _ }) -> Alcotest.(check (float 0.)) "m reparsed" 2. m
     | _ -> Alcotest.fail "no M1 after roundtrip")
@@ -347,7 +346,7 @@ let test_equals_whitespace_and_multiplier () =
 
 let test_subckt_flatten () =
   let nl =
-    Sp.parse ~title:"sub"
+    T.parse ~title:"sub"
       ".SUBCKT div a b\n\
        R1 a mid 1k\n\
        R2 mid b 1k\n\
@@ -372,7 +371,7 @@ let test_subckt_flatten () =
 
 let test_subckt_params () =
   let nl =
-    Sp.parse ~title:"p"
+    T.parse ~title:"p"
       ".PARAM base=1k\n\
        .SUBCKT dv a rtop={2*base} rbot=500\n\
        R1 a m {rtop}\n\
@@ -389,7 +388,7 @@ let test_subckt_params () =
 
 let test_nested_subckt () =
   let nl =
-    Sp.parse ~title:"n"
+    T.parse ~title:"n"
       ".SUBCKT inner a\n\
        R1 a 0 1k\n\
        .ENDS\n\
@@ -412,7 +411,7 @@ let test_hier_golden_differential () =
   let dir = List.fold_left Filename.concat "golden" [ "decks"; "hier" ] in
   let parse f =
     let path = Filename.concat dir f in
-    Sp.parse ~path ~title:""
+    T.parse ~path ~title:""
       (In_channel.with_open_text path In_channel.input_all)
   in
   let hier = parse "two_stage.sp" and flat = parse "two_stage_flat.sp" in
@@ -529,7 +528,7 @@ let prop_print_parse_print_fixpoint =
       done;
       let nl = B.finish b in
       let p1 = N.to_spice nl in
-      let p2 = N.to_spice (Sp.parse ~title:"qc" p1) in
+      let p2 = N.to_spice (T.parse ~title:"qc" p1) in
       p1 = p2)
 
 let prop_instantiate_preserves_count =
@@ -568,7 +567,6 @@ let () =
       ( "hierarchy",
         [
           Alcotest.test_case "instantiate" `Quick test_instantiate;
-          Alcotest.test_case "rename" `Quick test_rename_node;
           Alcotest.test_case "retarget process" `Quick test_retarget_process;
         ] );
       qsuite "hierarchy-properties" [ prop_instantiate_preserves_count ];

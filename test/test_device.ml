@@ -1,8 +1,7 @@
 (* Tests for Ape_device: the smooth MOS model, region handling, the
-   estimation-view equations, sizing round trips and passives. *)
+   estimation-view equations and sizing round trips. *)
 
 module Mos = Ape_device.Mos
-module Passive = Ape_device.Passive
 module Card = Ape_process.Model_card
 module Proc = Ape_process.Process
 module F = Ape_util.Float_ext
@@ -11,6 +10,8 @@ let proc = Proc.c12
 let nmos = proc.Proc.nmos
 let pmos = proc.Proc.pmos
 let g = Mos.geom ~w:20e-6 ~l:2.4e-6
+let drain_current = Ape_oracle.Support.drain_current
+let rel_error = Ape_oracle.Support.rel_error
 
 let check_close ?(tol = 1e-6) msg expected actual =
   Alcotest.(check bool)
@@ -39,7 +40,7 @@ let test_square_law_magnitude () =
   (* Deep in strong inversion the smooth model approaches the square
      law (with CLM and Leff corrections). *)
   let vgs = 2.0 and vds = 2.5 in
-  let i = Mos.drain_current nmos g ~vgs ~vds ~vsb:0. in
+  let i = drain_current nmos g ~vgs ~vds ~vsb:0. in
   let vov = vgs -. Float.abs nmos.Card.vto in
   let leff = 2.4e-6 -. (2. *. nmos.Card.ld) in
   let expected =
@@ -51,19 +52,19 @@ let test_square_law_magnitude () =
 let test_pmos_sign () =
   (* A conducting PMOS sources current: Id < 0 with physically signed
      terminal voltages. *)
-  let i = Mos.drain_current pmos g ~vgs:(-2.) ~vds:(-2.) ~vsb:0. in
+  let i = drain_current pmos g ~vgs:(-2.) ~vds:(-2.) ~vsb:0. in
   Alcotest.(check bool) "pmos current negative" true (i < -1e-6);
-  let i_off = Mos.drain_current pmos g ~vgs:0. ~vds:(-2.) ~vsb:0. in
+  let i_off = drain_current pmos g ~vgs:0. ~vds:(-2.) ~vsb:0. in
   Alcotest.(check bool) "pmos off" true (Float.abs i_off < 1e-9)
 
 let test_source_drain_symmetry () =
   (* Swapping source and drain negates the current. *)
   let vg = 3.0 in
-  let forward = Mos.drain_current nmos g ~vgs:vg ~vds:1.0 ~vsb:0. in
+  let forward = drain_current nmos g ~vgs:vg ~vds:1.0 ~vsb:0. in
   (* Swap: the old drain (at +1.0) becomes the source: relative to it,
      vgs' = vg - 1.0, vds' = -1.0, and the new source-to-bulk is 1.0. *)
   let backward =
-    Mos.drain_current nmos g ~vgs:(vg -. 1.0) ~vds:(-1.0) ~vsb:1.0
+    drain_current nmos g ~vgs:(vg -. 1.0) ~vds:(-1.0) ~vsb:1.0
   in
   check_close "antisymmetric" forward (-.backward) ~tol:1e-9
 
@@ -72,8 +73,8 @@ let prop_current_monotone_vgs =
     QCheck.(pair (float_range 0. 3.) (float_range 0. 3.))
     (fun (v1, v2) ->
       let lo = Float.min v1 v2 and hi = Float.max v1 v2 in
-      Mos.drain_current nmos g ~vgs:hi ~vds:4. ~vsb:0.
-      >= Mos.drain_current nmos g ~vgs:lo ~vds:4. ~vsb:0. -. 1e-15)
+      drain_current nmos g ~vgs:hi ~vds:4. ~vsb:0.
+      >= drain_current nmos g ~vgs:lo ~vds:4. ~vsb:0. -. 1e-15)
 
 let prop_current_continuous_at_vdsat =
   QCheck.Test.make ~name:"Id continuous across vdsat" ~count:100
@@ -81,19 +82,19 @@ let prop_current_continuous_at_vdsat =
       let op = Mos.operating_point nmos g ~vgs ~vds:2.0 ~vsb:0. in
       let vdsat = op.Mos.vdsat in
       let below =
-        Mos.drain_current nmos g ~vgs ~vds:(vdsat -. 1e-7) ~vsb:0.
+        drain_current nmos g ~vgs ~vds:(vdsat -. 1e-7) ~vsb:0.
       in
       let above =
-        Mos.drain_current nmos g ~vgs ~vds:(vdsat +. 1e-7) ~vsb:0.
+        drain_current nmos g ~vgs ~vds:(vdsat +. 1e-7) ~vsb:0.
       in
-      F.rel_error below above < 1e-3)
+      rel_error below above < 1e-3)
 
 let prop_smooth_subthreshold =
   QCheck.Test.make ~name:"current positive and smooth below threshold"
     ~count:100
     (QCheck.float_range 0.0 0.9)
     (fun vgs ->
-      let i = Mos.drain_current nmos g ~vgs ~vds:2.0 ~vsb:0. in
+      let i = drain_current nmos g ~vgs ~vds:2.0 ~vsb:0. in
       i >= 0. && i < 1e-3)
 
 (* ---------- small signal ---------- *)
@@ -104,8 +105,8 @@ let test_small_signal_consistency () =
   let ss = Mos.small_signal nmos g ~vgs ~vds ~vsb:0. in
   let h = 1e-5 in
   let gm_fd =
-    (Mos.drain_current nmos g ~vgs:(vgs +. h) ~vds ~vsb:0.
-    -. Mos.drain_current nmos g ~vgs:(vgs -. h) ~vds ~vsb:0.)
+    (drain_current nmos g ~vgs:(vgs +. h) ~vds ~vsb:0.
+    -. drain_current nmos g ~vgs:(vgs -. h) ~vds ~vsb:0.)
     /. (2. *. h)
   in
   check_close "gm" gm_fd ss.Mos.gm ~tol:1e-4;
@@ -147,7 +148,7 @@ let gen_device_case =
     | Mos.Triode -> pair (float_range 0.3 2.) (float_range 0.05 0.9)
     | Mos.Saturation -> pair (float_range 0.3 2.) (float_range 1.1 3.)
   in
-  let card = Card.with_level level base in
+  let card = { base with Card.level } in
   let p = Card.polarity card in
   let fvgs = Card.vth card ~vsb:fvsb +. vov in
   (* Triode and saturation scale vds by the smoothed overdrive so the
@@ -215,14 +216,6 @@ let prop_partials_match_finite_differences =
       && close gds e.Mos.di_dvds
       && close gsb e.Mos.di_dvsb)
 
-let prop_evaluation_current_is_drain_current =
-  QCheck.Test.make ~name:"evaluation current bitwise = drain_current"
-    ~count:1000 arb_device_case (fun c ->
-      Int64.equal
-        (Int64.bits_of_float (evaluate c).Mos.ids)
-        (Int64.bits_of_float
-           (Mos.drain_current c.card c.geom ~vgs:c.vgs ~vds:c.vds ~vsb:c.vsb)))
-
 let test_est_vs_sim_gm () =
   (* Paper Eq.(2) vs the smooth model at a healthy overdrive: within
      15 %. *)
@@ -235,7 +228,7 @@ let test_est_vs_sim_gm () =
   (* The paper-faithful Eq.(2) omits CLM (+12%) and the Leff shortening
      (+14%): a ~30% systematic estimate gap is the expected envelope. *)
   Alcotest.(check bool) "gm within 30%" true
-    (F.rel_error gm_est ss.Mos.gm < 0.30)
+    (rel_error gm_est ss.Mos.gm < 0.30)
 
 let test_est_equations () =
   check_close "gm formula" (Float.sqrt (2. *. 75e-6 *. 10. *. 1e-5))
@@ -260,13 +253,13 @@ let test_size_roundtrip_current () =
         Mos.size ~vds:2.5 ~process:proc nmos (Mos.By_id_vov { ids; vov; l = 2.4e-6 })
       in
       let i_sim =
-        Mos.drain_current nmos s.Mos.geom ~vgs:s.Mos.vgs ~vds:2.5 ~vsb:0.
+        drain_current nmos s.Mos.geom ~vgs:s.Mos.vgs ~vds:2.5 ~vsb:0.
       in
       Alcotest.(check bool)
         (Printf.sprintf "current realised (Id=%g, Vov=%g): %g vs %g" ids vov
            ids i_sim)
         true
-        (F.rel_error ids i_sim < 0.02))
+        (rel_error ids i_sim < 0.02))
     [ (10e-6, 0.3); (100e-6, 0.5); (1e-6, 0.2); (50e-6, 1.0) ]
 
 let test_size_roundtrip_gm () =
@@ -279,7 +272,7 @@ let test_size_roundtrip_gm () =
     Mos.small_signal nmos s.Mos.geom ~vgs:s.Mos.vgs ~vds:2.5 ~vsb:0.
   in
   Alcotest.(check bool) "sim gm within 20%" true
-    (F.rel_error gm ss.Mos.gm < 0.20)
+    (rel_error gm ss.Mos.gm < 0.20)
 
 let test_size_wmin_stretch () =
   (* A weak-ratio request must stretch L, not silently clamp W. *)
@@ -300,30 +293,12 @@ let test_size_errors () =
 let test_model_levels () =
   (* Higher levels reduce the current at the same bias (mobility
      degradation / velocity saturation). *)
-  let bias card = Mos.drain_current card g ~vgs:2.5 ~vds:2.5 ~vsb:0. in
+  let bias card = drain_current card g ~vgs:2.5 ~vds:2.5 ~vsb:0. in
   let i1 = bias nmos in
-  let i2 = bias (Card.with_level Card.Level2 nmos) in
-  let i3 = bias (Card.with_level Card.Level3 nmos) in
+  let i2 = bias { nmos with Card.level = Card.Level2 } in
+  let i3 = bias { nmos with Card.level = Card.Level3 } in
   Alcotest.(check bool) "level2 <= level1" true (i2 <= i1);
   Alcotest.(check bool) "level3 <= level2" true (i3 <= i2)
-
-(* ---------- passives ---------- *)
-
-let test_passives () =
-  let r = Passive.resistor proc 10e3 in
-  Alcotest.(check bool) "resistor area positive" true (r.Passive.area > 0.);
-  let c = Passive.capacitor proc 1e-12 in
-  Alcotest.(check bool) "cap area positive" true (c.Passive.area > 0.);
-  check_close "e96 snaps 4.7k" 4.75e3 (Passive.e96_round 4.7e3) ~tol:0.02;
-  check_close "e96 snaps 1.0" 1.0 (Passive.e96_round 1.001) ~tol:1e-3;
-  Alcotest.check_raises "bad resistor"
-    (Invalid_argument "Passive.resistor: non-positive") (fun () ->
-      ignore (Passive.resistor proc 0.))
-
-let prop_e96_within_1pct =
-  QCheck.Test.make ~name:"e96 rounding within 1.5%" ~count:300
-    (QCheck.float_range 1. 1e6) (fun x ->
-      F.rel_error x (Passive.e96_round x) < 0.015)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -352,11 +327,7 @@ let () =
           Alcotest.test_case "est vs sim gm" `Quick test_est_vs_sim_gm;
           Alcotest.test_case "paper equations" `Quick test_est_equations;
         ] );
-      qsuite "evaluation-properties"
-        [
-          prop_partials_match_finite_differences;
-          prop_evaluation_current_is_drain_current;
-        ];
+      qsuite "evaluation-properties" [ prop_partials_match_finite_differences ];
       ( "sizing",
         [
           Alcotest.test_case "current roundtrip" `Quick
@@ -365,7 +336,4 @@ let () =
           Alcotest.test_case "wmin stretch" `Quick test_size_wmin_stretch;
           Alcotest.test_case "errors" `Quick test_size_errors;
         ] );
-      ( "passives",
-        [ Alcotest.test_case "r/c/e96" `Quick test_passives ] );
-      qsuite "passive-properties" [ prop_e96_within_1pct ];
     ]

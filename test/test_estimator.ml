@@ -5,17 +5,17 @@
 
 module E = Ape_estimator
 module N = Ape_circuit.Netlist
-module F = Ape_util.Float_ext
 module Proc = Ape_process.Process
 
 let proc = Proc.c12
+let rel_error = Ape_oracle.Support.rel_error
 
 let within msg tol reference measured =
   Alcotest.(check bool)
     (Printf.sprintf "%s: est %.6g vs sim %.6g (tol %.0f%%)" msg reference
        measured (100. *. tol))
     true
-    (F.rel_error reference measured <= tol)
+    (rel_error reference measured <= tol)
 
 let within_opt msg tol reference measured =
   match (reference, measured) with
@@ -63,7 +63,7 @@ let mirror_case topology rout_tol =
     Alcotest.(check bool)
       (E.Bias.mirror_topology_name topology ^ " rout within band")
       true
-      (F.rel_error d.E.Bias.Current_mirror.rout z <= rout_tol)
+      (rel_error d.E.Bias.Current_mirror.rout z <= rout_tol)
   | None -> Alcotest.fail "no rout measured"
 
 let test_mirror_simple () = mirror_case E.Bias.Simple 0.2
@@ -186,7 +186,7 @@ let test_diff_mismatch_mc () =
     E.Diff_pair.design proc
       (E.Diff_pair.spec ~av:300. E.Diff_pair.Cmos_mirror ~itail:4e-6)
   in
-  let mc = E.Verify.monte_carlo_offset ~runs:25 ~seed:3 proc d in
+  let mc = E.Verify.monte_carlo_offset ~seed:3 proc d in
   match d.E.Diff_pair.perf.E.Perf.offset_sigma with
   | Some est ->
     Alcotest.(check bool)
@@ -306,7 +306,7 @@ let test_module_lpf () =
   (* Butterworth selectivity: -20 dB within a factor ~1.8 of fc. *)
   match sim.E.Verify.f_20db with
   | Some f -> Alcotest.(check bool) "f-20dB close to 1.78 kHz" true
-      (F.rel_error 1.78e3 f < 0.15)
+      (rel_error 1.78e3 f < 0.15)
   | None -> Alcotest.fail "no f-20dB"
 
 let test_module_bpf () =

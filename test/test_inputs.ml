@@ -3,7 +3,8 @@
    readers: the malformed-input corpus, one file per input beside its
    one-line diagnostic, and QCheck mutations of the good inputs — the
    reader returns finite values or raises its format's typed error,
-   nothing else. *)
+   nothing else.  Whole decks get grammar-aware mutations too: the deck
+   reader returns, with its diagnostics inside the text. *)
 
 module Job = Ape_serve.Job
 module Grid = Ape_calib.Grid
@@ -115,6 +116,16 @@ let pick l k = List.nth l (k mod List.length l)
 
 let replacements = [ "nan"; "inf"; "1e400"; "-1"; "2.5"; "\"\"" ]
 
+(* [text] with one number-like lexeme ([k] chooses which) replaced by
+   one of [numbers] ([k'] chooses which). *)
+let replace_number numbers text k k' =
+  let a = lexemes text in
+  match indices (fun x -> Ape_util.Units.parse_number x <> None) a with
+  | [] -> text
+  | l ->
+    a.(pick l k) <- pick numbers k';
+    String.concat "" (Array.to_list a)
+
 (* One mutation [op] of [text]; [k] and [k'] choose where. *)
 let mutate ~empty text op k k' =
   let a = lexemes text in
@@ -157,13 +168,9 @@ let mutate ~empty text op k k' =
     | l ->
       a.(pick l k) <- "";
       concat a)
-  | _ -> (
-    match indices (fun x -> Ape_util.Units.parse_number x <> None) a with
-    | [] -> text
-    | l ->
-      let r = pick replacements k' in
-      a.(pick l k) <- (if r = "\"\"" then empty else r);
-      concat a)
+  | _ ->
+    let empty_string r = if r = "\"\"" then empty else r in
+    replace_number (List.map empty_string replacements) text k k'
 
 let gen_mutant ?(empty = "\"\"") bases =
   QCheck.Gen.(
@@ -238,7 +245,9 @@ let model_lines () =
       |> List.filter (fun f -> not (Sys.is_directory (Filename.concat d f)))
       |> List.concat_map (fun f ->
              String.split_on_char '\n' (read_file (Filename.concat d f))
-             |> List.filter (Ape_util.Strings.starts_with_ci ~prefix:".model")))
+             |> List.filter (fun line ->
+                    String.starts_with ~prefix:".model"
+                      (String.lowercase_ascii line))))
     [ ""; "hier" ]
 
 let read_model line =
@@ -253,6 +262,131 @@ let read_model line =
   match Sp.errors r with
   | _ :: _ -> Error "diagnosed"
   | [] -> Ok (Obj.repr r.Sp.netlist)
+
+(* ---------- whole decks ---------- *)
+
+let golden_decks () =
+  let dir = Filename.concat "golden" "decks" in
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.filter (fun f -> Filename.check_suffix f ".sp")
+  |> List.map (fun f -> read_file (Filename.concat dir f))
+
+(* Grammar-aware deck mutations.  A deck is its title line, its dot
+   cards and its element cards. *)
+let deck_parts text =
+  match String.split_on_char '\n' text with
+  | [] -> ("", [], [])
+  | title :: rest ->
+    let rest = List.filter (fun l -> String.trim l <> "") rest in
+    let dot l = String.length l > 0 && l.[0] = '.' in
+    let dots, elems = List.partition dot rest in
+    ( title,
+      List.filter (fun l -> String.lowercase_ascii l <> ".end") dots,
+      elems )
+
+(* The element cards as the body of a subcircuit, nested in itself
+   [depth] levels deep: level k defines level k - 1 inside its own
+   body and instantiates it. *)
+let nest depth text =
+  let title, dots, elems = deck_parts text in
+  let rec level k =
+    if k = 0 then elems
+    else
+      [ Printf.sprintf ".subckt n%d" k ]
+      @ level (k - 1)
+      @ (if k > 1 then [ Printf.sprintf "X%d n%d" (k - 1) (k - 1) ] else [])
+      @ [ ".ends" ]
+  in
+  String.concat "\n"
+    ((title :: dots) @ level depth @ [ Printf.sprintf "X%d n%d" depth depth; ".end" ])
+
+(* A chain of [length] .params, each the one before times one, and the
+   last one standing in for one number of the element cards ([k]
+   chooses which). *)
+let chain length k text =
+  let title, dots, elems = deck_parts text in
+  let params =
+    ".param p0=1.5"
+    :: List.init length (fun i -> Printf.sprintf ".param p%d={p%d*1}" (i + 1) i)
+  in
+  let words = List.map (String.split_on_char ' ') elems in
+  let numbers =
+    List.length
+      (List.filter
+         (fun w -> Ape_util.Units.parse_number w <> None)
+         (List.concat words))
+  in
+  let n = ref 0 in
+  let elems =
+    List.map
+      (fun ws ->
+        List.map
+          (fun w ->
+            if Ape_util.Units.parse_number w = None then w
+            else begin
+              incr n;
+              if !n = 1 + (k mod max 1 numbers) then
+                Printf.sprintf "{p%d}" length
+              else w
+            end)
+          ws
+        |> String.concat " ")
+      words
+  in
+  String.concat "\n" ((title :: params) @ dots @ elems @ [ ".end" ])
+
+let deck_numbers =
+  [ "nan"; "inf"; "-inf"; "1e400"; "-1e400"; "1e-400"; "1M"; "1MEG"; "1meg";
+    "1Meg"; "1mil"; "2.5x"; "0" ]
+
+let mutate_deck text op k k' =
+  match op with
+  | 0 -> nest (2 + (k mod 5)) text
+  | 1 -> chain (1 + (k mod 40)) k' text
+  | 2 -> replace_number deck_numbers text k k'
+  | _ ->
+    (* Truncate at a token boundary. *)
+    let a = lexemes text in
+    String.concat "" (Array.to_list (Array.sub a 0 (k mod (Array.length a + 1))))
+
+let gen_deck =
+  QCheck.Gen.(
+    let* base = oneofl (golden_decks ()) in
+    let* rounds = int_range 1 3 in
+    let rec go text n =
+      if n = 0 then return text
+      else
+        let* op = int_bound 3 in
+        let* k = int_bound 100_000 in
+        let* k' = int_bound 100_000 in
+        go (mutate_deck text op k k') (n - 1)
+    in
+    go base rounds)
+
+(* The deck reader returns, never raises, and every diagnostic it
+   gives points inside the text. *)
+let prop_deck_reader =
+  QCheck.Test.make ~name:"whole decks" ~count:2000
+    (QCheck.make ~print:Fun.id gen_deck)
+    (fun text ->
+      let lines = Array.of_list (String.split_on_char '\n' text) in
+      let inside (p : Ape_circuit.Token.pos) =
+        p.line >= 1
+        && p.line <= Array.length lines
+        && p.col >= 1
+        && p.col <= String.length lines.(p.line - 1) + 1
+      in
+      let r = Sp.parse_result ~title:"fuzz" text in
+      List.for_all
+        (fun (d : Sp.diagnostic) ->
+          let { Ape_circuit.Token.first; last } = d.Sp.span in
+          (inside first && inside last
+          && (first.line, first.col) <= (last.line, last.col))
+          || QCheck.Test.fail_reportf "span %s-%s outside the text: %s"
+               (Ape_circuit.Token.pp_pos first)
+               (Ape_circuit.Token.pp_pos last)
+               d.Sp.msg)
+        r.Sp.diagnostics)
 
 let test_bases_read () =
   List.iter
@@ -289,5 +423,6 @@ let () =
             prop_reader "calibration card" [ fitted_card () ] read_card;
             prop_reader "vase spec" [ vase_flow_spec ] read_system;
             prop_reader "model cards" ~empty:"" (model_lines ()) read_model;
+            prop_deck_reader;
           ] );
     ]

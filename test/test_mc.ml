@@ -53,8 +53,9 @@ let test_welford_vs_naive () =
   let xs = [| 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 |] in
   let s = Stats.create () in
   Array.iter (Stats.add s) xs;
+  let variance s = Stats.std s *. Stats.std s in
   check_float "mean" 5.0 (Stats.mean s);
-  check_float "variance" (naive_variance xs) (Stats.variance s);
+  check_float "variance" (naive_variance xs) (variance s);
   (* Welford's advantage: a huge common offset must not destroy the
      variance (the naive sum-of-squares formulation loses all digits
      here; the two-pass naive form above survives, Welford must too). *)
@@ -63,10 +64,9 @@ let test_welford_vs_naive () =
   Array.iter (fun x -> Stats.add s2 (x +. offset)) xs;
   Alcotest.(check bool)
     "variance stable under 1e9 offset" true
-    (Float.abs (Stats.variance s2 -. Stats.variance s) < 1e-4);
+    (Float.abs (variance s2 -. variance s) < 1e-4);
   check_float "min" 2.0 (Stats.min_value s);
-  check_float "max" 9.0 (Stats.max_value s);
-  Alcotest.(check int) "count" 8 (Stats.count s)
+  check_float "max" 9.0 (Stats.max_value s)
 
 let test_stats_quantiles () =
   let s = Stats.create () in
@@ -103,7 +103,9 @@ let test_synthetic_yield () =
   let config = { Run.samples = 2000; jobs = 1; seed = 7 } in
   let measure rng _i = [ ("x", Rng.gauss rng ~mean:0. ~sigma:1.) ] in
   let report =
-    Run.run ~checks:[ Run.at_most "x" 1.6448536 ] config ~measure
+    Run.run
+      ~checks:[ { Run.metric = "x"; lower = None; upper = Some 1.6448536 } ]
+      config ~measure
   in
   Alcotest.(check bool)
     (Printf.sprintf "yield %.3f near 0.95" report.Run.yield)
@@ -160,9 +162,9 @@ let test_determinism_across_jobs () =
           let tag what = Printf.sprintf "%s %s jobs=%d" bm.Run.m_name what jobs in
           check_bits (tag "mean") (Stats.mean bm.Run.m_stats)
             (Stats.mean rm.Run.m_stats);
-          check_bits (tag "variance")
-            (Stats.variance bm.Run.m_stats)
-            (Stats.variance rm.Run.m_stats);
+          check_bits (tag "std")
+            (Stats.std bm.Run.m_stats)
+            (Stats.std rm.Run.m_stats);
           check_bits (tag "min")
             (Stats.min_value bm.Run.m_stats)
             (Stats.min_value rm.Run.m_stats);
@@ -180,9 +182,11 @@ let test_determinism_across_jobs () =
 (* ---------- Variation model ---------- *)
 
 let test_shared_oxide () =
-  let p = Variation.sample (Rng.create 5) Variation.default in
+  let p = Variation.perturb (Rng.create 5) Variation.default proc in
+  let factor (c0 : Card.t) (c : Card.t) = c.Card.tox /. c0.Card.tox in
   check_float "tox factor shared across polarities"
-    p.Proc.nmos.Card.tox_factor p.Proc.pmos.Card.tox_factor
+    (factor proc.Proc.nmos p.Proc.nmos)
+    (factor proc.Proc.pmos p.Proc.pmos)
 
 let test_perturb_consistency () =
   let rng = Rng.create 9 in
@@ -224,12 +228,16 @@ let test_corner_brackets_3sigma () =
 
 let test_pelgrom_mismatch () =
   let card = proc.Proc.nmos in
-  let sigma = Variation.sigma_delta_vto card ~w:10e-6 ~l:2e-6 in
-  check_float "pelgrom sigma"
-    (card.Card.avt /. Float.sqrt (10e-6 *. 2e-6))
-    sigma;
-  Alcotest.(check bool) "bigger devices match better" true
-    (Variation.sigma_delta_vto card ~w:40e-6 ~l:2e-6 < sigma);
+  let pelgrom w l = card.Card.avt /. Float.sqrt (w *. l) in
+  let sigma = pelgrom 10e-6 2e-6 in
+  (* One draw is a Gaussian of the Pelgrom sigma, bit for bit. *)
+  List.iter
+    (fun (w, l) ->
+      check_bits
+        (Printf.sprintf "pelgrom sigma at %gx%g" w l)
+        (Rng.gauss (Rng.create 3) ~mean:0. ~sigma:(pelgrom w l))
+        (Variation.mismatch_vto (Rng.create 3) card ~w ~l))
+    [ (10e-6, 2e-6); (40e-6, 2e-6) ];
   let rng = Rng.create 3 in
   let n = 3000 in
   let sum2 = ref 0. in

@@ -158,7 +158,7 @@ let same_solution (a : Ac.solution) (b : Ac.solution) =
 
 let deck_measurements file =
   let text = In_channel.with_open_text file In_channel.input_all in
-  let nl = Ape_circuit.Spice_parser.parse ~title:file text in
+  let nl = Ape_oracle.Support.parse ~title:file text in
   match Dc.solve nl with
   | exception Dc.No_convergence _ -> None
   | op ->

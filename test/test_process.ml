@@ -49,11 +49,6 @@ let test_lambda_scaling () =
     (Invalid_argument "Model_card.lambda_at: l <= 0") (fun () ->
       ignore (Card.lambda_at n 0.))
 
-let test_with_level () =
-  let n = Card.with_level Card.Level3 Card.default_nmos in
-  Alcotest.(check bool) "level retagged" true (n.Card.level = Card.Level3);
-  check_close "parameters preserved" Card.default_nmos.Card.kp n.Card.kp
-
 (* ---------- processes ---------- *)
 
 let test_builtin_processes () =
@@ -207,7 +202,6 @@ let () =
           Alcotest.test_case "defaults" `Quick test_default_cards;
           Alcotest.test_case "body effect" `Quick test_vth_body_effect;
           Alcotest.test_case "lambda scaling" `Quick test_lambda_scaling;
-          Alcotest.test_case "with_level" `Quick test_with_level;
         ] );
       ( "processes",
         [

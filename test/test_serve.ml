@@ -242,8 +242,18 @@ let run_collect ?(config = Scheduler.default) ?runner text =
   in
   (List.rev !records, summary)
 
+(* A status as records print it. *)
+let status_name : Record.status -> string = function
+  | Record.Done -> "ok"
+  | Record.Unmet -> "unmet"
+  | Record.Failed _ -> "failed"
+  | Record.Parse_error _ -> "parse-error"
+  | Record.Overloaded -> "overloaded"
+  | Record.Timeout -> "timeout"
+  | Record.Cancelled -> "cancelled"
+
 let statuses records =
-  List.map (fun (r : Record.t) -> Record.status_name r.Record.status) records
+  List.map (fun (r : Record.t) -> status_name r.Record.status) records
 
 let cheap_jobs n =
   String.concat "\n"
@@ -411,7 +421,7 @@ let test_runner_sim () =
          (golden_deck "rc_ladder.sp"))
   in
   let status, payload = run_one job in
-  Alcotest.(check string) "sim ok" "ok" (Record.status_name status);
+  Alcotest.(check string) "sim ok" "ok" (status_name status);
   (match assoc "dc_gain" payload with
   | Record.Float g -> Alcotest.(check (float 1e-6)) "unity DC gain" 1.0 g
   | _ -> Alcotest.fail "dc_gain not a float");
@@ -426,7 +436,7 @@ let test_runner_sim_missing_file () =
   let job = parse_one "(job sim (id x) (file \"no/such/file.sp\"))" in
   let status, _ = run_one job in
   Alcotest.(check string) "failed, not raised" "failed"
-    (Record.status_name status)
+    (status_name status)
 
 let test_runner_sim_include () =
   (* An .INCLUDE resolves relative to the deck, not the working
@@ -437,7 +447,7 @@ let test_runner_sim_include () =
       run_one
         (parse_one (Printf.sprintf "(job sim (id x) (file %S) (out out))" file))
     in
-    Alcotest.(check string) (file ^ " ok") "ok" (Record.status_name status);
+    Alcotest.(check string) (file ^ " ok") "ok" (status_name status);
     List.remove_assoc "file" payload
   in
   let hier = sim (example_deck "two_stage.sp") in
@@ -471,36 +481,45 @@ let test_runner_verify () =
   let job = parse_one "(job verify (id v) (levels device) (no-slew))" in
   let status, payload = run_one job in
   Alcotest.(check string) "device level passes" "ok"
-    (Record.status_name status);
+    (status_name status);
   match assoc "rows" payload with
   | Record.Int n -> Alcotest.(check bool) "measured rows" true (n > 0)
   | _ -> Alcotest.fail "rows not an int"
 
 let test_runner_cache_shared_by_fingerprint () =
   let runner = Sv.Runner.create proc in
-  let j seed id =
-    parse_one
-      (Printf.sprintf
-         "(job synth (id %s) (gain 200) (ugf 2meg) (seed %d) (schedule \
-          quick))"
-         id seed)
+  (* The (lookups, hits) that one seed-7 synth job adds to a runner's
+     cache counters. *)
+  let delta r spec =
+    let lookups0, hits0 = Sv.Runner.cache_stats r in
+    ignore
+      (Sv.Runner.run r
+         (parse_one
+            (Printf.sprintf
+               "(job synth (id x) %s (seed 7) (schedule quick))" spec)));
+    let lookups1, hits1 = Sv.Runner.cache_stats r in
+    (lookups1 - lookups0, hits1 - hits0)
   in
-  ignore (Sv.Runner.run runner (j 7 "a"));
-  let lookups1, hits1 = Sv.Runner.cache_stats runner in
+  (* Every lookup hit: the job reran a trajectory its cache had seen. *)
+  let shared spec =
+    let lookups, hits = delta runner spec in
+    lookups = hits
+  in
+  (* The job counts on [runner] exactly what it counts on a fresh
+     runner, so it got a cache of its own: one shared with an earlier
+     fingerprint would give it more hits. *)
+  let own spec =
+    let fresh = delta (Sv.Runner.create proc) spec in
+    delta runner spec = fresh
+  in
+  let lookups, hits = delta runner "(gain 200) (ugf 2meg)" in
+  Alcotest.(check bool) "first run had misses" true (hits < lookups);
   (* Same fingerprint, same seed: the whole trajectory is warm. *)
-  ignore (Sv.Runner.run runner (j 7 "b"));
-  let lookups2, hits2 = Sv.Runner.cache_stats runner in
-  Alcotest.(check int) "one fingerprint" 1 (Sv.Runner.cache_count runner);
-  Alcotest.(check int) "second run fully cached"
-    (lookups2 - lookups1) (hits2 - hits1);
-  Alcotest.(check bool) "first run had misses" true (hits1 < lookups1);
+  Alcotest.(check bool) "second run fully cached" true
+    (shared "(gain 200) (ugf 2meg)");
   (* A different spec must not share the cache. *)
-  ignore
-    (Sv.Runner.run runner
-       (parse_one
-          "(job synth (id c) (gain 150) (ugf 1meg) (seed 7) (schedule \
-           quick))"));
-  Alcotest.(check int) "second fingerprint" 2 (Sv.Runner.cache_count runner);
+  Alcotest.(check bool) "second fingerprint" true
+    (own "(gain 150) (ugf 1meg)");
   (* The area budget and the calibration card change the cost
      function, so each gets a cache of its own — the card by its
      contents: two paths to the same card share one. *)
@@ -523,27 +542,16 @@ let test_runner_cache_shared_by_fingerprint () =
   Fun.protect
     ~finally:(fun () -> List.iter Sys.remove [ card_a; card_a'; card_b ])
   @@ fun () ->
-  let count_after extra =
-    ignore
-      (Sv.Runner.run runner
-         (parse_one
-            (Printf.sprintf
-               "(job synth (id d) (gain 200) (ugf 2meg) (seed 7) (schedule \
-                quick) %s)"
-               extra)));
-    Sv.Runner.cache_count runner
-  in
-  Alcotest.(check int) "explicit area" 3 (count_after "(area 4n)");
-  Alcotest.(check int) "same area shares" 3 (count_after "(area 4n)");
-  Alcotest.(check int) "other area" 4 (count_after "(area 5n)");
-  Alcotest.(check int) "card" 5
-    (count_after (Printf.sprintf "(calibration %S)" card_a));
-  Alcotest.(check int) "same card shares" 5
-    (count_after (Printf.sprintf "(calibration %S)" card_a));
-  Alcotest.(check int) "same contents share" 5
-    (count_after (Printf.sprintf "(calibration %S)" card_a'));
-  Alcotest.(check int) "other card" 6
-    (count_after (Printf.sprintf "(calibration %S)" card_b))
+  let spec extra = "(gain 200) (ugf 2meg) " ^ extra in
+  let calibration path = spec (Printf.sprintf "(calibration %S)" path) in
+  Alcotest.(check bool) "explicit area" true (own (spec "(area 4n)"));
+  Alcotest.(check bool) "same area shares" true (shared (spec "(area 4n)"));
+  Alcotest.(check bool) "other area" true (own (spec "(area 5n)"));
+  Alcotest.(check bool) "card" true (own (calibration card_a));
+  Alcotest.(check bool) "same card shares" true (shared (calibration card_a));
+  Alcotest.(check bool) "same contents share" true
+    (shared (calibration card_a'));
+  Alcotest.(check bool) "other card" true (own (calibration card_b))
 
 (* Each expected exception maps to one class and one message, the text
    of a failed record and of the CLI's stdout alike. *)
@@ -615,33 +623,29 @@ let test_spool () =
     Out_channel.with_open_text (Filename.concat dir name) (fun oc ->
         Out_channel.output_string oc text)
   in
+  let files () = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  (* One pass, returning the base names it processed in order. *)
+  let pass ?max_batches () =
+    let seen = ref [] in
+    let n =
+      Sv.Spool.watch ~once:true ?max_batches dir ~process:(fun path ->
+          seen := Filename.basename path :: !seen)
+    in
+    Alcotest.(check int) "count = batches seen" (List.length !seen) n;
+    List.rev !seen
+  in
   write "b.jobs" "(job estimate (id b) (gain 1) (ugf 1))";
   write "a.jobs" "(job estimate (id a) (gain 1) (ugf 1))";
   write "ignored.txt" "not a batch";
-  Alcotest.(check (list string))
-    "scan finds .jobs sorted"
-    [ Filename.concat dir "a.jobs"; Filename.concat dir "b.jobs" ]
-    (Sv.Spool.scan dir);
-  let seen = ref [] in
-  let n =
-    Sv.Spool.watch ~once:true dir ~process:(fun path ->
-        seen := Filename.basename path :: !seen)
-  in
-  Alcotest.(check int) "two batches" 2 n;
-  Alcotest.(check (list string)) "in name order" [ "a.jobs"; "b.jobs" ]
-    (List.rev !seen);
-  Alcotest.(check (list string)) "nothing left" [] (Sv.Spool.scan dir);
-  Alcotest.(check bool) "renamed done" true
-    (Sys.file_exists (Filename.concat dir "a.jobs.done"));
+  Alcotest.(check (list string)) "only .jobs, in name order"
+    [ "a.jobs"; "b.jobs" ] (pass ());
+  Alcotest.(check (list string)) "renamed done, nothing left"
+    [ "a.jobs.done"; "b.jobs.done"; "ignored.txt" ] (files ());
   (* max_batches caps a pass; the un-processed file stays spooled. *)
   write "c.jobs" "x";
   write "d.jobs" "y";
-  let n = Sv.Spool.watch ~once:true ~max_batches:1 dir ~process:ignore in
-  Alcotest.(check int) "capped" 1 n;
-  Alcotest.(check (list string))
-    "d still pending"
-    [ Filename.concat dir "d.jobs" ]
-    (Sv.Spool.scan dir)
+  Alcotest.(check (list string)) "capped" [ "c.jobs" ] (pass ~max_batches:1 ());
+  Alcotest.(check (list string)) "d still pending" [ "d.jobs" ] (pass ())
 
 (* ---------- suite ---------- *)
 

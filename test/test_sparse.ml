@@ -142,31 +142,6 @@ let test_unstable_refactor () =
   Alcotest.(check bool) "fresh factor recovers" true
     (Float.abs (x.(0) -. 0.) < 1e-9 && Float.abs (x.(1) -. 1.) < 1e-9)
 
-let test_clone_independent () =
-  let b = Sp.Builder.create 2 in
-  List.iter
-    (fun (r, c) -> Sp.Builder.add b r c)
-    [ (0, 0); (0, 1); (1, 0); (1, 1) ];
-  let p = Sp.Builder.compile b in
-  let v = Sp.Real.create p in
-  let set r c x = Sp.Real.set_slot v (Sp.slot p ~row:r ~col:c) x in
-  set 0 0 4.;
-  set 0 1 1.;
-  set 1 0 1.;
-  set 1 1 3.;
-  let f = Sp.Real.factor v in
-  let x_before = Sp.Real.solve f [| 1.; 2. |] in
-  let g = Sp.Real.clone f in
-  (* Refactor only the clone with different values. *)
-  set 0 0 10.;
-  Sp.Real.refactor g v;
-  let x_after = Sp.Real.solve f [| 1.; 2. |] in
-  Alcotest.(check bool) "original factor untouched by clone refactor" true
-    (x_before.(0) = x_after.(0) && x_before.(1) = x_after.(1));
-  let y = Sp.Real.solve g [| 1.; 2. |] in
-  Alcotest.(check bool) "clone solves the new values" true
-    (Float.abs ((10. *. y.(0)) +. y.(1) -. 1.) < 1e-9)
-
 (* ---------- random MNA-shaped systems vs the dense reference ---------- *)
 
 (* MNA shape: strong banded diagonal block (node conductances) plus a
@@ -337,13 +312,12 @@ let prop_panel_bitwise_scalar =
       let ok = ref true in
       for kk = 0 to k - 1 do
         Sp.Csplit.assemble_gc vals ~g ~c ~omega:omegas.(kk);
-        let fc = Sp.Csplit.clone base in
-        (match Sp.Csplit.refactor fc vals with
+        (match Sp.Csplit.refactor base vals with
         | exception (Sp.Unstable | Sp.Singular) ->
           if Sp.Csplit.Panel.ok pf kk then ok := false
         | () ->
           if not (Sp.Csplit.Panel.ok pf kk) then ok := false
-          else if not (bitwise_eq (Sp.Csplit.solve fc b) xs.(kk)) then
+          else if not (bitwise_eq (Sp.Csplit.solve base b) xs.(kk)) then
             ok := false)
       done;
       !ok)
@@ -394,15 +368,17 @@ let prop_panel_transposed_bitwise_scalar =
       let ys = Sp.Csplit.Panel.solve_transposed pf b in
       let ok = ref (Array.length ys = k) in
       for kk = 0 to k - 1 do
-        if bad = Some kk then Sp.Csplit.clear vals
+        if bad = Some kk then
+          for s = 0 to Sp.nnz p - 1 do
+            Sp.Csplit.set_slot vals s 0. 0.
+          done
         else Sp.Csplit.assemble_gc vals ~g ~c ~omega:omegas.(kk);
-        let fc = Sp.Csplit.clone base in
-        match Sp.Csplit.refactor fc vals with
+        match Sp.Csplit.refactor base vals with
         | exception (Sp.Unstable | Sp.Singular) ->
           if Sp.Csplit.Panel.ok pf kk then ok := false
         | () ->
           if bad = Some kk || not (Sp.Csplit.Panel.ok pf kk) then ok := false
-          else if not (bitwise_eq (Sp.Csplit.solve_transposed fc b) ys.(kk))
+          else if not (bitwise_eq (Sp.Csplit.solve_transposed base b) ys.(kk))
           then ok := false
       done;
       !ok)
@@ -432,7 +408,6 @@ let test_panel_unstable_lane () =
   set_lane_scalar v 0;
   let base = Sp.Csplit.factor v in
   let pv = Sp.Csplit.Panel.create p ~k:3 in
-  Sp.Csplit.Panel.use_lanes pv 3;
   Array.iteri
     (fun lane vals ->
       Array.iteri
@@ -451,16 +426,15 @@ let test_panel_unstable_lane () =
   List.iter
     (fun lane ->
       set_lane_scalar v lane;
-      let fc = Sp.Csplit.clone base in
-      Sp.Csplit.refactor fc v;
+      Sp.Csplit.refactor base v;
       Alcotest.(check bool)
         (Printf.sprintf "lane %d bitwise equals scalar replay" lane)
         true
-        (bitwise_eq (Sp.Csplit.solve fc b) xs.(lane)))
+        (bitwise_eq (Sp.Csplit.solve base b) xs.(lane)))
     [ 0; 2 ];
   set_lane_scalar v 1;
   Alcotest.check_raises "bad lane's values refuse the scalar replay too"
-    Sp.Unstable (fun () -> Sp.Csplit.refactor (Sp.Csplit.clone base) v)
+    Sp.Unstable (fun () -> Sp.Csplit.refactor base v)
 
 let prop_csplit_transposed =
   QCheck.Test.make ~name:"Csplit.solve_transposed solves the adjoint system"
@@ -496,21 +470,6 @@ let prop_csplit_transposed =
       done;
       !worst <= 1e-9)
 
-let prop_real_transposed =
-  QCheck.Test.make ~name:"Real.solve_transposed solves the adjoint system"
-    ~count:200 (QCheck.make mna_system_gen) (fun sys ->
-      let dense, _, v = build_mna sys in
-      let n = Rmat.rows dense in
-      let b = Array.init n (fun i -> Float.sin (float_of_int (2 * i) +. 1.)) in
-      let y = Sp.Real.solve_transposed (Sp.Real.factor v) b in
-      let at = Rmat.create n n in
-      for i = 0 to n - 1 do
-        for j = 0 to n - 1 do
-          Rmat.set at i j (Rmat.get dense j i)
-        done
-      done;
-      rel_err (Rmat.solve at b) y <= 1e-9)
-
 (* ---------- golden decks: analyses vs the dense oracle ---------- *)
 
 let golden_decks () =
@@ -525,7 +484,7 @@ let golden_decks () =
 
 let parse_deck file =
   let text = In_channel.with_open_text file In_channel.input_all in
-  Ape_circuit.Spice_parser.parse ~process:proc ~title:file text
+  Ape_oracle.Support.parse ~process:proc ~title:file text
 
 let test_golden_sweep_differential () =
   (* Documented tolerance: the engine and the oracle share stamp values
@@ -578,7 +537,7 @@ let test_golden_oracle_capacitances () =
       [ "hier"; "two_stage.sp" ]
   in
   let hier_nl =
-    Ape_circuit.Spice_parser.parse ~process:proc ~path:hier ~title:hier
+    Ape_oracle.Support.parse ~process:proc ~path:hier ~title:hier
       (In_channel.with_open_text hier In_channel.input_all)
   in
   let decks =
@@ -660,40 +619,28 @@ let test_golden_order_once_per_pattern () =
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 let test_golden_sweep_panel_width_bitwise () =
-  (* Whatever the panel width — including widths that leave a partial
-     trailing panel — a sweep must reproduce the per-frequency path bit
-     for bit. *)
+  (* A sweep in panels of [Ac.panel_width] — 71 points, so the last
+     panel is partial — must reproduce the per-frequency path bit for
+     bit. *)
   let freqs = Ac.sweep_frequencies ~fstart:1e2 ~fstop:1e9 () in
-  let k0 = Ac.panel_width () in
-  Fun.protect ~finally:(fun () -> Ac.set_panel_width k0) @@ fun () ->
   List.iter
     (fun file ->
       match Dc.solve (parse_deck file) with
       | exception Dc.No_convergence _ -> ()
       | op ->
         let p = Ac.prepare op in
-        let points k =
-          Ac.set_panel_width k;
-          (Ac.sweep_prepared p freqs).Ac.points
-        in
-        let reference = points 1 in
-        List.iter
-          (fun k ->
-            List.iter2
-              (fun (a : Ac.solution) (b : Ac.solution) ->
-                Array.iteri
-                  (fun i (u : Complex.t) ->
-                    let v = b.Ac.x.(i) in
-                    if
-                      not
-                        (u.Complex.re = v.Complex.re
-                        && u.Complex.im = v.Complex.im)
-                    then
-                      Alcotest.failf "%s: width 1 vs %d differ at %g Hz" file k
-                        a.Ac.freq)
-                  a.Ac.x)
-              reference (points k))
-          [ 3; 8; 16 ])
+        List.iter2
+          (fun (a : Ac.solution) (b : Ac.solution) ->
+            Array.iteri
+              (fun i (u : Complex.t) ->
+                let v = b.Ac.x.(i) in
+                if not (u.Complex.re = v.Complex.re && u.Complex.im = v.Complex.im)
+                then
+                  Alcotest.failf "%s: scalar vs panel differ at %g Hz" file
+                    a.Ac.freq)
+              a.Ac.x)
+          (List.map (Ac.solve_prepared p) freqs)
+          (Ac.sweep_prepared p freqs).Ac.points)
     (golden_decks ())
 
 let test_golden_dc_differential () =
@@ -786,13 +733,11 @@ let () =
           Alcotest.test_case "numerically singular" `Quick
             test_numerically_singular;
           Alcotest.test_case "unstable refactor" `Quick test_unstable_refactor;
-          Alcotest.test_case "clone independence" `Quick test_clone_independent;
         ] );
       qsuite "differential-properties"
         [
           prop_sparse_matches_dense; prop_refactor_matches_fresh;
           prop_csplit_matches_cmat; prop_csplit_transposed;
-          prop_real_transposed;
         ];
       ( "panel",
         List.map QCheck_alcotest.to_alcotest

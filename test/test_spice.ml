@@ -13,6 +13,7 @@ module Noise = Ape_spice.Noise
 module Verify = Ape_estimator.Verify
 module F = Ape_util.Float_ext
 module Proc = Ape_process.Process
+module T = Ape_oracle.Support
 
 let proc = Proc.c12
 
@@ -41,24 +42,24 @@ let test_dc_isource () =
      into n=node. *)
   let b = B.create ~title:"isrc" in
   B.vsource b ~p:"vdd" ~n:"0" 5.;
-  B.isource b ~p:"vdd" ~n:"node" 1e-3;
   B.resistor b ~a:"node" ~b:"0" 1e3;
-  let op = Dc.solve (B.finish b) in
+  let nl = T.finish b [ T.isource ~p:"vdd" ~n:"node" 1e-3 ] in
+  let op = Dc.solve nl in
   check_close "isource node" 1.0 (Dc.voltage op "node") ~tol:1e-6
 
 let test_dc_vcvs () =
   let b = B.create ~title:"vcvs" in
   B.vsource b ~p:"in" ~n:"0" 0.5;
-  B.vcvs b ~p:"out" ~n:"0" ~cp:"in" ~cn:"0" 10.;
   B.resistor b ~a:"out" ~b:"0" 1e3;
-  let op = Dc.solve (B.finish b) in
+  let nl = T.finish b [ T.vcvs ~p:"out" ~n:"0" ~cp:"in" ~cn:"0" 10. ] in
+  let op = Dc.solve nl in
   check_close "vcvs gain" 5.0 (Dc.voltage op "out") ~tol:1e-9
 
 let test_dc_diode_mosfet () =
   let b = B.create ~title:"diode" in
   B.vsource b ~p:"vdd" ~n:"0" 5.;
   B.resistor b ~a:"vdd" ~b:"d" 100e3;
-  B.nmos b proc ~d:"d" ~g:"d" ~s:"0" ~w:10e-6 ~l:2.4e-6;
+  T.nmos b proc ~d:"d" ~g:"d" ~s:"0" ~w:10e-6 ~l:2.4e-6;
   let op = Dc.solve (B.finish b) in
   let vd = Dc.voltage op "d" in
   Alcotest.(check bool) "diode voltage plausible" true (vd > 0.8 && vd < 2.0);
@@ -78,7 +79,7 @@ let test_dc_multiplier_differential () =
        M1 out g 0 0 NMOS %s L=2e-6\n"
       m_clause
   in
-  let solve d = Dc.solve (Ape_circuit.Spice_parser.parse ~title:"m" d) in
+  let solve d = Dc.solve (T.parse ~title:"m" d) in
   let a = solve (deck "W=4e-6 M=2") and b = solve (deck "W=8e-6") in
   List.iter
     (fun node ->
@@ -92,7 +93,7 @@ let test_dc_switch () =
     let b = B.create ~title:"sw" in
     B.vsource b ~p:"in" ~n:"0" 1.0;
     B.vsource b ~p:"ctrl" ~n:"0" ctrl_v;
-    B.switch b ~ron:100. ~roff:1e12 ~vthreshold:2.5 ~a:"in" ~b:"out" ~ctrl:"ctrl";
+    B.switch b ~ron:100. ~a:"in" ~b:"out" ~ctrl:"ctrl";
     B.resistor b ~a:"out" ~b:"0" 100.;
     B.finish b
   in
@@ -140,11 +141,15 @@ let test_ac_rc_analytic () =
       check_close (Printf.sprintf "|H| at %g Hz" f) expected mag ~tol:1e-6)
     [ 1.; 10.; fc; 1e3; 1e4 ]
 
+(* Principal-value phase of a node in degrees, in (−180, 180]. *)
+let phase_at ~out prep f =
+  Complex.arg (Ac.voltage_prepared prep (Ac.solve_prepared prep f) out)
+  *. 180. /. Float.pi
+
 let test_ac_phase () =
   let prep = Ac.prepare (Dc.solve (rc_lowpass ())) in
   let fc = 1. /. (2. *. Float.pi *. 1e3 *. 1e-6) in
-  check_close "phase at fc" (-45.) (Measure.phase_at ~out:"out" prep fc)
-    ~tol:1e-3
+  check_close "phase at fc" (-45.) (phase_at ~out:"out" prep fc) ~tol:1e-3
 
 let test_ac_sweep_shape () =
   let prep = Ac.prepare (Dc.solve (rc_lowpass ())) in
@@ -165,10 +170,10 @@ let test_measure_f3db_ugf () =
   (* Amplifying RC: VCVS gain 10 into RC, f3db = fc, UGF = fc*sqrt(100-1). *)
   let b = B.create ~title:"amp_rc" in
   B.vsource b ~p:"in" ~n:"0" ~ac:1. 0.;
-  B.vcvs b ~p:"x" ~n:"0" ~cp:"in" ~cn:"0" 10.;
   B.resistor b ~a:"x" ~b:"out" 1e3;
   B.capacitor b ~a:"out" ~b:"0" 1e-9;
-  let prep = Ac.prepare (Dc.solve (B.finish b)) in
+  let nl = T.finish b [ T.vcvs ~p:"x" ~n:"0" ~cp:"in" ~cn:"0" 10. ] in
+  let prep = Ac.prepare (Dc.solve nl) in
   let fc = 1. /. (2. *. Float.pi *. 1e3 *. 1e-9) in
   check_close "dc gain" 10. (Measure.dc_gain ~out:"out" prep) ~tol:1e-9;
   (match Measure.f_minus_3db ~fmin:10. ~fmax:1e8 ~out:"out" prep with
@@ -184,10 +189,10 @@ let test_measure_bandpass () =
   B.vsource b ~p:"in" ~n:"0" ~ac:1. 0.;
   B.capacitor b ~a:"in" ~b:"hp" 100e-9;
   B.resistor b ~a:"hp" ~b:"0" 1e3;
-  B.vcvs b ~p:"buf" ~n:"0" ~cp:"hp" ~cn:"0" 1.;
   B.resistor b ~a:"buf" ~b:"out" 1e3;
   B.capacitor b ~a:"out" ~b:"0" 100e-9;
-  let prep = Ac.prepare (Dc.solve (B.finish b)) in
+  let nl = T.finish b [ T.vcvs ~p:"buf" ~n:"0" ~cp:"hp" ~cn:"0" 1. ] in
+  let prep = Ac.prepare (Dc.solve nl) in
   match Measure.bandpass_characteristics ~fmin:10. ~fmax:1e5 ~out:"out" prep with
   | Some bp ->
     let f0 = 1. /. (2. *. Float.pi *. 1e3 *. 100e-9) in
@@ -264,7 +269,7 @@ let test_transient_convergence_order () =
     let op = Dc.solve (rc_lowpass ()) in
     let r =
       Tr.run ~method_
-        ~stimulus:[ ("V1", Tr.sine ~ampl:1. ~freq ()) ]
+        ~stimulus:[ ("V1", T.sine ~ampl:1. ~freq ()) ]
         ~tstop:(1.2 *. tau) ~dt op
     in
     Float.abs (Tr.value_at r "out" tau -. exact tau)
@@ -306,7 +311,7 @@ let test_transient_step_acceptance () =
       let op = Dc.solve (deck ()) in
       ignore
         (Tr.run ~max_newton:3
-           ~stimulus:[ ("V1", Tr.sine ~ampl:4. ~freq:1e3 ()) ]
+           ~stimulus:[ ("V1", T.sine ~ampl:4. ~freq:1e3 ()) ]
            ~tstop:1e-3 ~dt:1e-4 op)
     in
     Ape_obs.enable ();
@@ -339,12 +344,12 @@ let test_transient_step_acceptance () =
      ((s, v), (c, i)))
 
 let test_waveforms () =
-  let p = Tr.pulse ~delay:1e-6 ~rise:1e-9 ~low:0. ~high:5. ~width:1e-6 ~period:4e-6 () in
+  let p = T.pulse ~delay:1e-6 ~rise:1e-9 ~low:0. ~high:5. ~width:1e-6 ~period:4e-6 () in
   check_close "pulse before delay" 0. (p 0.);
   check_close "pulse high" 5. (p 1.5e-6);
   check_close "pulse low again" 0. (p 2.5e-6);
   check_close "pulse periodic" 5. (p 5.5e-6);
-  let s = Tr.sine ~offset:1. ~ampl:2. ~freq:1e3 () in
+  let s = T.sine ~offset:1. ~ampl:2. ~freq:1e3 () in
   check_close "sine at 0" 1. (s 0.);
   check_close "sine peak" 3. (s 0.25e-3) ~tol:1e-6
 
@@ -365,10 +370,10 @@ let test_awe_two_pole () =
   B.vsource b ~p:"in" ~n:"0" ~ac:1. 0.;
   B.resistor b ~a:"in" ~b:"m" 1e3;
   B.capacitor b ~a:"m" ~b:"0" 1e-6;
-  B.vcvs b ~p:"buf" ~n:"0" ~cp:"m" ~cn:"0" 1.;
   B.resistor b ~a:"buf" ~b:"out" 10e3;
   B.capacitor b ~a:"out" ~b:"0" 1e-6;
-  let op = Dc.solve (B.finish b) in
+  let nl = T.finish b [ T.vcvs ~p:"buf" ~n:"0" ~cp:"m" ~cn:"0" 1. ] in
+  let op = Dc.solve nl in
   let approx = Awe.pade ~q:2 ~out:"out" op in
   let poles =
     List.map (fun p -> Complex.norm p /. (2. *. Float.pi)) approx.Awe.poles
@@ -408,10 +413,10 @@ let test_awe_unity_crossing_analytic () =
   let a0 = 100. and r = 1e3 and c = 159.154943e-9 in
   let b = B.create ~title:"1pole" in
   B.vsource b ~p:"in" ~n:"0" ~ac:1. 0.;
-  B.vcvs b ~p:"amp" ~n:"0" ~cp:"in" ~cn:"0" a0;
   B.resistor b ~a:"amp" ~b:"out" r;
   B.capacitor b ~a:"out" ~b:"0" c;
-  let op = Dc.solve (B.finish b) in
+  let nl = T.finish b [ T.vcvs ~p:"amp" ~n:"0" ~cp:"in" ~cn:"0" a0 ] in
+  let op = Dc.solve nl in
   let approx = Awe.pade ~q:1 ~out:"out" op in
   let fc = 1. /. (2. *. Float.pi *. r *. c) in
   let expected = fc *. Float.sqrt ((a0 *. a0) -. 1.) in
@@ -572,10 +577,10 @@ let test_transient_two_pole_step () =
   B.vsource b ~p:"in" ~n:"0" 0.;
   B.resistor b ~a:"in" ~b:"m" 1e3;
   B.capacitor b ~a:"m" ~b:"0" 1e-6;
-  B.vcvs b ~p:"buf" ~n:"0" ~cp:"m" ~cn:"0" 1.;
   B.resistor b ~a:"buf" ~b:"out" 1e3;
   B.capacitor b ~a:"out" ~b:"0" 100e-9;
-  let op = Dc.solve (B.finish b) in
+  let nl = T.finish b [ T.vcvs ~p:"buf" ~n:"0" ~cp:"m" ~cn:"0" 1. ] in
+  let op = Dc.solve nl in
   let r =
     Tr.run
       ~stimulus:[ ("V1", Tr.step ~t0:0. ~high:1. ()) ]
@@ -617,7 +622,7 @@ let test_engine_error_index_mismatch () =
   let b = B.create ~title:"csamp" in
   B.vsource b ~p:"vdd" ~n:"0" 5.;
   B.vsource b ~p:"in" ~n:"0" ~ac:1. 1.2;
-  B.nmos b proc ~d:"out" ~g:"in" ~s:"0" ~w:20e-6 ~l:2.4e-6;
+  T.nmos b proc ~d:"out" ~g:"in" ~s:"0" ~w:20e-6 ~l:2.4e-6;
   B.resistor b ~a:"vdd" ~b:"out" 47e3;
   B.capacitor b ~a:"out" ~b:"0" 1e-12;
   let nl = B.finish b in
@@ -672,7 +677,7 @@ let test_no_convergence_is_typed () =
      failure must surface as No_convergence naming the netlist. *)
   let b = B.create ~title:"hopeless" in
   B.vsource b ~p:"vdd" ~n:"0" 5.;
-  B.nmos b proc ~d:"d" ~g:"d" ~s:"0" ~w:10e-6 ~l:2.4e-6;
+  T.nmos b proc ~d:"d" ~g:"d" ~s:"0" ~w:10e-6 ~l:2.4e-6;
   B.resistor b ~a:"vdd" ~b:"d" 10e3;
   match Dc.solve ~max_iter:1 (B.finish b) with
   | _ -> Alcotest.fail "expected No_convergence"
@@ -692,10 +697,10 @@ let test_no_convergence_is_typed () =
 let test_awe_ugf_estimate () =
   let b = B.create ~title:"amp" in
   B.vsource b ~p:"in" ~n:"0" ~ac:1. 0.;
-  B.vcvs b ~p:"x" ~n:"0" ~cp:"in" ~cn:"0" 100.;
   B.resistor b ~a:"x" ~b:"out" 1e3;
   B.capacitor b ~a:"out" ~b:"0" 1e-9;
-  let op = Dc.solve (B.finish b) in
+  let nl = T.finish b [ T.vcvs ~p:"x" ~n:"0" ~cp:"in" ~cn:"0" 100. ] in
+  let op = Dc.solve nl in
   let approx = Awe.pade ~q:1 ~out:"out" op in
   match Ape_oracle.Awe_ref.unity_gain_frequency_hz approx with
   | Some f ->
@@ -742,12 +747,12 @@ let test_noise_rc_filtered () =
       let vrms =
         Noise.integrated_output_prepared ~out:"out" ~fstart:1.
           ~fstop:(100. /. (2. *. Float.pi *. r *. 1e-9))
-          ~points_per_decade:10 (make r)
+          (make r)
       in
       Alcotest.(check bool)
         (Printf.sprintf "kT/C within 10%% for R=%g (got %g vs %g)" r vrms ktc)
         true
-        (F.rel_error ktc vrms < 0.1))
+        (T.rel_error ktc vrms < 0.1))
     [ 1e3; 100e3 ]
 
 let test_noise_mosfet_thermal () =
@@ -756,7 +761,7 @@ let test_noise_mosfet_thermal () =
   let b = B.create ~title:"mosn" in
   B.vsource b ~p:"vdd" ~n:"0" ~ac:1. 5.;
   B.resistor b ~a:"vdd" ~b:"d" 100e3;
-  B.nmos b proc ~d:"d" ~g:"d" ~s:"0" ~w:20e-6 ~l:2.4e-6;
+  T.nmos b proc ~d:"d" ~g:"d" ~s:"0" ~w:20e-6 ~l:2.4e-6;
   let op = Dc.solve (B.finish b) in
   let total, contributions =
     Noise.output_noise_prepared ~out:"d" ~freq:1e6 (Ac.prepare op)
@@ -772,7 +777,7 @@ let test_noise_flicker_rolloff () =
   let b = B.create ~title:"mosn" in
   B.vsource b ~p:"vdd" ~n:"0" ~ac:1. 5.;
   B.resistor b ~a:"vdd" ~b:"d" 100e3;
-  B.nmos b proc ~d:"d" ~g:"d" ~s:"0" ~w:20e-6 ~l:2.4e-6;
+  T.nmos b proc ~d:"d" ~g:"d" ~s:"0" ~w:20e-6 ~l:2.4e-6;
   let prep = Ac.prepare (Dc.solve (B.finish b)) in
   let mos_psd freq =
     let _, contributions = Noise.output_noise_prepared ~out:"d" ~freq prep in
@@ -807,7 +812,7 @@ let cascade_deck k =
     Printf.bprintf b "X%d n%d n%d vdd stage\n" x (x - 1) x
   done;
   Buffer.add_string b ".END\n";
-  Ape_circuit.Spice_parser.parse ~process:proc ~title:"cascade"
+  T.parse ~process:proc ~title:"cascade"
     (Buffer.contents b)
 
 let ladder_netlist sections =
@@ -832,7 +837,7 @@ let noise_golden_ops () =
          let file = Filename.concat dir f in
          let text = In_channel.with_open_text file In_channel.input_all in
          let deck =
-           Ape_circuit.Spice_parser.parse ~process:proc ~title:file text
+           T.parse ~process:proc ~title:file text
          in
          match Dc.solve deck with
          | exception Dc.No_convergence _ -> None
@@ -984,7 +989,7 @@ let golden_deck name =
   let file =
     List.find (fun f -> String.equal (Filename.basename f) name) (golden_decks ())
   in
-  Ape_circuit.Spice_parser.parse ~process:proc ~title:file
+  T.parse ~process:proc ~title:file
     (In_channel.with_open_text file In_channel.input_all)
 
 (* The switched track stage under a sine input and a clock that opens
@@ -994,8 +999,8 @@ let test_transient_frozen_sc_track () =
   let op = Dc.solve (golden_deck "sc_track.sp") in
   let stimulus =
     [
-      ("VIN", Tr.sine ~offset:2.5 ~ampl:0.5 ~freq:1e6 ());
-      ("VCK", Tr.pulse ~low:0. ~high:5. ~width:200e-9 ~period:500e-9 ());
+      ("VIN", T.sine ~offset:2.5 ~ampl:0.5 ~freq:1e6 ());
+      ("VCK", T.pulse ~low:0. ~high:5. ~width:200e-9 ~period:500e-9 ());
     ]
   in
   List.iter
@@ -1069,8 +1074,8 @@ let check_stopped_prefix label ~full ~stopped until =
 
 let sc_track_stimulus =
   [
-    ("VIN", Tr.sine ~offset:2.5 ~ampl:0.5 ~freq:1e6 ());
-    ("VCK", Tr.pulse ~low:0. ~high:5. ~width:200e-9 ~period:500e-9 ());
+    ("VIN", T.sine ~offset:2.5 ~ampl:0.5 ~freq:1e6 ());
+    ("VCK", T.pulse ~low:0. ~high:5. ~width:200e-9 ~period:500e-9 ());
   ]
 
 let test_transient_until_prefix () =
@@ -1270,23 +1275,16 @@ let noise_decks () =
   @ [ ("16-instance cascade", cascade_deck 16, "n16");
       ("96-section ladder", ladder_netlist 96, "n96") ]
 
-(* Integrated noise solves its adjoints in frequency panels: every
-   panel width must give the same bits, and width 1 (one scalar adjoint
-   per frequency) must equal the trapezoid over the breakdown routine's
-   totals on the same grid. *)
+(* Integrated noise solves its adjoints in frequency panels of
+   [Ac.panel_width]; it must give the bits of the trapezoid over the
+   breakdown routine's totals on the same grid, each a scalar adjoint
+   at one frequency. *)
 let test_noise_integrated_panel_width () =
-  let k0 = Ac.panel_width () in
-  Fun.protect ~finally:(fun () -> Ac.set_panel_width k0) @@ fun () ->
   let fstart = 10. and fstop = 1e8 in
   let freqs = F.logspace fstart fstop 36 in
   List.iter
     (fun (label, deck, out) ->
       let p = Ac.prepare (Dc.solve deck) in
-      let integrated k =
-        Ac.set_panel_width k;
-        hex (Noise.integrated_output_prepared ~out ~fstart ~fstop p)
-      in
-      let reference = integrated 1 in
       let totals =
         List.map (fun freq -> fst (Noise.output_noise_prepared ~out ~freq p)) freqs
       in
@@ -1296,15 +1294,9 @@ let test_noise_integrated_panel_width () =
         | [ _ ] | [] -> acc
       in
       Alcotest.(check string)
-        (label ^ ": width 1 = trapezoid over output_noise_prepared")
+        (label ^ ": panels = trapezoid over scalar output_noise_prepared")
         (hex (Float.sqrt (trapezoid 0. (List.combine freqs totals))))
-        reference;
-      List.iter
-        (fun k ->
-          Alcotest.(check string)
-            (Printf.sprintf "%s: width %d = width 1" label k)
-            reference (integrated k))
-        [ 3; 8 ])
+        (hex (Noise.integrated_output_prepared ~out ~fstart ~fstop p)))
     (noise_decks ())
 
 let test_noise_integration_counters () =
@@ -1313,9 +1305,6 @@ let test_noise_integration_counters () =
      already built, with no forward solve and (no lane of this deck
      falling back) no scalar refactor.  One frequency takes the scalar
      path and builds no workspace. *)
-  let k0 = Ac.panel_width () in
-  Fun.protect ~finally:(fun () -> Ac.set_panel_width k0) @@ fun () ->
-  Ac.set_panel_width 8;
   let count f =
     Ape_obs.enable ();
     Ape_obs.reset ();
@@ -1355,7 +1344,7 @@ let test_prepared_matches_blocked_golden () =
   List.iter
     (fun file ->
       let text = In_channel.with_open_text file In_channel.input_all in
-      let nl = Ape_circuit.Spice_parser.parse ~title:file text in
+      let nl = T.parse ~title:file text in
       match Dc.solve nl with
       | exception Dc.No_convergence _ -> ()
       | op ->
@@ -1395,7 +1384,7 @@ let mos_amp_op () =
   let b = B.create ~title:"csamp" in
   B.vsource b ~p:"vdd" ~n:"0" 5.;
   B.vsource b ~p:"in" ~n:"0" ~ac:1. 1.2;
-  B.nmos b proc ~d:"out" ~g:"in" ~s:"0" ~w:20e-6 ~l:2.4e-6;
+  T.nmos b proc ~d:"out" ~g:"in" ~s:"0" ~w:20e-6 ~l:2.4e-6;
   B.resistor b ~a:"vdd" ~b:"out" 47e3;
   B.capacitor b ~a:"out" ~b:"0" 1e-12;
   Dc.solve (B.finish b)
@@ -1444,7 +1433,7 @@ let test_excite_matches_fresh () =
   List.iter
     (fun file ->
       let text = In_channel.with_open_text file In_channel.input_all in
-      let nl = Ape_circuit.Spice_parser.parse ~title:file text in
+      let nl = T.parse ~title:file text in
       match Dc.solve nl with
       | exception Dc.No_convergence _ -> ()
       | op ->
@@ -1480,17 +1469,17 @@ let subhertz_positive_nl () =
   B.vsource b ~p:"in" ~n:"0" ~ac:1. 0.;
   B.resistor b ~a:"in" ~b:"p1" 1e6;
   B.capacitor b ~a:"p1" ~b:"0" 10e-6;
-  B.vcvs b ~p:"b1" ~n:"0" ~cp:"p1" ~cn:"0" 1.;
   B.resistor b ~a:"b1" ~b:"p2" 1e6;
   B.capacitor b ~a:"p2" ~b:"0" 10e-6;
-  B.vcvs b ~p:"out" ~n:"0" ~cp:"p2" ~cn:"0" 2.;
   B.resistor b ~a:"out" ~b:"0" 1e3;
-  B.finish b
+  T.finish b
+    [ T.vcvs ~p:"b1" ~n:"0" ~cp:"p1" ~cn:"0" 1.;
+      T.vcvs ~p:"out" ~n:"0" ~cp:"p2" ~cn:"0" 2. ]
 
 let test_signed_gain_subhertz_poles () =
   let op = Ac.prepare (Dc.solve (subhertz_positive_nl ())) in
   (* Sanity: the old 1 Hz probe really sits beyond 90° of lag. *)
-  let ph1 = Measure.phase_at ~out:"out" op 1.0 in
+  let ph1 = phase_at ~out:"out" op 1.0 in
   Alcotest.(check bool)
     (Printf.sprintf "1 Hz phase beyond ±90° (%.1f°)" ph1)
     true
@@ -1502,9 +1491,9 @@ let test_signed_gain_subhertz_poles () =
   (* And an actually inverting stage still reports negative. *)
   let b = B.create ~title:"inv" in
   B.vsource b ~p:"in" ~n:"0" ~ac:1. 0.;
-  B.vcvs b ~p:"out" ~n:"0" ~cp:"0" ~cn:"in" 3.;
   B.resistor b ~a:"out" ~b:"0" 1e3;
-  let opi = Ac.prepare (Dc.solve (B.finish b)) in
+  let nl = T.finish b [ T.vcvs ~p:"out" ~n:"0" ~cp:"0" ~cn:"in" 3. ] in
+  let opi = Ac.prepare (Dc.solve nl) in
   check_close "inverting gain" (-3.)
     (Measure.dc_gain_signed ~out:"out" opi)
     ~tol:1e-9
@@ -1519,16 +1508,16 @@ let three_pole_nl () =
   let c = 1. /. (2. *. Float.pi *. fc *. r) in
   let b = B.create ~title:"3pole" in
   B.vsource b ~p:"in" ~n:"0" ~ac:1. 0.;
-  B.vcvs b ~p:"amp" ~n:"0" ~cp:"in" ~cn:"0" 1000.;
   B.resistor b ~a:"amp" ~b:"p1" r;
   B.capacitor b ~a:"p1" ~b:"0" c;
-  B.vcvs b ~p:"b1" ~n:"0" ~cp:"p1" ~cn:"0" 1.;
   B.resistor b ~a:"b1" ~b:"p2" r;
   B.capacitor b ~a:"p2" ~b:"0" c;
-  B.vcvs b ~p:"b2" ~n:"0" ~cp:"p2" ~cn:"0" 1.;
   B.resistor b ~a:"b2" ~b:"out" r;
   B.capacitor b ~a:"out" ~b:"0" c;
-  B.finish b
+  T.finish b
+    [ T.vcvs ~p:"amp" ~n:"0" ~cp:"in" ~cn:"0" 1000.;
+      T.vcvs ~p:"b1" ~n:"0" ~cp:"p1" ~cn:"0" 1.;
+      T.vcvs ~p:"b2" ~n:"0" ~cp:"p2" ~cn:"0" 1. ]
 
 let test_phase_margin_unwrapped () =
   let prep = Ac.prepare (Dc.solve (three_pole_nl ())) in
@@ -1546,16 +1535,17 @@ let test_phase_margin_unwrapped () =
     check_close "unwrapped phase margin" expected pm ~tol:1e-3
 
 let test_unwrapped_phase_matches_wrapped_when_no_wrap () =
-  (* Single pole: lag never exceeds 90°, so the unwrapped phase must
-     equal the principal value exactly. *)
+  (* Single pole: lag never exceeds 90°, so the unwrapped phase that
+     [phase_margin] adds to 180° must equal the principal value
+     exactly. *)
   let p = Ac.prepare (Dc.solve (rc_lowpass ())) in
   List.iter
     (fun f ->
-      let wrapped = Measure.phase_at ~out:"out" p f in
-      let unwrapped = Measure.unwrapped_phase_at ~out:"out" p f in
+      let wrapped = phase_at ~out:"out" p f in
       Alcotest.(check (float 0.))
         (Printf.sprintf "no-wrap identity at %g Hz" f)
-        wrapped unwrapped)
+        (180. +. wrapped)
+        (Measure.phase_margin ~ugf:f ~out:"out" p))
     [ 1.; 100.; 159.; 1e4; 1e6 ]
 
 (* ---------- properties ---------- *)
@@ -1569,11 +1559,11 @@ let test_transient_matches_ac_steady_state () =
   let period = 1. /. fc in
   let result =
     Tr.run
-      ~stimulus:[ ("V1", Tr.sine ~ampl:1. ~freq:fc ()) ]
+      ~stimulus:[ ("V1", T.sine ~ampl:1. ~freq:fc ()) ]
       ~tstop:(10. *. period) ~dt:(period /. 200.) op
   in
   (* Peak over the last two periods. *)
-  let ys = Tr.samples result "out" and ts = result.Tr.times in
+  let ys = List.assoc "out" result.Tr.nodes and ts = result.Tr.times in
   let peak = ref 0. in
   Array.iteri
     (fun i t -> if t > 8. *. period then peak := Float.max !peak (Float.abs ys.(i)))
@@ -1596,13 +1586,13 @@ let test_estimator_cross_process () =
     Alcotest.(check bool)
       (Printf.sprintf "c08 gain within 50%% (est %.1f sim %.1f)" est meas)
       true
-      (F.rel_error est meas < 0.5)
+      (T.rel_error est meas < 0.5)
   | _ -> Alcotest.fail "missing gains");
   match (d.Ape_estimator.Diff_pair.perf.Ape_estimator.Perf.dc_power,
          sim.Ape_estimator.Perf.dc_power) with
   | est, meas ->
     Alcotest.(check bool) "c08 power within 10%" true
-      (F.rel_error est meas < 0.1)
+      (T.rel_error est meas < 0.1)
 
 let prop_ac_rc_any_freq =
   QCheck.Test.make ~name:"RC low-pass matches analytic response" ~count:60

@@ -225,7 +225,8 @@ let prop_to_eng_parses_close =
 
 let prop_spice_num_roundtrip =
   (* Netlist printing re-reads its own numbers: whatever the magnitude
-     (to_eng's "M" included), the printed value parses back exactly. *)
+     (to_eng's "M" included), the value [Netlist.to_spice] prints for an
+     element parses back exactly. *)
   QCheck.Test.make ~name:"Netlist.spice_num round-trips every finite value"
     ~count:1000
     QCheck.(
@@ -236,7 +237,16 @@ let prop_spice_num_roundtrip =
           float ])
     (fun v ->
       QCheck.assume (Float.is_finite v);
-      match Ape_util.Units.parse_number (Ape_circuit.Netlist.spice_num v) with
+      let module N = Ape_circuit.Netlist in
+      let deck =
+        N.to_spice
+          (N.make ~title:"t" [ N.Resistor { name = "R1"; a = "a"; b = "0"; r = v } ])
+      in
+      let line =
+        List.find (String.starts_with ~prefix:"R1 ") (String.split_on_char '\n' deck)
+      in
+      let printed = List.nth (String.split_on_char ' ' line) 3 in
+      match Ape_util.Units.parse_number printed with
       | Some got -> Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float v)
       | None -> false)
 

@@ -1,5 +1,5 @@
 (* Unit and property tests for Ape_util: units, float helpers, intervals,
-   matrices, polynomials, root finding, RNG, strings, tables. *)
+   matrices, polynomials, root finding, RNG, pools, tables. *)
 
 module U = Ape_util.Units
 module F = Ape_util.Float_ext
@@ -9,7 +9,6 @@ module Cmat = Ape_oracle.Cmat
 module Poly = Ape_oracle.Poly
 module Root = Ape_util.Rootfind
 module Rng = Ape_util.Rng
-module Strings = Ape_util.Strings
 module Table = Ape_util.Table
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -28,14 +27,12 @@ let test_eng_format () =
   Alcotest.(check string) "unit" "5" (U.to_eng 5.);
   Alcotest.(check string) "negative" "-2.5m" (U.to_eng (-2.5e-3));
   Alcotest.(check string) "zero" "0" (U.to_eng 0.);
-  Alcotest.(check string) "kilo trim" "10k" (U.to_eng 1e4);
-  Alcotest.(check string) "with unit" "2.64MHz" (U.to_eng_unit "Hz" 2.64e6)
+  Alcotest.(check string) "kilo trim" "10k" (U.to_eng 1e4)
 
 let test_constants () =
-  checkf "um2" 1e-12 U.um2;
+  check_close "eps_ox" (3.9 *. 8.8541878128e-12) U.eps_ox;
   check_close "thermal voltage at 300.15K" 0.02585
-    (U.thermal_voltage ()) ~tol:1e-3;
-  check_close "eps_ox" 3.9 (U.eps_ox /. U.eps_0)
+    (U.k_boltzmann *. 300.15 /. 1.602176634e-19) ~tol:1e-3
 
 (* ---------- Float_ext ---------- *)
 
@@ -45,20 +42,15 @@ let test_float_helpers () =
   checkf "clamp hi" 2. (F.clamp ~lo:0. ~hi:2. 5.);
   checkf "clamp lo" 0. (F.clamp ~lo:0. ~hi:2. (-1.));
   checkf "lerp mid" 1.5 (F.lerp 1. 2. 0.5);
-  Alcotest.(check int) "linspace length" 5 (List.length (F.linspace 0. 1. 5));
-  checkf "linspace last" 1. (List.nth (F.linspace 0. 1. 5) 4);
+  Alcotest.(check int) "logspace length" 5 (List.length (F.logspace 1. 1e4 5));
+  checkf "logspace last" 1e4 (List.nth (F.logspace 1. 1e4 5) 4);
   check_close "logspace mid" 10. (List.nth (F.logspace 1. 100. 3) 1);
   checkf "db of 10" 20. (F.db_of_gain 10.);
-  check_close "gain of 20dB" 10. (F.gain_of_db 20.);
-  checkf "mean" 2. (F.mean [ 1.; 2.; 3. ]);
-  check_close "geometric mean" 2. (F.geometric_mean [ 1.; 4. ]);
-  checkf "rel error" 0.1 (F.rel_error 10. 11.)
+  check_close "gain of 20dB" 10. (F.gain_of_db 20.)
 
 let test_float_errors () =
   Alcotest.check_raises "clamp bad" (Invalid_argument "Float_ext.clamp: lo > hi")
-    (fun () -> ignore (F.clamp ~lo:2. ~hi:1. 0.));
-  Alcotest.check_raises "mean empty" (Invalid_argument "Float_ext.mean: empty")
-    (fun () -> ignore (F.mean []))
+    (fun () -> ignore (F.clamp ~lo:2. ~hi:1. 0.))
 
 (* ---------- Interval ---------- *)
 
@@ -66,11 +58,9 @@ let test_interval_basic () =
   let iv = I.make 1. 3. in
   checkf "lo" 1. (I.lo iv);
   checkf "hi" 3. (I.hi iv);
-  checkf "mid" 2. (I.mid iv);
   checkf "width" 2. (I.width iv);
-  Alcotest.(check bool) "contains" true (I.contains iv 2.5);
-  Alcotest.(check bool) "not contains" false (I.contains iv 3.5);
-  checkf "clamp" 3. (I.clamp iv 4.);
+  Alcotest.check_raises "lo > hi" (Invalid_argument "Interval.make: lo > hi")
+    (fun () -> ignore (I.make 3. 1.));
   let c = I.of_center ~pct:0.2 10. in
   checkf "center lo" 8. (I.lo c);
   checkf "center hi" 12. (I.hi c);
@@ -78,45 +68,15 @@ let test_interval_basic () =
   let n = I.of_center ~pct:0.2 (-10.) in
   Alcotest.(check bool) "neg ordered" true (I.lo n < I.hi n)
 
-let test_interval_ops () =
-  let a = I.make 1. 2. and b = I.make (-1.) 3. in
-  checkf "add lo" 0. (I.lo (I.add a b));
-  checkf "add hi" 5. (I.hi (I.add a b));
-  checkf "mul lo" (-2.) (I.lo (I.mul a b));
-  checkf "mul hi" 6. (I.hi (I.mul a b));
-  Alcotest.(check bool) "intersect none" true
-    (I.intersect (I.make 0. 1.) (I.make 2. 3.) = None);
-  (match I.intersect a b with
-  | Some iv ->
-    checkf "intersect lo" 1. (I.lo iv);
-    checkf "intersect hi" 2. (I.hi iv)
-  | None -> Alcotest.fail "expected intersection");
-  Alcotest.check_raises "div by zero-containing" Division_by_zero (fun () ->
-      ignore (I.div a b))
-
-let interval_gen =
-  QCheck.Gen.(
-    map2
-      (fun a b -> I.make (Float.min a b) (Float.max a b))
-      (float_range (-100.) 100.)
-      (float_range (-100.) 100.))
-
-let arb_interval = QCheck.make interval_gen
-
-let prop_interval_mul_sound =
-  QCheck.Test.make ~name:"interval mul contains pointwise products"
+let prop_interval_of_center =
+  QCheck.Test.make ~name:"of_center brackets its centre, width 2 pct |x|"
     ~count:200
-    (QCheck.triple arb_interval arb_interval (QCheck.float_range 0. 1.))
-    (fun (a, b, t) ->
-      let x = F.lerp (I.lo a) (I.hi a) t in
-      let y = F.lerp (I.lo b) (I.hi b) (1. -. t) in
-      I.contains (I.mul a b) (x *. y))
-
-let prop_interval_hull =
-  QCheck.Test.make ~name:"hull contains both intervals" ~count:200
-    (QCheck.pair arb_interval arb_interval) (fun (a, b) ->
-      let h = I.hull a b in
-      I.contains h (I.lo a) && I.contains h (I.hi b))
+    (QCheck.pair (QCheck.float_range (-1e3) 1e3) (QCheck.float_range 0. 0.99))
+    (fun (x, pct) ->
+      let iv = I.of_center ~pct x in
+      I.lo iv <= x && x <= I.hi iv
+      && Float.abs (I.width iv -. (2. *. pct *. Float.abs x))
+         <= 1e-12 *. Float.max 1. (Float.abs x))
 
 (* ---------- Matrix ---------- *)
 
@@ -335,10 +295,6 @@ let prop_poly_mul_eval =
 
 (* ---------- Rootfind ---------- *)
 
-let test_bisect () =
-  let root = Root.bisect (fun x -> (x *. x) -. 2.) 0. 2. in
-  check_close "sqrt 2" (Float.sqrt 2.) root ~tol:1e-9
-
 let test_brent () =
   let root = Root.brent (fun x -> Float.cos x -. x) 0. 1. in
   check_close "dottie number" 0.7390851332151607 root ~tol:1e-9
@@ -356,10 +312,6 @@ let test_no_bracket () =
 let test_expand_bracket () =
   let lo, hi = Root.expand_bracket (fun x -> x -. 100.) 0. 1. in
   Alcotest.(check bool) "bracket found" true (lo <= 100. && hi >= 100.)
-
-let test_solve_increasing () =
-  let x = Root.solve_increasing (fun x -> x *. x *. x) ~target:8. 0.1 1. in
-  check_close "cube root" 2. x ~tol:1e-6
 
 (* ---------- Rng ---------- *)
 
@@ -383,7 +335,7 @@ let test_rng_gauss_moments () =
   let rng = Rng.create 11 in
   let n = 5000 in
   let samples = List.init n (fun _ -> Rng.gauss rng ~mean:2. ~sigma:0.5) in
-  let mean = F.mean samples in
+  let mean = List.fold_left ( +. ) 0. samples /. float_of_int n in
   Alcotest.(check bool) "gauss mean near 2" true (Float.abs (mean -. 2.) < 0.05)
 
 let correlation xs ys =
@@ -404,16 +356,6 @@ let correlation xs ys =
    have correlation std ~1/sqrt(1000) ~ 0.032, so |r| < 0.15 is a ~5
    sigma acceptance band — tight enough to catch seed-sharing bugs,
    loose enough to never flake. *)
-let prop_rng_split_independent =
-  QCheck.Test.make ~name:"split siblings uncorrelated" ~count:30
-    QCheck.small_nat (fun seed ->
-      let parent = Rng.create seed in
-      let a = Rng.split parent and b = Rng.split parent in
-      let n = 1000 in
-      let xs = Array.init n (fun _ -> Rng.uniform a 0. 1.) in
-      let ys = Array.init n (fun _ -> Rng.uniform b 0. 1.) in
-      Float.abs (correlation xs ys) < 0.15)
-
 let prop_rng_split_n_independent =
   QCheck.Test.make ~name:"split_n children pairwise uncorrelated" ~count:10
     QCheck.small_nat (fun seed ->
@@ -445,11 +387,7 @@ let test_rng_split_n_keyed () =
   Alcotest.(check bool) "children differ" true
     (child_draw ~of_n:8 0 <> child_draw ~of_n:8 1)
 
-(* ---------- Strings / Table ---------- *)
-
-let test_strings () =
-  Alcotest.(check bool) "prefix ci" true
-    (Strings.starts_with_ci ~prefix:".model" ".MODEL FOO")
+(* ---------- Table ---------- *)
 
 let test_table () =
   let out =
@@ -457,8 +395,7 @@ let test_table () =
   in
   Alcotest.(check bool) "has rule" true (String.length out > 0);
   (* Rows padded to header width must not raise; check cell formats. *)
-  Alcotest.(check string) "pct" "13.8%" (Table.cell_pct 0.138);
-  Alcotest.(check string) "fixed" "206.20" (Table.cell_fixed 206.2)
+  Alcotest.(check string) "pct" "13.8%" (Table.cell_pct 0.138)
 
 let test_eng_edge_cases () =
   Alcotest.(check string) "nan" "nan" (U.to_eng Float.nan);
@@ -467,21 +404,15 @@ let test_eng_edge_cases () =
   (* Beyond the prefix ladder: clamps to the extreme prefixes. *)
   Alcotest.(check bool) "tiny uses atto" true
     (String.length (U.to_eng 1e-20) > 0);
-  Alcotest.(check string) "digits control" "1.235k" (U.to_eng ~digits:4 1234.56)
+  Alcotest.(check string) "three significant digits" "1.23k" (U.to_eng 1234.56)
 
 let test_linspace_errors () =
   Alcotest.check_raises "linspace n<2"
     (Invalid_argument "Float_ext.linspace: n < 2") (fun () ->
-      ignore (F.linspace 0. 1. 1));
+      ignore (F.logspace 1. 10. 1));
   Alcotest.check_raises "logspace non-positive"
     (Invalid_argument "Float_ext.logspace: bounds <= 0") (fun () ->
       ignore (F.logspace 0. 1. 3))
-
-let prop_interval_sample_inside =
-  QCheck.Test.make ~name:"interval samples stay inside" ~count:200
-    arb_interval (fun iv ->
-      let rng = Rng.create 5 in
-      I.contains iv (I.sample (Rng.state rng) iv))
 
 let prop_poly_of_roots_vanishes =
   QCheck.Test.make ~name:"poly of roots vanishes at each root" ~count:100
@@ -518,7 +449,6 @@ let test_pool_map_exception_no_deadlock () =
 
 let test_pool_inline_when_no_workers () =
   Pool.with_pool ~workers:0 (fun pool ->
-      Alcotest.(check int) "zero workers" 0 (Pool.size pool);
       let t = Pool.submit pool (fun () -> 5) in
       Alcotest.(check int) "inline execution" 5 (Pool.await t))
 
@@ -623,39 +553,6 @@ let test_matrix_one () =
   Alcotest.check_raises "1x1 singular" Ape_oracle.Matrix.Singular (fun () ->
       ignore (Rmat.solve z [| 1. |]))
 
-(* ---------- Interval monotonicity properties ---------- *)
-
-let prop_interval_add_sub_sound =
-  QCheck.Test.make ~name:"add/sub contain pointwise results" ~count:200
-    (QCheck.triple arb_interval arb_interval (QCheck.float_range 0. 1.))
-    (fun (a, b, t) ->
-      let x = F.lerp (I.lo a) (I.hi a) t in
-      let y = F.lerp (I.lo b) (I.hi b) (1. -. t) in
-      I.contains (I.add a b) (x +. y) && I.contains (I.sub a b) (x -. y))
-
-let prop_interval_map_monotone =
-  QCheck.Test.make
-    ~name:"map_monotone image contains pointwise images (inc and dec)"
-    ~count:200
-    (QCheck.pair arb_interval (QCheck.float_range 0. 1.))
-    (fun (a, t) ->
-      let x = F.lerp (I.lo a) (I.hi a) t in
-      (* exp is increasing, neg is decreasing: both directions must come
-         out with sorted bounds containing every pointwise image. *)
-      let inc = I.map_monotone Float.exp a in
-      let dec = I.map_monotone (fun v -> -.v) a in
-      I.lo inc <= I.hi inc
-      && I.lo dec <= I.hi dec
-      && I.contains inc (Float.exp x)
-      && I.contains dec (-.x))
-
-let prop_interval_width_monotone =
-  QCheck.Test.make ~name:"add widens: width(a+b) = width a + width b"
-    ~count:200
-    (QCheck.pair arb_interval arb_interval)
-    (fun (a, b) ->
-      Float.abs (I.width (I.add a b) -. (I.width a +. I.width b)) <= 1e-9)
-
 (* ---------- Poly root/eval round-trip ---------- *)
 
 let prop_poly_roots_roundtrip =
@@ -704,14 +601,8 @@ let () =
           Alcotest.test_case "range errors" `Quick test_linspace_errors;
         ] );
       ( "interval",
-        [
-          Alcotest.test_case "basics" `Quick test_interval_basic;
-          Alcotest.test_case "operations" `Quick test_interval_ops;
-        ] );
-      qsuite "interval-properties"
-        [ prop_interval_mul_sound; prop_interval_hull;
-          prop_interval_sample_inside; prop_interval_add_sub_sound;
-          prop_interval_map_monotone; prop_interval_width_monotone ];
+        [ Alcotest.test_case "basics" `Quick test_interval_basic ] );
+      qsuite "interval-properties" [ prop_interval_of_center ];
       ( "matrix",
         [
           Alcotest.test_case "solve 2x2" `Quick test_matrix_solve;
@@ -735,12 +626,10 @@ let () =
           prop_poly_roots_roundtrip; prop_poly_eval_roundtrip ];
       ( "rootfind",
         [
-          Alcotest.test_case "bisect" `Quick test_bisect;
           Alcotest.test_case "brent" `Quick test_brent;
           Alcotest.test_case "newton" `Quick test_newton;
           Alcotest.test_case "no bracket" `Quick test_no_bracket;
           Alcotest.test_case "expand bracket" `Quick test_expand_bracket;
-          Alcotest.test_case "solve increasing" `Quick test_solve_increasing;
         ] );
       ( "rng",
         [
@@ -750,8 +639,7 @@ let () =
           Alcotest.test_case "split_n keyed by index" `Quick
             test_rng_split_n_keyed;
         ] );
-      qsuite "rng-properties"
-        [ prop_rng_split_independent; prop_rng_split_n_independent ];
+      qsuite "rng-properties" [ prop_rng_split_n_independent ];
       ( "pool",
         [
           Alcotest.test_case "exception propagation" `Quick
@@ -769,9 +657,5 @@ let () =
             test_pool_reuse_across_rounds;
         ] );
       qsuite "pool-properties" [ prop_pool_map_jobs_invariant ];
-      ( "strings-table",
-        [
-          Alcotest.test_case "strings" `Quick test_strings;
-          Alcotest.test_case "table" `Quick test_table;
-        ] );
+      ( "strings-table", [ Alcotest.test_case "table" `Quick test_table ] );
     ]
